@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-hot race-obs vet lint lint-vet lint-audit verify bench-engine bench-obs bench-churn bench-goal bench-smoke fuzz-smoke bench-serve
+.PHONY: all build test race race-hot race-obs vet lint lint-vet lint-audit verify bench-engine bench-obs bench-churn bench-goal bench-smoke bench-whole-smoke fuzz-smoke bench-serve
 
 all: verify
 
@@ -48,7 +48,7 @@ LINT_SUPPRESSIONS_MAX ?= 6
 lint-audit:
 	$(GO) run ./cmd/wdmlint -audit -audit-max $(LINT_SUPPRESSIONS_MAX)
 
-verify: build vet test race-hot race
+verify: build vet test race-hot race bench-whole-smoke
 
 # Regenerate the committed engine benchmark record and gate the cache's
 # reason to exist: cached/uncached speedup >= 50x, hit rate >= 0.9.
@@ -91,9 +91,20 @@ bench-goal:
 # gross regression on the hot paths is visible in the job log without
 # paying for a full measurement run. Not a stable-numbers benchmark.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Route|AllocateRelease|Dijkstra|Bidirectional|AStar|Sampler|History' \
+	$(GO) test -run '^$$' -bench 'Route|AllocateRelease|Dijkstra|Bidirectional|AStar|Sampler|History|HeapSearchMix' \
 		-benchtime 100ms -benchmem \
-		./internal/graph ./internal/core ./internal/engine ./internal/obs
+		./internal/heap/binheap ./internal/graph ./internal/core ./internal/engine ./internal/obs
+
+# The whole-stack benchmark (BENCHMARK.json, benchmark/) is a nested
+# module, so the root `go build ./... && go test ./...` never compiles
+# it: an API break against the symbols it imports would otherwise
+# surface only when the benchmark pipeline runs. Vet and test it, then
+# run every mode once at tiny op counts (checks replies, measures
+# nothing).
+bench-whole-smoke:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+	bash benchmark/run.sh -smoke
 
 # Short fuzzing pass over every fuzz target (go test -fuzz takes one
 # target per invocation, hence the list). 30s each is a smoke budget:

@@ -64,8 +64,12 @@ func (a *Aux) RouteFrom(s int, opts *Options) (*SourceTree, error) {
 	n := a.nw.NumNodes()
 	sp := opts.span().StartChild(spanTreeSearch)
 	defer sp.End()
-	seeds := a.sourceSeeds(s)
-	if len(seeds) == 0 {
+	// Borrow the search's working set from the pool; what the SourceTree
+	// retains is copied out of it below.
+	qs := a.pool.get()
+	defer a.pool.put(qs)
+	qs.seeds = a.sourceSeeds(qs.seeds, s)
+	if len(qs.seeds) == 0 {
 		sp.SetBool(attrBlocked, true)
 		// No outgoing channels: only s itself is reachable.
 		st := &SourceTree{aux: a, source: s, bestX: make([]int32, n), dist: make([]float64, n)}
@@ -75,23 +79,31 @@ func (a *Aux) RouteFrom(s int, opts *Options) (*SourceTree, error) {
 		}
 		return st, nil
 	}
-	tree, err := graph.DijkstraSeeds(a.g, seeds, -1, opts.queue())
+	scratchTree, err := graph.DijkstraSeedsUntilScratch(a.g, qs.seeds, nil, opts.queue(), qs.g)
 	if err != nil {
 		return nil, fmt.Errorf("core: dijkstra: %w", err)
 	}
+	tree := &graph.ShortestPathTree{
+		Source:  scratchTree.Source,
+		Dist:    append([]float64(nil), scratchTree.Dist...),
+		Parent:  append([]int32(nil), scratchTree.Parent...),
+		ViaArc:  append([]int32(nil), scratchTree.ViaArc...),
+		Settled: scratchTree.Settled,
+		Relaxed: scratchTree.Relaxed,
+	}
 	if tr := opts.trace(); tr != nil {
 		tr.Source = s
-		tr.AuxNodes = a.NumAuxNodes() + 1 // plus the virtual super source
-		tr.AuxArcs = a.g.NumArcs()
+		tr.AuxNodes = a.NumAuxNodes() + 1          // plus the virtual super source
+		tr.AuxArcs = a.g.NumArcs() + len(qs.seeds) // and its arcs into Y_s
 		tr.Settled = tree.Settled
 		tr.Relaxed = tree.Relaxed
 	}
 	if sp != nil {
 		sp.SetInt(attrAuxNodes, int64(a.NumAuxNodes()+1))
-		sp.SetInt(attrAuxArcs, int64(a.g.NumArcs()))
+		sp.SetInt(attrAuxArcs, int64(a.g.NumArcs()+len(qs.seeds)))
 		sp.SetInt(attrSettled, int64(tree.Settled))
 		sp.SetInt(attrRelaxed, int64(tree.Relaxed))
-		sp.SetStr(attrReachedPerLambda, a.reachedPerLambda(tree))
+		sp.SetStr(attrReachedPerLambda, a.reachedPerLambda(tree, qs))
 	}
 	st := &SourceTree{
 		aux:    a,

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"lightpath/internal/graph"
 	"lightpath/internal/topo"
 	"lightpath/internal/wdm"
 	"lightpath/internal/workload"
@@ -48,6 +49,37 @@ func BenchmarkRouteReusedAux(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRoutePoint is the server's default point query — plain search,
+// binary queue — over seeded pairs on a 300-node sparse network: the
+// kernel the whole-stack benchmark's big_read workload spends its time in.
+func BenchmarkRoutePoint(b *testing.B) {
+	nw := benchNetwork(b, 300, 8)
+	aux, err := NewAux(nw)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	pairs := make([][2]int, 256)
+	for i := range pairs {
+		pairs[i] = [2]int{rng.Intn(300), rng.Intn(300)}
+	}
+	opts := &Options{Queue: graph.QueueBinary}
+	settled := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pairs[i%len(pairs)]
+		res, err := aux.Route(p[0], p[1], opts)
+		if err != nil && !errors.Is(err, ErrNoRoute) {
+			b.Fatal(err)
+		}
+		if res != nil {
+			settled += res.Stats.Settled
+		}
+	}
+	b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
 }
 
 func BenchmarkKShortest(b *testing.B) {

@@ -82,7 +82,7 @@ func (a *Aux) RouteBounded(s, t, maxHops int, opts *Options) (*Result, error) {
 			parents[h][v] = parentRef{from: -1}
 		}
 	}
-	for _, seed := range a.sourceSeeds(s) {
+	for _, seed := range a.sourceSeeds(nil, s) {
 		layers[0][seed] = 0
 	}
 
@@ -140,12 +140,7 @@ func (a *Aux) RouteBounded(s, t, maxHops int, opts *Options) (*Result, error) {
 		}
 		relaxGadgets(h)
 	}
-	stats := SearchStats{
-		AuxNodes: nAux + 2,
-		AuxArcs:  a.g.NumArcs() + len(a.xLambdas[t]),
-		Settled:  settled,
-		Relaxed:  relaxed,
-	}
+	stats := a.searchStats(s, t, settled, relaxed)
 	if tr != nil {
 		tr.AuxNodes, tr.AuxArcs = stats.AuxNodes, stats.AuxArcs
 		tr.Settled, tr.Relaxed = stats.Settled, stats.Relaxed

@@ -235,7 +235,7 @@ func TestComputeLandmarksShape(t *testing.T) {
 	}
 	// Potential must never be positive at a goal (admissibility at the
 	// goal set) and never negative anywhere after clamping.
-	seeds := a.sourceSeeds(0)
+	seeds := a.sourceSeeds(nil, 0)
 	goals := []int{}
 	for xi := range a.xLambdas[3] {
 		goals = append(goals, int(a.xStart[3])+xi)

@@ -84,8 +84,8 @@ func (o *Options) span() *obs.Span {
 // SearchStats reports work counters of one shortest-path query.
 type SearchStats struct {
 	AuxNodes int // |V'_{s,t}| (gadget nodes + super terminals)
-	AuxArcs  int // |E'_{s,t}|
-	Settled  int // Dijkstra pops
+	AuxArcs  int // |E'_{s,t}| (gadget and link arcs + the |Y_s| + |X_t| super-terminal arcs)
+	Settled  int // Dijkstra pops, including the equal-key drain after the first X_t node
 	Relaxed  int // arc relaxations
 }
 
@@ -138,10 +138,7 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 	qs := a.pool.get()
 	defer a.pool.put(qs)
 
-	qs.seeds = qs.seeds[:0]
-	for yi := range a.yLambdas[s] {
-		qs.seeds = append(qs.seeds, int(a.yStart[s])+yi)
-	}
+	qs.seeds = a.sourceSeeds(qs.seeds, s)
 	if len(qs.seeds) == 0 {
 		if tr != nil {
 			tr.Blocked = true
@@ -149,9 +146,10 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 		sp.SetBool(attrBlocked, true)
 		return nil, fmt.Errorf("%w: from %d to %d (no outgoing channels at source)", ErrNoRoute, s, t)
 	}
-	// Early termination: stop once every X_t shore node is settled (the
-	// virtual super sink's in-neighbours). Unreachable shore nodes keep
-	// the search running to exhaustion, which is the correct worst case.
+	// Early termination: t″ hangs off X_t by 0-weight arcs, so it is
+	// settled with the first X_t shore node; the search drains that node's
+	// key plateau and stops (graph.DijkstraSeedsUntil). Only a destination
+	// no X_t node of which is reachable runs the search to exhaustion.
 	qs.goals = qs.goals[:0]
 	for xi := range a.xLambdas[t] {
 		qs.goals = append(qs.goals, int(a.xStart[t])+xi)
@@ -240,12 +238,7 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 			}
 		}
 	}
-	stats := SearchStats{
-		AuxNodes: a.NumAuxNodes() + 2,
-		AuxArcs:  a.g.NumArcs() + len(a.xLambdas[t]),
-		Settled:  settled,
-		Relaxed:  relaxed,
-	}
+	stats := a.searchStats(s, t, settled, relaxed)
 	if tr != nil {
 		tr.AuxNodes, tr.AuxArcs = stats.AuxNodes, stats.AuxArcs
 		tr.Settled, tr.Relaxed = stats.Settled, stats.Relaxed
@@ -256,7 +249,7 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 		sp.SetInt(attrSettled, int64(stats.Settled))
 		sp.SetInt(attrRelaxed, int64(stats.Relaxed))
 		sp.SetStr(attrDirected, mode.String())
-		sp.SetStr(attrReachedPerLambda, a.reachedPerLambda(fwdTree))
+		sp.SetStr(attrReachedPerLambda, a.reachedPerLambda(fwdTree, qs))
 	}
 	if bestNode < 0 {
 		if tr != nil {
@@ -281,6 +274,17 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 	}
 	sp.SetFloat(attrCost, bestDist)
 	return &Result{Path: path, Cost: bestDist, Source: s, Dest: t, Stats: stats}, nil
+}
+
+// searchStats sizes G_{s,t} for a point query's report: the compiled
+// graph plus both virtual super terminals and their 0-weight arcs.
+func (a *Aux) searchStats(s, t, settled, relaxed int) SearchStats {
+	return SearchStats{
+		AuxNodes: a.NumAuxNodes() + 2,
+		AuxArcs:  a.g.NumArcs() + len(a.yLambdas[s]) + len(a.xLambdas[t]),
+		Settled:  settled,
+		Relaxed:  relaxed,
+	}
 }
 
 // fillPathTrace records the winning path's per-hop Eq. (1) breakdown
@@ -330,14 +334,14 @@ func (a *Aux) conversionFanout(v int, lambda wdm.Wavelength) int {
 	return fanout
 }
 
-// sourceSeeds lists the Y_s shore node IDs — the targets the virtual
-// super source s′ would reach with weight-0 arcs.
-func (a *Aux) sourceSeeds(s int) []int {
-	seeds := make([]int, len(a.yLambdas[s]))
+// sourceSeeds appends the Y_s shore node IDs — the targets the virtual
+// super source s′ would reach with weight-0 arcs — to buf[:0].
+func (a *Aux) sourceSeeds(buf []int, s int) []int {
+	buf = buf[:0]
 	for yi := range a.yLambdas[s] {
-		seeds[yi] = int(a.yStart[s]) + yi
+		buf = append(buf, int(a.yStart[s])+yi)
 	}
-	return seeds
+	return buf
 }
 
 // extractPath maps the shortest Y_s→(t,λ) path in the auxiliary graph

@@ -6,15 +6,19 @@ import (
 	"lightpath/internal/graph"
 )
 
-// queryScratch bundles everything one point query needs to borrow: the
-// graph-layer Dijkstra scratch plus the seed/goal list backings. It is
-// recycled through a scratchPool so steady-state Route calls allocate
-// nothing inside the search.
+// queryScratch bundles everything one query needs to borrow: the
+// graph-layer Dijkstra scratch, the seed/goal list backings and the
+// buffers the traced path renders its per-λ profile in. It is recycled
+// through a scratchPool so steady-state Route calls allocate nothing
+// inside the search.
 type queryScratch struct {
 	g     *graph.Scratch
 	b     *graph.Scratch // backward-frontier scratch, built on first bidi query
 	seeds []int
 	goals []int
+
+	lambdaCount []int  // reachedPerLambda: reached X-shore nodes per wavelength
+	attrBuf     []byte // reachedPerLambda: rendered attribute value
 }
 
 // scratchPool recycles queryScratch values for one auxiliary-graph node

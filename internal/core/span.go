@@ -1,9 +1,7 @@
 package core
 
 import (
-	"sort"
 	"strconv"
-	"strings"
 
 	"lightpath/internal/graph"
 )
@@ -34,31 +32,36 @@ const (
 // the span-attribute form of the search's expansion profile. Attribute
 // *names* must be compile-time constants, so the per-λ breakdown rides
 // in one string value rather than one attribute per wavelength. Only
-// called on the traced path; the map and builder allocations never
-// touch untraced queries.
-func (a *Aux) reachedPerLambda(tree *graph.ShortestPathTree) string {
-	counts := make(map[int32]int)
-	for i := range a.info {
-		if a.info[i].Side == SideX && tree.Reached(i) {
-			counts[int32(a.info[i].Lambda)]++
-		}
+// called on the traced path; it counts and renders in qs's buffers, so
+// the returned string is its one allocation.
+func (a *Aux) reachedPerLambda(tree *graph.ShortestPathTree, qs *queryScratch) string {
+	k := a.layout.K()
+	if cap(qs.lambdaCount) < k {
+		qs.lambdaCount = make([]int, k)
 	}
-	if len(counts) == 0 {
-		return ""
-	}
-	lambdas := make([]int32, 0, len(counts))
+	counts := qs.lambdaCount[:k]
 	for l := range counts {
-		lambdas = append(lambdas, l)
+		counts[l] = 0
 	}
-	sort.Slice(lambdas, func(i, j int) bool { return lambdas[i] < lambdas[j] })
-	var b strings.Builder
-	for i, l := range lambdas {
-		if i > 0 {
-			b.WriteByte(',')
+	for v, lambdas := range a.xLambdas {
+		for xi, l := range lambdas {
+			if tree.Reached(int(a.xStart[v]) + xi) {
+				counts[l]++
+			}
 		}
-		b.WriteString(strconv.FormatInt(int64(l), 10))
-		b.WriteByte(':')
-		b.WriteString(strconv.Itoa(counts[l]))
 	}
-	return b.String()
+	buf := qs.attrBuf[:0]
+	for l, c := range counts {
+		if c == 0 {
+			continue
+		}
+		if len(buf) > 0 {
+			buf = append(buf, ',')
+		}
+		buf = strconv.AppendInt(buf, int64(l), 10)
+		buf = append(buf, ':')
+		buf = strconv.AppendInt(buf, int64(c), 10)
+	}
+	qs.attrBuf = buf
+	return string(buf)
 }

@@ -30,8 +30,14 @@ func FuzzGoalDirected(f *testing.F) {
 	f.Add([]byte{0, 1, 9, 0, 3, 2, 1, 0, 3, 3, 2, 0, 0, 2, 11, 0, 0, 5})
 	f.Add([]byte{2, 0, 2, 0, 1, 5, 3, 0, 2, 1, 0, 0, 0, 4, 7})
 	f.Add([]byte{0, 4, 1, 0, 2, 6, 1, 1, 1, 0, 1, 8, 2, 3, 1})
+	// The same sequences, and an allocate-heavy one, on the tie-heavy
+	// network (first byte ≥ 128, see below).
+	f.Add([]byte{128, 1, 9, 0, 3, 2, 1, 0, 3, 3, 2, 0, 0, 2, 11, 0, 0, 5})
+	f.Add([]byte{130, 0, 2, 0, 1, 5, 3, 0, 2, 1, 0, 0, 0, 4, 7})
+	f.Add([]byte{128, 4, 1, 0, 2, 6, 1, 1, 1, 0, 1, 8, 2, 3, 1})
+	f.Add([]byte{128, 0, 8, 0, 8, 0, 0, 2, 6, 0, 6, 2, 0, 1, 7, 0, 7, 1, 1, 0, 0, 0, 3, 5})
 
-	base, err := workload.Build(topo.Grid(3, 3), workload.Spec{
+	floatBase, err := workload.Build(topo.Grid(3, 3), workload.Spec{
 		K:         4,
 		AvailProb: 0.8,
 		Conv:      workload.ConvUniform,
@@ -40,8 +46,26 @@ func FuzzGoalDirected(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// Every channel and every conversion costs exactly 1, so most pairs
+	// have many equal-cost optima and most X_t shores tied minima — the
+	// inputs the first-goal stopping rule's plateau drain exists for.
+	tieBase, err := workload.Build(topo.Grid(3, 3), workload.Spec{
+		K:         4,
+		AvailProb: 0.8,
+		MinWeight: 1,
+		MaxWeight: 1,
+		Conv:      workload.ConvUniform,
+		ConvCost:  1,
+	}, rand.New(rand.NewSource(7)))
+	if err != nil {
+		f.Fatal(err)
+	}
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
+		base := floatBase
+		if len(ops) > 0 && ops[0] >= 128 {
+			base = tieBase
+		}
 		e, err := New(base, &Options{MaxDeltaDepth: 3, Directed: core.DirectedALT, Landmarks: 4})
 		if err != nil {
 			t.Fatal(err)

@@ -124,9 +124,11 @@ func TestCompactPreservesContents(t *testing.T) {
 }
 
 // TestScratchMatchesAllocatingPath: every queue kind through the scratch
-// API must produce the tree the allocating API produces, across repeated
-// reuses of one scratch (stale state from a previous query must not
-// leak).
+// API must stop where the allocating API stops and answer what it
+// answers — same settled count, same best goal, same distance — across
+// repeated reuses of one scratch (stale state from a previous query, goal
+// marks included, must not leak), and that answer must be the exhaustive
+// run's minimum over the goals.
 func TestScratchMatchesAllocatingPath(t *testing.T) {
 	g := buildRandom(t, 60, 300, 4)
 	sc := NewScratch(g.NumNodes())
@@ -135,6 +137,10 @@ func TestScratchMatchesAllocatingPath(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		seeds := []int{rng.Intn(60), rng.Intn(60)}
 		goals := []int{rng.Intn(60), rng.Intn(60), rng.Intn(60)}
+		full, err := DijkstraSeedsUntil(g, seeds, nil, QueueBinary)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, kind := range kinds {
 			want, err := DijkstraSeedsUntil(g, seeds, goals, kind)
 			if err != nil {
@@ -144,10 +150,22 @@ func TestScratchMatchesAllocatingPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, gl := range goals {
-				if got.Dist[gl] != want.Dist[gl] {
-					t.Fatalf("trial %d %v: dist[%d] = %v, want %v", trial, kind, gl, got.Dist[gl], want.Dist[gl])
-				}
+			if got.Settled != want.Settled || got.Relaxed != want.Relaxed {
+				t.Fatalf("trial %d %v: scratch settled/relaxed %d/%d, allocating %d/%d",
+					trial, kind, got.Settled, got.Relaxed, want.Settled, want.Relaxed)
+			}
+			gotAt, wantAt, fullAt := argminGoal(got, goals), argminGoal(want, goals), argminGoal(full, goals)
+			if gotAt != wantAt || gotAt != fullAt {
+				t.Fatalf("trial %d %v: best goal scratch %d, allocating %d, exhaustive %d", trial, kind, gotAt, wantAt, fullAt)
+			}
+			if gotAt >= 0 && (got.Dist[gotAt] != want.Dist[gotAt] || got.Dist[gotAt] != full.Dist[gotAt]) {
+				t.Fatalf("trial %d %v: dist[%d] scratch %v, allocating %v, exhaustive %v",
+					trial, kind, gotAt, got.Dist[gotAt], want.Dist[gotAt], full.Dist[gotAt])
+			}
+		}
+		for _, m := range sc.goalMark {
+			if m {
+				t.Fatalf("trial %d: goal mark left set after the query", trial)
 			}
 		}
 	}

@@ -50,7 +50,7 @@ type ShortestPathTree struct {
 	Dist    []float64
 	Parent  []int32 // -1 when unreached or a seed
 	ViaArc  []int32 // index into Out(Parent[v]); -1 when unreached
-	Settled int     // number of nodes settled (popped)
+	Settled int     // number of nodes settled (pops, including the equal-key drain of a goal stop)
 	Relaxed int     // number of arc relaxations attempted
 
 	seeds []int
@@ -110,8 +110,9 @@ type HopRef struct {
 // queue kind. Arc weights are guaranteed non-negative by construction
 // (AddArc rejects negatives), which Dijkstra requires.
 //
-// If goal >= 0 the search stops as soon as goal is settled — distances of
-// nodes settled later are left at Inf. Pass goal < 0 for a full tree.
+// If goal >= 0 the search stops once goal is settled, under the rule of
+// DijkstraSeedsUntil with the one goal — distances of nodes not settled
+// by then are not final. Pass goal < 0 for a full tree.
 func Dijkstra(g *Digraph, src int, goal int, kind QueueKind) (*ShortestPathTree, error) {
 	return DijkstraSeeds(g, []int{src}, goal, kind)
 }
@@ -126,68 +127,80 @@ func Dijkstra(g *Digraph, src int, goal int, kind QueueKind) (*ShortestPathTree,
 // exactly one, and -1 otherwise; PathTo walks parents until it reaches
 // any seed.
 func DijkstraSeeds(g *Digraph, seeds []int, goal int, kind QueueKind) (*ShortestPathTree, error) {
-	n := g.NumNodes()
-	if goal >= n {
-		return nil, fmt.Errorf("%w: goal %d", ErrNodeRange, goal)
+	if goal < 0 {
+		return DijkstraSeedsUntil(g, seeds, nil, kind)
 	}
-	t, err := newSeedTree(g, seeds)
-	if err != nil {
-		return nil, err
-	}
-	var stop func(int) bool
-	if goal >= 0 {
-		stop = func(u int) bool { return u == goal }
-	}
-	return t, runEngine(g, t, stop, kind)
+	return DijkstraSeedsUntil(g, seeds, []int{goal}, kind)
 }
 
 // DijkstraSeedsUntil is DijkstraSeeds with goal-SET early termination:
-// the search halts once every node in goals has been settled. Distances
-// of later nodes are left at Inf. The routing layer uses it for point
-// queries, where the goals are the X_t shore of the destination.
+// the search is Dijkstra to a virtual super sink wired from every goal
+// with weight-0 arcs, and that sink is settled the moment the first goal
+// is. So the search notes the key d* of the first goal it settles, keeps
+// settling while the queue minimum equals d*, and stops. On return every
+// node at distance ≤ d* is settled with the distance and parent an
+// exhaustive run would give it (nodes settled later pop at keys > d* and
+// cannot improve either), so the minimum over the goals and the
+// lowest-index goal attaining it are exact; every other distance is
+// tentative or Inf. With no goals, or none reachable, the search runs to
+// exhaustion. The routing layer uses it for point queries, where the
+// goals are the X_t shore of the destination.
 func DijkstraSeedsUntil(g *Digraph, seeds, goals []int, kind QueueKind) (*ShortestPathTree, error) {
 	n := g.NumNodes()
+	var gs goalStop
+	if len(goals) > 0 {
+		gs.mark = make([]bool, n)
+	}
 	for _, gl := range goals {
 		if gl < 0 || gl >= n {
 			return nil, fmt.Errorf("%w: goal %d", ErrNodeRange, gl)
 		}
+		gs.mark[gl] = true
 	}
 	t, err := newSeedTree(g, seeds)
 	if err != nil {
 		return nil, err
 	}
-	var stop func(int) bool
-	if len(goals) > 0 {
-		pending := make(map[int]bool, len(goals))
-		for _, gl := range goals {
-			pending[gl] = true
-		}
-		stop = func(u int) bool {
-			if pending[u] {
-				delete(pending, u)
-			}
-			return len(pending) == 0
-		}
-	}
-	return t, runEngine(g, t, stop, kind)
+	return t, runEngine(g, t, &gs, kind)
 }
 
-func runEngine(g *Digraph, t *ShortestPathTree, stop func(int) bool, kind QueueKind) error {
+// goalStop is the stopping rule of DijkstraSeedsUntil, shared by every
+// queue kind and by A*: each engine asks past before settling a popped
+// node and calls settle once it has.
+type goalStop struct {
+	mark  []bool  // mark[v] reports v is a goal; nil runs to exhaustion
+	hit   bool    // a goal has been settled
+	dstar float64 // its key
+}
+
+// past reports whether a node popped at key k lies beyond the search:
+// a goal is settled and k has left its key's plateau (keys pop in
+// non-decreasing order, so k != d* means k > d*).
+func (gs *goalStop) past(k float64) bool { return gs.hit && k != gs.dstar }
+
+// settle notes that u was settled at key k.
+func (gs *goalStop) settle(u int, k float64) {
+	if !gs.hit && gs.mark != nil && gs.mark[u] {
+		gs.hit, gs.dstar = true, k
+	}
+}
+
+func runEngine(g *Digraph, t *ShortestPathTree, gs *goalStop, kind QueueKind) error {
 	switch kind {
 	case QueueFibonacci:
-		return dijkstraFib(g, t, stop)
+		return dijkstraFib(g, t, gs)
 	case QueueBinary:
-		return dijkstraBin(g, t, stop)
+		return dijkstraBin(g, t, gs)
 	case QueueLinear:
-		return dijkstraLinear(g, t, stop)
+		return dijkstraLinear(g, t, gs)
 	case QueuePairing:
-		return dijkstraPairing(g, t, stop)
+		return dijkstraPairing(g, t, gs)
 	default:
 		return fmt.Errorf("graph: unknown queue kind %d", int(kind))
 	}
 }
 
-func dijkstraPairing(g *Digraph, t *ShortestPathTree, stop func(int) bool) error {
+func dijkstraPairing(g *Digraph, t *ShortestPathTree, gs *goalStop) error {
 	h := pairing.New()
 	handles := make([]*pairing.Node, g.NumNodes())
 	for _, s := range t.seeds {
@@ -201,14 +214,14 @@ func dijkstraPairing(g *Digraph, t *ShortestPathTree, stop func(int) bool) error
 		if err != nil {
 			return err
 		}
-		u := int(node.Value())
+		u, du := int(node.Value()), node.Key()
+		if gs.past(du) {
+			return nil
+		}
 		handles[u] = nil
 		done[u] = true
 		t.Settled++
-		if stop != nil && stop(u) {
-			return nil
-		}
-		du := t.Dist[u]
+		gs.settle(u, du)
 		for i, a := range g.Out(u) {
 			v := int(a.To)
 			if done[v] {
@@ -231,7 +244,7 @@ func dijkstraPairing(g *Digraph, t *ShortestPathTree, stop func(int) bool) error
 	return nil
 }
 
-func dijkstraFib(g *Digraph, t *ShortestPathTree, stop func(int) bool) error {
+func dijkstraFib(g *Digraph, t *ShortestPathTree, gs *goalStop) error {
 	h := fibheap.New()
 	handles := make([]*fibheap.Node, g.NumNodes())
 	for _, s := range t.seeds {
@@ -245,14 +258,14 @@ func dijkstraFib(g *Digraph, t *ShortestPathTree, stop func(int) bool) error {
 		if err != nil {
 			return err
 		}
-		u := int(node.Value())
+		u, du := int(node.Value()), node.Key()
+		if gs.past(du) {
+			return nil
+		}
 		handles[u] = nil
 		done[u] = true
 		t.Settled++
-		if stop != nil && stop(u) {
-			return nil
-		}
-		du := t.Dist[u]
+		gs.settle(u, du)
 		for i, a := range g.Out(u) {
 			v := int(a.To)
 			if done[v] {
@@ -275,14 +288,14 @@ func dijkstraFib(g *Digraph, t *ShortestPathTree, stop func(int) bool) error {
 	return nil
 }
 
-func dijkstraBin(g *Digraph, t *ShortestPathTree, stop func(int) bool) error {
-	return dijkstraBinInto(g, t, stop, binheap.New(g.NumNodes()), make([]bool, g.NumNodes()))
+func dijkstraBin(g *Digraph, t *ShortestPathTree, gs *goalStop) error {
+	return dijkstraBinInto(g, t, gs, binheap.New(g.NumNodes()), make([]bool, g.NumNodes()))
 }
 
 // dijkstraBinInto is the binary-heap engine over caller-provided heap
 // and settled-set storage (empty/cleared on entry), so pooled scratch
 // can drive it without per-query allocation.
-func dijkstraBinInto(g *Digraph, t *ShortestPathTree, stop func(int) bool, h *binheap.Heap, done []bool) error {
+func dijkstraBinInto(g *Digraph, t *ShortestPathTree, gs *goalStop, h *binheap.Heap, done []bool) error {
 	for _, s := range t.seeds {
 		if _, err := h.PushOrDecrease(s, 0); err != nil {
 			return err
@@ -293,11 +306,12 @@ func dijkstraBinInto(g *Digraph, t *ShortestPathTree, stop func(int) bool, h *bi
 		if err != nil {
 			return err
 		}
-		done[u] = true
-		t.Settled++
-		if stop != nil && stop(u) {
+		if gs.past(du) {
 			return nil
 		}
+		done[u] = true
+		t.Settled++
+		gs.settle(u, du)
 		for i, a := range g.Out(u) {
 			v := int(a.To)
 			if done[v] {
@@ -318,7 +332,7 @@ func dijkstraBinInto(g *Digraph, t *ShortestPathTree, stop func(int) bool, h *bi
 	return nil
 }
 
-func dijkstraLinear(g *Digraph, t *ShortestPathTree, stop func(int) bool) error {
+func dijkstraLinear(g *Digraph, t *ShortestPathTree, gs *goalStop) error {
 	q := arrayq.New(g.NumNodes())
 	for _, s := range t.seeds {
 		q.PushOrDecrease(s, 0)
@@ -329,11 +343,12 @@ func dijkstraLinear(g *Digraph, t *ShortestPathTree, stop func(int) bool) error 
 		if err != nil {
 			return err
 		}
-		done[u] = true
-		t.Settled++
-		if stop != nil && stop(u) {
+		if gs.past(du) {
 			return nil
 		}
+		done[u] = true
+		t.Settled++
+		gs.settle(u, du)
 		for i, a := range g.Out(u) {
 			v := int(a.To)
 			if done[v] {

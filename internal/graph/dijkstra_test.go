@@ -120,8 +120,8 @@ func TestDijkstraEarlyStop(t *testing.T) {
 	if tree.Dist[3] != 6 {
 		t.Fatalf("Dist[3] = %v, want 6", tree.Dist[3])
 	}
-	if tree.Settled > 5 {
-		t.Fatalf("early stop should settle ≤5 nodes, settled %d", tree.Settled)
+	if tree.Settled != 4 {
+		t.Fatalf("early stop should settle nodes 0..3 only, settled %d", tree.Settled)
 	}
 }
 
@@ -332,6 +332,9 @@ func TestDijkstraSeedsErrors(t *testing.T) {
 	}
 }
 
+// TestDijkstraSeedsUntilEarlyStop: the first goal settled ends the
+// search. Node 2 is final; node 4, a goal further out, is never settled
+// and its distance is not computed.
 func TestDijkstraSeedsUntilEarlyStop(t *testing.T) {
 	g := lineGraph(t, 100)
 	for _, kind := range allKinds {
@@ -339,13 +342,137 @@ func TestDijkstraSeedsUntilEarlyStop(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
-		if tree.Dist[2] != 3 || tree.Dist[4] != 10 {
-			t.Fatalf("%v: goal dists = %v, %v", kind, tree.Dist[2], tree.Dist[4])
+		if tree.Dist[2] != 3 {
+			t.Fatalf("%v: Dist[2] = %v, want 3", kind, tree.Dist[2])
 		}
-		if tree.Settled > 6 {
-			t.Fatalf("%v: settled %d nodes, expected early stop ≤6", kind, tree.Settled)
+		if tree.Settled != 3 {
+			t.Fatalf("%v: settled %d nodes, want 3 (0, 1 and the first goal)", kind, tree.Settled)
+		}
+		if tree.Reached(4) {
+			t.Fatalf("%v: goal 4 lies past the first goal, Dist %v", kind, tree.Dist[4])
 		}
 	}
+}
+
+// TestDijkstraSeedsUntilDrainsTies pins both halves of the stopping rule
+// on a hand-built plateau. Goals 1, 3 and 4 all sit at distance 2 — 3 and
+// 4 only through zero-weight arcs out of nodes that are themselves at the
+// plateau key, so they enter the queue after the first goal is settled —
+// and goal 5 sits at 3. Every kind must settle the whole plateau with
+// exact distances and parents, whichever tied goal it pops first, and
+// must not settle goal 5.
+func TestDijkstraSeedsUntilDrainsTies(t *testing.T) {
+	g := New(6)
+	mustArc(t, g, 0, 1, 2)
+	mustArc(t, g, 0, 2, 2)
+	mustArc(t, g, 2, 3, 0)
+	mustArc(t, g, 1, 4, 0)
+	mustArc(t, g, 4, 5, 1)
+	for _, kind := range allKinds {
+		tree, err := DijkstraSeedsUntil(g, []int{0}, []int{5, 4, 3, 1}, kind)
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		for v, parent := range map[int]int32{1: 0, 2: 0, 3: 2, 4: 1} {
+			if tree.Dist[v] != 2 || tree.Parent[v] != parent {
+				t.Fatalf("%v: node %d dist %v parent %d, want 2 via %d", kind, v, tree.Dist[v], tree.Parent[v], parent)
+			}
+		}
+		if tree.Settled != 5 {
+			t.Fatalf("%v: settled %d nodes, want 5 (the seed and the plateau, not goal 5)", kind, tree.Settled)
+		}
+	}
+}
+
+// TestGoalStopMatchesExhaustive is the exactness property behind the
+// stopping rule, on tie-heavy random digraphs (small integer weights,
+// many of them zero): for every queue kind, and for A* under the zero and
+// the exact potential, the goal-set run and an exhaustive run of the same
+// engine agree on the minimum over the goals, on the lowest-index goal
+// attaining it, and on the whole parent chain into that goal.
+func TestGoalStopMatchesExhaustive(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	for trial := 0; trial < 150; trial++ {
+		n := 2 + rng.Intn(40)
+		g := New(n)
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				if u != v && rng.Float64() < 0.12 {
+					mustArc(t, g, u, v, float64(rng.Intn(3)))
+				}
+			}
+		}
+		seeds := []int{rng.Intn(n), rng.Intn(n)}
+		goals := make([]int, 1+rng.Intn(5))
+		for i := range goals {
+			goals[i] = rng.Intn(n)
+		}
+		type engine struct {
+			name string
+			run  func(goals []int) (*ShortestPathTree, error)
+		}
+		var engines []engine
+		for _, kind := range allKinds {
+			kind := kind
+			engines = append(engines, engine{kind.String(), func(goals []int) (*ShortestPathTree, error) {
+				return DijkstraSeedsUntil(g, seeds, goals, kind)
+			}})
+		}
+		for name, pot := range map[string]func(int) float64{"astar-zero": ZeroPotential, "astar-exact": exactPotential(t, g, goals)} {
+			pot := pot
+			engines = append(engines, engine{name, func(goals []int) (*ShortestPathTree, error) {
+				return AStarSeedsUntil(g, seeds, goals, pot)
+			}})
+		}
+		for _, e := range engines {
+			got, err := e.run(goals)
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, e.name, err)
+			}
+			full, err := e.run(nil)
+			if err != nil {
+				t.Fatalf("trial %d %s exhaustive: %v", trial, e.name, err)
+			}
+			gotAt, wantAt := argminGoal(got, goals), argminGoal(full, goals)
+			if gotAt != wantAt {
+				t.Fatalf("trial %d %s: best goal %d, exhaustive run says %d", trial, e.name, gotAt, wantAt)
+			}
+			if wantAt < 0 {
+				continue
+			}
+			if got.Dist[gotAt] != full.Dist[wantAt] {
+				t.Fatalf("trial %d %s: dist %v, exhaustive %v", trial, e.name, got.Dist[gotAt], full.Dist[wantAt])
+			}
+			gotHops, err := got.ArcsTo(gotAt)
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, e.name, err)
+			}
+			wantHops, _ := full.ArcsTo(wantAt)
+			if len(gotHops) != len(wantHops) {
+				t.Fatalf("trial %d %s: path %v, exhaustive %v", trial, e.name, gotHops, wantHops)
+			}
+			for i := range gotHops {
+				if gotHops[i] != wantHops[i] {
+					t.Fatalf("trial %d %s: path %v, exhaustive %v", trial, e.name, gotHops, wantHops)
+				}
+			}
+			if got.Settled > full.Settled {
+				t.Fatalf("trial %d %s: settled %d > exhaustive %d", trial, e.name, got.Settled, full.Settled)
+			}
+		}
+	}
+}
+
+// argminGoal returns the lowest-numbered goal of minimum distance, or -1
+// when no goal is reached — the virtual super sink's choice.
+func argminGoal(t *ShortestPathTree, goals []int) int {
+	best, at := Inf, -1
+	for _, gl := range goals {
+		if d := t.Dist[gl]; d < best || (d == best && at >= 0 && gl < at) {
+			best, at = d, gl
+		}
+	}
+	return at
 }
 
 // TestDijkstraSeedsUntilEdgeCases drives the goal-set API through its
@@ -399,11 +526,20 @@ func TestDijkstraSeedsUntilEdgeCases(t *testing.T) {
 			wantUnrea: []int{4},
 		},
 		{
-			name:      "mixed reachable and unreachable goals",
+			name:      "a reachable goal stops the search whatever else is in the set",
 			seeds:     []int{0},
 			goals:     []int{1, 4},
 			wantDist:  map[int]float64{1: 1},
 			wantUnrea: []int{4},
+			maxSettle: 2,
+		},
+		{
+			name:      "goals past the first one are left unsettled",
+			seeds:     []int{0},
+			goals:     []int{3, 1},
+			wantDist:  map[int]float64{1: 1},
+			wantUnrea: []int{3},
+			maxSettle: 2,
 		},
 		{
 			name:      "duplicate seeds behave as one",
@@ -462,12 +598,13 @@ func TestDijkstraSeedsUntilEdgeCases(t *testing.T) {
 func TestDijkstraSeedsUntilUnreachableGoalRunsFull(t *testing.T) {
 	g := New(4)
 	mustArc(t, g, 0, 1, 1)
-	// Node 3 unreachable: search exhausts but reports correct dists.
-	tree, err := DijkstraSeedsUntil(g, []int{0}, []int{1, 3}, QueueBinary)
+	mustArc(t, g, 1, 2, 1)
+	// No goal reachable: the search exhausts and every distance is final.
+	tree, err := DijkstraSeedsUntil(g, []int{0}, []int{3}, QueueBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.Dist[1] != 1 || tree.Reached(3) {
-		t.Fatalf("dists wrong: %v", tree.Dist)
+	if tree.Dist[1] != 1 || tree.Dist[2] != 2 || tree.Reached(3) || tree.Settled != 3 {
+		t.Fatalf("dists %v settled %d, want a full run over 0,1,2", tree.Dist, tree.Settled)
 	}
 }

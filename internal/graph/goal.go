@@ -173,32 +173,18 @@ func BidirectionalDijkstraScratch(g, rev *Digraph, seeds, goals []int, scF, scB 
 	return bt, nil
 }
 
-// bidiSide prepares one frontier: a (scratch-backed when possible) seed
-// tree plus its heap and settled set, with every seed pushed at 0.
+// bidiSide prepares one frontier: a seed tree backed by sc (or by fresh
+// scratch when sc is nil or wrong-sized) plus its heap and settled set,
+// with every seed pushed at 0.
 func bidiSide(g *Digraph, seeds []int, sc *Scratch) (*ShortestPathTree, *binheap.Heap, []bool, error) {
-	var (
-		t    *ShortestPathTree
-		h    *binheap.Heap
-		done []bool
-		err  error
-	)
-	if sc != nil && sc.n == g.NumNodes() {
-		t, err = sc.seedTree(seeds)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		sc.heap.Reset()
-		for i := range sc.done {
-			sc.done[i] = false
-		}
-		h, done = sc.heap, sc.done
-	} else {
-		t, err = newSeedTree(g, seeds)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		h, done = binheap.New(g.NumNodes()), make([]bool, g.NumNodes())
+	if sc == nil || sc.n != g.NumNodes() {
+		sc = NewScratch(g.NumNodes())
 	}
+	t, err := sc.seedTree(seeds)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	h, done := sc.queue()
 	for _, s := range t.seeds {
 		if _, err := h.PushOrDecrease(s, 0); err != nil {
 			return nil, nil, nil, err
@@ -241,12 +227,16 @@ func bidiExpand(g *Digraph, mine, other *ShortestPathTree, h *binheap.Heap, done
 }
 
 // AStarSeedsUntil is DijkstraSeedsUntil driven by a potential function:
-// the heap is keyed on dist(v) + pot(v), where pot must be an admissible
-// and consistent lower bound on the distance from v to the goal set
-// (pot(u) ≤ w(u,v) + pot(v) on every arc, pot(goal) ≤ 0 clamped to 0).
-// Under those conditions every settled node's distance is exact and the
-// returned tree matches plain Dijkstra's distances on all settled nodes
-// — the search merely settles far fewer nodes on the way to the goals.
+// the heap is keyed on f(v) = dist(v) + pot(v), where pot must be an
+// admissible and consistent lower bound on the distance from v to the
+// goal set (pot(u) ≤ w(u,v) + pot(v) on every arc) and exactly 0 on
+// every goal. Under those conditions every settled node's distance is
+// exact, f never decreases along a shortest path, and a goal's f is its
+// distance — so DijkstraSeedsUntil's stopping rule carries over with f
+// in place of the key: stop once the first goal is settled and the queue
+// minimum has left its f. The minimum over the goals and the lowest-index
+// goal attaining it match an exhaustive A* run; the search merely settles
+// far fewer nodes on the way.
 //
 // A +Inf potential marks a node that provably cannot reach any goal;
 // such nodes are never queued. pot is called once per improving
@@ -269,56 +259,16 @@ func AStarSeedsUntilScratch(g *Digraph, seeds, goals []int, pot func(int) float6
 			return nil, fmt.Errorf("%w: goal %d", ErrNodeRange, gl)
 		}
 	}
-	var (
-		t    *ShortestPathTree
-		h    *binheap.Heap
-		done []bool
-		stop func(int) bool
-		err  error
-	)
-	if sc != nil && sc.n == n {
-		t, err = sc.seedTree(seeds)
-		if err != nil {
-			return nil, err
-		}
-		sc.heap.Reset()
-		for i := range sc.done {
-			sc.done[i] = false
-		}
-		h, done = sc.heap, sc.done
-		if len(goals) > 0 {
-			sc.pending = 0
-			for _, gl := range goals {
-				if !sc.goalMark[gl] {
-					sc.goalMark[gl] = true
-					sc.pending++
-				}
-			}
-			stop = sc.stop
-		}
-		defer func() {
-			for _, gl := range goals {
-				sc.goalMark[gl] = false
-			}
-			sc.pending = 0
-		}()
-	} else {
-		t, err = newSeedTree(g, seeds)
-		if err != nil {
-			return nil, err
-		}
-		h, done = binheap.New(n), make([]bool, n)
-		if len(goals) > 0 {
-			pending := make(map[int]bool, len(goals))
-			for _, gl := range goals {
-				pending[gl] = true
-			}
-			stop = func(u int) bool {
-				delete(pending, u)
-				return len(pending) == 0
-			}
-		}
+	if sc == nil || sc.n != n {
+		sc = NewScratch(n)
 	}
+	t, err := sc.seedTree(seeds)
+	if err != nil {
+		return nil, err
+	}
+	h, done := sc.queue()
+	gs := sc.goalStop(goals)
+	defer sc.clearGoals(goals)
 	for _, s := range t.seeds {
 		hs := pot(s)
 		if IsInf(hs) {
@@ -329,15 +279,16 @@ func AStarSeedsUntilScratch(g *Digraph, seeds, goals []int, pot func(int) float6
 		}
 	}
 	for !h.Empty() {
-		u, _, err := h.Pop()
+		u, fu, err := h.Pop()
 		if err != nil {
 			return nil, err
 		}
-		done[u] = true
-		t.Settled++
-		if stop != nil && stop(u) {
+		if gs.past(fu) {
 			return t, nil
 		}
+		done[u] = true
+		t.Settled++
+		gs.settle(u, fu)
 		du := t.Dist[u]
 		for i, a := range g.Out(u) {
 			v := int(a.To)

@@ -25,16 +25,14 @@ type Scratch struct {
 	done   []bool
 	heap   *binheap.Heap
 
-	goalMark []bool
-	pending  int
-	stop     func(int) bool // prebuilt goal-set stop; closes over this Scratch
+	goalMark []bool // all false between queries
 
 	tree ShortestPathTree
 }
 
 // NewScratch returns scratch state for graphs of exactly n nodes.
 func NewScratch(n int) *Scratch {
-	sc := &Scratch{
+	return &Scratch{
 		n:        n,
 		dist:     make([]float64, n),
 		parent:   make([]int32, n),
@@ -43,15 +41,6 @@ func NewScratch(n int) *Scratch {
 		heap:     binheap.New(n),
 		goalMark: make([]bool, n),
 	}
-	// Built once so per-query goal tracking allocates no closure.
-	sc.stop = func(u int) bool {
-		if sc.goalMark[u] {
-			sc.goalMark[u] = false
-			sc.pending--
-		}
-		return sc.pending == 0
-	}
-	return sc
 }
 
 // Nodes reports the graph size this scratch serves.
@@ -110,32 +99,42 @@ func DijkstraSeedsUntilScratch(g *Digraph, seeds, goals []int, kind QueueKind, s
 	if err != nil {
 		return nil, err
 	}
-	var stop func(int) bool
-	if len(goals) > 0 {
-		sc.pending = 0
-		for _, gl := range goals {
-			if !sc.goalMark[gl] {
-				sc.goalMark[gl] = true
-				sc.pending++
-			}
-		}
-		stop = sc.stop
-	}
+	gs := sc.goalStop(goals)
 	switch kind {
 	case QueueBinary:
-		sc.heap.Reset()
-		for i := range sc.done {
-			sc.done[i] = false
-		}
-		err = dijkstraBinInto(g, t, stop, sc.heap, sc.done)
+		h, done := sc.queue()
+		err = dijkstraBinInto(g, t, &gs, h, done)
 	default:
-		err = runEngine(g, t, stop, kind)
+		err = runEngine(g, t, &gs, kind)
 	}
-	// An exhausted search (unreachable goals) leaves marks set; clear
-	// them so the next query starts clean. Early exit cleared them all.
+	sc.clearGoals(goals)
+	return t, err
+}
+
+// goalStop marks goals (validated by the caller) in the scratch's goal
+// set and returns the stopping rule over it; clearGoals undoes the marks.
+func (sc *Scratch) goalStop(goals []int) goalStop {
+	if len(goals) == 0 {
+		return goalStop{}
+	}
+	for _, gl := range goals {
+		sc.goalMark[gl] = true
+	}
+	return goalStop{mark: sc.goalMark}
+}
+
+func (sc *Scratch) clearGoals(goals []int) {
 	for _, gl := range goals {
 		sc.goalMark[gl] = false
 	}
-	sc.pending = 0
-	return t, err
+}
+
+// queue returns the scratch's heap and settled set, emptied for a new
+// search.
+func (sc *Scratch) queue() (*binheap.Heap, []bool) {
+	sc.heap.Reset()
+	for i := range sc.done {
+		sc.done[i] = false
+	}
+	return sc.heap, sc.done
 }

@@ -3,9 +3,17 @@
 //
 // It is the practical workhorse alternative to the Fibonacci heap of
 // package fibheap: DecreaseKey costs O(log n) instead of amortized O(1),
-// but constants are far smaller and memory is a pair of flat slices. The
-// benchmark suite uses it for the heap-choice ablation called out in
-// DESIGN.md.
+// but constants are far smaller and memory is a pair of flat slices: the
+// heap array holds (key, item) entries inline, so a sift compares
+// neighbouring slots directly, and moves a hole instead of swapping. It
+// is the server's default queue; the benchmark suite also uses it for the
+// heap-choice ablation called out in DESIGN.md.
+//
+// The branching factor stays 2 by measurement: 4- and 8-ary layouts of
+// the same entry array were indistinguishable from binary on
+// BenchmarkHeapSearchMix, on graph's full-tree Dijkstra and on core's
+// n=300 point route (EXPERIMENTS.md X13) — search frontiers here are a
+// few hundred entries, too shallow for a wider node to pay.
 //
 // Items are identified by an int in [0, capacity); each item may be in the
 // heap at most once, which is exactly the shape Dijkstra needs.
@@ -28,20 +36,25 @@ var (
 	ErrKeyIncrease = errors.New("binheap: new key is greater than current key")
 )
 
+// entry is one heap slot: the key travels with its item, so a sift reads
+// ents[i].key instead of chasing keys[items[i]].
+type entry struct {
+	key  float64
+	item int32
+}
+
 // Heap is an indexed binary min-heap. Create one with New.
 // Heap is not safe for concurrent use.
 type Heap struct {
-	items []int     // heap array of item IDs
-	keys  []float64 // keys[item] = current priority
-	pos   []int     // pos[item] = index into items, or -1 if absent
+	ents []entry // heap-ordered (key, item) pairs
+	pos  []int32 // pos[item] = index into ents, or -1 if absent
 }
 
 // New returns a heap able to hold items with IDs in [0, capacity).
 func New(capacity int) *Heap {
 	h := &Heap{
-		items: make([]int, 0, capacity),
-		keys:  make([]float64, capacity),
-		pos:   make([]int, capacity),
+		ents: make([]entry, 0, capacity),
+		pos:  make([]int32, capacity),
 	}
 	for i := range h.pos {
 		h.pos[i] = -1
@@ -50,10 +63,10 @@ func New(capacity int) *Heap {
 }
 
 // Len reports the number of items currently in the heap.
-func (h *Heap) Len() int { return len(h.items) }
+func (h *Heap) Len() int { return len(h.ents) }
 
 // Empty reports whether the heap has no items.
-func (h *Heap) Empty() bool { return len(h.items) == 0 }
+func (h *Heap) Empty() bool { return len(h.ents) == 0 }
 
 // Contains reports whether item is currently in the heap.
 func (h *Heap) Contains(item int) bool {
@@ -61,8 +74,13 @@ func (h *Heap) Contains(item int) bool {
 }
 
 // Key returns the current priority of item. The result is meaningful only
-// if Contains(item).
-func (h *Heap) Key(item int) float64 { return h.keys[item] }
+// if Contains(item); an absent item reports 0.
+func (h *Heap) Key(item int) float64 {
+	if !h.Contains(item) {
+		return 0
+	}
+	return h.ents[h.pos[item]].key
+}
 
 // Push inserts item with the given key.
 func (h *Heap) Push(item int, key float64) error {
@@ -72,10 +90,8 @@ func (h *Heap) Push(item int, key float64) error {
 	if h.pos[item] >= 0 {
 		return ErrDuplicate
 	}
-	h.keys[item] = key
-	h.pos[item] = len(h.items)
-	h.items = append(h.items, item)
-	h.up(len(h.items) - 1)
+	h.ents = append(h.ents, entry{})
+	h.up(len(h.ents)-1, entry{key: key, item: int32(item)})
 	return nil
 }
 
@@ -84,39 +100,37 @@ func (h *Heap) Push(item int, key float64) error {
 // Dijkstra's stopping rule peeks both frontiers' minima every round, so
 // this is O(1) by construction.
 func (h *Heap) Min() (item int, key float64, ok bool) {
-	if len(h.items) == 0 {
+	if len(h.ents) == 0 {
 		return 0, 0, false
 	}
-	top := h.items[0]
-	return top, h.keys[top], true
+	return int(h.ents[0].item), h.ents[0].key, true
 }
 
 // Pop removes and returns the item with the smallest key.
 func (h *Heap) Pop() (item int, key float64, err error) {
-	if len(h.items) == 0 {
+	last := len(h.ents) - 1
+	if last < 0 {
 		return 0, 0, ErrEmpty
 	}
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.swap(0, last)
-	h.items = h.items[:last]
-	h.pos[top] = -1
+	top, tail := h.ents[0], h.ents[last]
+	h.ents = h.ents[:last]
+	h.pos[top.item] = -1
 	if last > 0 {
-		h.down(0)
+		h.down(tail)
 	}
-	return top, h.keys[top], nil
+	return int(top.item), top.key, nil
 }
 
 // DecreaseKey lowers the priority of item to newKey.
 func (h *Heap) DecreaseKey(item int, newKey float64) error {
-	if item < 0 || item >= len(h.pos) || h.pos[item] < 0 {
+	if !h.Contains(item) {
 		return ErrNotPresent
 	}
-	if newKey > h.keys[item] {
+	i := int(h.pos[item])
+	if newKey > h.ents[i].key {
 		return ErrKeyIncrease
 	}
-	h.keys[item] = newKey
-	h.up(h.pos[item])
+	h.up(i, entry{key: newKey, item: int32(item)})
 	return nil
 }
 
@@ -127,52 +141,60 @@ func (h *Heap) PushOrDecrease(item int, newKey float64) (bool, error) {
 	if !h.Contains(item) {
 		return true, h.Push(item, newKey)
 	}
-	if newKey >= h.keys[item] {
+	i := int(h.pos[item])
+	if newKey >= h.ents[i].key {
 		return false, nil
 	}
-	return true, h.DecreaseKey(item, newKey)
+	h.up(i, entry{key: newKey, item: int32(item)})
+	return true, nil
 }
 
 // Reset empties the heap, retaining capacity for reuse.
 func (h *Heap) Reset() {
-	for _, it := range h.items {
-		h.pos[it] = -1
+	for _, e := range h.ents {
+		h.pos[e.item] = -1
 	}
-	h.items = h.items[:0]
+	h.ents = h.ents[:0]
 }
 
-func (h *Heap) up(i int) {
+// up places e at the hole i or above it: parents with larger keys slide
+// down into the hole (one store each, not a three-way swap) until e fits.
+func (h *Heap) up(i int, e entry) {
 	for i > 0 {
-		parent := (i - 1) / 2
-		if h.keys[h.items[parent]] <= h.keys[h.items[i]] {
-			return
+		p := (i - 1) / 2
+		pe := h.ents[p]
+		if pe.key <= e.key {
+			break
 		}
-		h.swap(i, parent)
-		i = parent
+		h.ents[i] = pe
+		h.pos[pe.item] = int32(i)
+		i = p
 	}
+	h.ents[i] = e
+	h.pos[e.item] = int32(i)
 }
 
-func (h *Heap) down(i int) {
-	n := len(h.items)
+// down places e at the root hole or below it: the smaller child slides
+// up into the hole while it is smaller than e.
+func (h *Heap) down(e entry) {
+	ents := h.ents
+	n := len(ents)
+	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.keys[h.items[l]] < h.keys[h.items[smallest]] {
-			smallest = l
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if r < n && h.keys[h.items[r]] < h.keys[h.items[smallest]] {
-			smallest = r
+		if r := c + 1; r < n && ents[r].key < ents[c].key {
+			c = r
 		}
-		if smallest == i {
-			return
+		if ents[c].key >= e.key {
+			break
 		}
-		h.swap(i, smallest)
-		i = smallest
+		ents[i] = ents[c]
+		h.pos[ents[i].item] = int32(i)
+		i = c
 	}
-}
-
-func (h *Heap) swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.pos[h.items[i]] = i
-	h.pos[h.items[j]] = j
+	ents[i] = e
+	h.pos[e.item] = int32(i)
 }

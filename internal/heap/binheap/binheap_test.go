@@ -1,6 +1,7 @@
 package binheap
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -184,52 +185,125 @@ func TestQuickSortedDrain(t *testing.T) {
 	}
 }
 
-// TestRandomOpsAgainstModel interleaves operations and compares with a
-// naive model.
+// TestRandomOpsAgainstModel interleaves every operation — Push,
+// PushOrDecrease, DecreaseKey, Min, Pop and Reset, with reuse after each
+// Reset — and compares with a model kept as a slice sorted by key. Keys
+// are small integers, so ties are the common case: among tied items any
+// pop order is legal, but the popped key, the item's own key and the
+// membership answers are all pinned.
 func TestRandomOpsAgainstModel(t *testing.T) {
+	type slot struct {
+		item int
+		key  float64
+	}
 	rng := rand.New(rand.NewSource(11))
 	const capacity = 200
 	for trial := 0; trial < 20; trial++ {
 		h := New(capacity)
-		model := make(map[int]float64)
-		for op := 0; op < 1000; op++ {
-			switch r := rng.Intn(10); {
-			case r < 5:
-				item := rng.Intn(capacity)
-				key := float64(rng.Intn(1000))
-				if _, ok := model[item]; ok {
-					if key < model[item] {
-						model[item] = key
+		var model []slot // sorted by key
+		find := func(item int) int {
+			for i, s := range model {
+				if s.item == item {
+					return i
+				}
+			}
+			return -1
+		}
+		set := func(item int, key float64) { // insert, or lower an existing key
+			if i := find(item); i >= 0 {
+				model = append(model[:i], model[i+1:]...)
+			}
+			at := sort.Search(len(model), func(i int) bool { return model[i].key > key })
+			model = append(model, slot{})
+			copy(model[at+1:], model[at:])
+			model[at] = slot{item, key}
+		}
+		for op := 0; op < 2000; op++ {
+			item := rng.Intn(capacity)
+			key := float64(rng.Intn(50))
+			at := find(item)
+			switch r := rng.Intn(100); {
+			case r < 30:
+				err := h.Push(item, key)
+				if at >= 0 {
+					if err != ErrDuplicate {
+						t.Fatalf("Push of present item: err = %v, want ErrDuplicate", err)
 					}
-					_, _ = h.PushOrDecrease(item, key)
+				} else if err != nil {
+					t.Fatalf("Push: %v", err)
 				} else {
-					model[item] = key
-					if err := h.Push(item, key); err != nil {
-						t.Fatalf("Push: %v", err)
-					}
+					set(item, key)
 				}
-			case len(model) > 0:
-				item, key, err := h.Pop()
+			case r < 55:
+				changed, err := h.PushOrDecrease(item, key)
 				if err != nil {
-					t.Fatalf("Pop: %v", err)
+					t.Fatalf("PushOrDecrease: %v", err)
 				}
-				minKey := key + 1
-				for _, k := range model {
-					if k < minKey {
-						minKey = k
+				want := at < 0 || key < model[at].key
+				if changed != want {
+					t.Fatalf("PushOrDecrease(%d,%v) changed = %v, want %v", item, key, changed, want)
+				}
+				if want {
+					set(item, key)
+				}
+			case r < 70:
+				err := h.DecreaseKey(item, key)
+				switch {
+				case at < 0:
+					if err != ErrNotPresent {
+						t.Fatalf("DecreaseKey of absent item: err = %v, want ErrNotPresent", err)
 					}
+				case key > model[at].key:
+					if err != ErrKeyIncrease {
+						t.Fatalf("DecreaseKey upward: err = %v, want ErrKeyIncrease", err)
+					}
+				default:
+					if err != nil {
+						t.Fatalf("DecreaseKey: %v", err)
+					}
+					set(item, key)
 				}
-				if key != minKey {
-					t.Fatalf("popped key %v, model min %v", key, minKey)
+			case r < 97:
+				mi, mk, ok := h.Min()
+				pi, pk, err := h.Pop()
+				if len(model) == 0 {
+					if ok || err != ErrEmpty {
+						t.Fatalf("empty heap: Min ok = %v, Pop err = %v", ok, err)
+					}
+					break
 				}
-				if model[item] != key {
-					t.Fatalf("popped item %d key %v, model has %v", item, key, model[item])
+				if !ok || err != nil {
+					t.Fatalf("Min ok = %v, Pop err = %v on %d items", ok, err, len(model))
 				}
-				delete(model, item)
+				if mi != pi || mk != pk {
+					t.Fatalf("Min (%d,%v) disagrees with the Pop after it (%d,%v)", mi, mk, pi, pk)
+				}
+				pat := find(pi)
+				if pk != model[0].key || pat < 0 || model[pat].key != pk {
+					t.Fatalf("popped (%d,%v), model min key %v, model entry %d", pi, pk, model[0].key, pat)
+				}
+				model = append(model[:pat], model[pat+1:]...)
+			default:
+				h.Reset()
+				model = model[:0]
 			}
-			if h.Len() != len(model) {
-				t.Fatalf("Len() = %d, model %d", h.Len(), len(model))
+			if h.Len() != len(model) || h.Empty() != (len(model) == 0) {
+				t.Fatalf("Len() = %d Empty() = %v, model %d", h.Len(), h.Empty(), len(model))
 			}
+			at = find(item)
+			if h.Contains(item) != (at >= 0) || (at >= 0 && h.Key(item) != model[at].key) {
+				t.Fatalf("item %d: Contains %v Key %v, model index %d", item, h.Contains(item), h.Key(item), at)
+			}
+		}
+		// Drain: what is left comes out in key order.
+		for _, want := range model {
+			_, k, err := h.Pop()
+			if err != nil || k != want.key {
+				t.Fatalf("drain popped key %v err %v, want %v", k, err, want.key)
+			}
+		}
+		if !h.Empty() {
+			t.Fatal("heap not empty after draining the model")
 		}
 	}
 }
@@ -248,6 +322,43 @@ func BenchmarkPushPop(b *testing.B) {
 		}
 		for !h.Empty() {
 			_, _, _ = h.Pop()
+		}
+	}
+}
+
+// BenchmarkHeapSearchMix drives the heap with the operation mix of the
+// search it exists for — Dijkstra over a sparse random digraph, so pushes,
+// improving and non-improving PushOrDecrease calls and pops arrive in a
+// real search's proportions and key order. The arity constant was chosen
+// on this benchmark together with core's BenchmarkRoutePoint.
+func BenchmarkHeapSearchMix(b *testing.B) {
+	const n, deg = 4096, 5
+	rng := rand.New(rand.NewSource(2))
+	to := make([]int, n*deg)
+	w := make([]float64, n*deg)
+	for i := range to {
+		to[i] = rng.Intn(n)
+		w[i] = 1 + 9*rng.Float64()
+	}
+	h := New(n)
+	dist := make([]float64, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Reset()
+		for v := range dist {
+			dist[v] = math.Inf(1)
+		}
+		dist[0] = 0
+		_ = h.Push(0, 0)
+		for !h.Empty() {
+			u, du, _ := h.Pop()
+			for j := u * deg; j < (u+1)*deg; j++ {
+				if nd := du + w[j]; nd < dist[to[j]] {
+					dist[to[j]] = nd
+					_, _ = h.PushOrDecrease(to[j], nd)
+				}
+			}
 		}
 	}
 }

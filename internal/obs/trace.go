@@ -37,8 +37,8 @@ type RouteTrace struct {
 
 	// Search anatomy (filled by core).
 	AuxNodes int `json:"aux_nodes"` // |V'_{s,t}| incl. virtual super terminals
-	AuxArcs  int `json:"aux_arcs"`  // |E'_{s,t}|
-	Settled  int `json:"settled"`   // Dijkstra pops
+	AuxArcs  int `json:"aux_arcs"`  // |E'_{s,t}| incl. the super terminals' |Y_s| + |X_t| arcs
+	Settled  int `json:"settled"`   // Dijkstra pops, including the equal-key drain
 	Relaxed  int `json:"relaxed"`   // arc relaxations
 
 	// Conversion economics of the winning path: switches actually taken
