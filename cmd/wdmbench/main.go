@@ -89,8 +89,8 @@ func run(args []string, w io.Writer) error {
 		if err := report.WriteJSON(*obsJSON); err != nil {
 			return fmt.Errorf("write %s: %w", *obsJSON, err)
 		}
-		fmt.Fprintf(w, "obs benchmark written to %s (tracer off %+.2f%%, tracer on %+.2f%%)\n",
-			*obsJSON, report.TracerOffOverheadPct, report.TracerOnOverheadPct)
+		fmt.Fprintf(w, "obs benchmark written to %s (tracer off %+.2f%%, recorder on %+.2f%%)\n",
+			*obsJSON, report.TracerOffOverheadPct, report.RecorderOnOverheadPct)
 		if *experiment == "" {
 			return nil
 		}

@@ -304,7 +304,7 @@ func TestServeDebugAddrFlagAndMux(t *testing.T) {
 	}
 	tracer := obs.NewTracer(&obs.TracerOptions{SlowThreshold: -1})
 	if req := tracer.Start("serve_request"); req != nil {
-		res, err := eng.RouteSpanned(0, 6, req.Root())
+		res, err := eng.Route(0, 6, req.Root())
 		if err != nil || res == nil {
 			t.Fatalf("traced route: %v", err)
 		}

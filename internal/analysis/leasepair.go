@@ -1,10 +1,9 @@
 package analysis
 
 // leasepair enforces the engine's ownership contract at its consumers:
-// a lease acquired through Engine.Allocate/RouteAndAllocate (and their
-// Traced/Spanned variants) or a circuit admitted through
-// session.Manager.Admit must be released, stored, or returned — never
-// silently dropped. A dropped lease pins wavelength channels for the
+// a lease acquired through Engine.Allocate/RouteAndAllocate or a circuit
+// admitted through session.Manager.Admit must be released, stored, or
+// returned — never silently dropped. A dropped lease pins wavelength channels for the
 // life of the process, which in a benchmark or load generator skews
 // every blocking-probability number measured after it.
 //
@@ -31,10 +30,7 @@ import (
 	"strings"
 )
 
-const (
-	enginePkgPath  = "lightpath/internal/engine"
-	sessionPkgPath = "lightpath/internal/session"
-)
+const sessionPkgPath = "lightpath/internal/session"
 
 // acquireKind says how a call mints a lease handle.
 type acquireKind int
@@ -48,18 +44,14 @@ const (
 // engineAcquires maps Engine method names whose first argument is the
 // owner handle being bound to channels.
 var engineAcquires = map[string]bool{
-	"Allocate":                true,
-	"AllocateSpanned":         true,
-	"RouteAndAllocate":        true,
-	"RouteAndAllocateTraced":  true,
-	"RouteAndAllocateSpanned": true,
+	"Allocate":         true,
+	"RouteAndAllocate": true,
 }
 
 // engineReleases maps Engine method names whose first argument is the
 // owner handle being released.
 var engineReleases = map[string]bool{
-	"Release":        true,
-	"ReleaseSpanned": true,
+	"Release": true,
 }
 
 // sessionAcquires maps Manager methods returning a newly admitted
@@ -154,7 +146,7 @@ func (a *leasepair) acquireAt(info *types.Info, call *ast.CallExpr) (acquireKind
 	sig := f.Type().(*types.Signature)
 	if recv := sig.Recv(); recv != nil {
 		switch {
-		case f.Pkg().Path() == enginePkgPath && named(recv.Type(), enginePkgPath, "Engine"):
+		case f.Pkg().Path() == enginePath && named(recv.Type(), enginePath, "Engine"):
 			if engineAcquires[f.Name()] && len(call.Args) > 0 {
 				return acqOwner, call.Args[0], "lease"
 			}
@@ -185,7 +177,7 @@ func releaseCall(info *types.Info, call *ast.CallExpr) (ast.Expr, bool) {
 	if recv == nil || len(call.Args) == 0 {
 		return nil, false
 	}
-	if f.Pkg().Path() == enginePkgPath && named(recv.Type(), enginePkgPath, "Engine") && engineReleases[f.Name()] {
+	if f.Pkg().Path() == enginePath && named(recv.Type(), enginePath, "Engine") && engineReleases[f.Name()] {
 		return call.Args[0], true
 	}
 	if f.Pkg().Path() == sessionPkgPath && named(recv.Type(), sessionPkgPath, "Manager") && f.Name() == "Release" {

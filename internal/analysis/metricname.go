@@ -20,16 +20,6 @@ var metricCtors = map[string]bool{
 	"Histogram": true,
 }
 
-// spanCtors are the obs methods whose first argument names a span:
-// Tracer.Start (the root) and Span.StartChild. Span names share the
-// metric contract (compile-time lower_snake constants) plus one more
-// rule: every use of a name must resolve to the same declared constant,
-// so each span name has exactly one greppable declaration.
-var spanCtors = map[string]bool{
-	"Start":      true,
-	"StartChild": true,
-}
-
 // attrSetters are the obs.Span methods whose first argument is an
 // attribute key: compile-time lower_snake constants, duplicates allowed
 // (the same key legitimately appears on many spans).
@@ -54,9 +44,9 @@ var lowerSnake = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
 // replace) another metric instead of failing.
 //
 // The same contract extends to the span-tracing layer: names passed to
-// Tracer.Start / Span.StartChild and attribute keys passed to
-// Span.SetInt / SetStr / SetBool / SetFloat are the wire vocabulary of
-// the flight recorder (tracejson replies, /debug/requests JSON), so
+// Tracer.Start / obs.StartTrace / Span.StartChild and attribute keys
+// passed to Span.SetInt / SetStr / SetBool / SetFloat are the wire
+// vocabulary of the flight recorder (tracejson replies, /debug/requests JSON), so
 // they must also be lower_snake compile-time constants. Span names must
 // additionally resolve to one shared constant declaration per name —
 // two string literals (or two distinct constants) spelling the same
@@ -112,7 +102,8 @@ func NewMetricName() *Analyzer {
 					}
 					seen[name] = at
 				case fn.Name() == "Start" && recvNamed(fn, obsPath, "Tracer"),
-					fn.Name() == "StartChild" && recvNamed(fn, obsPath, "Span"):
+					fn.Name() == "StartChild" && recvNamed(fn, obsPath, "Span"),
+					fn.Name() == "StartTrace" && fn.Pkg() != nil && fn.Pkg().Path() == obsPath:
 					arg := call.Args[0]
 					name, ok := constName(pass, arg, "span name")
 					if !ok {

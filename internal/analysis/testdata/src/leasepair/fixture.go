@@ -26,7 +26,7 @@ func loopLeak(e *engine.Engine, n int) {
 }
 
 func spannedLeak(e *engine.Engine, owner int64, s, d int, sp *obs.Span) {
-	_, _ = e.RouteAndAllocateSpanned(owner, s, d, sp) // want `lease acquired here is never released, stored, or returned`
+	_, _ = e.RouteAndAllocate(owner, s, d, sp) // want `lease acquired here is never released, stored, or returned`
 }
 
 func circuitLeak(m *session.Manager, s, d int) int {

@@ -42,6 +42,8 @@ func spans(tr *obs.Tracer, k int) {
 	sp.StartChild("fixture_work")         // want `span name "fixture_work" already declared .*; share one named constant`
 	sp.StartChild(spanWorkDup)            // want `span name "fixture_work" already declared .*; share one named constant`
 	req.Root().StartChild("fixture_step") // want `span name "fixture_step" already declared .*; share one named constant`
+	obs.StartTrace(spanWork)              // unrecorded root, same constant: fine
+	obs.StartTrace("FixturePrivate")      // want `not lower_snake`
 	sp.SetInt(attrItems, 3)
 	sp.SetInt(attrItems, 9)                // duplicate attribute keys are fine
 	sp.SetStr("BadKey", "x")               // want `span attribute key "BadKey" is not lower_snake`

@@ -62,7 +62,7 @@ func (a *Aux) RouteFrom(s int, opts *Options) (*SourceTree, error) {
 		return nil, fmt.Errorf("%w: source %d", ErrNodeRange, s)
 	}
 	n := a.nw.NumNodes()
-	sp := opts.span().StartChild(spanTreeSearch)
+	sp := opts.span().StartChild(SpanTreeSearch)
 	defer sp.End()
 	// Borrow the search's working set from the pool; what the SourceTree
 	// retains is copied out of it below.
@@ -70,7 +70,7 @@ func (a *Aux) RouteFrom(s int, opts *Options) (*SourceTree, error) {
 	defer a.pool.put(qs)
 	qs.seeds = a.sourceSeeds(qs.seeds, s)
 	if len(qs.seeds) == 0 {
-		sp.SetBool(attrBlocked, true)
+		sp.SetBool(AttrBlocked, true)
 		// No outgoing channels: only s itself is reachable.
 		st := &SourceTree{aux: a, source: s, bestX: make([]int32, n), dist: make([]float64, n)}
 		for t := range st.dist {
@@ -91,19 +91,12 @@ func (a *Aux) RouteFrom(s int, opts *Options) (*SourceTree, error) {
 		Settled: scratchTree.Settled,
 		Relaxed: scratchTree.Relaxed,
 	}
-	if tr := opts.trace(); tr != nil {
-		tr.Source = s
-		tr.AuxNodes = a.NumAuxNodes() + 1          // plus the virtual super source
-		tr.AuxArcs = a.g.NumArcs() + len(qs.seeds) // and its arcs into Y_s
-		tr.Settled = tree.Settled
-		tr.Relaxed = tree.Relaxed
-	}
 	if sp != nil {
-		sp.SetInt(attrAuxNodes, int64(a.NumAuxNodes()+1))
-		sp.SetInt(attrAuxArcs, int64(a.g.NumArcs()+len(qs.seeds)))
-		sp.SetInt(attrSettled, int64(tree.Settled))
-		sp.SetInt(attrRelaxed, int64(tree.Relaxed))
-		sp.SetStr(attrReachedPerLambda, a.reachedPerLambda(tree, qs))
+		sp.SetInt(AttrAuxNodes, int64(a.NumAuxNodes()+1))          // plus the virtual super source
+		sp.SetInt(AttrAuxArcs, int64(a.g.NumArcs()+len(qs.seeds))) // and its arcs into Y_s
+		sp.SetInt(AttrSettled, int64(tree.Settled))
+		sp.SetInt(AttrRelaxed, int64(tree.Relaxed))
+		sp.SetStr(AttrReachedPerLambda, a.reachedPerLambda(tree, qs))
 	}
 	st := &SourceTree{
 		aux:    a,

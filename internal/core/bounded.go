@@ -27,12 +27,12 @@ import (
 // reachable within the bound; RouteBounded with a generous bound matches
 // Route exactly.
 //
-// Options are honored like Route: Trace is filled with the search
-// anatomy and winning-path breakdown, Span opens a timed
-// core_bounded_search child. The layered DP has no priority queue, so
-// Options.Queue (and Directed) apply only when the bound provably cannot
-// bind — maxHops ≥ |V'|, where any optimal semilightpath fits — in which
-// case the query delegates to Route wholesale.
+// Options are honored like Route: Span opens a timed
+// core_bounded_search child carrying the search anatomy. The layered DP
+// has no priority queue, so Options.Queue (and Directed) apply only when
+// the bound provably cannot bind — maxHops ≥ |V'|, where any optimal
+// semilightpath fits — in which case the query delegates to Route
+// wholesale.
 func (a *Aux) RouteBounded(s, t, maxHops int, opts *Options) (*Result, error) {
 	if s < 0 || s >= a.nw.NumNodes() {
 		return nil, fmt.Errorf("%w: source %d", ErrNodeRange, s)
@@ -42,10 +42,6 @@ func (a *Aux) RouteBounded(s, t, maxHops int, opts *Options) (*Result, error) {
 	}
 	if maxHops < 0 {
 		return nil, fmt.Errorf("core: maxHops must be non-negative, got %d", maxHops)
-	}
-	tr := opts.trace()
-	if tr != nil {
-		tr.Source, tr.Dest = s, t
 	}
 	if s == t {
 		return &Result{Path: &wdm.Semilightpath{}, Source: s, Dest: t}, nil
@@ -61,7 +57,7 @@ func (a *Aux) RouteBounded(s, t, maxHops int, opts *Options) (*Result, error) {
 		return a.Route(s, t, opts)
 	}
 
-	sp := opts.span().StartChild(spanBoundedSearch)
+	sp := opts.span().StartChild(SpanBoundedSearch)
 	defer sp.End()
 	inf := math.Inf(1)
 	// dist[h][v]: cheapest cost reaching aux node v with exactly ≤h
@@ -86,8 +82,8 @@ func (a *Aux) RouteBounded(s, t, maxHops int, opts *Options) (*Result, error) {
 		layers[0][seed] = 0
 	}
 
-	// DP work counters, reported through trace/span like Route's: a
-	// "settled" state is one finite (layer, node) expansion, a
+	// DP work counters, reported through Result.Stats and the span like
+	// Route's: a "settled" state is one finite (layer, node) expansion, a
 	// "relaxation" one arc examined out of it.
 	settled, relaxed := 0, 0
 
@@ -141,16 +137,12 @@ func (a *Aux) RouteBounded(s, t, maxHops int, opts *Options) (*Result, error) {
 		relaxGadgets(h)
 	}
 	stats := a.searchStats(s, t, settled, relaxed)
-	if tr != nil {
-		tr.AuxNodes, tr.AuxArcs = stats.AuxNodes, stats.AuxArcs
-		tr.Settled, tr.Relaxed = stats.Settled, stats.Relaxed
-	}
 	if sp != nil {
-		sp.SetInt(attrAuxNodes, int64(stats.AuxNodes))
-		sp.SetInt(attrAuxArcs, int64(stats.AuxArcs))
-		sp.SetInt(attrSettled, int64(stats.Settled))
-		sp.SetInt(attrRelaxed, int64(stats.Relaxed))
-		sp.SetInt(attrMaxHops, int64(maxHops))
+		sp.SetInt(AttrAuxNodes, int64(stats.AuxNodes))
+		sp.SetInt(AttrAuxArcs, int64(stats.AuxArcs))
+		sp.SetInt(AttrSettled, int64(stats.Settled))
+		sp.SetInt(AttrRelaxed, int64(stats.Relaxed))
+		sp.SetInt(AttrMaxHops, int64(maxHops))
 	}
 
 	// Virtual super sink over X_t at the final layer.
@@ -163,10 +155,7 @@ func (a *Aux) RouteBounded(s, t, maxHops int, opts *Options) (*Result, error) {
 		}
 	}
 	if bestX < 0 {
-		if tr != nil {
-			tr.Blocked = true
-		}
-		sp.SetBool(attrBlocked, true)
+		sp.SetBool(AttrBlocked, true)
 		return nil, fmt.Errorf("%w: from %d to %d within %d hops", ErrNoRoute, s, t, maxHops)
 	}
 
@@ -191,10 +180,7 @@ func (a *Aux) RouteBounded(s, t, maxHops int, opts *Options) (*Result, error) {
 		hops[i], hops[j] = hops[j], hops[i]
 	}
 	path := &wdm.Semilightpath{Hops: hops}
-	if tr != nil {
-		a.fillPathTrace(tr, path, best)
-	}
-	sp.SetFloat(attrCost, best)
+	sp.SetFloat(AttrCost, best)
 	return &Result{
 		Path:   path,
 		Cost:   best,

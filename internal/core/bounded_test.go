@@ -128,11 +128,10 @@ func TestRouteBoundedMatchesRouteWhenLoose(t *testing.T) {
 }
 
 // TestRouteBoundedHonorsOptions is the regression test for the bug where
-// RouteBounded accepted *Options but discarded it entirely: no trace, no
-// span, no queue/directed handling. The DP must fill the trace with its
-// work counters and the winning-path breakdown, open a
-// core_bounded_search span carrying the max_hops attribute, and mark
-// blocked queries on both.
+// RouteBounded accepted *Options but discarded it entirely: no span, no
+// queue/directed handling. The DP must report its work counters through
+// Result.Stats and a core_bounded_search span carrying the same numbers
+// plus the max_hops attribute, and mark blocked queries on the span.
 func TestRouteBoundedHonorsOptions(t *testing.T) {
 	nw := detourNet(t)
 	a, err := NewAux(nw)
@@ -141,27 +140,31 @@ func TestRouteBoundedHonorsOptions(t *testing.T) {
 	}
 	tracer := obs.NewTracer(&obs.TracerOptions{SlowThreshold: -1})
 	req := tracer.Start("request")
-	tr := &obs.RouteTrace{}
-	res, err := a.RouteBounded(0, 2, 2, &Options{Trace: tr, Span: req.Root()})
+	res, err := a.RouteBounded(0, 2, 2, &Options{Span: req.Root()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tracer.Finish(req)
-	if tr.Source != 0 || tr.Dest != 2 {
-		t.Fatalf("trace endpoints = %d→%d, want 0→2", tr.Source, tr.Dest)
+	if res.Source != 0 || res.Dest != 2 {
+		t.Fatalf("result endpoints = %d→%d, want 0→2", res.Source, res.Dest)
 	}
-	if tr.Settled <= 0 || tr.Relaxed <= 0 || tr.AuxNodes <= 0 || tr.AuxArcs <= 0 {
-		t.Fatalf("trace counters unfilled: %+v", tr)
+	st := res.Stats
+	if st.Settled <= 0 || st.Relaxed <= 0 || st.AuxNodes <= 0 || st.AuxArcs <= 0 {
+		t.Fatalf("result stats unfilled: %+v", st)
 	}
-	if tr.Cost != res.Cost || len(tr.Hops) != res.Path.Len() {
-		t.Fatalf("trace breakdown: cost %v hops %d, want %v / %d", tr.Cost, len(tr.Hops), res.Cost, res.Path.Len())
+	if legs := res.Path.Breakdown(nw); len(legs) == 0 || legs[len(legs)-1].Cumulative != res.Cost {
+		t.Fatalf("breakdown %+v does not sum to cost %v", legs, res.Cost)
 	}
-	if res.Stats.Settled <= 0 || res.Stats.Relaxed <= 0 {
-		t.Fatalf("result stats unfilled: %+v", res.Stats)
-	}
-	bs := req.Span("core_bounded_search")
+	bs := req.Span(SpanBoundedSearch)
 	if bs == nil {
 		t.Fatal("no core_bounded_search span recorded")
+	}
+	for key, want := range map[string]int{
+		AttrAuxNodes: st.AuxNodes, AttrAuxArcs: st.AuxArcs, AttrSettled: st.Settled, AttrRelaxed: st.Relaxed,
+	} {
+		if attr, ok := bs.Attr(key); !ok || attr.Int != int64(want) {
+			t.Errorf("%s attr = %+v ok=%v, want %d (Result.Stats)", key, attr, ok, want)
+		}
 	}
 	if attr, ok := bs.Attr("max_hops"); !ok || attr.Int != 2 {
 		t.Errorf("max_hops attr = %+v ok=%v, want 2", attr, ok)
@@ -170,16 +173,12 @@ func TestRouteBoundedHonorsOptions(t *testing.T) {
 		t.Errorf("cost attr = %+v, want %v", attr, res.Cost)
 	}
 
-	// Blocked query: trace and span both record it.
+	// Blocked query: the span records it.
 	req2 := tracer.Start("request")
-	tr2 := &obs.RouteTrace{}
-	if _, err := a.RouteBounded(0, 2, 0, &Options{Trace: tr2, Span: req2.Root()}); !errors.Is(err, ErrNoRoute) {
+	if _, err := a.RouteBounded(0, 2, 0, &Options{Span: req2.Root()}); !errors.Is(err, ErrNoRoute) {
 		t.Fatalf("zero hops: %v", err)
 	}
 	tracer.Finish(req2)
-	if !tr2.Blocked {
-		t.Error("blocked bounded query did not set Trace.Blocked")
-	}
 	bs2 := req2.Span("core_bounded_search")
 	if bs2 == nil {
 		t.Fatal("no span on blocked bounded query")

@@ -28,15 +28,6 @@ type Options struct {
 	// declines the query, degrades DirectedALT to DirectedBidi.
 	Potential PotentialSource
 
-	// Trace, when non-nil, is filled in with the query's search anatomy:
-	// auxiliary graph size, Dijkstra work counters, the per-hop cost
-	// breakdown of the winning path and its conversion economics. The
-	// caller owns the record; Route only writes fields it knows about
-	// (internal/engine layers epoch/cache/retry context on top). Tracing
-	// costs one Breakdown pass over the result path — leave nil on hot
-	// paths that don't need it.
-	Trace *obs.RouteTrace
-
 	// Span, when non-nil, is the parent under which the query opens its
 	// own timed child span (core_search for Route, core_tree_search for
 	// RouteFrom) annotated with the search's work counters and per-λ
@@ -65,13 +56,6 @@ func (o *Options) potential() PotentialSource {
 		return nil
 	}
 	return o.Potential
-}
-
-func (o *Options) trace() *obs.RouteTrace {
-	if o == nil {
-		return nil
-	}
-	return o.Trace
 }
 
 func (o *Options) span() *obs.Span {
@@ -120,15 +104,11 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 	if t < 0 || t >= a.nw.NumNodes() {
 		return nil, fmt.Errorf("%w: dest %d", ErrNodeRange, t)
 	}
-	tr := opts.trace()
-	if tr != nil {
-		tr.Source, tr.Dest = s, t
-	}
 	if s == t {
 		// The trivial semilightpath: no links, no conversions, cost 0.
 		return &Result{Path: &wdm.Semilightpath{}, Source: s, Dest: t}, nil
 	}
-	sp := opts.span().StartChild(spanSearch)
+	sp := opts.span().StartChild(SpanSearch)
 	defer sp.End()
 
 	// Borrow pooled per-query scratch: seed/goal backings plus the
@@ -140,10 +120,7 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 
 	qs.seeds = a.sourceSeeds(qs.seeds, s)
 	if len(qs.seeds) == 0 {
-		if tr != nil {
-			tr.Blocked = true
-		}
-		sp.SetBool(attrBlocked, true)
+		sp.SetBool(AttrBlocked, true)
 		return nil, fmt.Errorf("%w: from %d to %d (no outgoing channels at source)", ErrNoRoute, s, t)
 	}
 	// Early termination: t″ hangs off X_t by 0-weight arcs, so it is
@@ -155,15 +132,12 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 		qs.goals = append(qs.goals, int(a.xStart[t])+xi)
 	}
 	if len(qs.goals) == 0 {
-		if tr != nil {
-			tr.Blocked = true
-		}
-		sp.SetBool(attrBlocked, true)
+		sp.SetBool(AttrBlocked, true)
 		return nil, fmt.Errorf("%w: from %d to %d (no incoming channels at destination)", ErrNoRoute, s, t)
 	}
 
 	// Mode dispatch: every branch fills the same result variables, so
-	// stats, tracing and extraction below are mode-agnostic. All modes
+	// stats, span attributes and extraction below are mode-agnostic. All modes
 	// return the same optimal cost; they differ in nodes settled proving
 	// it (and, among equal-cost optima, possibly in which path they pick).
 	mode := opts.directed()
@@ -239,23 +213,16 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 		}
 	}
 	stats := a.searchStats(s, t, settled, relaxed)
-	if tr != nil {
-		tr.AuxNodes, tr.AuxArcs = stats.AuxNodes, stats.AuxArcs
-		tr.Settled, tr.Relaxed = stats.Settled, stats.Relaxed
-	}
 	if sp != nil {
-		sp.SetInt(attrAuxNodes, int64(stats.AuxNodes))
-		sp.SetInt(attrAuxArcs, int64(stats.AuxArcs))
-		sp.SetInt(attrSettled, int64(stats.Settled))
-		sp.SetInt(attrRelaxed, int64(stats.Relaxed))
-		sp.SetStr(attrDirected, mode.String())
-		sp.SetStr(attrReachedPerLambda, a.reachedPerLambda(fwdTree, qs))
+		sp.SetInt(AttrAuxNodes, int64(stats.AuxNodes))
+		sp.SetInt(AttrAuxArcs, int64(stats.AuxArcs))
+		sp.SetInt(AttrSettled, int64(stats.Settled))
+		sp.SetInt(AttrRelaxed, int64(stats.Relaxed))
+		sp.SetStr(AttrDirected, mode.String())
+		sp.SetStr(AttrReachedPerLambda, a.reachedPerLambda(fwdTree, qs))
 	}
 	if bestNode < 0 {
-		if tr != nil {
-			tr.Blocked = true
-		}
-		sp.SetBool(attrBlocked, true)
+		sp.SetBool(AttrBlocked, true)
 		return nil, fmt.Errorf("%w: from %d to %d", ErrNoRoute, s, t)
 	}
 
@@ -269,10 +236,7 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 			return nil, err
 		}
 	}
-	if tr != nil {
-		a.fillPathTrace(tr, path, bestDist)
-	}
-	sp.SetFloat(attrCost, bestDist)
+	sp.SetFloat(AttrCost, bestDist)
 	return &Result{Path: path, Cost: bestDist, Source: s, Dest: t, Stats: stats}, nil
 }
 
@@ -287,51 +251,29 @@ func (a *Aux) searchStats(s, t, settled, relaxed int) SearchStats {
 	}
 }
 
-// fillPathTrace records the winning path's per-hop Eq. (1) breakdown
-// and conversion economics into tr.
-func (a *Aux) fillPathTrace(tr *obs.RouteTrace, path *wdm.Semilightpath, cost float64) {
-	tr.Cost = cost
-	legs := path.Breakdown(a.nw)
-	tr.Hops = make([]obs.TraceHop, len(legs))
-	for i, leg := range legs {
-		tr.Hops[i] = obs.TraceHop{
-			Link:       leg.Hop.Link,
-			From:       leg.From,
-			To:         leg.To,
-			Wavelength: int32(leg.Hop.Wavelength),
-			ConvCost:   leg.ConvCost,
-			LinkCost:   leg.LinkCost,
-			Cumulative: leg.Cumulative,
-		}
-	}
-	// Conversions available: at each intermediate node, the distinct
-	// different-wavelength switches the arrival wavelength could have
-	// made (gadget arcs out of its X-shore entry). A conversion is
-	// "taken" whenever the wavelength changes, even on a free converter.
+// ConversionChoices reports the conversion economics of path: how many
+// junctions switched wavelength (taken — counted even on a free
+// converter) against how many distinct wavelengths λq ≠ λ the arrival
+// wavelength λ could have been converted to at each intermediate node
+// (available — the conversion arcs out of its X-shore entry, the choice
+// set the router had at that junction).
+func (a *Aux) ConversionChoices(path *wdm.Semilightpath) (taken, available int) {
 	for i := 1; i < len(path.Hops); i++ {
-		if path.Hops[i].Wavelength != path.Hops[i-1].Wavelength {
-			tr.ConversionsTaken++
+		prev := path.Hops[i-1]
+		if path.Hops[i].Wavelength != prev.Wavelength {
+			taken++
 		}
-		node := a.nw.Link(path.Hops[i-1].Link).To
-		tr.ConversionsAvailable += a.conversionFanout(node, path.Hops[i-1].Wavelength)
-	}
-}
-
-// conversionFanout counts the distinct wavelengths λq ≠ λ reachable by
-// a conversion at node v when arriving on λ — the size of the choice
-// set the router had at that junction.
-func (a *Aux) conversionFanout(v int, lambda wdm.Wavelength) int {
-	x, ok := a.xIndex(v, lambda)
-	if !ok {
-		return 0
-	}
-	fanout := 0
-	for _, arc := range a.g.Out(x) {
-		if arc.Tag == tagConversion && a.info[arc.To].Lambda != lambda {
-			fanout++
+		x, ok := a.xIndex(a.nw.Link(prev.Link).To, prev.Wavelength)
+		if !ok {
+			continue
+		}
+		for _, arc := range a.g.Out(x) {
+			if arc.Tag == tagConversion && a.info[arc.To].Lambda != prev.Wavelength {
+				available++
+			}
 		}
 	}
-	return fanout
+	return taken, available
 }
 
 // sourceSeeds appends the Y_s shore node IDs — the targets the virtual

@@ -10,21 +10,21 @@ import (
 // compile-time constants so the metricname analyzer can verify them
 // (lower_snake, unique across the program).
 const (
-	spanSearch        = "core_search"         // one point-to-point query (Route)
-	spanTreeSearch    = "core_tree_search"    // one single-source pass (RouteFrom)
-	spanBoundedSearch = "core_bounded_search" // one hop-bounded DP (RouteBounded)
+	SpanSearch        = "core_search"         // one point-to-point query (Route)
+	SpanTreeSearch    = "core_tree_search"    // one single-source pass (RouteFrom)
+	SpanBoundedSearch = "core_bounded_search" // one hop-bounded DP (RouteBounded)
 )
 
 const (
-	attrAuxNodes         = "aux_nodes"
-	attrAuxArcs          = "aux_arcs"
-	attrSettled          = "settled"
-	attrRelaxed          = "relaxed"
-	attrBlocked          = "blocked"
-	attrCost             = "cost"
-	attrDirected         = "directed_mode"
-	attrMaxHops          = "max_hops"
-	attrReachedPerLambda = "reached_per_lambda"
+	AttrAuxNodes         = "aux_nodes"
+	AttrAuxArcs          = "aux_arcs"
+	AttrSettled          = "settled"
+	AttrRelaxed          = "relaxed"
+	AttrBlocked          = "blocked"
+	AttrCost             = "cost"
+	AttrDirected         = "directed_mode"
+	AttrMaxHops          = "max_hops"
+	AttrReachedPerLambda = "reached_per_lambda"
 )
 
 // reachedPerLambda renders per-wavelength counts of reached X-shore

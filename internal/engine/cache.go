@@ -79,7 +79,7 @@ func (c *treeCache) get(k treeKey) (*core.SourceTree, bool) {
 }
 
 // peek reports residency without counting a lookup or touching LRU
-// order — the route tracer uses it to label a query cache-hit/miss
+// order — Snapshot.TreeCached uses it to label a query cache-hit/miss
 // without perturbing the statistics it is reporting on.
 func (c *treeCache) peek(k treeKey) bool {
 	c.mu.Lock()

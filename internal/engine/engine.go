@@ -258,9 +258,9 @@ func (e *Engine) Snapshot() *Snapshot { return e.snap.Load() }
 // snapshot's add/remove sequence numbers — the landmark-admissibility
 // witnesses — advance correctly.
 func (e *Engine) publish(epoch uint64, changed []int, sp *obs.Span, kind mutationKind) error {
-	psp := sp.StartChild(spanPublish)
+	psp := sp.StartChild(SpanPublish)
 	defer psp.End()
-	psp.SetInt(attrEpoch, int64(epoch))
+	psp.SetInt(AttrEpoch, int64(epoch))
 	start := time.Now()
 	if prev := e.snap.Load(); prev != nil && changed != nil &&
 		e.maxDeltaDepth >= 0 && prev.aux.DeltaDepth() < e.maxDeltaDepth {
@@ -269,7 +269,7 @@ func (e *Engine) publish(epoch uint64, changed []int, sp *obs.Span, kind mutatio
 			e.rebuilds.Add(1)
 			e.deltaApplies.Add(1)
 			e.metrics.deltaLatency.ObserveDuration(time.Since(start))
-			psp.SetStr(attrMode, "delta")
+			psp.SetStr(AttrMode, "delta")
 			return nil
 		}
 		if !errors.Is(err, core.ErrDeltaShape) {
@@ -298,7 +298,7 @@ func (e *Engine) publish(epoch uint64, changed []int, sp *obs.Span, kind mutatio
 	e.rebuilds.Add(1)
 	e.fullRebuilds.Add(1)
 	e.metrics.rebuildLatency.ObserveDuration(time.Since(start))
-	psp.SetStr(attrMode, "full")
+	psp.SetStr(AttrMode, "full")
 	return nil
 }
 
@@ -341,7 +341,7 @@ func (e *Engine) newSnapshot(epoch uint64, net *wdm.Network, aux *core.Aux, kind
 		removeSeq++
 	}
 	s := &Snapshot{
-		epoch: epoch, net: net, aux: aux, eng: e, queue: e.queue,
+		epoch: epoch, net: net, aux: aux, eng: e,
 		addSeq: addSeq, removeSeq: removeSeq,
 		ropts: core.Options{Queue: e.queue, Directed: e.directed},
 	}
@@ -385,19 +385,20 @@ func changedLinks(chans []Channel) []int {
 // Allocate claims every channel of path for owner, bumps the epoch and
 // publishes the new snapshot. It is all-or-nothing: on ErrConflict (a
 // channel already held, or a hop on a failed link) nothing is claimed.
-// Each owner ID may hold at most one lease at a time.
-func (e *Engine) Allocate(owner int64, path *wdm.Semilightpath) error {
-	return e.allocate(owner, path, nil, -1)
+// Each owner ID may hold at most one lease at a time. Under a parent span
+// an engine_allocate child covers the claim and the publish.
+func (e *Engine) Allocate(owner int64, path *wdm.Semilightpath, parent ...*obs.Span) error {
+	return e.allocate(owner, path, parentSpan(parent), -1)
 }
 
-// allocate is Allocate with an optional parent span (an engine_allocate
-// child covers the claim and the publish) and retry-loop ordinal
-// (attempt ≥ 0 is annotated; pass -1 outside the loop).
+// allocate is Allocate's body, shared with RouteAndAllocate's retry loop,
+// which annotates the engine_allocate span with the loop ordinal
+// (attempt ≥ 0; Allocate passes -1).
 func (e *Engine) allocate(owner int64, path *wdm.Semilightpath, parent *obs.Span, attempt int) error {
-	sp := parent.StartChild(spanAllocate)
+	sp := parent.StartChild(SpanAllocate)
 	defer sp.End()
 	if sp != nil && attempt >= 0 {
-		sp.SetInt(attrAttempt, int64(attempt))
+		sp.SetInt(AttrAttempt, int64(attempt))
 	}
 	if path == nil {
 		return errors.New("engine: nil path")
@@ -418,12 +419,12 @@ func (e *Engine) allocate(owner int64, path *wdm.Semilightpath, parent *obs.Span
 		c := Channel{Link: h.Link, Lambda: h.Wavelength}
 		if holder, taken := e.inUse[c]; taken {
 			e.conflicts.Add(1)
-			sp.SetBool(attrConflict, true)
+			sp.SetBool(AttrConflict, true)
 			return fmt.Errorf("%w: (link %d, λ%d) held by %d", ErrConflict, c.Link, c.Lambda, holder)
 		}
 		if e.failed[h.Link] {
 			e.conflicts.Add(1)
-			sp.SetBool(attrConflict, true)
+			sp.SetBool(AttrConflict, true)
 			return fmt.Errorf("%w: link %d is failed", ErrConflict, h.Link)
 		}
 		chans = append(chans, c)
@@ -435,7 +436,7 @@ func (e *Engine) allocate(owner int64, path *wdm.Semilightpath, parent *obs.Span
 	for _, c := range chans {
 		if seen[c] {
 			e.conflicts.Add(1)
-			sp.SetBool(attrConflict, true)
+			sp.SetBool(AttrConflict, true)
 			return fmt.Errorf("%w: path uses (link %d, λ%d) twice", ErrConflict, c.Link, c.Lambda)
 		}
 		seen[c] = true
@@ -449,15 +450,10 @@ func (e *Engine) allocate(owner int64, path *wdm.Semilightpath, parent *obs.Span
 }
 
 // Release frees every channel owner holds, bumps the epoch and
-// publishes the new snapshot.
-func (e *Engine) Release(owner int64) error {
-	return e.release(owner, nil)
-}
-
-// release is Release with an optional parent span (an engine_release
-// child covers the teardown and the publish).
-func (e *Engine) release(owner int64, parent *obs.Span) error {
-	sp := parent.StartChild(spanRelease)
+// publishes the new snapshot. Under a parent span an engine_release child
+// covers the teardown and the publish.
+func (e *Engine) Release(owner int64, parent ...*obs.Span) error {
+	sp := parentSpan(parent).StartChild(SpanRelease)
 	defer sp.End()
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -479,53 +475,32 @@ func (e *Engine) release(owner int64, parent *obs.Span) error {
 // the engine then re-routes on the fresh snapshot and retries, up to
 // maxRetries times, before giving up with ErrConflict. A core.ErrNoRoute
 // from any attempt is returned as-is (the request is blocked). Every
-// retry round lands on the engine_alloc_retries_total counter.
-func (e *Engine) RouteAndAllocate(owner int64, s, t int) (*core.Result, error) {
-	res, _, err := e.routeAndAllocate(owner, s, t, false, nil)
-	return res, err
-}
-
-// RouteAndAllocateTraced is RouteAndAllocate with the final attempt's
-// full route trace (search anatomy, per-hop breakdown, epoch pinned and
-// the attempt count). The trace is non-nil whenever at least one route
-// attempt ran, including when the overall call fails.
-func (e *Engine) RouteAndAllocateTraced(owner int64, s, t int) (*core.Result, *obs.RouteTrace, error) {
-	return e.routeAndAllocate(owner, s, t, true, nil)
-}
-
-func (e *Engine) routeAndAllocate(owner int64, s, t int, traced bool, sp *obs.Span) (*core.Result, *obs.RouteTrace, error) {
+// retry round lands on the engine_alloc_retries_total counter. Under a
+// parent span every attempt records one engine_route and one
+// engine_allocate child (the latter carrying the attempt ordinal, and
+// conflict=true when the claim lost the race).
+func (e *Engine) RouteAndAllocate(owner int64, s, t int, parent ...*obs.Span) (*core.Result, error) {
 	const maxRetries = 8
+	sp := parentSpan(parent)
 	var lastErr error
-	var tr *obs.RouteTrace
 	for attempt := 0; attempt <= maxRetries; attempt++ {
 		if attempt > 0 {
 			e.metrics.allocRetries.Inc()
 		}
-		var (
-			res *core.Result
-			err error
-		)
-		if traced {
-			res, tr, err = e.Snapshot().TraceRoute(s, t)
-			if tr != nil {
-				tr.Attempts = attempt + 1
-			}
-		} else {
-			res, err = e.Snapshot().RouteSpanned(s, t, sp)
-		}
+		res, err := e.Snapshot().Route(s, t, sp)
 		if err != nil {
-			return nil, tr, err
+			return nil, err
 		}
 		err = e.allocate(owner, res.Path, sp, attempt)
 		if err == nil {
-			return res, tr, nil
+			return res, nil
 		}
 		if !errors.Is(err, ErrConflict) {
-			return nil, tr, err
+			return nil, err
 		}
 		lastErr = err
 	}
-	return nil, tr, fmt.Errorf("engine: route-and-allocate gave up after retries: %w", lastErr)
+	return nil, fmt.Errorf("engine: route-and-allocate gave up after retries: %w", lastErr)
 }
 
 // FailLink takes a physical link out of service: its channels stop

@@ -27,7 +27,6 @@ type Metrics struct {
 
 	routes           *obs.Counter // engine_routes_total
 	routesBlocked    *obs.Counter // engine_routes_blocked_total
-	tracedRoutes     *obs.Counter // engine_traced_routes_total
 	allocRetries     *obs.Counter // engine_alloc_retries_total
 	batchRequests    *obs.Counter // engine_batch_requests_total
 	goalSettled      *obs.Counter // engine_goal_settled_total (nodes settled by directed queries)
@@ -52,7 +51,6 @@ func newMetrics(e *Engine) *Metrics {
 		directedRouteLatency: reg.Histogram("engine_directed_route_latency_ns", lat),
 		routes:               reg.Counter("engine_routes_total"),
 		routesBlocked:        reg.Counter("engine_routes_blocked_total"),
-		tracedRoutes:         reg.Counter("engine_traced_routes_total"),
 		allocRetries:         reg.Counter("engine_alloc_retries_total"),
 		batchRequests:        reg.Counter("engine_batch_requests_total"),
 		goalSettled:          reg.Counter("engine_goal_settled_total"),

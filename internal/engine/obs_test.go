@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"lightpath/internal/core"
+	"lightpath/internal/obs"
 	"lightpath/internal/topo"
 	"lightpath/internal/workload"
 )
@@ -29,55 +30,79 @@ func obsTestEngine(t *testing.T, seed int64) *Engine {
 	return e
 }
 
-// TestTraceBreakdownSumsToCost is the explain-correctness contract:
-// the per-hop link weights plus conversion costs recorded in a route
-// trace must sum to exactly the route's reported cost (Eq. 1), for
-// every pair the network can route.
-func TestTraceBreakdownSumsToCost(t *testing.T) {
+// TestBreakdownSumsToCost is the explain-correctness contract, stated on
+// the two sources explain renders from. What the path costs comes from
+// the path: the per-hop link weights plus conversion costs of
+// Semilightpath.Breakdown must sum to exactly the route's reported cost
+// (Eq. 1), and Aux.ConversionChoices must agree with the path's own
+// conversions. What the search did comes from its spans: engine_route
+// pins the epoch, core_search carries the same counters as Result.Stats
+// and marks blocked queries. For every pair the network can route.
+func TestBreakdownSumsToCost(t *testing.T) {
 	e := obsTestEngine(t, 9)
 	n := e.Base().NumNodes()
+	snap := e.Snapshot()
 	checked := 0
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
 			if s == d {
 				continue
 			}
-			res, tr, err := e.TraceRoute(s, d)
+			req := obs.StartTrace("request")
+			res, err := snap.Route(s, d, req.Root())
+			search := req.Span(core.SpanSearch)
+			if search == nil {
+				t.Fatalf("%d->%d: no core_search span", s, d)
+			}
 			if errors.Is(err, core.ErrNoRoute) {
-				if !tr.Blocked {
-					t.Fatalf("%d->%d: blocked route's trace not marked Blocked", s, d)
+				if a, ok := search.Attr(core.AttrBlocked); !ok || !a.Bool {
+					t.Fatalf("%d->%d: blocked route's core_search span not marked blocked", s, d)
 				}
 				continue
 			}
 			if err != nil {
 				t.Fatalf("%d->%d: %v", s, d, err)
 			}
-			sum := tr.LinkCostTotal() + tr.ConvCostTotal()
-			if math.Abs(sum-res.Cost) > 1e-9 {
+			legs := res.Path.Breakdown(snap.Network())
+			if len(legs) != res.Path.Len() {
+				t.Fatalf("%d->%d: breakdown has %d legs, path %d hops", s, d, len(legs), res.Path.Len())
+			}
+			links, convs := 0.0, 0.0
+			for _, leg := range legs {
+				links += leg.LinkCost
+				convs += leg.ConvCost
+			}
+			if sum := links + convs; math.Abs(sum-res.Cost) > 1e-9 {
 				t.Fatalf("%d->%d: breakdown links %v + conversions %v = %v, route cost %v",
-					s, d, tr.LinkCostTotal(), tr.ConvCostTotal(), sum, res.Cost)
+					s, d, links, convs, sum, res.Cost)
 			}
-			if math.Abs(tr.Cost-res.Cost) > 0 {
-				t.Fatalf("%d->%d: trace cost %v != result cost %v", s, d, tr.Cost, res.Cost)
-			}
-			if len(tr.Hops) != res.Path.Len() {
-				t.Fatalf("%d->%d: trace has %d hops, path %d", s, d, len(tr.Hops), res.Path.Len())
-			}
-			if last := tr.Hops[len(tr.Hops)-1]; math.Abs(last.Cumulative-res.Cost) > 1e-9 {
+			if last := legs[len(legs)-1]; math.Abs(last.Cumulative-res.Cost) > 1e-9 {
 				t.Fatalf("%d->%d: last cumulative %v != cost %v", s, d, last.Cumulative, res.Cost)
 			}
-			if got := len(res.Path.Conversions(e.Base())); got != tr.ConversionsTaken {
-				t.Fatalf("%d->%d: trace counts %d conversions, path has %d", s, d, tr.ConversionsTaken, got)
+			if a, ok := search.Attr(core.AttrCost); !ok || a.Float != res.Cost {
+				t.Fatalf("%d->%d: core_search cost attr %+v != result cost %v", s, d, a, res.Cost)
 			}
-			if tr.ConversionsAvailable < tr.ConversionsTaken {
-				t.Fatalf("%d->%d: %d conversions taken but only %d available",
-					s, d, tr.ConversionsTaken, tr.ConversionsAvailable)
+			taken, available := snap.Aux().ConversionChoices(res.Path)
+			if got := len(res.Path.Conversions(e.Base())); got != taken {
+				t.Fatalf("%d->%d: ConversionChoices counts %d conversions, path has %d", s, d, taken, got)
 			}
-			if tr.Settled <= 0 || tr.Relaxed <= 0 || tr.AuxNodes <= 0 || tr.AuxArcs <= 0 {
-				t.Fatalf("%d->%d: search anatomy not recorded: %+v", s, d, tr)
+			if available < taken {
+				t.Fatalf("%d->%d: %d conversions taken but only %d available", s, d, taken, available)
 			}
-			if tr.Epoch != e.Epoch() {
-				t.Fatalf("%d->%d: trace pinned epoch %d, engine at %d", s, d, tr.Epoch, e.Epoch())
+			st := res.Stats
+			if st.Settled <= 0 || st.Relaxed <= 0 || st.AuxNodes <= 0 || st.AuxArcs <= 0 {
+				t.Fatalf("%d->%d: search anatomy not recorded: %+v", s, d, st)
+			}
+			for key, want := range map[string]int{
+				core.AttrAuxNodes: st.AuxNodes, core.AttrAuxArcs: st.AuxArcs,
+				core.AttrSettled: st.Settled, core.AttrRelaxed: st.Relaxed,
+			} {
+				if a, ok := search.Attr(key); !ok || a.Int != int64(want) {
+					t.Fatalf("%d->%d: core_search %s = %+v, Result.Stats says %d", s, d, key, a, want)
+				}
+			}
+			if a, ok := req.Span(SpanRoute).Attr(AttrEpoch); !ok || uint64(a.Int) != e.Epoch() {
+				t.Fatalf("%d->%d: engine_route pinned epoch %+v, engine at %d", s, d, a, e.Epoch())
 			}
 			checked++
 		}
@@ -87,32 +112,35 @@ func TestTraceBreakdownSumsToCost(t *testing.T) {
 	}
 }
 
-// TestTraceCacheHitFlag: the trace's CacheHit must reflect SourceTree
-// residency for (source, epoch) without perturbing the cache counters.
-func TestTraceCacheHitFlag(t *testing.T) {
+// TestTreeCachedFlag: TreeCached must reflect SourceTree residency for
+// (source, epoch) without perturbing the cache counters.
+func TestTreeCachedFlag(t *testing.T) {
 	e := obsTestEngine(t, 10)
-	_, tr, err := e.TraceRoute(0, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.CacheHit {
+	snap := e.Snapshot()
+	if snap.TreeCached(0) {
 		t.Fatal("cold cache reported as hit")
 	}
 	before := e.CacheStats()
-	if _, err := e.RouteFrom(0); err != nil { // populates (0, epoch)
+	if _, err := snap.RouteFrom(0); err != nil { // populates (0, epoch)
 		t.Fatal(err)
 	}
-	_, tr, err = e.TraceRoute(0, 9)
-	if err != nil {
-		t.Fatal(err)
+	if !snap.TreeCached(0) {
+		t.Fatal("resident SourceTree not reported as cached")
 	}
-	if !tr.CacheHit {
-		t.Fatal("resident SourceTree not reported as cache hit")
+	if snap.TreeCached(1) {
+		t.Fatal("another source's tree reported as cached")
 	}
 	after := e.CacheStats()
 	if after.Lookups != before.Lookups+1 {
-		t.Fatalf("tracing changed lookup count beyond the one RouteFrom: %d -> %d",
+		t.Fatalf("TreeCached changed lookup count beyond the one RouteFrom: %d -> %d",
 			before.Lookups, after.Lookups)
+	}
+	uncached, err := New(e.Base(), &Options{CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uncached.Snapshot().TreeCached(0) {
+		t.Fatal("engine without a cache reported a cached tree")
 	}
 }
 
@@ -217,16 +245,27 @@ func TestPerWavelengthUtilizationGauges(t *testing.T) {
 	}
 }
 
-// TestRouteAndAllocateTracedRecordsAttempts: a clean first-try
-// allocation reports exactly one attempt and no retry counter motion.
-func TestRouteAndAllocateTracedRecordsAttempts(t *testing.T) {
+// TestRouteAndAllocateRecordsAttempts: a clean first-try allocation
+// records exactly one engine_allocate span, carrying attempt 0, and no
+// retry counter motion.
+func TestRouteAndAllocateRecordsAttempts(t *testing.T) {
 	e := obsTestEngine(t, 13)
-	_, tr, err := e.RouteAndAllocateTraced(1, 0, 9)
-	if err != nil {
+	req := obs.StartTrace("request")
+	if _, err := e.RouteAndAllocate(1, 0, 9, req.Root()); err != nil {
 		t.Fatal(err)
 	}
-	if tr == nil || tr.Attempts != 1 {
-		t.Fatalf("trace attempts = %+v, want 1", tr)
+	attempts := 0
+	for _, sp := range req.Spans() {
+		if sp.Name != SpanAllocate {
+			continue
+		}
+		attempts++
+		if a, ok := sp.Attr(AttrAttempt); !ok || a.Int != 0 {
+			t.Fatalf("engine_allocate attempt attr = %+v ok=%v, want 0", a, ok)
+		}
+	}
+	if attempts != 1 {
+		t.Fatalf("recorded %d engine_allocate spans, want 1", attempts)
 	}
 	if got := e.Metrics().Snapshot()["engine_alloc_retries_total"].(uint64); got != 0 {
 		t.Fatalf("engine_alloc_retries_total = %d on a conflict-free allocate", got)

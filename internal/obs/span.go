@@ -8,9 +8,8 @@ import (
 
 // This file is the request-scoped tracing substrate: a Span tree built
 // while one request executes, a Tracer that decides which requests to
-// record, and a lock-free flight recorder (ring.go semantics inlined
-// below) that retains the most recent completed trees plus an
-// always-retained slow-request log.
+// record, and a lock-free flight recorder (ring.go) that retains the most
+// recent completed trees plus an always-retained slow-request log.
 //
 // The design constraint is the same one the metric types obey: the
 // *disabled* path must be free. Tracer.Start returns a nil *ReqTrace
@@ -154,6 +153,15 @@ func (s *Span) Attr(key string) (Attr, bool) {
 	return Attr{}, false
 }
 
+// Trace returns the request trace s belongs to, so a caller handed only
+// a span can read back what ran beneath it. Nil-safe.
+func (s *Span) Trace() *ReqTrace {
+	if s == nil {
+		return nil
+	}
+	return s.req
+}
+
 // ReqTrace is the span tree of one request: a root span (index 0) plus
 // every child opened during execution, in start order. It is built by
 // one goroutine between Tracer.Start and Tracer.Finish and is immutable
@@ -209,58 +217,6 @@ func (r *ReqTrace) Duration() time.Duration {
 	return time.Duration(r.DurationNs) * time.Nanosecond
 }
 
-// ring is a fixed-size lock-free buffer of completed traces. push is
-// wait-free (one atomic fetch-add plus one atomic pointer store);
-// readers walk the slots backwards from the write cursor. A reader
-// racing a writer may observe a slot mid-replacement — it simply sees
-// either the old or the new trace, both complete — so snapshots taken
-// during traffic are approximate and snapshots at quiescence are exact.
-type ring struct {
-	slots []atomic.Pointer[ReqTrace]
-	next  atomic.Uint64 //lint:atomic write cursor, fetch-add per push
-}
-
-func newRing(n int) *ring {
-	return &ring{slots: make([]atomic.Pointer[ReqTrace], n)}
-}
-
-func (r *ring) push(t *ReqTrace) {
-	i := r.next.Add(1) - 1
-	r.slots[i%uint64(len(r.slots))].Store(t)
-}
-
-// recent returns up to n retained traces, newest first.
-func (r *ring) recent(n int) []*ReqTrace {
-	total := r.next.Load()
-	if n < 0 {
-		n = 0
-	}
-	if uint64(n) > total {
-		n = int(total)
-	}
-	if n > len(r.slots) {
-		n = len(r.slots)
-	}
-	out := make([]*ReqTrace, 0, n)
-	for i := 0; i < n; i++ {
-		slot := (total - 1 - uint64(i)) % uint64(len(r.slots))
-		if t := r.slots[slot].Load(); t != nil {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// find returns the retained trace with the given ID, if any.
-func (r *ring) find(id uint64) *ReqTrace {
-	for i := range r.slots {
-		if t := r.slots[i].Load(); t != nil && t.ID == id {
-			return t
-		}
-	}
-	return nil
-}
-
 // TracerOptions configures a Tracer.
 type TracerOptions struct {
 	// RingSize is the flight recorder's capacity in completed request
@@ -308,8 +264,8 @@ type Tracer struct {
 	recorded atomic.Uint64
 	slowRec  atomic.Uint64
 	maxSpans int
-	recent   *ring
-	slow     *ring
+	recent   *ring[ReqTrace]
+	slow     *ring[ReqTrace]
 }
 
 // NewTracer builds a tracer with the given options (nil for defaults).
@@ -335,8 +291,8 @@ func NewTracer(opts *TracerOptions) *Tracer {
 	}
 	t := &Tracer{
 		maxSpans: o.MaxSpans,
-		recent:   newRing(o.RingSize),
-		slow:     newRing(o.SlowRingSize),
+		recent:   newRing[ReqTrace](o.RingSize),
+		slow:     newRing[ReqTrace](o.SlowRingSize),
 	}
 	t.sample.Store(int64(o.Sample))
 	if o.SlowThreshold < 0 {
@@ -384,7 +340,19 @@ func (t *Tracer) Start(name string) *ReqTrace {
 	if n := t.sample.Load(); n > 1 && id%uint64(n) != 0 {
 		return nil
 	}
-	r := &ReqTrace{ID: id, Begin: time.Now(), spans: make([]Span, 1, t.maxSpans)}
+	r := startTrace(name, t.maxSpans)
+	r.ID = id
+	return r
+}
+
+// StartTrace begins a span tree no tracer will retain (ID 0, default
+// span capacity): for a caller that must read a query's spans back even
+// when the recorder is off or sampled the request out — the explain
+// verb does.
+func StartTrace(name string) *ReqTrace { return startTrace(name, DefaultMaxSpans) }
+
+func startTrace(name string, maxSpans int) *ReqTrace {
+	r := &ReqTrace{Begin: time.Now(), spans: make([]Span, 1, maxSpans)}
 	r.spans[0] = Span{Name: name, Parent: -1, req: r, idx: 0}
 	return r
 }
@@ -429,7 +397,7 @@ func (t *Tracer) Recent(n int) []*ReqTrace {
 	if t == nil {
 		return nil
 	}
-	return t.recent.recent(n)
+	return t.recent.last(n)
 }
 
 // Slow returns up to n retained slow-request traces, newest first.
@@ -438,7 +406,7 @@ func (t *Tracer) Slow(n int) []*ReqTrace {
 	if t == nil {
 		return nil
 	}
-	return t.slow.recent(n)
+	return t.slow.last(n)
 }
 
 // Find returns the retained trace with the given ID — searching the
@@ -448,10 +416,14 @@ func (t *Tracer) Find(id uint64) *ReqTrace {
 	if t == nil {
 		return nil
 	}
-	if r := t.recent.find(id); r != nil {
-		return r
+	for _, rg := range []*ring[ReqTrace]{t.recent, t.slow} {
+		for _, r := range rg.last(len(rg.slots)) {
+			if r.ID == id {
+				return r
+			}
+		}
 	}
-	return t.slow.find(id)
+	return nil
 }
 
 // Recorded reports how many request traces Finish has retained.

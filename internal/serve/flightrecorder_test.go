@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"lightpath/internal/core"
+	"lightpath/internal/engine"
 	"lightpath/internal/obs"
 )
 
@@ -229,5 +231,139 @@ func TestReplExecOwnsTraceLifecycle(t *testing.T) {
 	// it lists the two finished traces.
 	if got := strings.Count(sb.String(), "trace "); got != 2 {
 		t.Errorf("recent listed %d traces, want 2 (route, epoch)", got)
+	}
+}
+
+// TestInspectedRequestsAreRecorded: explain, and route/alloc under
+// trace on, run under the request's serve_exec span like every other
+// request, so the flight recorder shows the search for exactly the
+// requests an operator is inspecting — and the rendered anatomy is read
+// back from those same spans.
+func TestInspectedRequestsAreRecorded(t *testing.T) {
+	eng := newEngine(t, "-topo", "nsfnet", "-k", "8", "-seed", "7")
+	tracer := obs.NewTracer(&obs.TracerOptions{SlowThreshold: -1})
+	var sb strings.Builder
+	sess := NewSession(eng, &sb, &SessionOptions{Tracer: tracer})
+	for _, tc := range []struct {
+		line  string
+		spans []string // each nested under the one before, serve_exec first
+		extra []string
+	}{
+		{"explain 0 7", []string{spanExec, engine.SpanRoute, core.SpanSearch}, nil},
+		{"trace on", nil, nil},
+		{"route 0 7", []string{spanExec, engine.SpanRoute, core.SpanSearch}, nil},
+		{"alloc 0 7", []string{spanExec, engine.SpanRoute, core.SpanSearch},
+			[]string{engine.SpanAllocate, engine.SpanPublish}},
+	} {
+		sb.Reset()
+		if _, err := sess.Exec(tc.line); err != nil {
+			t.Fatalf("%s: %v", tc.line, err)
+		}
+		if tc.spans == nil {
+			continue
+		}
+		r := tracer.Recent(1)[0]
+		if a, _ := r.Root().Attr(attrVerb); a.Str != strings.Fields(tc.line)[0] {
+			t.Fatalf("%s: newest trace is verb %q", tc.line, a.Str)
+		}
+		all := r.Spans()
+		for i, name := range tc.spans {
+			sp := r.Span(name)
+			if sp == nil {
+				t.Fatalf("%s: retained trace has no %s span (got %d spans)", tc.line, name, len(all))
+			}
+			if i > 0 && all[sp.Parent].Name != tc.spans[i-1] {
+				t.Errorf("%s: %s is nested under %s, want %s", tc.line, name, all[sp.Parent].Name, tc.spans[i-1])
+			}
+		}
+		for _, name := range tc.extra {
+			if r.Span(name) == nil {
+				t.Errorf("%s: retained trace has no %s span", tc.line, name)
+			}
+		}
+		settled, _ := r.Span(core.SpanSearch).Attr(core.AttrSettled)
+		if want := fmt.Sprintf("settled %d", settled.Int); settled.Int <= 0 || !strings.Contains(sb.String(), want) {
+			t.Errorf("%s: reply does not render the recorded %q:\n%s", tc.line, want, sb.String())
+		}
+	}
+}
+
+// TestExplainWithoutRecorder: the recorder being absent, off, or having
+// sampled the request out must not blind explain or the trace-on
+// summaries — they run the query under a private trace instead.
+func TestExplainWithoutRecorder(t *testing.T) {
+	sampledOut := obs.NewTracer(&obs.TracerOptions{Sample: 1000})
+	for name, tracer := range map[string]*obs.Tracer{
+		"no tracer":   nil,
+		"disabled":    obs.NewTracer(&obs.TracerOptions{Disabled: true}),
+		"sampled out": sampledOut,
+	} {
+		eng := newEngine(t, "-topo", "nsfnet", "-k", "8", "-seed", "7")
+		var sb strings.Builder
+		sess := NewSession(eng, &sb, &SessionOptions{Tracer: tracer})
+		for _, line := range []string{"explain 0 7", "trace on", "route 0 7", "alloc 0 7"} {
+			if _, err := sess.Exec(line); err != nil {
+				t.Fatalf("%s: %s: %v", name, line, err)
+			}
+		}
+		out := sb.String()
+		if got := strings.Count(out, "settled "); got != 3 {
+			t.Fatalf("%s: want 3 anatomy lines (explain, route, alloc), got %d:\n%s", name, got, out)
+		}
+		if strings.Contains(out, "settled 0") || strings.Contains(out, "aux 0") {
+			t.Errorf("%s: anatomy rendered without its search counters:\n%s", name, out)
+		}
+		if tracer.Recorded() != 0 {
+			t.Errorf("%s: private traces leaked into the recorder (%d recorded)", name, tracer.Recorded())
+		}
+	}
+}
+
+// TestTraceSummaryReportsFinalAttempt pins the summary of a claim that
+// lost a race — a shape no single-goroutine script can provoke — on a
+// hand-built span tree: the counters and epoch are the last attempt's,
+// and " attempts N" appears only when N > 1.
+func TestTraceSummaryReportsFinalAttempt(t *testing.T) {
+	eng := newEngine(t, "-topo", "nsfnet", "-k", "8", "-seed", "7")
+	res, err := eng.Route(0, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attemptTree := func(attempts int) *obs.Span {
+		root := obs.StartTrace(spanExec).Root()
+		for i := 0; i < attempts; i++ {
+			route := root.StartChild(engine.SpanRoute)
+			route.SetInt(engine.AttrEpoch, int64(10+i))
+			search := route.StartChild(core.SpanSearch)
+			search.SetInt(core.AttrAuxNodes, 82)
+			search.SetInt(core.AttrAuxArcs, 198)
+			search.SetInt(core.AttrSettled, int64(50+i))
+			search.SetInt(core.AttrRelaxed, int64(80+i))
+			search.End()
+			route.End()
+			claim := root.StartChild(engine.SpanAllocate)
+			claim.SetInt(engine.AttrAttempt, int64(i))
+			claim.End()
+		}
+		return root
+	}
+	var sb strings.Builder
+	sess := NewSession(eng, &sb, nil)
+
+	a := readAnatomy(attemptTree(3))
+	if a.attempts != 3 || a.epoch != 12 || a.settled != 52 || a.relaxed != 82 || a.blocked {
+		t.Fatalf("anatomy of a third-attempt claim = %+v", a)
+	}
+	sess.printTraceSummary(0, 7, res, a, false)
+	want := fmt.Sprintf("  trace 0->7 epoch 12 cost %g (%d hops, ", res.Cost, res.Path.Len())
+	if got := sb.String(); !strings.HasPrefix(got, want) ||
+		!strings.Contains(got, " aux 82n/198a settled 52 relaxed 82 cache-miss attempts 3 in ") {
+		t.Fatalf("summary = %q", got)
+	}
+
+	sb.Reset()
+	sess.printTraceSummary(0, 7, res, readAnatomy(attemptTree(1)), true)
+	if got := sb.String(); strings.Contains(got, "attempts") || !strings.Contains(got, " cache-hit in ") {
+		t.Fatalf("first-try summary = %q", got)
 	}
 }

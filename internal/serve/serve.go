@@ -167,40 +167,40 @@ func (s *Session) exec(cmd string, rest []string, sp *obs.Span) (bool, error) {
 			return false, err
 		}
 		if s.tracing {
-			res, tr, err := s.eng.TraceRoute(ints[0], ints[1])
-			if err != nil {
-				if tr != nil {
-					fmt.Fprintf(s.w, "  %s\n", tr)
-				}
-				return false, err
-			}
-			s.printResult(res)
-			fmt.Fprintf(s.w, "  %s\n", tr)
-			return false, nil
+			sp = readableSpan(sp)
 		}
-		res, err := s.eng.RouteSpanned(ints[0], ints[1], sp)
+		snap := s.eng.Snapshot()
+		cached := s.tracing && snap.TreeCached(ints[0])
+		res, err := snap.Route(ints[0], ints[1], sp)
+		if err == nil {
+			s.printResult(res)
+		}
+		if s.tracing {
+			s.printTraceSummary(ints[0], ints[1], res, readAnatomy(sp), cached)
+		}
 		if err != nil {
 			return false, err
 		}
-		s.printResult(res)
 	case "explain":
 		if err := argc(2); err != nil {
 			return false, err
 		}
-		res, tr, err := s.eng.TraceRoute(ints[0], ints[1])
+		sp = readableSpan(sp)
+		snap := s.eng.Snapshot()
+		cached := snap.TreeCached(ints[0])
+		res, err := snap.Route(ints[0], ints[1], sp)
+		a := readAnatomy(sp)
 		if err != nil {
-			if tr != nil {
-				fmt.Fprintf(s.w, "explain %d -> %d: blocked after settling %d of %d aux nodes\n",
-					ints[0], ints[1], tr.Settled, tr.AuxNodes)
-			}
+			fmt.Fprintf(s.w, "explain %d -> %d: blocked after settling %d of %d aux nodes\n",
+				ints[0], ints[1], a.settled, a.auxNodes)
 			return false, err
 		}
-		s.printExplain(res, tr)
+		s.printExplain(snap, res, a, cached)
 	case "routefrom":
 		if err := argc(1); err != nil {
 			return false, err
 		}
-		st, err := s.eng.RouteFromSpanned(ints[0], sp)
+		st, err := s.eng.RouteFrom(ints[0], sp)
 		if err != nil {
 			return false, err
 		}
@@ -260,28 +260,31 @@ func (s *Session) exec(cmd string, rest []string, sp *obs.Span) (bool, error) {
 		}
 		lease := s.eng.ReserveOwner()
 		var (
-			res *core.Result
-			tr  *obs.RouteTrace
-			err error
+			cached bool
+			pinned uint64
 		)
 		if s.tracing {
-			res, tr, err = s.eng.RouteAndAllocateTraced(lease, ints[0], ints[1])
-		} else {
-			res, err = s.eng.RouteAndAllocateSpanned(lease, ints[0], ints[1], sp)
+			sp = readableSpan(sp)
+			snap := s.eng.Snapshot()
+			cached, pinned = snap.TreeCached(ints[0]), snap.Epoch()
 		}
+		res, err := s.eng.RouteAndAllocate(lease, ints[0], ints[1], sp)
 		if err != nil {
 			return false, err
 		}
 		fmt.Fprintf(s.w, "lease %d (epoch %d): ", lease, s.eng.Epoch())
 		s.printResult(res)
-		if tr != nil {
-			fmt.Fprintf(s.w, "  %s\n", tr)
+		if s.tracing {
+			// Residency was read on the snapshot pinned above; it describes
+			// the final attempt only if that attempt routed on the same one.
+			a := readAnatomy(sp)
+			s.printTraceSummary(ints[0], ints[1], res, a, cached && a.epoch == pinned)
 		}
 	case "release":
 		if err := argc(1); err != nil {
 			return false, err
 		}
-		if err := s.eng.ReleaseSpanned(int64(ints[0]), sp); err != nil {
+		if err := s.eng.Release(int64(ints[0]), sp); err != nil {
 			return false, err
 		}
 		fmt.Fprintf(s.w, "released %d (epoch %d)\n", ints[0], s.eng.Epoch())
@@ -314,9 +317,9 @@ func (s *Session) exec(cmd string, rest []string, sp *obs.Span) (bool, error) {
 		fmt.Fprintf(s.w, "cache: %d/%d entries  lookups %d  hits %d  misses %d  evictions %d  hit rate %.3f\n",
 			cs.Size, cs.Capacity, cs.Lookups, cs.Hits, cs.Misses, cs.Evictions, cs.HitRate())
 		lat := snap["engine_route_latency_ns"].(obs.HistogramSnapshot)
-		fmt.Fprintf(s.w, "routes %d (blocked %d, traced %d)  retries %d  rebuilds %d\n",
+		fmt.Fprintf(s.w, "routes %d (blocked %d)  retries %d  rebuilds %d\n",
 			snap["engine_routes_total"], snap["engine_routes_blocked_total"],
-			snap["engine_traced_routes_total"], snap["engine_alloc_retries_total"], st.Rebuilds)
+			snap["engine_alloc_retries_total"], st.Rebuilds)
 		fmt.Fprintf(s.w, "route latency: p50 %s  p95 %s  p99 %s  (n=%d, max %s)\n",
 			nsDuration(lat.P50), nsDuration(lat.P95), nsDuration(lat.P99), lat.Count, nsDuration(lat.Max))
 		healthState := "off"
@@ -427,29 +430,111 @@ func (s *Session) execTrace(args []string) error {
 	}
 }
 
-// printExplain renders the per-hop Eq. (1) cost anatomy of a traced
-// route: which junction paid which conversion, what each link
-// traversal cost, and the totals that reconcile to the route cost.
-func (s *Session) printExplain(res *core.Result, tr *obs.RouteTrace) {
-	cacheState := "cache miss"
-	if tr.CacheHit {
-		cacheState = "cache hit"
+// The explain verb and the trace-on summaries follow one rule: what the
+// search did is read back from the query's span tree, what the path
+// costs is computed from the path.
+
+// readableSpan is the span an inspected query runs under: the request's
+// own serve_exec when the request is being recorded, else the root of a
+// private trace nothing retains — the recorder being off or having
+// sampled the request out must not blind explain.
+func readableSpan(sp *obs.Span) *obs.Span {
+	if sp == nil {
+		return obs.StartTrace(spanExec).Root()
 	}
-	fmt.Fprintf(s.w, "explain %d -> %d (epoch %d, %s, %s)\n",
-		tr.Source, tr.Dest, tr.Epoch, cacheState, tr.Elapsed)
-	if len(tr.Hops) == 0 {
+	return sp
+}
+
+// anatomy is what one inspected request's final route attempt did.
+type anatomy struct {
+	epoch    uint64        // snapshot the attempt was pinned to
+	elapsed  time.Duration // the engine_route span's extent
+	attempts int           // route+claim rounds (0 for a read-only query)
+
+	auxNodes, auxArcs, settled, relaxed int64
+	blocked                             bool
+}
+
+// readAnatomy collects the anatomy from the trace sp belongs to. A
+// request executes one command, so every engine and core span in its
+// trace belongs to that command; a later attempt's spans replace an
+// earlier one's.
+func readAnatomy(sp *obs.Span) anatomy {
+	var a anatomy
+	spans := sp.Trace().Spans()
+	for i := range spans {
+		c := &spans[i]
+		switch c.Name {
+		case engine.SpanRoute:
+			a = anatomy{epoch: uint64(attrInt(c, engine.AttrEpoch)), elapsed: c.Duration(), attempts: a.attempts}
+		case core.SpanSearch:
+			a.auxNodes, a.auxArcs = attrInt(c, core.AttrAuxNodes), attrInt(c, core.AttrAuxArcs)
+			a.settled, a.relaxed = attrInt(c, core.AttrSettled), attrInt(c, core.AttrRelaxed)
+			blocked, _ := c.Attr(core.AttrBlocked)
+			a.blocked = blocked.Bool
+		case engine.SpanAllocate:
+			a.attempts++
+		}
+	}
+	return a
+}
+
+// attrInt reads an integer span attribute, 0 when absent.
+func attrInt(sp *obs.Span, key string) int64 {
+	a, _ := sp.Attr(key)
+	return a.Int
+}
+
+// hitMiss words a cache-residency flag.
+var hitMiss = map[bool]string{true: "hit", false: "miss"}
+
+// printTraceSummary renders the one-line anatomy trace on appends to
+// route and alloc answers. res is nil when the query failed.
+func (s *Session) printTraceSummary(src, dst int, res *core.Result, a anatomy, cached bool) {
+	fmt.Fprintf(s.w, "  trace %d->%d epoch %d", src, dst, a.epoch)
+	if a.blocked {
+		fmt.Fprint(s.w, " BLOCKED")
+	} else {
+		cost, hops, taken, available := 0.0, 0, 0, 0
+		if res != nil {
+			cost, hops = res.Cost, res.Path.Len()
+			// The gadget arcs the count walks come from the layout, which
+			// every epoch's Aux shares, so the current one serves.
+			taken, available = s.eng.Snapshot().Aux().ConversionChoices(res.Path)
+		}
+		fmt.Fprintf(s.w, " cost %g (%d hops, %d/%d conversions)", cost, hops, taken, available)
+	}
+	fmt.Fprintf(s.w, " aux %dn/%da settled %d relaxed %d cache-%s",
+		a.auxNodes, a.auxArcs, a.settled, a.relaxed, hitMiss[cached])
+	if a.attempts > 1 {
+		fmt.Fprintf(s.w, " attempts %d", a.attempts)
+	}
+	fmt.Fprintf(s.w, " in %s\n", a.elapsed)
+}
+
+// printExplain renders the per-hop Eq. (1) cost anatomy of a route
+// found on snap: which junction paid which conversion, what each link
+// traversal cost, and the totals that reconcile to the route cost.
+func (s *Session) printExplain(snap *engine.Snapshot, res *core.Result, a anatomy, cached bool) {
+	fmt.Fprintf(s.w, "explain %d -> %d (epoch %d, cache %s, %s)\n",
+		res.Source, res.Dest, snap.Epoch(), hitMiss[cached], a.elapsed)
+	legs := res.Path.Breakdown(snap.Network())
+	if len(legs) == 0 {
 		fmt.Fprintln(s.w, "  trivial path (source == destination)")
 		return
 	}
-	for i, h := range tr.Hops {
+	links, convs := 0.0, 0.0
+	for i, leg := range legs {
 		fmt.Fprintf(s.w, "  hop %d: %d -[λ%d]-> %d  conv %g + link %g  (cum %g)\n",
-			i+1, h.From, h.Wavelength+1, h.To, h.ConvCost, h.LinkCost, h.Cumulative)
+			i+1, leg.From, leg.Hop.Wavelength+1, leg.To, leg.ConvCost, leg.LinkCost, leg.Cumulative)
+		links += leg.LinkCost
+		convs += leg.ConvCost
 	}
-	fmt.Fprintf(s.w, "  totals: links %g + conversions %g = %g\n",
-		tr.LinkCostTotal(), tr.ConvCostTotal(), tr.LinkCostTotal()+tr.ConvCostTotal())
+	fmt.Fprintf(s.w, "  totals: links %g + conversions %g = %g\n", links, convs, links+convs)
 	fmt.Fprintf(s.w, "  cost %g  %s\n", res.Cost, res.Path.String(s.eng.Base()))
+	taken, available := snap.Aux().ConversionChoices(res.Path)
 	fmt.Fprintf(s.w, "  search: aux %d nodes / %d arcs, settled %d, relaxed %d, conversions %d/%d taken/available\n",
-		tr.AuxNodes, tr.AuxArcs, tr.Settled, tr.Relaxed, tr.ConversionsTaken, tr.ConversionsAvailable)
+		a.auxNodes, a.auxArcs, a.settled, a.relaxed, taken, available)
 }
 
 // printTraceLine renders one flight-recorder entry as a summary line:

@@ -227,7 +227,7 @@ func (s *Server) handle(conn net.Conn) {
 		Health:    s.cfg.Health,
 	})
 	scanner := bufio.NewScanner(conn)
-	scanner.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	scanner.Buffer(make([]byte, 0, 64*1024), MaxLineBytes)
 	for {
 		// Arm the read deadline unconditionally: a zero time.Time means
 		// "no limit", so even the untimed configuration states its
@@ -245,7 +245,12 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 		if !scanner.Scan() {
-			return // EOF, idle timeout, or a drain-induced deadline
+			// EOF, idle timeout, a drain-induced deadline — or a line
+			// over MaxLineBytes, which gets its reply first.
+			if replyTooLong(out, scanner) {
+				s.flush(conn, out)
+			}
+			return
 		}
 		line := CleanLine(scanner.Text())
 		if line == "" {

@@ -6,7 +6,7 @@
 #   tracer_off_overhead_pct <= MAX_OFF_PCT (default 1): the always-on
 #     metrics path (engine.Route) must stay within 1% of the
 #     uninstrumented core route;
-#   span_allocs_off_per_op == 0: the spanned entry points must be
+#   span_allocs_off_per_op == 0: a query handed the request span must be
 #     allocation-free when the recorder is off;
 #   sampler_overhead_pct <= MAX_SAMPLER_PCT (default 1): a running
 #     background sampler (history ring + health evaluation feed) must
@@ -47,7 +47,7 @@ if ! awk -v p="$off_pct" -v max="$MAX_OFF_PCT" 'BEGIN { exit !(p <= max) }'; the
     exit 1
 fi
 if ! awk -v a="$allocs_off" 'BEGIN { exit !(a == 0) }'; then
-    echo "bench_obs: recorder-off spanned path allocates ${allocs_off}/op, want 0" >&2
+    echo "bench_obs: cached RouteFrom under a recorder-off span allocates ${allocs_off}/op, want 0" >&2
     exit 1
 fi
 if ! awk -v p="$sampler_pct" -v max="$MAX_SAMPLER_PCT" 'BEGIN { exit !(p <= max) }'; then
