@@ -121,8 +121,8 @@ func run(args []string, w io.Writer) error {
 			return fmt.Errorf("write %s: %w", *goalJSON, err)
 		}
 		for _, tier := range report.Tiers {
-			fmt.Fprintf(w, "goal %s: settled reduction bidi %.2fx / alt %.2fx, speedup bidi %.2fx / alt %.2fx\n",
-				tier.Tier, tier.BidiSettledReduction, tier.AltSettledReduction, tier.BidiSpeedup, tier.AltSpeedup)
+			fmt.Fprintf(w, "goal %s: settled reduction bidi %.2fx / astar %.2fx, speedup bidi %.2fx / astar %.2fx\n",
+				tier.Tier, tier.BidiSettledReduction, tier.AStarSettledReduction, tier.BidiSpeedup, tier.AStarSpeedup)
 		}
 		fmt.Fprintf(w, "goal benchmark written to %s\n", *goalJSON)
 		if *experiment == "" {

@@ -101,8 +101,8 @@ func run(args []string, stdin io.Reader, w io.Writer) error {
 	var nf cli.NetFlags
 	nf.Register(fs)
 	queue := fs.String("queue", "binary", "dijkstra queue: fibonacci|binary|pairing|linear")
-	directed := fs.String("directed", "plain",
-		"point-query search strategy: plain|bidi|alt (alt maintains epoch-aware landmarks)")
+	directed := fs.String("directed", "astar",
+		"point-query search strategy: plain|bidi|astar (astar = A* under a per-query lower bound from the physical network)")
 	cacheSize := fs.Int("cache", engine.DefaultCacheSize, "SourceTree cache capacity (<0 disables)")
 	workers := fs.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
 	script := fs.String("script", "", "read commands from this file instead of stdin")
@@ -158,8 +158,8 @@ func run(args []string, stdin io.Reader, w io.Writer) error {
 		mode = core.DirectedPlain
 	case "bidi":
 		mode = core.DirectedBidi
-	case "alt":
-		mode = core.DirectedALT
+	case "astar":
+		mode = core.DirectedAStar
 	default:
 		return fmt.Errorf("unknown directed mode %q", *directed)
 	}

@@ -133,6 +133,31 @@ func TestServeFlagErrors(t *testing.T) {
 	}
 }
 
+// TestServeDirectedFlag: -directed takes exactly plain|bidi|astar, the
+// default is astar, and every mode answers the paper example alike.
+func TestServeDirectedFlag(t *testing.T) {
+	for _, mode := range []string{"", "plain", "bidi", "astar"} {
+		args := []string{"-topo", "paper"}
+		want := "astar"
+		if mode != "" {
+			args, want = append(args, "-directed", mode), mode
+		}
+		var out bytes.Buffer
+		if err := run(args, strings.NewReader("route 0 6\nquit\n"), &out); err != nil {
+			t.Fatalf("-directed %q: %v", mode, err)
+		}
+		if got := out.String(); !strings.Contains(got, want+" search)") || !strings.Contains(got, "cost 20") {
+			t.Fatalf("-directed %q: want a %s banner and cost 20:\n%s", mode, want, got)
+		}
+	}
+	var out bytes.Buffer
+	for _, mode := range []string{"alt", "landmark", "ASTAR"} {
+		if err := run([]string{"-directed", mode}, strings.NewReader(""), &out); err == nil {
+			t.Fatalf("-directed %s must fail", mode)
+		}
+	}
+}
+
 // parseExplain pulls the totals and cost lines out of explain output.
 func parseExplain(t *testing.T, out string) (links, convs, total, cost float64) {
 	t.Helper()

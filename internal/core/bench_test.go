@@ -51,9 +51,12 @@ func BenchmarkRouteReusedAux(b *testing.B) {
 	}
 }
 
-// BenchmarkRoutePoint is the server's default point query — plain search,
-// binary queue — over seeded pairs on a 300-node sparse network: the
-// kernel the whole-stack benchmark's big_read workload spends its time in.
+// BenchmarkRoutePoint is the point query under each search mode (binary
+// queue) over seeded pairs on a 300-node sparse network: astar is the
+// server's default and the kernel the whole-stack benchmark's big_read
+// workload spends its time in; plain is the paper's search it must match.
+// settled/op counts auxiliary-graph pops, physpops/op the backward bound
+// pass over the physical network.
 func BenchmarkRoutePoint(b *testing.B) {
 	nw := benchNetwork(b, 300, 8)
 	aux, err := NewAux(nw)
@@ -65,21 +68,27 @@ func BenchmarkRoutePoint(b *testing.B) {
 	for i := range pairs {
 		pairs[i] = [2]int{rng.Intn(300), rng.Intn(300)}
 	}
-	opts := &Options{Queue: graph.QueueBinary}
-	settled := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := pairs[i%len(pairs)]
-		res, err := aux.Route(p[0], p[1], opts)
-		if err != nil && !errors.Is(err, ErrNoRoute) {
-			b.Fatal(err)
-		}
-		if res != nil {
-			settled += res.Stats.Settled
-		}
+	for _, mode := range []DirectedMode{DirectedPlain, DirectedBidi, DirectedAStar} {
+		b.Run(mode.String(), func(b *testing.B) {
+			opts := &Options{Queue: graph.QueueBinary, Directed: mode}
+			settled, physPops := 0, 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				res, err := aux.Route(p[0], p[1], opts)
+				if err != nil && !errors.Is(err, ErrNoRoute) {
+					b.Fatal(err)
+				}
+				if res != nil {
+					settled += res.Stats.Settled
+					physPops += res.Stats.PhysPops
+				}
+			}
+			b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
+			b.ReportMetric(float64(physPops)/float64(b.N), "physpops/op")
+		})
 	}
-	b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
 }
 
 func BenchmarkKShortest(b *testing.B) {

@@ -20,11 +20,13 @@ const (
 	// the plain search's node count.
 	DirectedBidi
 
-	// DirectedALT runs A* with landmark potentials (Options.Potential).
-	// When no potential source is configured — or it declines the query —
-	// the search falls back to DirectedBidi, which needs nothing
-	// precomputed.
-	DirectedALT
+	// DirectedAStar runs A* on the auxiliary graph under a potential read
+	// off the physical network: a backward Dijkstra from t over the
+	// snapshot's own residual links, each weighing its cheapest free
+	// channel (bound.go). Nothing is precomputed or carried across
+	// epochs, and a destination the physical pass cannot connect to the
+	// source is refused before the auxiliary graph is touched.
+	DirectedAStar
 )
 
 // String names the mode for span attributes and flag parsing.
@@ -34,30 +36,9 @@ func (m DirectedMode) String() string {
 		return "plain"
 	case DirectedBidi:
 		return "bidi"
-	case DirectedALT:
-		return "alt"
+	case DirectedAStar:
+		return "astar"
 	default:
 		return fmt.Sprintf("DirectedMode(%d)", uint8(m))
 	}
-}
-
-// PotentialSource supplies goal-distance lower bounds for DirectedALT
-// queries. Potential returns a function pot with, for every auxiliary
-// node v and the query's goal set T:
-//
-//	pot(v) ≤ dist(v, T)   (admissible), and
-//	pot(u) ≤ w(u,v) + pot(v) on every arc   (consistent),
-//
-// where dist is measured in the auxiliary graph the query runs on.
-// pot(v) = +Inf asserts v cannot reach T at all. A source that cannot
-// serve the query returns pot == nil and Route falls back to
-// bidirectional search. release, when non-nil, is called once after the
-// search so pooled sources can recycle per-query state.
-//
-// Admissibility must hold for the graph being queried: a source computed
-// against an older epoch stays valid only while the queried arc set is a
-// subset of the epoch it was computed on (see engine's landmark manager
-// and DESIGN.md §14).
-type PotentialSource interface {
-	Potential(seeds, goals []int) (pot func(int) float64, release func())
 }

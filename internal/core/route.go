@@ -17,16 +17,12 @@ type Options struct {
 	Queue graph.QueueKind
 
 	// Directed selects the point-query search strategy (plain,
-	// bidirectional, or ALT). All modes return the same optimal cost —
-	// differential-tested across every topology fixture — and differ only
-	// in settled-node counts. Full-tree queries (RouteFrom, AllPairs)
-	// ignore it: a tree wants the whole graph settled.
+	// bidirectional, or A* under the physical lower bound). All modes
+	// return the same optimal cost — differential-tested across every
+	// topology fixture — and differ only in settled-node counts. Full-tree
+	// queries (RouteFrom, AllPairs) ignore it: a tree wants the whole
+	// graph settled.
 	Directed DirectedMode
-
-	// Potential supplies goal-distance lower bounds for DirectedALT
-	// queries (typically engine-managed landmarks). Nil, or a source that
-	// declines the query, degrades DirectedALT to DirectedBidi.
-	Potential PotentialSource
 
 	// Span, when non-nil, is the parent under which the query opens its
 	// own timed child span (core_search for Route, core_tree_search for
@@ -51,13 +47,6 @@ func (o *Options) directed() DirectedMode {
 	return o.Directed
 }
 
-func (o *Options) potential() PotentialSource {
-	if o == nil {
-		return nil
-	}
-	return o.Potential
-}
-
 func (o *Options) span() *obs.Span {
 	if o == nil {
 		return nil
@@ -71,6 +60,7 @@ type SearchStats struct {
 	AuxArcs  int // |E'_{s,t}| (gadget and link arcs + the |Y_s| + |X_t| super-terminal arcs)
 	Settled  int // Dijkstra pops, including the equal-key drain after the first X_t node
 	Relaxed  int // arc relaxations
+	PhysPops int // DirectedAStar only: physical nodes popped by the backward bound pass
 }
 
 // Result is an optimal semilightpath together with its cost and the
@@ -121,6 +111,7 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 	qs.seeds = a.sourceSeeds(qs.seeds, s)
 	if len(qs.seeds) == 0 {
 		sp.SetBool(AttrBlocked, true)
+		sp.SetStr(AttrBlockedCause, CausePhysical)
 		return nil, fmt.Errorf("%w: from %d to %d (no outgoing channels at source)", ErrNoRoute, s, t)
 	}
 	// Early termination: t″ hangs off X_t by 0-weight arcs, so it is
@@ -133,6 +124,7 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 	}
 	if len(qs.goals) == 0 {
 		sp.SetBool(AttrBlocked, true)
+		sp.SetStr(AttrBlockedCause, CausePhysical)
 		return nil, fmt.Errorf("%w: from %d to %d (no incoming channels at destination)", ErrNoRoute, s, t)
 	}
 
@@ -142,57 +134,51 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 	// it (and, among equal-cost optima, possibly in which path they pick).
 	mode := opts.directed()
 	var (
-		fwdTree  *graph.ShortestPathTree // forward tree: extraction + per-λ profile
+		fwdTree  *graph.ShortestPathTree // forward tree: extraction + per-λ profile; nil if no search ran
 		settled  int
 		relaxed  int
+		physPops int
 		bestDist = graph.Inf
 		bestNode = -1
 		bidiHops []graph.HopRef // non-nil exactly when bidi found a path
 	)
 	switch mode {
-	case DirectedBidi, DirectedALT:
-		ranALT := false
-		if mode == DirectedALT {
-			if ps := opts.potential(); ps != nil {
-				if pot, release := ps.Potential(qs.seeds, qs.goals); pot != nil {
-					tree, err := graph.AStarSeedsUntilScratch(a.g, qs.seeds, qs.goals, pot, qs.g)
-					if release != nil {
-						release()
-					}
-					if err != nil {
-						return nil, fmt.Errorf("core: goal-directed dijkstra: %w", err)
-					}
-					fwdTree, settled, relaxed = tree, tree.Settled, tree.Relaxed
-					ranALT = true
-				}
-			}
+	case DirectedAStar:
+		pot, pops, err := a.physicalBound(qs, s, t)
+		if err != nil {
+			return nil, fmt.Errorf("core: physical bound: %w", err)
 		}
-		if !ranALT {
-			// No potential source (or it declined): bidirectional search
-			// needs nothing precomputed.
-			mode = DirectedBidi
-			if qs.b == nil {
-				qs.b = graph.NewScratch(a.NumAuxNodes())
-			}
-			rev := a.ReverseGraph()
-			bt, err := graph.BidirectionalDijkstraScratch(a.g, rev, qs.seeds, qs.goals, qs.g, qs.b)
+		physPops = pops
+		if pot == nil {
+			break // t is cut off from s in G itself: G' is not searched
+		}
+		tree, err := graph.AStarSeedsUntilScratch(a.g, qs.seeds, qs.goals, pot, qs.g)
+		if err != nil {
+			return nil, fmt.Errorf("core: goal-directed dijkstra: %w", err)
+		}
+		fwdTree, settled, relaxed = tree, tree.Settled, tree.Relaxed
+	case DirectedBidi:
+		if qs.b == nil {
+			qs.b = graph.NewScratch(a.NumAuxNodes())
+		}
+		rev := a.ReverseGraph()
+		bt, err := graph.BidirectionalDijkstraScratch(a.g, rev, qs.seeds, qs.goals, qs.g, qs.b)
+		if err != nil {
+			return nil, fmt.Errorf("core: bidirectional dijkstra: %w", err)
+		}
+		fwdTree, settled, relaxed = bt.Fwd, bt.Settled, bt.Relaxed
+		if bt.Reached() {
+			bidiHops, err = bt.Path(a.g, rev)
 			if err != nil {
-				return nil, fmt.Errorf("core: bidirectional dijkstra: %w", err)
+				return nil, fmt.Errorf("core: reconstruct path: %w", err)
 			}
-			fwdTree, settled, relaxed = bt.Fwd, bt.Settled, bt.Relaxed
-			if bt.Reached() {
-				bidiHops, err = bt.Path(a.g, rev)
-				if err != nil {
-					return nil, fmt.Errorf("core: reconstruct path: %w", err)
-				}
-				// Forward-order sum: identical accumulation to a plain
-				// search settling the same path.
-				bestDist = graph.PathCost(a.g, bidiHops)
-				bestNode = bt.Meet
-				if len(bidiHops) > 0 {
-					last := bidiHops[len(bidiHops)-1]
-					bestNode = int(a.g.Out(last.From)[last.ArcIndex].To)
-				}
+			// Forward-order sum: identical accumulation to a plain
+			// search settling the same path.
+			bestDist = graph.PathCost(a.g, bidiHops)
+			bestNode = bt.Meet
+			if len(bidiHops) > 0 {
+				last := bidiHops[len(bidiHops)-1]
+				bestNode = int(a.g.Out(last.From)[last.ArcIndex].To)
 			}
 		}
 	default:
@@ -202,7 +188,7 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 		}
 		fwdTree, settled, relaxed = tree, tree.Settled, tree.Relaxed
 	}
-	if bidiHops == nil {
+	if fwdTree != nil && bidiHops == nil {
 		// Virtual super sink: min over X_t on the forward tree.
 		for xi := range a.xLambdas[t] {
 			x := int(a.xStart[t]) + xi
@@ -213,16 +199,31 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 		}
 	}
 	stats := a.searchStats(s, t, settled, relaxed)
+	stats.PhysPops = physPops
 	if sp != nil {
 		sp.SetInt(AttrAuxNodes, int64(stats.AuxNodes))
 		sp.SetInt(AttrAuxArcs, int64(stats.AuxArcs))
 		sp.SetInt(AttrSettled, int64(stats.Settled))
 		sp.SetInt(AttrRelaxed, int64(stats.Relaxed))
 		sp.SetStr(AttrDirected, mode.String())
-		sp.SetStr(AttrReachedPerLambda, a.reachedPerLambda(fwdTree, qs))
+		if mode == DirectedAStar {
+			sp.SetInt(AttrPhysPops, int64(physPops))
+		}
+		if fwdTree != nil {
+			sp.SetStr(AttrReachedPerLambda, a.reachedPerLambda(fwdTree, qs))
+		}
 	}
 	if bestNode < 0 {
 		sp.SetBool(AttrBlocked, true)
+		// The backward pass tells the two ways of blocking apart for free:
+		// it either never reached s, or it did and G' still had no way in.
+		if mode == DirectedAStar {
+			cause := CauseWavelength
+			if fwdTree == nil {
+				cause = CausePhysical
+			}
+			sp.SetStr(AttrBlockedCause, cause)
+		}
 		return nil, fmt.Errorf("%w: from %d to %d", ErrNoRoute, s, t)
 	}
 

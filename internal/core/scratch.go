@@ -14,6 +14,7 @@ import (
 type queryScratch struct {
 	g     *graph.Scratch
 	b     *graph.Scratch // backward-frontier scratch, built on first bidi query
+	bound *boundScratch  // physical lower bound, built on first astar query
 	seeds []int
 	goals []int
 

@@ -21,10 +21,21 @@ const (
 	AttrSettled          = "settled"
 	AttrRelaxed          = "relaxed"
 	AttrBlocked          = "blocked"
+	AttrBlockedCause     = "blocked_cause" // CausePhysical | CauseWavelength
+	AttrPhysPops         = "phys_pops"     // physical nodes popped by DirectedAStar's bound pass
 	AttrCost             = "cost"
 	AttrDirected         = "directed_mode"
 	AttrMaxHops          = "max_hops"
 	AttrReachedPerLambda = "reached_per_lambda"
+)
+
+// Values of AttrBlockedCause: no physical path from s to t carries a
+// free channel on every link (failed or fully-held links on every cut),
+// or one does and wavelength continuity/conversion still admits no
+// semilightpath.
+const (
+	CausePhysical   = "physical"
+	CauseWavelength = "wavelength"
 )
 
 // reachedPerLambda renders per-wavelength counts of reached X-shore

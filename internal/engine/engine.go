@@ -81,15 +81,11 @@ type Options struct {
 	// delta maintenance entirely, forcing a full compile every epoch.
 	MaxDeltaDepth int
 	// Directed selects the point-query search strategy for all snapshots
-	// (core.DirectedPlain, core.DirectedBidi or core.DirectedALT). The
+	// (core.DirectedPlain, core.DirectedBidi or core.DirectedAStar). The
 	// zero value is plain — the paper's exhaustive-toward-the-goal-set
-	// search. DirectedALT additionally maintains landmark vectors across
-	// epochs; while they are stale the engine degrades to bidirectional
-	// search and refreshes them off the query path.
+	// search. No mode keeps state across epochs: every query derives what
+	// it needs from the snapshot it is pinned to.
 	Directed core.DirectedMode
-	// Landmarks overrides the ALT landmark count. Zero means
-	// core.DefaultLandmarkCount; ignored unless Directed is DirectedALT.
-	Landmarks int
 }
 
 // DefaultCacheSize is the SourceTree cache capacity when Options.CacheSize
@@ -126,12 +122,11 @@ type Stats struct {
 // publishes immutable routing snapshots. All methods are safe for
 // concurrent use.
 type Engine struct {
-	base      *wdm.Network
-	queue     graph.QueueKind
-	directed  core.DirectedMode
-	landmarks *landmarkManager // non-nil iff directed == DirectedALT
-	cache     *treeCache
-	metrics   *Metrics
+	base     *wdm.Network
+	queue    graph.QueueKind
+	directed core.DirectedMode
+	cache    *treeCache
+	metrics  *Metrics
 
 	// mu guards the mutable occupancy state below and serializes
 	// mutators; readers of occupancy take it in read mode. Routing never
@@ -179,7 +174,6 @@ func New(nw *wdm.Network, opts *Options) (*Engine, error) {
 		maxDeltaDepth: DefaultMaxDeltaDepth,
 	}
 	cacheSize := DefaultCacheSize
-	landmarks := 0
 	if opts != nil {
 		if opts.Queue != 0 {
 			e.queue = opts.Queue
@@ -191,24 +185,15 @@ func New(nw *wdm.Network, opts *Options) (*Engine, error) {
 			e.maxDeltaDepth = opts.MaxDeltaDepth
 		}
 		e.directed = opts.Directed
-		landmarks = opts.Landmarks
 	}
 	if cacheSize > 0 {
 		e.cache = newTreeCache(cacheSize)
 	}
-	if e.directed == core.DirectedALT {
-		e.landmarks = newLandmarkManager(e, landmarks)
-	}
 	// Metrics must exist before the first rebuild so the epoch-0 compile
 	// is measured too.
 	e.metrics = newMetrics(e)
-	if err := e.publish(0, nil, nil, mutNone); err != nil {
+	if err := e.publish(0, nil, nil); err != nil {
 		return nil, err
-	}
-	// Seed the landmark vectors eagerly so the very first ALT query runs
-	// goal-directed instead of falling back while an async refresh races.
-	if err := e.RefreshLandmarks(); err != nil {
-		return nil, fmt.Errorf("engine: initial landmarks: %w", err)
 	}
 	return e, nil
 }
@@ -227,7 +212,7 @@ func (e *Engine) SetQueue(kind graph.QueueKind) {
 	e.queue = kind
 	// Republish so the change takes effect without waiting for churn.
 	// The residual is unchanged, so this is an empty (zero-link) delta.
-	_ = e.publish(e.Epoch()+1, []int{}, nil, mutNone)
+	_ = e.publish(e.Epoch()+1, []int{}, nil)
 }
 
 // Epoch reports the current epoch: 0 at construction, +1 per mutation.
@@ -253,18 +238,15 @@ func (e *Engine) Snapshot() *Snapshot { return e.snap.Load() }
 // arc arena the patch chain fragments.
 //
 // A non-nil sp times the publication as an engine_publish child span
-// annotated with the epoch and the path taken (mode=delta|full). kind
-// classifies the mutation's effect on the residual arc set so the
-// snapshot's add/remove sequence numbers — the landmark-admissibility
-// witnesses — advance correctly.
-func (e *Engine) publish(epoch uint64, changed []int, sp *obs.Span, kind mutationKind) error {
+// annotated with the epoch and the path taken (mode=delta|full).
+func (e *Engine) publish(epoch uint64, changed []int, sp *obs.Span) error {
 	psp := sp.StartChild(SpanPublish)
 	defer psp.End()
 	psp.SetInt(AttrEpoch, int64(epoch))
 	start := time.Now()
 	if prev := e.snap.Load(); prev != nil && changed != nil &&
 		e.maxDeltaDepth >= 0 && prev.aux.DeltaDepth() < e.maxDeltaDepth {
-		err := e.applyDelta(prev, epoch, changed, kind)
+		err := e.applyDelta(prev, epoch, changed)
 		if err == nil {
 			e.rebuilds.Add(1)
 			e.deltaApplies.Add(1)
@@ -294,7 +276,7 @@ func (e *Engine) publish(epoch uint64, changed []int, sp *obs.Span, kind mutatio
 	if err != nil {
 		return fmt.Errorf("engine: compile snapshot: %w", err)
 	}
-	e.snap.Store(e.newSnapshot(epoch, res, aux, kind))
+	e.snap.Store(e.newSnapshot(epoch, res, aux))
 	e.rebuilds.Add(1)
 	e.fullRebuilds.Add(1)
 	e.metrics.rebuildLatency.ObserveDuration(time.Since(start))
@@ -305,7 +287,7 @@ func (e *Engine) publish(epoch uint64, changed []int, sp *obs.Span, kind mutatio
 // applyDelta builds epoch's snapshot incrementally on top of prev:
 // patch the residual network's changed links, patch the compiled
 // auxiliary graph's affected gadget fragments, publish.
-func (e *Engine) applyDelta(prev *Snapshot, epoch uint64, changed []int, kind mutationKind) error {
+func (e *Engine) applyDelta(prev *Snapshot, epoch uint64, changed []int) error {
 	changes := make(map[int][]wdm.Channel, len(changed))
 	for _, id := range changed {
 		if id < 0 || id >= e.base.NumLinks() {
@@ -321,35 +303,17 @@ func (e *Engine) applyDelta(prev *Snapshot, epoch uint64, changed []int, kind mu
 	if err != nil {
 		return err
 	}
-	e.snap.Store(e.newSnapshot(epoch, net, aux, kind))
+	e.snap.Store(e.newSnapshot(epoch, net, aux))
 	return nil
 }
 
 // newSnapshot assembles a publishable snapshot: the epoch's residual and
-// compiled aux plus the precomputed read-only query options and the
-// add/remove sequence stamps derived from the previous snapshot and the
-// mutation kind.
-func (e *Engine) newSnapshot(epoch uint64, net *wdm.Network, aux *core.Aux, kind mutationKind) *Snapshot {
-	var addSeq, removeSeq uint64
-	if prev := e.snap.Load(); prev != nil {
-		addSeq, removeSeq = prev.addSeq, prev.removeSeq
-	}
-	switch kind {
-	case mutGrow:
-		addSeq++
-	case mutShrink:
-		removeSeq++
-	}
-	s := &Snapshot{
+// compiled aux plus the precomputed read-only query options.
+func (e *Engine) newSnapshot(epoch uint64, net *wdm.Network, aux *core.Aux) *Snapshot {
+	return &Snapshot{
 		epoch: epoch, net: net, aux: aux, eng: e,
-		addSeq: addSeq, removeSeq: removeSeq,
 		ropts: core.Options{Queue: e.queue, Directed: e.directed},
 	}
-	if e.landmarks != nil {
-		s.pot = snapPotential{mgr: e.landmarks, epoch: epoch, addSeq: addSeq, removeSeq: removeSeq}
-		s.ropts.Potential = &s.pot
-	}
-	return s
 }
 
 // freeChannels lists link's currently free channels in base-network
@@ -446,7 +410,7 @@ func (e *Engine) allocate(owner int64, path *wdm.Semilightpath, parent *obs.Span
 	}
 	e.owners[owner] = chans
 	e.allocations.Add(1)
-	return e.publish(e.Epoch()+1, changedLinks(chans), sp, mutShrink)
+	return e.publish(e.Epoch()+1, changedLinks(chans), sp)
 }
 
 // Release frees every channel owner holds, bumps the epoch and
@@ -466,7 +430,7 @@ func (e *Engine) Release(owner int64, parent ...*obs.Span) error {
 	}
 	delete(e.owners, owner)
 	e.releases.Add(1)
-	return e.publish(e.Epoch()+1, changedLinks(chans), sp, mutGrow)
+	return e.publish(e.Epoch()+1, changedLinks(chans), sp)
 }
 
 // RouteAndAllocate routes s→t on the current snapshot and immediately
@@ -527,7 +491,7 @@ func (e *Engine) FailLink(link int) ([]int64, error) {
 		}
 	}
 	sort.Slice(riders, func(i, j int) bool { return riders[i] < riders[j] })
-	if err := e.publish(e.Epoch()+1, []int{link}, nil, mutShrink); err != nil {
+	if err := e.publish(e.Epoch()+1, []int{link}, nil); err != nil {
 		return nil, err
 	}
 	return riders, nil
@@ -546,7 +510,7 @@ func (e *Engine) RepairLink(link int) error {
 		return nil
 	}
 	delete(e.failed, link)
-	return e.publish(e.Epoch()+1, []int{link}, nil, mutGrow)
+	return e.publish(e.Epoch()+1, []int{link}, nil)
 }
 
 // LinkFailed reports whether the link is currently out of service.

@@ -10,22 +10,17 @@ import (
 	"lightpath/internal/workload"
 )
 
-// FuzzGoalDirected churns an ALT engine with an arbitrary mutation
-// sequence and, after every mutation, cross-checks the goal-directed
-// stack against plain Dijkstra on the SAME published snapshot:
+// FuzzGoalDirected churns an astar engine with an arbitrary mutation
+// sequence — through delta chains of depth 3 and the full rebuilds that
+// end them — and, after every mutation, cross-checks all three search
+// modes on the SAME published snapshot:
 //
-//   - the engine's configured search (ALT when vectors are valid,
-//     bidirectional while they are stale) must agree with a plain search
-//     on blocked/served and on cost;
+//   - the engine's configured search (A* under the physical bound, read
+//     from that snapshot's residual) must agree with a plain search on
+//     blocked/served and on cost: a bound that outlived its epoch, or one
+//     that overestimates, breaks cost equality;
 //   - an explicitly bidirectional query must agree too (this exercises
-//     the COW-patched reverse graph after every delta);
-//   - the landmark manager's validity bookkeeping must never serve a
-//     potential computed on a smaller arc set (checked implicitly: a
-//     wrong potential breaks cost equality).
-//
-// Release and RepairLink invalidate vectors; the fuzz occasionally calls
-// RefreshLandmarks to swing the manager back to serving ALT, so both the
-// degraded and the restored paths see coverage in one input.
+//     the COW-patched reverse graph after every delta).
 func FuzzGoalDirected(f *testing.F) {
 	f.Add([]byte{0, 1, 9, 0, 3, 2, 1, 0, 3, 3, 2, 0, 0, 2, 11, 0, 0, 5})
 	f.Add([]byte{2, 0, 2, 0, 1, 5, 3, 0, 2, 1, 0, 0, 0, 4, 7})
@@ -66,7 +61,7 @@ func FuzzGoalDirected(f *testing.F) {
 		if len(ops) > 0 && ops[0] >= 128 {
 			base = tieBase
 		}
-		e, err := New(base, &Options{MaxDeltaDepth: 3, Directed: core.DirectedALT, Landmarks: 4})
+		e, err := New(base, &Options{MaxDeltaDepth: 3, Directed: core.DirectedAStar})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,14 +102,9 @@ func FuzzGoalDirected(f *testing.F) {
 				if _, err := e.FailLink((a*256 + b) % m); err != nil {
 					t.Fatal(err)
 				}
-			case 3: // repair link, sometimes restoring ALT eagerly
+			case 3: // repair link
 				if err := e.RepairLink((a*256 + b) % m); err != nil {
 					t.Fatal(err)
-				}
-				if b%2 == 0 {
-					if err := e.RefreshLandmarks(); err != nil {
-						t.Fatal(err)
-					}
 				}
 			}
 

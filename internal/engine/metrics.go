@@ -23,15 +23,14 @@ type Metrics struct {
 	batchLatency         *obs.Histogram // engine_batch_latency_ns (whole batch)
 	rebuildLatency       *obs.Histogram // engine_rebuild_latency_ns (full compiles)
 	deltaLatency         *obs.Histogram // engine_delta_latency_ns (incremental applies)
-	directedRouteLatency *obs.Histogram // engine_directed_route_latency_ns (bidi/ALT only)
+	directedRouteLatency *obs.Histogram // engine_directed_route_latency_ns (bidi/astar only)
 
-	routes           *obs.Counter // engine_routes_total
-	routesBlocked    *obs.Counter // engine_routes_blocked_total
-	allocRetries     *obs.Counter // engine_alloc_retries_total
-	batchRequests    *obs.Counter // engine_batch_requests_total
-	goalSettled      *obs.Counter // engine_goal_settled_total (nodes settled by directed queries)
-	landmarkRebuilds *obs.Counter // engine_landmark_rebuilds_total
-	batchInFlight    *obs.Gauge   // engine_batch_inflight (queue depth)
+	routes        *obs.Counter // engine_routes_total
+	routesBlocked *obs.Counter // engine_routes_blocked_total
+	allocRetries  *obs.Counter // engine_alloc_retries_total
+	batchRequests *obs.Counter // engine_batch_requests_total
+	goalSettled   *obs.Counter // engine_goal_settled_total (nodes settled by directed queries)
+	batchInFlight *obs.Gauge   // engine_batch_inflight (queue depth)
 }
 
 // newMetrics wires an engine's registry: direct instruments for the
@@ -54,7 +53,6 @@ func newMetrics(e *Engine) *Metrics {
 		allocRetries:         reg.Counter("engine_alloc_retries_total"),
 		batchRequests:        reg.Counter("engine_batch_requests_total"),
 		goalSettled:          reg.Counter("engine_goal_settled_total"),
-		landmarkRebuilds:     reg.Counter("engine_landmark_rebuilds_total"),
 		batchInFlight:        reg.Gauge("engine_batch_inflight"),
 	}
 

@@ -20,15 +20,6 @@ type Snapshot struct {
 	net   *wdm.Network
 	aux   *core.Aux
 	eng   *Engine
-	// addSeq/removeSeq are monotone counters of arc-adding and
-	// arc-removing epochs — the witnesses the landmark manager uses to
-	// decide whether its vectors are still admissible here (landmarks.go).
-	addSeq    uint64
-	removeSeq uint64
-	// pot adapts this snapshot's identity to core.PotentialSource for ALT
-	// queries. Held by value so ropts.Potential can point into the
-	// snapshot without a per-query allocation.
-	pot snapPotential
 	// ropts is the precomputed query options for this snapshot's queue
 	// (see opts).
 	ropts core.Options

@@ -8,8 +8,8 @@ import (
 
 // This file implements the goal-directed single-pair search kernels:
 // bidirectional Dijkstra (meet-in-the-middle over the graph and its
-// reverse) and A* (potential-shifted Dijkstra for ALT-style landmark
-// lower bounds). Both return exactly the costs plain Dijkstra computes —
+// reverse) and A* (potential-shifted Dijkstra under a caller-supplied
+// lower bound). Both return exactly the costs plain Dijkstra computes —
 // they only settle fewer nodes getting there. DESIGN.md §14 carries the
 // stopping-rule and admissibility arguments.
 //

@@ -42,10 +42,12 @@ var (
 
 // Arc is a directed edge with a weight and an opaque payload Tag that
 // callers use to map auxiliary-graph arcs back to their origin (a physical
-// link + wavelength, or a conversion at a node).
+// link + wavelength, or a conversion at a node). The 8-byte field leads
+// so the two int32s pack behind it: 16 bytes, not 24 (pinned by
+// TestArcSize) — four arcs per cache line in the relaxation loops.
 type Arc struct {
-	To     int32
 	Weight float64
+	To     int32
 	Tag    int32
 }
 

@@ -5,7 +5,17 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
+
+// TestArcSize pins Arc's layout: 16 bytes of data in 16 bytes. A field
+// reorder that reintroduces padding grows every compiled auxiliary
+// graph's arc arena by half.
+func TestArcSize(t *testing.T) {
+	if got := unsafe.Sizeof(Arc{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(Arc{}) = %d, want 16", got)
+	}
+}
 
 func TestNewAndAddNode(t *testing.T) {
 	g := New(3)

@@ -16,7 +16,7 @@ import (
 // a result, an "error:" line, or a transport-level "busy" shed — and
 // multi-line verbs are read with ReadLine by callers who know the
 // shape (batch answers 1+N lines for N pairs, explain ends with its
-// "  search:" line).
+// "  search:" line or, blocked, with its "error:" line).
 type Client struct {
 	conn net.Conn
 	r    *bufio.Reader

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"lightpath/internal/core"
 	"lightpath/internal/engine"
 	"lightpath/internal/oracle"
 )
@@ -20,11 +21,14 @@ type explainReply struct {
 	totals   float64 // the "totals: links A + conversions B = T" line's T
 	cost     float64 // the "cost %g" line
 	searchOK bool    // the terminating "search:" line arrived
+	bound    bool    // a "bound:" line (astar's physical pass) preceded it
+	cause    string  // blocked form: the "cause:" line's word, "" if absent
 }
 
 // readExplain drives one explain command over the wire and parses the
-// reply: either the two-line blocked form, or header + hop lines +
-// totals + cost + search terminator.
+// reply: either the blocked form (summary, the cause when the search
+// names one, error line), or header + hop lines + totals + cost +
+// bound (astar only) + search terminator.
 func readExplain(c *Client, s, d int) (*explainReply, error) {
 	if err := c.Send(fmt.Sprintf("explain %d %d", s, d)); err != nil {
 		return nil, err
@@ -36,10 +40,17 @@ func readExplain(c *Client, s, d int) (*explainReply, error) {
 	if strings.Contains(first, ": blocked after settling") || strings.HasPrefix(first, "error:") {
 		r := &explainReply{blocked: true}
 		if !strings.HasPrefix(first, "error:") {
-			// The blocked-summary line precedes the error line.
+			// The blocked-summary line precedes the error line, with the
+			// cause between them when the search names one.
 			errLine, err := c.ReadLine()
 			if err != nil {
 				return nil, err
+			}
+			if strings.HasPrefix(errLine, "  cause: ") {
+				r.cause = strings.Fields(errLine)[1]
+				if errLine, err = c.ReadLine(); err != nil {
+					return nil, err
+				}
 			}
 			if Classify(errLine) != ReplyBlocked {
 				return nil, fmt.Errorf("blocked explain followed by %q", errLine)
@@ -77,6 +88,8 @@ func readExplain(c *Client, s, d int) (*explainReply, error) {
 				return nil, fmt.Errorf("unparseable cost line %q", line)
 			}
 			r.cost = cost
+		case fields[0] == "bound:":
+			r.bound = true
 		case fields[0] == "search:":
 			r.searchOK = true
 			return r, nil
@@ -121,7 +134,9 @@ func TestWireRepliesMatchOracle(t *testing.T) {
 		flags := flags
 		t.Run(strings.Join(flags, "_"), func(t *testing.T) {
 			nw := buildNet(t, flags...)
-			eng, err := engine.New(nw, nil)
+			// wdmserve's default search: its explain carries the bound line
+			// and names a cause for every blocked pair.
+			eng, err := engine.New(nw, &engine.Options{Directed: core.DirectedAStar})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +189,13 @@ func TestWireRepliesMatchOracle(t *testing.T) {
 						t.Fatalf("explain %d %d: blocked=%v, oracle err=%v", s, d, ex.blocked, oErr)
 					}
 					if ex.blocked {
+						if ex.cause != core.CausePhysical && ex.cause != core.CauseWavelength {
+							t.Fatalf("explain %d %d: blocked with cause %q", s, d, ex.cause)
+						}
 						continue
+					}
+					if !ex.bound {
+						t.Fatalf("explain %d %d: no bound line before the search line", s, d)
 					}
 					if !ex.searchOK {
 						t.Fatalf("explain %d %d: reply not terminated by a search line", s, d)

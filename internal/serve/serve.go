@@ -193,6 +193,14 @@ func (s *Session) exec(cmd string, rest []string, sp *obs.Span) (bool, error) {
 		if err != nil {
 			fmt.Fprintf(s.w, "explain %d -> %d: blocked after settling %d of %d aux nodes\n",
 				ints[0], ints[1], a.settled, a.auxNodes)
+			if a.cause != "" {
+				fmt.Fprintf(s.w, "  cause: %s", a.cause)
+				if a.physPops > 0 {
+					fmt.Fprintf(s.w, " (bound pass popped %d of %d physical nodes)",
+						a.physPops, snap.Network().NumNodes())
+				}
+				fmt.Fprintln(s.w)
+			}
 			return false, err
 		}
 		s.printExplain(snap, res, a, cached)
@@ -453,6 +461,9 @@ type anatomy struct {
 
 	auxNodes, auxArcs, settled, relaxed int64
 	blocked                             bool
+
+	physPops int64  // astar's backward bound pass over the physical network; 0 in other modes
+	cause    string // core.AttrBlockedCause of a blocked query, "" when the search names none
 }
 
 // readAnatomy collects the anatomy from the trace sp belongs to. A
@@ -472,6 +483,9 @@ func readAnatomy(sp *obs.Span) anatomy {
 			a.settled, a.relaxed = attrInt(c, core.AttrSettled), attrInt(c, core.AttrRelaxed)
 			blocked, _ := c.Attr(core.AttrBlocked)
 			a.blocked = blocked.Bool
+			a.physPops = attrInt(c, core.AttrPhysPops)
+			cause, _ := c.Attr(core.AttrBlockedCause)
+			a.cause = cause.Str
 		case engine.SpanAllocate:
 			a.attempts++
 		}
@@ -532,6 +546,11 @@ func (s *Session) printExplain(snap *engine.Snapshot, res *core.Result, a anatom
 	}
 	fmt.Fprintf(s.w, "  totals: links %g + conversions %g = %g\n", links, convs, links+convs)
 	fmt.Fprintf(s.w, "  cost %g  %s\n", res.Cost, res.Path.String(s.eng.Base()))
+	// The search line stays last: it is what frames an explain reply.
+	if a.physPops > 0 {
+		fmt.Fprintf(s.w, "  bound: backward pass popped %d of %d physical nodes\n",
+			a.physPops, snap.Network().NumNodes())
+	}
 	taken, available := snap.Aux().ConversionChoices(res.Path)
 	fmt.Fprintf(s.w, "  search: aux %d nodes / %d arcs, settled %d, relaxed %d, conversions %d/%d taken/available\n",
 		a.auxNodes, a.auxArcs, a.settled, a.relaxed, taken, available)
