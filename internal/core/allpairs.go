@@ -17,10 +17,16 @@ import (
 type SourceTree struct {
 	aux    *Aux
 	source int
-	tree   *graph.ShortestPathTree
+	// parent and via are the search tree PathTo walks: the aux node each
+	// aux node was reached from and the index of the arc taken in
+	// Out(parent). parent < 0 marks a seed (or an unreached node, which no
+	// bestX entry names). Aux-node distances are not retained.
+	parent, via []int32
 	// bestX[t] is the argmin aux node over X_t, or -1 when unreachable.
 	bestX []int32
 	dist  []float64
+	// settled counts the search's queue pops.
+	settled int
 }
 
 // Source reports the tree's source node.
@@ -51,7 +57,7 @@ func (st *SourceTree) PathTo(t int) (*wdm.Semilightpath, error) {
 	if st.bestX[t] < 0 {
 		return nil, fmt.Errorf("%w: from %d to %d", ErrNoRoute, st.source, t)
 	}
-	return st.aux.extractPath(st.tree, int(st.bestX[t]))
+	return st.aux.hopsToPath(graph.HopsTo(st.parent, st.via, int(st.bestX[t]))), nil
 }
 
 // RouteFrom computes optimal semilightpaths from s to every node in one
@@ -64,6 +70,11 @@ func (a *Aux) RouteFrom(s int, opts *Options) (*SourceTree, error) {
 	n := a.nw.NumNodes()
 	sp := opts.span().StartChild(SpanTreeSearch)
 	defer sp.End()
+	st := &SourceTree{aux: a, source: s, bestX: make([]int32, n), dist: make([]float64, n)}
+	for t := range st.dist {
+		st.bestX[t] = -1
+		st.dist[t] = graph.Inf
+	}
 	// Borrow the search's working set from the pool; what the SourceTree
 	// retains is copied out of it below.
 	qs := a.pool.get()
@@ -71,25 +82,11 @@ func (a *Aux) RouteFrom(s int, opts *Options) (*SourceTree, error) {
 	qs.seeds = a.sourceSeeds(qs.seeds, s)
 	if len(qs.seeds) == 0 {
 		sp.SetBool(AttrBlocked, true)
-		// No outgoing channels: only s itself is reachable.
-		st := &SourceTree{aux: a, source: s, bestX: make([]int32, n), dist: make([]float64, n)}
-		for t := range st.dist {
-			st.bestX[t] = -1
-			st.dist[t] = graph.Inf
-		}
-		return st, nil
+		return st, nil // no outgoing channels: only s itself is reachable
 	}
-	scratchTree, err := graph.DijkstraSeedsUntilScratch(a.g, qs.seeds, nil, opts.queue(), qs.g)
+	tree, err := graph.DijkstraSeedsUntilScratch(a.g, qs.seeds, nil, opts.queue(), qs.g, a.yPass)
 	if err != nil {
 		return nil, fmt.Errorf("core: dijkstra: %w", err)
-	}
-	tree := &graph.ShortestPathTree{
-		Source:  scratchTree.Source,
-		Dist:    append([]float64(nil), scratchTree.Dist...),
-		Parent:  append([]int32(nil), scratchTree.Parent...),
-		ViaArc:  append([]int32(nil), scratchTree.ViaArc...),
-		Settled: scratchTree.Settled,
-		Relaxed: scratchTree.Relaxed,
 	}
 	if sp != nil {
 		sp.SetInt(AttrAuxNodes, int64(a.NumAuxNodes()+1))          // plus the virtual super source
@@ -98,16 +95,10 @@ func (a *Aux) RouteFrom(s int, opts *Options) (*SourceTree, error) {
 		sp.SetInt(AttrRelaxed, int64(tree.Relaxed))
 		sp.SetStr(AttrReachedPerLambda, a.reachedPerLambda(tree, qs))
 	}
-	st := &SourceTree{
-		aux:    a,
-		source: s,
-		tree:   tree,
-		bestX:  make([]int32, n),
-		dist:   make([]float64, n),
-	}
+	st.parent = append([]int32(nil), tree.Parent...)
+	st.via = append([]int32(nil), tree.ViaArc...)
+	st.settled = tree.Settled
 	for t := 0; t < n; t++ {
-		st.bestX[t] = -1
-		st.dist[t] = graph.Inf
 		for xi := range a.xLambdas[t] {
 			x := int(a.xStart[t]) + xi
 			if tree.Dist[x] < st.dist[t] {

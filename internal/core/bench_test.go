@@ -159,3 +159,31 @@ func BenchmarkRouteBounded(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRouteFrom is the cost of one SourceTree miss — Corollary 1's
+// single-source pass on the serving queue, cycling over every source —
+// at the whole-stack benchmark's mid_tree size (n=100) and at big_read's
+// (n=300). settled/op counts queue pops, which are X-shore nodes only.
+func BenchmarkRouteFrom(b *testing.B) {
+	for _, n := range []int{100, 300} {
+		nw := benchNetwork(b, n, 8)
+		aux, err := NewAux(nw)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			opts := &Options{Queue: graph.QueueBinary}
+			settled := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st, err := aux.RouteFrom(i%n, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				settled += st.settled
+			}
+			b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
+		})
+	}
+}

@@ -91,6 +91,11 @@ type Aux struct {
 	xLambdas [][]wdm.Wavelength
 	yStart   []int32 // per network node: first Y_v aux ID
 	yLambdas [][]wdm.Wavelength
+	// yPass[id] reports info[id].Side == SideY: the pass-through mask of
+	// the binary-heap search. G' is bipartite (X_v → Y_v conversion arcs,
+	// Y_u → X_v link arcs), so a Y node only ever forwards its key along
+	// its link arcs and the queue need hold the X shore alone.
+	yPass []bool
 
 	stats BuildStats
 	depth int // ApplyDelta steps since the last full compile
@@ -157,12 +162,14 @@ func NewAuxWithLayout(layout, residual *wdm.Network) (*Aux, error) {
 		total += len(a.yLambdas[v])
 	}
 	a.info = make([]AuxNode, total)
+	a.yPass = make([]bool, total)
 	for v := 0; v < n; v++ {
 		for i, l := range a.xLambdas[v] {
 			a.info[int(a.xStart[v])+i] = AuxNode{Node: int32(v), Lambda: l, Side: SideX}
 		}
 		for i, l := range a.yLambdas[v] {
 			a.info[int(a.yStart[v])+i] = AuxNode{Node: int32(v), Lambda: l, Side: SideY}
+			a.yPass[int(a.yStart[v])+i] = true
 		}
 	}
 	a.g = graph.New(total)

@@ -23,8 +23,8 @@ import (
 // (O(|V'|) pointers) and only the out-segments of Y-shore nodes incident
 // to the changed links are re-emitted; every other segment — all gadget
 // conversion arcs and the E_org arcs of untouched links — is shared
-// structurally with the parent. Shore indexes, node identities and the
-// scratch pool are shared outright.
+// structurally with the parent. Shore indexes, node identities, the
+// pass-through mask and the scratch pool are shared outright.
 //
 // next must be a sub-network of this graph's layout, differing from the
 // current residual only on the links listed in changed (listing an
@@ -54,6 +54,7 @@ func (a *Aux) ApplyDelta(next *wdm.Network, changed []int) (*Aux, error) {
 		xLambdas: a.xLambdas,
 		yStart:   a.yStart,
 		yLambdas: a.yLambdas,
+		yPass:    a.yPass,
 		stats:    a.stats,
 		depth:    a.depth + 1,
 		pool:     a.pool,

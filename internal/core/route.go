@@ -58,7 +58,11 @@ func (o *Options) span() *obs.Span {
 type SearchStats struct {
 	AuxNodes int // |V'_{s,t}| (gadget nodes + super terminals)
 	AuxArcs  int // |E'_{s,t}| (gadget and link arcs + the |Y_s| + |X_t| super-terminal arcs)
-	Settled  int // Dijkstra pops, including the equal-key drain after the first X_t node
+	// Settled counts queue pops, including the equal-key drain after the
+	// first X_t node. On the binary queue the plain search passes the Y
+	// shore through unqueued, so only X-shore nodes are counted there; the
+	// other queues and modes pop nodes of both shores.
+	Settled  int
 	Relaxed  int // arc relaxations
 	PhysPops int // DirectedAStar only: physical nodes popped by the backward bound pass
 }
@@ -182,7 +186,7 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 			}
 		}
 	default:
-		tree, err := graph.DijkstraSeedsUntilScratch(a.g, qs.seeds, qs.goals, opts.queue(), qs.g)
+		tree, err := graph.DijkstraSeedsUntilScratch(a.g, qs.seeds, qs.goals, opts.queue(), qs.g, a.yPass)
 		if err != nil {
 			return nil, fmt.Errorf("core: dijkstra: %w", err)
 		}

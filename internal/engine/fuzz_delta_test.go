@@ -19,6 +19,8 @@ import (
 //   - the published residual equals the model residual channel-for-channel;
 //   - a point route on the snapshot costs exactly what a freshly compiled
 //     core.NewAux over the model residual computes;
+//   - the snapshot's SourceTree (masked binary-heap search) gives every
+//     destination that compile's cost and a valid path of that cost;
 //   - the publish counters reconcile (Rebuilds == Epoch+1 and decompose
 //     into FullRebuilds + DeltaApplies).
 //
@@ -123,6 +125,33 @@ func FuzzDeltaChurn(f *testing.F) {
 				default:
 					if !costsAgree(got.Cost, st.Dist(d)) {
 						t.Fatalf("snapshot cost %d->%d = %v, fresh compile %v", s, d, got.Cost, st.Dist(d))
+					}
+				}
+
+				// Oracle 3: the snapshot's single-source tree — the binary
+				// queue with the Y shore passed through, on the delta-built
+				// graph — against the fresh compile's unmasked Fibonacci
+				// tree, every destination, paths included.
+				tree, err := snap.RouteFrom(s)
+				if err != nil {
+					t.Fatalf("routefrom %d: %v", s, err)
+				}
+				for dst := 0; dst < n; dst++ {
+					if !costsAgree(tree.Dist(dst), st.Dist(dst)) {
+						t.Fatalf("tree dist %d->%d = %v, fresh compile %v", s, dst, tree.Dist(dst), st.Dist(dst))
+					}
+					if dst == s || !tree.Reachable(dst) {
+						continue
+					}
+					path, err := tree.PathTo(dst)
+					if err != nil {
+						t.Fatalf("tree path %d->%d: %v", s, dst, err)
+					}
+					if err := path.Validate(want, s, dst); err != nil {
+						t.Fatalf("tree path %d->%d invalid: %v", s, dst, err)
+					}
+					if !costsAgree(path.Cost(want), tree.Dist(dst)) {
+						t.Fatalf("tree path %d->%d costs %v, dist %v", s, dst, path.Cost(want), tree.Dist(dst))
 					}
 				}
 			}

@@ -146,7 +146,7 @@ func TestScratchMatchesAllocatingPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := DijkstraSeedsUntilScratch(g, seeds, goals, kind, sc)
+			got, err := DijkstraSeedsUntilScratch(g, seeds, goals, kind, sc, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +174,7 @@ func TestScratchMatchesAllocatingPath(t *testing.T) {
 func TestScratchWrongSizeFallsBack(t *testing.T) {
 	g := buildRandom(t, 10, 30, 6)
 	sc := NewScratch(5) // wrong size: must fall back, not fail
-	got, err := DijkstraSeedsUntilScratch(g, []int{0}, []int{9}, QueueBinary, sc)
+	got, err := DijkstraSeedsUntilScratch(g, []int{0}, []int{9}, QueueBinary, sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,11 +198,11 @@ func TestScratchSearchAllocationFree(t *testing.T) {
 	sc := NewScratch(g.NumNodes())
 	seeds := []int{0, 1}
 	goals := []int{150, 160, 170}
-	if _, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBinary, sc); err != nil {
+	if _, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBinary, sc, nil); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBinary, sc); err != nil {
+		if _, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBinary, sc, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -50,7 +50,7 @@ type ShortestPathTree struct {
 	Dist    []float64
 	Parent  []int32 // -1 when unreached or a seed
 	ViaArc  []int32 // index into Out(Parent[v]); -1 when unreached
-	Settled int     // number of nodes settled (pops, including the equal-key drain of a goal stop)
+	Settled int     // queue pops, including the equal-key drain of a goal stop; pass-through nodes are never popped
 	Relaxed int     // number of arc relaxations attempted
 
 	seeds []int
@@ -88,15 +88,28 @@ func (t *ShortestPathTree) PathTo(v int) ([]int, error) {
 // ArcsTo reconstructs the sequence of (node, arc-index) hops from the
 // source to v; each entry identifies the arc Out(node)[idx] taken.
 func (t *ShortestPathTree) ArcsTo(v int) ([]HopRef, error) {
-	nodes, err := t.PathTo(v)
-	if err != nil {
-		return nil, err
+	if !t.Reached(v) {
+		return nil, fmt.Errorf("%w: to node %d", ErrNoPath, v)
 	}
-	hops := make([]HopRef, 0, len(nodes)-1)
-	for i := 1; i < len(nodes); i++ {
-		hops = append(hops, HopRef{From: nodes[i-1], ArcIndex: int(t.ViaArc[nodes[i]])})
+	return HopsTo(t.Parent, t.ViaArc, v), nil
+}
+
+// HopsTo walks a search tree's parent and via-arc arrays from v back to
+// its seed (the first node with parent < 0) and returns the hops seed..v
+// in forward order. It is the one reconstruction behind ArcsTo and behind
+// callers that retain only these two arrays of a tree; v must have been
+// reached by the search that filled them.
+func HopsTo(parent, via []int32, v int) []HopRef {
+	n := 0
+	for u := v; parent[u] >= 0; u = int(parent[u]) {
+		n++
 	}
-	return hops, nil
+	hops := make([]HopRef, n)
+	for u := v; parent[u] >= 0; u = int(parent[u]) {
+		n--
+		hops[n] = HopRef{From: int(parent[u]), ArcIndex: int(via[u])}
+	}
+	return hops
 }
 
 // HopRef identifies one arc on a reconstructed path: the arc
@@ -289,15 +302,31 @@ func dijkstraFib(g *Digraph, t *ShortestPathTree, gs *goalStop) error {
 }
 
 func dijkstraBin(g *Digraph, t *ShortestPathTree, gs *goalStop) error {
-	return dijkstraBinInto(g, t, gs, binheap.New(g.NumNodes()), make([]bool, g.NumNodes()))
+	return dijkstraBinInto(g, t, gs, binheap.New(g.NumNodes()), make([]bool, g.NumNodes()), nil)
 }
 
 // dijkstraBinInto is the binary-heap engine over caller-provided heap
 // and settled-set storage (empty/cleared on entry), so pooled scratch
 // can drive it without per-query allocation.
-func dijkstraBinInto(g *Digraph, t *ShortestPathTree, gs *goalStop, h *binheap.Heap, done []bool) error {
+//
+// pass, when non-nil, is the pass-through mask (one entry per node): a
+// node in it never enters the heap. When a relaxation improves it, its
+// Dist/Parent/ViaArc are written as for any node and its own out-arcs
+// are relaxed at once with the new key; masked seeds are expanded up
+// front. That is Dijkstra on the graph with the masked nodes contracted
+// away (u → m → v at weight (d + w(u,m)) + w(m,v), the association an
+// uncontracted run sums in), so every distance is bit-identical to a
+// nil-mask run; only the choice among equal-cost parents may differ,
+// because the heap breaks ties over a different push sequence. Settled
+// counts heap pops, so never a masked node; Relaxed counts a masked
+// node's out-arcs once per improvement.
+func dijkstraBinInto(g *Digraph, t *ShortestPathTree, gs *goalStop, h *binheap.Heap, done, pass []bool) error {
 	for _, s := range t.seeds {
-		if _, err := h.PushOrDecrease(s, 0); err != nil {
+		if pass != nil && pass[s] {
+			if err := relaxBin(g, t, h, done, pass, s, 0); err != nil {
+				return err
+			}
+		} else if _, err := h.PushOrDecrease(s, 0); err != nil {
 			return err
 		}
 	}
@@ -312,20 +341,33 @@ func dijkstraBinInto(g *Digraph, t *ShortestPathTree, gs *goalStop, h *binheap.H
 		done[u] = true
 		t.Settled++
 		gs.settle(u, du)
-		for i, a := range g.Out(u) {
-			v := int(a.To)
-			if done[v] {
-				continue
-			}
-			t.Relaxed++
-			nd := du + a.Weight
-			if nd < t.Dist[v] {
-				t.Dist[v] = nd
-				t.Parent[v] = int32(u)
-				t.ViaArc[v] = int32(i)
-				if _, err := h.PushOrDecrease(v, nd); err != nil {
+		if err := relaxBin(g, t, h, done, pass, u, du); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// relaxBin scans u's out-arcs at key du. It recurses through masked
+// nodes only, and that ends because each step is a strict improvement.
+func relaxBin(g *Digraph, t *ShortestPathTree, h *binheap.Heap, done, pass []bool, u int, du float64) error {
+	for i, a := range g.Out(u) {
+		v := int(a.To)
+		if done[v] {
+			continue
+		}
+		t.Relaxed++
+		nd := du + a.Weight
+		if nd < t.Dist[v] {
+			t.Dist[v] = nd
+			t.Parent[v] = int32(u)
+			t.ViaArc[v] = int32(i)
+			if pass != nil && pass[v] {
+				if err := relaxBin(g, t, h, done, pass, v, nd); err != nil {
 					return err
 				}
+			} else if _, err := h.PushOrDecrease(v, nd); err != nil {
+				return err
 			}
 		}
 	}

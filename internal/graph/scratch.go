@@ -80,20 +80,34 @@ func (sc *Scratch) seedTree(seeds []int) (*ShortestPathTree, error) {
 // instead of freshly allocated state. The returned tree aliases sc: it
 // is valid until the next query on the same scratch and must not be
 // retained (retainable trees come from DijkstraSeeds). A nil or
-// wrong-sized scratch falls back to the allocating path, so callers can
-// pass through whatever their pool handed them.
+// wrong-sized scratch is replaced by a fresh one, so callers can pass
+// through whatever their pool handed them.
 //
 // The binary queue reuses the scratch's heap and settled set; the other
 // queue kinds reuse the tree arrays but keep their own pointer-based
 // structures (their handle graphs cannot be recycled flatly).
-func DijkstraSeedsUntilScratch(g *Digraph, seeds, goals []int, kind QueueKind, sc *Scratch) (*ShortestPathTree, error) {
-	if sc == nil || sc.n != g.NumNodes() {
-		return DijkstraSeedsUntil(g, seeds, goals, kind)
+//
+// pass is the binary queue's optional pass-through mask (see
+// dijkstraBinInto): one entry per node, true for nodes that forward an
+// improved key along their out-arcs instead of being queued. No goal may
+// be masked — a masked node is never settled, so the stopping rule would
+// not see it. The other queue kinds search unmasked whatever pass holds;
+// distances are the same either way.
+func DijkstraSeedsUntilScratch(g *Digraph, seeds, goals []int, kind QueueKind, sc *Scratch, pass []bool) (*ShortestPathTree, error) {
+	n := g.NumNodes()
+	if pass != nil && len(pass) != n {
+		return nil, fmt.Errorf("graph: pass-through mask covers %d nodes of %d", len(pass), n)
 	}
 	for _, gl := range goals {
-		if gl < 0 || gl >= sc.n {
+		if gl < 0 || gl >= n {
 			return nil, fmt.Errorf("%w: goal %d", ErrNodeRange, gl)
 		}
+		if pass != nil && pass[gl] {
+			return nil, fmt.Errorf("graph: goal %d is in the pass-through mask", gl)
+		}
+	}
+	if sc == nil || sc.n != n {
+		sc = NewScratch(n)
 	}
 	t, err := sc.seedTree(seeds)
 	if err != nil {
@@ -103,7 +117,7 @@ func DijkstraSeedsUntilScratch(g *Digraph, seeds, goals []int, kind QueueKind, s
 	switch kind {
 	case QueueBinary:
 		h, done := sc.queue()
-		err = dijkstraBinInto(g, t, &gs, h, done)
+		err = dijkstraBinInto(g, t, &gs, h, done, pass)
 	default:
 		err = runEngine(g, t, &gs, kind)
 	}

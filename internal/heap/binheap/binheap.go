@@ -7,7 +7,11 @@
 // heap array holds (key, item) entries inline, so a sift compares
 // neighbouring slots directly, and moves a hole instead of swapping. It
 // is the server's default queue; the benchmark suite also uses it for the
-// heap-choice ablation called out in DESIGN.md.
+// heap-choice ablation called out in DESIGN.md. Not every node a search
+// reaches passes through it: graph's binary-heap engine takes a
+// pass-through mask, and the routing layer masks the Y shore of the
+// auxiliary graph, so under the server the heap holds X-shore nodes only
+// (DESIGN.md §14).
 //
 // The branching factor stays 2 by measurement: 4- and 8-ary layouts of
 // the same entry array were indistinguishable from binary on

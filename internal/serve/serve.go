@@ -64,7 +64,8 @@ type Session struct {
 	tracer  *obs.Tracer
 	sampler *obs.Sampler
 	health  *obs.Health
-	tracing bool // trace on: append a trace summary to route/alloc answers
+	tracing bool   // trace on: append a trace summary to route/alloc answers
+	out     []byte // routefrom/batch reply under construction, reused across requests
 }
 
 // NewSession builds the execution context for one client writing its
@@ -213,13 +214,19 @@ func (s *Session) exec(cmd string, rest []string, sp *obs.Span) (bool, error) {
 			return false, err
 		}
 		n := s.eng.Base().NumNodes()
+		buf := s.out[:0]
 		for t := 0; t < n; t++ {
-			if !st.Reachable(t) {
-				fmt.Fprintf(s.w, "  %d -> %d: unreachable\n", ints[0], t)
-				continue
+			buf = appendPair(buf, ints[0], t)
+			if st.Reachable(t) {
+				buf = appendCost(buf, st.Dist(t))
+			} else {
+				buf = append(buf, "unreachable\n"...)
 			}
-			fmt.Fprintf(s.w, "  %d -> %d: cost %g\n", ints[0], t, st.Dist(t))
 		}
+		// One Write per reply; like Fprintf on every other reply line, a
+		// failing writer is left to the transport's flush.
+		_, _ = s.w.Write(buf)
+		s.out = buf
 	case "kshortest":
 		if err := argc(3); err != nil {
 			return false, err
@@ -251,17 +258,20 @@ func (s *Session) exec(cmd string, rest []string, sp *obs.Span) (bool, error) {
 		}
 		snap := s.eng.Snapshot()
 		out := snap.RouteBatch(reqs, s.workers)
-		fmt.Fprintf(s.w, "batch of %d at epoch %d:\n", len(reqs), snap.Epoch())
+		buf := fmt.Appendf(s.out[:0], "batch of %d at epoch %d:\n", len(reqs), snap.Epoch())
 		for _, r := range out {
+			buf = appendPair(buf, r.From, r.To)
 			switch {
 			case errors.Is(r.Err, core.ErrNoRoute):
-				fmt.Fprintf(s.w, "  %d -> %d: blocked\n", r.From, r.To)
+				buf = append(buf, "blocked\n"...)
 			case r.Err != nil:
-				fmt.Fprintf(s.w, "  %d -> %d: error: %v\n", r.From, r.To, r.Err)
+				buf = fmt.Appendf(buf, "error: %v\n", r.Err)
 			default:
-				fmt.Fprintf(s.w, "  %d -> %d: cost %g\n", r.From, r.To, r.Result.Cost)
+				buf = appendCost(buf, r.Result.Cost)
 			}
 		}
+		_, _ = s.w.Write(buf)
+		s.out = buf
 	case "alloc":
 		if err := argc(2); err != nil {
 			return false, err
@@ -642,6 +652,24 @@ func frameRate(newer, older *obs.Frame, metric string) string {
 // human-readable duration.
 func nsDuration(ns float64) time.Duration {
 	return time.Duration(ns) * time.Nanosecond
+}
+
+// appendPair appends the "  S -> T: " prefix of a routefrom or batch
+// reply line, as fmt's "  %d -> %d: " renders it.
+func appendPair(buf []byte, from, to int) []byte {
+	buf = append(buf, "  "...)
+	buf = strconv.AppendInt(buf, int64(from), 10)
+	buf = append(buf, " -> "...)
+	buf = strconv.AppendInt(buf, int64(to), 10)
+	return append(buf, ": "...)
+}
+
+// appendCost appends "cost C\n" with C as fmt's %g renders a float64:
+// shortest representation that round-trips.
+func appendCost(buf []byte, c float64) []byte {
+	buf = append(buf, "cost "...)
+	buf = strconv.AppendFloat(buf, c, 'g', -1, 64)
+	return append(buf, '\n')
 }
 
 // printResult renders one routing answer.

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -170,5 +172,86 @@ func TestTelemetryPerVerbLatency(t *testing.T) {
 	}
 	if got := tel.reqLatency.Count(); got != uint64(len(lines)) {
 		t.Fatalf("serve_request_latency_ns count = %d, want %d", got, len(lines))
+	}
+}
+
+// TestReplyLinesMatchFmt pins the strconv rendering of routefrom and
+// batch reply lines to the fmt form the protocol was defined with, byte
+// for byte: integers, fractions, the %g switch to exponents at ≥1e21 and
+// <1e-4, and zero.
+func TestReplyLinesMatchFmt(t *testing.T) {
+	costs := []float64{
+		0, 1, 20, 7, 123456789, 1 << 53,
+		0.5, 0.1, 0.30000000000000004, 12.375, 2.9999999999999996, 1.0 / 3,
+		1e20, 1e21, 1.5e21, 123456789e15, math.MaxFloat64,
+		1e-4, 9.999e-5, 1e-5, 5e-324, math.SmallestNonzeroFloat64,
+		math.Inf(1),
+	}
+	pairs := [][2]int{{0, 0}, {0, 9}, {13, 7}, {99, 100}, {1234567, 89}}
+	for _, p := range pairs {
+		for _, c := range costs {
+			want := fmt.Sprintf("  %d -> %d: cost %g\n", p[0], p[1], c)
+			if got := string(appendCost(appendPair(nil, p[0], p[1]), c)); got != want {
+				t.Errorf("cost line = %q, fmt renders %q", got, want)
+			}
+		}
+		want := fmt.Sprintf("  %d -> %d: ", p[0], p[1])
+		if got := string(appendPair([]byte("kept"), p[0], p[1])); got != "kept"+want {
+			t.Errorf("pair prefix = %q, fmt renders %q", got, "kept"+want)
+		}
+	}
+}
+
+// writeCounter counts Write calls in front of a buffer.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestTreeRepliesAreOneWrite: a routefrom or batch reply reaches the
+// transport in a single Write, the same bytes whatever the session's
+// buffer held before, with every outcome word in place.
+func TestTreeRepliesAreOneWrite(t *testing.T) {
+	eng := newEngine(t, "-topo", "paper")
+	if _, err := eng.FailLink(0); err != nil { // cut something off so "blocked" shows up
+		t.Fatal(err)
+	}
+	var out writeCounter
+	sess := NewSession(eng, &out, nil)
+	n := eng.Base().NumNodes()
+	var first string
+	for round := 0; round < 2; round++ {
+		out.Reset()
+		out.writes = 0
+		for _, line := range []string{"routefrom 0", "batch 0 6 0 3 1 5 6 0 6 1", "routefrom 6"} {
+			if _, err := sess.Exec(line); err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+		}
+		if out.writes != 3 {
+			t.Fatalf("3 replies took %d writes", out.writes)
+		}
+		if round == 0 {
+			first = out.String()
+		} else if out.String() != first {
+			t.Fatalf("replies differ on a reused buffer:\n%s\nvs\n%s", out.String(), first)
+		}
+	}
+	lines := strings.Split(strings.TrimSuffix(first, "\n"), "\n")
+	if len(lines) != n+1+5+n {
+		t.Fatalf("%d reply lines, want %d:\n%s", len(lines), n+1+5+n, first)
+	}
+	if want := fmt.Sprintf("batch of 5 at epoch %d:", eng.Epoch()); lines[n] != want {
+		t.Fatalf("batch header %q, want %q", lines[n], want)
+	}
+	for _, word := range []string{": cost ", ": unreachable", ": blocked"} {
+		if !strings.Contains(first, word) {
+			t.Errorf("no %q line in:\n%s", word, first)
+		}
 	}
 }
