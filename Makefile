@@ -17,9 +17,14 @@ race:
 
 # Focused race pass over the packages with lock-free hot paths (the obs
 # atomics and the engine's snapshot/cache machinery) — cheap enough to
-# run on every edit, unlike the full `race` sweep.
+# run on every edit, unlike the full `race` sweep. The second line is the
+# page-sharing half of snapshot immutability: readers on a pinned
+# snapshot while later epochs copy the pages they write (these tests need
+# the compiled graph, so they sit in internal/core's external test
+# package).
 race-hot:
 	$(GO) test -race ./internal/obs ./internal/engine
+	$(GO) test -race -run 'SnapshotIsolation|LongChain' ./internal/core
 
 # vet also fails on unformatted files: gofmt -l prints offenders, and
 # any output is an error.

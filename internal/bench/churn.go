@@ -35,9 +35,8 @@ type ChurnTier struct {
 	FullP99Ns        int64   `json:"full_p99_ns"`
 	FullEpochsPerSec float64 `json:"full_epochs_per_sec"`
 
-	// Delta mode: publishes ride core.Aux.ApplyDelta, with a full
-	// recompaction every MaxDeltaDepth epochs folded into the numbers
-	// (that amortization is the deployed behaviour, not a best case).
+	// Delta mode: every publish after the epoch-0 compile rides
+	// core.Aux.ApplyDelta on one unbroken chain — the deployed behaviour.
 	DeltaMeanNs       int64   `json:"delta_mean_ns"`
 	DeltaP50Ns        int64   `json:"delta_p50_ns"`
 	DeltaP99Ns        int64   `json:"delta_p99_ns"`
@@ -46,7 +45,7 @@ type ChurnTier struct {
 	FullRebuilds      uint64  `json:"full_rebuilds"`
 
 	// Speedup is FullMeanNs / DeltaMeanNs — the end-to-end mutation
-	// latency ratio including the periodic recompactions.
+	// latency ratio.
 	Speedup float64 `json:"speedup"`
 }
 
@@ -207,8 +206,8 @@ func RunChurn(w io.Writer, cfg Config) error {
 	}
 	t := &Table{
 		Title: "Engine — epoch publication: full recompile vs incremental delta",
-		Note: "same seeded allocate/release sequence per tier; delta mode includes its periodic\n" +
-			"depth-capped recompactions (cmd/wdmbench -churn-json writes this as BENCH_churn.json)",
+		Note: "same seeded allocate/release sequence per tier; delta mode is one unbroken chain\n" +
+			"(cmd/wdmbench -churn-json writes this as BENCH_churn.json)",
 		Headers: []string{"tier", "nodes", "links", "k", "epochs",
 			"full mean", "full p99", "delta mean", "delta p99", "speedup", "delta/full pubs"},
 	}

@@ -269,8 +269,7 @@ func (a *Aux) Network() *wdm.Network { return a.nw }
 func (a *Aux) Layout() *wdm.Network { return a.layout }
 
 // DeltaDepth reports how many ApplyDelta steps separate this graph from
-// its last full compile (0 for NewAux/NewAuxWithLayout results). Epoch
-// publishers use it to bound patch-chain length before recompacting.
+// its last full compile (0 for NewAux/NewAuxWithLayout results).
 func (a *Aux) DeltaDepth() int { return a.depth }
 
 // Stats reports the measured construction sizes (Observations 1–5).

@@ -19,12 +19,14 @@ import (
 // instead of O(k²n + km).
 
 // ApplyDelta produces the compiled auxiliary graph of the next residual
-// network from this one by copy-on-write: the adjacency spine is copied
-// (O(|V'|) pointers) and only the out-segments of Y-shore nodes incident
-// to the changed links are re-emitted; every other segment — all gadget
-// conversion arcs and the E_org arcs of untouched links — is shared
-// structurally with the parent. Shore indexes, node identities, the
-// pass-through mask and the scratch pool are shared outright.
+// network from this one by copy-on-write: the adjacency page table is
+// copied (|V'|/32 pointers) and only the out-segments of Y-shore nodes
+// incident to the changed links are re-emitted, each copying the spine
+// page it sits on once; every other segment — all gadget conversion arcs
+// and the E_org arcs of untouched links — is shared structurally with the
+// parent. Shore indexes, node identities, the pass-through mask and the
+// scratch pool are shared outright. Cost: O(|changed| · k · d_out + pages
+// touched).
 //
 // next must be a sub-network of this graph's layout, differing from the
 // current residual only on the links listed in changed (listing an
@@ -41,8 +43,13 @@ func (a *Aux) ApplyDelta(next *wdm.Network, changed []int) (*Aux, error) {
 	if next == nil {
 		return nil, ErrNilNetwork
 	}
-	if err := checkSubNetwork(a.layout, next); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrDeltaShape, err)
+	// A residual patched from this graph's own shares its topology by
+	// construction, and that one was checked when it was compiled; any
+	// other input is compared against the layout link by link.
+	if !next.SameTopology(a.nw) {
+		if err := checkSubNetwork(a.layout, next); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrDeltaShape, err)
+		}
 	}
 
 	child := &Aux{
@@ -63,15 +70,14 @@ func (a *Aux) ApplyDelta(next *wdm.Network, changed []int) (*Aux, error) {
 	// The affected fragment: for each changed link e=(u,v), every
 	// wavelength the *layout* installs on e names a Y_u(λ) whose
 	// out-segment may gain or lose the (e,λ) arc. Wavelengths beyond the
-	// layout set cannot appear (checked below), and wavelengths on other
-	// links of u are untouched by e — but since a Y_u(λ) segment holds
-	// the arcs of *every* link leaving u that carries λ, re-emission
-	// scans all of u's outgoing links for each marked node.
-	touched := make(map[int32]struct{}, len(changed)*2)
-	// The mirror set for the cached reverse graph: each changed link's
-	// layout wavelengths also name the X_v(λ) nodes whose reversed
-	// in-segments may change (see reverse.go).
-	touchedX := make(map[int32]struct{}, len(changed)*2)
+	// layout set cannot appear (checked here), and wavelengths on other
+	// links of u are untouched by e. The mirror set for the cached reverse
+	// graph is collected only when the parent materialized one: each
+	// changed link's layout wavelengths also name the X_v(λ) nodes whose
+	// reversed in-segments may change (see reverse.go).
+	rev := a.rev.Load()
+	var touchedX []int32
+	room := 0
 	for _, id := range changed {
 		if id < 0 || id >= a.layout.NumLinks() {
 			return nil, fmt.Errorf("%w: changed link %d of %d", ErrDeltaShape, id, a.layout.NumLinks())
@@ -83,49 +89,59 @@ func (a *Aux) ApplyDelta(next *wdm.Network, changed []int) (*Aux, error) {
 					ErrDeltaShape, ch.Lambda, id)
 			}
 		}
+		room += len(ll.Channels) * next.OutDegree(ll.From)
+		if rev == nil {
+			continue
+		}
 		for _, ch := range ll.Channels {
-			y, ok := a.yIndex(ll.From, ch.Lambda)
-			if !ok {
-				return nil, fmt.Errorf("%w: λ%d missing from layout shore Y_%d", ErrDeltaShape, ch.Lambda, ll.From)
-			}
-			touched[int32(y)] = struct{}{}
 			x, ok := a.xIndex(ll.To, ch.Lambda)
 			if !ok {
 				return nil, fmt.Errorf("%w: λ%d missing from layout shore X_%d", ErrDeltaShape, ch.Lambda, ll.To)
 			}
-			touchedX[int32(x)] = struct{}{}
+			touchedX = append(touchedX, int32(x))
 		}
 	}
 
-	// Re-emit each touched segment from the next residual. Arc order
-	// matches the full compile: Network.Out lists link IDs ascending,
-	// exactly the order pass 3 of NewAuxWithLayout visits them.
-	for y := range touched {
-		u := int(child.info[y].Node)
-		lam := child.info[y].Lambda
-		seg := make([]graph.Arc, 0, next.OutDegree(u))
-		for _, lid := range next.Out(u) {
-			link := next.Link(int(lid))
-			w, ok := link.Has(lam)
+	// Re-emit each touched segment from the next residual into one arena,
+	// every segment at full capacity. Since a Y_u(λ) segment holds the arcs
+	// of *every* link leaving u that carries λ, re-emission scans all of
+	// u's outgoing links; arc order matches the full compile, because
+	// Network.Out lists link IDs ascending, exactly the order pass 3 of
+	// NewAuxWithLayout visits them. Two changed links leaving one node
+	// re-emit the wavelengths they share twice, to the same result.
+	arena := make([]graph.Arc, 0, room)
+	for _, id := range changed {
+		u := a.layout.Link(id).From
+		for _, ch := range a.layout.Link(id).Channels {
+			lam := ch.Lambda
+			y, ok := a.yIndex(u, lam)
 			if !ok {
-				continue
+				return nil, fmt.Errorf("%w: λ%d missing from layout shore Y_%d", ErrDeltaShape, lam, u)
 			}
-			x, ok := a.xIndex(link.To, lam)
-			if !ok {
-				return nil, fmt.Errorf("%w: λ%d missing from layout shore X_%d", ErrDeltaShape, lam, link.To)
+			start := len(arena)
+			for _, lid := range next.Out(u) {
+				link := next.Link(int(lid))
+				w, ok := link.Has(lam)
+				if !ok {
+					continue
+				}
+				x, ok := a.xIndex(link.To, lam)
+				if !ok {
+					return nil, fmt.Errorf("%w: λ%d missing from layout shore X_%d", ErrDeltaShape, lam, link.To)
+				}
+				arena = append(arena, graph.Arc{To: int32(x), Weight: w, Tag: int32(link.ID)})
 			}
-			seg = append(seg, graph.Arc{To: int32(x), Weight: w, Tag: int32(link.ID)})
-		}
-		if err := child.g.ReplaceOut(int(y), seg); err != nil {
-			return nil, fmt.Errorf("core: patch segment Y_%d(λ%d): %w", u, lam, err)
+			if err := child.g.ReplaceOut(y, arena[start:len(arena):len(arena)]); err != nil {
+				return nil, fmt.Errorf("core: patch segment Y_%d(λ%d): %w", u, lam, err)
+			}
 		}
 	}
 
 	// Carry a materialized reverse graph forward the same way: COW clone
 	// plus re-emission of the touched X segments. A parent that never
 	// served a backward query stays lazy in the child too.
-	if pr := a.rev.Load(); pr != nil {
-		if err := child.patchReverse(pr, touchedX); err != nil {
+	if rev != nil {
+		if err := child.patchReverse(rev, touchedX); err != nil {
 			return nil, err
 		}
 	}

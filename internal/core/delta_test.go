@@ -27,32 +27,72 @@ func deltaNetwork(t testing.TB, seed int64) *wdm.Network {
 }
 
 // auxEqual asserts arc-for-arc equality of two compiled graphs over one
-// layout: identical node space, identical per-segment arc sequences.
-func auxEqual(t *testing.T, got, want *Aux) {
+// layout (see AuxDiff).
+func auxEqual(t testing.TB, got, want *Aux) {
 	t.Helper()
-	if got.NumAuxNodes() != want.NumAuxNodes() {
-		t.Fatalf("aux nodes: %d vs %d", got.NumAuxNodes(), want.NumAuxNodes())
+	if err := AuxDiff(got, want); err != nil {
+		t.Fatal(err)
 	}
-	if got.NumAuxArcs() != want.NumAuxArcs() {
-		t.Fatalf("aux arcs: %d vs %d", got.NumAuxArcs(), want.NumAuxArcs())
-	}
-	for u := 0; u < got.NumAuxNodes(); u++ {
-		ga, wa := got.g.Out(u), want.g.Out(u)
-		if len(ga) != len(wa) {
-			t.Fatalf("node %d out-degree: %d vs %d", u, len(ga), len(wa))
-		}
-		for i := range ga {
-			if ga[i] != wa[i] {
-				t.Fatalf("node %d arc %d: %+v vs %+v", u, i, ga[i], wa[i])
+}
+
+// deepChain walks a, compiled with NewAux on a fully free network, down a
+// chain of steps deltas the way the engine's epochs do — one to three
+// links per step, each with a single channel taken or given back, or the
+// link failed (channel-less) or repaired — and returns the last graph:
+// about a quarter of the channels held and a tenth of the links failed,
+// every spine page rewritten many times over.
+func deepChain(t testing.TB, a *Aux, rng *rand.Rand, steps int) *Aux {
+	t.Helper()
+	layout := a.Layout()
+	m := layout.NumLinks()
+	taken := make([]uint64, m) // bit i: the link's i-th installed channel is held
+	failed := make([]bool, m)
+	cur := a
+	for step := 0; step < steps; step++ {
+		changes := make(map[int][]wdm.Channel)
+		var changed []int
+		for picks := 1 + rng.Intn(3); picks > 0; picks-- {
+			id := rng.Intn(m)
+			if _, dup := changes[id]; dup {
+				continue
 			}
+			installed := layout.Link(id).Channels
+			switch r := rng.Float64(); {
+			case failed[id]:
+				failed[id] = r < 0.5
+			case r < 0.05:
+				failed[id] = true
+			case len(installed) > 0:
+				if bit := uint64(1) << rng.Intn(len(installed)); taken[id]&bit != 0 || r < 0.4 {
+					taken[id] ^= bit
+				}
+			}
+			var free []wdm.Channel
+			for i, ch := range installed {
+				if !failed[id] && taken[id]>>i&1 == 0 {
+					free = append(free, ch)
+				}
+			}
+			changes[id] = free
+			changed = append(changed, id)
+		}
+		res, err := cur.Network().PatchChannels(changes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cur, err = cur.ApplyDelta(res, changed); err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
 	}
-	if got.Stats().OrgArcs != want.Stats().OrgArcs {
-		t.Fatalf("OrgArcs: %d vs %d", got.Stats().OrgArcs, want.Stats().OrgArcs)
+	if cur.DeltaDepth() != steps {
+		t.Fatalf("chain depth %d after %d steps", cur.DeltaDepth(), steps)
 	}
-	if got.Stats().MultigraphArc != want.Stats().MultigraphArc {
-		t.Fatalf("MultigraphArc: %d vs %d", got.Stats().MultigraphArc, want.Stats().MultigraphArc)
+	fresh, err := NewAuxWithLayout(layout, cur.Network())
+	if err != nil {
+		t.Fatal(err)
 	}
+	auxEqual(t, cur, fresh)
+	return cur
 }
 
 // occupyResidual removes count random channels from nw (simulating

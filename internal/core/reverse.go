@@ -84,9 +84,9 @@ func (a *Aux) reverseInSegment(x int) ([]graph.Arc, error) {
 // X nodes touched by the changed links. Called by ApplyDelta only when
 // the parent actually materialized its reverse — otherwise the child
 // stays lazy and the first backward query pays one full Reverse().
-func (child *Aux) patchReverse(parent *graph.Digraph, touchedX map[int32]struct{}) error {
+func (child *Aux) patchReverse(parent *graph.Digraph, touchedX []int32) error {
 	rg := parent.CloneCOW()
-	for x := range touchedX {
+	for _, x := range touchedX {
 		seg, err := child.reverseInSegment(int(x))
 		if err != nil {
 			return err

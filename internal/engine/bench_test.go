@@ -1,16 +1,18 @@
 package engine
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"lightpath/internal/core"
+	"lightpath/internal/graph"
 	"lightpath/internal/topo"
 	"lightpath/internal/wdm"
 	"lightpath/internal/workload"
 )
 
-func benchNet(b *testing.B) *wdm.Network {
+func benchNet(b testing.TB) *wdm.Network {
 	b.Helper()
 	nw, err := workload.Build(topo.NSFNET(), workload.Spec{
 		K:         8,
@@ -92,8 +94,8 @@ func BenchmarkRouteFromColdCache(b *testing.B) {
 
 // BenchmarkAllocateRelease measures mutation throughput: each iteration
 // publishes two epochs (allocate + release). Under the default options
-// publishes ride core.Aux.ApplyDelta, with a full recompaction folded
-// in every MaxDeltaDepth epochs — the deployed configuration.
+// every publish rides core.Aux.ApplyDelta on one unbroken chain — the
+// deployed configuration.
 func BenchmarkAllocateRelease(b *testing.B) {
 	benchAllocateRelease(b, nil)
 }
@@ -125,6 +127,48 @@ func benchAllocateRelease(b *testing.B, opts *Options) {
 		if err := e.Release(1); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRouteOnLongChain is the measurement that retired the periodic
+// recompaction: the same searches on the compiled graph at the end of a
+// 3000-deep delta chain (250-Erlang churn, sparse n=100 k=8) and on a
+// fresh contiguous compile of the same residual. A chain that fragmented
+// the arc arena to the searches' cost would show here as chained > fresh.
+func BenchmarkRouteOnLongChain(b *testing.B) {
+	c := steadyChurn(b, sparseNet(b, 100))
+	for c.e.Epoch() < 3000 {
+		c.step(b)
+	}
+	chained := c.e.Snapshot().Aux()
+	if chained.DeltaDepth() < 3000 {
+		b.Fatalf("chain depth %d", chained.DeltaDepth())
+	}
+	fresh, err := core.NewAuxWithLayout(c.e.Base(), chained.Network())
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := c.e.Base().NumNodes()
+	astar := &core.Options{Queue: graph.QueueBinary, Directed: core.DirectedAStar}
+	tree := &core.Options{Queue: graph.QueueBinary}
+	for _, sub := range []struct {
+		name string
+		aux  *core.Aux
+	}{{"chained", chained}, {"fresh", fresh}} {
+		b.Run("routefrom/"+sub.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := sub.aux.RouteFrom(i%n, tree); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("astar/"+sub.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := sub.aux.Route(i%n, (i*37+11)%n, astar); err != nil && !errors.Is(err, core.ErrNoRoute) {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -32,6 +32,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -74,11 +75,13 @@ type Options struct {
 	// CacheSize bounds the SourceTree LRU cache (entries). Zero means
 	// DefaultCacheSize; negative disables caching.
 	CacheSize int
-	// MaxDeltaDepth bounds how many consecutive snapshots may be
-	// produced by core.Aux.ApplyDelta before the engine recompacts with
-	// a full compile (restoring the contiguous arc arena deltas patch
-	// holes into). Zero means DefaultMaxDeltaDepth; negative disables
-	// delta maintenance entirely, forcing a full compile every epoch.
+	// MaxDeltaDepth is a test seam, not a tuning knob: the zero value
+	// chains core.Aux.ApplyDelta without bound (a search on a long chain
+	// costs what it costs on a fresh compile — EXPERIMENTS.md X17).
+	// Negative disables delta maintenance, forcing a full compile every
+	// epoch (the differential baseline); a positive value forces one
+	// after that many consecutive deltas, which interleaves both publish
+	// paths under the fuzzer.
 	MaxDeltaDepth int
 	// Directed selects the point-query search strategy for all snapshots
 	// (core.DirectedPlain, core.DirectedBidi or core.DirectedAStar). The
@@ -92,10 +95,6 @@ type Options struct {
 // is zero.
 const DefaultCacheSize = 64
 
-// DefaultMaxDeltaDepth is the delta-chain bound when Options.MaxDeltaDepth
-// is zero.
-const DefaultMaxDeltaDepth = 32
-
 // Stats are the engine's lifetime counters.
 type Stats struct {
 	Epoch       uint64 // current epoch (number of mutations applied)
@@ -107,9 +106,8 @@ type Stats struct {
 	// Rebuilds == FullRebuilds + DeltaApplies.
 	Rebuilds uint64
 	// FullRebuilds counts snapshots compiled from scratch with
-	// core.NewAuxWithLayout — the O(k²n + km) path: the epoch-0 build,
-	// periodic recompactions when a delta chain reaches MaxDeltaDepth,
-	// and fallbacks for mutations a delta cannot express.
+	// core.NewAuxWithLayout — the O(k²n + km) path: the epoch-0 build
+	// and fallbacks for mutations the delta path could not apply.
 	FullRebuilds uint64
 	// DeltaApplies counts snapshots produced incrementally by
 	// core.Aux.ApplyDelta — the O(affected fragment) path.
@@ -136,7 +134,18 @@ type Engine struct {
 	owners map[int64][]Channel
 	failed map[int]bool
 
-	maxDeltaDepth int // < 0: deltas disabled
+	maxDeltaDepth int // Options.MaxDeltaDepth
+
+	// Publish scratch, reused across epochs under mu: the changed-link
+	// set, the free-channel lists handed to PatchChannels/AddLink (both
+	// copy what they keep) and the patch map itself.
+	changedBuf []int
+	freeBuf    []wdm.Channel
+	patchBuf   map[int][]wdm.Channel
+
+	// publishFault, when non-nil, fails a publish path before it does any
+	// work (full reports which). Tests force the fallbacks with it.
+	publishFault func(full bool) error
 
 	snap atomic.Pointer[Snapshot]
 
@@ -166,12 +175,12 @@ func New(nw *wdm.Network, opts *Options) (*Engine, error) {
 		return nil, ErrNilNetwork
 	}
 	e := &Engine{
-		base:          nw,
-		queue:         graph.QueueBinary,
-		inUse:         make(map[Channel]int64),
-		owners:        make(map[int64][]Channel),
-		failed:        make(map[int]bool),
-		maxDeltaDepth: DefaultMaxDeltaDepth,
+		base:     nw,
+		queue:    graph.QueueBinary,
+		inUse:    make(map[Channel]int64),
+		owners:   make(map[int64][]Channel),
+		failed:   make(map[int]bool),
+		patchBuf: make(map[int][]wdm.Channel),
 	}
 	cacheSize := DefaultCacheSize
 	if opts != nil {
@@ -229,13 +238,13 @@ func (e *Engine) Snapshot() *Snapshot { return e.snap.Load() }
 // means "unknown / everything" and forces a full compile. Callers must
 // hold mu (or be the constructor, before the engine escapes).
 //
-// When the previous snapshot's delta chain is shorter than
-// maxDeltaDepth and the mutation shape is expressible, the next
-// snapshot is built incrementally with core.Aux.ApplyDelta —
-// O(affected fragment) instead of the O(k²n + km) full compile.
-// Otherwise (chain too deep, deltas disabled, or an inexpressible
-// shape) it falls back to the full compile, which also recompacts the
-// arc arena the patch chain fragments.
+// The next snapshot is built incrementally with core.Aux.ApplyDelta —
+// O(affected fragment) instead of the O(k²n + km) full compile — however
+// long the chain of deltas behind the previous one. Any failure of that
+// path (an inexpressible shape, a rejected channel set) falls back to
+// the full compile from the occupancy tables; only when that fails too
+// does publish return an error, and then nothing was published: the
+// caller rolls its occupancy change back.
 //
 // A non-nil sp times the publication as an engine_publish child span
 // annotated with the epoch and the path taken (mode=delta|full).
@@ -245,26 +254,26 @@ func (e *Engine) publish(epoch uint64, changed []int, sp *obs.Span) error {
 	psp.SetInt(AttrEpoch, int64(epoch))
 	start := time.Now()
 	if prev := e.snap.Load(); prev != nil && changed != nil &&
-		e.maxDeltaDepth >= 0 && prev.aux.DeltaDepth() < e.maxDeltaDepth {
-		err := e.applyDelta(prev, epoch, changed)
-		if err == nil {
+		(e.maxDeltaDepth == 0 || prev.aux.DeltaDepth() < e.maxDeltaDepth) {
+		if e.applyDelta(prev, epoch, changed) == nil {
 			e.rebuilds.Add(1)
 			e.deltaApplies.Add(1)
 			e.metrics.deltaLatency.ObserveDuration(time.Since(start))
 			psp.SetStr(AttrMode, "delta")
 			return nil
 		}
-		if !errors.Is(err, core.ErrDeltaShape) {
+	}
+	if e.publishFault != nil {
+		if err := e.publishFault(true); err != nil {
 			return err
 		}
-		// Inexpressible mutation: fall through to the full compile.
 	}
 	res := wdm.NewNetwork(e.base.NumNodes(), e.base.K())
 	for _, l := range e.base.Links() {
-		free := e.freeChannels(l.ID)
+		e.freeBuf = e.appendFree(e.freeBuf[:0], l.ID)
 		// Fully-occupied and failed links are added channel-less so link
 		// IDs stay aligned with the base network.
-		if _, err := res.AddLink(l.From, l.To, free); err != nil {
+		if _, err := res.AddLink(l.From, l.To, e.freeBuf); err != nil {
 			return fmt.Errorf("engine: residual link %d: %w", l.ID, err)
 		}
 	}
@@ -288,14 +297,23 @@ func (e *Engine) publish(epoch uint64, changed []int, sp *obs.Span) error {
 // patch the residual network's changed links, patch the compiled
 // auxiliary graph's affected gadget fragments, publish.
 func (e *Engine) applyDelta(prev *Snapshot, epoch uint64, changed []int) error {
-	changes := make(map[int][]wdm.Channel, len(changed))
+	if e.publishFault != nil {
+		if err := e.publishFault(false); err != nil {
+			return err
+		}
+	}
+	clear(e.patchBuf)
+	free := e.freeBuf[:0]
 	for _, id := range changed {
 		if id < 0 || id >= e.base.NumLinks() {
 			return fmt.Errorf("%w: %d", ErrLinkRange, id)
 		}
-		changes[id] = e.freeChannels(id)
+		at := len(free)
+		free = e.appendFree(free, id)
+		e.patchBuf[id] = free[at:]
 	}
-	net, err := prev.net.PatchChannels(changes)
+	e.freeBuf = free
+	net, err := prev.net.PatchChannels(e.patchBuf)
 	if err != nil {
 		return fmt.Errorf("engine: patch residual: %w", err)
 	}
@@ -316,33 +334,31 @@ func (e *Engine) newSnapshot(epoch uint64, net *wdm.Network, aux *core.Aux) *Sna
 	}
 }
 
-// freeChannels lists link's currently free channels in base-network
-// order: installed, in service, unheld. Callers must hold mu.
-func (e *Engine) freeChannels(link int) []wdm.Channel {
+// appendFree appends link's currently free channels to dst in
+// base-network order: installed, in service, unheld. Callers must hold mu.
+func (e *Engine) appendFree(dst []wdm.Channel, link int) []wdm.Channel {
 	if e.failed[link] {
-		return nil
+		return dst
 	}
-	l := e.base.Link(link)
-	free := make([]wdm.Channel, 0, len(l.Channels))
-	for _, ch := range l.Channels {
+	for _, ch := range e.base.Link(link).Channels {
 		if _, taken := e.inUse[Channel{Link: link, Lambda: ch.Lambda}]; !taken {
-			free = append(free, ch)
+			dst = append(dst, ch)
 		}
 	}
-	return free
+	return dst
 }
 
-// changedLinks dedups the link IDs of a claimed/released channel set —
-// the delta surface of an Allocate or Release mutation.
-func changedLinks(chans []Channel) []int {
-	out := make([]int, 0, len(chans))
-	seen := make(map[int]bool, len(chans))
+// changedLinks collects into e.changedBuf the distinct link IDs of a
+// claimed/released channel set — the delta surface of an Allocate or
+// Release mutation. A path is a handful of hops, so the scan is quadratic.
+func (e *Engine) changedLinks(chans []Channel) []int {
+	out := e.changedBuf[:0]
 	for _, c := range chans {
-		if !seen[c.Link] {
-			seen[c.Link] = true
+		if !slices.Contains(out, c.Link) {
 			out = append(out, c.Link)
 		}
 	}
+	e.changedBuf = out
 	return out
 }
 
@@ -396,21 +412,36 @@ func (e *Engine) allocate(owner int64, path *wdm.Semilightpath, parent *obs.Span
 	// A path may not use one channel twice (wdm.Semilightpath.Validate
 	// enforces chaining, not channel-distinctness across revisits of the
 	// same link — guard here since channels are a claimable resource).
-	seen := make(map[Channel]bool, len(chans))
-	for _, c := range chans {
-		if seen[c] {
+	for i, c := range chans {
+		if slices.Contains(chans[:i], c) {
 			e.conflicts.Add(1)
 			sp.SetBool(AttrConflict, true)
 			return fmt.Errorf("%w: path uses (link %d, λ%d) twice", ErrConflict, c.Link, c.Lambda)
 		}
-		seen[c] = true
 	}
+	e.claim(owner, chans)
+	if err := e.publish(e.Epoch()+1, e.changedLinks(chans), sp); err != nil {
+		e.unclaim(owner, chans)
+		return err
+	}
+	e.allocations.Add(1)
+	return nil
+}
+
+// claim records chans as held by owner; unclaim is its inverse. Callers
+// hold mu and publish (or roll back) in the same critical section.
+func (e *Engine) claim(owner int64, chans []Channel) {
 	for _, c := range chans {
 		e.inUse[c] = owner
 	}
 	e.owners[owner] = chans
-	e.allocations.Add(1)
-	return e.publish(e.Epoch()+1, changedLinks(chans), sp)
+}
+
+func (e *Engine) unclaim(owner int64, chans []Channel) {
+	for _, c := range chans {
+		delete(e.inUse, c)
+	}
+	delete(e.owners, owner)
 }
 
 // Release frees every channel owner holds, bumps the epoch and
@@ -425,12 +456,13 @@ func (e *Engine) Release(owner int64, parent ...*obs.Span) error {
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownOwner, owner)
 	}
-	for _, c := range chans {
-		delete(e.inUse, c)
+	e.unclaim(owner, chans)
+	if err := e.publish(e.Epoch()+1, e.changedLinks(chans), sp); err != nil {
+		e.claim(owner, chans)
+		return err
 	}
-	delete(e.owners, owner)
 	e.releases.Add(1)
-	return e.publish(e.Epoch()+1, changedLinks(chans), sp)
+	return nil
 }
 
 // RouteAndAllocate routes s→t on the current snapshot and immediately
@@ -492,6 +524,7 @@ func (e *Engine) FailLink(link int) ([]int64, error) {
 	}
 	sort.Slice(riders, func(i, j int) bool { return riders[i] < riders[j] })
 	if err := e.publish(e.Epoch()+1, []int{link}, nil); err != nil {
+		delete(e.failed, link)
 		return nil, err
 	}
 	return riders, nil
@@ -510,7 +543,11 @@ func (e *Engine) RepairLink(link int) error {
 		return nil
 	}
 	delete(e.failed, link)
-	return e.publish(e.Epoch()+1, []int{link}, nil)
+	if err := e.publish(e.Epoch()+1, []int{link}, nil); err != nil {
+		e.failed[link] = true
+		return err
+	}
+	return nil
 }
 
 // LinkFailed reports whether the link is currently out of service.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -25,8 +26,11 @@ import (
 //     into FullRebuilds + DeltaApplies).
 //
 // MaxDeltaDepth is deliberately tiny so a single input exercises both the
-// ApplyDelta fast path and the periodic full-recompile fallback, and the
-// link fail/repair ops stress the empty-channel-set delta shape.
+// ApplyDelta fast path and the full compile, and the link fail/repair ops
+// stress the empty-channel-set delta shape. A second engine under default
+// options — one unbroken delta chain, what the server runs — is fed the
+// same operations and held equal to the first at every epoch: same epoch,
+// same residual, same route down to the hops.
 func FuzzDeltaChurn(f *testing.F) {
 	f.Add([]byte{0, 1, 9, 0, 3, 2, 0, 2, 11, 1, 0, 3, 2, 0, 0, 5})
 	f.Add([]byte{2, 0, 2, 1, 3, 0, 0, 0, 7, 2, 3, 1, 1})
@@ -47,6 +51,10 @@ func FuzzDeltaChurn(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		chained, err := New(base, &Options{CacheSize: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
 		model := newChurnModel(base)
 		n := base.NumNodes()
 		m := base.NumLinks()
@@ -63,12 +71,20 @@ func FuzzDeltaChurn(f *testing.F) {
 				}
 				nextOwner++
 				res, err := e.RouteAndAllocate(nextOwner, s, d)
+				res2, err2 := chained.RouteAndAllocate(nextOwner, s, d)
+				if (err == nil) != (err2 == nil) || (err != nil && err.Error() != err2.Error()) {
+					t.Fatalf("allocate %d->%d: depth-capped engine %v, chained engine %v", s, d, err, err2)
+				}
 				if errors.Is(err, core.ErrNoRoute) || errors.Is(err, ErrConflict) {
 					nextOwner--
 					continue
 				}
 				if err != nil {
 					t.Fatalf("allocate %d->%d: %v", s, d, err)
+				}
+				if res.Cost != res2.Cost || fmt.Sprint(res.Path.Hops) != fmt.Sprint(res2.Path.Hops) {
+					t.Fatalf("allocate %d->%d: depth-capped engine took %v at %v, chained engine %v at %v",
+						s, d, res.Path.Hops, res.Cost, res2.Path.Hops, res2.Cost)
 				}
 				model.allocate(nextOwner, res.Path)
 				live = append(live, nextOwner)
@@ -83,16 +99,25 @@ func FuzzDeltaChurn(f *testing.F) {
 				if err := e.Release(owner); err != nil {
 					t.Fatalf("release %d: %v", owner, err)
 				}
+				if err := chained.Release(owner); err != nil {
+					t.Fatalf("chained release %d: %v", owner, err)
+				}
 				model.release(owner)
 			case 2: // fail link
 				link := (a*256 + b) % m
 				if _, err := e.FailLink(link); err != nil {
 					t.Fatalf("fail %d: %v", link, err)
 				}
+				if _, err := chained.FailLink(link); err != nil {
+					t.Fatalf("chained fail %d: %v", link, err)
+				}
 			case 3: // repair link
 				link := (a*256 + b) % m
 				if err := e.RepairLink(link); err != nil {
 					t.Fatalf("repair %d: %v", link, err)
+				}
+				if err := chained.RepairLink(link); err != nil {
+					t.Fatalf("chained repair %d: %v", link, err)
 				}
 			}
 
@@ -101,6 +126,14 @@ func FuzzDeltaChurn(f *testing.F) {
 			snap := e.Snapshot()
 			want := fuzzResidual(t, model, e)
 			sameChannels(t, snap.Network(), want, snap.Epoch())
+			csnap := chained.Snapshot()
+			if csnap.Epoch() != snap.Epoch() {
+				t.Fatalf("chained engine at epoch %d, depth-capped at %d", csnap.Epoch(), snap.Epoch())
+			}
+			sameChannels(t, csnap.Network(), want, csnap.Epoch())
+			if cs := chained.Stats(); cs.FullRebuilds != 1 || cs.DeltaApplies != cs.Epoch {
+				t.Fatalf("chained engine left its chain: %+v", cs)
+			}
 
 			// Oracle 2: route cost on the delta-built snapshot equals a
 			// fresh full compile of the model residual.
@@ -126,6 +159,11 @@ func FuzzDeltaChurn(f *testing.F) {
 					if !costsAgree(got.Cost, st.Dist(d)) {
 						t.Fatalf("snapshot cost %d->%d = %v, fresh compile %v", s, d, got.Cost, st.Dist(d))
 					}
+				}
+				cgot, cerr := csnap.Route(s, d)
+				if (err == nil) != (cerr == nil) ||
+					(err == nil && (cgot.Cost != got.Cost || fmt.Sprint(cgot.Path.Hops) != fmt.Sprint(got.Path.Hops))) {
+					t.Fatalf("route %d->%d: depth-capped %+v (%v), chained %+v (%v)", s, d, got, err, cgot, cerr)
 				}
 
 				// Oracle 3: the snapshot's single-source tree — the binary

@@ -210,3 +210,113 @@ func TestScratchSearchAllocationFree(t *testing.T) {
 		t.Fatalf("scratch search allocates %v objects per run, want 0", allocs)
 	}
 }
+
+// snapshotArcs deep-copies every out-segment of g.
+func snapshotArcs(g *Digraph) [][]Arc {
+	out := make([][]Arc, g.NumNodes())
+	for u := range out {
+		out[u] = append([]Arc(nil), g.Out(u)...)
+	}
+	return out
+}
+
+func mustMatch(t *testing.T, what string, g *Digraph, want [][]Arc) {
+	t.Helper()
+	if g.NumNodes() != len(want) {
+		t.Fatalf("%s: %d nodes, want %d", what, g.NumNodes(), len(want))
+	}
+	arcs := 0
+	for u := range want {
+		if !sameArcs(g.Out(u), want[u]) {
+			t.Fatalf("%s: node %d = %v, want %v", what, u, g.Out(u), want[u])
+		}
+		arcs += len(want[u])
+	}
+	if g.NumArcs() != arcs {
+		t.Fatalf("%s: NumArcs = %d, segments hold %d", what, g.NumArcs(), arcs)
+	}
+}
+
+// TestCOWAcrossPageEdges runs every writer on clones of graphs whose node
+// count sits one short of a page, on it and one past it, so the first
+// slot, the last slot, a full last page and a one-slot last page are all
+// written through a shared page: the parent never moves, the clone ends up
+// as a deep copy given the same writes would.
+func TestCOWAcrossPageEdges(t *testing.T) {
+	for _, n := range []int{pageSize - 1, pageSize, pageSize + 1, 2*pageSize - 1, 2 * pageSize, 2*pageSize + 1} {
+		g := buildRandom(t, n, 4*n, int64(n))
+		parent := snapshotArcs(g)
+		last := n - 1
+
+		c := g.CloneCOW()
+		deep := g.Clone()
+		for _, w := range []*Digraph{c, deep} {
+			// Twice on one shared page, then the far edge.
+			for _, u := range []int{0, 1, last} {
+				if err := w.ReplaceOut(u, []Arc{{To: int32(last), Weight: float64(u), Tag: 7}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			w.ClearOut(pageSize - 2)
+			if err := w.AddArc(pageSize-3, 0, 2.5, 8); err != nil {
+				t.Fatal(err)
+			}
+			// Grow past the shared last page: the fresh nodes start empty
+			// and take arcs.
+			first := w.AddNodes(pageSize + 1)
+			if first != n {
+				t.Fatalf("n=%d: AddNodes returned %d", n, first)
+			}
+			if err := w.AddArc(first, last, 1, 9); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.AddArc(last, first+pageSize, 1, 10); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustMatch(t, "parent after clone writes", g, parent)
+		mustMatch(t, "clone vs deep copy", c, snapshotArcs(deep))
+
+		// A page is copied by its first write only: the second write to
+		// page 0 landed in the clone's own copy.
+		if c.pages[0] == g.pages[0] || !c.owned[0] {
+			t.Fatalf("n=%d: written page 0 still shared", n)
+		}
+		if n > 2*pageSize && (c.pages[1] != g.pages[1] || c.owned[1]) {
+			t.Fatalf("n=%d: untouched page 1 was copied", n)
+		}
+
+		// Compact on a clone of the clone rewrites every page it holds and
+		// neither ancestor.
+		want := snapshotArcs(c)
+		cc := c.CloneCOW()
+		cc.Compact()
+		mustMatch(t, "compacted grandchild", cc, want)
+		mustMatch(t, "clone after grandchild Compact", c, want)
+		mustMatch(t, "parent after grandchild Compact", g, parent)
+		if err := cc.AddArc(0, 1, 1, 11); err != nil {
+			t.Fatal(err)
+		}
+		mustMatch(t, "clone after grandchild AddArc", c, want)
+	}
+}
+
+// TestZeroAndTinyGraphs: the zero value and graphs smaller than a page.
+func TestZeroAndTinyGraphs(t *testing.T) {
+	var z Digraph
+	if z.NumNodes() != 0 || z.CloneCOW().NumNodes() != 0 {
+		t.Fatal("zero graph has nodes")
+	}
+	if id := z.AddNode(); id != 0 || z.NumNodes() != 1 {
+		t.Fatalf("AddNode on zero graph: id %d, %d nodes", id, z.NumNodes())
+	}
+	if err := z.AddArc(0, 0, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := z.AddArc(0, 1, 1, 0); !errors.Is(err, ErrNodeRange) {
+		t.Fatalf("arc into an unused slot of the page: %v", err)
+	}
+	if err := z.ReplaceOut(1, nil); !errors.Is(err, ErrNodeRange) {
+		t.Fatalf("ReplaceOut on an unused slot of the page: %v", err)
+	}
+}

@@ -51,44 +51,77 @@ type Arc struct {
 	Tag    int32
 }
 
+// The per-node spine is a persistent paged array: fixed pages of
+// pageSize adjacency-list headers behind a page table. A copy-on-write
+// clone copies the table only, and a write copies the one page it lands
+// in, so patching a handful of nodes costs a few pages — not a spine of
+// |V| slice headers. 32 headers are 768 bytes.
+const (
+	pageShift = 5
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+)
+
+type page [pageSize][]Arc
+
 // Digraph is a directed graph over nodes 0..N-1 with weighted arcs stored
 // in per-node adjacency lists. The zero value is an empty graph; use New
 // to preallocate. Digraph is not safe for concurrent mutation, but any
 // number of concurrent readers may share one.
 type Digraph struct {
-	adj  [][]Arc
-	arcs int
+	pages []*page
+	// owned[p] reports that pages[p] was allocated by this graph and may
+	// be written in place. Every other page is shared with the graph this
+	// one was cloned from and is copied on first write, so a page is only
+	// ever written by the graph that copied it.
+	owned []bool
+	n     int
+	arcs  int
 }
 
 // New returns a graph with n nodes and no arcs.
 func New(n int) *Digraph {
-	return &Digraph{adj: make([][]Arc, n)}
+	g := &Digraph{}
+	g.AddNodes(n)
+	return g
 }
 
 // NumNodes reports the number of nodes.
-func (g *Digraph) NumNodes() int { return len(g.adj) }
+func (g *Digraph) NumNodes() int { return g.n }
 
 // NumArcs reports the number of arcs.
 func (g *Digraph) NumArcs() int { return g.arcs }
 
 // AddNode appends a fresh node and returns its ID.
-func (g *Digraph) AddNode() int {
-	g.adj = append(g.adj, nil)
-	return len(g.adj) - 1
-}
+func (g *Digraph) AddNode() int { return g.AddNodes(1) }
 
 // AddNodes appends count fresh nodes and returns the ID of the first.
 func (g *Digraph) AddNodes(count int) int {
-	first := len(g.adj)
-	g.adj = append(g.adj, make([][]Arc, count)...)
+	first := g.n
+	g.n += count
+	for len(g.pages)<<pageShift < g.n {
+		g.pages = append(g.pages, new(page))
+		g.owned = append(g.owned, true)
+	}
 	return first
+}
+
+// slot returns the writable adjacency header of u, copying u's page
+// first when it is still shared with the graph this one was cloned from.
+func (g *Digraph) slot(u int) *[]Arc {
+	p := u >> pageShift
+	if !g.owned[p] {
+		cp := *g.pages[p]
+		g.pages[p], g.owned[p] = &cp, true
+	}
+	return &g.pages[p][u&pageMask]
 }
 
 // AddArc inserts a directed arc from u to v with the given weight and tag.
 // Parallel arcs are permitted (the multigraph G_M depends on this).
 func (g *Digraph) AddArc(u, v int, weight float64, tag int32) error {
-	if u < 0 || u >= len(g.adj) || v < 0 || v >= len(g.adj) {
-		return fmt.Errorf("%w: arc %d->%d in graph of %d nodes", ErrNodeRange, u, v, len(g.adj))
+	if u < 0 || u >= g.n || v < 0 || v >= g.n {
+		return fmt.Errorf("%w: arc %d->%d in graph of %d nodes", ErrNodeRange, u, v, g.n)
 	}
 	if weight < 0 || math.IsNaN(weight) {
 		return fmt.Errorf("%w: arc %d->%d weight %v", ErrNegativeWeight, u, v, weight)
@@ -98,30 +131,32 @@ func (g *Digraph) AddArc(u, v int, weight float64, tag int32) error {
 		// not store the arc, matching the paper's treatment of w = ∞.
 		return nil
 	}
-	g.adj[u] = append(g.adj[u], Arc{To: int32(v), Weight: weight, Tag: tag})
+	s := g.slot(u)
+	*s = append(*s, Arc{To: int32(v), Weight: weight, Tag: tag})
 	g.arcs++
 	return nil
 }
 
 // Out returns the adjacency list of u. The returned slice is owned by the
 // graph and must not be modified.
-func (g *Digraph) Out(u int) []Arc { return g.adj[u] }
+func (g *Digraph) Out(u int) []Arc { return g.pages[u>>pageShift][u&pageMask] }
 
 // ClearOut removes every arc leaving u, retaining capacity. It exists so
 // a reserved super-source node can be re-wired between routing queries.
 func (g *Digraph) ClearOut(u int) {
-	g.arcs -= len(g.adj[u])
-	g.adj[u] = g.adj[u][:0]
+	s := g.slot(u)
+	g.arcs -= len(*s)
+	*s = (*s)[:0]
 }
 
 // OutDegree reports the number of arcs leaving u.
-func (g *Digraph) OutDegree(u int) int { return len(g.adj[u]) }
+func (g *Digraph) OutDegree(u int) int { return len(g.Out(u)) }
 
 // InDegrees computes the in-degree of every node in one pass.
 func (g *Digraph) InDegrees() []int {
-	in := make([]int, len(g.adj))
-	for _, arcs := range g.adj {
-		for _, a := range arcs {
+	in := make([]int, g.n)
+	for u := 0; u < g.n; u++ {
+		for _, a := range g.Out(u) {
 			in[a.To]++
 		}
 	}
@@ -133,32 +168,32 @@ func (g *Digraph) InDegrees() []int {
 func (g *Digraph) MaxDegree() int {
 	in := g.InDegrees()
 	d := 0
-	for u := range g.adj {
-		if len(g.adj[u]) > d {
-			d = len(g.adj[u])
-		}
-		if in[u] > d {
-			d = in[u]
-		}
+	for u := 0; u < g.n; u++ {
+		d = max(d, len(g.Out(u)), in[u])
 	}
 	return d
 }
 
-// CloneCOW returns a copy-on-write clone: the per-node spine is copied
-// but every adjacency segment is shared with g. The clone costs O(n)
-// pointers regardless of arc count; afterwards, ReplaceOut swaps
-// individual segments without disturbing g. This is the structural-
-// sharing primitive behind incremental auxiliary-graph maintenance —
-// a chain of clones shares every untouched segment with the compile
-// that produced it.
+// CloneCOW returns a copy-on-write clone: the page table is copied and
+// every page — hence every adjacency segment — is shared with g. The
+// clone costs O(n/pageSize) pointers regardless of arc count; afterwards
+// each write to the clone (ReplaceOut, AddArc, ClearOut, Compact) copies
+// the page it lands in once and leaves g undisturbed. This is the
+// structural-sharing primitive behind incremental auxiliary-graph
+// maintenance — a chain of clones shares every untouched page with the
+// compile that produced it.
 //
-// The clone and g must not have AddArc called on shared segments
-// concurrently with readers; the intended protocol is clone → patch via
-// ReplaceOut → publish immutably.
+// g must not be written after it has been cloned (its own pages are now
+// shared), and pages are what is copied, not segments: AddArc on the
+// clone appends into whatever spare capacity a shared segment has. The
+// intended protocol is clone → patch via ReplaceOut → publish immutably.
 func (g *Digraph) CloneCOW() *Digraph {
-	c := &Digraph{adj: make([][]Arc, len(g.adj)), arcs: g.arcs}
-	copy(c.adj, g.adj)
-	return c
+	return &Digraph{
+		pages: append([]*page(nil), g.pages...),
+		owned: make([]bool, len(g.pages)),
+		n:     g.n,
+		arcs:  g.arcs,
+	}
 }
 
 // ReplaceOut swaps node u's entire adjacency segment for arcs, which the
@@ -167,19 +202,20 @@ func (g *Digraph) CloneCOW() *Digraph {
 // are rejected here rather than skipped, because the caller assembles
 // the segment explicitly. Used with CloneCOW to patch a shared graph.
 func (g *Digraph) ReplaceOut(u int, arcs []Arc) error {
-	if u < 0 || u >= len(g.adj) {
-		return fmt.Errorf("%w: replace out-arcs of %d in graph of %d nodes", ErrNodeRange, u, len(g.adj))
+	if u < 0 || u >= g.n {
+		return fmt.Errorf("%w: replace out-arcs of %d in graph of %d nodes", ErrNodeRange, u, g.n)
 	}
 	for _, a := range arcs {
-		if a.To < 0 || int(a.To) >= len(g.adj) {
-			return fmt.Errorf("%w: arc %d->%d in graph of %d nodes", ErrNodeRange, u, a.To, len(g.adj))
+		if a.To < 0 || int(a.To) >= g.n {
+			return fmt.Errorf("%w: arc %d->%d in graph of %d nodes", ErrNodeRange, u, a.To, g.n)
 		}
 		if a.Weight < 0 || math.IsNaN(a.Weight) || math.IsInf(a.Weight, 1) {
 			return fmt.Errorf("%w: arc %d->%d weight %v", ErrNegativeWeight, u, a.To, a.Weight)
 		}
 	}
-	g.arcs += len(arcs) - len(g.adj[u])
-	g.adj[u] = arcs
+	s := g.slot(u)
+	g.arcs += len(arcs) - len(*s)
+	*s = arcs
 	return nil
 }
 
@@ -192,23 +228,21 @@ func (g *Digraph) ReplaceOut(u int, arcs []Arc) error {
 // segment rather than bleeding into its neighbour.
 func (g *Digraph) Compact() {
 	arena := make([]Arc, 0, g.arcs)
-	for u := range g.adj {
-		arena = append(arena, g.adj[u]...)
-	}
-	off := 0
-	for u := range g.adj {
-		n := len(g.adj[u])
-		g.adj[u] = arena[off : off+n : off+n]
-		off += n
+	for u := 0; u < g.n; u++ {
+		s := g.slot(u)
+		off := len(arena)
+		arena = append(arena, *s...)
+		*s = arena[off:len(arena):len(arena)]
 	}
 }
 
 // Reverse returns a new graph with every arc direction flipped.
 func (g *Digraph) Reverse() *Digraph {
-	r := New(len(g.adj))
-	for u, arcs := range g.adj {
-		for _, a := range arcs {
-			r.adj[a.To] = append(r.adj[a.To], Arc{To: int32(u), Weight: a.Weight, Tag: a.Tag})
+	r := New(g.n)
+	for u := 0; u < g.n; u++ {
+		for _, a := range g.Out(u) {
+			s := r.slot(int(a.To))
+			*s = append(*s, Arc{To: int32(u), Weight: a.Weight, Tag: a.Tag})
 			r.arcs++
 		}
 	}
@@ -217,13 +251,12 @@ func (g *Digraph) Reverse() *Digraph {
 
 // Clone returns a deep copy of the graph.
 func (g *Digraph) Clone() *Digraph {
-	c := New(len(g.adj))
+	c := New(g.n)
 	c.arcs = g.arcs
-	for u, arcs := range g.adj {
-		if len(arcs) == 0 {
-			continue
+	for u := 0; u < g.n; u++ {
+		if arcs := g.Out(u); len(arcs) > 0 {
+			*c.slot(u) = append([]Arc(nil), arcs...)
 		}
-		c.adj[u] = append([]Arc(nil), arcs...)
 	}
 	return c
 }
@@ -231,8 +264,8 @@ func (g *Digraph) Clone() *Digraph {
 // ReachableFrom returns the set of nodes reachable from src (including
 // src) as a boolean slice, via BFS over arcs of any weight.
 func (g *Digraph) ReachableFrom(src int) []bool {
-	seen := make([]bool, len(g.adj))
-	if src < 0 || src >= len(g.adj) {
+	seen := make([]bool, g.n)
+	if src < 0 || src >= g.n {
 		return seen
 	}
 	queue := []int{src}
@@ -240,7 +273,7 @@ func (g *Digraph) ReachableFrom(src int) []bool {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, a := range g.adj[u] {
+		for _, a := range g.Out(u) {
 			if !seen[a.To] {
 				seen[a.To] = true
 				queue = append(queue, int(a.To))

@@ -85,20 +85,35 @@ type Converter interface {
 	Cost(node int, from, to Wavelength) float64
 }
 
+// The link table is a persistent paged array like graph.Digraph's spine:
+// fixed pages of linkPageSize links behind a page table, so PatchChannels
+// copies the table and the pages its links sit on rather than all m
+// links. 16 links are 768 bytes.
+const (
+	linkPageShift = 4
+	linkPageSize  = 1 << linkPageShift
+	linkPageMask  = linkPageSize - 1
+)
+
+type linkPage [linkPageSize]Link
+
 // Network is the WDM network G=(V,E) with wavelength set Λ = {0..K-1}.
 // Construct with NewNetwork, then AddLink / SetConverter.
 // A Network is immutable once built and safe for concurrent readers.
 type Network struct {
-	n     int
-	k     int
-	links []Link
-	out   [][]int32 // link IDs leaving each node
-	in    [][]int32 // link IDs entering each node
-	conv  Converter
+	n        int
+	k        int
+	m        int         // |E|
+	channels int         // Σ_e |Λ(e)|
+	pages    []*linkPage // link id -> pages[id>>linkPageShift][id&linkPageMask]
+	out      [][]int32   // link IDs leaving each node
+	in       [][]int32   // link IDs entering each node
+	conv     Converter
 
 	// sealed marks a network produced by PatchChannels: its adjacency
-	// spines are shared with the network it was patched from, so growing
-	// the link set would corrupt the parent. AddLink refuses.
+	// spines and untouched link pages are shared with the network it was
+	// patched from, so growing the link set would corrupt the parent.
+	// AddLink refuses.
 	sealed bool
 }
 
@@ -117,7 +132,7 @@ func NewNetwork(n, k int) *Network {
 func (nw *Network) NumNodes() int { return nw.n }
 
 // NumLinks reports m = |E|.
-func (nw *Network) NumLinks() int { return len(nw.links) }
+func (nw *Network) NumLinks() int { return nw.m }
 
 // K reports k = |Λ|, the number of wavelengths in the network.
 func (nw *Network) K() int { return nw.k }
@@ -141,37 +156,68 @@ func (nw *Network) AddLink(u, v int, channels []Channel) (int, error) {
 	if u < 0 || u >= nw.n || v < 0 || v >= nw.n {
 		return 0, fmt.Errorf("%w: link %d->%d in network of %d nodes", ErrNodeRange, u, v, nw.n)
 	}
-	kept := make([]Channel, 0, len(channels))
-	seen := make(map[Wavelength]bool, len(channels))
-	for _, c := range channels {
-		if c.Lambda < 0 || int(c.Lambda) >= nw.k {
-			return 0, fmt.Errorf("%w: λ%d with k=%d", ErrWavelengthRange, c.Lambda, nw.k)
-		}
-		if math.IsInf(c.Weight, 1) {
-			continue
-		}
-		if c.Weight < 0 || math.IsNaN(c.Weight) {
-			return 0, fmt.Errorf("%w: w(e,λ%d) = %v", ErrBadWeight, c.Lambda, c.Weight)
-		}
-		if seen[c.Lambda] {
-			return 0, fmt.Errorf("wdm: duplicate wavelength λ%d on link %d->%d", c.Lambda, u, v)
-		}
-		seen[c.Lambda] = true
-		kept = append(kept, c)
+	kept, err := nw.appendValid(make([]Channel, 0, len(channels)), channels)
+	if err != nil {
+		return 0, fmt.Errorf("link %d->%d: %w", u, v, err)
 	}
-	id := len(nw.links)
-	nw.links = append(nw.links, Link{ID: id, From: u, To: v, Channels: kept})
+	id := nw.m
+	if id>>linkPageShift == len(nw.pages) {
+		nw.pages = append(nw.pages, new(linkPage))
+	}
+	*nw.Link(id) = Link{ID: id, From: u, To: v, Channels: kept}
+	nw.m++
+	nw.channels += len(kept)
 	nw.out[u] = append(nw.out[u], int32(id))
 	nw.in[v] = append(nw.in[v], int32(id))
 	return id, nil
 }
 
-// Link returns the link with the given ID.
-func (nw *Network) Link(id int) *Link { return &nw.links[id] }
+// appendValid appends one link's channel set to dst as AddLink stores it:
+// wavelengths in range, weights non-negative, no wavelength twice,
+// infinite-weight channels dropped.
+func (nw *Network) appendValid(dst, channels []Channel) ([]Channel, error) {
+	start := len(dst)
+	for _, c := range channels {
+		if c.Lambda < 0 || int(c.Lambda) >= nw.k {
+			return nil, fmt.Errorf("%w: λ%d with k=%d", ErrWavelengthRange, c.Lambda, nw.k)
+		}
+		if math.IsInf(c.Weight, 1) {
+			continue
+		}
+		if c.Weight < 0 || math.IsNaN(c.Weight) {
+			return nil, fmt.Errorf("%w: w(e,λ%d) = %v", ErrBadWeight, c.Lambda, c.Weight)
+		}
+		for _, prev := range dst[start:] {
+			if prev.Lambda == c.Lambda {
+				return nil, fmt.Errorf("wdm: duplicate wavelength λ%d", c.Lambda)
+			}
+		}
+		dst = append(dst, c)
+	}
+	return dst, nil
+}
 
-// Links returns all links. The slice is owned by the network; callers
-// must not modify it.
-func (nw *Network) Links() []Link { return nw.links }
+// Link returns the link with the given ID.
+func (nw *Network) Link(id int) *Link { return &nw.pages[id>>linkPageShift][id&linkPageMask] }
+
+// Links returns all links in ID order, as a fresh slice (the Channels
+// slices inside are the network's own and must not be modified).
+func (nw *Network) Links() []Link {
+	links := make([]Link, 0, nw.m)
+	for _, p := range nw.pages {
+		links = append(links, p[:min(linkPageSize, nw.m-len(links))]...)
+	}
+	return links
+}
+
+// SameTopology reports whether nw and other are one topology by
+// construction: one of them was derived from the other, or both from a
+// common ancestor, by PatchChannels alone, so nodes, wavelength count,
+// link IDs and endpoints are identical without comparing them. False
+// says nothing — two networks built separately may still be equal.
+func (nw *Network) SameTopology(other *Network) bool {
+	return nw.m == other.m && nw.n > 0 && other.n > 0 && &nw.out[0] == &other.out[0]
+}
 
 // Out returns the IDs of links leaving node v (E_out(G,v)).
 func (nw *Network) Out(v int) []int32 { return nw.out[v] }
@@ -203,22 +249,14 @@ func (nw *Network) MaxDegree() int {
 // the restricted problem of Section IV.
 func (nw *Network) MaxChannelsPerLink() int {
 	k0 := 0
-	for i := range nw.links {
-		if c := len(nw.links[i].Channels); c > k0 {
-			k0 = c
-		}
+	for id := 0; id < nw.m; id++ {
+		k0 = max(k0, len(nw.Link(id).Channels))
 	}
 	return k0
 }
 
 // TotalChannels reports Σ_e |Λ(e)| = |E_M|, the multigraph arc count.
-func (nw *Network) TotalChannels() int {
-	total := 0
-	for i := range nw.links {
-		total += len(nw.links[i].Channels)
-	}
-	return total
-}
+func (nw *Network) TotalChannels() int { return nw.channels }
 
 // LambdaIn returns Λ_in(G,v): the union of Λ(e) over incoming links,
 // in ascending wavelength order.
@@ -236,7 +274,7 @@ func (nw *Network) lambdaUnion(linkIDs []int32) []Wavelength {
 	present := make([]bool, nw.k)
 	count := 0
 	for _, id := range linkIDs {
-		for _, c := range nw.links[id].Channels {
+		for _, c := range nw.Link(int(id)).Channels {
 			if !present[c.Lambda] {
 				present[c.Lambda] = true
 				count++
@@ -255,59 +293,53 @@ func (nw *Network) lambdaUnion(linkIDs []int32) []Wavelength {
 // PatchChannels returns a copy of nw with the channel sets of the given
 // links replaced, sharing everything untouched with nw: the topology
 // (link IDs, endpoints, adjacency spines) is identical, unchanged links
-// keep their Channel slices, and only the patched links get fresh ones.
-// This is the O(m + Σ|patched Λ(e)|) residual-update primitive behind
-// incremental snapshot maintenance — no per-channel occupancy filtering
-// over the whole network, no adjacency reconstruction.
+// keep their Channel slices, and only the link pages holding a patched
+// link are copied. This is the O(m/linkPageSize + Σ|patched Λ(e)|)
+// residual-update primitive behind incremental snapshot maintenance — no
+// per-channel occupancy filtering over the whole network, no adjacency
+// reconstruction.
 //
 // Channel sets are validated exactly as AddLink validates them
 // (wavelength range, non-negative finite weights, no duplicates;
 // infinite-weight channels are dropped). The returned network is sealed:
 // its adjacency is shared, so AddLink on it fails with ErrSealed.
 func (nw *Network) PatchChannels(changes map[int][]Channel) (*Network, error) {
-	p := &Network{
-		n:      nw.n,
-		k:      nw.k,
-		links:  make([]Link, len(nw.links)),
-		out:    nw.out,
-		in:     nw.in,
-		conv:   nw.conv,
-		sealed: true,
+	p := *nw
+	p.pages = append([]*linkPage(nil), nw.pages...)
+	p.sealed = true
+	total := 0
+	for _, channels := range changes {
+		total += len(channels)
 	}
-	copy(p.links, nw.links)
+	// One arena holds every patched channel set, each at full capacity.
+	arena := make([]Channel, 0, total)
 	for id, channels := range changes {
-		if id < 0 || id >= len(p.links) {
-			return nil, fmt.Errorf("wdm: patch of unknown link %d (network has %d)", id, len(p.links))
+		if id < 0 || id >= nw.m {
+			return nil, fmt.Errorf("wdm: patch of unknown link %d (network has %d)", id, nw.m)
 		}
-		kept := make([]Channel, 0, len(channels))
-		seen := make(map[Wavelength]bool, len(channels))
-		for _, c := range channels {
-			if c.Lambda < 0 || int(c.Lambda) >= nw.k {
-				return nil, fmt.Errorf("%w: λ%d with k=%d on link %d", ErrWavelengthRange, c.Lambda, nw.k, id)
-			}
-			if math.IsInf(c.Weight, 1) {
-				continue
-			}
-			if c.Weight < 0 || math.IsNaN(c.Weight) {
-				return nil, fmt.Errorf("%w: w(e%d,λ%d) = %v", ErrBadWeight, id, c.Lambda, c.Weight)
-			}
-			if seen[c.Lambda] {
-				return nil, fmt.Errorf("wdm: duplicate wavelength λ%d in patch of link %d", c.Lambda, id)
-			}
-			seen[c.Lambda] = true
-			kept = append(kept, c)
+		start := len(arena)
+		var err error
+		if arena, err = nw.appendValid(arena, channels); err != nil {
+			return nil, fmt.Errorf("patch of link %d: %w", id, err)
 		}
-		p.links[id].Channels = kept
+		pg := id >> linkPageShift
+		if p.pages[pg] == nw.pages[pg] {
+			cp := *nw.pages[pg]
+			p.pages[pg] = &cp
+		}
+		l := p.Link(id)
+		p.channels += len(arena) - start - len(l.Channels)
+		l.Channels = arena[start:len(arena):len(arena)]
 	}
-	return p, nil
+	return &p, nil
 }
 
 // MinLinkWeight reports min over e, λ∈Λ(e) of w(e,λ), or +Inf for a
 // network with no channels. Used by Restriction 2.
 func (nw *Network) MinLinkWeight() float64 {
 	minW := Inf
-	for i := range nw.links {
-		for _, c := range nw.links[i].Channels {
+	for id := 0; id < nw.m; id++ {
+		for _, c := range nw.Link(id).Channels {
 			if c.Weight < minW {
 				minW = c.Weight
 			}
