@@ -409,14 +409,14 @@ func worker(addr string, nodes, n int, mix mixWeights, rng *rand.Rand,
 		rsp := req.Root().StartChild(spanLoadRecv)
 		reply, err := c.ReadLine()
 		rsp.End()
-		tracer.Finish(req)
-		if err != nil {
-			return 0, fmt.Errorf("%q: %w", line, err)
-		}
-		if req != nil {
+		if req != nil && err == nil {
 			st.spanned++
 			st.sendNs += ssp.Duration().Nanoseconds()
 			st.recvNs += rsp.Duration().Nanoseconds()
+		}
+		tracer.Finish(req) // the spans are the tracer's again from here
+		if err != nil {
+			return 0, fmt.Errorf("%q: %w", line, err)
 		}
 		lat := time.Since(start).Nanoseconds()
 		if cleanup {

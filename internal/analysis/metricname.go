@@ -26,6 +26,7 @@ var metricCtors = map[string]bool{
 var attrSetters = map[string]bool{
 	"SetInt":   true,
 	"SetStr":   true,
+	"SetBytes": true,
 	"SetBool":  true,
 	"SetFloat": true,
 }
@@ -45,7 +46,7 @@ var lowerSnake = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
 //
 // The same contract extends to the span-tracing layer: names passed to
 // Tracer.Start / obs.StartTrace / Span.StartChild and attribute keys
-// passed to Span.SetInt / SetStr / SetBool / SetFloat are the wire
+// passed to Span.SetInt / SetStr / SetBytes / SetBool / SetFloat are the wire
 // vocabulary of the flight recorder (tracejson replies, /debug/requests JSON), so
 // they must also be lower_snake compile-time constants. Span names must
 // additionally resolve to one shared constant declaration per name —

@@ -172,7 +172,7 @@ func classify(info *types.Info, call *ast.CallExpr) (spanOp, ast.Expr) {
 			return opChild, sel.X
 		case "End":
 			return opEnd, sel.X
-		case "SetInt", "SetStr", "SetBool", "SetFloat":
+		case "SetInt", "SetStr", "SetBytes", "SetBool", "SetFloat":
 			return opMutate, sel.X
 		}
 	}

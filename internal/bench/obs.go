@@ -62,6 +62,7 @@ type ObsBenchResult struct {
 	// percentages (relative to baseline) are recorded beside them.
 	TracerOffOverheadNs   int64   `json:"tracer_off_overhead_ns"`
 	TracerOffOverheadPct  float64 `json:"tracer_off_overhead_pct"`
+	RecorderOnOverheadNs  int64   `json:"recorder_on_overhead_ns"`
 	RecorderOnOverheadPct float64 `json:"recorder_on_overhead_pct"`
 	// SamplerOverhead compares engine.Route with a fast background
 	// sampler against the same path sampler-off (tracer_off_ns_per_op):
@@ -70,8 +71,8 @@ type ObsBenchResult struct {
 	SamplerOverheadPct float64 `json:"sampler_overhead_pct"`
 
 	// Allocations per op on the cached RouteFrom path under a request
-	// span, recorder off (must be zero) and recorder on (the span tree's
-	// cost).
+	// span, recorder off (must be zero) and recorder on (at most one: the
+	// tree is built in a pooled buffer and retained by value).
 	SpanAllocsOffPerOp float64 `json:"span_allocs_off_per_op"`
 	SpanAllocsOnPerOp  float64 `json:"span_allocs_on_per_op"`
 	// SamplerAllocsPerOp is the cached RouteFrom path with a background
@@ -262,10 +263,11 @@ func ObsReport(cfg Config) (*ObsBenchResult, error) {
 		GeneratedAt:        time.Now().UTC().Format(time.RFC3339),
 	}
 	res.TracerOffOverheadNs = res.TracerOffNsPerOp - res.BaselineNsPerOp
+	res.RecorderOnOverheadNs = res.RecorderOnNsPerOp - res.BaselineNsPerOp
 	res.SamplerOverheadNs = res.SamplerOnNsPerOp - res.TracerOffNsPerOp
 	if res.BaselineNsPerOp > 0 {
 		res.TracerOffOverheadPct = 100 * float64(res.TracerOffOverheadNs) / float64(res.BaselineNsPerOp)
-		res.RecorderOnOverheadPct = 100 * float64(res.RecorderOnNsPerOp-res.BaselineNsPerOp) / float64(res.BaselineNsPerOp)
+		res.RecorderOnOverheadPct = 100 * float64(res.RecorderOnOverheadNs) / float64(res.BaselineNsPerOp)
 	}
 	if res.TracerOffNsPerOp > 0 {
 		res.SamplerOverheadPct = 100 * float64(res.SamplerOverheadNs) / float64(res.TracerOffNsPerOp)
@@ -339,7 +341,7 @@ func RunObs(w io.Writer, cfg Config) error {
 	t.AddRow("recorder on ns/op", r.RecorderOnNsPerOp)
 	t.AddRow("sampler on ns/op", r.SamplerOnNsPerOp)
 	t.AddRow("tracer off overhead", fmt.Sprintf("%+d ns (%+.2f%%)", r.TracerOffOverheadNs, r.TracerOffOverheadPct))
-	t.AddRow("recorder on overhead", fmt.Sprintf("%+.2f%%", r.RecorderOnOverheadPct))
+	t.AddRow("recorder on overhead", fmt.Sprintf("%+d ns (%+.2f%%)", r.RecorderOnOverheadNs, r.RecorderOnOverheadPct))
 	t.AddRow("sampler on overhead", fmt.Sprintf("%+d ns (%+.2f%%)", r.SamplerOverheadNs, r.SamplerOverheadPct))
 	t.AddRow("span allocs/op (recorder off)", r.SpanAllocsOffPerOp)
 	t.AddRow("span allocs/op (recorder on)", r.SpanAllocsOnPerOp)

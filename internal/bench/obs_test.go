@@ -31,8 +31,10 @@ func TestObsReportMeasures(t *testing.T) {
 	if r.SpanAllocsOffPerOp != 0 {
 		t.Fatalf("recorder-off spanned RouteFrom allocates %v/op, want 0", r.SpanAllocsOffPerOp)
 	}
-	if r.SpanAllocsOnPerOp <= 0 {
-		t.Fatalf("recorder-on spanned RouteFrom reports %v allocs/op, want > 0", r.SpanAllocsOnPerOp)
+	// Recording builds in a pooled buffer and retains by value: the same
+	// bound scripts/bench_obs.sh gates.
+	if r.SpanAllocsOnPerOp > 1 {
+		t.Fatalf("recorder-on spanned RouteFrom allocates %v/op, want <= 1", r.SpanAllocsOnPerOp)
 	}
 	// The sampler must never push allocations into the cached routing
 	// hot path: it reads the registry from its own goroutine.
@@ -56,8 +58,8 @@ func TestObsReportJSONRoundTrips(t *testing.T) {
 		BaselineNsPerOp: 5000, TracerOffNsPerOp: 5050,
 		RecorderOnNsPerOp: 5300, SamplerOnNsPerOp: 5080,
 		TracerOffOverheadNs: 50, TracerOffOverheadPct: 1.0,
-		RecorderOnOverheadPct: 6.0,
-		SamplerOverheadNs:     30, SamplerOverheadPct: 0.6,
+		RecorderOnOverheadNs: 300, RecorderOnOverheadPct: 6.0,
+		SamplerOverheadNs: 30, SamplerOverheadPct: 0.6,
 		SpanAllocsOffPerOp: 0, SpanAllocsOnPerOp: 7,
 		SamplerAllocsPerOp: 0,
 		RouteLatencyP50Ns:  5000, RouteLatencyP95Ns: 9000, RouteLatencyP99Ns: 12000,
@@ -85,7 +87,7 @@ func TestObsReportJSONRoundTrips(t *testing.T) {
 	for _, key := range []string{
 		"baseline_ns_per_op", "tracer_off_ns_per_op",
 		"tracer_off_overhead_ns", "tracer_off_overhead_pct", "route_latency_p50_ns",
-		"recorder_on_ns_per_op", "recorder_on_overhead_pct",
+		"recorder_on_ns_per_op", "recorder_on_overhead_ns", "recorder_on_overhead_pct",
 		"span_allocs_off_per_op", "span_allocs_on_per_op",
 		"sampler_on_ns_per_op", "sampler_overhead_ns", "sampler_overhead_pct", "sampler_allocs_per_op",
 	} {

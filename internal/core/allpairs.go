@@ -93,7 +93,7 @@ func (a *Aux) RouteFrom(s int, opts *Options) (*SourceTree, error) {
 		sp.SetInt(AttrAuxArcs, int64(a.g.NumArcs()+len(qs.seeds))) // and its arcs into Y_s
 		sp.SetInt(AttrSettled, int64(tree.Settled))
 		sp.SetInt(AttrRelaxed, int64(tree.Relaxed))
-		sp.SetStr(AttrReachedPerLambda, a.reachedPerLambda(tree, qs))
+		sp.SetBytes(AttrReachedPerLambda, a.reachedPerLambda(tree, qs))
 	}
 	st.parent = append([]int32(nil), tree.Parent...)
 	st.via = append([]int32(nil), tree.ViaArc...)

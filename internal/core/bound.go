@@ -18,8 +18,9 @@ import (
 // why stopping the backward pass at s keeps both properties.
 //
 // The bound is recomputed for every query from that query's own
-// snapshot: a link's minimum is scanned from its channel list at each
-// relaxation, never stored, so no epoch can see another epoch's bound.
+// snapshot: a link's minimum is the one its residual network computed
+// when it installed the link's channel set (wdm.Link.MinWeight), so no
+// epoch can see another epoch's bound.
 
 // boundScratch is the backward pass's per-query state, sized by the
 // physical node count and carried on the pooled queryScratch.
@@ -82,14 +83,11 @@ func (a *Aux) physicalBound(qs *queryScratch, s, t int) (pot func(int) float64, 
 		}
 		for _, id := range a.nw.In(u) {
 			l := a.nw.Link(int(id))
-			if done[l.From] || len(l.Channels) == 0 {
+			if done[l.From] {
 				continue
 			}
-			w := l.Channels[0].Weight
-			for _, ch := range l.Channels[1:] {
-				w = min(w, ch.Weight)
-			}
-			if nd := du + w; nd < pi[l.From] {
+			// A link with no free channel weighs +Inf and improves nothing.
+			if nd := du + l.MinWeight(); nd < pi[l.From] {
 				pi[l.From] = nd
 				if _, err := h.PushOrDecrease(l.From, nd); err != nil {
 					return nil, pops, err

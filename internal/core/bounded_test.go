@@ -145,6 +145,7 @@ func TestRouteBoundedHonorsOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	tracer.Finish(req)
+	req = tracer.Recent(1)[0] // what was retained
 	if res.Source != 0 || res.Dest != 2 {
 		t.Fatalf("result endpoints = %d→%d, want 0→2", res.Source, res.Dest)
 	}
@@ -162,14 +163,14 @@ func TestRouteBoundedHonorsOptions(t *testing.T) {
 	for key, want := range map[string]int{
 		AttrAuxNodes: st.AuxNodes, AttrAuxArcs: st.AuxArcs, AttrSettled: st.Settled, AttrRelaxed: st.Relaxed,
 	} {
-		if attr, ok := bs.Attr(key); !ok || attr.Int != int64(want) {
+		if attr, ok := bs.Attr(key); !ok || attr.Int() != int64(want) {
 			t.Errorf("%s attr = %+v ok=%v, want %d (Result.Stats)", key, attr, ok, want)
 		}
 	}
-	if attr, ok := bs.Attr("max_hops"); !ok || attr.Int != 2 {
+	if attr, ok := bs.Attr("max_hops"); !ok || attr.Int() != 2 {
 		t.Errorf("max_hops attr = %+v ok=%v, want 2", attr, ok)
 	}
-	if attr, ok := bs.Attr("cost"); !ok || attr.Float != res.Cost {
+	if attr, ok := bs.Attr("cost"); !ok || attr.Float() != res.Cost {
 		t.Errorf("cost attr = %+v, want %v", attr, res.Cost)
 	}
 
@@ -179,11 +180,12 @@ func TestRouteBoundedHonorsOptions(t *testing.T) {
 		t.Fatalf("zero hops: %v", err)
 	}
 	tracer.Finish(req2)
+	req2 = tracer.Recent(1)[0] // what was retained
 	bs2 := req2.Span("core_bounded_search")
 	if bs2 == nil {
 		t.Fatal("no span on blocked bounded query")
 	}
-	if attr, ok := bs2.Attr("blocked"); !ok || !attr.Bool {
+	if attr, ok := bs2.Attr("blocked"); !ok || !attr.Bool() {
 		t.Errorf("blocked attr = %+v ok=%v", attr, ok)
 	}
 }
@@ -214,6 +216,7 @@ func TestRouteBoundedDelegatesWhenBoundCannotBind(t *testing.T) {
 		t.Fatal(err)
 	}
 	tracer.Finish(req)
+	req = tracer.Recent(1)[0] // what was retained
 	if res.Cost != free.Cost {
 		t.Fatalf("delegated cost %v, Route %v", res.Cost, free.Cost)
 	}

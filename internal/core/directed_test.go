@@ -412,6 +412,83 @@ func TestPhysicalBoundIsConsistent(t *testing.T) {
 	}
 }
 
+// TestSparseScratchReset drives one pooled scratch through a run of
+// A* queries with a full-tree search thrown in (which leaves the scratch
+// dirty): after every query the tree must equal a fresh-scratch run entry
+// for entry — nothing stale survives the touched-list reset — and the
+// per-λ profile counted from the touched list must equal the X-shore scan.
+func TestSparseScratchReset(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	nw, _ := churnWithFailures(t, deltaNetwork(t, 30), rng)
+	a, err := NewAuxWithLayout(deltaNetwork(t, 30), nw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := nw.NumNodes()
+	qs := a.pool.get()
+	defer a.pool.put(qs)
+	searched := 0
+	for q := 0; q < 60; q++ {
+		s, d := rng.Intn(n), rng.Intn(n)
+		qs.seeds = a.sourceSeeds(qs.seeds, s)
+		qs.goals = qs.goals[:0]
+		for xi := range a.xLambdas[d] {
+			qs.goals = append(qs.goals, int(a.xStart[d])+xi)
+		}
+		if s == d || len(qs.seeds) == 0 || len(qs.goals) == 0 {
+			continue
+		}
+		if q%7 == 3 {
+			if _, err := graph.DijkstraSeedsUntilScratch(a.g, qs.seeds, nil, graph.QueueBinary, qs.g, a.yPass); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := qs.g.Touched(); ok {
+				t.Fatal("a full-tree search must leave the scratch marked dirty")
+			}
+		}
+		pot, _, err := a.physicalBound(qs, s, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pot == nil {
+			continue
+		}
+		got, err := graph.AStarSeedsUntilScratch(a.g, qs.seeds, qs.goals, pot, qs.g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := graph.AStarSeedsUntil(a.g, qs.seeds, qs.goals, pot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range want.Dist {
+			if got.Dist[v] != want.Dist[v] || got.Parent[v] != want.Parent[v] || got.ViaArc[v] != want.ViaArc[v] {
+				t.Fatalf("query %d (%d→%d): aux node %d is (%v,%d,%d) on the reused scratch, (%v,%d,%d) fresh",
+					q, s, d, v, got.Dist[v], got.Parent[v], got.ViaArc[v], want.Dist[v], want.Parent[v], want.ViaArc[v])
+			}
+		}
+		counts := make([]int, nw.K())
+		for v, node := range a.info {
+			if node.Side == SideX && want.Reached(v) {
+				counts[node.Lambda]++
+			}
+		}
+		var parts []string
+		for l, c := range counts {
+			if c > 0 {
+				parts = append(parts, fmt.Sprintf("%d:%d", l, c))
+			}
+		}
+		if profile := string(a.reachedPerLambda(got, qs)); profile != strings.Join(parts, ",") {
+			t.Fatalf("query %d (%d→%d): profile %q from the touched list, %q from the scan", q, s, d, profile, strings.Join(parts, ","))
+		}
+		searched++
+	}
+	if searched < 20 {
+		t.Fatalf("only %d of 60 queries reached the search", searched)
+	}
+}
+
 // searchSpan routes s→d on a under opts inside a private trace and
 // returns the result with the query's core_search span.
 func searchSpan(t *testing.T, a *Aux, s, d int, mode DirectedMode) (*Result, error, *obs.Span) {
@@ -431,7 +508,7 @@ func spanInt(t *testing.T, sp *obs.Span, key string) int64 {
 	if !ok {
 		t.Fatalf("span has no %q attribute", key)
 	}
-	return a.Int
+	return a.Int()
 }
 
 // TestBlockedCause: the backward pass separates the two ways a request

@@ -214,7 +214,7 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 			sp.SetInt(AttrPhysPops, int64(physPops))
 		}
 		if fwdTree != nil {
-			sp.SetStr(AttrReachedPerLambda, a.reachedPerLambda(fwdTree, qs))
+			sp.SetBytes(AttrReachedPerLambda, a.reachedPerLambda(fwdTree, qs))
 		}
 	}
 	if bestNode < 0 {

@@ -43,9 +43,11 @@ const (
 // the span-attribute form of the search's expansion profile. Attribute
 // *names* must be compile-time constants, so the per-λ breakdown rides
 // in one string value rather than one attribute per wavelength. Only
-// called on the traced path; it counts and renders in qs's buffers, so
-// the returned string is its one allocation.
-func (a *Aux) reachedPerLambda(tree *graph.ShortestPathTree, qs *queryScratch) string {
+// called on the traced path; it counts and renders in qs's buffers and
+// the span copies the bytes, so it allocates nothing. tree is the search
+// just run on qs.g: when that kernel listed the nodes it reached (the
+// point query's does) the count walks the list, not the X shore.
+func (a *Aux) reachedPerLambda(tree *graph.ShortestPathTree, qs *queryScratch) []byte {
 	k := a.layout.K()
 	if cap(qs.lambdaCount) < k {
 		qs.lambdaCount = make([]int, k)
@@ -54,10 +56,18 @@ func (a *Aux) reachedPerLambda(tree *graph.ShortestPathTree, qs *queryScratch) s
 	for l := range counts {
 		counts[l] = 0
 	}
-	for v, lambdas := range a.xLambdas {
-		for xi, l := range lambdas {
-			if tree.Reached(int(a.xStart[v]) + xi) {
-				counts[l]++
+	if touched, ok := qs.g.Touched(); ok {
+		for _, v := range touched {
+			if n := a.info[v]; n.Side == SideX {
+				counts[n.Lambda]++
+			}
+		}
+	} else {
+		for v, lambdas := range a.xLambdas {
+			for xi, l := range lambdas {
+				if tree.Reached(int(a.xStart[v]) + xi) {
+					counts[l]++
+				}
 			}
 		}
 	}
@@ -74,5 +84,5 @@ func (a *Aux) reachedPerLambda(tree *graph.ShortestPathTree, qs *queryScratch) s
 		buf = strconv.AppendInt(buf, int64(c), 10)
 	}
 	qs.attrBuf = buf
-	return string(buf)
+	return buf
 }

@@ -123,8 +123,8 @@ func TestAStarFollowsTheResidualAcrossEpochs(t *testing.T) {
 	if c, _ := search.Attr(core.AttrBlockedCause); c.Str != core.CausePhysical {
 		t.Fatalf("blocked_cause = %q, want %q", c.Str, core.CausePhysical)
 	}
-	if a, _ := search.Attr(core.AttrSettled); a.Int != 0 {
-		t.Fatalf("settled %d aux nodes on a physically cut pair", a.Int)
+	if a, _ := search.Attr(core.AttrSettled); a.Int() != 0 {
+		t.Fatalf("settled %d aux nodes on a physically cut pair", a.Int())
 	}
 	if err := e.RepairLink(3); err != nil {
 		t.Fatal(err)

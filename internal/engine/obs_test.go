@@ -55,7 +55,7 @@ func TestBreakdownSumsToCost(t *testing.T) {
 				t.Fatalf("%d->%d: no core_search span", s, d)
 			}
 			if errors.Is(err, core.ErrNoRoute) {
-				if a, ok := search.Attr(core.AttrBlocked); !ok || !a.Bool {
+				if a, ok := search.Attr(core.AttrBlocked); !ok || !a.Bool() {
 					t.Fatalf("%d->%d: blocked route's core_search span not marked blocked", s, d)
 				}
 				continue
@@ -79,7 +79,7 @@ func TestBreakdownSumsToCost(t *testing.T) {
 			if last := legs[len(legs)-1]; math.Abs(last.Cumulative-res.Cost) > 1e-9 {
 				t.Fatalf("%d->%d: last cumulative %v != cost %v", s, d, last.Cumulative, res.Cost)
 			}
-			if a, ok := search.Attr(core.AttrCost); !ok || a.Float != res.Cost {
+			if a, ok := search.Attr(core.AttrCost); !ok || a.Float() != res.Cost {
 				t.Fatalf("%d->%d: core_search cost attr %+v != result cost %v", s, d, a, res.Cost)
 			}
 			taken, available := snap.Aux().ConversionChoices(res.Path)
@@ -97,11 +97,11 @@ func TestBreakdownSumsToCost(t *testing.T) {
 				core.AttrAuxNodes: st.AuxNodes, core.AttrAuxArcs: st.AuxArcs,
 				core.AttrSettled: st.Settled, core.AttrRelaxed: st.Relaxed,
 			} {
-				if a, ok := search.Attr(key); !ok || a.Int != int64(want) {
+				if a, ok := search.Attr(key); !ok || a.Int() != int64(want) {
 					t.Fatalf("%d->%d: core_search %s = %+v, Result.Stats says %d", s, d, key, a, want)
 				}
 			}
-			if a, ok := req.Span(SpanRoute).Attr(AttrEpoch); !ok || uint64(a.Int) != e.Epoch() {
+			if a, ok := req.Span(SpanRoute).Attr(AttrEpoch); !ok || uint64(a.Int()) != e.Epoch() {
 				t.Fatalf("%d->%d: engine_route pinned epoch %+v, engine at %d", s, d, a, e.Epoch())
 			}
 			checked++
@@ -260,7 +260,7 @@ func TestRouteAndAllocateRecordsAttempts(t *testing.T) {
 			continue
 		}
 		attempts++
-		if a, ok := sp.Attr(AttrAttempt); !ok || a.Int != 0 {
+		if a, ok := sp.Attr(AttrAttempt); !ok || a.Int() != 0 {
 			t.Fatalf("engine_allocate attempt attr = %+v ok=%v, want 0", a, ok)
 		}
 	}

@@ -39,12 +39,13 @@ func TestRouteRecordsSearchSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	tracer.Finish(req)
+	req = tracer.Recent(1)[0] // what was retained
 
 	er := req.Span("engine_route")
 	if er == nil {
 		t.Fatal("no engine_route span recorded")
 	}
-	if a, ok := er.Attr("epoch"); !ok || a.Int != 0 {
+	if a, ok := er.Attr("epoch"); !ok || a.Int() != 0 {
 		t.Errorf("engine_route epoch attr = %+v ok=%v", a, ok)
 	}
 	cs := req.Span("core_search")
@@ -59,10 +60,10 @@ func TestRouteRecordsSearchSpans(t *testing.T) {
 			t.Errorf("core_search missing attr %q", key)
 		}
 	}
-	if a, ok := cs.Attr("settled"); !ok || a.Int <= 0 {
+	if a, ok := cs.Attr("settled"); !ok || a.Int() <= 0 {
 		t.Errorf("settled = %+v, want > 0", a)
 	}
-	if a, ok := cs.Attr("cost"); !ok || a.Float != res.Cost {
+	if a, ok := cs.Attr("cost"); !ok || a.Float() != res.Cost {
 		t.Errorf("cost attr = %+v, want %v", a, res.Cost)
 	}
 	if a, _ := cs.Attr("reached_per_lambda"); a.Str == "" {
@@ -82,11 +83,12 @@ func TestRouteFromCacheLookupSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	tracer.Finish(cold)
+	cold = tracer.Recent(1)[0] // what was retained
 	look := cold.Span("engine_cache_lookup")
 	if look == nil {
 		t.Fatal("no engine_cache_lookup span on cold pass")
 	}
-	if a, ok := look.Attr("hit"); !ok || a.Bool {
+	if a, ok := look.Attr("hit"); !ok || a.Bool() {
 		t.Errorf("cold lookup hit attr = %+v ok=%v, want false", a, ok)
 	}
 	if cold.Span("core_tree_search") == nil {
@@ -98,7 +100,8 @@ func TestRouteFromCacheLookupSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	tracer.Finish(warm)
-	if a, ok := warm.Span("engine_cache_lookup").Attr("hit"); !ok || !a.Bool {
+	warm = tracer.Recent(1)[0] // what was retained
+	if a, ok := warm.Span("engine_cache_lookup").Attr("hit"); !ok || !a.Bool() {
 		t.Errorf("warm lookup hit attr = %+v ok=%v, want true", a, ok)
 	}
 	if warm.Span("core_tree_search") != nil {
@@ -120,14 +123,14 @@ func TestRouteAndAllocatePublishSpans(t *testing.T) {
 	if alloc == nil {
 		t.Fatal("no engine_allocate span")
 	}
-	if a, ok := alloc.Attr("attempt"); !ok || a.Int != 0 {
+	if a, ok := alloc.Attr("attempt"); !ok || a.Int() != 0 {
 		t.Errorf("attempt attr = %+v ok=%v", a, ok)
 	}
 	pub := req.Span("engine_publish")
 	if pub == nil {
 		t.Fatal("no engine_publish span")
 	}
-	if a, ok := pub.Attr("epoch"); !ok || a.Int != 1 {
+	if a, ok := pub.Attr("epoch"); !ok || a.Int() != 1 {
 		t.Errorf("publish epoch attr = %+v ok=%v, want 1", a, ok)
 	}
 	if a, ok := pub.Attr("mode"); !ok || (a.Str != "delta" && a.Str != "full") {
@@ -140,6 +143,7 @@ func TestRouteAndAllocatePublishSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	tracer.Finish(rel)
+	rel = tracer.Recent(1)[0] // what was retained
 	if rel.Span("engine_release") == nil || rel.Span("engine_publish") == nil {
 		t.Error("release must record engine_release and engine_publish spans")
 	}

@@ -269,6 +269,9 @@ func AStarSeedsUntilScratch(g *Digraph, seeds, goals []int, pot func(int) float6
 	h, done := sc.queue()
 	gs := sc.goalStop(goals)
 	defer sc.clearGoals(goals)
+	// Every first write below is recorded before it is made, so the list
+	// is complete on every way out.
+	sc.sparse = true
 	for _, s := range t.seeds {
 		hs := pot(s)
 		if IsInf(hs) {
@@ -301,6 +304,9 @@ func AStarSeedsUntilScratch(g *Digraph, seeds, goals []int, pot func(int) float6
 				hv := pot(v)
 				if IsInf(hv) {
 					continue // v provably cannot reach any goal
+				}
+				if IsInf(t.Dist[v]) {
+					sc.touched = append(sc.touched, int32(v))
 				}
 				t.Dist[v] = nd
 				t.Parent[v] = int32(u)

@@ -27,6 +27,15 @@ type Scratch struct {
 
 	goalMark []bool // all false between queries
 
+	// While sparse is set, touched lists every node whose dist, parent,
+	// via or done entry differs from its initial value, and the next
+	// seedTree resets those alone. A kernel earns that by recording each
+	// node it first writes (AStarSeedsUntilScratch does: a point query
+	// writes a few hundred of |V′| entries); after any other kernel the
+	// next query clears all n.
+	touched []int32
+	sparse  bool
+
 	tree ShortestPathTree
 }
 
@@ -46,8 +55,8 @@ func NewScratch(n int) *Scratch {
 // Nodes reports the graph size this scratch serves.
 func (sc *Scratch) Nodes() int { return sc.n }
 
-// seedTree initializes the scratch-backed tree for the given seeds,
-// mirroring newSeedTree without allocating.
+// seedTree initializes the scratch-backed tree and settled set for the
+// given seeds, mirroring newSeedTree without allocating.
 func (sc *Scratch) seedTree(seeds []int) (*ShortestPathTree, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("%w: no seeds", ErrNodeRange)
@@ -65,16 +74,26 @@ func (sc *Scratch) seedTree(seeds []int) (*ShortestPathTree, error) {
 	t.Dist, t.Parent, t.ViaArc = sc.dist, sc.parent, sc.via
 	t.Settled, t.Relaxed = 0, 0
 	t.seeds = seeds
-	for i := range sc.dist {
-		sc.dist[i] = Inf
-		sc.parent[i] = -1
-		sc.via[i] = -1
+	if sc.sparse {
+		for _, v := range sc.touched {
+			sc.dist[v], sc.parent[v], sc.via[v], sc.done[v] = Inf, -1, -1, false
+		}
+	} else {
+		for i := range sc.dist {
+			sc.dist[i], sc.parent[i], sc.via[i], sc.done[i] = Inf, -1, -1, false
+		}
 	}
+	sc.touched, sc.sparse = sc.touched[:0], false
 	for _, s := range seeds {
 		sc.dist[s] = 0
+		sc.touched = append(sc.touched, int32(s))
 	}
 	return t, nil
 }
+
+// Touched lists the nodes the last query on sc reached, when its kernel
+// recorded them (ok); the slice is valid until the next query.
+func (sc *Scratch) Touched() (nodes []int32, ok bool) { return sc.touched, sc.sparse }
 
 // DijkstraSeedsUntilScratch is DijkstraSeedsUntil computing into sc
 // instead of freshly allocated state. The returned tree aliases sc: it
@@ -143,12 +162,9 @@ func (sc *Scratch) clearGoals(goals []int) {
 	}
 }
 
-// queue returns the scratch's heap and settled set, emptied for a new
-// search.
+// queue returns the scratch's heap, emptied, and the settled set
+// seedTree cleared.
 func (sc *Scratch) queue() (*binheap.Heap, []bool) {
 	sc.heap.Reset()
-	for i := range sc.done {
-		sc.done[i] = false
-	}
 	return sc.heap, sc.done
 }

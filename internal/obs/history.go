@@ -16,9 +16,9 @@ import (
 // renders a Registry into timestamped Frames, and a History ring that
 // retains the newest frames for rate derivation, SLO evaluation
 // (health.go) and JSON export. Publication follows the flight
-// recorder's discipline: one atomic pointer store per frame, so the
-// routing hot path never contends with a scrape — samplers only *read*
-// the lock-free instruments other goroutines write.
+// recorder's discipline: one assignment into a ring slot per frame, so
+// the routing hot path never contends with a scrape — samplers only
+// *read* the lock-free instruments other goroutines write.
 
 // Frame is one timestamped rendering of a registry: every metric's
 // value at the sample instant, sorted by name. A frame is immutable
@@ -73,8 +73,9 @@ func (f *Frame) Histogram(name string) (HistogramSnapshot, bool) {
 	return h, ok
 }
 
-// History is a fixed-size ring of the newest frames (ring.go: lock-free
-// push, approximate reads during traffic).
+// History is a fixed-size ring of the newest frames (ring.go: by-value
+// slots, approximate reads during traffic). A frame's values are never
+// written after publication, so slots and readers share them.
 type History struct {
 	frames *ring[Frame]
 }
@@ -87,7 +88,7 @@ const DefaultHistorySize = 128
 // NewHistory builds an empty ring with the given capacity (values < 2
 // are raised to 2 — rate derivation needs frame pairs).
 func NewHistory(capacity int) *History {
-	return &History{frames: newRing[Frame](max(capacity, 2))}
+	return &History{frames: newRing(max(capacity, 2), func(dst, src *Frame) { *dst = *src })}
 }
 
 // Push publishes one frame.

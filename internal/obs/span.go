@@ -1,15 +1,17 @@
 package obs
 
 import (
+	"math"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // This file is the request-scoped tracing substrate: a Span tree built
 // while one request executes, a Tracer that decides which requests to
-// record, and a lock-free flight recorder (ring.go) that retains the most
-// recent completed trees plus an always-retained slow-request log.
+// record, and a flight recorder (ring.go) that retains the most recent
+// completed trees by value plus an always-retained slow-request log.
 //
 // The design constraint is the same one the metric types obey: the
 // *disabled* path must be free. Tracer.Start returns a nil *ReqTrace
@@ -17,15 +19,22 @@ import (
 // Span and ReqTrace method is nil-receiver safe, and nil spans thread
 // through serve → engine → core without a single allocation — the
 // AllocsPerRun tests in internal/engine pin this at 0 allocs/op.
-// When recording is on, one request costs one ReqTrace allocation plus
-// its fixed-capacity span slice; attribute appends may grow per-span
-// slices but spans themselves never move (the slice never grows past
-// its initial capacity, so *Span pointers handed to callers stay
-// valid).
 //
-// A ReqTrace is built by exactly one goroutine; after Finish it is
-// immutable and may be read concurrently (the ring's atomic pointer
-// store publishes it).
+// The recording path allocates nothing in the steady state either. A
+// trace is built in a buffer drawn from the tracer's pool: a span array
+// of fixed capacity (spans never move, so *Span pointers handed to
+// callers stay valid), one flat attribute list in setting order (each
+// entry names its span) and a byte arena for string values computed per
+// request. Finish copies the used prefix of all three into a ring
+// slot's own storage and returns the buffer to the pool; readers copy a
+// slot out again. Nothing retained points into a build buffer.
+//
+// Ownership: a trace belongs to the goroutine that started it until
+// Finish, and to nobody after — the buffer is someone else's next
+// request. Finish empties the trace before pooling it, so a stale
+// *ReqTrace reads as empty (Root is nil, a second Finish is a no-op)
+// until the buffer is handed out again; what was recorded is read back
+// with Recent/Slow/Find, which return private copies.
 
 // AttrKind discriminates the typed payload of an Attr.
 type AttrKind uint8
@@ -36,34 +45,43 @@ const (
 	AttrStr
 	AttrBool
 	AttrFloat
+
+	// attrArena is AttrStr whose bytes sit in the owning trace's arena at
+	// num = offset<<32 | length. Readers never see it: Span.Attr hands
+	// out AttrStr with Str filled in.
+	attrArena
 )
 
-// Attr is one typed key/value annotation on a span. Exactly one payload
-// field (per Kind) is meaningful.
+// Attr is one typed key/value annotation on a span. Str holds an AttrStr
+// value; the other kinds share one payload word that Int, Bool or Float
+// (whichever matches Kind) decodes.
 type Attr struct {
-	Key   string
-	Kind  AttrKind
-	Int   int64
-	Str   string
-	Bool  bool
-	Float float64
+	Key  string
+	Kind AttrKind
+	span int32  // index of the span it annotates
+	num  uint64 // int64 bits, 0/1, or float64 bits, per Kind
+	Str  string
 }
+
+func (a Attr) Int() int64     { return int64(a.num) }
+func (a Attr) Bool() bool     { return a.num != 0 }
+func (a Attr) Float() float64 { return math.Float64frombits(a.num) }
 
 // Span is one timed operation inside a request: a name (a compile-time
 // constant, enforced by the metricname analyzer), start/end offsets in
 // nanoseconds from the request's begin instant (monotonic — offsets are
-// derived from time.Since on the ReqTrace's anchor), the index of its
-// parent span, and typed attributes. Spans are created with StartChild
-// and closed with End; an unclosed span keeps EndNs == 0.
+// derived from time.Since on the ReqTrace's anchor) and the index of its
+// parent span. Spans are created with StartChild and closed with End; an
+// unclosed span keeps EndNs == 0. Its attributes live on the owning
+// trace (Attr reads them).
 type Span struct {
 	Name    string
 	Parent  int32 // index into the owning trace's span slice; -1 for the root
+	idx     int32
 	StartNs int64
 	EndNs   int64
-	Attrs   []Attr
 
 	req *ReqTrace
-	idx int32
 }
 
 // StartChild opens a child span under s. Safe on a nil receiver (the
@@ -83,9 +101,9 @@ func (s *Span) StartChild(name string) *Span {
 	r.spans = append(r.spans, Span{
 		Name:    name,
 		Parent:  s.idx,
+		idx:     idx,
 		StartNs: r.sinceBegin(),
 		req:     r,
-		idx:     idx,
 	})
 	return &r.spans[idx]
 }
@@ -107,20 +125,38 @@ func (s *Span) Duration() time.Duration {
 	return time.Duration(s.EndNs-s.StartNs) * time.Nanosecond
 }
 
+func (s *Span) set(key string, kind AttrKind, num uint64, str string) {
+	s.req.attrs = append(s.req.attrs, Attr{Key: key, Kind: kind, span: s.idx, num: num, Str: str})
+}
+
 // SetInt attaches an integer attribute. Nil-safe.
 func (s *Span) SetInt(key string, v int64) {
 	if s == nil {
 		return
 	}
-	s.Attrs = append(s.Attrs, Attr{Key: key, Kind: AttrInt, Int: v})
+	s.set(key, AttrInt, uint64(v), "")
 }
 
-// SetStr attaches a string attribute. Nil-safe.
+// SetStr attaches a string attribute; v is retained, not copied, so it
+// should be a constant or a string that outlives the request anyway.
+// Nil-safe.
 func (s *Span) SetStr(key, v string) {
 	if s == nil {
 		return
 	}
-	s.Attrs = append(s.Attrs, Attr{Key: key, Kind: AttrStr, Str: v})
+	s.set(key, AttrStr, 0, v)
+}
+
+// SetBytes attaches a string attribute whose value was rendered for this
+// request: the bytes are copied into the trace's arena, so the caller's
+// buffer is free for reuse and nothing is allocated. Nil-safe.
+func (s *Span) SetBytes(key string, v []byte) {
+	if s == nil {
+		return
+	}
+	r := s.req
+	s.set(key, attrArena, uint64(len(r.arena))<<32|uint64(len(v)), "")
+	r.arena = append(r.arena, v...)
 }
 
 // SetBool attaches a boolean attribute. Nil-safe.
@@ -128,7 +164,14 @@ func (s *Span) SetBool(key string, v bool) {
 	if s == nil {
 		return
 	}
-	s.Attrs = append(s.Attrs, Attr{Key: key, Kind: AttrBool, Bool: v})
+	s.set(key, AttrBool, boolBits(v), "")
+}
+
+func boolBits(v bool) uint64 {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 // SetFloat attaches a float attribute. Nil-safe. Non-finite values are
@@ -137,7 +180,7 @@ func (s *Span) SetFloat(key string, v float64) {
 	if s == nil {
 		return
 	}
-	s.Attrs = append(s.Attrs, Attr{Key: key, Kind: AttrFloat, Float: v})
+	s.set(key, AttrFloat, math.Float64bits(v), "")
 }
 
 // Attr looks an attribute up by key (first match wins). Nil-safe.
@@ -145,9 +188,9 @@ func (s *Span) Attr(key string) (Attr, bool) {
 	if s == nil {
 		return Attr{}, false
 	}
-	for _, a := range s.Attrs {
-		if a.Key == key {
-			return a, true
+	for _, a := range s.req.attrs {
+		if a.span == s.idx && a.Key == key {
+			return s.req.resolve(a), true
 		}
 	}
 	return Attr{}, false
@@ -164,24 +207,61 @@ func (s *Span) Trace() *ReqTrace {
 
 // ReqTrace is the span tree of one request: a root span (index 0) plus
 // every child opened during execution, in start order. It is built by
-// one goroutine between Tracer.Start and Tracer.Finish and is immutable
-// afterwards.
+// one goroutine between Tracer.Start and Tracer.Finish; the traces the
+// recorder's readers return are private copies.
 type ReqTrace struct {
 	ID           uint64
 	Begin        time.Time // wall clock; carries the monotonic anchor
 	DurationNs   int64     // set by Finish
 	DroppedSpans int32     // children discarded at span capacity
 
-	spans []Span
+	spans []Span // capacity is the span limit while building
+	attrs []Attr // every span's attributes, in setting order
+	arena []byte // SetBytes values
+}
+
+// newTrace returns an empty build buffer for at most maxSpans spans.
+func newTrace(maxSpans int) *ReqTrace {
+	return &ReqTrace{spans: make([]Span, 0, maxSpans)}
+}
+
+// begin starts a new tree in r's storage, which is empty: fresh, or
+// emptied by the Finish that pooled it.
+func (r *ReqTrace) begin(name string, id uint64) *ReqTrace {
+	r.ID, r.Begin, r.DurationNs, r.DroppedSpans = id, time.Now(), 0, 0
+	r.spans = append(r.spans, Span{Name: name, Parent: -1, req: r})
+	return r
+}
+
+// copyTrace makes dst a self-contained copy of src, reusing dst's
+// storage: the assignment both directions of the recorder ring use.
+func copyTrace(dst, src *ReqTrace) {
+	dst.ID, dst.Begin, dst.DurationNs, dst.DroppedSpans = src.ID, src.Begin, src.DurationNs, src.DroppedSpans
+	dst.spans = append(dst.spans[:0], src.spans...)
+	for i := range dst.spans {
+		dst.spans[i].req = dst
+	}
+	dst.attrs = append(dst.attrs[:0], src.attrs...)
+	dst.arena = append(dst.arena[:0], src.arena...)
+}
+
+// resolve turns an arena-backed attribute into the AttrStr readers see.
+func (r *ReqTrace) resolve(a Attr) Attr {
+	if a.Kind == attrArena {
+		off, n := a.num>>32, a.num&(1<<32-1)
+		a.Kind, a.num, a.Str = AttrStr, 0, string(r.arena[off:off+n])
+	}
+	return a
 }
 
 // sinceBegin is the monotonic offset from the request's begin instant.
 func (r *ReqTrace) sinceBegin() int64 { return time.Since(r.Begin).Nanoseconds() }
 
-// Root returns the request's root span. Nil-safe, so the whole span API
-// chains off a possibly-nil trace: req.Root().StartChild(...).SetInt(...).
+// Root returns the request's root span. Safe on a nil trace and on one
+// already finished (both yield nil), so the whole span API chains off a
+// possibly-nil trace: req.Root().StartChild(...).SetInt(...).
 func (r *ReqTrace) Root() *Span {
-	if r == nil {
+	if r == nil || len(r.spans) == 0 {
 		return nil
 	}
 	return &r.spans[0]
@@ -264,6 +344,7 @@ type Tracer struct {
 	recorded atomic.Uint64
 	slowRec  atomic.Uint64
 	maxSpans int
+	bufs     sync.Pool // *ReqTrace build buffers between Finish and the next Start
 	recent   *ring[ReqTrace]
 	slow     *ring[ReqTrace]
 }
@@ -291,8 +372,8 @@ func NewTracer(opts *TracerOptions) *Tracer {
 	}
 	t := &Tracer{
 		maxSpans: o.MaxSpans,
-		recent:   newRing[ReqTrace](o.RingSize),
-		slow:     newRing[ReqTrace](o.SlowRingSize),
+		recent:   newRing(o.RingSize, copyTrace),
+		slow:     newRing(o.SlowRingSize, copyTrace),
 	}
 	t.sample.Store(int64(o.Sample))
 	if o.SlowThreshold < 0 {
@@ -331,7 +412,8 @@ func (t *Tracer) SetSlowThreshold(d time.Duration) {
 // Start begins the span tree for one request, returning nil — the
 // zero-cost signal every downstream layer honours — when the tracer is
 // nil, disabled, or the request is head-sampled out. name becomes the
-// root span's name.
+// root span's name. The trace is the caller's until it is passed to
+// Finish.
 func (t *Tracer) Start(name string) *ReqTrace {
 	if t == nil || !t.enabled.Load() {
 		return nil
@@ -340,27 +422,24 @@ func (t *Tracer) Start(name string) *ReqTrace {
 	if n := t.sample.Load(); n > 1 && id%uint64(n) != 0 {
 		return nil
 	}
-	r := startTrace(name, t.maxSpans)
-	r.ID = id
-	return r
+	r, _ := t.bufs.Get().(*ReqTrace)
+	if r == nil {
+		r = newTrace(t.maxSpans)
+	}
+	return r.begin(name, id)
 }
 
 // StartTrace begins a span tree no tracer will retain (ID 0, default
 // span capacity): for a caller that must read a query's spans back even
 // when the recorder is off or sampled the request out — the explain
 // verb does.
-func StartTrace(name string) *ReqTrace { return startTrace(name, DefaultMaxSpans) }
-
-func startTrace(name string, maxSpans int) *ReqTrace {
-	r := &ReqTrace{Begin: time.Now(), spans: make([]Span, 1, maxSpans)}
-	r.spans[0] = Span{Name: name, Parent: -1, req: r, idx: 0}
-	return r
-}
+func StartTrace(name string) *ReqTrace { return newTrace(DefaultMaxSpans).begin(name, 0) }
 
 // Finish closes the request's root span, stamps the total duration and
-// retains the trace: always in the flight recorder, and additionally in
-// the slow log when the duration reaches the threshold. Nil-safe in
-// both receiver and argument. After Finish the trace is immutable.
+// retains a copy of the trace: always in the flight recorder, and
+// additionally in the slow log when the duration reaches the threshold.
+// Nil-safe in both receiver and argument. The trace's storage goes back
+// to the tracer: the caller must not touch r, or any span of it, again.
 func (t *Tracer) Finish(r *ReqTrace) {
 	t.finish(r, true)
 }
@@ -374,25 +453,24 @@ func (t *Tracer) FinishRecentOnly(r *ReqTrace) {
 }
 
 func (t *Tracer) finish(r *ReqTrace, slowEligible bool) {
-	if t == nil || r == nil {
-		return
+	if t == nil || r == nil || len(r.spans) == 0 {
+		return // no trace, or one already finished
 	}
 	d := r.sinceBegin()
 	r.DurationNs = d
 	r.spans[0].EndNs = d
 	t.recent.push(r)
 	t.recorded.Add(1)
-	if !slowEligible {
-		return
-	}
-	if s := t.slowNs.Load(); s >= 0 && d >= s {
+	if s := t.slowNs.Load(); slowEligible && s >= 0 && d >= s {
 		t.slow.push(r)
 		t.slowRec.Add(1)
 	}
+	r.spans, r.attrs, r.arena = r.spans[:0], r.attrs[:0], r.arena[:0]
+	t.bufs.Put(r)
 }
 
-// Recent returns up to n retained request traces, newest first.
-// Nil-safe.
+// Recent returns copies of up to n retained request traces, newest
+// first. Nil-safe.
 func (t *Tracer) Recent(n int) []*ReqTrace {
 	if t == nil {
 		return nil
@@ -400,8 +478,8 @@ func (t *Tracer) Recent(n int) []*ReqTrace {
 	return t.recent.last(n)
 }
 
-// Slow returns up to n retained slow-request traces, newest first.
-// Nil-safe.
+// Slow returns copies of up to n retained slow-request traces, newest
+// first. Nil-safe.
 func (t *Tracer) Slow(n int) []*ReqTrace {
 	if t == nil {
 		return nil
@@ -409,21 +487,18 @@ func (t *Tracer) Slow(n int) []*ReqTrace {
 	return t.slow.last(n)
 }
 
-// Find returns the retained trace with the given ID — searching the
-// flight recorder first, then the slow log (a slow trace can outlive
-// its recorder slot) — or nil. Nil-safe.
+// Find returns a copy of the retained trace with the given ID —
+// searching the flight recorder first, then the slow log (a slow trace
+// can outlive its recorder slot) — or nil. Nil-safe.
 func (t *Tracer) Find(id uint64) *ReqTrace {
 	if t == nil {
 		return nil
 	}
-	for _, rg := range []*ring[ReqTrace]{t.recent, t.slow} {
-		for _, r := range rg.last(len(rg.slots)) {
-			if r.ID == id {
-				return r
-			}
-		}
+	match := func(r *ReqTrace) bool { return r.ID == id }
+	if r := t.recent.find(match); r != nil {
+		return r
 	}
-	return nil
+	return t.slow.find(match)
 }
 
 // Recorded reports how many request traces Finish has retained.

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 	"time"
 )
@@ -63,6 +65,11 @@ func TestSpanTreeConstruction(t *testing.T) {
 	b.SetBool("hit", false)
 	b.End()
 	tr.Finish(req)
+	if req.Root() != nil || len(req.Spans()) != 0 {
+		t.Error("a finished trace must read as empty: its storage is the tracer's again")
+	}
+	req = tr.Recent(1)[0]
+	root = req.Root()
 
 	spans := req.Spans()
 	if len(spans) != 4 {
@@ -74,10 +81,10 @@ func TestSpanTreeConstruction(t *testing.T) {
 			t.Errorf("span %d (%s) parent = %d, want %d", i, s.Name, s.Parent, wantParents[i])
 		}
 	}
-	if got := req.Span("phase_a_inner"); got == nil || got.Attrs[0].Int != 42 {
+	if got := req.Span("phase_a_inner"); got == nil || attrOf(got, "count").Int() != 42 {
 		t.Errorf("phase_a_inner lookup = %+v", got)
 	}
-	if attr, ok := req.Span("phase_b").Attr("hit"); !ok || attr.Kind != AttrBool || attr.Bool {
+	if attr, ok := req.Span("phase_b").Attr("hit"); !ok || attr.Kind != AttrBool || attr.Bool() {
 		t.Errorf("hit attr = %+v ok=%v", attr, ok)
 	}
 	if req.DurationNs <= 0 || root.EndNs != req.DurationNs {
@@ -111,6 +118,7 @@ func TestSpanCapacityDropsChildren(t *testing.T) {
 	c3.SetInt("ignored", 1) // nil child absorbs calls
 	c1.SetStr("k", "v")     // pointer still valid after later StartChild
 	tr.Finish(req)
+	req = tr.Recent(1)[0]
 	if req.DroppedSpans != 1 {
 		t.Errorf("dropped = %d, want 1", req.DroppedSpans)
 	}
@@ -150,6 +158,7 @@ func TestRingRetentionAndWraparound(t *testing.T) {
 func TestSlowLogRetention(t *testing.T) {
 	tr := NewTracer(&TracerOptions{RingSize: 2, SlowThreshold: 5 * time.Millisecond})
 	slow := tr.Start("request")
+	slowID := slow.ID
 	time.Sleep(10 * time.Millisecond)
 	tr.Finish(slow)
 	for i := 0; i < 5; i++ {
@@ -163,11 +172,11 @@ func TestSlowLogRetention(t *testing.T) {
 	}
 	// The slow trace fell out of the 2-slot recorder but Find still
 	// reaches it through the slow log.
-	if got := tr.Find(slow.ID); got == nil {
+	if got := tr.Find(slowID); got == nil {
 		t.Error("slow trace must be findable after recorder eviction")
 	}
 	for _, r := range tr.Recent(10) {
-		if r.ID == slow.ID {
+		if r.ID == slowID {
 			t.Error("slow trace should have been evicted from the recorder")
 		}
 	}
@@ -252,4 +261,59 @@ func TestRegisterMetrics(t *testing.T) {
 	if snap["trace_recorder_enabled"].(float64) != 1 {
 		t.Errorf("trace_recorder_enabled = %v", snap["trace_recorder_enabled"])
 	}
+}
+
+// TestReusedStorageLeaksNothing: a trace that fills the span capacity
+// (and drops the overflow, counted) followed by a small one through the
+// same one-slot ring — and, the pool willing, the same build buffer —
+// leaves no span, attribute, arena byte or drop count of the first in
+// the second.
+func TestReusedStorageLeaksNothing(t *testing.T) {
+	tr := NewTracer(&TracerOptions{RingSize: 1, SlowThreshold: -1})
+	big := tr.Start("batch_request")
+	for i := 0; i < DefaultMaxSpans+5; i++ {
+		sp := big.Root().StartChild("batch_item")
+		sp.SetInt("item", int64(i))
+		sp.SetBytes("payload", []byte("first-trace-bytes"))
+		sp.End()
+	}
+	tr.Finish(big)
+	got := tr.Recent(1)[0]
+	if len(got.Spans()) != DefaultMaxSpans || got.DroppedSpans != 6 {
+		t.Fatalf("full trace: %d spans, %d dropped; want %d and 6", len(got.Spans()), got.DroppedSpans, DefaultMaxSpans)
+	}
+
+	small := tr.Start("route_request")
+	small.Root().SetStr("verb", "route")
+	for _, name := range []string{"a", "b", "c"} {
+		sp := small.Root().StartChild(name)
+		sp.SetBytes("payload", []byte(name))
+		sp.End()
+	}
+	tr.Finish(small)
+	got = tr.Recent(1)[0]
+	if len(got.Spans()) != 4 || got.DroppedSpans != 0 {
+		t.Fatalf("small trace: %d spans, %d dropped; want 4 and 0", len(got.Spans()), got.DroppedSpans)
+	}
+	if len(got.attrs) != 4 {
+		t.Errorf("small trace carries %d attributes, want 4", len(got.attrs))
+	}
+	var buf bytes.Buffer
+	if err := EncodeReqTrace(&buf, got); err != nil {
+		t.Fatal(err)
+	}
+	for _, leak := range []string{"batch_item", "batch_request", "first-trace-bytes", "item"} {
+		if strings.Contains(buf.String(), leak) {
+			t.Errorf("small trace's encoding contains %q from the trace before it:\n%s", leak, buf.String())
+		}
+	}
+	if p, _ := got.Span("b").Attr("payload"); p.Str != "b" {
+		t.Errorf("arena value of the small trace = %q, want %q", p.Str, "b")
+	}
+}
+
+// attrOf is Span.Attr without the presence flag.
+func attrOf(s *Span, key string) Attr {
+	a, _ := s.Attr(key)
+	return a
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 	"time"
 )
 
@@ -45,6 +46,12 @@ type wireTrace struct {
 // errBadTrace prefixes every decode failure.
 var errBadTrace = errors.New("obs: bad trace encoding")
 
+// wireText is s as the encoding carries it. encoding/json writes an
+// invalid byte as the escape \ufffd but a decoded U+FFFD as the literal
+// rune, so only text already valid UTF-8 re-encodes to the same bytes:
+// replace invalid bytes with the literal once, here.
+func wireText(s string) string { return strings.ToValidUTF8(s, "\ufffd") }
+
 // MarshalJSON renders the trace in the wire shape.
 func (r *ReqTrace) MarshalJSON() ([]byte, error) {
 	w := wireTrace{
@@ -56,36 +63,34 @@ func (r *ReqTrace) MarshalJSON() ([]byte, error) {
 	}
 	for i := range r.spans {
 		s := &r.spans[i]
-		ws := wireSpan{Name: s.Name, Parent: s.Parent, StartNs: s.StartNs, EndNs: s.EndNs}
-		if len(s.Attrs) > 0 {
-			ws.Attrs = make([]wireAttr, len(s.Attrs))
-			for j, a := range s.Attrs {
-				wa := wireAttr{K: a.Key}
-				switch a.Kind {
-				case AttrInt:
-					v := a.Int
-					wa.I = &v
-				case AttrStr:
-					v := a.Str
-					wa.S = &v
-				case AttrBool:
-					v := a.Bool
-					wa.B = &v
-				case AttrFloat:
-					// JSON has no Inf/NaN literal; clamp to 0 rather than
-					// poisoning the whole document.
-					v := a.Float
-					if math.IsNaN(v) || math.IsInf(v, 0) {
-						v = 0
-					}
-					wa.F = &v
-				default:
-					return nil, fmt.Errorf("obs: attr %q has unknown kind %d", a.Key, a.Kind)
-				}
-				ws.Attrs[j] = wa
+		w.Spans[i] = wireSpan{Name: wireText(s.Name), Parent: s.Parent, StartNs: s.StartNs, EndNs: s.EndNs}
+	}
+	for _, a := range r.attrs {
+		a = r.resolve(a)
+		wa := wireAttr{K: wireText(a.Key)}
+		switch a.Kind {
+		case AttrInt:
+			v := a.Int()
+			wa.I = &v
+		case AttrStr:
+			v := wireText(a.Str)
+			wa.S = &v
+		case AttrBool:
+			v := a.Bool()
+			wa.B = &v
+		case AttrFloat:
+			// JSON has no Inf/NaN literal; clamp to 0 rather than
+			// poisoning the whole document.
+			v := a.Float()
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				v = 0
 			}
+			wa.F = &v
+		default:
+			return nil, fmt.Errorf("obs: attr %q has unknown kind %d", a.Key, a.Kind)
 		}
-		w.Spans[i] = ws
+		ws := &w.Spans[a.span]
+		ws.Attrs = append(ws.Attrs, wa)
 	}
 	return json.Marshal(w)
 }
@@ -104,8 +109,8 @@ func EncodeReqTrace(w io.Writer, r *ReqTrace) error {
 }
 
 // DecodeReqTrace parses a trace previously produced by EncodeReqTrace
-// (or MarshalJSON). The result is a fully-linked, immutable ReqTrace —
-// spans carry their owning trace, so Span/Root/Attr accessors work.
+// (or MarshalJSON). The result is a fully-linked ReqTrace — spans carry
+// their owning trace, so Span/Root/Attr accessors work.
 func DecodeReqTrace(data []byte) (*ReqTrace, error) {
 	var w wireTrace
 	if err := json.Unmarshal(data, &w); err != nil {
@@ -125,42 +130,38 @@ func DecodeReqTrace(data []byte) (*ReqTrace, error) {
 		if int(ws.Parent) >= i || (i == 0) != (ws.Parent < 0) {
 			return nil, fmt.Errorf("%w: span %d has parent %d", errBadTrace, i, ws.Parent)
 		}
-		s := Span{
+		r.spans[i] = Span{
 			Name:    ws.Name,
 			Parent:  ws.Parent,
+			idx:     int32(i),
 			StartNs: ws.StartNs,
 			EndNs:   ws.EndNs,
 			req:     r,
-			idx:     int32(i),
 		}
-		if len(ws.Attrs) > 0 {
-			s.Attrs = make([]Attr, len(ws.Attrs))
-			for j, wa := range ws.Attrs {
-				a := Attr{Key: wa.K}
-				set := 0
-				if wa.I != nil {
-					a.Kind, a.Int = AttrInt, *wa.I
-					set++
-				}
-				if wa.S != nil {
-					a.Kind, a.Str = AttrStr, *wa.S
-					set++
-				}
-				if wa.B != nil {
-					a.Kind, a.Bool = AttrBool, *wa.B
-					set++
-				}
-				if wa.F != nil {
-					a.Kind, a.Float = AttrFloat, *wa.F
-					set++
-				}
-				if set != 1 {
-					return nil, fmt.Errorf("%w: attr %q has %d payloads", errBadTrace, wa.K, set)
-				}
-				s.Attrs[j] = a
+		for _, wa := range ws.Attrs {
+			a := Attr{Key: wa.K, span: int32(i)}
+			set := 0
+			if wa.I != nil {
+				a.Kind, a.num = AttrInt, uint64(*wa.I)
+				set++
 			}
+			if wa.S != nil {
+				a.Kind, a.Str = AttrStr, *wa.S
+				set++
+			}
+			if wa.B != nil {
+				a.Kind, a.num = AttrBool, boolBits(*wa.B)
+				set++
+			}
+			if wa.F != nil {
+				a.Kind, a.num = AttrFloat, math.Float64bits(*wa.F)
+				set++
+			}
+			if set != 1 {
+				return nil, fmt.Errorf("%w: attr %q has %d payloads", errBadTrace, wa.K, set)
+			}
+			r.attrs = append(r.attrs, a)
 		}
-		r.spans[i] = s
 	}
 	return r, nil
 }

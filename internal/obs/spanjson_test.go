@@ -24,7 +24,7 @@ func buildTrace(t *testing.T) *ReqTrace {
 	g.SetInt("zero", 0)
 	g.End()
 	tr.Finish(req)
-	return req
+	return tr.Recent(1)[0]
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -48,10 +48,10 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if dec.Root().Name != "request" {
 		t.Errorf("decoded root = %q", dec.Root().Name)
 	}
-	if a, ok := dec.Span("child_one").Attr("hit"); !ok || a.Kind != AttrBool || a.Bool {
+	if a, ok := dec.Span("child_one").Attr("hit"); !ok || a.Kind != AttrBool || a.Bool() {
 		t.Errorf("decoded bool attr = %+v ok=%v (false must survive the trip)", a, ok)
 	}
-	if a, ok := dec.Span("grandchild").Attr("zero"); !ok || a.Kind != AttrInt || a.Int != 0 {
+	if a, ok := dec.Span("grandchild").Attr("zero"); !ok || a.Kind != AttrInt || a.Int() != 0 {
 		t.Errorf("decoded zero int attr = %+v ok=%v", a, ok)
 	}
 	// Second trip is byte-identical.
@@ -71,7 +71,7 @@ func TestEncodeClampsNonFiniteFloats(t *testing.T) {
 	req.Root().SetFloat("nan", math.NaN())
 	tr.Finish(req)
 	var buf bytes.Buffer
-	if err := EncodeReqTrace(&buf, req); err != nil {
+	if err := EncodeReqTrace(&buf, tr.Recent(1)[0]); err != nil {
 		t.Fatalf("non-finite floats must not poison the encoding: %v", err)
 	}
 	dec, err := DecodeReqTrace(buf.Bytes())
@@ -79,7 +79,7 @@ func TestEncodeClampsNonFiniteFloats(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"inf", "nan"} {
-		if a, ok := dec.Root().Attr(key); !ok || a.Float != 0 {
+		if a, ok := dec.Root().Attr(key); !ok || a.Float() != 0 {
 			t.Errorf("attr %q = %+v ok=%v, want clamped 0", key, a, ok)
 		}
 	}
@@ -128,6 +128,7 @@ func FuzzSpanEncode(f *testing.F) {
 	f.Add(int64(1), "route", "verb", int64(-3), 2.5, true, uint8(2))
 	f.Add(int64(0), "", "", int64(0), math.Inf(1), false, uint8(0))
 	f.Add(int64(99), "a_b", "k", int64(1<<62), math.NaN(), true, uint8(200))
+	f.Add(int64(7), "bad\xffname", "k\xfe", int64(1), 0.0, true, uint8(1)) // invalid UTF-8 in names, keys and values
 	f.Fuzz(func(t *testing.T, durNs int64, name, key string, iv int64, fv float64, bv bool, children uint8) {
 		tr := NewTracer(&TracerOptions{SlowThreshold: -1, MaxSpans: 8})
 		req := tr.Start(name)
@@ -142,6 +143,7 @@ func FuzzSpanEncode(f *testing.F) {
 			c.End()
 		}
 		tr.Finish(req)
+		req = tr.Recent(1)[0]
 		req.DurationNs = durNs // exercise arbitrary durations
 
 		var buf bytes.Buffer

@@ -1,0 +1,128 @@
+package serve
+
+import (
+	"io"
+	"runtime"
+	"strconv"
+	"testing"
+
+	"lightpath/internal/core"
+	"lightpath/internal/engine"
+	"lightpath/internal/obs"
+)
+
+// execTiers are the two instances the recorder's cost is pinned on: the
+// one where a request is mostly fixed cost and the one where it is
+// mostly search (nsf_read's and big_read's networks in benchmark/).
+var execTiers = []struct {
+	name string
+	args []string
+}{
+	{"nsfnet", []string{"-topo", "nsfnet", "-k", "8", "-seed", "1"}},
+	{"n=300", []string{"-topo", "sparse", "-n", "300", "-k", "8", "-seed", "1"}},
+}
+
+// execSession is a session as wdmserve configures one — the default
+// search mode, serve telemetry — writing into a discarding writer, with
+// the default flight recorder when recorded and none when not.
+func execSession(tb testing.TB, recorded bool, args ...string) *Session {
+	tb.Helper()
+	eng, err := engine.New(buildNet(tb, args...), &engine.Options{Directed: core.DirectedAStar})
+	if err != nil {
+		tb.Fatalf("engine: %v", err)
+	}
+	opts := &SessionOptions{Telemetry: NewTelemetry(eng.Metrics())}
+	if recorded {
+		opts.Tracer = obs.NewTracer(nil)
+	}
+	return NewSession(eng, io.Discard, opts)
+}
+
+// execRouteLines is a fixed cycle of point queries spread over the
+// instance's nodes.
+func execRouteLines(sess *Session) []string {
+	n := sess.eng.Base().NumNodes()
+	lines := make([]string, 0, 64)
+	for i := 0; len(lines) < cap(lines); i++ {
+		s, t := (i*7)%n, (i*13+5)%n
+		if s != t {
+			lines = append(lines, "route "+strconv.Itoa(s)+" "+strconv.Itoa(t))
+		}
+	}
+	return lines
+}
+
+// BenchmarkSessionExec is one `route` through Session.Exec with and
+// without the default recorder: the pair whose difference is what
+// recording a request costs (ns, B and allocs per op under -benchmem).
+func BenchmarkSessionExec(b *testing.B) {
+	for _, tier := range execTiers {
+		for _, mode := range []struct {
+			name     string
+			recorded bool
+		}{{"bare", false}, {"recorded", true}} {
+			b.Run(tier.name+"/"+mode.name, func(b *testing.B) {
+				sess := execSession(b, mode.recorded, tier.args...)
+				lines := execRouteLines(sess)
+				for _, l := range lines { // warm pools, ring slots and scratch
+					_, _ = sess.Exec(l)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					_, _ = sess.Exec(lines[i%len(lines)]) // a blocked route is an answer
+				}
+			})
+		}
+	}
+}
+
+// TestRecordedRequestAllocations pins what the default recorder adds to
+// a request: the same routes through a recorded and a bare session differ
+// by at most one allocation and 64 bytes per request (the trace is built
+// in a pooled buffer and retained by value), on the instance where a
+// request is mostly fixed cost and on the one where it is mostly search.
+func TestRecordedRequestAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers: pooled paths allocate")
+	}
+	perRequest := func(sess *Session, lines []string) (allocs, bytes float64) {
+		run := func() {
+			for _, l := range lines {
+				_, _ = sess.Exec(l)
+			}
+		}
+		// Pools, reply buffer and every ring slot reach their steady size.
+		for done := 0; done < 2*obs.DefaultRingSize; done += len(lines) {
+			run()
+		}
+		const rounds = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rounds; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		n := float64(rounds * len(lines))
+		return float64(after.Mallocs-before.Mallocs) / n, float64(after.TotalAlloc-before.TotalAlloc) / n
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun: no other P's caches in the count
+	for _, tier := range execTiers {
+		bare := execSession(t, false, tier.args...)
+		recorded := execSession(t, true, tier.args...)
+		lines := execRouteLines(bare)
+		bareAllocs, bareBytes := perRequest(bare, lines)
+		recAllocs, recBytes := perRequest(recorded, lines)
+		t.Logf("%s: bare %.2f allocs %.0f B, recorded %.2f allocs %.0f B per request",
+			tier.name, bareAllocs, bareBytes, recAllocs, recBytes)
+		if d := recAllocs - bareAllocs; d > 1 {
+			t.Errorf("%s: recording adds %.2f allocations per request, want <= 1", tier.name, d)
+		}
+		if d := recBytes - bareBytes; d > 64 {
+			t.Errorf("%s: recording adds %.0f bytes per request, want <= 64", tier.name, d)
+		}
+		if got := recorded.tracer.Recorded(); got == 0 {
+			t.Errorf("%s: the recorded session retained no trace", tier.name)
+		}
+	}
+}

@@ -282,7 +282,7 @@ func TestInspectedRequestsAreRecorded(t *testing.T) {
 			}
 		}
 		settled, _ := r.Span(core.SpanSearch).Attr(core.AttrSettled)
-		if want := fmt.Sprintf("settled %d", settled.Int); settled.Int <= 0 || !strings.Contains(sb.String(), want) {
+		if want := fmt.Sprintf("settled %d", settled.Int()); settled.Int() <= 0 || !strings.Contains(sb.String(), want) {
 			t.Errorf("%s: reply does not render the recorded %q:\n%s", tc.line, want, sb.String())
 		}
 	}

@@ -65,7 +65,7 @@ type Session struct {
 	sampler *obs.Sampler
 	health  *obs.Health
 	tracing bool   // trace on: append a trace summary to route/alloc answers
-	out     []byte // routefrom/batch reply under construction, reused across requests
+	out     []byte // reply under construction (reply), reused across requests
 }
 
 // NewSession builds the execution context for one client writing its
@@ -174,7 +174,7 @@ func (s *Session) exec(cmd string, rest []string, sp *obs.Span) (bool, error) {
 		cached := s.tracing && snap.TreeCached(ints[0])
 		res, err := snap.Route(ints[0], ints[1], sp)
 		if err == nil {
-			s.printResult(res)
+			s.reply(s.appendResult(s.out[:0], res))
 		}
 		if s.tracing {
 			s.printTraceSummary(ints[0], ints[1], res, readAnatomy(sp), cached)
@@ -218,15 +218,12 @@ func (s *Session) exec(cmd string, rest []string, sp *obs.Span) (bool, error) {
 		for t := 0; t < n; t++ {
 			buf = appendPair(buf, ints[0], t)
 			if st.Reachable(t) {
-				buf = appendCost(buf, st.Dist(t))
+				buf = append(appendCost(buf, st.Dist(t)), '\n')
 			} else {
 				buf = append(buf, "unreachable\n"...)
 			}
 		}
-		// One Write per reply; like Fprintf on every other reply line, a
-		// failing writer is left to the transport's flush.
-		_, _ = s.w.Write(buf)
-		s.out = buf
+		s.reply(buf)
 	case "kshortest":
 		if err := argc(3); err != nil {
 			return false, err
@@ -267,11 +264,10 @@ func (s *Session) exec(cmd string, rest []string, sp *obs.Span) (bool, error) {
 			case r.Err != nil:
 				buf = fmt.Appendf(buf, "error: %v\n", r.Err)
 			default:
-				buf = appendCost(buf, r.Result.Cost)
+				buf = append(appendCost(buf, r.Result.Cost), '\n')
 			}
 		}
-		_, _ = s.w.Write(buf)
-		s.out = buf
+		s.reply(buf)
 	case "alloc":
 		if err := argc(2); err != nil {
 			return false, err
@@ -290,8 +286,11 @@ func (s *Session) exec(cmd string, rest []string, sp *obs.Span) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		fmt.Fprintf(s.w, "lease %d (epoch %d): ", lease, s.eng.Epoch())
-		s.printResult(res)
+		buf := append(s.out[:0], "lease "...)
+		buf = strconv.AppendInt(buf, lease, 10)
+		buf = append(buf, " (epoch "...)
+		buf = strconv.AppendUint(buf, s.eng.Epoch(), 10)
+		s.reply(s.appendResult(append(buf, "): "...), res))
 		if s.tracing {
 			// Residency was read on the snapshot pinned above; it describes
 			// the final attempt only if that attempt routed on the same one.
@@ -492,7 +491,7 @@ func readAnatomy(sp *obs.Span) anatomy {
 			a.auxNodes, a.auxArcs = attrInt(c, core.AttrAuxNodes), attrInt(c, core.AttrAuxArcs)
 			a.settled, a.relaxed = attrInt(c, core.AttrSettled), attrInt(c, core.AttrRelaxed)
 			blocked, _ := c.Attr(core.AttrBlocked)
-			a.blocked = blocked.Bool
+			a.blocked = blocked.Bool()
 			a.physPops = attrInt(c, core.AttrPhysPops)
 			cause, _ := c.Attr(core.AttrBlockedCause)
 			a.cause = cause.Str
@@ -506,7 +505,7 @@ func readAnatomy(sp *obs.Span) anatomy {
 // attrInt reads an integer span attribute, 0 when absent.
 func attrInt(sp *obs.Span, key string) int64 {
 	a, _ := sp.Attr(key)
-	return a.Int
+	return a.Int()
 }
 
 // hitMiss words a cache-residency flag.
@@ -540,30 +539,30 @@ func (s *Session) printTraceSummary(src, dst int, res *core.Result, a anatomy, c
 // found on snap: which junction paid which conversion, what each link
 // traversal cost, and the totals that reconcile to the route cost.
 func (s *Session) printExplain(snap *engine.Snapshot, res *core.Result, a anatomy, cached bool) {
-	fmt.Fprintf(s.w, "explain %d -> %d (epoch %d, cache %s, %s)\n",
+	buf := fmt.Appendf(s.out[:0], "explain %d -> %d (epoch %d, cache %s, %s)\n",
 		res.Source, res.Dest, snap.Epoch(), hitMiss[cached], a.elapsed)
 	legs := res.Path.Breakdown(snap.Network())
 	if len(legs) == 0 {
-		fmt.Fprintln(s.w, "  trivial path (source == destination)")
+		s.reply(append(buf, "  trivial path (source == destination)\n"...))
 		return
 	}
 	links, convs := 0.0, 0.0
 	for i, leg := range legs {
-		fmt.Fprintf(s.w, "  hop %d: %d -[λ%d]-> %d  conv %g + link %g  (cum %g)\n",
+		buf = fmt.Appendf(buf, "  hop %d: %d -[λ%d]-> %d  conv %g + link %g  (cum %g)\n",
 			i+1, leg.From, leg.Hop.Wavelength+1, leg.To, leg.ConvCost, leg.LinkCost, leg.Cumulative)
 		links += leg.LinkCost
 		convs += leg.ConvCost
 	}
-	fmt.Fprintf(s.w, "  totals: links %g + conversions %g = %g\n", links, convs, links+convs)
-	fmt.Fprintf(s.w, "  cost %g  %s\n", res.Cost, res.Path.String(s.eng.Base()))
+	buf = fmt.Appendf(buf, "  totals: links %g + conversions %g = %g\n", links, convs, links+convs)
+	buf = s.appendResult(append(buf, "  "...), res)
 	// The search line stays last: it is what frames an explain reply.
 	if a.physPops > 0 {
-		fmt.Fprintf(s.w, "  bound: backward pass popped %d of %d physical nodes\n",
+		buf = fmt.Appendf(buf, "  bound: backward pass popped %d of %d physical nodes\n",
 			a.physPops, snap.Network().NumNodes())
 	}
 	taken, available := snap.Aux().ConversionChoices(res.Path)
-	fmt.Fprintf(s.w, "  search: aux %d nodes / %d arcs, settled %d, relaxed %d, conversions %d/%d taken/available\n",
-		a.auxNodes, a.auxArcs, a.settled, a.relaxed, taken, available)
+	s.reply(fmt.Appendf(buf, "  search: aux %d nodes / %d arcs, settled %d, relaxed %d, conversions %d/%d taken/available\n",
+		a.auxNodes, a.auxArcs, a.settled, a.relaxed, taken, available))
 }
 
 // printTraceLine renders one flight-recorder entry as a summary line:
@@ -664,15 +663,24 @@ func appendPair(buf []byte, from, to int) []byte {
 	return append(buf, ": "...)
 }
 
-// appendCost appends "cost C\n" with C as fmt's %g renders a float64:
+// appendCost appends "cost C" with C as fmt's %g renders a float64:
 // shortest representation that round-trips.
 func appendCost(buf []byte, c float64) []byte {
-	buf = append(buf, "cost "...)
-	buf = strconv.AppendFloat(buf, c, 'g', -1, 64)
-	return append(buf, '\n')
+	return strconv.AppendFloat(append(buf, "cost "...), c, 'g', -1, 64)
 }
 
-// printResult renders one routing answer.
-func (s *Session) printResult(res *core.Result) {
-	fmt.Fprintf(s.w, "cost %g  %s\n", res.Cost, res.Path.String(s.eng.Base()))
+// appendResult appends one routing answer, "cost C  PATH\n", as fmt's
+// "cost %g  %s\n" renders it.
+func (s *Session) appendResult(buf []byte, res *core.Result) []byte {
+	buf = append(appendCost(buf, res.Cost), "  "...)
+	return append(res.Path.AppendText(buf, s.eng.Base()), '\n')
+}
+
+// reply sends one reply built in the session's buffer (s.out[:0]
+// extended) in a single Write and keeps the buffer for the next. Like
+// Fprintf on every other reply line, a failing writer is left to the
+// transport's flush.
+func (s *Session) reply(buf []byte) {
+	_, _ = s.w.Write(buf)
+	s.out = buf
 }

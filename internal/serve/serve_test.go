@@ -190,7 +190,7 @@ func TestReplyLinesMatchFmt(t *testing.T) {
 	pairs := [][2]int{{0, 0}, {0, 9}, {13, 7}, {99, 100}, {1234567, 89}}
 	for _, p := range pairs {
 		for _, c := range costs {
-			want := fmt.Sprintf("  %d -> %d: cost %g\n", p[0], p[1], c)
+			want := fmt.Sprintf("  %d -> %d: cost %g", p[0], p[1], c)
 			if got := string(appendCost(appendPair(nil, p[0], p[1]), c)); got != want {
 				t.Errorf("cost line = %q, fmt renders %q", got, want)
 			}

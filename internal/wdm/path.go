@@ -2,7 +2,7 @@ package wdm
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // Hop is one step of a semilightpath: traverse Link using Wavelength.
@@ -182,13 +182,22 @@ func (p *Semilightpath) Validate(nw *Network, s, t int) error {
 // String renders the path as "s -[λi]-> v -[λj]-> ... t" for logs and
 // example programs.
 func (p *Semilightpath) String(nw *Network) string {
+	return string(p.AppendText(nil, nw))
+}
+
+// AppendText appends the String rendering to dst and returns the
+// extended slice: the form reply encoders use to render into a reused
+// buffer.
+func (p *Semilightpath) AppendText(dst []byte, nw *Network) []byte {
 	if len(p.Hops) == 0 {
-		return "(empty)"
+		return append(dst, "(empty)"...)
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d", p.Source(nw))
+	dst = strconv.AppendInt(dst, int64(p.Source(nw)), 10)
 	for _, h := range p.Hops {
-		fmt.Fprintf(&b, " -[λ%d]-> %d", h.Wavelength+1, nw.Link(h.Link).To)
+		dst = append(dst, " -[λ"...)
+		dst = strconv.AppendInt(dst, int64(h.Wavelength+1), 10)
+		dst = append(dst, "]-> "...)
+		dst = strconv.AppendInt(dst, int64(nw.Link(h.Link).To), 10)
 	}
-	return b.String()
+	return dst
 }

@@ -65,6 +65,21 @@ type Link struct {
 	From     int       `json:"from"`
 	To       int       `json:"to"`
 	Channels []Channel `json:"channels"`
+
+	minW float64 // MinWeight, kept by setChannels
+}
+
+// MinWeight is min_{λ∈Λ(e)} w(e,λ), +Inf when Λ(e) is empty: the least
+// any semilightpath pays to cross the link. It is current for links a
+// Network holds (AddLink and PatchChannels maintain it).
+func (l *Link) MinWeight() float64 { return l.minW }
+
+// setChannels installs a validated channel set and its minimum.
+func (l *Link) setChannels(channels []Channel) {
+	l.Channels, l.minW = channels, Inf
+	for _, c := range channels {
+		l.minW = min(l.minW, c.Weight)
+	}
 }
 
 // Has reports whether λ ∈ Λ(e) and returns its traversal cost.
@@ -164,7 +179,9 @@ func (nw *Network) AddLink(u, v int, channels []Channel) (int, error) {
 	if id>>linkPageShift == len(nw.pages) {
 		nw.pages = append(nw.pages, new(linkPage))
 	}
-	*nw.Link(id) = Link{ID: id, From: u, To: v, Channels: kept}
+	l := nw.Link(id)
+	*l = Link{ID: id, From: u, To: v}
+	l.setChannels(kept)
 	nw.m++
 	nw.channels += len(kept)
 	nw.out[u] = append(nw.out[u], int32(id))
@@ -329,7 +346,7 @@ func (nw *Network) PatchChannels(changes map[int][]Channel) (*Network, error) {
 		}
 		l := p.Link(id)
 		p.channels += len(arena) - start - len(l.Channels)
-		l.Channels = arena[start:len(arena):len(arena)]
+		l.setChannels(arena[start:len(arena):len(arena)])
 	}
 	return &p, nil
 }
