@@ -100,7 +100,8 @@ func run(args []string, stdin io.Reader, w io.Writer) error {
 	fs := flag.NewFlagSet("wdmserve", flag.ContinueOnError)
 	var nf cli.NetFlags
 	nf.Register(fs)
-	queue := fs.String("queue", "binary", "dijkstra queue: fibonacci|binary|pairing|linear")
+	queue := fs.String("queue", "bucket",
+		"queue SourceTrees are built on: bucket|binary (same costs; searches with a goal always run on the binary heap)")
 	directed := fs.String("directed", "astar",
 		"point-query search strategy: plain|bidi|astar (astar = A* under a per-query lower bound from the physical network)")
 	cacheSize := fs.Int("cache", engine.DefaultCacheSize, "SourceTree cache capacity (<0 disables)")
@@ -140,14 +141,12 @@ func run(args []string, stdin io.Reader, w io.Writer) error {
 
 	var kind graph.QueueKind
 	switch *queue {
-	case "fibonacci":
-		kind = graph.QueueFibonacci
+	case "bucket":
+		kind = graph.QueueBucket
 	case "binary":
 		kind = graph.QueueBinary
-	case "pairing":
-		kind = graph.QueuePairing
-	case "linear":
-		kind = graph.QueueLinear
+	case "fibonacci", "pairing", "linear":
+		return fmt.Errorf("queue %q is an ablation subject, not a serving queue: measure it with wdmbench -experiment heap-ablation", *queue)
 	default:
 		return fmt.Errorf("unknown queue %q", *queue)
 	}

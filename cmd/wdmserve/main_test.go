@@ -158,6 +158,41 @@ func TestServeDirectedFlag(t *testing.T) {
 	}
 }
 
+// TestServeQueueFlag: -queue offers the two queues SourceTrees are served
+// from — bucket by default, binary for an A/B — with byte-identical
+// routefrom and batch replies, and turns the ablation-only queues away by
+// name.
+func TestServeQueueFlag(t *testing.T) {
+	script := "routefrom 3\nbatch 0 9 0 5 7 2\nstats\nquit\n"
+	replies := make(map[string]string)
+	for _, q := range []string{"", "bucket", "binary"} {
+		args := []string{"-topo", "nsfnet", "-k", "6", "-seed", "3"}
+		if q != "" {
+			args = append(args, "-queue", q)
+		}
+		var out bytes.Buffer
+		if err := run(args, strings.NewReader(script), &out); err != nil {
+			t.Fatalf("-queue %q: %v", q, err)
+		}
+		got := out.String()
+		if !strings.Contains(got, "tree rescans 0\n") {
+			t.Fatalf("-queue %q: stats must report 0 tree rescans:\n%s", q, got)
+		}
+		replies[q] = got[:strings.Index(got, "epoch 0 ")] // up to the stats reply, which embeds latencies
+	}
+	if replies[""] != replies["bucket"] || replies["bucket"] != replies["binary"] {
+		t.Fatalf("replies differ across -queue values:\ndefault:\n%s\nbucket:\n%s\nbinary:\n%s",
+			replies[""], replies["bucket"], replies["binary"])
+	}
+	for _, q := range []string{"fibonacci", "pairing", "linear"} {
+		var out bytes.Buffer
+		err := run([]string{"-queue", q}, strings.NewReader(""), &out)
+		if err == nil || !strings.Contains(err.Error(), "wdmbench") {
+			t.Fatalf("-queue %s: err = %v, want a refusal naming wdmbench", q, err)
+		}
+	}
+}
+
 // parseExplain pulls the totals and cost lines out of explain output.
 func parseExplain(t *testing.T, out string) (links, convs, total, cost float64) {
 	t.Helper()

@@ -21,7 +21,6 @@ var advancingMethods = map[string]bool{
 	"RouteAndAllocate": true,
 	"FailLink":         true,
 	"RepairLink":       true,
-	"SetQueue":         true,
 }
 
 // NewSnapshotEscape builds the snapshotescape analyzer.

@@ -562,17 +562,29 @@ func RunRepresentation(w io.Writer, cfg Config) error {
 	return nil
 }
 
-// RunHeapAblation measures the same core query under the three Dijkstra
-// priority structures — the design-choice ablation DESIGN.md calls out.
+// RunHeapAblation measures the same core queries under each queue
+// structure — the design-choice ablation DESIGN.md calls out: a point
+// query (route), which stops at its goal, and a full single-source tree
+// (tree), which has none. The bucket queue exists for the second; under
+// it a point query runs the binary heap, so its route cells repeat
+// binary's.
 func RunHeapAblation(w io.Writer, cfg Config) error {
 	rng := rand.New(rand.NewSource(cfg.Seed + 8))
+	kinds := []graph.QueueKind{
+		graph.QueueFibonacci, graph.QueueBinary, graph.QueuePairing, graph.QueueLinear, graph.QueueBucket,
+	}
 	t := &Table{
-		Title:   "Ablation — Dijkstra queue choice inside the core algorithm",
-		Note:    "Fibonacci carries the Theorem 1 bound; binary/pairing usually win in practice; linear is the CFZ-era structure",
-		Headers: []string{"n", "k", "fibonacci", "binary", "pairing", "linear"},
+		Title:   "Ablation — queue choice inside the core algorithm (k=8)",
+		Note:    "Fibonacci carries the Theorem 1 bound; binary/pairing usually win a point query; linear is the CFZ-era structure; bucket serves goal-less trees (its route cells are the binary heap)",
+		Headers: []string{"queue"},
+	}
+	rows := make([][]any, len(kinds))
+	for i, kind := range kinds {
+		rows[i] = []any{kind.String()}
 	}
 	for _, rawN := range []int{200, 800, 3200} {
 		n := cfg.scaled(rawN)
+		t.Headers = append(t.Headers, fmt.Sprintf("route n=%d", n), fmt.Sprintf("tree n=%d", n))
 		tp := topo.RandomSparse(n, 4, 5, rng)
 		nw, err := workload.Build(tp, workload.RestrictedSpec(8), rng)
 		if err != nil {
@@ -582,19 +594,23 @@ func RunHeapAblation(w io.Writer, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		times := make(map[graph.QueueKind]time.Duration, 4)
-		for _, kind := range []graph.QueueKind{
-			graph.QueueFibonacci, graph.QueueBinary, graph.QueuePairing, graph.QueueLinear,
-		} {
+		for i, kind := range kinds {
 			opts := &core.Options{Queue: kind}
-			times[kind] = medianDuration(cfg.reps(), func() {
+			route := medianDuration(cfg.reps(), func() {
 				if _, err := aux.Route(0, n/2, opts); err != nil && !errors.Is(err, core.ErrNoRoute) {
 					panic(err)
 				}
 			})
+			tree := medianDuration(cfg.reps(), func() {
+				if _, err := aux.RouteFrom(0, opts); err != nil {
+					panic(err)
+				}
+			})
+			rows[i] = append(rows[i], route, tree)
 		}
-		t.AddRow(n, 8, times[graph.QueueFibonacci], times[graph.QueueBinary],
-			times[graph.QueuePairing], times[graph.QueueLinear])
+	}
+	for _, row := range rows {
+		t.AddRow(row...)
 	}
 	t.render(w)
 	return nil

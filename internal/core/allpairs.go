@@ -25,9 +25,15 @@ type SourceTree struct {
 	// bestX[t] is the argmin aux node over X_t, or -1 when unreachable.
 	bestX []int32
 	dist  []float64
-	// settled counts the search's queue pops.
-	settled int
+	// settled counts the search's queue pops (bucket queue: scans), and
+	// rescans those of them beyond one per X-shore node reached.
+	settled, rescans int
 }
+
+// Rescans reports how many times the bucket-queue search scanned a node
+// it had scanned already: 0 while the layout's weight range fits the
+// bucket window (graph.BucketWidth), and always 0 on the other queues.
+func (st *SourceTree) Rescans() int { return st.rescans }
 
 // Source reports the tree's source node.
 func (st *SourceTree) Source() int { return st.source }
@@ -61,8 +67,10 @@ func (st *SourceTree) PathTo(t int) (*wdm.Semilightpath, error) {
 }
 
 // RouteFrom computes optimal semilightpaths from s to every node in one
-// Dijkstra pass over G_{s,·} — the building block of Corollary 1's
-// all-pairs algorithm. Safe for concurrent use on one Aux.
+// single-source pass over G_{s,·} — the building block of Corollary 1's
+// all-pairs algorithm. Under graph.QueueBucket the pass is label-correcting
+// over buckets sized from the layout's weight range; every queue returns
+// the same costs bit for bit. Safe for concurrent use on one Aux.
 func (a *Aux) RouteFrom(s int, opts *Options) (*SourceTree, error) {
 	if s < 0 || s >= a.nw.NumNodes() {
 		return nil, fmt.Errorf("%w: source %d", ErrNodeRange, s)
@@ -84,28 +92,52 @@ func (a *Aux) RouteFrom(s int, opts *Options) (*SourceTree, error) {
 		sp.SetBool(AttrBlocked, true)
 		return st, nil // no outgoing channels: only s itself is reachable
 	}
-	tree, err := graph.DijkstraSeedsUntilScratch(a.g, qs.seeds, nil, opts.queue(), qs.g, a.yPass)
+	kind := opts.queue()
+	bucket := kind == graph.QueueBucket
+	var (
+		tree *graph.ShortestPathTree
+		err  error
+	)
+	if bucket {
+		tree, err = graph.BucketTreeScratch(a.g, qs.seeds, a.bucketWidth, qs.g, a.yPass)
+	} else {
+		tree, err = graph.DijkstraSeedsUntilScratch(a.g, qs.seeds, nil, kind, qs.g, a.yPass)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: dijkstra: %w", err)
-	}
-	if sp != nil {
-		sp.SetInt(AttrAuxNodes, int64(a.NumAuxNodes()+1))          // plus the virtual super source
-		sp.SetInt(AttrAuxArcs, int64(a.g.NumArcs()+len(qs.seeds))) // and its arcs into Y_s
-		sp.SetInt(AttrSettled, int64(tree.Settled))
-		sp.SetInt(AttrRelaxed, int64(tree.Relaxed))
-		sp.SetBytes(AttrReachedPerLambda, a.reachedPerLambda(tree, qs))
 	}
 	st.parent = append([]int32(nil), tree.Parent...)
 	st.via = append([]int32(nil), tree.ViaArc...)
 	st.settled = tree.Settled
+	reachedX := 0
 	for t := 0; t < n; t++ {
 		for xi := range a.xLambdas[t] {
 			x := int(a.xStart[t]) + xi
+			if graph.Finite(tree.Dist[x]) {
+				reachedX++
+			}
 			if tree.Dist[x] < st.dist[t] {
 				st.dist[t] = tree.Dist[x]
 				st.bestX[t] = int32(x)
 			}
 		}
+	}
+	if bucket {
+		// The queue holds the X shore alone, and each reached X node is
+		// scanned at least once, at its final distance.
+		st.rescans = tree.Settled - reachedX
+	}
+	if sp != nil {
+		sp.SetInt(AttrAuxNodes, int64(a.NumAuxNodes()+1))          // plus the virtual super source
+		sp.SetInt(AttrAuxArcs, int64(a.g.NumArcs()+len(qs.seeds))) // and its arcs into Y_s
+		sp.SetStr(AttrQueue, kind.String())
+		sp.SetInt(AttrSettled, int64(tree.Settled))
+		sp.SetInt(AttrRelaxed, int64(tree.Relaxed))
+		if bucket {
+			sp.SetInt(AttrScans, int64(tree.Settled))
+			sp.SetInt(AttrRescans, int64(st.rescans))
+		}
+		sp.SetBytes(AttrReachedPerLambda, a.reachedPerLambda(tree, qs))
 	}
 	return st, nil
 }

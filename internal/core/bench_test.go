@@ -161,29 +161,33 @@ func BenchmarkRouteBounded(b *testing.B) {
 }
 
 // BenchmarkRouteFrom is the cost of one SourceTree miss — Corollary 1's
-// single-source pass on the serving queue, cycling over every source —
-// at the whole-stack benchmark's mid_tree size (n=100) and at big_read's
-// (n=300). settled/op counts queue pops, which are X-shore nodes only.
+// single-source pass, cycling over every source — on the serving queue
+// (bucket) and on the binary heap it replaced there, at the whole-stack
+// benchmark's mid_tree size (n=100) and at big_read's (n=300). scans/op
+// counts bucket scans or heap pops, X-shore nodes only either way: equal
+// rows mean the bucket width met Dial's condition.
 func BenchmarkRouteFrom(b *testing.B) {
-	for _, n := range []int{100, 300} {
-		nw := benchNetwork(b, n, 8)
-		aux, err := NewAux(nw)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			opts := &Options{Queue: graph.QueueBinary}
-			settled := 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st, err := aux.RouteFrom(i%n, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				settled += st.settled
+	for _, kind := range []graph.QueueKind{graph.QueueBucket, graph.QueueBinary} {
+		for _, n := range []int{100, 300} {
+			nw := benchNetwork(b, n, 8)
+			aux, err := NewAux(nw)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
-		})
+			b.Run(fmt.Sprintf("%v/n=%d", kind, n), func(b *testing.B) {
+				opts := &Options{Queue: kind}
+				scans := 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					st, err := aux.RouteFrom(i%n, opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					scans += st.settled
+				}
+				b.ReportMetric(float64(scans)/float64(b.N), "scans/op")
+			})
+		}
 	}
 }

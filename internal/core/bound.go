@@ -1,9 +1,6 @@
 package core
 
-import (
-	"lightpath/internal/graph"
-	"lightpath/internal/heap/binheap"
-)
+import "lightpath/internal/graph"
 
 // This file computes DirectedAStar's potential: a lower bound on the
 // cost of reaching t, per *physical* node, read off the residual network
@@ -25,9 +22,8 @@ import (
 // boundScratch is the backward pass's per-query state, sized by the
 // physical node count and carried on the pooled queryScratch.
 type boundScratch struct {
-	pi   []float64 // π(v); valid for the query that filled it
-	done []bool
-	heap *binheap.Heap
+	pi    []float64 // π(v); valid for the query that filled it
+	queue *graph.BucketQueue
 
 	info []AuxNode         // the querying Aux's node identities
 	pot  func(int) float64 // v ↦ pi[info[v].Node], built once: queries allocate no closure
@@ -35,65 +31,71 @@ type boundScratch struct {
 
 func newBoundScratch(n int) *boundScratch {
 	b := &boundScratch{
-		pi:   make([]float64, n),
-		done: make([]bool, n),
-		heap: binheap.New(n),
+		pi:    make([]float64, n),
+		queue: graph.NewBucketQueue(),
 	}
 	b.pot = func(v int) float64 { return b.pi[b.info[v].Node] }
 	return b
 }
 
 // physicalBound runs the backward pass from t and returns the potential
-// for an s→t query together with the number of physical nodes it popped.
-// The pass stops when s is settled: every node still unsettled then lies
-// at least π(s) from t, and is given exactly π(s). A nil potential means
-// the pass exhausted the nodes that reach t without meeting s — no
-// physical path carries a free channel on every link, so no semilightpath
-// exists whatever the wavelengths.
+// for an s→t query together with the number of physical nodes it scanned.
+// The pass is label-correcting over the bucket queue the SourceTree
+// search uses, at the same width: every link minimum is at least the
+// lightest layout channel, so on a network whose weight range fits the
+// window each node is scanned once, in bucket order. It stops once the
+// bucket s was scanned from is empty — the whole bucket, not s alone: by
+// then every node whose distance falls in that bucket or an earlier one
+// is final, s among them, while a node still queued in it could yet be
+// improved. Every potential above π(s) is then cut down to π(s), so the
+// potential is min(dist(v,t), π(s)): exact below π(s), a lower bound
+// above it, and consistent because a minimum of consistent potentials is.
+// A nil potential means the pass exhausted the nodes that reach t without
+// meeting s — no physical path carries a free channel on every link, so
+// no semilightpath exists whatever the wavelengths.
 func (a *Aux) physicalBound(qs *queryScratch, s, t int) (pot func(int) float64, pops int, err error) {
 	if qs.bound == nil {
 		qs.bound = newBoundScratch(a.nw.NumNodes())
 	}
 	b := qs.bound
-	pi, done, h := b.pi, b.done, b.heap
+	pi, q := b.pi, b.queue
 	for v := range pi {
 		pi[v] = graph.Inf
-		done[v] = false
 	}
-	h.Reset()
+	q.Reset(a.bucketWidth)
 	pi[t] = 0
-	if err := h.Push(t, 0); err != nil {
-		return nil, 0, err
-	}
-	for !h.Empty() {
-		u, du, err := h.Pop()
-		if err != nil {
-			return nil, pops, err
+	q.Push(t, 0)
+	met, last := false, 0.0
+	for {
+		u, du, ok := q.Pop()
+		if !ok || met && q.Bucket() != last {
+			break
+		}
+		if du != pi[u] {
+			continue // stale: u was improved after this entry was queued
 		}
 		pops++
-		done[u] = true
-		if u == s {
-			for v := range pi {
-				if !done[v] {
-					pi[v] = du
-				}
-			}
-			b.info = a.info
-			return b.pot, pops, nil
+		// An s popped from beyond its own bucket (a weight range the window
+		// does not cover) is not final and does not end the pass.
+		if u == s && q.Timely(du) {
+			met, last = true, q.Bucket()
 		}
 		for _, id := range a.nw.In(u) {
 			l := a.nw.Link(int(id))
-			if done[l.From] {
-				continue
-			}
 			// A link with no free channel weighs +Inf and improves nothing.
 			if nd := du + l.MinWeight(); nd < pi[l.From] {
 				pi[l.From] = nd
-				if _, err := h.PushOrDecrease(l.From, nd); err != nil {
-					return nil, pops, err
-				}
+				q.Push(l.From, nd)
 			}
 		}
 	}
-	return nil, pops, nil
+	ps := pi[s]
+	if graph.IsInf(ps) {
+		return nil, pops, nil
+	}
+	for v := range pi {
+		pi[v] = min(pi[v], ps)
+	}
+	b.info = a.info
+	return b.pot, pops, nil
 }

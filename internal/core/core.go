@@ -96,6 +96,14 @@ type Aux struct {
 	// Y_u → X_v link arcs), so a Y node only ever forwards its key along
 	// its link arcs and the queue need hold the X shore alone.
 	yPass []bool
+	// bucketWidth is the bucket width of the goal-less search
+	// (graph.QueueBucket), from the layout's weight range: with the Y shore
+	// passed through, a hop from one queued X node to the next crosses one
+	// conversion arc and one link arc, so it weighs at least the lightest
+	// layout channel and at most the heaviest plus the dearest conversion.
+	// A residual holds a subset of the layout's channels, so the bounds
+	// hold down the whole delta chain.
+	bucketWidth float64
 
 	stats BuildStats
 	depth int // ApplyDelta steps since the last full compile
@@ -177,6 +185,7 @@ func NewAuxWithLayout(layout, residual *wdm.Network) (*Aux, error) {
 	// Pass 2: gadget arcs E_v (conversion edges, Observation 1/4 sizes).
 	conv := layout.Converter()
 	gadgetArcs := 0
+	maxConv := 0.0
 	for v := 0; v < n; v++ {
 		for xi, p := range a.xLambdas[v] {
 			x := int(a.xStart[v]) + xi
@@ -190,6 +199,9 @@ func NewAuxWithLayout(layout, residual *wdm.Network) (*Aux, error) {
 					continue
 				default:
 					c = conv.Cost(v, p, q)
+					if graph.Finite(c) {
+						maxConv = max(maxConv, c)
+					}
 				}
 				if err := a.g.AddArc(x, y, c, tagConversion); err != nil {
 					return nil, fmt.Errorf("core: gadget arc at node %d: %w", v, err)
@@ -198,6 +210,13 @@ func NewAuxWithLayout(layout, residual *wdm.Network) (*Aux, error) {
 		}
 	}
 	gadgetArcs = a.g.NumArcs()
+	minW, maxW := graph.Inf, 0.0
+	for id := 0; id < layout.NumLinks(); id++ {
+		for _, ch := range layout.Link(id).Channels {
+			minW, maxW = min(minW, ch.Weight), max(maxW, ch.Weight)
+		}
+	}
+	a.bucketWidth = graph.BucketWidth(minW, maxW+maxConv)
 
 	// Pass 3: E_org — one arc per (link, channel), Y_u(λ) → X_v(λ) with
 	// weight w(e,λ). Wavelength positions are found by binary search in

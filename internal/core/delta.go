@@ -53,18 +53,19 @@ func (a *Aux) ApplyDelta(next *wdm.Network, changed []int) (*Aux, error) {
 	}
 
 	child := &Aux{
-		nw:       next,
-		layout:   a.layout,
-		g:        a.g.CloneCOW(),
-		info:     a.info,
-		xStart:   a.xStart,
-		xLambdas: a.xLambdas,
-		yStart:   a.yStart,
-		yLambdas: a.yLambdas,
-		yPass:    a.yPass,
-		stats:    a.stats,
-		depth:    a.depth + 1,
-		pool:     a.pool,
+		nw:          next,
+		layout:      a.layout,
+		g:           a.g.CloneCOW(),
+		info:        a.info,
+		xStart:      a.xStart,
+		xLambdas:    a.xLambdas,
+		yStart:      a.yStart,
+		yLambdas:    a.yLambdas,
+		yPass:       a.yPass,
+		bucketWidth: a.bucketWidth,
+		stats:       a.stats,
+		depth:       a.depth + 1,
+		pool:        a.pool,
 	}
 
 	// The affected fragment: for each changed link e=(u,v), every

@@ -118,6 +118,16 @@ func checkDirectedAgree(t *testing.T, a *Aux, rng *rand.Rand) {
 	t.Helper()
 	nw := a.Network()
 	n := nw.NumNodes()
+	// While the bucket width is no more than the lightest channel (Dial's
+	// condition) and the window at that width covers the heaviest, the
+	// bound pass scans a physical node at most once.
+	lightest, heaviest := graph.Inf, 0.0
+	for _, l := range nw.Links() {
+		for _, ch := range l.Channels {
+			lightest, heaviest = min(lightest, ch.Weight), max(heaviest, ch.Weight)
+		}
+	}
+	once := a.bucketWidth <= lightest && graph.BucketWidth(a.bucketWidth, heaviest) == a.bucketWidth
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
 			if s == d {
@@ -161,8 +171,8 @@ func checkDirectedAgree(t *testing.T, a *Aux, rng *rand.Rand) {
 			if ra.Stats.Settled > rp.Stats.Settled {
 				t.Fatalf("%d→%d: astar settled %d aux nodes, plain %d", s, d, ra.Stats.Settled, rp.Stats.Settled)
 			}
-			if ra.Stats.PhysPops < 2 || ra.Stats.PhysPops > n {
-				t.Fatalf("%d→%d: astar physical pops = %d on %d nodes", s, d, ra.Stats.PhysPops, n)
+			if ra.Stats.PhysPops < 2 || once && ra.Stats.PhysPops > n {
+				t.Fatalf("%d→%d: astar physical scans = %d on %d nodes", s, d, ra.Stats.PhysPops, n)
 			}
 			if askOracle {
 				want, _, err := oracle.Solve(nw, s, d)
@@ -370,10 +380,17 @@ func TestPhysicalBoundIsConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := nw.NumNodes()
+	checkBoundConsistent(t, a, rng, 40)
+}
+
+// checkBoundConsistent puts the backward pass's potential for random
+// (s, t) pairs of a to TestPhysicalBoundIsConsistent's demands.
+func checkBoundConsistent(t *testing.T, a *Aux, rng *rand.Rand, queries int) {
+	t.Helper()
+	n := a.nw.NumNodes()
 	qs := a.pool.get()
 	defer a.pool.put(qs)
-	for q := 0; q < 40; q++ {
+	for q := 0; q < queries; q++ {
 		s, d := rng.Intn(n), rng.Intn(n)
 		if s == d {
 			continue
@@ -405,7 +422,10 @@ func TestPhysicalBoundIsConsistent(t *testing.T) {
 			if v == d {
 				continue
 			}
-			if res, err := a.Route(v, d, plainOpts); err == nil && pi[v] > res.Cost {
+			// π sums a path's weights from t backward and the search from v
+			// forward, so on the optimal path itself they may differ in the
+			// last place.
+			if res, err := a.Route(v, d, plainOpts); err == nil && pi[v] > res.Cost && !costEq(pi[v], res.Cost) {
 				t.Fatalf("%d→%d: π(%d) = %v exceeds the true cost %v", s, d, v, pi[v], res.Cost)
 			}
 		}

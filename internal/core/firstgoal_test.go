@@ -12,7 +12,7 @@ import (
 	"lightpath/internal/workload"
 )
 
-var allQueues = []graph.QueueKind{graph.QueueFibonacci, graph.QueueBinary, graph.QueueLinear, graph.QueuePairing}
+var allQueues = []graph.QueueKind{graph.QueueFibonacci, graph.QueueBinary, graph.QueueLinear, graph.QueuePairing, graph.QueueBucket}
 
 // tieHeavyAux builds a small random instance on which equal-cost optima
 // are the rule: channel weights are integers in 0..2 (so zero-weight
@@ -92,15 +92,21 @@ func TestRouteMatchesExhaustiveSearch(t *testing.T) {
 				// ref is the independent reference for costs and blocked
 				// verdicts: the unmasked search, to exhaustion. full is the
 				// kernel Route runs (Y shore passed through on the binary
-				// queue), needed only because among equal-cost optima the
-				// masked queue may hold another path than the unmasked one.
+				// queue — which is also what a point query runs under the
+				// bucket queue), needed only because among equal-cost optima
+				// the masked queue may hold another path than the unmasked
+				// one.
+				routeKind := kind
+				if kind == graph.QueueBucket {
+					routeKind = graph.QueueBinary
+				}
 				var ref, full *graph.ShortestPathTree
 				if seeds := a.sourceSeeds(nil, s); len(seeds) > 0 {
 					var err error
 					if ref, err = graph.DijkstraSeedsUntil(a.g, seeds, nil, kind); err != nil {
 						t.Fatal(err)
 					}
-					if full, err = graph.DijkstraSeedsUntilScratch(a.g, seeds, nil, kind, nil, a.yPass); err != nil {
+					if full, err = graph.DijkstraSeedsUntilScratch(a.g, seeds, nil, routeKind, nil, a.yPass); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -194,9 +200,9 @@ func TestSearchStatsCountSuperTerminalArcs(t *testing.T) {
 
 // TestRouteFromMissAllocations pins what an uncached single-source pass
 // allocates: the SourceTree, its two per-node arrays and the parent and
-// via-arc arrays path extraction walks — five objects. The heap, the
-// settled set, the distance array and the seed list come from the scratch
-// pool; passing the Y shore through adds nothing.
+// via-arc arrays path extraction walks — five objects. The bucket
+// queue's entry array, the distance array and the seed list come from
+// the scratch pool; passing the Y shore through adds nothing.
 func TestRouteFromMissAllocations(t *testing.T) {
 	nw, err := workload.Build(topo.NSFNET(), workload.RestrictedSpec(8), rand.New(rand.NewSource(3)))
 	if err != nil {
@@ -206,7 +212,7 @@ func TestRouteFromMissAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := &Options{Queue: graph.QueueBinary}
+	opts := &Options{Queue: graph.QueueBucket}
 	if _, err := a.RouteFrom(0, opts); err != nil { // warm the pool
 		t.Fatal(err)
 	}

@@ -10,7 +10,10 @@ import (
 	"lightpath/internal/oracle"
 )
 
-var binaryOpts = &Options{Queue: graph.QueueBinary}
+var (
+	binaryOpts = &Options{Queue: graph.QueueBinary}
+	bucketOpts = &Options{Queue: graph.QueueBucket}
+)
 
 // maxForwardRatio bounds, over the full trees of one network, the
 // link-arc relaxations of the masked search as a multiple of the link
@@ -18,10 +21,14 @@ var binaryOpts = &Options{Queue: graph.QueueBinary}
 // once each (the paper's km term). The fixtures measure at most 1.053.
 const maxForwardRatio = 1.25
 
-// checkPassThrough compares, from every source of a, the serving search
-// (binary queue, Y shore passed through) with the same queue unmasked:
-// every auxiliary distance bit-equal and no more pops. It then checks
-// what the masked search is used for — every path a SourceTree extracts
+// checkPassThrough compares, from every source of a, the two searches
+// that pass the Y shore through — the binary queue and the bucket queue
+// SourceTrees are served from — with the binary queue unmasked: every
+// auxiliary distance bit-equal, no more pops on the heap, at least one
+// scan per reached X node on the buckets, and a bucket-built SourceTree
+// whose every cost is the heap-built one's bit for bit and whose every
+// path is a valid semilightpath of that cost. It then checks what the
+// masked search is used for — every path a SourceTree extracts
 // is a valid semilightpath costing its reported distance (exactly so when
 // sums are exact), plain Route on the same queue agrees with the tree and
 // with the unmasked Fibonacci search bit for bit — and puts one pair in
@@ -91,9 +98,43 @@ func checkPassThrough(t *testing.T, a *Aux, rng *rand.Rand, exact bool) {
 		if masked.Settled > plain.Settled || st.settled != masked.Settled {
 			t.Fatalf("source %d: pops masked %d, tree %d, unmasked %d", s, masked.Settled, st.settled, plain.Settled)
 		}
+		bucket, err := graph.BucketTreeScratch(a.g, seeds, a.bucketWidth, nil, a.yPass)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range plain.Dist {
+			if math.Float64bits(bucket.Dist[v]) != math.Float64bits(plain.Dist[v]) {
+				t.Fatalf("source %d: aux dist[%d] = %v on buckets, %v on the heap", s, v, bucket.Dist[v], plain.Dist[v])
+			}
+		}
+		bt, err := a.RouteFrom(s, bucketOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The heap pops each reached X node once, so its pop count is the
+		// number of them.
+		if bt.settled != bucket.Settled || bt.Rescans() != bucket.Settled-masked.Settled || bt.Rescans() < 0 {
+			t.Fatalf("source %d: bucket tree scans %d (rescans %d), kernel %d, reached X nodes %d",
+				s, bt.settled, bt.Rescans(), bucket.Settled, masked.Settled)
+		}
 		for d := 0; d < n; d++ {
 			if d == s {
 				continue
+			}
+			if math.Float64bits(bt.Dist(d)) != math.Float64bits(st.Dist(d)) {
+				t.Fatalf("%d→%d: bucket tree costs %v, heap tree %v", s, d, bt.Dist(d), st.Dist(d))
+			}
+			if bt.Reachable(d) {
+				path, err := bt.PathTo(d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := path.Validate(nw, s, d); err != nil {
+					t.Fatalf("%d→%d: bucket tree path invalid: %v", s, d, err)
+				}
+				if got := path.Cost(nw); !same(got, bt.Dist(d)) {
+					t.Fatalf("%d→%d: bucket tree path costs %v, dist %v", s, d, got, bt.Dist(d))
+				}
 			}
 			res, errBin := a.Route(s, d, binaryOpts)
 			ref, errFib := a.Route(s, d, plainOpts)

@@ -27,6 +27,9 @@ const (
 	AttrDirected         = "directed_mode"
 	AttrMaxHops          = "max_hops"
 	AttrReachedPerLambda = "reached_per_lambda"
+	AttrQueue            = "queue"   // core_tree_search: the graph.QueueKind the pass ran on
+	AttrScans            = "scans"   // bucket queue: entries scanned (popped with a current key)
+	AttrRescans          = "rescans" // bucket queue: scans beyond one per X-shore node reached
 )
 
 // Values of AttrBlockedCause: no physical path from s to t carries a

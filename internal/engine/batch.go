@@ -29,8 +29,10 @@ type BatchResult struct {
 // the same epoch, even if mutators publish newer snapshots mid-batch.
 //
 // Requests sharing a source are answered from one SourceTree via the
-// engine's LRU cache; unique sources fall back to targeted Route calls,
-// which stop at the destination instead of exhausting the graph.
+// engine's LRU cache, and so is a unique source whose tree is already
+// resident at this epoch; other unique sources fall back to targeted
+// Route calls, which stop at the destination instead of exhausting the
+// graph.
 // workers ≤ 0 selects GOMAXPROCS.
 func (e *Engine) RouteBatch(reqs []Request, workers int) []BatchResult {
 	snap := e.Snapshot()
@@ -87,6 +89,8 @@ func (s *Snapshot) RouteBatch(reqs []Request, workers int) []BatchResult {
 				)
 				if perSource[req.From] > 1 {
 					res, err = s.RouteVia(req.From, req.To)
+				} else if st, ok := s.residentTree(req.From); ok {
+					res, err = viaTree(st, req.From, req.To)
 				} else {
 					res, err = s.Route(req.From, req.To)
 				}

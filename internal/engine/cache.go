@@ -64,15 +64,25 @@ func newTreeCache(capacity int) *treeCache {
 	}
 }
 
-func (c *treeCache) get(k treeKey) (*core.SourceTree, bool) {
+func (c *treeCache) get(k treeKey) (*core.SourceTree, bool) { return c.lookup(k, true) }
+
+// getResident is get for a caller that will not build the tree on a
+// miss: a resident tree counts as a lookup and a hit, an absent one as
+// nothing, so Lookups == Hits + Misses still holds.
+func (c *treeCache) getResident(k treeKey) (*core.SourceTree, bool) { return c.lookup(k, false) }
+
+func (c *treeCache) lookup(k treeKey, countMiss bool) (*core.SourceTree, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.lookups++
 	el, ok := c.items[k]
 	if !ok {
-		c.misses++
+		if countMiss {
+			c.lookups++
+			c.misses++
+		}
 		return nil, false
 	}
+	c.lookups++
 	c.hits++
 	c.ll.MoveToFront(el)
 	return el.Value.(*cacheEntry).tree, true

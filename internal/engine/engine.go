@@ -68,9 +68,12 @@ type Channel struct {
 
 // Options configures a new engine.
 type Options struct {
-	// Queue selects the Dijkstra priority structure for all queries.
-	// Zero means graph.QueueBinary, the practical default for repeated
-	// small queries.
+	// Queue selects the priority structure of the searches that consult
+	// one: SourceTree passes (RouteFrom, RouteBatch's shared sources) and
+	// DirectedPlain point queries. Zero means graph.QueueBucket — trees
+	// built label-correcting over buckets, point queries on the binary heap
+	// every search with a goal runs on. graph.QueueBinary builds the trees
+	// on the heap too (same costs bit for bit; the A/B reference).
 	Queue graph.QueueKind
 	// CacheSize bounds the SourceTree LRU cache (entries). Zero means
 	// DefaultCacheSize; negative disables caching.
@@ -176,7 +179,7 @@ func New(nw *wdm.Network, opts *Options) (*Engine, error) {
 	}
 	e := &Engine{
 		base:     nw,
-		queue:    graph.QueueBinary,
+		queue:    graph.QueueBucket,
 		inUse:    make(map[Channel]int64),
 		owners:   make(map[int64][]Channel),
 		failed:   make(map[int]bool),
@@ -212,17 +215,6 @@ func (e *Engine) Directed() core.DirectedMode { return e.directed }
 
 // Base returns the installed (non-residual) network.
 func (e *Engine) Base() *wdm.Network { return e.base }
-
-// SetQueue overrides the Dijkstra queue for subsequent snapshots. The
-// current snapshot keeps its queue until the next mutation republishes.
-func (e *Engine) SetQueue(kind graph.QueueKind) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.queue = kind
-	// Republish so the change takes effect without waiting for churn.
-	// The residual is unchanged, so this is an empty (zero-link) delta.
-	_ = e.publish(e.Epoch()+1, []int{}, nil)
-}
 
 // Epoch reports the current epoch: 0 at construction, +1 per mutation.
 func (e *Engine) Epoch() uint64 { return e.snap.Load().epoch }

@@ -2,10 +2,12 @@ package engine
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
 	"lightpath/internal/core"
+	"lightpath/internal/graph"
 	"lightpath/internal/topo"
 	"lightpath/internal/wdm"
 	"lightpath/internal/workload"
@@ -178,6 +180,106 @@ func TestSourceTreeCacheCounters(t *testing.T) {
 	}
 	if e.CacheStats().Misses != before+1 {
 		t.Fatal("lookup at a new epoch must miss the cache")
+	}
+}
+
+// TestRouteBatchAnswersFromResidentTree: a source that appears once in a
+// batch is answered from its SourceTree when the cache already holds it
+// at this epoch — a hit, no point query — and by a point query when it
+// does not, which neither builds the tree nor counts as a lookup. Either
+// way the cost is the tree's, bit for bit.
+func TestRouteBatchAnswersFromResidentTree(t *testing.T) {
+	nw := buildNet(t, topo.NSFNET(), 4, 1)
+	e, err := New(nw, &Options{Directed: core.DirectedAStar})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := e.RouteFrom(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes := func() uint64 { return e.Metrics().Snapshot()["engine_routes_total"].(uint64) }
+	before, routed := e.CacheStats(), routes()
+	out := e.RouteBatch([]Request{{From: 0, To: 9}, {From: 3, To: 9}}, 1)
+	for _, r := range out {
+		if r.Err != nil {
+			t.Fatalf("%d->%d: %v", r.From, r.To, r.Err)
+		}
+	}
+	if out[0].Result.Cost != st.Dist(9) {
+		t.Fatalf("0->9 from the resident tree costs %v, tree says %v", out[0].Result.Cost, st.Dist(9))
+	}
+	after := e.CacheStats()
+	if after.Hits != before.Hits+1 || after.Misses != before.Misses || after.Lookups != after.Hits+after.Misses {
+		t.Fatalf("cache counters %+v → %+v: want one more hit, no miss, lookups = hits + misses", before, after)
+	}
+	if got := routes() - routed; got != 1 {
+		t.Fatalf("%d point queries ran, want 1 (source 3 only)", got)
+	}
+	if e.Snapshot().TreeCached(3) {
+		t.Fatal("the batch built a tree for a source that appears once")
+	}
+	want, err := e.RouteFrom(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out[1].Result.Cost != want.Dist(9) {
+		t.Fatalf("3->9 by point query costs %v, tree says %v", out[1].Result.Cost, want.Dist(9))
+	}
+}
+
+// TestTreeRescansCounter: the engine's default queue is the bucket queue,
+// and engine_tree_rescans_total is its runtime gate — 0 on a network
+// whose weight range fits the bucket window, positive on one whose range
+// does not, where trees still cost what the binary heap's cost.
+func TestTreeRescansCounter(t *testing.T) {
+	rescans := func(e *Engine) uint64 { return e.Metrics().Snapshot()["engine_tree_rescans_total"].(uint64) }
+	fits := buildNet(t, topo.NSFNET(), 4, 1)
+	rng := rand.New(rand.NewSource(5))
+	wide := wdm.NewNetwork(fits.NumNodes(), fits.K())
+	wide.SetConverter(fits.Converter())
+	for _, l := range fits.Links() {
+		chans := append([]wdm.Channel(nil), l.Channels...)
+		for i := range chans {
+			chans[i].Weight = math.Pow(10, -3+6*rng.Float64())
+		}
+		if _, err := wide.AddLink(l.From, l.To, chans); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, tc := range map[string]struct {
+		nw      *wdm.Network
+		rescans bool
+	}{"fits": {fits, false}, "wide": {wide, true}} {
+		e, err := New(tc.nw, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		heap, err := New(tc.nw, &Options{Queue: graph.QueueBinary})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < tc.nw.NumNodes(); s++ {
+			st, err := e.RouteFrom(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := heap.RouteFrom(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for d := 0; d < tc.nw.NumNodes(); d++ {
+				if math.Float64bits(st.Dist(d)) != math.Float64bits(ref.Dist(d)) {
+					t.Fatalf("%s %d->%d: %v on buckets, %v on the heap", name, s, d, st.Dist(d), ref.Dist(d))
+				}
+			}
+		}
+		if got := rescans(e); (got > 0) != tc.rescans {
+			t.Errorf("%s: engine_tree_rescans_total = %d", name, got)
+		}
+		if got := rescans(heap); got != 0 {
+			t.Errorf("%s: binary-queue engine counted %d rescans", name, got)
+		}
 	}
 }
 

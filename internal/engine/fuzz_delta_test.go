@@ -3,10 +3,12 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"lightpath/internal/core"
+	"lightpath/internal/graph"
 	"lightpath/internal/topo"
 	"lightpath/internal/wdm"
 	"lightpath/internal/workload"
@@ -20,8 +22,10 @@ import (
 //   - the published residual equals the model residual channel-for-channel;
 //   - a point route on the snapshot costs exactly what a freshly compiled
 //     core.NewAux over the model residual computes;
-//   - the snapshot's SourceTree (masked binary-heap search) gives every
-//     destination that compile's cost and a valid path of that cost;
+//   - the snapshot's SourceTree (bucket queue, Y shore passed through)
+//     gives every destination that compile's cost and a valid path of that
+//     cost, and the cost the binary heap computes on the same snapshot bit
+//     for bit;
 //   - the publish counters reconcile (Rebuilds == Epoch+1 and decompose
 //     into FullRebuilds + DeltaApplies).
 //
@@ -166,15 +170,23 @@ func FuzzDeltaChurn(f *testing.F) {
 					t.Fatalf("route %d->%d: depth-capped %+v (%v), chained %+v (%v)", s, d, got, err, cgot, cerr)
 				}
 
-				// Oracle 3: the snapshot's single-source tree — the binary
+				// Oracle 3: the snapshot's single-source tree — the bucket
 				// queue with the Y shore passed through, on the delta-built
 				// graph — against the fresh compile's unmasked Fibonacci
-				// tree, every destination, paths included.
+				// tree, every destination, paths included, and against the
+				// binary heap on the same graph to the bit.
 				tree, err := snap.RouteFrom(s)
 				if err != nil {
 					t.Fatalf("routefrom %d: %v", s, err)
 				}
+				heap, err := snap.Aux().RouteFrom(s, &core.Options{Queue: graph.QueueBinary})
+				if err != nil {
+					t.Fatalf("binary routefrom %d: %v", s, err)
+				}
 				for dst := 0; dst < n; dst++ {
+					if math.Float64bits(tree.Dist(dst)) != math.Float64bits(heap.Dist(dst)) {
+						t.Fatalf("tree dist %d->%d = %v on buckets, %v on the heap", s, dst, tree.Dist(dst), heap.Dist(dst))
+					}
 					if !costsAgree(tree.Dist(dst), st.Dist(dst)) {
 						t.Fatalf("tree dist %d->%d = %v, fresh compile %v", s, dst, tree.Dist(dst), st.Dist(dst))
 					}

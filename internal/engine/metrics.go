@@ -30,7 +30,12 @@ type Metrics struct {
 	allocRetries  *obs.Counter // engine_alloc_retries_total
 	batchRequests *obs.Counter // engine_batch_requests_total
 	goalSettled   *obs.Counter // engine_goal_settled_total (nodes settled by directed queries)
-	batchInFlight *obs.Gauge   // engine_batch_inflight (queue depth)
+	// engine_tree_rescans_total: scans the bucket-queue SourceTree passes
+	// spent on nodes they had scanned already. 0 while the network's weight
+	// range fits the bucket window; growth means trees are still exact but
+	// cost more than one scan per node (core.SourceTree.Rescans).
+	treeRescans   *obs.Counter
+	batchInFlight *obs.Gauge // engine_batch_inflight (queue depth)
 }
 
 // newMetrics wires an engine's registry: direct instruments for the
@@ -53,6 +58,7 @@ func newMetrics(e *Engine) *Metrics {
 		allocRetries:         reg.Counter("engine_alloc_retries_total"),
 		batchRequests:        reg.Counter("engine_batch_requests_total"),
 		goalSettled:          reg.Counter("engine_goal_settled_total"),
+		treeRescans:          reg.Counter("engine_tree_rescans_total"),
 		batchInFlight:        reg.Gauge("engine_batch_inflight"),
 	}
 

@@ -55,6 +55,15 @@ func (s *Snapshot) TreeCached(src int) bool {
 	return s.eng.cache != nil && s.eng.cache.peek(treeKey{source: src, epoch: s.epoch})
 }
 
+// residentTree returns the SourceTree for (src, this epoch) if the cache
+// holds it, as a cache hit; an absent tree is neither counted nor built.
+func (s *Snapshot) residentTree(src int) (*core.SourceTree, bool) {
+	if s.eng.cache == nil {
+		return nil, false
+	}
+	return s.eng.cache.getResident(treeKey{source: src, epoch: s.epoch})
+}
+
 // Route finds an optimal semilightpath from src to dst over this
 // snapshot's residual capacity. Latency and the blocked/served outcome
 // land on the engine's route metrics; goal-directed queries additionally
@@ -90,7 +99,7 @@ func (s *Snapshot) RouteFrom(src int, parent ...*obs.Span) (*core.SourceTree, er
 	defer func() { s.eng.metrics.routeFromLatency.ObserveDuration(time.Since(start)) }()
 	cache := s.eng.cache
 	if cache == nil {
-		return s.aux.RouteFrom(src, s.opts(sp))
+		return s.buildTree(src, sp)
 	}
 	look := sp.StartChild(SpanCacheLookup)
 	st, ok := cache.get(treeKey{source: src, epoch: s.epoch})
@@ -102,12 +111,22 @@ func (s *Snapshot) RouteFrom(src int, parent ...*obs.Span) (*core.SourceTree, er
 	// Compute outside the cache lock; concurrent misses on the same key
 	// may duplicate the work, and the last insert wins — both trees are
 	// equally correct, so this is only a transient inefficiency.
-	st, err := s.aux.RouteFrom(src, s.opts(sp))
+	st, err := s.buildTree(src, sp)
 	if err != nil {
 		return nil, err
 	}
 	cache.put(treeKey{source: src, epoch: s.epoch}, st)
 	return st, nil
+}
+
+// buildTree runs the single-source pass of a cache miss and counts its
+// rescans.
+func (s *Snapshot) buildTree(src int, sp *obs.Span) (*core.SourceTree, error) {
+	st, err := s.aux.RouteFrom(src, s.opts(sp))
+	if err == nil {
+		s.eng.metrics.treeRescans.Add(uint64(st.Rescans()))
+	}
+	return st, err
 }
 
 // RouteVia answers a point-to-point query through the SourceTree cache:
@@ -119,6 +138,11 @@ func (s *Snapshot) RouteVia(src, dst int) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return viaTree(st, src, dst)
+}
+
+// viaTree reads one destination off a SourceTree as a point-query result.
+func viaTree(st *core.SourceTree, src, dst int) (*core.Result, error) {
 	path, err := st.PathTo(dst)
 	if err != nil {
 		return nil, err

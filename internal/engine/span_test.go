@@ -91,8 +91,22 @@ func TestRouteFromCacheLookupSpans(t *testing.T) {
 	if a, ok := look.Attr("hit"); !ok || a.Bool() {
 		t.Errorf("cold lookup hit attr = %+v ok=%v, want false", a, ok)
 	}
-	if cold.Span("core_tree_search") == nil {
-		t.Error("cold pass must record the Dijkstra span")
+	search := cold.Span("core_tree_search")
+	if search == nil {
+		t.Fatal("cold pass must record the search span")
+	}
+	// The default engine builds trees on the bucket queue and says so; on
+	// a network whose weights fit the window nothing is scanned twice.
+	if a, ok := search.Attr("queue"); !ok || a.Str != "bucket" {
+		t.Errorf("queue attr = %+v ok=%v, want bucket", a, ok)
+	}
+	scans, okS := search.Attr("scans")
+	settled, okP := search.Attr("settled")
+	if !okS || !okP || scans.Int() == 0 || scans.Int() != settled.Int() {
+		t.Errorf("scans attr = %+v (%v), settled %+v (%v)", scans, okS, settled, okP)
+	}
+	if a, ok := search.Attr("rescans"); !ok || a.Int() != 0 {
+		t.Errorf("rescans attr = %+v ok=%v, want 0", a, ok)
 	}
 
 	warm := tracer.Start("request")

@@ -13,9 +13,13 @@ import (
 // The choice changes the time bound, not the result:
 //
 //	QueueFibonacci  O(m + n·log n)   — the bound Theorem 1 cites
-//	QueueBinary     O((m+n)·log n)   — practical default
+//	QueueBinary     O((m+n)·log n)   — what every search with a goal runs on
 //	QueueLinear     O(n² + m)        — the CFZ-era baseline structure
 //	QueuePairing    O(m·α + n·log n) — pairing heap; small constants
+//	QueueBucket     O(m + n + D/W)   — cyclic bucket array of width W ≤ the
+//	                                   lightest hop, D the largest distance;
+//	                                   goal-less searches only (bucket.go) —
+//	                                   with goals it is QueueBinary
 type QueueKind int
 
 // Supported queue kinds.
@@ -24,6 +28,7 @@ const (
 	QueueBinary
 	QueueLinear
 	QueuePairing
+	QueueBucket
 )
 
 // String implements fmt.Stringer.
@@ -37,6 +42,8 @@ func (k QueueKind) String() string {
 		return "linear"
 	case QueuePairing:
 		return "pairing"
+	case QueueBucket:
+		return "bucket"
 	default:
 		return fmt.Sprintf("QueueKind(%d)", int(k))
 	}
@@ -50,7 +57,7 @@ type ShortestPathTree struct {
 	Dist    []float64
 	Parent  []int32 // -1 when unreached or a seed
 	ViaArc  []int32 // index into Out(Parent[v]); -1 when unreached
-	Settled int     // queue pops, including the equal-key drain of a goal stop; pass-through nodes are never popped
+	Settled int     // queue pops, including the equal-key drain of a goal stop (QueueBucket: scans); pass-through nodes are never popped
 	Relaxed int     // number of arc relaxations attempted
 
 	seeds []int
@@ -208,6 +215,12 @@ func runEngine(g *Digraph, t *ShortestPathTree, gs *goalStop, kind QueueKind) er
 		return dijkstraLinear(g, t, gs)
 	case QueuePairing:
 		return dijkstraPairing(g, t, gs)
+	case QueueBucket:
+		if gs.mark != nil {
+			return dijkstraBin(g, t, gs) // a goal stop needs the pop order
+		}
+		bucketTree(g, t, newBucketQueue(bucketCount), arcWidth(g), make([]bool, g.NumNodes()), nil)
+		return nil
 	default:
 		return fmt.Errorf("graph: unknown queue kind %d", int(kind))
 	}

@@ -16,8 +16,10 @@ import (
 // Both kernels run on the binary-heap engine regardless of the caller's
 // configured QueueKind: the alternation loop (bidirectional) and the
 // shifted keys (A*) are built against the indexed binheap, whose flat
-// backing store is what the zero-allocation Scratch reuse relies on.
-// QueueKind remains the asymptotics knob for the full-tree engines.
+// backing store is what the zero-allocation Scratch reuse relies on, and
+// both stop on a rule that reads the pop order — which is also why a
+// plain search with goals runs the heap under QueueBucket. QueueKind
+// remains the asymptotics knob for the full-tree engines.
 
 // BidiTree is the result of one bidirectional run: the forward tree from
 // the seed set over g, the backward tree from the goal set over g's

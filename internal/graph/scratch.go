@@ -24,6 +24,7 @@ type Scratch struct {
 	via    []int32
 	done   []bool
 	heap   *binheap.Heap
+	bucket *BucketQueue // built by the first QueueBucket search
 
 	goalMark []bool // all false between queries
 
@@ -102,17 +103,37 @@ func (sc *Scratch) Touched() (nodes []int32, ok bool) { return sc.touched, sc.sp
 // wrong-sized scratch is replaced by a fresh one, so callers can pass
 // through whatever their pool handed them.
 //
-// The binary queue reuses the scratch's heap and settled set; the other
-// queue kinds reuse the tree arrays but keep their own pointer-based
-// structures (their handle graphs cannot be recycled flatly).
+// The binary queue reuses the scratch's heap and settled set, the bucket
+// queue its entry array; the other queue kinds reuse the tree arrays but
+// keep their own pointer-based structures (their handle graphs cannot be
+// recycled flatly). QueueBucket with goals runs the binary queue, and
+// without them sizes its buckets from g's arc weights on every call —
+// a caller that knows its weight range uses BucketTreeScratch.
 //
-// pass is the binary queue's optional pass-through mask (see
+// pass is the binary and bucket queues' optional pass-through mask (see
 // dijkstraBinInto): one entry per node, true for nodes that forward an
 // improved key along their out-arcs instead of being queued. No goal may
 // be masked — a masked node is never settled, so the stopping rule would
 // not see it. The other queue kinds search unmasked whatever pass holds;
 // distances are the same either way.
 func DijkstraSeedsUntilScratch(g *Digraph, seeds, goals []int, kind QueueKind, sc *Scratch, pass []bool) (*ShortestPathTree, error) {
+	return searchScratch(g, seeds, goals, kind, -1, sc, pass)
+}
+
+// BucketTreeScratch is the goal-less search of QueueBucket computing into
+// sc, with the bucket width given by the caller (BucketWidth of its hop
+// bounds). The width is a performance hint only: any value returns the
+// distances DijkstraSeedsUntilScratch returns, bit for bit, and a wrong
+// one shows as Settled — scans — above the number of nodes reached. The
+// returned tree aliases sc; a nil or wrong-sized scratch is replaced by a
+// fresh one.
+func BucketTreeScratch(g *Digraph, seeds []int, width float64, sc *Scratch, pass []bool) (*ShortestPathTree, error) {
+	return searchScratch(g, seeds, nil, QueueBucket, width, sc, pass)
+}
+
+// searchScratch is the body of both: width is the bucket queue's, and a
+// negative one is replaced by arcWidth(g).
+func searchScratch(g *Digraph, seeds, goals []int, kind QueueKind, width float64, sc *Scratch, pass []bool) (*ShortestPathTree, error) {
 	n := g.NumNodes()
 	if pass != nil && len(pass) != n {
 		return nil, fmt.Errorf("graph: pass-through mask covers %d nodes of %d", len(pass), n)
@@ -133,8 +154,16 @@ func DijkstraSeedsUntilScratch(g *Digraph, seeds, goals []int, kind QueueKind, s
 		return nil, err
 	}
 	gs := sc.goalStop(goals)
-	switch kind {
-	case QueueBinary:
+	switch {
+	case kind == QueueBucket && len(goals) == 0:
+		if sc.bucket == nil {
+			sc.bucket = NewBucketQueue()
+		}
+		if width < 0 {
+			width = arcWidth(g)
+		}
+		bucketTree(g, t, sc.bucket, width, sc.done, pass)
+	case kind == QueueBinary || kind == QueueBucket: // a goal stop needs the pop order
 		h, done := sc.queue()
 		err = dijkstraBinInto(g, t, &gs, h, done, pass)
 	default:

@@ -6,11 +6,14 @@
 // but constants are far smaller and memory is a pair of flat slices: the
 // heap array holds (key, item) entries inline, so a sift compares
 // neighbouring slots directly, and moves a hole instead of swapping. It
-// is the server's default queue; the benchmark suite also uses it for the
-// heap-choice ablation called out in DESIGN.md. Not every node a search
-// reaches passes through it: graph's binary-heap engine takes a
+// is the queue behind every search that stops at a goal — plain
+// first-goal, A*, bidirectional and A*'s backward bound pass, which need
+// the pop order — while the server's goal-less SourceTree passes run on
+// graph's bucket array (DESIGN.md §6); the benchmark suite also uses it
+// for the heap-choice ablation called out in DESIGN.md. Not every node a
+// search reaches passes through it: graph's binary-heap engine takes a
 // pass-through mask, and the routing layer masks the Y shore of the
-// auxiliary graph, so under the server the heap holds X-shore nodes only
+// auxiliary graph, so a plain point query's heap holds X-shore nodes only
 // (DESIGN.md §14).
 //
 // The branching factor stays 2 by measurement: 4- and 8-ary layouts of

@@ -331,8 +331,9 @@ func (s *Session) exec(cmd string, rest []string, sp *obs.Span) (bool, error) {
 		fmt.Fprintf(s.w, "epoch %d  allocs %d  releases %d  conflicts %d  owners %d  held %d  util %.3f\n",
 			st.Epoch, st.Allocations, st.Releases, st.Conflicts, st.ActiveOwners, st.HeldChannels,
 			s.eng.Utilization())
-		fmt.Fprintf(s.w, "cache: %d/%d entries  lookups %d  hits %d  misses %d  evictions %d  hit rate %.3f\n",
-			cs.Size, cs.Capacity, cs.Lookups, cs.Hits, cs.Misses, cs.Evictions, cs.HitRate())
+		fmt.Fprintf(s.w, "cache: %d/%d entries  lookups %d  hits %d  misses %d  evictions %d  hit rate %.3f  tree rescans %d\n",
+			cs.Size, cs.Capacity, cs.Lookups, cs.Hits, cs.Misses, cs.Evictions, cs.HitRate(),
+			snap["engine_tree_rescans_total"])
 		lat := snap["engine_route_latency_ns"].(obs.HistogramSnapshot)
 		fmt.Fprintf(s.w, "routes %d (blocked %d)  retries %d  rebuilds %d\n",
 			snap["engine_routes_total"], snap["engine_routes_blocked_total"],

@@ -22,7 +22,6 @@ func (m *Manager) AdmitProtected(s, t int) (primary, backup *Circuit, err error)
 	start := time.Now()
 	defer func() { m.tele.admitLatency.ObserveDuration(time.Since(start)) }()
 	pair, err := m.eng.RouteProtected(s, t, &core.ProtectOptions{
-		Route:             &core.Options{Queue: m.queue},
 		PrimaryCandidates: 4, // modest anti-trap effort per admission
 	})
 	if errors.Is(err, core.ErrNoRoute) || errors.Is(err, core.ErrNoBackup) {

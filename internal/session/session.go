@@ -81,7 +81,6 @@ type Manager struct {
 	tele    sessionTelemetry
 	active  map[ID]*Circuit
 	nextID  ID
-	queue   graph.QueueKind
 	stats   Stats
 	maxHeld int
 	rng     *rand.Rand // PolicyRandomFit's wavelength picker
@@ -144,21 +143,12 @@ func NewManager(nw *wdm.Network) (*Manager, error) {
 		eng:    eng,
 		tele:   newSessionTelemetry(eng.Metrics()),
 		active: make(map[ID]*Circuit),
-		queue:  graph.QueueBinary, // practical default for repeated small queries
 	}, nil
 }
 
 // Engine exposes the underlying routing engine (for concurrent
 // read-only queries, cache statistics, and batch routing).
 func (m *Manager) Engine() *engine.Engine { return m.eng }
-
-// SetQueue overrides the Dijkstra queue used for admission routing.
-func (m *Manager) SetQueue(kind graph.QueueKind) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.queue = kind
-	m.eng.SetQueue(kind)
-}
 
 // Stats returns the admission counters so far.
 func (m *Manager) Stats() Stats {
