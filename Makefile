@@ -102,9 +102,13 @@ bench-goal:
 # gross regression on the hot paths is visible in the job log without
 # paying for a full measurement run. BenchmarkRoutePoint runs once per
 # search mode (plain, bidi, astar — the server default) and reports
-# settled/op and physpops/op beside ns/op; BenchmarkSessionExec is one
-# `route` through Session.Exec bare and under the default recorder, whose
-# rows should differ by about a microsecond and by no allocation. Not a
+# settled/op and physpops/op beside ns/op; BenchmarkRouteBatch sweeps
+# requests-per-source r ∈ {1..32} × {cold, resident} on an astar engine at
+# n=100 and n=300 with trees/op and points/op, so the batch rule's
+# break-even (core.Aux.TreePays, 8 on both) sits where the cold rows
+# switch from points to trees; BenchmarkSessionExec is one `route` through
+# Session.Exec bare and under the default recorder, whose rows should
+# differ by about a microsecond and by no allocation. Not a
 # stable-numbers benchmark.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Route|AllocateRelease|Dijkstra|Bidirectional|AStar|Sampler|History|HeapSearchMix|SessionExec' \

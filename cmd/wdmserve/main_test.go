@@ -289,6 +289,46 @@ func TestServeStatsIncludesHitRateEpochAndLatency(t *testing.T) {
 	}
 }
 
+// TestServeBatchSplitPerSearchMode: `stats` shows how batches were
+// answered, and the split follows the search mode. Source 0 is named
+// three times: under plain, whose break-even is two, that is one tree
+// (one miss, two hits) exactly as before the engine priced the choice;
+// under the default astar, whose point query is ≈ k times cheaper than a
+// tree, it is three point queries and the cache is not touched — until
+// `routefrom 0` makes the tree resident, after which the same batch
+// reads it. -cache -1 leaves nowhere to keep a tree: point queries.
+func TestServeBatchSplitPerSearchMode(t *testing.T) {
+	const script = "batch 0 9 0 13 0 5 9 0\nstats\nroutefrom 0\nbatch 0 9 0 13 0 5 9 0\nstats\nquit\n"
+	for _, tc := range []struct {
+		flags        []string
+		first, after string // stats after the first batch, and after the second
+	}{
+		{[]string{"-directed", "plain"},
+			"lookups 3  hits 2  misses 1  |batched 4 (tree 3, point 1)",
+			"lookups 7  hits 6  misses 1  |batched 8 (tree 6, point 2)"},
+		{[]string{"-directed", "astar"},
+			"lookups 0  hits 0  misses 0  |batched 4 (tree 0, point 4)",
+			"lookups 4  hits 3  misses 1  |batched 8 (tree 3, point 5)"},
+		{[]string{"-directed", "plain", "-cache", "-1"},
+			"lookups 0  hits 0  misses 0  |batched 4 (tree 0, point 4)",
+			"lookups 0  hits 0  misses 0  |batched 8 (tree 0, point 8)"},
+	} {
+		flags := append([]string{"-topo", "nsfnet", "-k", "6", "-seed", "3", "-workers", "1"}, tc.flags...)
+		out := runScript(t, flags, script)
+		first, after, ok := strings.Cut(out, "  0 -> 0: cost 0\n") // routefrom 0's first line
+		if !ok {
+			t.Fatalf("%v: no routefrom reply:\n%s", tc.flags, out)
+		}
+		for _, half := range []struct{ got, want string }{{first, tc.first}, {after, tc.after}} {
+			for _, want := range strings.Split(half.want, "|") {
+				if !strings.Contains(half.got, want) {
+					t.Fatalf("%v: stats missing %q:\n%s", tc.flags, want, half.got)
+				}
+			}
+		}
+	}
+}
+
 func TestServeHealthAndHistoryVerbs(t *testing.T) {
 	// A fast sampler so the script's frames carry real engine metrics.
 	out := runScript(t, []string{"-topo", "nsfnet", "-k", "6", "-seed", "3", "-sample-interval", "5ms"},

@@ -142,6 +142,23 @@ func (a *Aux) RouteFrom(s int, opts *Options) (*SourceTree, error) {
 	return st, nil
 }
 
+// TreePays reports the break-even multiplicity of a source under mode:
+// with at least that many requests from one source at one epoch, one
+// RouteFrom pass read that many times is cheaper than that many Route
+// calls. A plain or bidirectional point query settles about half of G′
+// on a heap, so the second request already pays for the pass. A
+// DirectedAStar query costs ≈ n queue operations (its backward bound
+// pass pops each physical node at most once, the forward search a few
+// dozen aux nodes) against the pass's one scan per X-shore node, so the
+// pass pays from ⌈|X shore| / n⌉ requests on — the mean in-wavelength
+// count, at most k.
+func (a *Aux) TreePays(mode DirectedMode) int {
+	if mode != DirectedAStar {
+		return 2
+	}
+	return a.treePays
+}
+
 // AllPairsResult holds the optimal semilightpath cost between every
 // ordered node pair. Costs[s][t] is 0 on the diagonal and +Inf when t is
 // unreachable from s.

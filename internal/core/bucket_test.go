@@ -198,3 +198,52 @@ func TestBucketWidthFromLayout(t *testing.T) {
 		t.Errorf("paper example width %v", pa.bucketWidth)
 	}
 }
+
+// TestTreePays: the break-even multiplicity is ⌈|X shore| / n⌉ under
+// astar, never below 2, 2 under the modes whose point query is a heap
+// search over G′, a constant of the layout down a delta chain — and 8 on
+// the benchmark's 100- and 300-node networks, where EXPERIMENTS.md X20
+// measured the crossover.
+func TestTreePays(t *testing.T) {
+	line := func(n, k int) *wdm.Network {
+		nw := wdm.NewNetwork(n, k)
+		for v := 0; v+1 < n; v++ {
+			chans := make([]wdm.Channel, k)
+			for l := range chans {
+				chans[l] = wdm.Channel{Lambda: wdm.Wavelength(l), Weight: 1}
+			}
+			if _, err := nw.AddLink(v, v+1, chans); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return nw
+	}
+	for _, tc := range []struct {
+		name string
+		nw   *wdm.Network
+		want int
+	}{
+		{"k=1: one X node per node at most", line(6, 1), 2},
+		// 4 nodes, node 0 has no in-links: X shore 3×5 = 15, ⌈15/4⌉ = 4.
+		{"a node with no in-links", line(4, 5), 4},
+		// 10 nodes × 3 wavelengths, one in-link each but node 0: ⌈27/10⌉ = 3.
+		{"rounds up", line(10, 3), 3},
+		{"no links at all", wdm.NewNetwork(3, 4), 2},
+		{"sparse n=100 k=8", servingNetwork(t, "-topo", "sparse", "-n", "100", "-k", "8", "-seed", "1"), 8},
+		{"sparse n=300 k=8", servingNetwork(t, "-topo", "sparse", "-n", "300", "-k", "8", "-seed", "1"), 8},
+	} {
+		a := mustAux(t, tc.nw)
+		if got := a.TreePays(DirectedAStar); got != tc.want {
+			t.Errorf("%s: astar break-even %d, want %d", tc.name, got, tc.want)
+		}
+		for _, mode := range []DirectedMode{DirectedPlain, DirectedBidi} {
+			if got := a.TreePays(mode); got != 2 {
+				t.Errorf("%s: %s break-even %d, want 2", tc.name, mode, got)
+			}
+		}
+	}
+	a := mustAux(t, line(4, 5))
+	if churned := deepChain(t, a, rand.New(rand.NewSource(20)), 50); churned.TreePays(DirectedAStar) != 4 {
+		t.Errorf("delta chain changed the break-even: 4 → %d", churned.TreePays(DirectedAStar))
+	}
+}

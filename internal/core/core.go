@@ -104,6 +104,9 @@ type Aux struct {
 	// A residual holds a subset of the layout's channels, so the bounds
 	// hold down the whole delta chain.
 	bucketWidth float64
+	// treePays is TreePays(DirectedAStar): max(2, ⌈|X shore| / n⌉), a
+	// layout constant like bucketWidth.
+	treePays int
 
 	stats BuildStats
 	depth int // ApplyDelta steps since the last full compile
@@ -160,12 +163,13 @@ func NewAuxWithLayout(layout, residual *wdm.Network) (*Aux, error) {
 	// Pass 1: gadget shores. Λ_in(G_M,v)/Λ_out(G_M,v) equal the unions of
 	// the channel sets on incident links (the multigraph adds no new
 	// wavelengths, it only splits links into parallel arcs).
-	total := 0
+	total, xShore := 0, 0
 	for v := 0; v < n; v++ {
 		a.xLambdas[v] = layout.LambdaIn(v)
 		a.yLambdas[v] = layout.LambdaOut(v)
 		a.xStart[v] = int32(total)
 		total += len(a.xLambdas[v])
+		xShore += len(a.xLambdas[v])
 		a.yStart[v] = int32(total)
 		total += len(a.yLambdas[v])
 	}
@@ -217,6 +221,7 @@ func NewAuxWithLayout(layout, residual *wdm.Network) (*Aux, error) {
 		}
 	}
 	a.bucketWidth = graph.BucketWidth(minW, maxW+maxConv)
+	a.treePays = max(2, (xShore+n-1)/max(n, 1)) // ⌈xShore / n⌉
 
 	// Pass 3: E_org — one arc per (link, channel), Y_u(λ) → X_v(λ) with
 	// weight w(e,λ). Wavelength positions are found by binary search in

@@ -63,6 +63,7 @@ func (a *Aux) ApplyDelta(next *wdm.Network, changed []int) (*Aux, error) {
 		yLambdas:    a.yLambdas,
 		yPass:       a.yPass,
 		bucketWidth: a.bucketWidth,
+		treePays:    a.treePays,
 		stats:       a.stats,
 		depth:       a.depth + 1,
 		pool:        a.pool,

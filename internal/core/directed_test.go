@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -71,8 +72,16 @@ func directedFixtures(t *testing.T, spec workload.Spec) map[string]*wdm.Network 
 		"nsfnet":     topo.NSFNET(),
 		"arpanet":    topo.ARPANET(),
 	}
+	// Sorted: the builds share rng, so map order would make every run a
+	// different set of networks.
+	names := make([]string, 0, len(tops))
+	for name := range tops {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	nets := make(map[string]*wdm.Network, len(tops)+1)
-	for name, tp := range tops {
+	for _, name := range names {
+		tp := tops[name]
 		nw, err := workload.Build(tp, spec, rng)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

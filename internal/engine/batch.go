@@ -28,11 +28,17 @@ type BatchResult struct {
 // atomic cursor, no per-item goroutine). All answers therefore observe
 // the same epoch, even if mutators publish newer snapshots mid-batch.
 //
-// Requests sharing a source are answered from one SourceTree via the
-// engine's LRU cache, and so is a unique source whose tree is already
-// resident at this epoch; other unique sources fall back to targeted
-// Route calls, which stop at the destination instead of exhausting the
-// graph.
+// Each request is answered the cheapest way its source allows, priced in
+// queue scans (core.Aux.TreePays): from the source's SourceTree when the
+// cache holds it at this epoch, whatever the source's multiplicity (a
+// cache hit); else through a tree built once and cached, when the batch
+// names the source at least TreePays times — twice under plain and bidi,
+// about k times under astar, whose point query is that much cheaper than
+// the single-source pass; else by a point query, which stops at the
+// destination and builds nothing. With the cache disabled there is
+// nowhere to keep a tree, so every request is a point query. All three
+// ways return the same cost bit for bit; engine_batch_tree_requests_total
+// and engine_batch_point_requests_total count how the requests split.
 // workers ≤ 0 selects GOMAXPROCS.
 func (e *Engine) RouteBatch(reqs []Request, workers int) []BatchResult {
 	snap := e.Snapshot()
@@ -62,12 +68,14 @@ func (s *Snapshot) RouteBatch(reqs []Request, workers int) []BatchResult {
 	batchStart := time.Now()
 	defer func() { m.batchLatency.ObserveDuration(time.Since(batchStart)) }()
 
-	// Sources appearing more than once amortize a full single-source
-	// pass (and seed the cache for future batches at this epoch).
 	perSource := make(map[int]int, n)
 	for _, r := range reqs {
 		perSource[r.From]++
 	}
+	// A tree is built only where it can be kept — in the cache, for the
+	// rest of this batch and for later readers of this epoch — and only
+	// for a source with enough requests to amortise the pass.
+	pays, kept := s.aux.TreePays(s.ropts.Directed), s.eng.cache != nil
 
 	var (
 		wg     sync.WaitGroup
@@ -87,12 +95,15 @@ func (s *Snapshot) RouteBatch(reqs []Request, workers int) []BatchResult {
 					res *core.Result
 					err error
 				)
-				if perSource[req.From] > 1 {
-					res, err = s.RouteVia(req.From, req.To)
-				} else if st, ok := s.residentTree(req.From); ok {
+				if st, ok := s.residentTree(req.From); ok {
 					res, err = viaTree(st, req.From, req.To)
+					m.batchViaTree.Inc()
+				} else if kept && perSource[req.From] >= pays {
+					res, err = s.RouteVia(req.From, req.To)
+					m.batchViaTree.Inc()
 				} else {
 					res, err = s.Route(req.From, req.To)
+					m.batchViaPoint.Inc()
 				}
 				out[i] = BatchResult{Request: req, Result: res, Err: err}
 				m.batchInFlight.Add(-1)

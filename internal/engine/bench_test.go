@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -172,47 +173,96 @@ func BenchmarkRouteOnLongChain(b *testing.B) {
 	}
 }
 
-// BenchmarkRouteBatch measures batch fan-out over the worker pool on a
-// cold cache: every iteration runs at an epoch of its own (published with
-// the clock stopped), so the batch builds one SourceTree per source.
-// trees/op counts the Dijkstra passes that took (cache misses): 14 when
-// no tree is built twice, more when two workers miss one source at once.
+// BenchmarkRouteBatch has two families of rows.
+//
+// allpairs/nsfnet is batch fan-out over the worker pool on a cold cache:
+// every iteration runs at an epoch of its own (published with the clock
+// stopped), so the batch builds one SourceTree per source. trees/op
+// counts the single-source passes that took (cache misses): 14 when no
+// tree is built twice, more when two workers miss one source at once.
+//
+// astar/n=N/r=R/{cold,resident} is where the batch rule's break-even can
+// be read: four sources named R times each, one worker, on the server's
+// search mode over the benchmark's sparse networks. Cold rows run each
+// batch at a fresh epoch: below core.Aux.TreePays (8 on both networks)
+// they are 4R point queries (points/op), from it on 4 tree builds
+// (trees/op) read 4R times, so ns/op ÷ 4R of a low row is what a point
+// query costs, ns/op ÷ 4 of a high row what a tree costs, and their
+// ratio the measured break-even — EXPERIMENTS.md X20. Resident rows find
+// every tree in the cache: 0 trees, 0 points, 4R reads.
 func BenchmarkRouteBatch(b *testing.B) {
-	nw := benchNet(b)
-	e, err := New(nw, &Options{CacheSize: nw.NumNodes()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := nw.NumNodes()
-	var reqs []Request
-	for s := 0; s < n; s++ {
-		for t := 0; t < n; t++ {
-			if s != t {
-				reqs = append(reqs, Request{From: s, To: t})
+	b.Run("allpairs/nsfnet", func(b *testing.B) {
+		nw := benchNet(b)
+		n := nw.NumNodes()
+		var reqs []Request
+		for s := 0; s < n; s++ {
+			for t := 0; t < n; t++ {
+				if s != t {
+					reqs = append(reqs, Request{From: s, To: t})
+				}
 			}
 		}
+		benchBatch(b, nw, &Options{CacheSize: n}, 0, false, func(int) []Request { return reqs })
+	})
+	for _, n := range []int{100, 300} {
+		nw := sparseNet(b, n)
+		for _, r := range []int{1, 2, 4, 8, 16, 32} {
+			rng := rand.New(rand.NewSource(int64(r)))
+			reqs := make([]Request, 4*r)
+			batch := func(i int) []Request {
+				for j := range reqs {
+					reqs[j] = Request{From: (4*i + j%4) % n, To: rng.Intn(n)}
+				}
+				return reqs
+			}
+			for _, cache := range []string{"cold", "resident"} {
+				b.Run(fmt.Sprintf("astar/n=%d/r=%d/%s", n, r, cache), func(b *testing.B) {
+					benchBatch(b, nw, &Options{CacheSize: n, Directed: core.DirectedAStar}, 1, cache == "resident", batch)
+				})
+			}
+		}
+	}
+}
+
+// benchBatch times RouteBatch(batch(i), workers) on a fresh engine and
+// reports the tree builds and point queries per batch. Cold, every
+// iteration runs at a new epoch, published with the clock stopped;
+// resident, every source's tree is cached up front and the epoch stands.
+func benchBatch(b *testing.B, nw *wdm.Network, opts *Options, workers int, resident bool, batch func(i int) []Request) {
+	e, err := New(nw, opts)
+	if err != nil {
+		b.Fatal(err)
 	}
 	held, err := e.Route(0, 9)
 	if err != nil {
 		b.Fatal(err)
 	}
+	if resident {
+		for s := 0; s < nw.NumNodes(); s++ {
+			if _, err := e.RouteFrom(s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	trees, points := e.CacheStats().Misses, counter(e, "engine_routes_total")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		if err := e.Allocate(1, held.Path); err != nil {
-			b.Fatal(err)
+		if !resident {
+			b.StopTimer()
+			if err := e.Allocate(1, held.Path); err != nil {
+				b.Fatal(err)
+			}
+			if err := e.Release(1); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
 		}
-		if err := e.Release(1); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		out := e.RouteBatch(reqs, 0)
-		for _, r := range out {
-			if r.Err != nil {
+		for _, r := range e.RouteBatch(batch(i), workers) {
+			if r.Err != nil && !errors.Is(r.Err, core.ErrNoRoute) {
 				b.Fatal(r.Err)
 			}
 		}
 	}
-	cs := e.CacheStats()
-	b.ReportMetric(float64(cs.Misses)/float64(b.N), "trees/op")
+	b.ReportMetric(float64(e.CacheStats().Misses-trees)/float64(b.N), "trees/op")
+	b.ReportMetric(float64(counter(e, "engine_routes_total")-points)/float64(b.N), "points/op")
 }

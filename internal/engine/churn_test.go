@@ -203,3 +203,61 @@ func BenchmarkDeltaPublish(b *testing.B) {
 		})
 	}
 }
+
+// TestTreeSurvivalUnderChurn is the measurement that closed SourceTree
+// carry-over for mid_churn (EXPERIMENTS.md X20): at that workload's
+// operating point — sparse n=100 k=8 at 250 Erlang — how much of a tree
+// computed at one epoch is still true Δ epochs later. Run with -v for
+// the table. It asserts only the conclusion the roadmap rests on: at the
+// reader's revisit gap of ≈ 200 epochs, fewer than one tree in ten still
+// has every destination cost it had.
+func TestTreeSurvivalUnderChurn(t *testing.T) {
+	c := steadyChurn(t, sparseNet(t, 100))
+	n := c.e.Base().NumNodes()
+	sources := rand.New(rand.NewSource(20)).Perm(n)[:40]
+	costs := func() [][]float64 {
+		snap := c.e.Snapshot()
+		out := make([][]float64, len(sources))
+		for i, s := range sources {
+			st, err := snap.Aux().RouteFrom(s, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = make([]float64, n)
+			for d := range out[i] {
+				out[i][d] = st.Dist(d)
+			}
+		}
+		return out
+	}
+	base, from := costs(), c.e.Epoch()
+	held := float64(c.e.HeldChannels()) / float64(c.e.Base().TotalChannels())
+	t.Logf("epoch %d, %d live leases, %.0f %% of channels held, %d sources × %d destinations",
+		from, len(c.live), 100*held, len(sources), n)
+	t.Logf("%6s  %15s  %22s", "Δ", "trees identical", "destination costs moved")
+	for _, gap := range []uint64{1, 2, 5, 10, 20, 50, 100, 200, 400} {
+		for c.e.Epoch() < from+gap {
+			c.step(t)
+		}
+		now := costs()
+		identical, moved := 0, 0
+		for i := range base {
+			same := true
+			for d := range base[i] {
+				// Bit comparison: +Inf stays +Inf, and a tree to carry over
+				// must be exact, not close.
+				if math.Float64bits(base[i][d]) != math.Float64bits(now[i][d]) {
+					same = false
+					moved++
+				}
+			}
+			if same {
+				identical++
+			}
+		}
+		t.Logf("%6d  %9d of %2d  %21.1f%%", c.e.Epoch()-from, identical, len(sources), 100*float64(moved)/float64(len(sources)*n))
+		if gap == 200 && identical*10 >= len(sources) {
+			t.Errorf("Δ=200: %d of %d trees unchanged; carry-over was closed on fewer than one in ten", identical, len(sources))
+		}
+	}
+}

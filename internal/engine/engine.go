@@ -25,8 +25,10 @@
 //     (source, epoch), so repeated single-source queries at a stable
 //     epoch cost one tree lookup instead of a Dijkstra pass; and
 //   - batched request execution over a worker pool (RouteBatch), which
-//     pins one snapshot for the whole batch and shares SourceTrees
-//     between requests with a common source.
+//     pins one snapshot for the whole batch and prices each source: a
+//     cached SourceTree answers, one is built only for a source the
+//     batch names often enough to amortise the pass
+//     (core.Aux.TreePays), and the rest are point queries.
 package engine
 
 import (
@@ -69,7 +71,7 @@ type Channel struct {
 // Options configures a new engine.
 type Options struct {
 	// Queue selects the priority structure of the searches that consult
-	// one: SourceTree passes (RouteFrom, RouteBatch's shared sources) and
+	// one: SourceTree passes (RouteFrom, the trees RouteBatch builds) and
 	// DirectedPlain point queries. Zero means graph.QueueBucket — trees
 	// built label-correcting over buckets, point queries on the binary heap
 	// every search with a goal runs on. graph.QueueBinary builds the trees

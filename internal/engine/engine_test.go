@@ -183,48 +183,63 @@ func TestSourceTreeCacheCounters(t *testing.T) {
 	}
 }
 
-// TestRouteBatchAnswersFromResidentTree: a source that appears once in a
-// batch is answered from its SourceTree when the cache already holds it
-// at this epoch — a hit, no point query — and by a point query when it
-// does not, which neither builds the tree nor counts as a lookup. Either
-// way the cost is the tree's, bit for bit.
+// TestRouteBatchAnswersFromResidentTree: a source whose SourceTree the
+// cache already holds at this epoch is answered from it whatever its
+// multiplicity — one hit per request, no point query — and a source the
+// cache does not hold, named fewer times than a tree pays for, by point
+// queries, which neither build the tree nor count as lookups. Either way
+// the cost is the tree's, bit for bit.
 func TestRouteBatchAnswersFromResidentTree(t *testing.T) {
 	nw := buildNet(t, topo.NSFNET(), 4, 1)
 	e, err := New(nw, &Options{Directed: core.DirectedAStar})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pays := e.Snapshot().Aux().TreePays(core.DirectedAStar)
+	if pays < 3 {
+		t.Fatalf("break-even %d: the fixture must let a source repeat below it", pays)
+	}
 	st, err := e.RouteFrom(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	routes := func() uint64 { return e.Metrics().Snapshot()["engine_routes_total"].(uint64) }
-	before, routed := e.CacheStats(), routes()
-	out := e.RouteBatch([]Request{{From: 0, To: 9}, {From: 3, To: 9}}, 1)
+	reqs := []Request{{From: 0, To: 9}, {From: 0, To: 5}}
+	for to := 9; len(reqs) < 2+pays-1; to++ {
+		reqs = append(reqs, Request{From: 3, To: to})
+	}
+	before, routed := e.CacheStats(), counter(e, "engine_routes_total")
+	out := e.RouteBatch(reqs, 1)
 	for _, r := range out {
 		if r.Err != nil {
 			t.Fatalf("%d->%d: %v", r.From, r.To, r.Err)
 		}
 	}
-	if out[0].Result.Cost != st.Dist(9) {
-		t.Fatalf("0->9 from the resident tree costs %v, tree says %v", out[0].Result.Cost, st.Dist(9))
+	for _, r := range out[:2] {
+		if r.Result.Cost != st.Dist(r.To) {
+			t.Fatalf("0->%d from the resident tree costs %v, tree says %v", r.To, r.Result.Cost, st.Dist(r.To))
+		}
 	}
 	after := e.CacheStats()
-	if after.Hits != before.Hits+1 || after.Misses != before.Misses || after.Lookups != after.Hits+after.Misses {
-		t.Fatalf("cache counters %+v → %+v: want one more hit, no miss, lookups = hits + misses", before, after)
+	if after.Hits != before.Hits+2 || after.Misses != before.Misses || after.Lookups != after.Hits+after.Misses {
+		t.Fatalf("cache counters %+v → %+v: want two more hits, no miss, lookups = hits + misses", before, after)
 	}
-	if got := routes() - routed; got != 1 {
-		t.Fatalf("%d point queries ran, want 1 (source 3 only)", got)
+	if got := counter(e, "engine_routes_total") - routed; got != uint64(pays-1) {
+		t.Fatalf("%d point queries ran, want %d (source 3 only)", got, pays-1)
+	}
+	if tree, point := counter(e, "engine_batch_tree_requests_total"), counter(e, "engine_batch_point_requests_total"); tree != 2 || point != uint64(pays-1) {
+		t.Fatalf("%d requests via a tree and %d by point query, want 2 and %d", tree, point, pays-1)
 	}
 	if e.Snapshot().TreeCached(3) {
-		t.Fatal("the batch built a tree for a source that appears once")
+		t.Fatalf("the batch built a tree for a source named %d times; one pays from %d", pays-1, pays)
 	}
 	want, err := e.RouteFrom(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out[1].Result.Cost != want.Dist(9) {
-		t.Fatalf("3->9 by point query costs %v, tree says %v", out[1].Result.Cost, want.Dist(9))
+	for _, r := range out[2:] {
+		if r.Result.Cost != want.Dist(r.To) {
+			t.Fatalf("3->%d by point query costs %v, tree says %v", r.To, r.Result.Cost, want.Dist(r.To))
+		}
 	}
 }
 
@@ -374,40 +389,62 @@ func TestAllocateRejectsBadPaths(t *testing.T) {
 	}
 }
 
+// TestRouteBatchPinsOneEpoch: every answer of a batch is the pinned
+// epoch's, and the batch splits as priced — source 0, named 13 times, is
+// past the break-even of either mode and gets one tree; the 13 sources
+// named once get point queries. Under plain that is the rule the engine
+// has always had.
 func TestRouteBatchPinsOneEpoch(t *testing.T) {
 	nw := buildNet(t, topo.NSFNET(), 4, 1)
-	e, err := New(nw, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reqs []Request
-	for tgt := 1; tgt < nw.NumNodes(); tgt++ {
-		reqs = append(reqs, Request{From: 0, To: tgt}) // shared source: exercises the tree cache
-		reqs = append(reqs, Request{From: tgt, To: 0}) // unique sources: targeted Route
-	}
-	out := e.RouteBatch(reqs, 4)
-	if len(out) != len(reqs) {
-		t.Fatalf("got %d results for %d requests", len(out), len(reqs))
-	}
-	// Cross-check every answer against a direct query on the same epoch.
-	snap := e.Snapshot()
-	for i, r := range out {
-		if r.Err != nil {
-			t.Fatalf("request %d (%d->%d): %v", i, r.From, r.To, r.Err)
-		}
-		want, err := snap.Route(r.From, r.To)
+	for _, mode := range []core.DirectedMode{core.DirectedPlain, core.DirectedAStar} {
+		e, err := New(nw, &Options{Directed: mode})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Result.Cost != want.Cost {
-			t.Fatalf("batch answer %d->%d cost %v, direct %v", r.From, r.To, r.Result.Cost, want.Cost)
+		var reqs []Request
+		for tgt := 1; tgt < nw.NumNodes(); tgt++ {
+			reqs = append(reqs, Request{From: 0, To: tgt}) // shared source: one tree
+			reqs = append(reqs, Request{From: tgt, To: 0}) // unique sources: targeted Route
 		}
-		if err := r.Result.Path.Validate(snap.Network(), r.From, r.To); r.From != r.To && err != nil {
-			t.Fatalf("batch path %d->%d invalid: %v", r.From, r.To, err)
+		out := e.RouteBatch(reqs, 4)
+		if len(out) != len(reqs) {
+			t.Fatalf("%s: got %d results for %d requests", mode, len(out), len(reqs))
 		}
-	}
-	if cs := e.CacheStats(); cs.Hits == 0 {
-		t.Fatalf("shared-source batch produced no cache hits: %+v", cs)
+		cs, routed := e.CacheStats(), counter(e, "engine_routes_total")
+		// Cross-check every answer against a direct query on the same epoch.
+		snap := e.Snapshot()
+		for i, r := range out {
+			if r.Err != nil {
+				t.Fatalf("%s: request %d (%d->%d): %v", mode, i, r.From, r.To, r.Err)
+			}
+			want, err := snap.Route(r.From, r.To)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Result.Cost != want.Cost {
+				t.Fatalf("%s: batch answer %d->%d cost %v, direct %v", mode, r.From, r.To, r.Result.Cost, want.Cost)
+			}
+			if err := r.Result.Path.Validate(snap.Network(), r.From, r.To); r.From != r.To && err != nil {
+				t.Fatalf("%s: batch path %d->%d invalid: %v", mode, r.From, r.To, err)
+			}
+		}
+		// Four workers may miss source 0 together before the first of them
+		// caches its tree, so misses is 1 to 4; every other request from 0
+		// is a hit, and nothing else consults the cache.
+		if cs.Misses < 1 || cs.Misses > 4 || cs.Lookups != 13 || cs.Hits+cs.Misses != cs.Lookups {
+			t.Fatalf("%s: cache counters %+v, want 13 lookups for source 0 of which 1 to 4 miss", mode, cs)
+		}
+		if routed != 13 {
+			t.Fatalf("%s: %d point queries, want one per unique source", mode, routed)
+		}
+		if tree, point := counter(e, "engine_batch_tree_requests_total"), counter(e, "engine_batch_point_requests_total"); tree != 13 || point != 13 {
+			t.Fatalf("%s: %d requests via a tree and %d by point query, want 13 and 13", mode, tree, point)
+		}
+		for tgt := 1; tgt < nw.NumNodes(); tgt++ {
+			if snap.TreeCached(tgt) {
+				t.Fatalf("%s: the batch built a tree for source %d, named once", mode, tgt)
+			}
+		}
 	}
 }
 

@@ -29,6 +29,9 @@ type Metrics struct {
 	routesBlocked *obs.Counter // engine_routes_blocked_total
 	allocRetries  *obs.Counter // engine_alloc_retries_total
 	batchRequests *obs.Counter // engine_batch_requests_total
+	// How RouteBatch answered them; the two sum to batchRequests.
+	batchViaTree  *obs.Counter // engine_batch_tree_requests_total (read off a SourceTree)
+	batchViaPoint *obs.Counter // engine_batch_point_requests_total (point query)
 	goalSettled   *obs.Counter // engine_goal_settled_total (nodes settled by directed queries)
 	// engine_tree_rescans_total: scans the bucket-queue SourceTree passes
 	// spent on nodes they had scanned already. 0 while the network's weight
@@ -57,6 +60,8 @@ func newMetrics(e *Engine) *Metrics {
 		routesBlocked:        reg.Counter("engine_routes_blocked_total"),
 		allocRetries:         reg.Counter("engine_alloc_retries_total"),
 		batchRequests:        reg.Counter("engine_batch_requests_total"),
+		batchViaTree:         reg.Counter("engine_batch_tree_requests_total"),
+		batchViaPoint:        reg.Counter("engine_batch_point_requests_total"),
 		goalSettled:          reg.Counter("engine_goal_settled_total"),
 		treeRescans:          reg.Counter("engine_tree_rescans_total"),
 		batchInFlight:        reg.Gauge("engine_batch_inflight"),

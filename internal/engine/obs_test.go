@@ -181,6 +181,13 @@ func TestMetricsCountersTrackWork(t *testing.T) {
 	if got := snap["engine_batch_inflight"].(int64); got != 0 {
 		t.Fatalf("engine_batch_inflight = %d after batch drained, want 0", got)
 	}
+	// How they were answered: source 0, named twice, through a tree (the
+	// plain break-even); 5 and 7 by point query. The two always sum to
+	// the requests.
+	tree, point := snap["engine_batch_tree_requests_total"].(uint64), snap["engine_batch_point_requests_total"].(uint64)
+	if tree != 2 || point != 2 || tree+point != snap["engine_batch_requests_total"].(uint64) {
+		t.Fatalf("batch split: %d via tree + %d via point query, want 2 + 2 = engine_batch_requests_total", tree, point)
+	}
 
 	// Mutations: epoch gauge and rebuild histogram move together.
 	if _, err := e.RouteAndAllocate(1, 0, 9); err != nil {

@@ -129,10 +129,12 @@ func (s *Snapshot) buildTree(src int, sp *obs.Span) (*core.SourceTree, error) {
 	return st, err
 }
 
-// RouteVia answers a point-to-point query through the SourceTree cache:
-// useful when many requests share a source at a stable epoch. The
-// returned result carries no per-query search stats (the tree is
-// shared).
+// RouteVia answers a point-to-point query through the SourceTree cache,
+// building and caching the tree on a miss: worth it when at least
+// core.Aux.TreePays requests share the source at this epoch (RouteBatch
+// applies that rule; with the cache disabled every call is a full
+// single-source pass). The returned result carries no per-query search
+// stats (the tree is shared).
 func (s *Snapshot) RouteVia(src, dst int) (*core.Result, error) {
 	st, err := s.RouteFrom(src)
 	if err != nil {

@@ -335,9 +335,12 @@ func (s *Session) exec(cmd string, rest []string, sp *obs.Span) (bool, error) {
 			cs.Size, cs.Capacity, cs.Lookups, cs.Hits, cs.Misses, cs.Evictions, cs.HitRate(),
 			snap["engine_tree_rescans_total"])
 		lat := snap["engine_route_latency_ns"].(obs.HistogramSnapshot)
-		fmt.Fprintf(s.w, "routes %d (blocked %d)  retries %d  rebuilds %d\n",
+		// The reply stays five lines — scripted clients read it by count —
+		// so the batch split rides on this one.
+		fmt.Fprintf(s.w, "routes %d (blocked %d)  retries %d  rebuilds %d  batched %d (tree %d, point %d)\n",
 			snap["engine_routes_total"], snap["engine_routes_blocked_total"],
-			snap["engine_alloc_retries_total"], st.Rebuilds)
+			snap["engine_alloc_retries_total"], st.Rebuilds, snap["engine_batch_requests_total"],
+			snap["engine_batch_tree_requests_total"], snap["engine_batch_point_requests_total"])
 		fmt.Fprintf(s.w, "route latency: p50 %s  p95 %s  p99 %s  (n=%d, max %s)\n",
 			nsDuration(lat.P50), nsDuration(lat.P95), nsDuration(lat.P99), lat.Count, nsDuration(lat.Max))
 		healthState := "off"
