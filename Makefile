@@ -102,7 +102,13 @@ bench-goal:
 # gross regression on the hot paths is visible in the job log without
 # paying for a full measurement run. BenchmarkRoutePoint runs once per
 # search mode (plain, bidi, astar — the server default) and reports
-# settled/op and physpops/op beside ns/op; BenchmarkRouteBatch sweeps
+# settled/op and physpops/op beside ns/op, then astar/row=absent|resident
+# at n=300 and n=100: the same query with no bound row to read and with
+# every destination's row resident (equal settled/op, physpops/op 0, about
+# half the ns); BenchmarkRouteFreshEpoch is that query after a churn slot,
+# where rows=second-ask (served) must read what rows=none does with
+# rows/op ≈ 0, beside the two shortcuts measured and left out (every-miss,
+# layout: EXPERIMENTS.md X22); BenchmarkRouteBatch sweeps
 # requests-per-source r ∈ {1..32} × {cold, resident} on an astar engine at
 # n=100 and n=300 with trees/op and points/op, so the batch rule's
 # break-even (core.Aux.TreePays, 8 on both) sits where the cold rows

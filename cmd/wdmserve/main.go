@@ -104,7 +104,7 @@ func run(args []string, stdin io.Reader, w io.Writer) error {
 		"queue SourceTrees are built on: bucket|binary (same costs; searches with a goal always run on the binary heap)")
 	directed := fs.String("directed", "astar",
 		"point-query search strategy: plain|bidi|astar (astar = A* under a per-query lower bound from the physical network)")
-	cacheSize := fs.Int("cache", engine.DefaultCacheSize, "SourceTree cache capacity (<0 disables)")
+	cacheSize := fs.Int("cache", engine.DefaultCacheSize, "SourceTree cache capacity; under astar also sizes the bound-row cache (<0 disables both)")
 	workers := fs.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
 	script := fs.String("script", "", "read commands from this file instead of stdin")
 	listen := fs.String("listen", "",

@@ -175,7 +175,7 @@ func TestServeQueueFlag(t *testing.T) {
 			t.Fatalf("-queue %q: %v", q, err)
 		}
 		got := out.String()
-		if !strings.Contains(got, "tree rescans 0\n") {
+		if !strings.Contains(got, "tree rescans 0  bound rows ") {
 			t.Fatalf("-queue %q: stats must report 0 tree rescans:\n%s", q, got)
 		}
 		replies[q] = got[:strings.Index(got, "epoch 0 ")] // up to the stats reply, which embeds latencies
@@ -270,7 +270,7 @@ func TestServeTraceToggle(t *testing.T) {
 	if got := strings.Count(out, "  trace "); got != 2 {
 		t.Fatalf("want exactly 2 trace summaries (traced route + traced alloc), got %d:\n%s", got, out)
 	}
-	if !strings.Contains(out, "attempts") && !strings.Contains(out, "cache-") {
+	if !strings.Contains(out, "attempts") && !strings.Contains(out, " bound row absent in ") {
 		t.Fatalf("trace summary missing detail:\n%s", out)
 	}
 	out = runScript(t, []string{"-topo", "paper"}, "trace sideways\nquit\n")

@@ -56,38 +56,61 @@ func BenchmarkRouteReusedAux(b *testing.B) {
 // server's default and the kernel the whole-stack benchmark's big_read
 // workload spends its time in; plain is the paper's search it must match.
 // settled/op counts auxiliary-graph pops, physpops/op the backward bound
-// pass over the physical network.
+// pass over the physical network. The astar/row= rows, at mid_* size
+// (n=100) and big_read's (n=300), are the same query with no bound row to
+// read (the pass runs up to s — what a destination's first ask at an
+// epoch costs) and with every destination's row resident (no pass):
+// settled/op must be equal across the two, physpops/op 0 on resident.
 func BenchmarkRoutePoint(b *testing.B) {
-	nw := benchNetwork(b, 300, 8)
-	aux, err := NewAux(nw)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	pairs := make([][2]int, 256)
-	for i := range pairs {
-		pairs[i] = [2]int{rng.Intn(300), rng.Intn(300)}
-	}
-	for _, mode := range []DirectedMode{DirectedPlain, DirectedBidi, DirectedAStar} {
-		b.Run(mode.String(), func(b *testing.B) {
-			opts := &Options{Queue: graph.QueueBinary, Directed: mode}
-			settled, physPops := 0, 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p := pairs[i%len(pairs)]
-				res, err := aux.Route(p[0], p[1], opts)
-				if err != nil && !errors.Is(err, ErrNoRoute) {
-					b.Fatal(err)
-				}
-				if res != nil {
-					settled += res.Stats.Settled
-					physPops += res.Stats.PhysPops
-				}
+	run := func(b *testing.B, aux *Aux, pairs [][2]int, opts *Options) {
+		settled, physPops := 0, 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p := pairs[i%len(pairs)]
+			res, err := aux.Route(p[0], p[1], opts)
+			if err != nil && !errors.Is(err, ErrNoRoute) {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
-			b.ReportMetric(float64(physPops)/float64(b.N), "physpops/op")
-		})
+			if res != nil {
+				settled += res.Stats.Settled
+				physPops += res.Stats.PhysPops
+			}
+		}
+		b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
+		b.ReportMetric(float64(physPops)/float64(b.N), "physpops/op")
+	}
+	for _, n := range []int{300, 100} {
+		aux, err := NewAux(benchNetwork(b, n, 8))
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(9))
+		pairs := make([][2]int, 256)
+		for i := range pairs {
+			pairs[i] = [2]int{rng.Intn(n), rng.Intn(n)}
+		}
+		if n == 300 {
+			for _, mode := range []DirectedMode{DirectedPlain, DirectedBidi, DirectedAStar} {
+				b.Run(mode.String(), func(b *testing.B) {
+					run(b, aux, pairs, &Options{Queue: graph.QueueBinary, Directed: mode})
+				})
+			}
+		}
+		resident := &keepRows{rows: make(map[int][]float32), build: true}
+		for _, p := range pairs {
+			if _, err := aux.Route(p[0], p[1], &Options{Directed: DirectedAStar, Bound: resident}); err != nil && !errors.Is(err, ErrNoRoute) {
+				b.Fatal(err)
+			}
+		}
+		for _, row := range []struct {
+			name string
+			rows BoundRows
+		}{{"absent", &keepRows{}}, {"resident", resident}} {
+			b.Run(fmt.Sprintf("astar/row=%s/n=%d", row.name, n), func(b *testing.B) {
+				run(b, aux, pairs, &Options{Queue: graph.QueueBinary, Directed: DirectedAStar, Bound: row.rows})
+			})
+		}
 	}
 }
 

@@ -107,6 +107,10 @@ type Aux struct {
 	// treePays is TreePays(DirectedAStar): max(2, ⌈|X shore| / n⌉), a
 	// layout constant like bucketWidth.
 	treePays int
+	// boundGrid is the grid the physical bound pass rounds link minima
+	// down to (bound.go), from the layout's node count and heaviest
+	// channel: a layout constant like bucketWidth.
+	boundGrid float64
 
 	stats BuildStats
 	depth int // ApplyDelta steps since the last full compile
@@ -222,6 +226,7 @@ func NewAuxWithLayout(layout, residual *wdm.Network) (*Aux, error) {
 	}
 	a.bucketWidth = graph.BucketWidth(minW, maxW+maxConv)
 	a.treePays = max(2, (xShore+n-1)/max(n, 1)) // ⌈xShore / n⌉
+	a.boundGrid = boundGrid(n, maxW)
 
 	// Pass 3: E_org — one arc per (link, channel), Y_u(λ) → X_v(λ) with
 	// weight w(e,λ). Wavelength positions are found by binary search in

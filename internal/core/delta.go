@@ -64,6 +64,7 @@ func (a *Aux) ApplyDelta(next *wdm.Network, changed []int) (*Aux, error) {
 		yPass:       a.yPass,
 		bucketWidth: a.bucketWidth,
 		treePays:    a.treePays,
+		boundGrid:   a.boundGrid,
 		stats:       a.stats,
 		depth:       a.depth + 1,
 		pool:        a.pool,

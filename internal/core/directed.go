@@ -23,9 +23,11 @@ const (
 	// DirectedAStar runs A* on the auxiliary graph under a potential read
 	// off the physical network: a backward Dijkstra from t over the
 	// snapshot's own residual links, each weighing its cheapest free
-	// channel (bound.go). Nothing is precomputed or carried across
-	// epochs, and a destination the physical pass cannot connect to the
-	// source is refused before the auxiliary graph is touched.
+	// channel (bound.go) — or the same distances read from a row the
+	// caller kept for that network (Options.Bound). Nothing is
+	// precomputed or carried across epochs, and a destination the
+	// physical network cannot connect to the source is refused before
+	// the auxiliary graph is touched.
 	DirectedAStar
 )
 

@@ -126,9 +126,16 @@ func (a *Aux) backupFor(s, t int, primary *Result, opts *ProtectOptions) (*Resul
 	if err != nil {
 		return nil, err
 	}
+	// Lent bound rows describe a.nw; a row built on the stripped network
+	// would overestimate there, so the backup query runs its own pass.
+	var ro Options
+	if r := opts.route(); r != nil {
+		ro = *r
+		ro.Bound = nil
+	}
 	// Link IDs are preserved by networkWithoutLinks, so the backup's hop
 	// list is valid against the original network too.
-	return residualAux.Route(s, t, opts.route())
+	return residualAux.Route(s, t, &ro)
 }
 
 // networkWithoutLinks clones nw with the excluded links stripped of all

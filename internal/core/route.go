@@ -31,6 +31,12 @@ type Options struct {
 	// request tracer yields — costs nothing: every span call is
 	// nil-receiver safe and the annotation work is skipped entirely.
 	Span *obs.Span
+
+	// Bound, when non-nil, lends DirectedAStar complete physical-bound
+	// rows for the network being queried and takes the ones it builds
+	// (BoundRows). Like Span it belongs to the caller's snapshot, not to
+	// the search: the same query returns the same result with it nil.
+	Bound BoundRows
 }
 
 func (o *Options) queue() graph.QueueKind {
@@ -54,6 +60,13 @@ func (o *Options) span() *obs.Span {
 	return o.Span
 }
 
+func (o *Options) bound() BoundRows {
+	if o == nil {
+		return nil
+	}
+	return o.Bound
+}
+
 // SearchStats reports work counters of one shortest-path query.
 type SearchStats struct {
 	AuxNodes int // |V'_{s,t}| (gadget nodes + super terminals)
@@ -62,9 +75,11 @@ type SearchStats struct {
 	// first X_t node. On the binary queue the plain search passes the Y
 	// shore through unqueued, so only X-shore nodes are counted there; the
 	// other queues and modes pop nodes of both shores.
-	Settled  int
-	Relaxed  int // arc relaxations
-	PhysPops int // DirectedAStar only: physical nodes popped by the backward bound pass
+	Settled int
+	Relaxed int // arc relaxations
+	// PhysPops is DirectedAStar's backward bound pass: physical nodes
+	// popped, 0 when a resident bound row (Options.Bound) spared the pass.
+	PhysPops int
 }
 
 // Result is an optimal semilightpath together with its cost and the
@@ -142,17 +157,15 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 		settled  int
 		relaxed  int
 		physPops int
+		boundRow string // DirectedAStar only: a BoundRow* value
 		bestDist = graph.Inf
 		bestNode = -1
 		bidiHops []graph.HopRef // non-nil exactly when bidi found a path
 	)
 	switch mode {
 	case DirectedAStar:
-		pot, pops, err := a.physicalBound(qs, s, t)
-		if err != nil {
-			return nil, fmt.Errorf("core: physical bound: %w", err)
-		}
-		physPops = pops
+		var pot func(int) float64
+		pot, physPops, boundRow = a.physicalBound(qs, s, t, opts.bound())
 		if pot == nil {
 			break // t is cut off from s in G itself: G' is not searched
 		}
@@ -212,6 +225,7 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 		sp.SetStr(AttrDirected, mode.String())
 		if mode == DirectedAStar {
 			sp.SetInt(AttrPhysPops, int64(physPops))
+			sp.SetStr(AttrBoundRow, boundRow)
 		}
 		if fwdTree != nil {
 			sp.SetBytes(AttrReachedPerLambda, a.reachedPerLambda(fwdTree, qs))

@@ -23,6 +23,7 @@ const (
 	AttrBlocked          = "blocked"
 	AttrBlockedCause     = "blocked_cause" // CausePhysical | CauseWavelength
 	AttrPhysPops         = "phys_pops"     // physical nodes popped by DirectedAStar's bound pass
+	AttrBoundRow         = "bound_row"     // BoundRowHit | BoundRowBuilt | BoundRowAbsent
 	AttrCost             = "cost"
 	AttrDirected         = "directed_mode"
 	AttrMaxHops          = "max_hops"

@@ -266,3 +266,94 @@ func benchBatch(b *testing.B, nw *wdm.Network, opts *Options, workers int, resid
 	b.ReportMetric(float64(e.CacheStats().Misses-trees)/float64(b.N), "trees/op")
 	b.ReportMetric(float64(counter(e, "engine_routes_total")-points)/float64(b.N), "points/op")
 }
+
+// tableRows is a core.BoundRows over a plain table: with build on it
+// collects every row asked for, with build off it lends what it holds and
+// keeps nothing more.
+type tableRows struct {
+	rows  map[int][]float32
+	build bool
+}
+
+func (r *tableRows) Row(t int) ([]float32, bool) {
+	if row, ok := r.rows[t]; ok {
+		return row, false
+	}
+	return nil, r.build
+}
+
+func (r *tableRows) Store(t int, row []float32) { r.rows[t] = row }
+
+// everyMiss is the engine's row view without the second-ask rule: every
+// miss builds and stores the complete row.
+type everyMiss struct{ *boundRows }
+
+func (r everyMiss) Row(t int) ([]float32, bool) {
+	row, _ := r.boundRows.Row(t)
+	return row, row == nil
+}
+
+// BenchmarkRouteFreshEpoch is one astar point query at mid_churn's
+// operating point — sparse n=100 k=8 at 250 Erlang, a churn slot (about
+// two published epochs, clock stopped) before every query, so no
+// destination recurs inside an epoch. rows=second-ask is what the engine
+// serves and must cost what rows=none does, with rows/op ≈ 0: under churn
+// the rows stay out of the way. The other two are the shortcuts sized
+// for this workload and left out (EXPERIMENTS.md X22): rows=every-miss
+// builds the complete row on a destination's first ask, paying about
+// twice the pass for a row nobody reads; rows=layout lends rows computed
+// once on the installed network — never invalidated, no pass at all, but
+// at this occupancy so much weaker a bound that the search it guides
+// settles several times the nodes (settled/op).
+func BenchmarkRouteFreshEpoch(b *testing.B) {
+	nw := sparseNet(b, 100)
+	n := nw.NumNodes()
+	installed, err := core.NewAux(nw)
+	if err != nil {
+		b.Fatal(err)
+	}
+	layout := &tableRows{rows: make(map[int][]float32), build: true}
+	for d := 0; d < n; d++ {
+		if _, err := installed.Route((d+1)%n, d, &core.Options{Directed: core.DirectedAStar, Bound: layout}); err != nil && !errors.Is(err, core.ErrNoRoute) {
+			b.Fatal(err)
+		}
+	}
+	layout.build = false
+	for _, v := range []struct {
+		name string
+		rows func(*Snapshot) core.BoundRows
+	}{
+		{"second-ask", func(s *Snapshot) core.BoundRows { return &s.rows }},
+		{"none", func(*Snapshot) core.BoundRows { return nil }},
+		{"every-miss", func(s *Snapshot) core.BoundRows { return everyMiss{&s.rows} }},
+		{"layout", func(*Snapshot) core.BoundRows { return layout }},
+	} {
+		b.Run("rows="+v.name, func(b *testing.B) {
+			c := steadyChurn(b, nw)
+			rng := rand.New(rand.NewSource(5))
+			built := c.e.metrics.boundRowBuilds.Value()
+			settled, physPops := 0, 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c.step(b)
+				snap := c.e.Snapshot()
+				opts := &core.Options{Directed: core.DirectedAStar, Bound: v.rows(snap)}
+				s, d := rng.Intn(n), rng.Intn(n)
+				b.StartTimer()
+				res, err := snap.Aux().Route(s, d, opts)
+				if err != nil && !errors.Is(err, core.ErrNoRoute) {
+					b.Fatal(err)
+				}
+				if res != nil {
+					settled += res.Stats.Settled
+					physPops += res.Stats.PhysPops
+				}
+			}
+			b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
+			b.ReportMetric(float64(physPops)/float64(b.N), "physpops/op")
+			b.ReportMetric(float64(c.e.metrics.boundRowBuilds.Value()-built)/float64(b.N), "rows/op")
+		})
+	}
+}

@@ -3,18 +3,17 @@ package engine
 import (
 	"container/list"
 	"sync"
-
-	"lightpath/internal/core"
 )
 
-// treeKey identifies one cached SourceTree: trees are only valid for
-// the exact epoch whose residual network they were computed on.
-type treeKey struct {
-	source int
-	epoch  uint64
+// epochKey identifies one cached per-node result — the SourceTree of a
+// source, the bound row of a destination: either is only valid for the
+// exact epoch whose residual network it was computed on.
+type epochKey struct {
+	node  int
+	epoch uint64
 }
 
-// CacheStats reports the SourceTree cache counters. Lookups is always
+// CacheStats reports one cache's counters. Lookups is always
 // Hits + Misses — both counters advance under the cache lock — and is
 // carried explicitly so telemetry consumers can assert the invariant
 // instead of assuming it.
@@ -36,42 +35,44 @@ func (c CacheStats) HitRate() float64 {
 	return float64(c.Hits) / float64(total)
 }
 
-// treeCache is a bounded LRU of SourceTrees. Entries from superseded
-// epochs are never explicitly invalidated — they stay correct for
-// readers still pinned to their epoch and age out via normal LRU
-// pressure as fresh epochs dominate lookups.
-type treeCache struct {
+// epochCache is a bounded LRU of per-(node, epoch) results: the engine
+// keeps SourceTrees in one and bound rows in another. Entries from
+// superseded epochs are never explicitly invalidated — they stay correct
+// for readers still pinned to their epoch and age out via normal LRU
+// pressure as fresh epochs dominate lookups. A stored value is shared by
+// every reader that gets it and must not be written again.
+type epochCache[V any] struct {
 	mu        sync.Mutex
 	capacity  int
 	ll        *list.List // front = most recently used
-	items     map[treeKey]*list.Element
+	items     map[epochKey]*list.Element
 	hits      uint64
 	misses    uint64
 	lookups   uint64
 	evictions uint64
 }
 
-type cacheEntry struct {
-	key  treeKey
-	tree *core.SourceTree
+type cacheEntry[V any] struct {
+	key epochKey
+	val V
 }
 
-func newTreeCache(capacity int) *treeCache {
-	return &treeCache{
+func newEpochCache[V any](capacity int) *epochCache[V] {
+	return &epochCache[V]{
 		capacity: capacity,
 		ll:       list.New(),
-		items:    make(map[treeKey]*list.Element, capacity),
+		items:    make(map[epochKey]*list.Element, capacity),
 	}
 }
 
-func (c *treeCache) get(k treeKey) (*core.SourceTree, bool) { return c.lookup(k, true) }
+func (c *epochCache[V]) get(k epochKey) (V, bool) { return c.lookup(k, true) }
 
-// getResident is get for a caller that will not build the tree on a
-// miss: a resident tree counts as a lookup and a hit, an absent one as
+// getResident is get for a caller that will not build the value on a
+// miss: a resident one counts as a lookup and a hit, an absent one as
 // nothing, so Lookups == Hits + Misses still holds.
-func (c *treeCache) getResident(k treeKey) (*core.SourceTree, bool) { return c.lookup(k, false) }
+func (c *epochCache[V]) getResident(k epochKey) (V, bool) { return c.lookup(k, false) }
 
-func (c *treeCache) lookup(k treeKey, countMiss bool) (*core.SourceTree, bool) {
+func (c *epochCache[V]) lookup(k epochKey, countMiss bool) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[k]
@@ -80,43 +81,43 @@ func (c *treeCache) lookup(k treeKey, countMiss bool) (*core.SourceTree, bool) {
 			c.lookups++
 			c.misses++
 		}
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	c.lookups++
 	c.hits++
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).tree, true
+	return el.Value.(*cacheEntry[V]).val, true
 }
 
 // peek reports residency without counting a lookup or touching LRU
-// order — Snapshot.TreeCached uses it to label a query cache-hit/miss
-// without perturbing the statistics it is reporting on.
-func (c *treeCache) peek(k treeKey) bool {
+// order.
+func (c *epochCache[V]) peek(k epochKey) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	_, ok := c.items[k]
 	return ok
 }
 
-func (c *treeCache) put(k treeKey, tree *core.SourceTree) {
+func (c *epochCache[V]) put(k epochKey, val V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[k]; ok {
-		// Concurrent miss computed the same tree; keep the newer value.
-		el.Value.(*cacheEntry).tree = tree
+		// A concurrent miss computed the same value; keep the newer one.
+		el.Value.(*cacheEntry[V]).val = val
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[k] = c.ll.PushFront(&cacheEntry{key: k, tree: tree})
+	c.items[k] = c.ll.PushFront(&cacheEntry[V]{key: k, val: val})
 	for c.ll.Len() > c.capacity {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheEntry).key)
+		delete(c.items, oldest.Value.(*cacheEntry[V]).key)
 		c.evictions++
 	}
 }
 
-func (c *treeCache) stats() CacheStats {
+func (c *epochCache[V]) stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{

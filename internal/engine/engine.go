@@ -21,9 +21,11 @@
 //
 // On top of the snapshots sit two throughput features:
 //
-//   - a bounded LRU cache of core.SourceTree results keyed by
-//     (source, epoch), so repeated single-source queries at a stable
-//     epoch cost one tree lookup instead of a Dijkstra pass; and
+//   - bounded LRU caches keyed by (node, epoch): core.SourceTree results
+//     per source, so repeated single-source queries at a stable epoch
+//     cost one tree lookup instead of a Dijkstra pass, and under
+//     DirectedAStar the physical-bound row per destination, so repeated
+//     point queries toward it skip their backward pass; and
 //   - batched request execution over a worker pool (RouteBatch), which
 //     pins one snapshot for the whole batch and prices each source: a
 //     cached SourceTree answers, one is built only for a source the
@@ -77,8 +79,9 @@ type Options struct {
 	// every search with a goal runs on. graph.QueueBinary builds the trees
 	// on the heap too (same costs bit for bit; the A/B reference).
 	Queue graph.QueueKind
-	// CacheSize bounds the SourceTree LRU cache (entries). Zero means
-	// DefaultCacheSize; negative disables caching.
+	// CacheSize bounds the SourceTree LRU cache (entries) and, under
+	// DirectedAStar, the bound-row LRU at CacheSize × TreePays rows. Zero
+	// means DefaultCacheSize; negative disables both.
 	CacheSize int
 	// MaxDeltaDepth is a test seam, not a tuning knob: the zero value
 	// chains core.Aux.ApplyDelta without bound (a search on a long chain
@@ -92,7 +95,8 @@ type Options struct {
 	// (core.DirectedPlain, core.DirectedBidi or core.DirectedAStar). The
 	// zero value is plain — the paper's exhaustive-toward-the-goal-set
 	// search. No mode keeps state across epochs: every query derives what
-	// it needs from the snapshot it is pinned to.
+	// it needs from the snapshot it is pinned to, and what DirectedAStar
+	// keeps — bound rows — is keyed by epoch like the SourceTrees.
 	Directed core.DirectedMode
 }
 
@@ -128,7 +132,15 @@ type Engine struct {
 	base     *wdm.Network
 	queue    graph.QueueKind
 	directed core.DirectedMode
-	cache    *treeCache
+	cache    *epochCache[*core.SourceTree]
+	// rows keeps DirectedAStar's complete bound rows per (destination,
+	// epoch), and rowAsked[t] the epoch (+1; 0 = never) at which a query
+	// last found t's row missing: a row is built on the second ask of its
+	// key, so a destination that does not recur within an epoch — every
+	// one, under churn — costs nothing beyond today's pass. Both nil
+	// unless the engine runs astar with the cache enabled.
+	rows     *epochCache[[]float32]
+	rowAsked []atomic.Uint64
 	metrics  *Metrics
 
 	// mu guards the mutable occupancy state below and serializes
@@ -201,13 +213,23 @@ func New(nw *wdm.Network, opts *Options) (*Engine, error) {
 		e.directed = opts.Directed
 	}
 	if cacheSize > 0 {
-		e.cache = newTreeCache(cacheSize)
+		e.cache = newEpochCache[*core.SourceTree](cacheSize)
+		if e.directed == core.DirectedAStar {
+			e.rows = newEpochCache[[]float32](cacheSize) // capacity set below, once TreePays is known
+			e.rowAsked = make([]atomic.Uint64, nw.NumNodes())
+		}
 	}
 	// Metrics must exist before the first rebuild so the epoch-0 compile
 	// is measured too.
 	e.metrics = newMetrics(e)
 	if err := e.publish(0, nil, nil); err != nil {
 		return nil, err
+	}
+	if e.rows != nil {
+		// A tree slot stands in for TreePays point queries, so it is given
+		// that many rows: n float32s each, against a tree's two int32s per
+		// auxiliary node — under a quarter of the bytes the trees may hold.
+		e.rows.capacity = cacheSize * e.Snapshot().aux.TreePays(e.directed)
 	}
 	return e, nil
 }
@@ -322,10 +344,15 @@ func (e *Engine) applyDelta(prev *Snapshot, epoch uint64, changed []int) error {
 // newSnapshot assembles a publishable snapshot: the epoch's residual and
 // compiled aux plus the precomputed read-only query options.
 func (e *Engine) newSnapshot(epoch uint64, net *wdm.Network, aux *core.Aux) *Snapshot {
-	return &Snapshot{
+	s := &Snapshot{
 		epoch: epoch, net: net, aux: aux, eng: e,
 		ropts: core.Options{Queue: e.queue, Directed: e.directed},
+		rows:  boundRows{eng: e, epoch: epoch},
 	}
+	if e.rows != nil {
+		s.ropts.Bound = &s.rows
+	}
+	return s
 }
 
 // appendFree appends link's currently free channels to dst in
@@ -656,4 +683,13 @@ func (e *Engine) CacheStats() CacheStats {
 		return CacheStats{}
 	}
 	return e.cache.stats()
+}
+
+// BoundRowStats reports the bound-row cache counters (zero value when
+// the engine keeps no rows: plain or bidi search, or caching disabled).
+func (e *Engine) BoundRowStats() CacheStats {
+	if e.rows == nil {
+		return CacheStats{}
+	}
+	return e.rows.stats()
 }

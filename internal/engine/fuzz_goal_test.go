@@ -16,9 +16,10 @@ import (
 // modes on the SAME published snapshot:
 //
 //   - the engine's configured search (A* under the physical bound, read
-//     from that snapshot's residual) must agree with a plain search on
-//     blocked/served and on cost: a bound that outlived its epoch, or one
-//     that overestimates, breaks cost equality;
+//     from that snapshot's residual or from the bound row kept for its
+//     epoch) must agree with a plain search on blocked/served and on
+//     cost: a bound that outlived its epoch, or one that overestimates,
+//     breaks cost equality;
 //   - an explicitly bidirectional query must agree too (this exercises
 //     the COW-patched reverse graph after every delta).
 func FuzzGoalDirected(f *testing.F) {
@@ -115,7 +116,16 @@ func FuzzGoalDirected(f *testing.F) {
 			if s == d {
 				continue
 			}
+			// Three asks of one destination at one epoch walk its bound row
+			// through absent, built and resident; nothing may depend on it.
 			goal, errG := snap.Route(s, d)
+			for ask := 0; ask < 2; ask++ {
+				again, err := snap.Route(s, d)
+				if (err == nil) != (errG == nil) || err == nil && again.Cost != goal.Cost {
+					t.Fatalf("epoch %d %d->%d: ask %d returned %v (%v), the first %v (%v)",
+						snap.Epoch(), s, d, ask+2, again, err, goal, errG)
+				}
+			}
 			plain, errP := snap.Aux().Route(s, d, nil)
 			bidi, errB := snap.Aux().Route(s, d, &core.Options{Directed: core.DirectedBidi})
 			if (errG == nil) != (errP == nil) || (errB == nil) != (errP == nil) {

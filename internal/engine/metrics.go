@@ -37,8 +37,11 @@ type Metrics struct {
 	// spent on nodes they had scanned already. 0 while the network's weight
 	// range fits the bucket window; growth means trees are still exact but
 	// cost more than one scan per node (core.SourceTree.Rescans).
-	treeRescans   *obs.Counter
-	batchInFlight *obs.Gauge // engine_batch_inflight (queue depth)
+	treeRescans *obs.Counter
+	// engine_bound_row_builds_total: complete bound rows stored. Their
+	// lookups and hits are gauges over the row cache, like the tree cache's.
+	boundRowBuilds *obs.Counter
+	batchInFlight  *obs.Gauge // engine_batch_inflight (queue depth)
 }
 
 // newMetrics wires an engine's registry: direct instruments for the
@@ -64,6 +67,7 @@ func newMetrics(e *Engine) *Metrics {
 		batchViaPoint:        reg.Counter("engine_batch_point_requests_total"),
 		goalSettled:          reg.Counter("engine_goal_settled_total"),
 		treeRescans:          reg.Counter("engine_tree_rescans_total"),
+		boundRowBuilds:       reg.Counter("engine_bound_row_builds_total"),
 		batchInFlight:        reg.Gauge("engine_batch_inflight"),
 	}
 
@@ -94,6 +98,11 @@ func newMetrics(e *Engine) *Metrics {
 	reg.GaugeFunc("cache_lookups", func() float64 { return float64(e.CacheStats().Lookups) })
 	reg.GaugeFunc("cache_size", func() float64 { return float64(e.CacheStats().Size) })
 	reg.GaugeFunc("cache_hit_rate", func() float64 { return e.CacheStats().HitRate() })
+
+	// The bound-row cache: one lookup per astar point query when rows are
+	// kept, none otherwise. hits ≤ lookups; builds ≤ lookups − hits.
+	reg.GaugeFunc("engine_bound_row_lookups_total", func() float64 { return float64(e.BoundRowStats().Lookups) })
+	reg.GaugeFunc("engine_bound_row_hits_total", func() float64 { return float64(e.BoundRowStats().Hits) })
 
 	// Current snapshot's compiled auxiliary graph and residual capacity.
 	reg.GaugeFunc("snapshot_aux_nodes", func() float64 { return float64(e.Snapshot().Aux().NumAuxNodes()) })

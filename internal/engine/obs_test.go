@@ -278,3 +278,72 @@ func TestRouteAndAllocateRecordsAttempts(t *testing.T) {
 		t.Fatalf("engine_alloc_retries_total = %d on a conflict-free allocate", got)
 	}
 }
+
+// TestBoundRowCounters is the bound rows' admission rule read off the
+// registry: under astar a destination's first ask at an epoch runs the
+// pass and keeps nothing, its second builds the one row, every later one
+// reads it, whatever the source — and a new epoch starts over. hits ≤
+// lookups and builds ≤ lookups − hits always. An engine that keeps no
+// rows (plain or bidi search, cache disabled) never looks one up.
+func TestBoundRowCounters(t *testing.T) {
+	base := obsTestEngine(t, 13).Base()
+	e, err := New(base, &Options{Directed: core.DirectedAStar})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := e.BoundRowStats(); st.Capacity != DefaultCacheSize*e.Snapshot().Aux().TreePays(core.DirectedAStar) {
+		t.Fatalf("row capacity %d, want CacheSize × TreePays = %d × %d", st.Capacity,
+			DefaultCacheSize, e.Snapshot().Aux().TreePays(core.DirectedAStar))
+	}
+	counters := func(e *Engine) (lookups, hits, builds uint64) {
+		snap := e.Metrics().Snapshot()
+		lookups, hits = uint64(snap["engine_bound_row_lookups_total"].(float64)), uint64(snap["engine_bound_row_hits_total"].(float64))
+		builds = snap["engine_bound_row_builds_total"].(uint64)
+		if hits > lookups || builds > lookups-hits {
+			t.Fatalf("bound rows: %d lookups, %d hits, %d builds", lookups, hits, builds)
+		}
+		return lookups, hits, builds
+	}
+	ask := func(src int, wantRow string, wantLookups, wantHits, wantBuilds uint64) {
+		t.Helper()
+		req := obs.StartTrace("request")
+		if _, err := e.Route(src, 9, req.Root()); err != nil {
+			t.Fatal(err)
+		}
+		if row, _ := req.Span(core.SpanSearch).Attr(core.AttrBoundRow); row.Str != wantRow {
+			t.Fatalf("%d→9: bound_row = %q, want %q", src, row.Str, wantRow)
+		}
+		if l, h, b := counters(e); l != wantLookups || h != wantHits || b != wantBuilds {
+			t.Fatalf("%d→9: %d lookups, %d hits, %d builds; want %d, %d, %d", src, l, h, b, wantLookups, wantHits, wantBuilds)
+		}
+	}
+	ask(0, core.BoundRowAbsent, 1, 0, 0)
+	ask(3, core.BoundRowBuilt, 2, 0, 1)
+	ask(5, core.BoundRowHit, 3, 1, 1)
+	ask(0, core.BoundRowHit, 4, 2, 1)
+	if _, err := e.RouteAndAllocate(1, 2, 9); err != nil { // a hit, then epoch 1
+		t.Fatal(err)
+	}
+	ask(0, core.BoundRowAbsent, 6, 3, 1)
+	ask(0, core.BoundRowBuilt, 7, 3, 2)
+	ask(3, core.BoundRowHit, 8, 4, 2)
+
+	for name, opts := range map[string]*Options{
+		"plain":     {Directed: core.DirectedPlain},
+		"bidi":      {Directed: core.DirectedBidi},
+		"-cache -1": {Directed: core.DirectedAStar, CacheSize: -1},
+	} {
+		e, err := New(base, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := e.Route(0, 9); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if l, h, b := counters(e); l != 0 || h != 0 || b != 0 || e.BoundRowStats() != (CacheStats{}) {
+			t.Fatalf("%s: %d lookups, %d hits, %d builds, stats %+v; want none", name, l, h, b, e.BoundRowStats())
+		}
+	}
+}

@@ -23,6 +23,9 @@ type Snapshot struct {
 	// ropts is the precomputed query options for this snapshot's queue
 	// (see opts).
 	ropts core.Options
+	// rows is this epoch's view of the engine's bound-row cache; ropts.Bound
+	// points at it when the engine keeps rows.
+	rows boundRows
 }
 
 // Epoch reports which mutation generation this snapshot reflects.
@@ -52,7 +55,7 @@ func (s *Snapshot) opts(sp *obs.Span) *core.Options {
 // TreeCached reports whether the SourceTree for (src, this epoch) is
 // resident in the engine's cache, without counting as a lookup.
 func (s *Snapshot) TreeCached(src int) bool {
-	return s.eng.cache != nil && s.eng.cache.peek(treeKey{source: src, epoch: s.epoch})
+	return s.eng.cache != nil && s.eng.cache.peek(epochKey{node: src, epoch: s.epoch})
 }
 
 // residentTree returns the SourceTree for (src, this epoch) if the cache
@@ -61,7 +64,7 @@ func (s *Snapshot) residentTree(src int) (*core.SourceTree, bool) {
 	if s.eng.cache == nil {
 		return nil, false
 	}
-	return s.eng.cache.getResident(treeKey{source: src, epoch: s.epoch})
+	return s.eng.cache.getResident(epochKey{node: src, epoch: s.epoch})
 }
 
 // Route finds an optimal semilightpath from src to dst over this
@@ -102,7 +105,7 @@ func (s *Snapshot) RouteFrom(src int, parent ...*obs.Span) (*core.SourceTree, er
 		return s.buildTree(src, sp)
 	}
 	look := sp.StartChild(SpanCacheLookup)
-	st, ok := cache.get(treeKey{source: src, epoch: s.epoch})
+	st, ok := cache.get(epochKey{node: src, epoch: s.epoch})
 	look.SetBool(AttrHit, ok)
 	look.End()
 	if ok {
@@ -115,7 +118,7 @@ func (s *Snapshot) RouteFrom(src int, parent ...*obs.Span) (*core.SourceTree, er
 	if err != nil {
 		return nil, err
 	}
-	cache.put(treeKey{source: src, epoch: s.epoch}, st)
+	cache.put(epochKey{node: src, epoch: s.epoch}, st)
 	return st, nil
 }
 

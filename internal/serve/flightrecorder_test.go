@@ -339,6 +339,8 @@ func TestTraceSummaryReportsFinalAttempt(t *testing.T) {
 			search.SetInt(core.AttrAuxArcs, 198)
 			search.SetInt(core.AttrSettled, int64(50+i))
 			search.SetInt(core.AttrRelaxed, int64(80+i))
+			// The last attempt alone found its bound row resident.
+			search.SetStr(core.AttrBoundRow, map[bool]string{false: core.BoundRowAbsent, true: core.BoundRowHit}[i == 2])
 			search.End()
 			route.End()
 			claim := root.StartChild(engine.SpanAllocate)
@@ -354,16 +356,16 @@ func TestTraceSummaryReportsFinalAttempt(t *testing.T) {
 	if a.attempts != 3 || a.epoch != 12 || a.settled != 52 || a.relaxed != 82 || a.blocked {
 		t.Fatalf("anatomy of a third-attempt claim = %+v", a)
 	}
-	sess.printTraceSummary(0, 7, res, a, false)
+	sess.printTraceSummary(0, 7, res, a)
 	want := fmt.Sprintf("  trace 0->7 epoch 12 cost %g (%d hops, ", res.Cost, res.Path.Len())
 	if got := sb.String(); !strings.HasPrefix(got, want) ||
-		!strings.Contains(got, " aux 82n/198a settled 52 relaxed 82 cache-miss attempts 3 in ") {
+		!strings.Contains(got, " aux 82n/198a settled 52 relaxed 82 bound row hit attempts 3 in ") {
 		t.Fatalf("summary = %q", got)
 	}
 
 	sb.Reset()
-	sess.printTraceSummary(0, 7, res, readAnatomy(attemptTree(1)), true)
-	if got := sb.String(); strings.Contains(got, "attempts") || !strings.Contains(got, " cache-hit in ") {
+	sess.printTraceSummary(0, 7, res, readAnatomy(attemptTree(1)))
+	if got := sb.String(); strings.Contains(got, "attempts") || !strings.Contains(got, " relaxed 80 bound row absent in ") {
 		t.Fatalf("first-try summary = %q", got)
 	}
 }

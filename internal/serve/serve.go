@@ -170,14 +170,12 @@ func (s *Session) exec(cmd string, rest []string, sp *obs.Span) (bool, error) {
 		if s.tracing {
 			sp = readableSpan(sp)
 		}
-		snap := s.eng.Snapshot()
-		cached := s.tracing && snap.TreeCached(ints[0])
-		res, err := snap.Route(ints[0], ints[1], sp)
+		res, err := s.eng.Route(ints[0], ints[1], sp)
 		if err == nil {
 			s.reply(s.appendResult(s.out[:0], res))
 		}
 		if s.tracing {
-			s.printTraceSummary(ints[0], ints[1], res, readAnatomy(sp), cached)
+			s.printTraceSummary(ints[0], ints[1], res, readAnatomy(sp))
 		}
 		if err != nil {
 			return false, err
@@ -188,7 +186,6 @@ func (s *Session) exec(cmd string, rest []string, sp *obs.Span) (bool, error) {
 		}
 		sp = readableSpan(sp)
 		snap := s.eng.Snapshot()
-		cached := snap.TreeCached(ints[0])
 		res, err := snap.Route(ints[0], ints[1], sp)
 		a := readAnatomy(sp)
 		if err != nil {
@@ -196,15 +193,18 @@ func (s *Session) exec(cmd string, rest []string, sp *obs.Span) (bool, error) {
 				ints[0], ints[1], a.settled, a.auxNodes)
 			if a.cause != "" {
 				fmt.Fprintf(s.w, "  cause: %s", a.cause)
-				if a.physPops > 0 {
+				switch {
+				case a.physPops > 0:
 					fmt.Fprintf(s.w, " (bound pass popped %d of %d physical nodes)",
 						a.physPops, snap.Network().NumNodes())
+				case a.boundRow == core.BoundRowHit:
+					fmt.Fprint(s.w, " (bound row resident)")
 				}
 				fmt.Fprintln(s.w)
 			}
 			return false, err
 		}
-		s.printExplain(snap, res, a, cached)
+		s.printExplain(snap, res, a)
 	case "routefrom":
 		if err := argc(1); err != nil {
 			return false, err
@@ -273,14 +273,8 @@ func (s *Session) exec(cmd string, rest []string, sp *obs.Span) (bool, error) {
 			return false, err
 		}
 		lease := s.eng.ReserveOwner()
-		var (
-			cached bool
-			pinned uint64
-		)
 		if s.tracing {
 			sp = readableSpan(sp)
-			snap := s.eng.Snapshot()
-			cached, pinned = snap.TreeCached(ints[0]), snap.Epoch()
 		}
 		res, err := s.eng.RouteAndAllocate(lease, ints[0], ints[1], sp)
 		if err != nil {
@@ -292,10 +286,7 @@ func (s *Session) exec(cmd string, rest []string, sp *obs.Span) (bool, error) {
 		buf = strconv.AppendUint(buf, s.eng.Epoch(), 10)
 		s.reply(s.appendResult(append(buf, "): "...), res))
 		if s.tracing {
-			// Residency was read on the snapshot pinned above; it describes
-			// the final attempt only if that attempt routed on the same one.
-			a := readAnatomy(sp)
-			s.printTraceSummary(ints[0], ints[1], res, a, cached && a.epoch == pinned)
+			s.printTraceSummary(ints[0], ints[1], res, readAnatomy(sp))
 		}
 	case "release":
 		if err := argc(1); err != nil {
@@ -326,17 +317,19 @@ func (s *Session) exec(cmd string, rest []string, sp *obs.Span) (bool, error) {
 		fmt.Fprintf(s.w, "epoch %d\n", s.eng.Epoch())
 	case "stats":
 		st := s.eng.Stats()
-		cs := s.eng.CacheStats()
+		cs, rs := s.eng.CacheStats(), s.eng.BoundRowStats()
 		snap := s.eng.Metrics().Snapshot()
 		fmt.Fprintf(s.w, "epoch %d  allocs %d  releases %d  conflicts %d  owners %d  held %d  util %.3f\n",
 			st.Epoch, st.Allocations, st.Releases, st.Conflicts, st.ActiveOwners, st.HeldChannels,
 			s.eng.Utilization())
-		fmt.Fprintf(s.w, "cache: %d/%d entries  lookups %d  hits %d  misses %d  evictions %d  hit rate %.3f  tree rescans %d\n",
-			cs.Size, cs.Capacity, cs.Lookups, cs.Hits, cs.Misses, cs.Evictions, cs.HitRate(),
-			snap["engine_tree_rescans_total"])
-		lat := snap["engine_route_latency_ns"].(obs.HistogramSnapshot)
 		// The reply stays five lines — scripted clients read it by count —
-		// so the batch split rides on this one.
+		// so the bound rows ride on the cache line and the batch split on
+		// the routes line.
+		fmt.Fprintf(s.w, "cache: %d/%d entries  lookups %d  hits %d  misses %d  evictions %d  hit rate %.3f  tree rescans %d  bound rows %d/%d (lookups %d, hits %d, built %d)\n",
+			cs.Size, cs.Capacity, cs.Lookups, cs.Hits, cs.Misses, cs.Evictions, cs.HitRate(),
+			snap["engine_tree_rescans_total"],
+			rs.Size, rs.Capacity, rs.Lookups, rs.Hits, snap["engine_bound_row_builds_total"])
+		lat := snap["engine_route_latency_ns"].(obs.HistogramSnapshot)
 		fmt.Fprintf(s.w, "routes %d (blocked %d)  retries %d  rebuilds %d  batched %d (tree %d, point %d)\n",
 			snap["engine_routes_total"], snap["engine_routes_blocked_total"],
 			snap["engine_alloc_retries_total"], st.Rebuilds, snap["engine_batch_requests_total"],
@@ -476,6 +469,7 @@ type anatomy struct {
 	blocked                             bool
 
 	physPops int64  // astar's backward bound pass over the physical network; 0 in other modes
+	boundRow string // core.AttrBoundRow: where astar's bound came from, "" in other modes
 	cause    string // core.AttrBlockedCause of a blocked query, "" when the search names none
 }
 
@@ -497,6 +491,8 @@ func readAnatomy(sp *obs.Span) anatomy {
 			blocked, _ := c.Attr(core.AttrBlocked)
 			a.blocked = blocked.Bool()
 			a.physPops = attrInt(c, core.AttrPhysPops)
+			row, _ := c.Attr(core.AttrBoundRow)
+			a.boundRow = row.Str
 			cause, _ := c.Attr(core.AttrBlockedCause)
 			a.cause = cause.Str
 		case engine.SpanAllocate:
@@ -512,12 +508,9 @@ func attrInt(sp *obs.Span, key string) int64 {
 	return a.Int()
 }
 
-// hitMiss words a cache-residency flag.
-var hitMiss = map[bool]string{true: "hit", false: "miss"}
-
 // printTraceSummary renders the one-line anatomy trace on appends to
 // route and alloc answers. res is nil when the query failed.
-func (s *Session) printTraceSummary(src, dst int, res *core.Result, a anatomy, cached bool) {
+func (s *Session) printTraceSummary(src, dst int, res *core.Result, a anatomy) {
 	fmt.Fprintf(s.w, "  trace %d->%d epoch %d", src, dst, a.epoch)
 	if a.blocked {
 		fmt.Fprint(s.w, " BLOCKED")
@@ -531,8 +524,10 @@ func (s *Session) printTraceSummary(src, dst int, res *core.Result, a anatomy, c
 		}
 		fmt.Fprintf(s.w, " cost %g (%d hops, %d/%d conversions)", cost, hops, taken, available)
 	}
-	fmt.Fprintf(s.w, " aux %dn/%da settled %d relaxed %d cache-%s",
-		a.auxNodes, a.auxArcs, a.settled, a.relaxed, hitMiss[cached])
+	fmt.Fprintf(s.w, " aux %dn/%da settled %d relaxed %d", a.auxNodes, a.auxArcs, a.settled, a.relaxed)
+	if a.boundRow != "" {
+		fmt.Fprintf(s.w, " bound row %s", a.boundRow)
+	}
 	if a.attempts > 1 {
 		fmt.Fprintf(s.w, " attempts %d", a.attempts)
 	}
@@ -542,9 +537,12 @@ func (s *Session) printTraceSummary(src, dst int, res *core.Result, a anatomy, c
 // printExplain renders the per-hop Eq. (1) cost anatomy of a route
 // found on snap: which junction paid which conversion, what each link
 // traversal cost, and the totals that reconcile to the route cost.
-func (s *Session) printExplain(snap *engine.Snapshot, res *core.Result, a anatomy, cached bool) {
-	buf := fmt.Appendf(s.out[:0], "explain %d -> %d (epoch %d, cache %s, %s)\n",
-		res.Source, res.Dest, snap.Epoch(), hitMiss[cached], a.elapsed)
+func (s *Session) printExplain(snap *engine.Snapshot, res *core.Result, a anatomy) {
+	buf := fmt.Appendf(s.out[:0], "explain %d -> %d (epoch %d, ", res.Source, res.Dest, snap.Epoch())
+	if a.boundRow != "" {
+		buf = fmt.Appendf(buf, "bound row %s, ", a.boundRow)
+	}
+	buf = fmt.Appendf(buf, "%s)\n", a.elapsed)
 	legs := res.Path.Breakdown(snap.Network())
 	if len(legs) == 0 {
 		s.reply(append(buf, "  trivial path (source == destination)\n"...))
@@ -559,8 +557,12 @@ func (s *Session) printExplain(snap *engine.Snapshot, res *core.Result, a anatom
 	}
 	buf = fmt.Appendf(buf, "  totals: links %g + conversions %g = %g\n", links, convs, links+convs)
 	buf = s.appendResult(append(buf, "  "...), res)
-	// The search line stays last: it is what frames an explain reply.
-	if a.physPops > 0 {
+	// The search line stays last: it is what frames an explain reply. Every
+	// astar reply says where its bound came from on the line before.
+	switch a.boundRow {
+	case core.BoundRowHit:
+		buf = append(buf, "  bound: row resident\n"...)
+	case core.BoundRowBuilt, core.BoundRowAbsent:
 		buf = fmt.Appendf(buf, "  bound: backward pass popped %d of %d physical nodes\n",
 			a.physPops, snap.Network().NumNodes())
 	}
