@@ -17,13 +17,16 @@ race:
 
 # Focused race pass over the packages with lock-free hot paths (the obs
 # atomics and the engine's snapshot/cache machinery) — cheap enough to
-# run on every edit, unlike the full `race` sweep. The second line is the
-# page-sharing half of snapshot immutability: readers on a pinned
+# run on every edit, unlike the full `race` sweep. The second line loops
+# the cost-row readers-beside-a-writer test (every row reply checked
+# against a fresh pass on its epoch); the third is the page-sharing half
+# of snapshot immutability: readers on a pinned
 # snapshot while later epochs copy the pages they write (these tests need
 # the compiled graph, so they sit in internal/core's external test
 # package).
 race-hot:
 	$(GO) test -race ./internal/obs ./internal/engine
+	$(GO) test -race -count=5 -run 'ConcurrentCostRows' ./internal/engine
 	$(GO) test -race -run 'SnapshotIsolation|LongChain' ./internal/core
 
 # vet also fails on unformatted files: gofmt -l prints offenders, and
@@ -112,12 +115,16 @@ bench-goal:
 # requests-per-source r ∈ {1..32} × {cold, resident} on an astar engine at
 # n=100 and n=300 with trees/op and points/op, so the batch rule's
 # break-even (core.Aux.TreePays, 8 on both) sits where the cold rows
-# switch from points to trees; BenchmarkSessionExec is one `route` through
-# Session.Exec bare and under the default recorder, whose rows should
-# differ by about a microsecond and by no allocation. Not a
+# switch from points to trees; BenchmarkCostsFrom is one single-source
+# cost read by what answers it (row=resident and tree=resident: a few
+# hundred ns and 0 allocs; cold: the pass); BenchmarkSessionExec is one
+# `route` through Session.Exec bare and under the default recorder, whose
+# rows should differ by about a microsecond and by no allocation, then
+# `routefrom` and a 16-pair `batch` at n=100 with cost rows resident (a
+# lookup and the encode) vs absent (a pass; 16 point queries). Not a
 # stable-numbers benchmark.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Route|AllocateRelease|Dijkstra|Bidirectional|AStar|Sampler|History|HeapSearchMix|SessionExec' \
+	$(GO) test -run '^$$' -bench 'Route|CostsFrom|AllocateRelease|Dijkstra|Bidirectional|AStar|Sampler|History|HeapSearchMix|SessionExec' \
 		-benchtime 100ms -benchmem \
 		./internal/heap/binheap ./internal/graph ./internal/core ./internal/engine ./internal/obs ./internal/serve
 

@@ -296,33 +296,40 @@ func TestServeStatsIncludesHitRateEpochAndLatency(t *testing.T) {
 // under the default astar, whose point query is ≈ k times cheaper than a
 // tree, it is three point queries and the cache is not touched — until
 // `routefrom 0` makes the tree resident, after which the same batch
-// reads it. -cache -1 leaves nowhere to keep a tree: point queries.
+// reads it. A second `routefrom 0` is the source's second ask of the
+// epoch: its cost row is stored, and the batch reads that without
+// looking the tree up. -cache -1 leaves nowhere to keep a tree or a row:
+// point queries.
 func TestServeBatchSplitPerSearchMode(t *testing.T) {
-	const script = "batch 0 9 0 13 0 5 9 0\nstats\nroutefrom 0\nbatch 0 9 0 13 0 5 9 0\nstats\nquit\n"
+	const batch = "batch 0 9 0 13 0 5 9 0\nstats\n"
+	const script = batch + "routefrom 0\n" + batch + "routefrom 0\n" + batch + "quit\n"
 	for _, tc := range []struct {
-		flags        []string
-		first, after string // stats after the first batch, and after the second
+		flags []string
+		stats [3]string // after each batch
 	}{
-		{[]string{"-directed", "plain"},
-			"lookups 3  hits 2  misses 1  |batched 4 (tree 3, point 1)",
-			"lookups 7  hits 6  misses 1  |batched 8 (tree 6, point 2)"},
-		{[]string{"-directed", "astar"},
-			"lookups 0  hits 0  misses 0  |batched 4 (tree 0, point 4)",
-			"lookups 4  hits 3  misses 1  |batched 8 (tree 3, point 5)"},
-		{[]string{"-directed", "plain", "-cache", "-1"},
-			"lookups 0  hits 0  misses 0  |batched 4 (tree 0, point 4)",
-			"lookups 0  hits 0  misses 0  |batched 8 (tree 0, point 8)"},
+		{[]string{"-directed", "plain"}, [3]string{
+			"lookups 3  hits 2  misses 1  |(lookups 0, hits 0, built 0)\n|batched 4 (row 0, tree 3, point 1)",
+			"lookups 7  hits 6  misses 1  |(lookups 1, hits 0, built 0)\n|batched 8 (row 0, tree 6, point 2)",
+			"lookups 8  hits 7  misses 1  |cost rows 1/128 (lookups 5, hits 3, built 1)\n|batched 12 (row 3, tree 6, point 3)"}},
+		{[]string{"-directed", "astar"}, [3]string{
+			"lookups 0  hits 0  misses 0  |(lookups 0, hits 0, built 0)\n|batched 4 (row 0, tree 0, point 4)",
+			"lookups 4  hits 3  misses 1  |(lookups 1, hits 0, built 0)\n|batched 8 (row 0, tree 3, point 5)",
+			"lookups 5  hits 4  misses 1  |(lookups 5, hits 3, built 1)\n|batched 12 (row 3, tree 3, point 6)"}},
+		{[]string{"-directed", "plain", "-cache", "-1"}, [3]string{
+			"lookups 0  hits 0  misses 0  |batched 4 (row 0, tree 0, point 4)",
+			"lookups 0  hits 0  misses 0  |batched 8 (row 0, tree 0, point 8)",
+			"lookups 0  hits 0  misses 0  |cost rows 0/0 (lookups 0, hits 0, built 0)\n|batched 12 (row 0, tree 0, point 12)"}},
 	} {
 		flags := append([]string{"-topo", "nsfnet", "-k", "6", "-seed", "3", "-workers", "1"}, tc.flags...)
 		out := runScript(t, flags, script)
-		first, after, ok := strings.Cut(out, "  0 -> 0: cost 0\n") // routefrom 0's first line
-		if !ok {
-			t.Fatalf("%v: no routefrom reply:\n%s", tc.flags, out)
+		parts := strings.SplitAfter(out, "uptime ") // one stats reply ends each part but the last
+		if len(parts) != 4 {
+			t.Fatalf("%v: want 3 stats replies:\n%s", tc.flags, out)
 		}
-		for _, half := range []struct{ got, want string }{{first, tc.first}, {after, tc.after}} {
-			for _, want := range strings.Split(half.want, "|") {
-				if !strings.Contains(half.got, want) {
-					t.Fatalf("%v: stats missing %q:\n%s", tc.flags, want, half.got)
+		for i, wants := range tc.stats {
+			for _, want := range strings.Split(wants, "|") {
+				if !strings.Contains(parts[i], want) {
+					t.Fatalf("%v: stats %d missing %q:\n%s", tc.flags, i+1, want, parts[i])
 				}
 			}
 		}

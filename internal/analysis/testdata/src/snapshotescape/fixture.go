@@ -87,6 +87,6 @@ func deltaOverlayAfterAdvance(e *engine.Engine, changed []int) {
 func boundedClosures(e *engine.Engine, run func(func())) {
 	snap := e.Snapshot()
 	run(func() { _, _ = snap.Route(0, 1) })           // handed to a call: fine
-	go func() { _, _ = snap.RouteVia(0, 1) }()        // go statement: fine
+	go func() { _, _ = snap.CostsFrom(0) }()          // go statement: fine
 	defer func() { _, _ = snap.KShortest(0, 1, 1) }() // defer statement: fine
 }

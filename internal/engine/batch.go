@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -15,18 +16,19 @@ type Request struct {
 	To   int
 }
 
-// BatchResult pairs a request with its answer. Exactly one of Result
-// and Err is non-nil.
+// BatchResult pairs a request with its answer: Err, or else Cost and —
+// from RouteBatch always, from BatchCosts only where a search ran — the
+// Result carrying the path.
 type BatchResult struct {
 	Request
 	Result *core.Result
+	Cost   float64
 	Err    error
 }
 
-// RouteBatch answers every request against ONE pinned snapshot using a
-// pool of worker goroutines (the AllPairsParallel fan-out shape: shared
-// atomic cursor, no per-item goroutine). All answers therefore observe
-// the same epoch, even if mutators publish newer snapshots mid-batch.
+// RouteBatch answers every request against ONE pinned snapshot. All
+// answers therefore observe the same epoch, even if mutators publish
+// newer snapshots mid-batch.
 //
 // Each request is answered the cheapest way its source allows, priced in
 // queue scans (core.Aux.TreePays): from the source's SourceTree when the
@@ -36,10 +38,14 @@ type BatchResult struct {
 // about k times under astar, whose point query is that much cheaper than
 // the single-source pass; else by a point query, which stops at the
 // destination and builds nothing. With the cache disabled there is
-// nowhere to keep a tree, so every request is a point query. All three
-// ways return the same cost bit for bit; engine_batch_tree_requests_total
+// nowhere to keep a tree, so every request is a point query. Every way
+// returns the same cost bit for bit; engine_batch_tree_requests_total
 // and engine_batch_point_requests_total count how the requests split.
-// workers ≤ 0 selects GOMAXPROCS.
+//
+// What is resident is read inline; only requests that need a search go
+// to a pool of worker goroutines (the AllPairsParallel fan-out shape:
+// shared atomic cursor, no per-item goroutine). workers ≤ 0 selects
+// GOMAXPROCS.
 func (e *Engine) RouteBatch(reqs []Request, workers int) []BatchResult {
 	snap := e.Snapshot()
 	return snap.RouteBatch(reqs, workers)
@@ -47,36 +53,69 @@ func (e *Engine) RouteBatch(reqs []Request, workers int) []BatchResult {
 
 // RouteBatch is Engine.RouteBatch against this specific snapshot.
 func (s *Snapshot) RouteBatch(reqs []Request, workers int) []BatchResult {
+	return s.batch(reqs, workers, true)
+}
+
+// BatchCosts is RouteBatch for a caller that reads costs, not paths: a
+// request whose source has a resident cost row is answered from it
+// before anything else is tried (engine_batch_row_requests_total), one
+// read off a tree extracts no path, and a blocked one carries the bare
+// core.ErrNoRoute. A batch never stores a row — CostsFrom does.
+func (s *Snapshot) BatchCosts(reqs []Request, workers int) []BatchResult {
+	return s.batch(reqs, workers, false)
+}
+
+// batch is the one dispatch behind RouteBatch (paths true) and
+// BatchCosts.
+func (s *Snapshot) batch(reqs []Request, workers int, paths bool) []BatchResult {
 	n := len(reqs)
 	out := make([]BatchResult, n)
 	if n == 0 {
 		return out
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-
-	// Telemetry: the in-flight gauge is the batch queue depth — it rises
-	// by the batch size up front and drains as workers finish items, so
-	// a registry snapshot taken mid-batch shows the backlog.
 	m := s.eng.metrics
 	m.batchRequests.Add(uint64(n))
-	m.batchInFlight.Add(int64(n))
 	batchStart := time.Now()
 	defer func() { m.batchLatency.ObserveDuration(time.Since(batchStart)) }()
 
-	perSource := make(map[int]int, n)
-	for _, r := range reqs {
-		perSource[r.From]++
+	// Pre-pass: a resident row or tree answers here, so a batch nothing
+	// has to be searched for starts no goroutine and counts no sources.
+	var rest []int // indices of the requests still unanswered
+	for i, req := range reqs {
+		out[i].Request = req
+		if !s.answerResident(&out[i], paths) {
+			rest = append(rest, i)
+		}
+	}
+	if len(rest) > 0 {
+		s.search(out, rest, workers, paths)
+	}
+	return out
+}
+
+// search answers out[i] for every i in rest — what the pre-pass found
+// nothing resident for — on a pool of worker goroutines.
+func (s *Snapshot) search(out []BatchResult, rest []int, workers int, paths bool) {
+	// Telemetry: the in-flight gauge is the batch queue depth — it rises
+	// by what there is to search for and drains as workers finish items,
+	// so a registry snapshot taken mid-batch shows the backlog.
+	m := s.eng.metrics
+	m.batchInFlight.Add(int64(len(rest)))
+	perSource := make(map[int]int, len(rest))
+	for _, i := range rest {
+		perSource[out[i].From]++
 	}
 	// A tree is built only where it can be kept — in the cache, for the
 	// rest of this batch and for later readers of this epoch — and only
 	// for a source with enough requests to amortise the pass.
 	pays, kept := s.aux.TreePays(s.ropts.Directed), s.eng.cache != nil
 
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > len(rest) {
+		workers = len(rest)
+	}
 	var (
 		wg     sync.WaitGroup
 		cursor atomic.Int64
@@ -86,30 +125,80 @@ func (s *Snapshot) RouteBatch(reqs []Request, workers int) []BatchResult {
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= n {
+				j := int(cursor.Add(1)) - 1
+				if j >= len(rest) {
 					return
 				}
-				req := reqs[i]
-				var (
-					res *core.Result
-					err error
-				)
-				if st, ok := s.residentTree(req.From); ok {
-					res, err = viaTree(st, req.From, req.To)
+				r := &out[rest[j]]
+				if st, ok := s.residentTree(r.From); ok { // built since the pre-pass
+					s.readTree(r, st, paths)
 					m.batchViaTree.Inc()
-				} else if kept && perSource[req.From] >= pays {
-					res, err = s.RouteVia(req.From, req.To)
+				} else if kept && perSource[r.From] >= pays {
+					if st, err := s.RouteFrom(r.From); err != nil {
+						r.Err = err
+					} else {
+						s.readTree(r, st, paths)
+					}
 					m.batchViaTree.Inc()
 				} else {
-					res, err = s.Route(req.From, req.To)
+					if r.Result, r.Err = s.Route(r.From, r.To); r.Err == nil {
+						r.Cost = r.Result.Cost
+					}
 					m.batchViaPoint.Inc()
 				}
-				out[i] = BatchResult{Request: req, Result: res, Err: err}
 				m.batchInFlight.Add(-1)
 			}
 		}()
 	}
 	wg.Wait()
-	return out
+}
+
+// answerResident fills r from what the caches hold for its source at
+// this epoch — the cost row when costs are all that is asked for, else
+// the SourceTree — and reports whether either did. An absent entry is
+// neither counted nor built.
+func (s *Snapshot) answerResident(r *BatchResult, paths bool) bool {
+	e := s.eng
+	if e.cache == nil {
+		return false
+	}
+	// A destination out of range is left to the tree or the point query,
+	// whose error names it.
+	if !paths && s.inRange(r.To) {
+		if row, ok := e.costs.getResident(epochKey{node: r.From, epoch: s.epoch}); ok {
+			r.setCost(row[r.To])
+			e.metrics.batchViaRow.Inc()
+			return true
+		}
+	}
+	if st, ok := s.residentTree(r.From); ok {
+		s.readTree(r, st, paths)
+		e.metrics.batchViaTree.Inc()
+		return true
+	}
+	return false
+}
+
+// readTree fills r from its source's SourceTree, extracting the path
+// only for a caller that reads it.
+func (s *Snapshot) readTree(r *BatchResult, st *core.SourceTree, paths bool) {
+	if !paths && s.inRange(r.To) {
+		r.setCost(st.Dist(r.To))
+		return
+	}
+	if r.Result, r.Err = viaTree(st, r.From, r.To); r.Err == nil {
+		r.Cost = r.Result.Cost
+	}
+}
+
+func (s *Snapshot) inRange(node int) bool { return node >= 0 && node < s.net.NumNodes() }
+
+// setCost records an optimal cost read off a row or tree: +Inf is the
+// blocked verdict.
+func (r *BatchResult) setCost(c float64) {
+	if math.IsInf(c, 1) {
+		r.Err = core.ErrNoRoute
+		return
+	}
+	r.Cost = c
 }

@@ -61,6 +61,20 @@ func batchFixtures(t *testing.T, spec workload.Spec) map[string]*wdm.Network {
 
 func counter(e *Engine, name string) uint64 { return e.Metrics().Snapshot()[name].(uint64) }
 
+// batchSplit reads how e's batch requests were answered — off a cost
+// row, off a SourceTree, by point query — and demands that the three
+// sum to the requests.
+func batchSplit(t *testing.T, what string, e *Engine) (row, tree, point uint64) {
+	t.Helper()
+	snap := e.Metrics().Snapshot()
+	row, tree, point = snap["engine_batch_row_requests_total"].(uint64),
+		snap["engine_batch_tree_requests_total"].(uint64), snap["engine_batch_point_requests_total"].(uint64)
+	if all := snap["engine_batch_requests_total"].(uint64); row+tree+point != all {
+		t.Fatalf("%s: %d via row + %d via tree + %d via point query != %d batch requests", what, row, tree, point, all)
+	}
+	return row, tree, point
+}
+
 func treePasses(e *Engine) uint64 {
 	return e.Metrics().Snapshot()["engine_routefrom_latency_ns"].(obs.HistogramSnapshot).Count
 }
@@ -83,19 +97,20 @@ func sameAnswers(t *testing.T, what string, ref *Engine, reqs []Request, got []B
 		if errors.Is(g.Err, core.ErrNoRoute) != (err != nil) || (g.Err == nil) != (err == nil) {
 			t.Fatalf("%s: %d->%d: outcome %v, want %v", what, g.From, g.To, g.Err, err)
 		}
-		if err == nil && math.Float64bits(g.Result.Cost) != math.Float64bits(want.Cost) {
-			t.Fatalf("%s: %d->%d: cost %v, want %v", what, g.From, g.To, g.Result.Cost, want.Cost)
+		if err == nil && math.Float64bits(g.Cost) != math.Float64bits(want.Cost) {
+			t.Fatalf("%s: %d->%d: cost %v, want %v", what, g.From, g.To, g.Cost, want.Cost)
 		}
 	}
 }
 
-// TestRouteBatchBranchesAgree forces the same requests down each of
-// RouteBatch's three ways of answering — a tree the cache holds, a tree
-// the batch builds, point queries — on plain and astar engines across
-// the fixture topologies × converter families. Every way must give the
-// verdict and the cost, bit for bit, of the paper's point search; the
-// cache and batch counters must reconcile; a source below the break-even
-// must leave no tree behind and one at it exactly one.
+// TestRouteBatchBranchesAgree forces the same requests down each of the
+// batch's ways of answering — a tree the cache holds, a tree the batch
+// builds, point queries and, for BatchCosts, a resident cost row — on
+// plain and astar engines across the fixture topologies × converter
+// families. Every way must give the verdict and the cost, bit for bit, of
+// the paper's point search; the cache and batch counters must reconcile;
+// a source below the break-even must leave no tree behind and one at it
+// exactly one; a row must be read without touching the trees.
 func TestRouteBatchBranchesAgree(t *testing.T) {
 	for conv, spec := range batchConvs {
 		for name, nw := range batchFixtures(t, spec) {
@@ -131,10 +146,10 @@ func TestRouteBatchBranchesAgree(t *testing.T) {
 					if cs.Hits+cs.Misses != cs.Lookups {
 						t.Fatalf("%s: %d hits + %d misses != %d lookups", what, cs.Hits, cs.Misses, cs.Lookups)
 					}
-					tree, point := counter(e, "engine_batch_tree_requests_total"), counter(e, "engine_batch_point_requests_total")
-					if all := counter(e, "engine_batch_requests_total"); tree+point != all {
-						t.Fatalf("%s: %d via tree + %d via point query != %d batch requests", what, tree, point, all)
+					if rs := e.CostRowStats(); rs.Hits+rs.Misses != rs.Lookups {
+						t.Fatalf("%s: cost rows: %d hits + %d misses != %d lookups", what, rs.Hits, rs.Misses, rs.Lookups)
 					}
+					batchSplit(t, what, e)
 					return cs
 				}
 
@@ -184,6 +199,39 @@ func TestRouteBatchBranchesAgree(t *testing.T) {
 				sameAnswers(t, what+" resident", ref, below, e.RouteBatch(below, 1))
 				if cs := reconciles(e); cs.Misses != before.Misses || cs.Hits != before.Hits+uint64(len(below)) {
 					t.Fatalf("%s: resident trees: %+v → %+v, want %d more hits and no miss", what, before, cs, len(below))
+				}
+
+				// Costs only: the resident trees again, no path extracted ...
+				got := e.Snapshot().BatchCosts(below, 1)
+				sameAnswers(t, what+" costs off trees", ref, below, got)
+				for _, g := range got {
+					if g.Result != nil {
+						t.Fatalf("%s: BatchCosts extracted a path for %d->%d off a resident tree", what, g.From, g.To)
+					}
+				}
+				if counter(e, "engine_batch_row_requests_total") != 0 || e.CostRowStats().Size != 0 {
+					t.Fatalf("%s: a batch stored or read a cost row: %+v", what, e.CostRowStats())
+				}
+				// ... then, each source asked twice, its row — and no tree lookup.
+				for _, s := range srcs {
+					for ask := 0; ask < 2; ask++ {
+						if _, err := e.CostsFrom(s); err != nil {
+							t.Fatalf("%s: %v", what, err)
+						}
+					}
+				}
+				before = reconciles(e)
+				sameAnswers(t, what+" rows", ref, at, e.Snapshot().BatchCosts(at, 1))
+				if cs := reconciles(e); cs.Lookups != before.Lookups {
+					t.Fatalf("%s: resident rows: tree cache %+v → %+v, want it untouched", what, before, cs)
+				}
+				if got := counter(e, "engine_batch_row_requests_total"); got != uint64(len(at)) {
+					t.Fatalf("%s: %d of %d requests via a cost row", what, got, len(at))
+				}
+				// RouteBatch owes its callers paths: rows cannot serve it.
+				sameAnswers(t, what+" paths beside rows", ref, at, e.RouteBatch(at, 1))
+				if got := counter(e, "engine_batch_row_requests_total"); got != uint64(len(at)) {
+					t.Fatalf("%s: RouteBatch read a cost row", what)
 				}
 			}
 		}

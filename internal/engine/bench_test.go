@@ -93,6 +93,67 @@ func BenchmarkRouteFromColdCache(b *testing.B) {
 	}
 }
 
+// BenchmarkCostsFrom is one CostsFrom with its n costs read, on the
+// server's search mode over the benchmark's sparse networks, by what
+// answers it: the source's resident cost row (one map lookup, an n-float
+// slice), its resident SourceTree with no row kept (two lookups; what
+// every ask cost before the rows, and a first ask still does), or — with
+// the caches off — the single-source pass itself. The first two allocate
+// nothing.
+func BenchmarkCostsFrom(b *testing.B) {
+	for _, n := range []int{100, 300} {
+		nw := sparseNet(b, n)
+		for _, by := range []string{"row=resident", "tree=resident", "cold"} {
+			b.Run(fmt.Sprintf("%s/n=%d", by, n), func(b *testing.B) {
+				opts := &Options{CacheSize: n, Directed: core.DirectedAStar}
+				if by == "cold" {
+					opts.CacheSize = -1
+				}
+				e, err := New(nw, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				snap := e.Snapshot()
+				for s := 0; s < n && by != "cold"; s++ { // every tree; every row when rows answer
+					for ask := 0; ask < 2; ask++ {
+						if by == "tree=resident" {
+							_, err = snap.RouteFrom(s)
+						} else {
+							_, err = snap.CostsFrom(s)
+						}
+						if err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				rows := e.CostRowStats()
+				sum := 0.0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					src := i % n
+					if by == "tree=resident" {
+						e.costAsked[src].Store(0) // every ask a first ask: no row is ever stored
+					}
+					costs, err := snap.CostsFrom(src)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for t := 0; t < n; t++ {
+						sum += costs.To(t)
+					}
+				}
+				benchSink = sum
+				if after := e.CostRowStats(); (by == "row=resident") != (after.Hits-rows.Hits == uint64(b.N)) || (by != "row=resident" && after.Size != 0) {
+					b.Fatalf("%s: cost rows %+v → %+v over %d asks", by, rows, after, b.N)
+				}
+			})
+		}
+	}
+}
+
+var benchSink float64
+
 // BenchmarkAllocateRelease measures mutation throughput: each iteration
 // publishes two epochs (allocate + release). Under the default options
 // every publish rides core.Aux.ApplyDelta on one unbroken chain — the

@@ -10,14 +10,13 @@ type boundRows struct {
 }
 
 // Row returns destination t's row at this epoch if resident. On a miss,
-// build is true from the second ask of (t, epoch) on — the first is
-// remembered in the engine's per-destination word and builds nothing.
+// build is true from the second ask of (t, epoch) on (askedAt).
 func (r *boundRows) Row(t int) (row []float32, build bool) {
 	e := r.eng
 	if row, ok := e.rows.get(epochKey{node: t, epoch: r.epoch}); ok {
 		return row, false
 	}
-	return nil, e.rowAsked[t].Swap(r.epoch+1) == r.epoch+1
+	return nil, e.rowAsked.second(t, r.epoch)
 }
 
 // Store keeps a complete row for destination t at this epoch.

@@ -3,11 +3,12 @@ package engine
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 )
 
-// epochKey identifies one cached per-node result — the SourceTree of a
-// source, the bound row of a destination: either is only valid for the
-// exact epoch whose residual network it was computed on.
+// epochKey identifies one cached per-node result — the SourceTree or the
+// cost row of a source, the bound row of a destination: each is only
+// valid for the exact epoch whose residual network it was computed on.
 type epochKey struct {
 	node  int
 	epoch uint64
@@ -36,7 +37,8 @@ func (c CacheStats) HitRate() float64 {
 }
 
 // epochCache is a bounded LRU of per-(node, epoch) results: the engine
-// keeps SourceTrees in one and bound rows in another. Entries from
+// keeps SourceTrees in one, cost rows in a second and bound rows in a
+// third. Entries from
 // superseded epochs are never explicitly invalidated — they stay correct
 // for readers still pinned to their epoch and age out via normal LRU
 // pressure as fresh epochs dominate lookups. A stored value is shared by
@@ -128,4 +130,17 @@ func (c *epochCache[V]) stats() CacheStats {
 		Size:      c.ll.Len(),
 		Capacity:  c.capacity,
 	}
+}
+
+// askedAt is the rows' admission rule: per node, the epoch (+1; 0 =
+// never) at which a lookup last found the node's row missing. A row is
+// stored on the second miss of its (node, epoch), so a node that does
+// not recur within an epoch — every one, under churn — is never given a
+// row.
+type askedAt []atomic.Uint64
+
+// second records a miss of (node, epoch) and reports whether it is at
+// least the second.
+func (a askedAt) second(node int, epoch uint64) bool {
+	return a[node].Swap(epoch+1) == epoch+1
 }

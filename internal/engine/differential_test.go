@@ -206,6 +206,14 @@ func TestDifferentialChurn(t *testing.T) {
 					t.Fatalf("op %d: cache hits %d + misses %d != lookups %d",
 						op, cs.Hits, cs.Misses, cs.Lookups)
 				}
+				if rs := e.CostRowStats(); rs.Hits+rs.Misses != rs.Lookups {
+					t.Fatalf("op %d: cost-row hits %d + misses %d != lookups %d",
+						op, rs.Hits, rs.Misses, rs.Lookups)
+				}
+				batchSplit(t, tc.name, e)
+			}
+			if rs := e.CostRowStats(); rs.Hits == 0 || counter(e, "engine_batch_row_requests_total") == 0 {
+				t.Fatalf("the churn never read a cost row: %+v", rs)
 			}
 
 			// Full single-source sweep at the final epoch, through the
@@ -285,6 +293,32 @@ func checkRouteAgainstReferences(t *testing.T, e *Engine, model *churnModel, s, 
 		t.Fatal(err)
 	}
 	wantCost := st.Dist(d)
+
+	// The cost readers, down each of their ways: CostsFrom built, off the
+	// tree, off the row it stored; the batch off that row and by search.
+	for ask := 0; ask < 3; ask++ {
+		costs, err := e.CostsFrom(s)
+		if err != nil {
+			t.Fatalf("op %d: costs from %d: %v", op, s, err)
+		}
+		for dst := 0; dst < res.NumNodes(); dst++ {
+			if !costsAgree(costs.To(dst), st.Dist(dst)) {
+				t.Fatalf("op %d ask %d: engine cost %d->%d = %v, fresh-Aux reference %v",
+					op, ask, s, dst, costs.To(dst), st.Dist(dst))
+			}
+		}
+	}
+	for _, br := range e.Snapshot().BatchCosts([]Request{{s, d}, {d, s}, {s, s}, {s, d}}, 2) {
+		if br.From != s {
+			continue // the reverse pair is there to be searched for, not checked
+		}
+		if blocked := errors.Is(br.Err, core.ErrNoRoute); blocked != !st.Reachable(br.To) || (br.Err != nil && !blocked) {
+			t.Fatalf("op %d: batch %d->%d: %v, reference cost %v", op, s, br.To, br.Err, st.Dist(br.To))
+		}
+		if br.Err == nil && !costsAgree(br.Cost, st.Dist(br.To)) {
+			t.Fatalf("op %d: batch cost %d->%d = %v, fresh-Aux reference %v", op, s, br.To, br.Cost, st.Dist(br.To))
+		}
+	}
 
 	got, err := e.Route(s, d)
 	switch {

@@ -23,14 +23,18 @@
 //
 //   - bounded LRU caches keyed by (node, epoch): core.SourceTree results
 //     per source, so repeated single-source queries at a stable epoch
-//     cost one tree lookup instead of a Dijkstra pass, and under
-//     DirectedAStar the physical-bound row per destination, so repeated
-//     point queries toward it skip their backward pass; and
-//   - batched request execution over a worker pool (RouteBatch), which
-//     pins one snapshot for the whole batch and prices each source: a
-//     cached SourceTree answers, one is built only for a source the
-//     batch names often enough to amortise the pass
-//     (core.Aux.TreePays), and the rest are point queries.
+//     cost one tree lookup instead of a Dijkstra pass; the row of
+//     optimal costs per source (CostsFrom), a seventeenth of its tree's
+//     bytes, so a caller that reads costs finds every source resident
+//     where the trees would not fit; and under DirectedAStar the
+//     physical-bound row per destination, so repeated point queries
+//     toward it skip their backward pass; and
+//   - batched request execution (RouteBatch, BatchCosts), which pins one
+//     snapshot for the whole batch and prices each source: a cached cost
+//     row or SourceTree answers inline, a tree is built only for a
+//     source the batch names often enough to amortise the pass
+//     (core.Aux.TreePays), and the rest are point queries, on a worker
+//     pool.
 package engine
 
 import (
@@ -79,9 +83,10 @@ type Options struct {
 	// every search with a goal runs on. graph.QueueBinary builds the trees
 	// on the heap too (same costs bit for bit; the A/B reference).
 	Queue graph.QueueKind
-	// CacheSize bounds the SourceTree LRU cache (entries) and, under
-	// DirectedAStar, the bound-row LRU at CacheSize × TreePays rows. Zero
-	// means DefaultCacheSize; negative disables both.
+	// CacheSize bounds the SourceTree LRU cache (entries) and, at
+	// CacheSize × TreePays rows each, the cost-row LRU and — under
+	// DirectedAStar — the bound-row LRU. Zero means DefaultCacheSize;
+	// negative disables all three.
 	CacheSize int
 	// MaxDeltaDepth is a test seam, not a tuning knob: the zero value
 	// chains core.Aux.ApplyDelta without bound (a search on a long chain
@@ -134,14 +139,20 @@ type Engine struct {
 	directed core.DirectedMode
 	cache    *epochCache[*core.SourceTree]
 	// rows keeps DirectedAStar's complete bound rows per (destination,
-	// epoch), and rowAsked[t] the epoch (+1; 0 = never) at which a query
-	// last found t's row missing: a row is built on the second ask of its
-	// key, so a destination that does not recur within an epoch — every
-	// one, under churn — costs nothing beyond today's pass. Both nil
-	// unless the engine runs astar with the cache enabled.
+	// epoch), built on the second ask of their key (askedAt), so a
+	// destination that does not recur within an epoch costs nothing beyond
+	// the query's own pass. Both nil unless the engine runs astar with the
+	// cache enabled.
 	rows     *epochCache[[]float32]
-	rowAsked []atomic.Uint64
-	metrics  *Metrics
+	rowAsked askedAt
+	// costs keeps Corollary 1's answer itself: the n optimal costs from a
+	// source at an epoch, copied off its SourceTree on the source's second
+	// CostsFrom of that epoch — a seventeenth of the tree's bytes at n=100,
+	// so every source of a stable epoch stays resident where the trees do
+	// not. Both nil with the cache disabled.
+	costs     *epochCache[[]float64]
+	costAsked askedAt
+	metrics   *Metrics
 
 	// mu guards the mutable occupancy state below and serializes
 	// mutators; readers of occupancy take it in read mode. Routing never
@@ -213,10 +224,13 @@ func New(nw *wdm.Network, opts *Options) (*Engine, error) {
 		e.directed = opts.Directed
 	}
 	if cacheSize > 0 {
+		// The row capacities are set below, once TreePays is known.
 		e.cache = newEpochCache[*core.SourceTree](cacheSize)
+		e.costs = newEpochCache[[]float64](cacheSize)
+		e.costAsked = make(askedAt, nw.NumNodes())
 		if e.directed == core.DirectedAStar {
-			e.rows = newEpochCache[[]float32](cacheSize) // capacity set below, once TreePays is known
-			e.rowAsked = make([]atomic.Uint64, nw.NumNodes())
+			e.rows = newEpochCache[[]float32](cacheSize)
+			e.rowAsked = make(askedAt, nw.NumNodes())
 		}
 	}
 	// Metrics must exist before the first rebuild so the epoch-0 compile
@@ -225,11 +239,16 @@ func New(nw *wdm.Network, opts *Options) (*Engine, error) {
 	if err := e.publish(0, nil, nil); err != nil {
 		return nil, err
 	}
-	if e.rows != nil {
+	if e.cache != nil {
 		// A tree slot stands in for TreePays point queries, so it is given
-		// that many rows: n float32s each, against a tree's two int32s per
-		// auxiliary node — under a quarter of the bytes the trees may hold.
-		e.rows.capacity = cacheSize * e.Snapshot().aux.TreePays(e.directed)
+		// that many rows of either kind: n float32s (bound) or float64s
+		// (cost) each, against a tree's two int32s per auxiliary node — at
+		// most half the bytes the trees may hold.
+		rows := cacheSize * e.Snapshot().aux.TreePays(e.directed)
+		e.costs.capacity = rows
+		if e.rows != nil {
+			e.rows.capacity = rows
+		}
 	}
 	return e, nil
 }
@@ -683,6 +702,15 @@ func (e *Engine) CacheStats() CacheStats {
 		return CacheStats{}
 	}
 	return e.cache.stats()
+}
+
+// CostRowStats reports the cost-row cache counters (zero value when
+// caching is disabled).
+func (e *Engine) CostRowStats() CacheStats {
+	if e.costs == nil {
+		return CacheStats{}
+	}
+	return e.costs.stats()
 }
 
 // BoundRowStats reports the bound-row cache counters (zero value when

@@ -29,7 +29,8 @@ type Metrics struct {
 	routesBlocked *obs.Counter // engine_routes_blocked_total
 	allocRetries  *obs.Counter // engine_alloc_retries_total
 	batchRequests *obs.Counter // engine_batch_requests_total
-	// How RouteBatch answered them; the two sum to batchRequests.
+	// How the batch answered them; the three sum to batchRequests.
+	batchViaRow   *obs.Counter // engine_batch_row_requests_total (read off a cost row; BatchCosts only)
 	batchViaTree  *obs.Counter // engine_batch_tree_requests_total (read off a SourceTree)
 	batchViaPoint *obs.Counter // engine_batch_point_requests_total (point query)
 	goalSettled   *obs.Counter // engine_goal_settled_total (nodes settled by directed queries)
@@ -41,7 +42,9 @@ type Metrics struct {
 	// engine_bound_row_builds_total: complete bound rows stored. Their
 	// lookups and hits are gauges over the row cache, like the tree cache's.
 	boundRowBuilds *obs.Counter
-	batchInFlight  *obs.Gauge // engine_batch_inflight (queue depth)
+	// engine_cost_row_builds_total: cost rows stored, likewise.
+	costRowBuilds *obs.Counter
+	batchInFlight *obs.Gauge // engine_batch_inflight (queue depth)
 }
 
 // newMetrics wires an engine's registry: direct instruments for the
@@ -63,11 +66,13 @@ func newMetrics(e *Engine) *Metrics {
 		routesBlocked:        reg.Counter("engine_routes_blocked_total"),
 		allocRetries:         reg.Counter("engine_alloc_retries_total"),
 		batchRequests:        reg.Counter("engine_batch_requests_total"),
+		batchViaRow:          reg.Counter("engine_batch_row_requests_total"),
 		batchViaTree:         reg.Counter("engine_batch_tree_requests_total"),
 		batchViaPoint:        reg.Counter("engine_batch_point_requests_total"),
 		goalSettled:          reg.Counter("engine_goal_settled_total"),
 		treeRescans:          reg.Counter("engine_tree_rescans_total"),
 		boundRowBuilds:       reg.Counter("engine_bound_row_builds_total"),
+		costRowBuilds:        reg.Counter("engine_cost_row_builds_total"),
 		batchInFlight:        reg.Gauge("engine_batch_inflight"),
 	}
 
@@ -103,6 +108,12 @@ func newMetrics(e *Engine) *Metrics {
 	// kept, none otherwise. hits ≤ lookups; builds ≤ lookups − hits.
 	reg.GaugeFunc("engine_bound_row_lookups_total", func() float64 { return float64(e.BoundRowStats().Lookups) })
 	reg.GaugeFunc("engine_bound_row_hits_total", func() float64 { return float64(e.BoundRowStats().Hits) })
+
+	// The cost-row cache: one lookup per CostsFrom, one per batch request
+	// a resident row answered. hits + misses = lookups; builds ≤ misses.
+	reg.GaugeFunc("engine_cost_row_lookups_total", func() float64 { return float64(e.CostRowStats().Lookups) })
+	reg.GaugeFunc("engine_cost_row_hits_total", func() float64 { return float64(e.CostRowStats().Hits) })
+	reg.GaugeFunc("engine_cost_row_size", func() float64 { return float64(e.CostRowStats().Size) })
 
 	// Current snapshot's compiled auxiliary graph and residual capacity.
 	reg.GaugeFunc("snapshot_aux_nodes", func() float64 { return float64(e.Snapshot().Aux().NumAuxNodes()) })

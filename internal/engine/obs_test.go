@@ -182,11 +182,13 @@ func TestMetricsCountersTrackWork(t *testing.T) {
 		t.Fatalf("engine_batch_inflight = %d after batch drained, want 0", got)
 	}
 	// How they were answered: source 0, named twice, through a tree (the
-	// plain break-even); 5 and 7 by point query. The two always sum to
-	// the requests.
-	tree, point := snap["engine_batch_tree_requests_total"].(uint64), snap["engine_batch_point_requests_total"].(uint64)
-	if tree != 2 || point != 2 || tree+point != snap["engine_batch_requests_total"].(uint64) {
-		t.Fatalf("batch split: %d via tree + %d via point query, want 2 + 2 = engine_batch_requests_total", tree, point)
+	// plain break-even); 5 and 7 by point query; none off a cost row,
+	// which cannot give RouteBatch its paths. The three always sum to the
+	// requests.
+	row, tree, point := snap["engine_batch_row_requests_total"].(uint64),
+		snap["engine_batch_tree_requests_total"].(uint64), snap["engine_batch_point_requests_total"].(uint64)
+	if row != 0 || tree != 2 || point != 2 || row+tree+point != snap["engine_batch_requests_total"].(uint64) {
+		t.Fatalf("batch split: %d via row + %d via tree + %d via point query, want 0 + 2 + 2 = engine_batch_requests_total", row, tree, point)
 	}
 
 	// Mutations: epoch gauge and rebuild histogram move together.

@@ -91,35 +91,99 @@ func (s *Snapshot) Route(src, dst int, parent ...*obs.Span) (*core.Result, error
 // epoch. Trees are cached per (source, epoch): a hit costs one map
 // lookup instead of a Dijkstra pass over the auxiliary graph. Under a
 // parent span the query is an engine_routefrom child; the cache probe
-// is an engine_cache_lookup grandchild annotated hit=true/false, and a
-// miss additionally carries the core_tree_search span of the Dijkstra
-// pass that fills the cache.
+// is an engine_cache_lookup grandchild annotated hit=true/false and
+// answered=tree/built, and a miss additionally carries the
+// core_tree_search span of the Dijkstra pass that fills the cache.
 func (s *Snapshot) RouteFrom(src int, parent ...*obs.Span) (*core.SourceTree, error) {
-	sp := parentSpan(parent).StartChild(SpanRouteFrom)
+	c, err := s.fromSource(src, parentSpan(parent), false)
+	return c.st, err
+}
+
+// Costs is the optimal costs from one source to every node at one epoch
+// (Corollary 1, one row of it): a cached cost row or, while the source
+// has none, a view of its SourceTree. Shared with every reader of the
+// same (source, epoch); read-only.
+type Costs struct {
+	row []float64
+	st  *core.SourceTree
+}
+
+// To reports the optimal cost to t: 0 for the source itself, +Inf when t
+// is unreachable. Bit for bit SourceTree.Dist, whichever backs the value.
+func (c Costs) To(t int) float64 {
+	if c.row != nil {
+		return c.row[t]
+	}
+	return c.st.Dist(t)
+}
+
+// CostsFrom is RouteFrom for a caller that reads costs, not paths. A
+// resident cost row answers with no tree lookup and no pass
+// (answered=row on the engine_cache_lookup span); otherwise the tree
+// comes from the tree cache or one pass, as in RouteFrom, and from the
+// source's second ask of this epoch on its costs are copied into a row
+// that outlives the tree's turn in the LRU. A first ask stores nothing
+// and is answered off the tree, so a source that does not recur within
+// an epoch allocates nothing RouteFrom does not. The Costs are valid
+// only with a nil error.
+func (s *Snapshot) CostsFrom(src int, parent ...*obs.Span) (Costs, error) {
+	return s.fromSource(src, parentSpan(parent), true)
+}
+
+// fromSource is the per-source read behind RouteFrom (rows false: the
+// caller needs the tree) and CostsFrom.
+func (s *Snapshot) fromSource(src int, parent *obs.Span, rows bool) (Costs, error) {
+	sp := parent.StartChild(SpanRouteFrom)
 	defer sp.End()
 	sp.SetInt(AttrEpoch, int64(s.epoch))
 	start := time.Now()
 	defer func() { s.eng.metrics.routeFromLatency.ObserveDuration(time.Since(start)) }()
-	cache := s.eng.cache
-	if cache == nil {
-		return s.buildTree(src, sp)
+	e := s.eng
+	if e.cache == nil {
+		st, err := s.buildTree(src, sp)
+		return Costs{st: st}, err
 	}
+	key := epochKey{node: src, epoch: s.epoch}
 	look := sp.StartChild(SpanCacheLookup)
-	st, ok := cache.get(epochKey{node: src, epoch: s.epoch})
-	look.SetBool(AttrHit, ok)
+	var c Costs
+	answered := AnsweredBuilt
+	if rows {
+		if c.row, _ = e.costs.get(key); c.row != nil {
+			answered = AnsweredRow
+		}
+	}
+	if c.row == nil {
+		if c.st, _ = e.cache.get(key); c.st != nil {
+			answered = AnsweredTree
+		}
+	}
+	look.SetBool(AttrHit, answered != AnsweredBuilt)
+	look.SetStr(AttrAnswered, answered)
 	look.End()
-	if ok {
-		return st, nil
+	if c.row != nil {
+		return c, nil
 	}
-	// Compute outside the cache lock; concurrent misses on the same key
-	// may duplicate the work, and the last insert wins — both trees are
-	// equally correct, so this is only a transient inefficiency.
-	st, err := s.buildTree(src, sp)
-	if err != nil {
-		return nil, err
+	if c.st == nil {
+		// Compute outside the cache lock; concurrent misses on the same key
+		// may duplicate the work, and the last insert wins — both trees are
+		// equally correct, so this is only a transient inefficiency.
+		st, err := s.buildTree(src, sp)
+		if err != nil {
+			return Costs{}, err
+		}
+		e.cache.put(key, st)
+		c.st = st
 	}
-	cache.put(epochKey{node: src, epoch: s.epoch}, st)
-	return st, nil
+	if rows && e.costAsked.second(src, s.epoch) {
+		row := make([]float64, s.net.NumNodes())
+		for t := range row {
+			row[t] = c.st.Dist(t)
+		}
+		e.costs.put(key, row)
+		e.metrics.costRowBuilds.Inc()
+		c = Costs{row: row}
+	}
+	return c, nil
 }
 
 // buildTree runs the single-source pass of a cache miss and counts its
@@ -130,20 +194,6 @@ func (s *Snapshot) buildTree(src int, sp *obs.Span) (*core.SourceTree, error) {
 		s.eng.metrics.treeRescans.Add(uint64(st.Rescans()))
 	}
 	return st, err
-}
-
-// RouteVia answers a point-to-point query through the SourceTree cache,
-// building and caching the tree on a miss: worth it when at least
-// core.Aux.TreePays requests share the source at this epoch (RouteBatch
-// applies that rule; with the cache disabled every call is a full
-// single-source pass). The returned result carries no per-query search
-// stats (the tree is shared).
-func (s *Snapshot) RouteVia(src, dst int) (*core.Result, error) {
-	st, err := s.RouteFrom(src)
-	if err != nil {
-		return nil, err
-	}
-	return viaTree(st, src, dst)
 }
 
 // viaTree reads one destination off a SourceTree as a point-query result.
@@ -186,6 +236,12 @@ func (e *Engine) Route(src, dst int, parent ...*obs.Span) (*core.Result, error) 
 // through the SourceTree cache.
 func (e *Engine) RouteFrom(src int, parent ...*obs.Span) (*core.SourceTree, error) {
 	return e.Snapshot().RouteFrom(src, parent...)
+}
+
+// CostsFrom answers one single-source cost query on the current
+// snapshot, through the cost-row cache.
+func (e *Engine) CostsFrom(src int, parent ...*obs.Span) (Costs, error) {
+	return e.Snapshot().CostsFrom(src, parent...)
 }
 
 // KShortest answers one K-shortest-paths query on the current snapshot.

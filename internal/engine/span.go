@@ -22,9 +22,17 @@ const (
 const (
 	AttrEpoch    = "epoch"
 	AttrHit      = "hit"
+	AttrAnswered = "answered" // on engine_cache_lookup: AnsweredRow | AnsweredTree | AnsweredBuilt
 	AttrAttempt  = "attempt"
 	AttrConflict = "conflict"
 	AttrMode     = "mode"
+)
+
+// What a per-source read was answered from (AttrAnswered).
+const (
+	AnsweredRow   = "row"   // a resident cost row: no tree lookup, no pass
+	AnsweredTree  = "tree"  // a resident SourceTree
+	AnsweredBuilt = "built" // neither: one single-source pass
 )
 
 // parentSpan reads an operation's optional trailing span argument: the

@@ -91,6 +91,9 @@ func TestRouteFromCacheLookupSpans(t *testing.T) {
 	if a, ok := look.Attr("hit"); !ok || a.Bool() {
 		t.Errorf("cold lookup hit attr = %+v ok=%v, want false", a, ok)
 	}
+	if a, ok := look.Attr("answered"); !ok || a.Str != "built" {
+		t.Errorf("cold lookup answered attr = %+v ok=%v, want built", a, ok)
+	}
 	search := cold.Span("core_tree_search")
 	if search == nil {
 		t.Fatal("cold pass must record the search span")
@@ -117,6 +120,9 @@ func TestRouteFromCacheLookupSpans(t *testing.T) {
 	warm = tracer.Recent(1)[0] // what was retained
 	if a, ok := warm.Span("engine_cache_lookup").Attr("hit"); !ok || !a.Bool() {
 		t.Errorf("warm lookup hit attr = %+v ok=%v, want true", a, ok)
+	}
+	if a, ok := warm.Span("engine_cache_lookup").Attr("answered"); !ok || a.Str != "tree" {
+		t.Errorf("warm lookup answered attr = %+v ok=%v, want tree", a, ok)
 	}
 	if warm.Span("core_tree_search") != nil {
 		t.Error("warm pass must not run Dijkstra")

@@ -55,7 +55,59 @@ func execRouteLines(sess *Session) []string {
 // BenchmarkSessionExec is one `route` through Session.Exec with and
 // without the default recorder: the pair whose difference is what
 // recording a request costs (ns, B and allocs per op under -benchmem).
+// The n=100 rows are mid_tree's two verbs on its network — `routefrom`,
+// and a `batch` of 16 pairs over 4 sources — with every source's cost
+// row resident, and with none: a fresh epoch, published with the clock
+// stopped, before every request, which is a pass for the routefrom and
+// 16 point queries for the batch. Resident, either is a lookup and the
+// encoding of its reply.
 func BenchmarkSessionExec(b *testing.B) {
+	for _, verb := range []string{"routefrom", "batch"} {
+		for _, rows := range []string{"resident", "absent"} {
+			b.Run("n=100/"+verb+"/rows="+rows, func(b *testing.B) {
+				sess := execSession(b, false, "-topo", "sparse", "-n", "100", "-k", "8", "-seed", "1")
+				eng, n := sess.eng, sess.eng.Base().NumNodes()
+				lines := make([]string, n)
+				for s := range lines {
+					lines[s] = "routefrom " + strconv.Itoa(s)
+					if verb == "batch" {
+						lines[s] = "batch"
+						for j := 0; j < 16; j++ {
+							lines[s] += " " + strconv.Itoa((s+j%4)%n) + " " + strconv.Itoa((s*7+j*13+5)%n)
+						}
+					}
+					for ask := 0; ask < 2; ask++ { // every row, and the reply buffer's size
+						_, _ = sess.Exec("routefrom " + strconv.Itoa(s))
+					}
+				}
+				held, err := eng.Route(0, 9)
+				if err != nil {
+					b.Fatal(err)
+				}
+				hits := eng.CostRowStats().Hits
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if rows == "absent" {
+						b.StopTimer()
+						if err := eng.Allocate(1, held.Path); err != nil {
+							b.Fatal(err)
+						}
+						if err := eng.Release(1); err != nil {
+							b.Fatal(err)
+						}
+						b.StartTimer()
+					}
+					if _, err := sess.Exec(lines[i%n]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if got := eng.CostRowStats().Hits - hits; (got != 0) != (rows == "resident") {
+					b.Fatalf("rows=%s: %d row reads over %d requests", rows, got, b.N)
+				}
+			})
+		}
+	}
 	for _, tier := range execTiers {
 		for _, mode := range []struct {
 			name     string

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -209,7 +210,7 @@ func (s *Session) exec(cmd string, rest []string, sp *obs.Span) (bool, error) {
 		if err := argc(1); err != nil {
 			return false, err
 		}
-		st, err := s.eng.RouteFrom(ints[0], sp)
+		costs, err := s.eng.CostsFrom(ints[0], sp)
 		if err != nil {
 			return false, err
 		}
@@ -217,8 +218,8 @@ func (s *Session) exec(cmd string, rest []string, sp *obs.Span) (bool, error) {
 		buf := s.out[:0]
 		for t := 0; t < n; t++ {
 			buf = appendPair(buf, ints[0], t)
-			if st.Reachable(t) {
-				buf = append(appendCost(buf, st.Dist(t)), '\n')
+			if c := costs.To(t); !math.IsInf(c, 1) {
+				buf = append(appendCost(buf, c), '\n')
 			} else {
 				buf = append(buf, "unreachable\n"...)
 			}
@@ -254,7 +255,7 @@ func (s *Session) exec(cmd string, rest []string, sp *obs.Span) (bool, error) {
 			reqs = append(reqs, engine.Request{From: ints[i], To: ints[i+1]})
 		}
 		snap := s.eng.Snapshot()
-		out := snap.RouteBatch(reqs, s.workers)
+		out := snap.BatchCosts(reqs, s.workers)
 		buf := fmt.Appendf(s.out[:0], "batch of %d at epoch %d:\n", len(reqs), snap.Epoch())
 		for _, r := range out {
 			buf = appendPair(buf, r.From, r.To)
@@ -264,7 +265,7 @@ func (s *Session) exec(cmd string, rest []string, sp *obs.Span) (bool, error) {
 			case r.Err != nil:
 				buf = fmt.Appendf(buf, "error: %v\n", r.Err)
 			default:
-				buf = append(appendCost(buf, r.Result.Cost), '\n')
+				buf = append(appendCost(buf, r.Cost), '\n')
 			}
 		}
 		s.reply(buf)
@@ -317,22 +318,24 @@ func (s *Session) exec(cmd string, rest []string, sp *obs.Span) (bool, error) {
 		fmt.Fprintf(s.w, "epoch %d\n", s.eng.Epoch())
 	case "stats":
 		st := s.eng.Stats()
-		cs, rs := s.eng.CacheStats(), s.eng.BoundRowStats()
+		cs, rs, cr := s.eng.CacheStats(), s.eng.BoundRowStats(), s.eng.CostRowStats()
 		snap := s.eng.Metrics().Snapshot()
 		fmt.Fprintf(s.w, "epoch %d  allocs %d  releases %d  conflicts %d  owners %d  held %d  util %.3f\n",
 			st.Epoch, st.Allocations, st.Releases, st.Conflicts, st.ActiveOwners, st.HeldChannels,
 			s.eng.Utilization())
 		// The reply stays five lines — scripted clients read it by count —
-		// so the bound rows ride on the cache line and the batch split on
+		// so both kinds of row ride on the cache line and the batch split on
 		// the routes line.
-		fmt.Fprintf(s.w, "cache: %d/%d entries  lookups %d  hits %d  misses %d  evictions %d  hit rate %.3f  tree rescans %d  bound rows %d/%d (lookups %d, hits %d, built %d)\n",
+		fmt.Fprintf(s.w, "cache: %d/%d entries  lookups %d  hits %d  misses %d  evictions %d  hit rate %.3f  tree rescans %d  bound rows %d/%d (lookups %d, hits %d, built %d)  cost rows %d/%d (lookups %d, hits %d, built %d)\n",
 			cs.Size, cs.Capacity, cs.Lookups, cs.Hits, cs.Misses, cs.Evictions, cs.HitRate(),
 			snap["engine_tree_rescans_total"],
-			rs.Size, rs.Capacity, rs.Lookups, rs.Hits, snap["engine_bound_row_builds_total"])
+			rs.Size, rs.Capacity, rs.Lookups, rs.Hits, snap["engine_bound_row_builds_total"],
+			cr.Size, cr.Capacity, cr.Lookups, cr.Hits, snap["engine_cost_row_builds_total"])
 		lat := snap["engine_route_latency_ns"].(obs.HistogramSnapshot)
-		fmt.Fprintf(s.w, "routes %d (blocked %d)  retries %d  rebuilds %d  batched %d (tree %d, point %d)\n",
+		fmt.Fprintf(s.w, "routes %d (blocked %d)  retries %d  rebuilds %d  batched %d (row %d, tree %d, point %d)\n",
 			snap["engine_routes_total"], snap["engine_routes_blocked_total"],
 			snap["engine_alloc_retries_total"], st.Rebuilds, snap["engine_batch_requests_total"],
+			snap["engine_batch_row_requests_total"],
 			snap["engine_batch_tree_requests_total"], snap["engine_batch_point_requests_total"])
 		fmt.Fprintf(s.w, "route latency: p50 %s  p95 %s  p99 %s  (n=%d, max %s)\n",
 			nsDuration(lat.P50), nsDuration(lat.P95), nsDuration(lat.P99), lat.Count, nsDuration(lat.Max))
