@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-hot race-obs vet lint lint-vet lint-audit verify bench-engine bench-obs bench-churn bench-goal bench-smoke bench-whole-smoke fuzz-smoke bench-serve
+.PHONY: all build test race race-hot race-obs vet lint lint-vet lint-audit verify bench-smoke bench-whole-smoke fuzz-smoke
 
 all: verify
 
@@ -62,22 +62,6 @@ lint-audit:
 
 verify: build vet test race-hot race bench-whole-smoke
 
-# Regenerate the committed engine benchmark record and gate the cache's
-# reason to exist: cached/uncached speedup >= 50x, hit rate >= 0.9.
-bench-engine:
-	./scripts/bench_engine.sh
-
-# Regenerate the committed telemetry overhead record (tracer off,
-# flight recorder on and background sampler on vs the uninstrumented
-# core route) and gate the always-on contracts: tracer-off overhead
-# <= 400 ns per route over baseline, recorder-on (the default) <= 1500 ns
-# and <= 1 allocation, sampler-on overhead <= 400 ns per route over
-# sampler-off (absolute: the cost does not scale with the search), zero
-# allocations on the cached RouteFrom path under a recorder-off request
-# span and with sampling enabled.
-bench-obs:
-	./scripts/bench_obs.sh
-
 # Focused race pass over the span-tracing/self-observation layer and
 # its TCP consumer — the flight recorder's and metric history's
 # lock-free rings, health evaluation, bundle capture (including the
@@ -86,19 +70,6 @@ bench-obs:
 # twice to vary goroutine interleavings.
 race-obs:
 	$(GO) test -race -count=2 ./internal/obs ./internal/serve
-
-# Regenerate the committed churn record (epoch publication latency with
-# incremental delta maintenance vs full recompiles, DESIGN.md §10) and
-# gate the delta path: every tier's speedup >= 2x.
-bench-churn:
-	./scripts/bench_churn.sh
-
-# Regenerate the committed goal-directed search record (bidirectional
-# Dijkstra and physical-bound A* vs plain goal-set Dijkstra across
-# topology tiers) and gate, on the largest tier, bidi settling at most
-# half the plain search's nodes and astar running at least 3x faster.
-bench-goal:
-	./scripts/bench_goal.sh
 
 # Fast benchmark smoke pass for CI: runs the route / mutation / Dijkstra
 # benchmarks briefly with -benchmem so an accidental allocation or a
@@ -151,10 +122,3 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalNetwork$$' -fuzztime $(FUZZTIME) ./internal/wdm
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineAllocateRelease$$' -fuzztime $(FUZZTIME) ./internal/wdm
 	$(GO) test -run '^$$' -fuzz '^FuzzSpanEncode$$' -fuzztime $(FUZZTIME) ./internal/obs
-
-# Regenerate the committed TCP service benchmark record: build wdmserve
-# and wdmload, soak a live server (64 connections, 50k requests, an
-# undersized admission queue so shedding is exercised), drain it with
-# SIGTERM, and leave the load generator's report in BENCH_serve.json.
-bench-serve:
-	./scripts/bench_serve.sh

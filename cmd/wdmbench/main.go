@@ -11,8 +11,7 @@
 //	wdmbench -experiment compare   # one experiment
 //	wdmbench -scale 0.25 -reps 1   # quick pass
 //	wdmbench -list
-//	wdmbench -experiment engine -engine-json BENCH_engine.json
-//	wdmbench -experiment "" -goal-json BENCH_goal.json
+//	wdmbench -format csv           # tables as CSV
 package main
 
 import (
@@ -38,14 +37,6 @@ func run(args []string, w io.Writer) error {
 	reps := fs.Int("reps", 3, "timing repetitions per point (median kept)")
 	seed := fs.Int64("seed", 1998, "instance generation seed")
 	format := fs.String("format", "text", "table output format: text|csv")
-	engineJSON := fs.String("engine-json", "",
-		"write the engine benchmark as machine-readable JSON to this path (e.g. BENCH_engine.json)")
-	obsJSON := fs.String("obs-json", "",
-		"write the telemetry overhead benchmark as machine-readable JSON to this path (e.g. BENCH_obs.json)")
-	churnJSON := fs.String("churn-json", "",
-		"write the churn (delta vs full rebuild) benchmark as machine-readable JSON to this path (e.g. BENCH_churn.json)")
-	goalJSON := fs.String("goal-json", "",
-		"write the goal-directed search benchmark as machine-readable JSON to this path (e.g. BENCH_goal.json)")
 	list := fs.Bool("list", false, "list experiment names and exit")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -67,68 +58,6 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("unknown format %q", *format)
 	}
 	cfg := bench.Config{Seed: *seed, Scale: *scale, Reps: *reps}
-	if *engineJSON != "" {
-		report, err := bench.EngineReport(cfg)
-		if err != nil {
-			return fmt.Errorf("engine benchmark: %w", err)
-		}
-		if err := report.WriteJSON(*engineJSON); err != nil {
-			return fmt.Errorf("write %s: %w", *engineJSON, err)
-		}
-		fmt.Fprintf(w, "engine benchmark written to %s (speedup %.1fx, hit rate %.3f, %.0f epochs/sec)\n",
-			*engineJSON, report.Speedup, report.CacheHitRate, report.EpochsPerSec)
-		if *experiment == "" {
-			return nil
-		}
-	}
-	if *obsJSON != "" {
-		report, err := bench.ObsReport(cfg)
-		if err != nil {
-			return fmt.Errorf("obs benchmark: %w", err)
-		}
-		if err := report.WriteJSON(*obsJSON); err != nil {
-			return fmt.Errorf("write %s: %w", *obsJSON, err)
-		}
-		fmt.Fprintf(w, "obs benchmark written to %s (tracer off %+.2f%%, recorder on %+.2f%%)\n",
-			*obsJSON, report.TracerOffOverheadPct, report.RecorderOnOverheadPct)
-		if *experiment == "" {
-			return nil
-		}
-	}
-	if *churnJSON != "" {
-		report, err := bench.ChurnReport(cfg)
-		if err != nil {
-			return fmt.Errorf("churn benchmark: %w", err)
-		}
-		if err := report.WriteJSON(*churnJSON); err != nil {
-			return fmt.Errorf("write %s: %w", *churnJSON, err)
-		}
-		for _, tier := range report.Tiers {
-			fmt.Fprintf(w, "churn %s: delta %.1fx faster (mean %d ns vs %d ns, %d epochs)\n",
-				tier.Name, tier.Speedup, tier.DeltaMeanNs, tier.FullMeanNs, tier.Epochs)
-		}
-		fmt.Fprintf(w, "churn benchmark written to %s\n", *churnJSON)
-		if *experiment == "" {
-			return nil
-		}
-	}
-	if *goalJSON != "" {
-		report, err := bench.GoalReport(cfg)
-		if err != nil {
-			return fmt.Errorf("goal benchmark: %w", err)
-		}
-		if err := report.WriteJSON(*goalJSON); err != nil {
-			return fmt.Errorf("write %s: %w", *goalJSON, err)
-		}
-		for _, tier := range report.Tiers {
-			fmt.Fprintf(w, "goal %s: settled reduction bidi %.2fx / astar %.2fx, speedup bidi %.2fx / astar %.2fx\n",
-				tier.Tier, tier.BidiSettledReduction, tier.AStarSettledReduction, tier.BidiSpeedup, tier.AStarSpeedup)
-		}
-		fmt.Fprintf(w, "goal benchmark written to %s\n", *goalJSON)
-		if *experiment == "" {
-			return nil
-		}
-	}
 	if *experiment == "all" {
 		return bench.RunAll(w, cfg)
 	}

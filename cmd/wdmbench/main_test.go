@@ -16,6 +16,21 @@ func TestBenchList(t *testing.T) {
 			t.Fatalf("list missing %q:\n%s", want, out.String())
 		}
 	}
+	listed := strings.Fields(out.String())
+	// The generators behind these names are gone: -list must not offer
+	// them and -experiment must refuse them.
+	for _, retired := range []string{"engine", "obs", "churn", "goal"} {
+		t.Run("retired/"+retired, func(t *testing.T) {
+			for _, name := range listed {
+				if name == retired {
+					t.Fatalf("-list still offers %q", retired)
+				}
+			}
+			if err := run([]string{"-experiment", retired}, &bytes.Buffer{}); err == nil {
+				t.Fatalf("-experiment %s must fail", retired)
+			}
+		})
+	}
 }
 
 func TestBenchSingleExperiment(t *testing.T) {
@@ -36,8 +51,14 @@ func TestBenchErrors(t *testing.T) {
 	if err := run([]string{"-scale", "-2"}, &out); err == nil {
 		t.Fatal("negative scale must fail")
 	}
-	if err := run([]string{"-zzz"}, &out); err == nil {
-		t.Fatal("bad flag must fail")
+	// -list makes a retired flag that parses again fail here at once
+	// rather than after a full-scale run.
+	for _, bad := range []string{"-zzz", "-engine-json", "-obs-json", "-churn-json", "-goal-json"} {
+		t.Run(bad, func(t *testing.T) {
+			if err := run([]string{bad, "x", "-list"}, &bytes.Buffer{}); err == nil {
+				t.Fatalf("bad flag %s must fail", bad)
+			}
+		})
 	}
 }
 

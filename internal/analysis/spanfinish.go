@@ -705,7 +705,8 @@ func (c *spanChecker) useMutator(st spanState, target ast.Expr, pos token.Pos) {
 }
 
 // useRead handles pure reads (Root); reads after Finish are legal —
-// cmd/wdmload reads span durations after the trace is flushed.
+// Finish empties the trace, so Root then returns nil, and only a
+// mutation can corrupt the published copy in the recorder rings.
 func (c *spanChecker) useRead(st spanState, target ast.Expr) {
 	if v := baseVar(c.info, target); v != nil {
 		return

@@ -52,7 +52,6 @@ var Names = []string{
 	"example", "scaling-n", "scaling-k", "compare", "k-independence",
 	"distributed", "revisit", "all-pairs", "observations", "representation",
 	"heap-ablation", "session", "async", "k-shortest", "rwa-compare", "placement", "wavelength-requirement",
-	"engine", "obs", "churn", "goal",
 }
 
 // Run dispatches one named experiment to w.
@@ -92,14 +91,6 @@ func Run(name string, w io.Writer, cfg Config) error {
 		return RunPlacement(w, cfg)
 	case "wavelength-requirement":
 		return RunWavelengthRequirement(w, cfg)
-	case "engine":
-		return RunEngine(w, cfg)
-	case "obs":
-		return RunObs(w, cfg)
-	case "churn":
-		return RunChurn(w, cfg)
-	case "goal":
-		return RunGoal(w, cfg)
 	default:
 		return fmt.Errorf("bench: unknown experiment %q (have %v)", name, Names)
 	}

@@ -117,13 +117,21 @@ func churnWithFailures(t *testing.T, nw *wdm.Network, rng *rand.Rand) (*wdm.Netw
 	return res, changed
 }
 
-// checkDirectedAgree routes every (s,t) pair of a under all three modes
-// and demands: one blocked/served verdict, bidi within tolerance, astar
+// allPairsMax is the largest network checkDirectedAgree routes all pairs
+// of; above it each pair is drawn from rng with probability
+// sampledPairs/n², about sampledPairs pairs in all.
+const allPairsMax, sampledPairs = 64, 200
+
+// checkDirectedAgree routes every (s,t) pair of a — or, above
+// allPairsMax nodes, a seeded sample — under all three modes and
+// demands: one blocked/served verdict, bidi within tolerance, astar
 // bit-identical to plain in cost, every returned path a valid
 // semilightpath of exactly its reported cost, and astar never settling
 // more auxiliary nodes than plain (f ≤ d* implies g ≤ d*). A sample of
-// pairs is also put to the auxiliary-graph-free oracle.
-func checkDirectedAgree(t *testing.T, a *Aux, rng *rand.Rand) {
+// pairs is also put to the auxiliary-graph-free oracle. It returns each
+// side's work over the served pairs: plain's settled nodes, and astar's
+// settled nodes plus its bound pass's physical scans.
+func checkDirectedAgree(t *testing.T, a *Aux, rng *rand.Rand) (plainWork, astarWork int) {
 	t.Helper()
 	nw := a.Network()
 	n := nw.NumNodes()
@@ -139,7 +147,7 @@ func checkDirectedAgree(t *testing.T, a *Aux, rng *rand.Rand) {
 	once := a.bucketWidth <= lightest && graph.BucketWidth(a.bucketWidth, heaviest) == a.bucketWidth
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
-			if s == d {
+			if s == d || n > allPairsMax && rng.Intn(n*n) >= sampledPairs {
 				continue
 			}
 			rp, errP := a.Route(s, d, plainOpts)
@@ -183,6 +191,8 @@ func checkDirectedAgree(t *testing.T, a *Aux, rng *rand.Rand) {
 			if ra.Stats.PhysPops < 2 || once && ra.Stats.PhysPops > n {
 				t.Fatalf("%d→%d: astar physical scans = %d on %d nodes", s, d, ra.Stats.PhysPops, n)
 			}
+			plainWork += rp.Stats.Settled
+			astarWork += ra.Stats.Settled + ra.Stats.PhysPops
 			if askOracle {
 				want, _, err := oracle.Solve(nw, s, d)
 				if err != nil || !costEq(want, ra.Cost) {
@@ -191,6 +201,7 @@ func checkDirectedAgree(t *testing.T, a *Aux, rng *rand.Rand) {
 			}
 		}
 	}
+	return plainWork, astarWork
 }
 
 // TestDirectedDifferentialAcrossTopologies: every topology fixture ×
@@ -214,6 +225,28 @@ func TestDirectedDifferentialAcrossTopologies(t *testing.T) {
 			})
 		}
 	}
+	// The largest tier, n=300 (the whole-stack benchmark's big_read size),
+	// on seeded pairs over uniform converters: there the bound must pay
+	// for itself in counts, plain settling at least 3× what astar settles
+	// and scans together, on the installed network and on its residual.
+	t.Run("uniform/sparse300", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(300))
+		nw, err := workload.Build(topo.RandomSparse(300, 4, 5, rng), directedConvs["uniform"], rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := mustAux(t, nw)
+		plain, astar := checkDirectedAgree(t, a, rng)
+		res, changed := churnWithFailures(t, nw, rng)
+		child, err := a.ApplyDelta(res, changed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		childPlain, childAStar := checkDirectedAgree(t, child, rng)
+		if plain, astar = plain+childPlain, astar+childAStar; plain < 3*astar {
+			t.Fatalf("plain settled %d, astar settled+scanned %d: under 3× the work saved", plain, astar)
+		}
+	})
 }
 
 // TestDirectedOnTieHeavyNetworks: integer weights (zero included) make

@@ -165,8 +165,8 @@ func BenchmarkAllocateRelease(b *testing.B) {
 // BenchmarkAllocateReleaseFullRebuild is the same mutation loop with
 // incremental maintenance disabled: every publish recompiles the
 // auxiliary graph from scratch. The gap against BenchmarkAllocateRelease
-// is the delta win on the mutation path (BENCH_churn.json records it
-// across topology tiers).
+// is the delta win on the mutation path (TestPublishAllocationsAreLocal
+// pins what a delta publish allocates across topology tiers).
 func BenchmarkAllocateReleaseFullRebuild(b *testing.B) {
 	benchAllocateRelease(b, &Options{MaxDeltaDepth: -1})
 }

@@ -33,9 +33,10 @@ func sameCosts(t *testing.T, what string, snap *Snapshot, src int, got Costs) {
 // at an epoch runs the pass, is answered off the tree and stores no row;
 // its second reads the tree and stores the row; every later one reads the
 // row and leaves the tree cache alone — and a new epoch starts over, the
-// previous epoch's row never answering for it. hits + misses = lookups
-// and builds ≤ misses always. With the cache disabled there is no row to
-// look up and every ask is a pass.
+// previous epoch's row never answering for it. A resident tree or row
+// answers with no pass and a cold ask with exactly one. hits + misses =
+// lookups and builds ≤ misses always. With the cache disabled there is
+// no row to look up and every ask is a pass.
 func TestCostRowSecondAsk(t *testing.T) {
 	base := obsTestEngine(t, 13).Base()
 	for _, mode := range []core.DirectedMode{core.DirectedPlain, core.DirectedAStar} {
@@ -65,6 +66,15 @@ func TestCostRowSecondAsk(t *testing.T) {
 			}
 			if probed := e.CacheStats().Lookups != treeLookups; probed != (wantAnswered != AnsweredRow) {
 				t.Fatalf("%s: CostsFrom(%d) answered by %s: tree cache probed = %v", mode, src, wantAnswered, probed)
+			}
+			passes := 0
+			for _, sp := range req.Spans() {
+				if sp.Name == core.SpanTreeSearch {
+					passes++
+				}
+			}
+			if passes > 1 || (passes == 1) != (wantAnswered == AnsweredBuilt) {
+				t.Fatalf("%s: CostsFrom(%d) answered by %s ran %d passes", mode, src, wantAnswered, passes)
 			}
 			rs, builds := e.CostRowStats(), counter(e, "engine_cost_row_builds_total")
 			if rs.Hits+rs.Misses != rs.Lookups || builds > rs.Misses {

@@ -46,26 +46,6 @@ func (s HealthStatus) MarshalJSON() ([]byte, error) {
 	return json.Marshal(s.String())
 }
 
-// UnmarshalJSON parses the string form back (wdmload reads /healthz
-// responses with this).
-func (s *HealthStatus) UnmarshalJSON(b []byte) error {
-	var str string
-	if err := json.Unmarshal(b, &str); err != nil {
-		return err
-	}
-	switch str {
-	case "ok":
-		*s = HealthOK
-	case "degraded":
-		*s = HealthDegraded
-	case "failing":
-		*s = HealthFailing
-	default:
-		return fmt.Errorf("unknown health status %q", str)
-	}
-	return nil
-}
-
 // RuleKind selects how a rule derives its value from the history ring.
 type RuleKind int
 

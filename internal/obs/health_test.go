@@ -241,13 +241,16 @@ func TestHealthServeHTTP(t *testing.T) {
 		t.Errorf("failing /healthz = %d %q", rr.Code, rr.Body.String())
 	}
 	var parsed struct {
-		Status string      `json:"status"`
-		Rules  []RuleState `json:"rules"`
+		Status string `json:"status"`
+		Rules  []struct {
+			Name     string `json:"name"`
+			Severity string `json:"severity"`
+		} `json:"rules"`
 	}
 	if err := json.Unmarshal(rr.Body.Bytes(), &parsed); err != nil {
 		t.Fatalf("healthz body must be JSON: %v", err)
 	}
-	if len(parsed.Rules) != 1 || parsed.Rules[0].Name != "depth_high" {
+	if len(parsed.Rules) != 1 || parsed.Rules[0].Name != "depth_high" || parsed.Rules[0].Severity != "failing" {
 		t.Errorf("rules = %+v", parsed.Rules)
 	}
 }

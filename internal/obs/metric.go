@@ -6,11 +6,12 @@
 //
 // The package deliberately depends on nothing but the standard library
 // and knows nothing about WDM networks — internal/core and
-// internal/engine push values in; cmd/wdmserve and cmd/wdmbench pull
-// snapshots out. Every write path is a handful of atomic operations so
-// that instrumentation left on in production is invisible next to a
-// Dijkstra pass (the BENCH_obs.json artifact tracks the measured
-// overhead).
+// internal/engine push values in; cmd/wdmserve pulls snapshots out.
+// Every write path is a handful of atomic operations so that
+// instrumentation left on in production is invisible next to a
+// Dijkstra pass (TestCachedRouteFromAllocationFree holds a cached query
+// at zero allocations with the metrics on; benchmark/'s
+// obs.recorder_overhead_pct records the cost).
 package obs
 
 import "sync/atomic"

@@ -9,14 +9,14 @@ import (
 	"time"
 )
 
-// Client is a minimal line-protocol client used by the wdmload load
-// generator and the end-to-end tests. It deliberately understands only
-// the reply framing, not the semantics: single-line verbs (route,
-// alloc, release, fail, repair, epoch) answer with exactly one line —
-// a result, an "error:" line, or a transport-level "busy" shed — and
-// multi-line verbs are read with ReadLine by callers who know the
-// shape (batch answers 1+N lines for N pairs, explain ends with its
-// "  search:" line or, blocked, with its "error:" line).
+// Client is a minimal line-protocol client used by the end-to-end
+// tests. It deliberately understands only the reply framing, not the
+// semantics: single-line verbs (route, alloc, release, fail, repair,
+// epoch) answer with exactly one line — a result, an "error:" line, or
+// a transport-level "busy" shed — and multi-line verbs are read with
+// ReadLine by callers who know the shape (batch answers 1+N lines for N
+// pairs, explain ends with its "  search:" line or, blocked, with its
+// "error:" line).
 type Client struct {
 	conn net.Conn
 	r    *bufio.Reader
@@ -39,7 +39,7 @@ func (c *Client) Close() error { return c.conn.Close() }
 func (c *Client) SetDeadline(t time.Time) error { return c.conn.SetDeadline(t) }
 
 // Send writes one command line. The caller owns the deadline policy:
-// arm SetDeadline before each request (wdmload does exactly this).
+// arm SetDeadline before each request.
 func (c *Client) Send(line string) error {
 	//lint:ignore deadlinecheck deadline policy is the caller's via Client.SetDeadline; Send is documented as deadline-agnostic
 	_, err := fmt.Fprintln(c.conn, line)
