@@ -83,12 +83,12 @@ race-obs:
 # where rows=second-ask (served) must read what rows=none does with
 # rows/op ≈ 0, beside the two shortcuts measured and left out (every-miss,
 # layout: EXPERIMENTS.md X22); BenchmarkRouteBatch sweeps
-# requests-per-source r ∈ {1..32} × {cold, resident} on an astar engine at
+# requests-per-source r ∈ {1..32} × {cold, resident rows} on an astar engine at
 # n=100 and n=300 with trees/op and points/op, so the batch rule's
 # break-even (core.Aux.TreePays, 8 on both) sits where the cold rows
 # switch from points to trees; BenchmarkCostsFrom is one single-source
-# cost read by what answers it (row=resident and tree=resident: a few
-# hundred ns and 0 allocs; cold: the pass); BenchmarkSessionExec is one
+# cost read by what answers it (row=resident: a few hundred ns and 0
+# allocs; cold: the pass and its row); BenchmarkSessionExec is one
 # `route` through Session.Exec bare and under the default recorder, whose
 # rows should differ by about a microsecond and by no allocation, then
 # `routefrom` and a 16-pair `batch` at n=100 with cost rows resident (a

@@ -21,7 +21,7 @@
 // Protocol (one command per line, '#' starts a comment):
 //
 //	route S T          optimal semilightpath S->T on the current snapshot
-//	routefrom S        optimal costs S->* (served from the SourceTree cache)
+//	routefrom S        optimal costs S->* (one pass per source and epoch, then its cost row)
 //	kshortest S T K    up to K alternate paths in cost order
 //	protect S T        1+1 protected pair (primary + link-disjoint backup)
 //	batch S1 T1 S2 T2 ...   route many pairs against ONE pinned snapshot
@@ -104,7 +104,7 @@ func run(args []string, stdin io.Reader, w io.Writer) error {
 		"queue SourceTrees are built on: bucket|binary (same costs; searches with a goal always run on the binary heap)")
 	directed := fs.String("directed", "astar",
 		"point-query search strategy: plain|bidi|astar (astar = A* under a per-query lower bound from the physical network)")
-	cacheSize := fs.Int("cache", engine.DefaultCacheSize, "SourceTree cache capacity; under astar also sizes the bound-row cache (<0 disables both)")
+	cacheSize := fs.Int("cache", engine.DefaultCacheSize, "sizes the cost-row cache and, under astar, the bound-row cache at this many × TreePays rows each (<0 disables both)")
 	workers := fs.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
 	script := fs.String("script", "", "read commands from this file instead of stdin")
 	listen := fs.String("listen", "",

@@ -292,14 +292,15 @@ func TestServeStatsIncludesHitRateEpochAndLatency(t *testing.T) {
 // TestServeBatchSplitPerSearchMode: `stats` shows how batches were
 // answered, and the split follows the search mode. Source 0 is named
 // three times: under plain, whose break-even is two, that is one tree
-// (one miss, two hits) exactly as before the engine priced the choice;
+// built for the batch exactly as before the engine priced the choice;
 // under the default astar, whose point query is ≈ k times cheaper than a
-// tree, it is three point queries and the cache is not touched — until
-// `routefrom 0` makes the tree resident, after which the same batch
-// reads it. A second `routefrom 0` is the source's second ask of the
-// epoch: its cost row is stored, and the batch reads that without
-// looking the tree up. -cache -1 leaves nowhere to keep a tree or a row:
-// point queries.
+// tree, it is three point queries. Either way the batch stores nothing
+// and the cache line stays at zero — until `routefrom 0`, the source's
+// first ask of the epoch, runs its pass and stores its cost row (one
+// miss), after which every batch reads that row (three hits each) and a
+// second `routefrom 0` is a hit too. -cache -1 leaves nowhere to keep a
+// row: the batch builds its tree every time, and the cache line reads
+// 0/0.
 func TestServeBatchSplitPerSearchMode(t *testing.T) {
 	const batch = "batch 0 9 0 13 0 5 9 0\nstats\n"
 	const script = batch + "routefrom 0\n" + batch + "routefrom 0\n" + batch + "quit\n"
@@ -308,17 +309,17 @@ func TestServeBatchSplitPerSearchMode(t *testing.T) {
 		stats [3]string // after each batch
 	}{
 		{[]string{"-directed", "plain"}, [3]string{
-			"lookups 3  hits 2  misses 1  |(lookups 0, hits 0, built 0)\n|batched 4 (row 0, tree 3, point 1)",
-			"lookups 7  hits 6  misses 1  |(lookups 1, hits 0, built 0)\n|batched 8 (row 0, tree 6, point 2)",
-			"lookups 8  hits 7  misses 1  |cost rows 1/128 (lookups 5, hits 3, built 1)\n|batched 12 (row 3, tree 6, point 3)"}},
+			"cache: 0/128 entries  lookups 0  hits 0  misses 0  |batched 4 (row 0, tree 3, point 1)",
+			"cache: 1/128 entries  lookups 4  hits 3  misses 1  |batched 8 (row 3, tree 3, point 2)",
+			"cache: 1/128 entries  lookups 8  hits 7  misses 1  |batched 12 (row 6, tree 3, point 3)"}},
 		{[]string{"-directed", "astar"}, [3]string{
-			"lookups 0  hits 0  misses 0  |(lookups 0, hits 0, built 0)\n|batched 4 (row 0, tree 0, point 4)",
-			"lookups 4  hits 3  misses 1  |(lookups 1, hits 0, built 0)\n|batched 8 (row 0, tree 3, point 5)",
-			"lookups 5  hits 4  misses 1  |(lookups 5, hits 3, built 1)\n|batched 12 (row 3, tree 3, point 6)"}},
-		{[]string{"-directed", "plain", "-cache", "-1"}, [3]string{
 			"lookups 0  hits 0  misses 0  |batched 4 (row 0, tree 0, point 4)",
-			"lookups 0  hits 0  misses 0  |batched 8 (row 0, tree 0, point 8)",
-			"lookups 0  hits 0  misses 0  |cost rows 0/0 (lookups 0, hits 0, built 0)\n|batched 12 (row 0, tree 0, point 12)"}},
+			"lookups 4  hits 3  misses 1  |batched 8 (row 3, tree 0, point 5)",
+			"lookups 8  hits 7  misses 1  |batched 12 (row 6, tree 0, point 6)"}},
+		{[]string{"-directed", "plain", "-cache", "-1"}, [3]string{
+			"cache: 0/0 entries  lookups 0  hits 0  misses 0  |batched 4 (row 0, tree 3, point 1)",
+			"cache: 0/0 entries  lookups 0  hits 0  misses 0  |batched 8 (row 0, tree 6, point 2)",
+			"cache: 0/0 entries  lookups 0  hits 0  misses 0  |batched 12 (row 0, tree 9, point 3)"}},
 	} {
 		flags := append([]string{"-topo", "nsfnet", "-k", "6", "-seed", "3", "-workers", "1"}, tc.flags...)
 		out := runScript(t, flags, script)

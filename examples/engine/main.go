@@ -2,8 +2,8 @@
 // scenario on NSFNET — concurrent routing goroutines keep answering
 // against pinned epoch snapshots while circuits come and go, then a link
 // fails and the riders are rerouted on the post-failure epoch. Prints
-// the cache and epoch counters at each stage so the copy-on-write
-// snapshot model is visible.
+// the cost-row cache and epoch counters at each stage so the
+// copy-on-write snapshot model is visible.
 //
 // Run with:
 //
@@ -95,8 +95,8 @@ func main() {
 				}
 				if seed%2 == 0 {
 					// Half the readers are table-builders: single-source
-					// queries served from the (source, epoch) tree cache.
-					if _, err := snap.RouteFrom(s); err != nil {
+					// cost queries served from the (source, epoch) cost rows.
+					if _, err := snap.CostsFrom(s); err != nil {
 						log.Fatal(err)
 					}
 					routed.Add(1)
@@ -120,12 +120,13 @@ func main() {
 		st.Epoch, st.Allocations, st.Releases, st.Conflicts)
 	fmt.Printf("  reader answers   %d routed, %d blocked (each against a pinned snapshot)\n",
 		routed.Load(), blocked.Load())
-	fmt.Printf("  tree cache       %d hits / %d misses (hit rate %.3f), %d evictions\n\n",
+	fmt.Printf("  cost rows        %d hits / %d misses (hit rate %.3f), %d evictions\n\n",
 		cs.Hits, cs.Misses, cs.HitRate(), cs.Evictions)
 
 	// Stage 2 — batch routing: every ordered pair against ONE pinned
-	// snapshot, fanned out over the worker pool. Repeated sources are
-	// served from cached SourceTrees.
+	// snapshot, fanned out over the worker pool. A source's requests are
+	// read off its cost row when one is resident at this epoch, else off
+	// one tree built for the batch.
 	var reqs []engine.Request
 	for s := 0; s < n; s++ {
 		for t := 0; t < n; t++ {
@@ -135,7 +136,7 @@ func main() {
 		}
 	}
 	snap := eng.Snapshot()
-	out := snap.RouteBatch(reqs, 0)
+	out := snap.BatchCosts(reqs, 0)
 	ok := 0
 	for _, r := range out {
 		if r.Err == nil {
@@ -143,7 +144,7 @@ func main() {
 		}
 	}
 	cs = eng.CacheStats()
-	fmt.Printf("stage 2 — batch: %d/%d pairs routed at epoch %d (cache now %d hits, rate %.3f)\n\n",
+	fmt.Printf("stage 2 — batch: %d/%d pairs routed at epoch %d (cost rows now %d hits, rate %.3f)\n\n",
 		ok, len(reqs), snap.Epoch(), cs.Hits, cs.HitRate())
 
 	// Stage 3 — failure handling. Pin some circuits, fail a link they

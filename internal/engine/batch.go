@@ -31,21 +31,19 @@ type BatchResult struct {
 // newer snapshots mid-batch.
 //
 // Each request is answered the cheapest way its source allows, priced in
-// queue scans (core.Aux.TreePays): from the source's SourceTree when the
-// cache holds it at this epoch, whatever the source's multiplicity (a
-// cache hit); else through a tree built once and cached, when the batch
-// names the source at least TreePays times — twice under plain and bidi,
-// about k times under astar, whose point query is that much cheaper than
-// the single-source pass; else by a point query, which stops at the
-// destination and builds nothing. With the cache disabled there is
-// nowhere to keep a tree, so every request is a point query. Every way
-// returns the same cost bit for bit; engine_batch_tree_requests_total
-// and engine_batch_point_requests_total count how the requests split.
+// queue scans (core.Aux.TreePays): when the batch names the source at
+// least TreePays times — twice under plain and bidi, about k times under
+// astar, whose point query is that much cheaper than the single-source
+// pass — through one tree built for the batch, read by all of the
+// source's requests and dropped; else by a point query, which stops at
+// the destination and builds nothing. Every way returns the same cost bit
+// for bit; engine_batch_tree_requests_total and
+// engine_batch_point_requests_total count how the requests split.
 //
-// What is resident is read inline; only requests that need a search go
-// to a pool of worker goroutines (the AllPairsParallel fan-out shape:
-// shared atomic cursor, no per-item goroutine). workers ≤ 0 selects
-// GOMAXPROCS.
+// The work runs on a pool of worker goroutines (the AllPairsParallel
+// fan-out shape: shared atomic cursor, no per-item goroutine), one item
+// per tree and one per point query, so no two workers build one tree.
+// workers ≤ 0 selects GOMAXPROCS.
 func (e *Engine) RouteBatch(reqs []Request, workers int) []BatchResult {
 	snap := e.Snapshot()
 	return snap.RouteBatch(reqs, workers)
@@ -78,12 +76,12 @@ func (s *Snapshot) batch(reqs []Request, workers int, paths bool) []BatchResult 
 	batchStart := time.Now()
 	defer func() { m.batchLatency.ObserveDuration(time.Since(batchStart)) }()
 
-	// Pre-pass: a resident row or tree answers here, so a batch nothing
-	// has to be searched for starts no goroutine and counts no sources.
+	// Pre-pass: a resident row answers here, so a batch nothing has to be
+	// searched for starts no goroutine and counts no sources.
 	var rest []int // indices of the requests still unanswered
 	for i, req := range reqs {
 		out[i].Request = req
-		if !s.answerResident(&out[i], paths) {
+		if paths || !s.answerRow(&out[i]) {
 			rest = append(rest, i)
 		}
 	}
@@ -94,27 +92,36 @@ func (s *Snapshot) batch(reqs []Request, workers int, paths bool) []BatchResult 
 }
 
 // search answers out[i] for every i in rest — what the pre-pass found
-// nothing resident for — on a pool of worker goroutines.
+// no row for — on a pool of worker goroutines.
 func (s *Snapshot) search(out []BatchResult, rest []int, workers int, paths bool) {
 	// Telemetry: the in-flight gauge is the batch queue depth — it rises
 	// by what there is to search for and drains as workers finish items,
 	// so a registry snapshot taken mid-batch shows the backlog.
 	m := s.eng.metrics
 	m.batchInFlight.Add(int64(len(rest)))
-	perSource := make(map[int]int, len(rest))
+	perSource := make(map[int][]int, len(rest))
 	for _, i := range rest {
-		perSource[out[i].From]++
+		perSource[out[i].From] = append(perSource[out[i].From], i)
 	}
-	// A tree is built only where it can be kept — in the cache, for the
-	// rest of this batch and for later readers of this epoch — and only
-	// for a source with enough requests to amortise the pass.
-	pays, kept := s.aux.TreePays(s.ropts.Directed), s.eng.cache != nil
+	// One work item per source that pays for a tree — all of its requests,
+	// carried by the first — and one per remaining request, in request
+	// order.
+	pays := s.aux.TreePays(s.ropts.Directed)
+	items := make([][]int, 0, len(rest))
+	for j, i := range rest {
+		switch own := perSource[out[i].From]; {
+		case len(own) < pays:
+			items = append(items, rest[j:j+1])
+		case own[0] == i:
+			items = append(items, own)
+		}
+	}
 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(rest) {
-		workers = len(rest)
+	if workers > len(items) {
+		workers = len(items)
 	}
 	var (
 		wg     sync.WaitGroup
@@ -126,57 +133,55 @@ func (s *Snapshot) search(out []BatchResult, rest []int, workers int, paths bool
 			defer wg.Done()
 			for {
 				j := int(cursor.Add(1)) - 1
-				if j >= len(rest) {
+				if j >= len(items) {
 					return
 				}
-				r := &out[rest[j]]
-				if st, ok := s.residentTree(r.From); ok { // built since the pre-pass
-					s.readTree(r, st, paths)
-					m.batchViaTree.Inc()
-				} else if kept && perSource[r.From] >= pays {
-					if st, err := s.RouteFrom(r.From); err != nil {
-						r.Err = err
-					} else {
-						s.readTree(r, st, paths)
-					}
-					m.batchViaTree.Inc()
+				item := items[j]
+				if len(item) >= pays {
+					s.answerTree(out, item, paths)
+					m.batchViaTree.Add(uint64(len(item)))
 				} else {
+					r := &out[item[0]]
 					if r.Result, r.Err = s.Route(r.From, r.To); r.Err == nil {
 						r.Cost = r.Result.Cost
 					}
 					m.batchViaPoint.Inc()
 				}
-				m.batchInFlight.Add(-1)
+				m.batchInFlight.Add(-int64(len(item)))
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// answerResident fills r from what the caches hold for its source at
-// this epoch — the cost row when costs are all that is asked for, else
-// the SourceTree — and reports whether either did. An absent entry is
-// neither counted nor built.
-func (s *Snapshot) answerResident(r *BatchResult, paths bool) bool {
+// answerRow fills r from its source's cost row if one is resident at
+// this epoch, and reports whether it was. An absent row is neither
+// counted nor built, and a destination out of range is left to the
+// search, whose error names it.
+func (s *Snapshot) answerRow(r *BatchResult) bool {
 	e := s.eng
-	if e.cache == nil {
+	if e.costs == nil || !s.inRange(r.To) {
 		return false
 	}
-	// A destination out of range is left to the tree or the point query,
-	// whose error names it.
-	if !paths && s.inRange(r.To) {
-		if row, ok := e.costs.getResident(epochKey{node: r.From, epoch: s.epoch}); ok {
-			r.setCost(row[r.To])
-			e.metrics.batchViaRow.Inc()
-			return true
+	row, ok := e.costs.getResident(epochKey{node: r.From, epoch: s.epoch})
+	if ok {
+		r.setCost(row[r.To])
+		e.metrics.batchViaRow.Inc()
+	}
+	return ok
+}
+
+// answerTree fills out[i] for every i in item — requests sharing one
+// source — off one tree built for them and dropped after.
+func (s *Snapshot) answerTree(out []BatchResult, item []int, paths bool) {
+	st, err := s.RouteFrom(out[item[0]].From)
+	for _, i := range item {
+		if err != nil {
+			out[i].Err = err
+			continue
 		}
+		s.readTree(&out[i], st, paths)
 	}
-	if st, ok := s.residentTree(r.From); ok {
-		s.readTree(r, st, paths)
-		e.metrics.batchViaTree.Inc()
-		return true
-	}
-	return false
 }
 
 // readTree fills r from its source's SourceTree, extracting the path

@@ -62,8 +62,8 @@ func batchFixtures(t *testing.T, spec workload.Spec) map[string]*wdm.Network {
 func counter(e *Engine, name string) uint64 { return e.Metrics().Snapshot()[name].(uint64) }
 
 // batchSplit reads how e's batch requests were answered — off a cost
-// row, off a SourceTree, by point query — and demands that the three
-// sum to the requests.
+// row, off a tree the batch built, by point query — and demands that the
+// three sum to the requests.
 func batchSplit(t *testing.T, what string, e *Engine) (row, tree, point uint64) {
 	t.Helper()
 	snap := e.Metrics().Snapshot()
@@ -75,6 +75,8 @@ func batchSplit(t *testing.T, what string, e *Engine) (row, tree, point uint64) 
 	return row, tree, point
 }
 
+// treePasses counts e's RouteFrom and CostsFrom calls: the single-source
+// passes, where no CostsFrom is answered by a row.
 func treePasses(e *Engine) uint64 {
 	return e.Metrics().Snapshot()["engine_routefrom_latency_ns"].(obs.HistogramSnapshot).Count
 }
@@ -104,13 +106,14 @@ func sameAnswers(t *testing.T, what string, ref *Engine, reqs []Request, got []B
 }
 
 // TestRouteBatchBranchesAgree forces the same requests down each of the
-// batch's ways of answering — a tree the cache holds, a tree the batch
-// builds, point queries and, for BatchCosts, a resident cost row — on
-// plain and astar engines across the fixture topologies × converter
-// families. Every way must give the verdict and the cost, bit for bit, of
-// the paper's point search; the cache and batch counters must reconcile;
-// a source below the break-even must leave no tree behind and one at it
-// exactly one; a row must be read without touching the trees.
+// batch's ways of answering — a tree the batch builds, point queries and,
+// for BatchCosts, a resident cost row — on plain and astar engines across
+// the fixture topologies × converter families. Every way must give the
+// verdict and the cost, bit for bit, of the paper's point search; the
+// cache and batch counters must reconcile; a source below the break-even
+// must cost no pass and one at it exactly one, every batch over again —
+// the tree is the batch's and is dropped; a batch never stores a row, and
+// a resident row must be read with no pass.
 func TestRouteBatchBranchesAgree(t *testing.T) {
 	for conv, spec := range batchConvs {
 		for name, nw := range batchFixtures(t, spec) {
@@ -146,9 +149,6 @@ func TestRouteBatchBranchesAgree(t *testing.T) {
 					if cs.Hits+cs.Misses != cs.Lookups {
 						t.Fatalf("%s: %d hits + %d misses != %d lookups", what, cs.Hits, cs.Misses, cs.Lookups)
 					}
-					if rs := e.CostRowStats(); rs.Hits+rs.Misses != rs.Lookups {
-						t.Fatalf("%s: cost rows: %d hits + %d misses != %d lookups", what, rs.Hits, rs.Misses, rs.Lookups)
-					}
 					batchSplit(t, what, e)
 					return cs
 				}
@@ -166,71 +166,57 @@ func TestRouteBatchBranchesAgree(t *testing.T) {
 					t.Fatalf("%s: %d of %d requests by point query", what, got, len(at))
 				}
 
-				// Below the break-even: still point queries, no tree left behind.
+				// Below the break-even: still point queries, no pass.
 				e = fresh(mode)
 				sameAnswers(t, what+" below", ref, below, e.RouteBatch(below, 1))
-				for _, s := range srcs {
-					if e.Snapshot().TreeCached(s) {
-						t.Fatalf("%s: %d requests from %d built a tree; the break-even is %d", what, pays-1, s, pays)
-					}
-				}
 				if cs := reconciles(e); cs.Lookups != 0 || treePasses(e) != 0 {
 					t.Fatalf("%s: below the break-even: %+v, %d tree passes", what, cs, treePasses(e))
 				}
 
-				// At the break-even: one tree per source, built once.
+				// At the break-even: one pass per source, and the same batch
+				// again at the same epoch is three passes again.
 				e = fresh(mode)
-				sameAnswers(t, what+" built", ref, at, e.RouteBatch(at, 1))
-				for _, s := range srcs {
-					if !e.Snapshot().TreeCached(s) {
-						t.Fatalf("%s: %d requests from %d built no tree", what, pays, s)
+				for round := 1; round <= 2; round++ {
+					sameAnswers(t, what+" built", ref, at, e.RouteBatch(at, 1))
+					if cs := reconciles(e); cs.Lookups != 0 || cs.Size != 0 || treePasses(e) != uint64(3*round) {
+						t.Fatalf("%s: at the break-even, batch %d: %+v, %d tree passes, want %d", what, round, cs, treePasses(e), 3*round)
+					}
+					if got := counter(e, "engine_batch_tree_requests_total"); got != uint64(round*len(at)) {
+						t.Fatalf("%s: %d of %d requests via a tree", what, got, round*len(at))
 					}
 				}
-				if cs := reconciles(e); cs.Misses != 3 || cs.Hits != uint64(len(at))-3 || treePasses(e) != 3 {
-					t.Fatalf("%s: at the break-even: %+v, %d tree passes, want 3 misses among %d lookups", what, cs, treePasses(e), len(at))
-				}
-				if got := counter(e, "engine_batch_tree_requests_total"); got != uint64(len(at)) {
-					t.Fatalf("%s: %d of %d requests via a tree", what, got, len(at))
-				}
 
-				// Resident: the same engine now answers from the cache whatever
-				// a source's multiplicity — here below the break-even.
-				before := reconciles(e)
-				sameAnswers(t, what+" resident", ref, below, e.RouteBatch(below, 1))
-				if cs := reconciles(e); cs.Misses != before.Misses || cs.Hits != before.Hits+uint64(len(below)) {
-					t.Fatalf("%s: resident trees: %+v → %+v, want %d more hits and no miss", what, before, cs, len(below))
-				}
-
-				// Costs only: the resident trees again, no path extracted ...
-				got := e.Snapshot().BatchCosts(below, 1)
-				sameAnswers(t, what+" costs off trees", ref, below, got)
+				// Costs only: the same trees, no path extracted, no row stored ...
+				got := e.Snapshot().BatchCosts(at, 1)
+				sameAnswers(t, what+" costs off trees", ref, at, got)
 				for _, g := range got {
 					if g.Result != nil {
-						t.Fatalf("%s: BatchCosts extracted a path for %d->%d off a resident tree", what, g.From, g.To)
+						t.Fatalf("%s: BatchCosts extracted a path for %d->%d off a tree", what, g.From, g.To)
 					}
 				}
-				if counter(e, "engine_batch_row_requests_total") != 0 || e.CostRowStats().Size != 0 {
-					t.Fatalf("%s: a batch stored or read a cost row: %+v", what, e.CostRowStats())
+				if counter(e, "engine_batch_row_requests_total") != 0 || e.CacheStats().Size != 0 || treePasses(e) != 9 {
+					t.Fatalf("%s: a batch stored or read a cost row: %+v, %d tree passes", what, e.CacheStats(), treePasses(e))
 				}
-				// ... then, each source asked twice, its row — and no tree lookup.
+				// ... then, each source asked once, its row — and no pass, at or
+				// below the break-even.
 				for _, s := range srcs {
-					for ask := 0; ask < 2; ask++ {
-						if _, err := e.CostsFrom(s); err != nil {
-							t.Fatalf("%s: %v", what, err)
-						}
+					if _, err := e.CostsFrom(s); err != nil {
+						t.Fatalf("%s: %v", what, err)
 					}
 				}
-				before = reconciles(e)
+				before := reconciles(e)
+				passes := treePasses(e)
 				sameAnswers(t, what+" rows", ref, at, e.Snapshot().BatchCosts(at, 1))
-				if cs := reconciles(e); cs.Lookups != before.Lookups {
-					t.Fatalf("%s: resident rows: tree cache %+v → %+v, want it untouched", what, before, cs)
+				sameAnswers(t, what+" rows below", ref, below, e.Snapshot().BatchCosts(below, 1))
+				if cs := reconciles(e); cs.Hits != before.Hits+uint64(len(at)+len(below)) || cs.Misses != before.Misses || treePasses(e) != passes {
+					t.Fatalf("%s: resident rows: %+v → %+v, %d passes → %d", what, before, cs, passes, treePasses(e))
 				}
-				if got := counter(e, "engine_batch_row_requests_total"); got != uint64(len(at)) {
-					t.Fatalf("%s: %d of %d requests via a cost row", what, got, len(at))
+				if got := counter(e, "engine_batch_row_requests_total"); got != uint64(len(at)+len(below)) {
+					t.Fatalf("%s: %d of %d requests via a cost row", what, got, len(at)+len(below))
 				}
 				// RouteBatch owes its callers paths: rows cannot serve it.
 				sameAnswers(t, what+" paths beside rows", ref, at, e.RouteBatch(at, 1))
-				if got := counter(e, "engine_batch_row_requests_total"); got != uint64(len(at)) {
+				if got := counter(e, "engine_batch_row_requests_total"); got != uint64(len(at)+len(below)) {
 					t.Fatalf("%s: RouteBatch read a cost row", what)
 				}
 			}
@@ -238,15 +224,19 @@ func TestRouteBatchBranchesAgree(t *testing.T) {
 	}
 }
 
-// TestRouteBatchWithoutCacheBuildsNoTrees pins the cache-disabled path:
-// with nowhere to keep a tree, a batch that repeats its sources runs one
-// point query per request and not one single-source pass per request.
-func TestRouteBatchWithoutCacheBuildsNoTrees(t *testing.T) {
+// TestRouteBatchWithoutCacheBuildsTreePerSource pins the cache-disabled
+// path: a tree is the batch's own, so a batch that repeats its sources
+// still runs one pass per source named at least TreePays times — never
+// one per request — and a point query for every other request.
+func TestRouteBatchWithoutCacheBuildsTreePerSource(t *testing.T) {
 	nw := buildNet(t, topo.NSFNET(), 4, 1)
 	rng := rand.New(rand.NewSource(16))
 	var reqs []Request
+	named := make(map[int]int)
 	for i := 0; i < 16; i++ {
-		reqs = append(reqs, Request{From: []int{0, 3, 7, 11}[rng.Intn(4)], To: rng.Intn(nw.NumNodes())})
+		r := Request{From: []int{0, 3, 7, 11}[rng.Intn(4)], To: rng.Intn(nw.NumNodes())}
+		reqs = append(reqs, r)
+		named[r.From]++
 	}
 	ref, err := New(nw, nil)
 	if err != nil {
@@ -257,15 +247,26 @@ func TestRouteBatchWithoutCacheBuildsNoTrees(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		pays := e.Snapshot().Aux().TreePays(mode)
+		var trees, viaTree uint64
+		for _, c := range named {
+			if c >= pays {
+				trees++
+				viaTree += uint64(c)
+			}
+		}
+		if mode == core.DirectedPlain && trees != 4 {
+			t.Fatalf("fixture: %d of 4 sources pay for a tree under plain", trees)
+		}
 		sameAnswers(t, mode.String(), ref, reqs, e.RouteBatch(reqs, 2))
-		if got := treePasses(e); got != 0 {
-			t.Fatalf("%s: %d single-source passes for a 16-pair batch with no cache to keep them in", mode, got)
+		if got := treePasses(e); got != trees {
+			t.Fatalf("%s: %d single-source passes for a 16-pair batch, want one per paying source: %d", mode, got, trees)
 		}
-		if got := counter(e, "engine_routes_total"); got != 16 {
-			t.Fatalf("%s: %d point queries, want 16", mode, got)
+		if got := counter(e, "engine_routes_total"); got != 16-viaTree {
+			t.Fatalf("%s: %d point queries, want %d", mode, got, 16-viaTree)
 		}
-		if tree, point := counter(e, "engine_batch_tree_requests_total"), counter(e, "engine_batch_point_requests_total"); tree != 0 || point != 16 {
-			t.Fatalf("%s: %d via tree, %d via point query, want 0 and 16", mode, tree, point)
+		if tree, point := counter(e, "engine_batch_tree_requests_total"), counter(e, "engine_batch_point_requests_total"); tree != viaTree || point != 16-viaTree {
+			t.Fatalf("%s: %d via tree, %d via point query, want %d and %d", mode, tree, point, viaTree, 16-viaTree)
 		}
 	}
 }

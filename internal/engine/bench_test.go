@@ -27,32 +27,8 @@ func benchNet(b testing.TB) *wdm.Network {
 	return nw
 }
 
-// BenchmarkRouteFromCached measures the engine's hot path: a
-// single-source query answered from the (source, epoch) SourceTree
-// cache at a stable epoch.
-func BenchmarkRouteFromCached(b *testing.B) {
-	nw := benchNet(b)
-	e, err := New(nw, &Options{CacheSize: nw.NumNodes()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	snap := e.Snapshot()
-	n := nw.NumNodes()
-	for s := 0; s < n; s++ { // warm every source
-		if _, err := snap.RouteFrom(s); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := snap.RouteFrom(i % n); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRouteFromRebuild measures the pre-engine behaviour the cache
-// replaces: recompile the auxiliary graph from the residual network and
+// BenchmarkRouteFromRebuild measures the pre-engine behaviour the
+// snapshots replace: recompile the auxiliary graph from the residual network and
 // run the single-source pass, once per request.
 func BenchmarkRouteFromRebuild(b *testing.B) {
 	nw := benchNet(b)
@@ -74,12 +50,12 @@ func BenchmarkRouteFromRebuild(b *testing.B) {
 	}
 }
 
-// BenchmarkRouteFromColdCache measures a cache miss (Dijkstra pass on
-// the prebuilt snapshot Aux, no recompilation) — the cost a reader pays
-// on the first query per (source, epoch).
+// BenchmarkRouteFromColdCache measures one RouteFrom: a single-source
+// pass on the prebuilt snapshot Aux, no recompilation — what a CostsFrom
+// pays on the first ask per (source, epoch), before its row is copied.
 func BenchmarkRouteFromColdCache(b *testing.B) {
 	nw := benchNet(b)
-	e, err := New(nw, &Options{CacheSize: -1}) // disabled: every call computes
+	e, err := New(nw, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -96,14 +72,12 @@ func BenchmarkRouteFromColdCache(b *testing.B) {
 // BenchmarkCostsFrom is one CostsFrom with its n costs read, on the
 // server's search mode over the benchmark's sparse networks, by what
 // answers it: the source's resident cost row (one map lookup, an n-float
-// slice), its resident SourceTree with no row kept (two lookups; what
-// every ask cost before the rows, and a first ask still does), or — with
-// the caches off — the single-source pass itself. The first two allocate
-// nothing.
+// slice; no allocation) or — with the cache off — the single-source pass
+// and the row copied off it.
 func BenchmarkCostsFrom(b *testing.B) {
 	for _, n := range []int{100, 300} {
 		nw := sparseNet(b, n)
-		for _, by := range []string{"row=resident", "tree=resident", "cold"} {
+		for _, by := range []string{"row=resident", "cold"} {
 			b.Run(fmt.Sprintf("%s/n=%d", by, n), func(b *testing.B) {
 				opts := &Options{CacheSize: n, Directed: core.DirectedAStar}
 				if by == "cold" {
@@ -114,28 +88,17 @@ func BenchmarkCostsFrom(b *testing.B) {
 					b.Fatal(err)
 				}
 				snap := e.Snapshot()
-				for s := 0; s < n && by != "cold"; s++ { // every tree; every row when rows answer
-					for ask := 0; ask < 2; ask++ {
-						if by == "tree=resident" {
-							_, err = snap.RouteFrom(s)
-						} else {
-							_, err = snap.CostsFrom(s)
-						}
-						if err != nil {
-							b.Fatal(err)
-						}
+				for s := 0; s < n && by != "cold"; s++ { // every row
+					if _, err := snap.CostsFrom(s); err != nil {
+						b.Fatal(err)
 					}
 				}
-				rows := e.CostRowStats()
+				rows := e.CacheStats()
 				sum := 0.0
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					src := i % n
-					if by == "tree=resident" {
-						e.costAsked[src].Store(0) // every ask a first ask: no row is ever stored
-					}
-					costs, err := snap.CostsFrom(src)
+					costs, err := snap.CostsFrom(i % n)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -144,7 +107,7 @@ func BenchmarkCostsFrom(b *testing.B) {
 					}
 				}
 				benchSink = sum
-				if after := e.CostRowStats(); (by == "row=resident") != (after.Hits-rows.Hits == uint64(b.N)) || (by != "row=resident" && after.Size != 0) {
+				if after := e.CacheStats(); (by == "row=resident") != (after.Hits-rows.Hits == uint64(b.N)) {
 					b.Fatalf("%s: cost rows %+v → %+v over %d asks", by, rows, after, b.N)
 				}
 			})
@@ -236,21 +199,22 @@ func BenchmarkRouteOnLongChain(b *testing.B) {
 
 // BenchmarkRouteBatch has two families of rows.
 //
-// allpairs/nsfnet is batch fan-out over the worker pool on a cold cache:
-// every iteration runs at an epoch of its own (published with the clock
-// stopped), so the batch builds one SourceTree per source. trees/op
-// counts the single-source passes that took (cache misses): 14 when no
-// tree is built twice, more when two workers miss one source at once.
+// allpairs/nsfnet is RouteBatch fan-out over the worker pool: every
+// iteration runs at an epoch of its own (published with the clock
+// stopped), and the batch builds one SourceTree per source. trees/op
+// counts the single-source passes that took: 14, one per source — one
+// worker owns each tree.
 //
 // astar/n=N/r=R/{cold,resident} is where the batch rule's break-even can
-// be read: four sources named R times each, one worker, on the server's
-// search mode over the benchmark's sparse networks. Cold rows run each
-// batch at a fresh epoch: below core.Aux.TreePays (8 on both networks)
-// they are 4R point queries (points/op), from it on 4 tree builds
-// (trees/op) read 4R times, so ns/op ÷ 4R of a low row is what a point
-// query costs, ns/op ÷ 4 of a high row what a tree costs, and their
-// ratio the measured break-even — EXPERIMENTS.md X20. Resident rows find
-// every tree in the cache: 0 trees, 0 points, 4R reads.
+// be read: BatchCosts of four sources named R times each, one worker, on
+// the server's search mode over the benchmark's sparse networks. Cold
+// rows run each batch at a fresh epoch: below core.Aux.TreePays (8 on
+// both networks) they are 4R point queries (points/op), from it on 4
+// tree builds (trees/op) read 4R times, so ns/op ÷ 4R of a low row is
+// what a point query costs, ns/op ÷ 4 of a high row what a tree costs,
+// and their ratio the measured break-even — EXPERIMENTS.md X20. Resident
+// rows find every source's cost row in the cache: 0 trees, 0 points, 4R
+// row reads.
 func BenchmarkRouteBatch(b *testing.B) {
 	b.Run("allpairs/nsfnet", func(b *testing.B) {
 		nw := benchNet(b)
@@ -263,7 +227,7 @@ func BenchmarkRouteBatch(b *testing.B) {
 				}
 			}
 		}
-		benchBatch(b, nw, &Options{CacheSize: n}, 0, false, func(int) []Request { return reqs })
+		benchBatch(b, nw, &Options{CacheSize: n}, 0, "", func(int) []Request { return reqs })
 	})
 	for _, n := range []int{100, 300} {
 		nw := sparseNet(b, n)
@@ -276,20 +240,22 @@ func BenchmarkRouteBatch(b *testing.B) {
 				}
 				return reqs
 			}
-			for _, cache := range []string{"cold", "resident"} {
-				b.Run(fmt.Sprintf("astar/n=%d/r=%d/%s", n, r, cache), func(b *testing.B) {
-					benchBatch(b, nw, &Options{CacheSize: n, Directed: core.DirectedAStar}, 1, cache == "resident", batch)
+			for _, rows := range []string{"cold", "resident"} {
+				b.Run(fmt.Sprintf("astar/n=%d/r=%d/%s", n, r, rows), func(b *testing.B) {
+					benchBatch(b, nw, &Options{CacheSize: n, Directed: core.DirectedAStar}, 1, rows, batch)
 				})
 			}
 		}
 	}
 }
 
-// benchBatch times RouteBatch(batch(i), workers) on a fresh engine and
-// reports the tree builds and point queries per batch. Cold, every
-// iteration runs at a new epoch, published with the clock stopped;
-// resident, every source's tree is cached up front and the epoch stands.
-func benchBatch(b *testing.B, nw *wdm.Network, opts *Options, workers int, resident bool, batch func(i int) []Request) {
+// benchBatch times one batch(i) on a fresh engine and reports the
+// single-source passes and point queries per batch. With rows "" the
+// batch is RouteBatch at a new epoch every iteration, published with the
+// clock stopped; otherwise it is BatchCosts — "cold" at a new epoch every
+// iteration too, "resident" at one epoch with every source's cost row
+// stored up front.
+func benchBatch(b *testing.B, nw *wdm.Network, opts *Options, workers int, rows string, batch func(i int) []Request) {
 	e, err := New(nw, opts)
 	if err != nil {
 		b.Fatal(err)
@@ -298,14 +264,15 @@ func benchBatch(b *testing.B, nw *wdm.Network, opts *Options, workers int, resid
 	if err != nil {
 		b.Fatal(err)
 	}
+	resident := rows == "resident"
 	if resident {
 		for s := 0; s < nw.NumNodes(); s++ {
-			if _, err := e.RouteFrom(s); err != nil {
+			if _, err := e.CostsFrom(s); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	trees, points := e.CacheStats().Misses, counter(e, "engine_routes_total")
+	trees, points := treePasses(e), counter(e, "engine_routes_total")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if !resident {
@@ -318,13 +285,19 @@ func benchBatch(b *testing.B, nw *wdm.Network, opts *Options, workers int, resid
 			}
 			b.StartTimer()
 		}
-		for _, r := range e.RouteBatch(batch(i), workers) {
+		var out []BatchResult
+		if rows == "" {
+			out = e.RouteBatch(batch(i), workers)
+		} else {
+			out = e.Snapshot().BatchCosts(batch(i), workers)
+		}
+		for _, r := range out {
 			if r.Err != nil && !errors.Is(r.Err, core.ErrNoRoute) {
 				b.Fatal(r.Err)
 			}
 		}
 	}
-	b.ReportMetric(float64(e.CacheStats().Misses-trees)/float64(b.N), "trees/op")
+	b.ReportMetric(float64(treePasses(e)-trees)/float64(b.N), "trees/op")
 	b.ReportMetric(float64(counter(e, "engine_routes_total")-points)/float64(b.N), "points/op")
 }
 

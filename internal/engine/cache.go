@@ -6,9 +6,9 @@ import (
 	"sync/atomic"
 )
 
-// epochKey identifies one cached per-node result — the SourceTree or the
-// cost row of a source, the bound row of a destination: each is only
-// valid for the exact epoch whose residual network it was computed on.
+// epochKey identifies one cached per-node result — the cost row of a
+// source, the bound row of a destination: each is only valid for the
+// exact epoch whose residual network it was computed on.
 type epochKey struct {
 	node  int
 	epoch uint64
@@ -37,8 +37,7 @@ func (c CacheStats) HitRate() float64 {
 }
 
 // epochCache is a bounded LRU of per-(node, epoch) results: the engine
-// keeps SourceTrees in one, cost rows in a second and bound rows in a
-// third. Entries from
+// keeps cost rows in one and bound rows in another. Entries from
 // superseded epochs are never explicitly invalidated — they stay correct
 // for readers still pinned to their epoch and age out via normal LRU
 // pressure as fresh epochs dominate lookups. A stored value is shared by
@@ -92,15 +91,6 @@ func (c *epochCache[V]) lookup(k epochKey, countMiss bool) (V, bool) {
 	return el.Value.(*cacheEntry[V]).val, true
 }
 
-// peek reports residency without counting a lookup or touching LRU
-// order.
-func (c *epochCache[V]) peek(k epochKey) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.items[k]
-	return ok
-}
-
 func (c *epochCache[V]) put(k epochKey, val V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -132,11 +122,12 @@ func (c *epochCache[V]) stats() CacheStats {
 	}
 }
 
-// askedAt is the rows' admission rule: per node, the epoch (+1; 0 =
-// never) at which a lookup last found the node's row missing. A row is
-// stored on the second miss of its (node, epoch), so a node that does
-// not recur within an epoch — every one, under churn — is never given a
-// row.
+// askedAt is the bound rows' admission rule: per node, the epoch (+1;
+// 0 = never) at which a lookup last found the node's row missing. A row
+// is built on the second miss of its (node, epoch), so a destination
+// that does not recur within an epoch — every one, under churn — never
+// pays for a complete backward pass. (A cost row needs no such rule: it
+// is a copy of the pass its miss runs anyway.)
 type askedAt []atomic.Uint64
 
 // second records a miss of (node, epoch) and reports whether it is at

@@ -130,7 +130,7 @@ func TestConcurrentChurn(t *testing.T) {
 							return
 						}
 						if st.Source() != s {
-							fail("cached tree source %d, asked for %d", st.Source(), s)
+							fail("tree source %d, asked for %d", st.Source(), s)
 							return
 						}
 						if st.Reachable(d) {
@@ -140,7 +140,7 @@ func TestConcurrentChurn(t *testing.T) {
 								return
 							}
 							if !costsAgree(p.Cost(snapNet), st.Dist(d)) {
-								fail("cached tree path prices %v, dist %v", p.Cost(snapNet), st.Dist(d))
+								fail("tree path prices %v, dist %v", p.Cost(snapNet), st.Dist(d))
 								return
 							}
 						}

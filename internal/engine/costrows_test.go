@@ -28,111 +28,139 @@ func sameCosts(t *testing.T, what string, snap *Snapshot, src int, got Costs) {
 	}
 }
 
-// TestCostRowSecondAsk is the cost rows' admission rule read off the
+// passesOf runs ask under a fresh trace and counts the single-source
+// passes it ran (core_tree_search spans).
+func passesOf(ask func(root *obs.Span)) (*obs.ReqTrace, int) {
+	req := obs.StartTrace("request")
+	ask(req.Root())
+	passes := 0
+	for _, sp := range req.Spans() {
+		if sp.Name == core.SpanTreeSearch {
+			passes++
+		}
+	}
+	return req, passes
+}
+
+// TestCostRowFirstAsk is the cost rows' admission rule read off the
 // registry and the engine_cache_lookup span: a source's first CostsFrom
-// at an epoch runs the pass, is answered off the tree and stores no row;
-// its second reads the tree and stores the row; every later one reads the
-// row and leaves the tree cache alone — and a new epoch starts over, the
-// previous epoch's row never answering for it. A resident tree or row
-// answers with no pass and a cold ask with exactly one. hits + misses =
-// lookups and builds ≤ misses always. With the cache disabled there is
-// no row to look up and every ask is a pass.
-func TestCostRowSecondAsk(t *testing.T) {
+// at an epoch runs exactly one pass and stores its row; every later one
+// reads the row with no pass — and a new epoch starts over, the previous
+// epoch's row never answering for it, while a reader pinned to the old
+// epoch keeps its own. hits + misses = lookups always, and builds =
+// misses but for a source out of range, whose pass fails. At a stable
+// epoch every source costs one pass however its asks interleave, with a
+// cache that holds the rows of every source. With the cache disabled
+// there is no row to look up or store and every ask is a pass.
+func TestCostRowFirstAsk(t *testing.T) {
 	base := obsTestEngine(t, 13).Base()
+	n := base.NumNodes()
 	for _, mode := range []core.DirectedMode{core.DirectedPlain, core.DirectedAStar} {
-		e, err := New(base, &Options{Directed: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st, want := e.CostRowStats(), DefaultCacheSize*e.Snapshot().Aux().TreePays(mode); st.Capacity != want {
-			t.Fatalf("%s: row capacity %d, want CacheSize × TreePays = %d", mode, st.Capacity, want)
-		}
-		ask := func(src int, wantAnswered string, wantLookups, wantHits, wantBuilds uint64, wantSize int) {
-			t.Helper()
-			treeLookups := e.CacheStats().Lookups
-			req := obs.StartTrace("request")
-			snap := e.Snapshot()
-			got, err := snap.CostsFrom(src, req.Root())
+		t.Run(mode.String(), func(t *testing.T) {
+			e, err := New(base, &Options{Directed: mode})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameCosts(t, mode.String(), snap, src, got)
-			look := req.Span(SpanCacheLookup)
-			if a, _ := look.Attr(AttrAnswered); a.Str != wantAnswered {
-				t.Fatalf("%s: CostsFrom(%d): answered = %q, want %q", mode, src, a.Str, wantAnswered)
+			if st, want := e.CacheStats(), DefaultCacheSize*e.Snapshot().Aux().TreePays(mode); st.Capacity != want {
+				t.Fatalf("row capacity %d, want CacheSize × TreePays = %d", st.Capacity, want)
 			}
-			if hit, _ := look.Attr(AttrHit); hit.Bool() != (wantAnswered != AnsweredBuilt) {
-				t.Fatalf("%s: CostsFrom(%d): hit = %v beside answered = %s", mode, src, hit.Bool(), wantAnswered)
-			}
-			if probed := e.CacheStats().Lookups != treeLookups; probed != (wantAnswered != AnsweredRow) {
-				t.Fatalf("%s: CostsFrom(%d) answered by %s: tree cache probed = %v", mode, src, wantAnswered, probed)
-			}
-			passes := 0
-			for _, sp := range req.Spans() {
-				if sp.Name == core.SpanTreeSearch {
-					passes++
+			ask := func(snap *Snapshot, src int, wantAnswered string, wantLookups, wantHits, wantBuilds uint64, wantSize int) {
+				t.Helper()
+				var got Costs
+				req, passes := passesOf(func(root *obs.Span) {
+					if got, err = snap.CostsFrom(src, root); err != nil {
+						t.Fatal(err)
+					}
+				})
+				sameCosts(t, mode.String(), snap, src, got)
+				look := req.Span(SpanCacheLookup)
+				if a, _ := look.Attr(AttrAnswered); a.Str != wantAnswered {
+					t.Fatalf("CostsFrom(%d): answered = %q, want %q", src, a.Str, wantAnswered)
+				}
+				if hit, _ := look.Attr(AttrHit); hit.Bool() != (wantAnswered == AnsweredRow) {
+					t.Fatalf("CostsFrom(%d): hit = %v beside answered = %s", src, hit.Bool(), wantAnswered)
+				}
+				if want := map[string]int{AnsweredBuilt: 1, AnsweredRow: 0}[wantAnswered]; passes != want {
+					t.Fatalf("CostsFrom(%d) answered by %s ran %d passes, want %d", src, wantAnswered, passes, want)
+				}
+				rs, builds := e.CacheStats(), counter(e, "engine_cost_row_builds_total")
+				if rs.Hits+rs.Misses != rs.Lookups || builds != rs.Misses {
+					t.Fatalf("cost rows: %+v, %d builds", rs, builds)
+				}
+				if rs.Lookups != wantLookups || rs.Hits != wantHits || builds != wantBuilds || rs.Size != wantSize {
+					t.Fatalf("CostsFrom(%d): %d lookups, %d hits, %d builds, %d rows; want %d, %d, %d, %d",
+						src, rs.Lookups, rs.Hits, builds, rs.Size, wantLookups, wantHits, wantBuilds, wantSize)
 				}
 			}
-			if passes > 1 || (passes == 1) != (wantAnswered == AnsweredBuilt) {
-				t.Fatalf("%s: CostsFrom(%d) answered by %s ran %d passes", mode, src, wantAnswered, passes)
+			ask(e.Snapshot(), 0, AnsweredBuilt, 1, 0, 1, 1) // a cold ask: one pass, its row stored
+			ask(e.Snapshot(), 0, AnsweredRow, 2, 1, 1, 1)
+			ask(e.Snapshot(), 3, AnsweredBuilt, 3, 1, 2, 2)
+			ask(e.Snapshot(), 0, AnsweredRow, 4, 2, 2, 2)
+			ask(e.Snapshot(), 3, AnsweredRow, 5, 3, 2, 2)
+			old := e.Snapshot()
+			if _, err := e.RouteAndAllocate(1, 0, 9); err != nil { // epoch 1: costs from 0 change
+				t.Fatal(err)
 			}
-			rs, builds := e.CostRowStats(), counter(e, "engine_cost_row_builds_total")
-			if rs.Hits+rs.Misses != rs.Lookups || builds > rs.Misses {
-				t.Fatalf("%s: cost rows: %+v, %d builds", mode, rs, builds)
+			ask(e.Snapshot(), 0, AnsweredBuilt, 6, 3, 3, 3)
+			ask(e.Snapshot(), 0, AnsweredRow, 7, 4, 3, 3)
+			ask(old, 0, AnsweredRow, 8, 5, 3, 3) // a reader still pinned to epoch 0 keeps its own row
+			if _, err := e.CostsFrom(n); !errors.Is(err, core.ErrNodeRange) {
+				t.Fatalf("CostsFrom out of range: %v", err)
 			}
-			if rs.Lookups != wantLookups || rs.Hits != wantHits || builds != wantBuilds || rs.Size != wantSize {
-				t.Fatalf("%s: CostsFrom(%d): %d lookups, %d hits, %d builds, %d rows; want %d, %d, %d, %d",
-					mode, src, rs.Lookups, rs.Hits, builds, rs.Size, wantLookups, wantHits, wantBuilds, wantSize)
+			if rs, builds := e.CacheStats(), counter(e, "engine_cost_row_builds_total"); rs.Misses != 4 || builds != 3 {
+				t.Fatalf("an out-of-range ask: %+v, %d builds; want the miss counted and nothing built", rs, builds)
 			}
-		}
-		ask(0, AnsweredBuilt, 1, 0, 0, 0) // a first ask stores nothing
-		ask(3, AnsweredBuilt, 2, 0, 0, 0)
-		ask(0, AnsweredTree, 3, 0, 1, 1)
-		ask(0, AnsweredRow, 4, 1, 1, 1)
-		ask(3, AnsweredTree, 5, 1, 2, 2)
-		old := e.Snapshot()
-		if _, err := e.RouteAndAllocate(1, 0, 9); err != nil { // epoch 1: costs from 0 change
-			t.Fatal(err)
-		}
-		ask(0, AnsweredBuilt, 6, 1, 2, 2)
-		ask(0, AnsweredTree, 7, 1, 3, 3)
-		ask(0, AnsweredRow, 8, 2, 3, 3)
-		// A reader still pinned to epoch 0 keeps its own row.
-		got, err := old.CostsFrom(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameCosts(t, mode.String()+" pinned", old, 0, got)
-		if rs := e.CostRowStats(); rs.Hits != 3 {
-			t.Fatalf("%s: the pinned epoch's row was not read: %+v", mode, rs)
-		}
-		if _, err := e.CostsFrom(base.NumNodes()); !errors.Is(err, core.ErrNodeRange) {
-			t.Fatalf("%s: CostsFrom out of range: %v", mode, err)
-		}
 
-		off, err := New(base, &Options{Directed: mode, CacheSize: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 3; i++ {
-			snap := off.Snapshot()
-			got, err := snap.CostsFrom(0)
+			// Every source, asked three times round-robin at one epoch, is
+			// one pass: the row stands in for the tree from the first ask on.
+			sweep, err := New(base, &Options{Directed: mode, CacheSize: (n + 1) / 2})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameCosts(t, mode.String()+" cache off", snap, 0, got)
-		}
-		if rs := off.CostRowStats(); rs != (CacheStats{}) || treePasses(off) != 3 ||
-			counter(off, "engine_cost_row_builds_total") != 0 {
-			t.Fatalf("%s: cache off: %+v, %d passes for 3 asks", mode, rs, treePasses(off))
-		}
+			snap := sweep.Snapshot()
+			total := 0
+			for round := 0; round < 3; round++ {
+				for src := 0; src < n; src++ {
+					_, passes := passesOf(func(root *obs.Span) {
+						if _, err := snap.CostsFrom(src, root); err != nil {
+							t.Fatal(err)
+						}
+					})
+					total += passes
+				}
+			}
+			if rs := sweep.CacheStats(); total != n || rs.Misses != uint64(n) || rs.Hits != uint64(2*n) {
+				t.Fatalf("%d sources asked 3 times each: %d passes, rows %+v; want one pass per source", n, total, rs)
+			}
+
+			off, err := New(base, &Options{Directed: mode, CacheSize: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				snap := off.Snapshot()
+				var got Costs
+				req, passes := passesOf(func(root *obs.Span) {
+					if got, err = snap.CostsFrom(0, root); err != nil {
+						t.Fatal(err)
+					}
+				})
+				sameCosts(t, mode.String()+" cache off", snap, 0, got)
+				if passes != 1 || req.Span(SpanCacheLookup) != nil {
+					t.Fatalf("cache off: ask %d ran %d passes, looked up %v", i, passes, req.Span(SpanCacheLookup) != nil)
+				}
+			}
+			if rs := off.CacheStats(); rs != (CacheStats{}) || counter(off, "engine_cost_row_builds_total") != 0 {
+				t.Fatalf("cache off: %+v, %d rows built", rs, counter(off, "engine_cost_row_builds_total"))
+			}
+		})
 	}
 }
 
 // TestBatchCostsOutOfRange: an endpoint out of range is answered by the
 // path that names it in its error — the same text whether the source's
-// row, its tree or nothing is resident — and counts as a tree or point
-// request, so the split still sums.
+// row is resident or not — and counts as a tree or point request, so the
+// split still sums.
 func TestBatchCostsOutOfRange(t *testing.T) {
 	e := obsTestEngine(t, 13)
 	n := e.Base().NumNodes()
@@ -152,13 +180,11 @@ func TestBatchCostsOutOfRange(t *testing.T) {
 	if cold[4] != "" {
 		t.Fatalf("0->5: %s", cold[4])
 	}
-	for state := 0; state < 2; state++ { // tree resident, then row resident
-		if _, err := e.CostsFrom(0); err != nil {
-			t.Fatal(err)
-		}
-		if got := texts(); got != cold {
-			t.Fatalf("error texts changed with the cache state:\n%q\n%q", got, cold)
-		}
+	if _, err := e.CostsFrom(0); err != nil { // source 0's row resident
+		t.Fatal(err)
+	}
+	if got := texts(); got != cold {
+		t.Fatalf("error texts changed with the cache state:\n%q\n%q", got, cold)
 	}
 	if row, _, _ := batchSplit(t, "out of range", e); row != 1 {
 		t.Fatalf("%d requests read a row, want exactly the one in range", row)
@@ -168,7 +194,7 @@ func TestBatchCostsOutOfRange(t *testing.T) {
 // TestConcurrentCostRows loops CostsFrom and BatchCosts on a few sources
 // from several readers while a writer publishes epochs. Run under `go
 // test -race` (make race-hot) it is the row cache's race detector; the
-// assertions check that every answer — off a tree, off a row stored by
+// assertions check that every answer — off a pass, off a row stored by
 // another reader, off a row of an epoch long superseded — is bit for bit
 // a fresh pass on the snapshot it was asked of, and that the counters
 // reconcile afterwards.
@@ -226,7 +252,8 @@ func TestConcurrentCostRows(t *testing.T) {
 						t.Errorf("reference pass: %v", err)
 						return
 					}
-					// Three asks on one pin: a tree, the row's store, the row.
+					// Three asks on one pin: a pass and its row's store (unless
+					// another reader stored it first), then the row.
 					for ask := 0; ask < 3; ask++ {
 						got, err := snap.CostsFrom(src)
 						if err != nil {
@@ -267,7 +294,7 @@ func TestConcurrentCostRows(t *testing.T) {
 		if t.Failed() {
 			return
 		}
-		rs, builds := e.CostRowStats(), counter(e, "engine_cost_row_builds_total")
+		rs, builds := e.CacheStats(), counter(e, "engine_cost_row_builds_total")
 		if rs.Hits+rs.Misses != rs.Lookups || builds > rs.Misses || rs.Size > rs.Capacity {
 			t.Fatalf("%s: cost rows: %+v, %d builds", mode, rs, builds)
 		}
@@ -276,9 +303,6 @@ func TestConcurrentCostRows(t *testing.T) {
 		}
 		if row, tree, point := batchSplit(t, mode.String(), e); row+tree+point != readers*cycles*4 {
 			t.Fatalf("%s: %d batch requests counted, %d made", mode, row+tree+point, readers*cycles*4)
-		}
-		if cs := e.CacheStats(); cs.Hits+cs.Misses != cs.Lookups {
-			t.Fatalf("%s: tree cache: %+v", mode, cs)
 		}
 	}
 }

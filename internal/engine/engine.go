@@ -21,20 +21,17 @@
 //
 // On top of the snapshots sit two throughput features:
 //
-//   - bounded LRU caches keyed by (node, epoch): core.SourceTree results
-//     per source, so repeated single-source queries at a stable epoch
-//     cost one tree lookup instead of a Dijkstra pass; the row of
-//     optimal costs per source (CostsFrom), a seventeenth of its tree's
-//     bytes, so a caller that reads costs finds every source resident
-//     where the trees would not fit; and under DirectedAStar the
-//     physical-bound row per destination, so repeated point queries
-//     toward it skip their backward pass; and
+//   - bounded LRU caches keyed by (node, epoch): the row of optimal costs
+//     per source (CostsFrom), stored by the pass of a source's first ask
+//     so every later single-source cost query at that epoch is a lookup;
+//     and under DirectedAStar the physical-bound row per destination, so
+//     repeated point queries toward it skip their backward pass. A
+//     SourceTree itself is never kept: it is built, read and dropped; and
 //   - batched request execution (RouteBatch, BatchCosts), which pins one
 //     snapshot for the whole batch and prices each source: a cached cost
-//     row or SourceTree answers inline, a tree is built only for a
-//     source the batch names often enough to amortise the pass
-//     (core.Aux.TreePays), and the rest are point queries, on a worker
-//     pool.
+//     row answers inline, a tree is built only for a source the batch
+//     names often enough to amortise the pass (core.Aux.TreePays), and
+//     the rest are point queries, on a worker pool.
 package engine
 
 import (
@@ -83,10 +80,9 @@ type Options struct {
 	// every search with a goal runs on. graph.QueueBinary builds the trees
 	// on the heap too (same costs bit for bit; the A/B reference).
 	Queue graph.QueueKind
-	// CacheSize bounds the SourceTree LRU cache (entries) and, at
-	// CacheSize × TreePays rows each, the cost-row LRU and — under
-	// DirectedAStar — the bound-row LRU. Zero means DefaultCacheSize;
-	// negative disables all three.
+	// CacheSize sizes the two row caches at CacheSize × TreePays rows
+	// each: the cost-row LRU and — under DirectedAStar — the bound-row
+	// LRU. Zero means DefaultCacheSize; negative disables both.
 	CacheSize int
 	// MaxDeltaDepth is a test seam, not a tuning knob: the zero value
 	// chains core.Aux.ApplyDelta without bound (a search on a long chain
@@ -101,12 +97,12 @@ type Options struct {
 	// zero value is plain — the paper's exhaustive-toward-the-goal-set
 	// search. No mode keeps state across epochs: every query derives what
 	// it needs from the snapshot it is pinned to, and what DirectedAStar
-	// keeps — bound rows — is keyed by epoch like the SourceTrees.
+	// keeps — bound rows — is keyed by epoch like the cost rows.
 	Directed core.DirectedMode
 }
 
-// DefaultCacheSize is the SourceTree cache capacity when Options.CacheSize
-// is zero.
+// DefaultCacheSize is Options.CacheSize when it is zero: 64 × TreePays
+// rows of each kind (512 under astar on the serving networks).
 const DefaultCacheSize = 64
 
 // Stats are the engine's lifetime counters.
@@ -137,7 +133,6 @@ type Engine struct {
 	base     *wdm.Network
 	queue    graph.QueueKind
 	directed core.DirectedMode
-	cache    *epochCache[*core.SourceTree]
 	// rows keeps DirectedAStar's complete bound rows per (destination,
 	// epoch), built on the second ask of their key (askedAt), so a
 	// destination that does not recur within an epoch costs nothing beyond
@@ -146,13 +141,11 @@ type Engine struct {
 	rows     *epochCache[[]float32]
 	rowAsked askedAt
 	// costs keeps Corollary 1's answer itself: the n optimal costs from a
-	// source at an epoch, copied off its SourceTree on the source's second
-	// CostsFrom of that epoch — a seventeenth of the tree's bytes at n=100,
-	// so every source of a stable epoch stays resident where the trees do
-	// not. Both nil with the cache disabled.
-	costs     *epochCache[[]float64]
-	costAsked askedAt
-	metrics   *Metrics
+	// source at an epoch, copied off the pass of the source's first
+	// CostsFrom of that epoch — a seventeenth of the tree's bytes at n=100.
+	// Nil with the cache disabled.
+	costs   *epochCache[[]float64]
+	metrics *Metrics
 
 	// mu guards the mutable occupancy state below and serializes
 	// mutators; readers of occupancy take it in read mode. Routing never
@@ -225,9 +218,7 @@ func New(nw *wdm.Network, opts *Options) (*Engine, error) {
 	}
 	if cacheSize > 0 {
 		// The row capacities are set below, once TreePays is known.
-		e.cache = newEpochCache[*core.SourceTree](cacheSize)
 		e.costs = newEpochCache[[]float64](cacheSize)
-		e.costAsked = make(askedAt, nw.NumNodes())
 		if e.directed == core.DirectedAStar {
 			e.rows = newEpochCache[[]float32](cacheSize)
 			e.rowAsked = make(askedAt, nw.NumNodes())
@@ -239,11 +230,11 @@ func New(nw *wdm.Network, opts *Options) (*Engine, error) {
 	if err := e.publish(0, nil, nil); err != nil {
 		return nil, err
 	}
-	if e.cache != nil {
-		// A tree slot stands in for TreePays point queries, so it is given
-		// that many rows of either kind: n float32s (bound) or float64s
-		// (cost) each, against a tree's two int32s per auxiliary node — at
-		// most half the bytes the trees may hold.
+	if e.costs != nil {
+		// CacheSize counts tree-sized slots, and a slot holds the TreePays
+		// rows of either kind a tree is worth: n float32s (bound) or
+		// float64s (cost) each, against a tree's two int32s per auxiliary
+		// node — at most half the bytes.
 		rows := cacheSize * e.Snapshot().aux.TreePays(e.directed)
 		e.costs.capacity = rows
 		if e.rows != nil {
@@ -695,18 +686,9 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// CacheStats reports the SourceTree cache counters (zero value when
+// CacheStats reports the cost-row cache counters (zero value when
 // caching is disabled).
 func (e *Engine) CacheStats() CacheStats {
-	if e.cache == nil {
-		return CacheStats{}
-	}
-	return e.cache.stats()
-}
-
-// CostRowStats reports the cost-row cache counters (zero value when
-// caching is disabled).
-func (e *Engine) CostRowStats() CacheStats {
 	if e.costs == nil {
 		return CacheStats{}
 	}

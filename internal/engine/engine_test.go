@@ -140,16 +140,21 @@ func TestPinnedSnapshotSurvivesChurn(t *testing.T) {
 	}
 }
 
-func TestSourceTreeCacheCounters(t *testing.T) {
+// TestCostRowCacheCounters: the row cache is an LRU keyed by (source,
+// epoch) — a repeat is a hit, overfilling evicts, and a new epoch misses.
+func TestCostRowCacheCounters(t *testing.T) {
 	nw := buildNet(t, topo.NSFNET(), 4, 1)
-	e, err := New(nw, &Options{CacheSize: 2})
+	e, err := New(nw, &Options{CacheSize: 1}) // plain: 1 × TreePays = 2 rows
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RouteFrom(0); err != nil {
+	if c := e.CacheStats().Capacity; c != 2 {
+		t.Fatalf("capacity %d, want 2", c)
+	}
+	if _, err := e.CostsFrom(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RouteFrom(0); err != nil {
+	if _, err := e.CostsFrom(0); err != nil {
 		t.Fatal(err)
 	}
 	cs := e.CacheStats()
@@ -157,11 +162,10 @@ func TestSourceTreeCacheCounters(t *testing.T) {
 		t.Fatalf("after repeat lookup: hits=%d misses=%d, want 1/1", cs.Hits, cs.Misses)
 	}
 	// Fill beyond capacity 2 to force an eviction.
-	if _, err := e.RouteFrom(1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.RouteFrom(2); err != nil {
-		t.Fatal(err)
+	for _, src := range []int{1, 2} {
+		if _, err := e.CostsFrom(src); err != nil {
+			t.Fatal(err)
+		}
 	}
 	cs = e.CacheStats()
 	if cs.Evictions == 0 {
@@ -175,7 +179,7 @@ func TestSourceTreeCacheCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := e.CacheStats().Misses
-	if _, err := e.RouteFrom(2); err != nil {
+	if _, err := e.CostsFrom(2); err != nil {
 		t.Fatal(err)
 	}
 	if e.CacheStats().Misses != before+1 {
@@ -183,13 +187,13 @@ func TestSourceTreeCacheCounters(t *testing.T) {
 	}
 }
 
-// TestRouteBatchAnswersFromResidentTree: a source whose SourceTree the
-// cache already holds at this epoch is answered from it whatever its
-// multiplicity — one hit per request, no point query — and a source the
-// cache does not hold, named fewer times than a tree pays for, by point
-// queries, which neither build the tree nor count as lookups. Either way
-// the cost is the tree's, bit for bit.
-func TestRouteBatchAnswersFromResidentTree(t *testing.T) {
+// TestRouteBatchAnswersFromResidentRow: a source whose cost row is
+// resident at this epoch is answered from it whatever its multiplicity —
+// one hit per request, no pass, no point query; a source with no row,
+// named fewer times than a tree pays for, by point queries, which store
+// nothing and count as no lookup; and one named TreePays times by exactly
+// one pass. Every way, the cost is a fresh tree's, bit for bit.
+func TestRouteBatchAnswersFromResidentRow(t *testing.T) {
 	nw := buildNet(t, topo.NSFNET(), 4, 1)
 	e, err := New(nw, &Options{Directed: core.DirectedAStar})
 	if err != nil {
@@ -199,47 +203,43 @@ func TestRouteBatchAnswersFromResidentTree(t *testing.T) {
 	if pays < 3 {
 		t.Fatalf("break-even %d: the fixture must let a source repeat below it", pays)
 	}
-	st, err := e.RouteFrom(0)
-	if err != nil {
+	if _, err := e.CostsFrom(0); err != nil {
 		t.Fatal(err)
 	}
 	reqs := []Request{{From: 0, To: 9}, {From: 0, To: 5}}
 	for to := 9; len(reqs) < 2+pays-1; to++ {
-		reqs = append(reqs, Request{From: 3, To: to})
+		reqs = append(reqs, Request{From: 3, To: to % nw.NumNodes()})
 	}
-	before, routed := e.CacheStats(), counter(e, "engine_routes_total")
-	out := e.RouteBatch(reqs, 1)
+	for to := 0; to < pays; to++ {
+		reqs = append(reqs, Request{From: 7, To: to})
+	}
+	before, routed, passes := e.CacheStats(), counter(e, "engine_routes_total"), treePasses(e)
+	out := e.Snapshot().BatchCosts(reqs, 1)
 	for _, r := range out {
 		if r.Err != nil {
 			t.Fatalf("%d->%d: %v", r.From, r.To, r.Err)
 		}
-	}
-	for _, r := range out[:2] {
-		if r.Result.Cost != st.Dist(r.To) {
-			t.Fatalf("0->%d from the resident tree costs %v, tree says %v", r.To, r.Result.Cost, st.Dist(r.To))
+		want, err := e.RouteFrom(r.From)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Cost != want.Dist(r.To) {
+			t.Fatalf("%d->%d costs %v, a fresh tree says %v", r.From, r.To, r.Cost, want.Dist(r.To))
 		}
 	}
 	after := e.CacheStats()
-	if after.Hits != before.Hits+2 || after.Misses != before.Misses || after.Lookups != after.Hits+after.Misses {
-		t.Fatalf("cache counters %+v → %+v: want two more hits, no miss, lookups = hits + misses", before, after)
+	if after.Hits != before.Hits+2 || after.Misses != before.Misses || after.Size != 1 || after.Lookups != after.Hits+after.Misses {
+		t.Fatalf("cache counters %+v → %+v: want two more hits, no miss, no row stored, lookups = hits + misses", before, after)
 	}
 	if got := counter(e, "engine_routes_total") - routed; got != uint64(pays-1) {
 		t.Fatalf("%d point queries ran, want %d (source 3 only)", got, pays-1)
 	}
-	if tree, point := counter(e, "engine_batch_tree_requests_total"), counter(e, "engine_batch_point_requests_total"); tree != 2 || point != uint64(pays-1) {
-		t.Fatalf("%d requests via a tree and %d by point query, want 2 and %d", tree, point, pays-1)
+	if got := treePasses(e) - passes - uint64(len(reqs)); got != 1 {
+		t.Fatalf("the batch ran %d passes, want 1 (source 7 only)", got)
 	}
-	if e.Snapshot().TreeCached(3) {
-		t.Fatalf("the batch built a tree for a source named %d times; one pays from %d", pays-1, pays)
-	}
-	want, err := e.RouteFrom(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range out[2:] {
-		if r.Result.Cost != want.Dist(r.To) {
-			t.Fatalf("3->%d by point query costs %v, tree says %v", r.To, r.Result.Cost, want.Dist(r.To))
-		}
+	row, tree, point := batchSplit(t, "resident row", e)
+	if row != 2 || tree != uint64(pays) || point != uint64(pays-1) {
+		t.Fatalf("%d requests via a row, %d via a tree and %d by point query, want 2, %d and %d", row, tree, point, pays, pays-1)
 	}
 }
 
@@ -304,8 +304,10 @@ func TestCacheDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RouteFrom(0); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if _, err := e.CostsFrom(0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if cs := e.CacheStats(); cs != (CacheStats{}) {
 		t.Fatalf("disabled cache reported stats %+v", cs)
@@ -391,9 +393,10 @@ func TestAllocateRejectsBadPaths(t *testing.T) {
 
 // TestRouteBatchPinsOneEpoch: every answer of a batch is the pinned
 // epoch's, and the batch splits as priced — source 0, named 13 times, is
-// past the break-even of either mode and gets one tree; the 13 sources
-// named once get point queries. Under plain that is the rule the engine
-// has always had.
+// past the break-even of either mode and gets one tree, built by exactly
+// one of the four workers; the 13 sources named once get point queries.
+// Under plain that is the rule the engine has always had. The batch
+// neither reads nor stores a row.
 func TestRouteBatchPinsOneEpoch(t *testing.T) {
 	nw := buildNet(t, topo.NSFNET(), 4, 1)
 	for _, mode := range []core.DirectedMode{core.DirectedPlain, core.DirectedAStar} {
@@ -410,7 +413,7 @@ func TestRouteBatchPinsOneEpoch(t *testing.T) {
 		if len(out) != len(reqs) {
 			t.Fatalf("%s: got %d results for %d requests", mode, len(out), len(reqs))
 		}
-		cs, routed := e.CacheStats(), counter(e, "engine_routes_total")
+		cs, routed, passes := e.CacheStats(), counter(e, "engine_routes_total"), treePasses(e)
 		// Cross-check every answer against a direct query on the same epoch.
 		snap := e.Snapshot()
 		for i, r := range out {
@@ -428,22 +431,14 @@ func TestRouteBatchPinsOneEpoch(t *testing.T) {
 				t.Fatalf("%s: batch path %d->%d invalid: %v", mode, r.From, r.To, err)
 			}
 		}
-		// Four workers may miss source 0 together before the first of them
-		// caches its tree, so misses is 1 to 4; every other request from 0
-		// is a hit, and nothing else consults the cache.
-		if cs.Misses < 1 || cs.Misses > 4 || cs.Lookups != 13 || cs.Hits+cs.Misses != cs.Lookups {
-			t.Fatalf("%s: cache counters %+v, want 13 lookups for source 0 of which 1 to 4 miss", mode, cs)
+		if passes != 1 || cs != (CacheStats{Capacity: cs.Capacity}) {
+			t.Fatalf("%s: %d passes, cache counters %+v; want one tree and the cache untouched", mode, passes, cs)
 		}
 		if routed != 13 {
 			t.Fatalf("%s: %d point queries, want one per unique source", mode, routed)
 		}
 		if tree, point := counter(e, "engine_batch_tree_requests_total"), counter(e, "engine_batch_point_requests_total"); tree != 13 || point != 13 {
 			t.Fatalf("%s: %d requests via a tree and %d by point query, want 13 and 13", mode, tree, point)
-		}
-		for tgt := 1; tgt < nw.NumNodes(); tgt++ {
-			if snap.TreeCached(tgt) {
-				t.Fatalf("%s: the batch built a tree for source %d, named once", mode, tgt)
-			}
 		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 // paper's operational concerns rendered as ceilings: blocking
 // probability is the primary time-varying health signal of a
 // wavelength-routed network, and the routing latency claim is what the
-// cached SourceTree machinery exists to hold.
+// snapshots and their row caches exist to hold.
 const (
 	// DefaultBlockedRateThreshold is the blocked-routes-per-second rate
 	// above which the engine is degraded: on a healthy instance blocking

@@ -31,7 +31,7 @@ type Metrics struct {
 	batchRequests *obs.Counter // engine_batch_requests_total
 	// How the batch answered them; the three sum to batchRequests.
 	batchViaRow   *obs.Counter // engine_batch_row_requests_total (read off a cost row; BatchCosts only)
-	batchViaTree  *obs.Counter // engine_batch_tree_requests_total (read off a SourceTree)
+	batchViaTree  *obs.Counter // engine_batch_tree_requests_total (read off a tree the batch built)
 	batchViaPoint *obs.Counter // engine_batch_point_requests_total (point query)
 	goalSettled   *obs.Counter // engine_goal_settled_total (nodes settled by directed queries)
 	// engine_tree_rescans_total: scans the bucket-queue SourceTree passes
@@ -40,9 +40,10 @@ type Metrics struct {
 	// cost more than one scan per node (core.SourceTree.Rescans).
 	treeRescans *obs.Counter
 	// engine_bound_row_builds_total: complete bound rows stored. Their
-	// lookups and hits are gauges over the row cache, like the tree cache's.
+	// lookups and hits are gauges over the row cache.
 	boundRowBuilds *obs.Counter
-	// engine_cost_row_builds_total: cost rows stored, likewise.
+	// engine_cost_row_builds_total: cost rows stored — one per cache_misses
+	// but for a miss whose pass failed (a source out of range).
 	costRowBuilds *obs.Counter
 	batchInFlight *obs.Gauge // engine_batch_inflight (queue depth)
 }
@@ -96,7 +97,8 @@ func newMetrics(e *Engine) *Metrics {
 		return float64(len(e.failed))
 	})
 
-	// The SourceTree cache as live gauges.
+	// The cost-row cache as live gauges: one lookup per CostsFrom, one per
+	// batch request a resident row answered. hits + misses = lookups.
 	reg.GaugeFunc("cache_hits", func() float64 { return float64(e.CacheStats().Hits) })
 	reg.GaugeFunc("cache_misses", func() float64 { return float64(e.CacheStats().Misses) })
 	reg.GaugeFunc("cache_evictions", func() float64 { return float64(e.CacheStats().Evictions) })
@@ -108,12 +110,6 @@ func newMetrics(e *Engine) *Metrics {
 	// kept, none otherwise. hits ≤ lookups; builds ≤ lookups − hits.
 	reg.GaugeFunc("engine_bound_row_lookups_total", func() float64 { return float64(e.BoundRowStats().Lookups) })
 	reg.GaugeFunc("engine_bound_row_hits_total", func() float64 { return float64(e.BoundRowStats().Hits) })
-
-	// The cost-row cache: one lookup per CostsFrom, one per batch request
-	// a resident row answered. hits + misses = lookups; builds ≤ misses.
-	reg.GaugeFunc("engine_cost_row_lookups_total", func() float64 { return float64(e.CostRowStats().Lookups) })
-	reg.GaugeFunc("engine_cost_row_hits_total", func() float64 { return float64(e.CostRowStats().Hits) })
-	reg.GaugeFunc("engine_cost_row_size", func() float64 { return float64(e.CostRowStats().Size) })
 
 	// Current snapshot's compiled auxiliary graph and residual capacity.
 	reg.GaugeFunc("snapshot_aux_nodes", func() float64 { return float64(e.Snapshot().Aux().NumAuxNodes()) })

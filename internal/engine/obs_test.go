@@ -112,38 +112,6 @@ func TestBreakdownSumsToCost(t *testing.T) {
 	}
 }
 
-// TestTreeCachedFlag: TreeCached must reflect SourceTree residency for
-// (source, epoch) without perturbing the cache counters.
-func TestTreeCachedFlag(t *testing.T) {
-	e := obsTestEngine(t, 10)
-	snap := e.Snapshot()
-	if snap.TreeCached(0) {
-		t.Fatal("cold cache reported as hit")
-	}
-	before := e.CacheStats()
-	if _, err := snap.RouteFrom(0); err != nil { // populates (0, epoch)
-		t.Fatal(err)
-	}
-	if !snap.TreeCached(0) {
-		t.Fatal("resident SourceTree not reported as cached")
-	}
-	if snap.TreeCached(1) {
-		t.Fatal("another source's tree reported as cached")
-	}
-	after := e.CacheStats()
-	if after.Lookups != before.Lookups+1 {
-		t.Fatalf("TreeCached changed lookup count beyond the one RouteFrom: %d -> %d",
-			before.Lookups, after.Lookups)
-	}
-	uncached, err := New(e.Base(), &Options{CacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if uncached.Snapshot().TreeCached(0) {
-		t.Fatal("engine without a cache reported a cached tree")
-	}
-}
-
 // TestMetricsCountersTrackWork: the registry's hot-path counters and
 // histograms must reconcile with the work actually submitted.
 func TestMetricsCountersTrackWork(t *testing.T) {

@@ -52,21 +52,6 @@ func (s *Snapshot) opts(sp *obs.Span) *core.Options {
 	return &o
 }
 
-// TreeCached reports whether the SourceTree for (src, this epoch) is
-// resident in the engine's cache, without counting as a lookup.
-func (s *Snapshot) TreeCached(src int) bool {
-	return s.eng.cache != nil && s.eng.cache.peek(epochKey{node: src, epoch: s.epoch})
-}
-
-// residentTree returns the SourceTree for (src, this epoch) if the cache
-// holds it, as a cache hit; an absent tree is neither counted nor built.
-func (s *Snapshot) residentTree(src int) (*core.SourceTree, bool) {
-	if s.eng.cache == nil {
-		return nil, false
-	}
-	return s.eng.cache.getResident(epochKey{node: src, epoch: s.epoch})
-}
-
 // Route finds an optimal semilightpath from src to dst over this
 // snapshot's residual capacity. Latency and the blocked/served outcome
 // land on the engine's route metrics; goal-directed queries additionally
@@ -86,108 +71,85 @@ func (s *Snapshot) Route(src, dst int, parent ...*obs.Span) (*core.Result, error
 	return res, err
 }
 
-// RouteFrom computes (or fetches from the engine's LRU cache) the
-// single-source shortest semilightpath tree from src at this snapshot's
-// epoch. Trees are cached per (source, epoch): a hit costs one map
-// lookup instead of a Dijkstra pass over the auxiliary graph. Under a
-// parent span the query is an engine_routefrom child; the cache probe
-// is an engine_cache_lookup grandchild annotated hit=true/false and
-// answered=tree/built, and a miss additionally carries the
-// core_tree_search span of the Dijkstra pass that fills the cache.
+// RouteFrom computes the single-source shortest semilightpath tree from
+// src at this snapshot's epoch: one pass over the auxiliary graph, built
+// for the caller and never kept — what the engine keeps per (source,
+// epoch) is the tree's costs, and a caller that reads only those asks
+// CostsFrom. Under a parent span the query is an engine_routefrom child
+// carrying the core_tree_search span of its pass.
 func (s *Snapshot) RouteFrom(src int, parent ...*obs.Span) (*core.SourceTree, error) {
-	c, err := s.fromSource(src, parentSpan(parent), false)
-	return c.st, err
+	sp, start := s.startFrom(parentSpan(parent))
+	defer s.endFrom(sp, start)
+	return s.buildTree(src, sp)
 }
 
 // Costs is the optimal costs from one source to every node at one epoch
-// (Corollary 1, one row of it): a cached cost row or, while the source
-// has none, a view of its SourceTree. Shared with every reader of the
-// same (source, epoch); read-only.
+// (Corollary 1, one row of it). Shared with every reader of the same
+// (source, epoch) while the row is cached; read-only.
 type Costs struct {
 	row []float64
-	st  *core.SourceTree
 }
 
 // To reports the optimal cost to t: 0 for the source itself, +Inf when t
-// is unreachable. Bit for bit SourceTree.Dist, whichever backs the value.
-func (c Costs) To(t int) float64 {
-	if c.row != nil {
-		return c.row[t]
-	}
-	return c.st.Dist(t)
-}
+// is unreachable. Bit for bit SourceTree.Dist.
+func (c Costs) To(t int) float64 { return c.row[t] }
 
 // CostsFrom is RouteFrom for a caller that reads costs, not paths. A
-// resident cost row answers with no tree lookup and no pass
-// (answered=row on the engine_cache_lookup span); otherwise the tree
-// comes from the tree cache or one pass, as in RouteFrom, and from the
-// source's second ask of this epoch on its costs are copied into a row
-// that outlives the tree's turn in the LRU. A first ask stores nothing
-// and is answered off the tree, so a source that does not recur within
-// an epoch allocates nothing RouteFrom does not. The Costs are valid
-// only with a nil error.
+// resident cost row answers with no pass (answered=row on the
+// engine_cache_lookup span); a miss (answered=built) runs one pass,
+// copies its costs into a row, stores the row for every later reader of
+// this (source, epoch) and drops the tree. With the cache disabled the
+// row is the caller's alone. The Costs are valid only with a nil error.
 func (s *Snapshot) CostsFrom(src int, parent ...*obs.Span) (Costs, error) {
-	return s.fromSource(src, parentSpan(parent), true)
-}
-
-// fromSource is the per-source read behind RouteFrom (rows false: the
-// caller needs the tree) and CostsFrom.
-func (s *Snapshot) fromSource(src int, parent *obs.Span, rows bool) (Costs, error) {
-	sp := parent.StartChild(SpanRouteFrom)
-	defer sp.End()
-	sp.SetInt(AttrEpoch, int64(s.epoch))
-	start := time.Now()
-	defer func() { s.eng.metrics.routeFromLatency.ObserveDuration(time.Since(start)) }()
+	sp, start := s.startFrom(parentSpan(parent))
+	defer s.endFrom(sp, start)
 	e := s.eng
-	if e.cache == nil {
-		st, err := s.buildTree(src, sp)
-		return Costs{st: st}, err
-	}
 	key := epochKey{node: src, epoch: s.epoch}
-	look := sp.StartChild(SpanCacheLookup)
-	var c Costs
-	answered := AnsweredBuilt
-	if rows {
-		if c.row, _ = e.costs.get(key); c.row != nil {
+	if e.costs != nil {
+		look := sp.StartChild(SpanCacheLookup)
+		row, ok := e.costs.get(key)
+		answered := AnsweredBuilt
+		if ok {
 			answered = AnsweredRow
 		}
-	}
-	if c.row == nil {
-		if c.st, _ = e.cache.get(key); c.st != nil {
-			answered = AnsweredTree
+		look.SetBool(AttrHit, ok)
+		look.SetStr(AttrAnswered, answered)
+		look.End()
+		if ok {
+			return Costs{row: row}, nil
 		}
 	}
-	look.SetBool(AttrHit, answered != AnsweredBuilt)
-	look.SetStr(AttrAnswered, answered)
-	look.End()
-	if c.row != nil {
-		return c, nil
+	st, err := s.buildTree(src, sp)
+	if err != nil {
+		return Costs{}, err
 	}
-	if c.st == nil {
-		// Compute outside the cache lock; concurrent misses on the same key
-		// may duplicate the work, and the last insert wins — both trees are
-		// equally correct, so this is only a transient inefficiency.
-		st, err := s.buildTree(src, sp)
-		if err != nil {
-			return Costs{}, err
-		}
-		e.cache.put(key, st)
-		c.st = st
+	row := make([]float64, s.net.NumNodes())
+	for t := range row {
+		row[t] = st.Dist(t)
 	}
-	if rows && e.costAsked.second(src, s.epoch) {
-		row := make([]float64, s.net.NumNodes())
-		for t := range row {
-			row[t] = c.st.Dist(t)
-		}
+	if e.costs != nil {
+		// Concurrent misses on one key each run the pass and the last put
+		// wins: the rows are equal bit for bit.
 		e.costs.put(key, row)
 		e.metrics.costRowBuilds.Inc()
-		c = Costs{row: row}
 	}
-	return c, nil
+	return Costs{row: row}, nil
 }
 
-// buildTree runs the single-source pass of a cache miss and counts its
-// rescans.
+// startFrom opens the engine_routefrom span of a single-source read and
+// starts its clock; endFrom records the latency and closes the span.
+func (s *Snapshot) startFrom(parent *obs.Span) (*obs.Span, time.Time) {
+	sp := parent.StartChild(SpanRouteFrom)
+	sp.SetInt(AttrEpoch, int64(s.epoch))
+	return sp, time.Now()
+}
+
+func (s *Snapshot) endFrom(sp *obs.Span, start time.Time) {
+	s.eng.metrics.routeFromLatency.ObserveDuration(time.Since(start))
+	sp.End()
+}
+
+// buildTree runs one single-source pass and counts its rescans.
 func (s *Snapshot) buildTree(src int, sp *obs.Span) (*core.SourceTree, error) {
 	st, err := s.aux.RouteFrom(src, s.opts(sp))
 	if err == nil {
@@ -232,8 +194,8 @@ func (e *Engine) Route(src, dst int, parent ...*obs.Span) (*core.Result, error) 
 	return e.Snapshot().Route(src, dst, parent...)
 }
 
-// RouteFrom answers one single-source query on the current snapshot,
-// through the SourceTree cache.
+// RouteFrom answers one single-source query on the current snapshot:
+// one pass, never cached.
 func (e *Engine) RouteFrom(src int, parent ...*obs.Span) (*core.SourceTree, error) {
 	return e.Snapshot().RouteFrom(src, parent...)
 }

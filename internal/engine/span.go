@@ -22,17 +22,16 @@ const (
 const (
 	AttrEpoch    = "epoch"
 	AttrHit      = "hit"
-	AttrAnswered = "answered" // on engine_cache_lookup: AnsweredRow | AnsweredTree | AnsweredBuilt
+	AttrAnswered = "answered" // on engine_cache_lookup: AnsweredRow | AnsweredBuilt
 	AttrAttempt  = "attempt"
 	AttrConflict = "conflict"
 	AttrMode     = "mode"
 )
 
-// What a per-source read was answered from (AttrAnswered).
+// What a CostsFrom was answered from (AttrAnswered).
 const (
-	AnsweredRow   = "row"   // a resident cost row: no tree lookup, no pass
-	AnsweredTree  = "tree"  // a resident SourceTree
-	AnsweredBuilt = "built" // neither: one single-source pass
+	AnsweredRow   = "row"   // a resident cost row: no pass
+	AnsweredBuilt = "built" // one single-source pass, whose row is stored
 )
 
 // parentSpan reads an operation's optional trailing span argument: the

@@ -71,22 +71,32 @@ func TestRouteRecordsSearchSpans(t *testing.T) {
 	}
 }
 
-// TestRouteFromCacheLookupSpans: a cold pass records a cache
-// miss plus a core_tree_search; a warm pass records a hit and no
-// search.
+// TestRouteFromCacheLookupSpans: RouteFrom is a pass and looks nothing
+// up; a cold CostsFrom records a miss (answered=built) plus the
+// core_tree_search of its pass; a warm one records a hit (answered=row)
+// and no search.
 func TestRouteFromCacheLookupSpans(t *testing.T) {
 	e := spanTestEngine(t)
 	tracer := obs.NewTracer(&obs.TracerOptions{SlowThreshold: -1})
-
-	cold := tracer.Start("request")
-	if _, err := e.RouteFrom(3, cold.Root()); err != nil {
-		t.Fatal(err)
+	record := func(query func(root *obs.Span) error) *obs.ReqTrace {
+		t.Helper()
+		req := tracer.Start("request")
+		if err := query(req.Root()); err != nil {
+			t.Fatal(err)
+		}
+		tracer.Finish(req)
+		return tracer.Recent(1)[0] // what was retained
 	}
-	tracer.Finish(cold)
-	cold = tracer.Recent(1)[0] // what was retained
+	tree := record(func(root *obs.Span) error { _, err := e.RouteFrom(3, root); return err })
+	if tree.Span("engine_cache_lookup") != nil || tree.Span("core_tree_search") == nil {
+		t.Error("RouteFrom must run its pass and look nothing up")
+	}
+	costs := func(root *obs.Span) error { _, err := e.CostsFrom(3, root); return err }
+
+	cold := record(costs)
 	look := cold.Span("engine_cache_lookup")
 	if look == nil {
-		t.Fatal("no engine_cache_lookup span on cold pass")
+		t.Fatal("no engine_cache_lookup span on a cold CostsFrom")
 	}
 	if a, ok := look.Attr("hit"); !ok || a.Bool() {
 		t.Errorf("cold lookup hit attr = %+v ok=%v, want false", a, ok)
@@ -96,7 +106,7 @@ func TestRouteFromCacheLookupSpans(t *testing.T) {
 	}
 	search := cold.Span("core_tree_search")
 	if search == nil {
-		t.Fatal("cold pass must record the search span")
+		t.Fatal("a cold CostsFrom must record the search span")
 	}
 	// The default engine builds trees on the bucket queue and says so; on
 	// a network whose weights fit the window nothing is scanned twice.
@@ -112,20 +122,15 @@ func TestRouteFromCacheLookupSpans(t *testing.T) {
 		t.Errorf("rescans attr = %+v ok=%v, want 0", a, ok)
 	}
 
-	warm := tracer.Start("request")
-	if _, err := e.RouteFrom(3, warm.Root()); err != nil {
-		t.Fatal(err)
-	}
-	tracer.Finish(warm)
-	warm = tracer.Recent(1)[0] // what was retained
+	warm := record(costs)
 	if a, ok := warm.Span("engine_cache_lookup").Attr("hit"); !ok || !a.Bool() {
 		t.Errorf("warm lookup hit attr = %+v ok=%v, want true", a, ok)
 	}
-	if a, ok := warm.Span("engine_cache_lookup").Attr("answered"); !ok || a.Str != "tree" {
-		t.Errorf("warm lookup answered attr = %+v ok=%v, want tree", a, ok)
+	if a, ok := warm.Span("engine_cache_lookup").Attr("answered"); !ok || a.Str != "row" {
+		t.Errorf("warm lookup answered attr = %+v ok=%v, want row", a, ok)
 	}
 	if warm.Span("core_tree_search") != nil {
-		t.Error("warm pass must not run Dijkstra")
+		t.Error("a warm CostsFrom must not run a pass")
 	}
 }
 
@@ -177,6 +182,9 @@ func TestNilParentSpan(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := e.RouteFrom(0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.CostsFrom(0, nil); err != nil {
 		t.Fatal(err)
 	}
 	owner := e.ReserveOwner()

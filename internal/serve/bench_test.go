@@ -84,7 +84,7 @@ func BenchmarkSessionExec(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				hits := eng.CostRowStats().Hits
+				hits := eng.CacheStats().Hits
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -102,7 +102,7 @@ func BenchmarkSessionExec(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				if got := eng.CostRowStats().Hits - hits; (got != 0) != (rows == "resident") {
+				if got := eng.CacheStats().Hits - hits; (got != 0) != (rows == "resident") {
 					b.Fatalf("rows=%s: %d row reads over %d requests", rows, got, b.N)
 				}
 			})

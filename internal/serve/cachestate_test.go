@@ -11,6 +11,7 @@ import (
 	"lightpath/internal/core"
 	"lightpath/internal/engine"
 	"lightpath/internal/graph"
+	"lightpath/internal/obs"
 	"lightpath/internal/oracle"
 )
 
@@ -27,9 +28,8 @@ func wire(t *testing.T, eng *engine.Engine, line string) string {
 
 // TestCostRepliesIgnoreCacheState: what `routefrom` and `batch` put on
 // the wire is a function of the command and the epoch alone — the same
-// bytes with the caches disabled, cold, holding the sources' SourceTrees
-// and holding their cost rows, under either search mode and either tree
-// queue. The script covers an unreachable destination, a source with no
+// bytes with the caches disabled, cold and holding the sources' cost
+// rows, under either search mode and either tree queue. The script covers an unreachable destination, a source with no
 // outgoing channel, S→S, duplicate pairs, a source named often enough
 // for the batch to build its tree, and endpoints out of range; the
 // engine's counters prove each state answered the way its name says.
@@ -73,24 +73,33 @@ func TestCostRepliesIgnoreCacheState(t *testing.T) {
 			fmt.Sprintf("batch %d 1 %d 2", c, c),
 		}
 		sources := []int{a, b, c, inst.mute}
-		// inRange counts the script's batch requests a resident row or tree
-		// can answer: source among sources, destination in range.
-		inRange := uint64(0)
+		// inRange counts the script's batch requests a resident row can
+		// answer (source among sources, destination in range) out of all;
+		// asks bounds the single-source reads the script may make: one per
+		// routefrom, one per distinct source of each batch.
+		inRange, all, asks := uint64(0), uint64(0), uint64(0)
 		for _, line := range script {
 			f := strings.Fields(line)
+			named := make(map[string]bool)
 			for i := 1; f[0] == "batch" && i < len(f); i += 2 {
 				from, _ := strconv.Atoi(f[i])
 				to, _ := strconv.Atoi(f[i+1])
+				all++
+				named[f[i]] = true
 				if from >= 0 && from < n && to >= 0 && to < n {
 					inRange++
 				}
 			}
+			if f[0] == "routefrom" {
+				asks++
+			}
+			asks += uint64(len(named))
 		}
 
 		var want []string // the first combination's replies: every other must match
 		for _, mode := range []core.DirectedMode{core.DirectedAStar, core.DirectedPlain} {
 			for _, queue := range []graph.QueueKind{graph.QueueBucket, graph.QueueBinary} {
-				for _, state := range []string{"cache off", "cold", "tree resident", "row resident"} {
+				for _, state := range []string{"cache off", "cold", "row resident"} {
 					what := fmt.Sprintf("%s/%s/%s/%s", inst.name, mode, queue, state)
 					opts := &engine.Options{Directed: mode, Queue: queue}
 					if state == "cache off" {
@@ -106,20 +115,13 @@ func TestCostRepliesIgnoreCacheState(t *testing.T) {
 						}
 					}
 					for _, s := range sources {
-						switch state {
-						case "tree resident":
-							if _, err := eng.RouteFrom(s); err != nil {
+						if state == "row resident" {
+							if _, err := eng.CostsFrom(s); err != nil {
 								t.Fatalf("%s: %v", what, err)
-							}
-						case "row resident":
-							for ask := 0; ask < 2; ask++ {
-								if _, err := eng.CostsFrom(s); err != nil {
-									t.Fatalf("%s: %v", what, err)
-								}
 							}
 						}
 					}
-					trees, rows := eng.CacheStats(), eng.CostRowStats()
+					rows, reads := eng.CacheStats(), singleSourceReads(eng)
 
 					var got []string
 					for _, line := range script {
@@ -138,33 +140,36 @@ func TestCostRepliesIgnoreCacheState(t *testing.T) {
 					snap := eng.Metrics().Snapshot()
 					viaRow, viaTree, viaPoint := snap["engine_batch_row_requests_total"].(uint64),
 						snap["engine_batch_tree_requests_total"].(uint64), snap["engine_batch_point_requests_total"].(uint64)
-					if all := snap["engine_batch_requests_total"].(uint64); viaRow+viaTree+viaPoint != all {
+					if viaRow+viaTree+viaPoint != all || snap["engine_batch_requests_total"].(uint64) != all {
 						t.Fatalf("%s: batch row %d + tree %d + point %d != %d requests", what, viaRow, viaTree, viaPoint, all)
 					}
-					trees2, rows2 := eng.CacheStats(), eng.CostRowStats()
+					rows2, builds := eng.CacheStats(), snap["engine_cost_row_builds_total"].(uint64)
+					// A batch builds at most one tree per source it names, never
+					// one per request.
+					if got := singleSourceReads(eng) - reads; got > asks {
+						t.Fatalf("%s: %d single-source reads, at most %d allowed", what, got, asks)
+					}
 					switch state {
 					case "cache off":
-						if trees2 != (engine.CacheStats{}) || rows2 != (engine.CacheStats{}) || viaRow+viaTree != 0 {
-							t.Fatalf("%s: trees %+v, rows %+v, %d batch requests off either", what, trees2, rows2, viaRow+viaTree)
+						if rows2 != (engine.CacheStats{}) || builds != 0 || viaRow != 0 {
+							t.Fatalf("%s: rows %+v, %d built, %d batch requests off a row", what, rows2, builds, viaRow)
 						}
 					case "cold":
-						// a's tree is built by its routefrom, c's never: below the break-even.
-						if trees2.Misses == 0 || viaPoint == 0 || rows2.Hits != 0 || rows2.Size != 0 {
-							t.Fatalf("%s: trees %+v, rows %+v, %d by point query", what, trees2, rows2, viaPoint)
-						}
-					case "tree resident":
-						// Only `routefrom 999` misses; no source is asked for costs
-						// twice; two destinations out of range are the trees' to name.
-						if trees2.Misses != trees.Misses+1 || viaTree != inRange+2 || viaRow != 0 || rows2.Size != 0 {
-							t.Fatalf("%s: trees %+v → %+v, rows %+v, batch row %d tree %d (in range: %d)",
-								what, trees, trees2, rows2, viaRow, viaTree, inRange)
+						// Each of the four routefroms is its source's first ask:
+						// a miss that stores a row, but for `routefrom 999`. A's
+						// and the muted source's rows then answer batches; b's
+						// request comes before its routefrom and c never has one.
+						if rows2.Misses != 4 || builds != 3 || rows2.Size != 3 || viaRow == 0 || viaPoint == 0 {
+							t.Fatalf("%s: rows %+v, %d built, batch row %d point %d", what, rows2, builds, viaRow, viaPoint)
 						}
 					case "row resident":
-						// Three routefroms and every in-range request read a row; the
-						// trees see the out-of-range destinations and `routefrom 999`.
-						if rows2.Hits != rows.Hits+3+inRange || viaRow != inRange || trees2.Lookups != trees.Lookups+3 {
-							t.Fatalf("%s: rows %+v → %+v, trees %+v → %+v, batch row %d (in range: %d)",
-								what, rows, rows2, trees, trees2, viaRow, inRange)
+						// Three routefroms and every in-range request read a row;
+						// only `routefrom 999` misses; the out-of-range requests are
+						// point queries' to name, and nothing builds a tree.
+						if rows2.Hits != rows.Hits+3+inRange || rows2.Misses != rows.Misses+1 ||
+							viaRow != inRange || viaTree != 0 || viaPoint != all-inRange {
+							t.Fatalf("%s: rows %+v → %+v, batch row %d tree %d point %d (in range: %d of %d)",
+								what, rows, rows2, viaRow, viaTree, viaPoint, inRange, all)
 						}
 						checkAfterEpochBump(t, what, eng, a)
 					}
@@ -172,6 +177,12 @@ func TestCostRepliesIgnoreCacheState(t *testing.T) {
 			}
 		}
 	}
+}
+
+// singleSourceReads counts eng's RouteFrom and CostsFrom calls: every
+// pass, and every routefrom a row answered.
+func singleSourceReads(eng *engine.Engine) uint64 {
+	return eng.Metrics().Snapshot()["engine_routefrom_latency_ns"].(obs.HistogramSnapshot).Count
 }
 
 // checkScriptShape makes sure the script exercises what it claims to on
@@ -230,9 +241,9 @@ func checkAfterEpochBump(t *testing.T, what string, eng *engine.Engine, src int)
 		if got := wire(t, eng, bump); bump == "" || strings.HasPrefix(got, "error:") {
 			t.Fatalf("%s: bump %q: %s", what, bump, got)
 		}
-		rows := eng.CostRowStats()
+		rows := eng.CacheStats()
 		from := wire(t, eng, fmt.Sprintf("routefrom %d", src))
-		if after := eng.CostRowStats(); after.Hits != rows.Hits || after.Misses != rows.Misses+1 {
+		if after := eng.CacheStats(); after.Hits != rows.Hits || after.Misses != rows.Misses+1 {
 			t.Fatalf("%s: after %q a row answered routefrom: %+v → %+v", what, bump, rows, after)
 		}
 		batch := "batch"

@@ -318,19 +318,18 @@ func (s *Session) exec(cmd string, rest []string, sp *obs.Span) (bool, error) {
 		fmt.Fprintf(s.w, "epoch %d\n", s.eng.Epoch())
 	case "stats":
 		st := s.eng.Stats()
-		cs, rs, cr := s.eng.CacheStats(), s.eng.BoundRowStats(), s.eng.CostRowStats()
+		cs, rs := s.eng.CacheStats(), s.eng.BoundRowStats()
 		snap := s.eng.Metrics().Snapshot()
 		fmt.Fprintf(s.w, "epoch %d  allocs %d  releases %d  conflicts %d  owners %d  held %d  util %.3f\n",
 			st.Epoch, st.Allocations, st.Releases, st.Conflicts, st.ActiveOwners, st.HeldChannels,
 			s.eng.Utilization())
 		// The reply stays five lines — scripted clients read it by count —
-		// so both kinds of row ride on the cache line and the batch split on
-		// the routes line.
-		fmt.Fprintf(s.w, "cache: %d/%d entries  lookups %d  hits %d  misses %d  evictions %d  hit rate %.3f  tree rescans %d  bound rows %d/%d (lookups %d, hits %d, built %d)  cost rows %d/%d (lookups %d, hits %d, built %d)\n",
+		// so the bound rows ride on the cache line (the cost rows') and the
+		// batch split on the routes line.
+		fmt.Fprintf(s.w, "cache: %d/%d entries  lookups %d  hits %d  misses %d  evictions %d  hit rate %.3f  tree rescans %d  bound rows %d/%d (lookups %d, hits %d, built %d)\n",
 			cs.Size, cs.Capacity, cs.Lookups, cs.Hits, cs.Misses, cs.Evictions, cs.HitRate(),
 			snap["engine_tree_rescans_total"],
-			rs.Size, rs.Capacity, rs.Lookups, rs.Hits, snap["engine_bound_row_builds_total"],
-			cr.Size, cr.Capacity, cr.Lookups, cr.Hits, snap["engine_cost_row_builds_total"])
+			rs.Size, rs.Capacity, rs.Lookups, rs.Hits, snap["engine_bound_row_builds_total"])
 		lat := snap["engine_route_latency_ns"].(obs.HistogramSnapshot)
 		fmt.Fprintf(s.w, "routes %d (blocked %d)  retries %d  rebuilds %d  batched %d (row %d, tree %d, point %d)\n",
 			snap["engine_routes_total"], snap["engine_routes_blocked_total"],

@@ -210,7 +210,7 @@ func soakAgainst(t *testing.T, eng *engine.Engine, addr string, clients, request
 
 // checkWireInvariants asserts, across the TCP path, the telemetry
 // invariants the in-process churn differential test pins: lifetime
-// alloc/release counters reconcile with live leases, the SourceTree
+// alloc/release counters reconcile with live leases, the cost-row
 // cache's hits and misses partition its lookups, and after every lease
 // is released each per-wavelength held gauge reads zero.
 func checkWireInvariants(t *testing.T, eng *engine.Engine) {
