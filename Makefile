@@ -75,7 +75,7 @@ race-obs:
 # benchmarks briefly with -benchmem so an accidental allocation or a
 # gross regression on the hot paths is visible in the job log without
 # paying for a full measurement run. BenchmarkRoutePoint runs once per
-# search mode (plain, bidi, astar — the server default) and reports
+# search mode (plain, astar — the server default) and reports
 # settled/op and physpops/op beside ns/op, then astar/row=absent|resident
 # at n=300 and n=100: the same query with no bound row to read and with
 # every destination's row resident (equal settled/op, physpops/op 0, about
@@ -95,7 +95,7 @@ race-obs:
 # lookup and the encode) vs absent (a pass; 16 point queries). Not a
 # stable-numbers benchmark.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Route|CostsFrom|AllocateRelease|Dijkstra|Bidirectional|AStar|Sampler|History|HeapSearchMix|SessionExec' \
+	$(GO) test -run '^$$' -bench 'Route|CostsFrom|AllocateRelease|Dijkstra|AStar|Sampler|History|HeapSearchMix|SessionExec' \
 		-benchtime 100ms -benchmem \
 		./internal/heap/binheap ./internal/graph ./internal/core ./internal/engine ./internal/obs ./internal/serve
 

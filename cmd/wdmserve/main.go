@@ -103,7 +103,7 @@ func run(args []string, stdin io.Reader, w io.Writer) error {
 	queue := fs.String("queue", "bucket",
 		"queue SourceTrees are built on: bucket|binary (same costs; searches with a goal always run on the binary heap)")
 	directed := fs.String("directed", "astar",
-		"point-query search strategy: plain|bidi|astar (astar = A* under a per-query lower bound from the physical network)")
+		"point-query search strategy: plain|astar (astar = A* under a per-query lower bound from the physical network)")
 	cacheSize := fs.Int("cache", engine.DefaultCacheSize, "sizes the cost-row cache and, under astar, the bound-row cache at this many × TreePays rows each (<0 disables both)")
 	workers := fs.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
 	script := fs.String("script", "", "read commands from this file instead of stdin")
@@ -155,8 +155,6 @@ func run(args []string, stdin io.Reader, w io.Writer) error {
 	switch *directed {
 	case "plain":
 		mode = core.DirectedPlain
-	case "bidi":
-		mode = core.DirectedBidi
 	case "astar":
 		mode = core.DirectedAStar
 	default:

@@ -133,28 +133,37 @@ func TestServeFlagErrors(t *testing.T) {
 	}
 }
 
-// TestServeDirectedFlag: -directed takes exactly plain|bidi|astar, the
-// default is astar, and every mode answers the paper example alike.
+// TestServeDirectedFlag: -directed takes exactly plain|astar, the
+// default is astar, and both modes answer the paper example alike. bidi,
+// the retired bidirectional search, is refused like any unknown name.
 func TestServeDirectedFlag(t *testing.T) {
-	for _, mode := range []string{"", "plain", "bidi", "astar"} {
-		args := []string{"-topo", "paper"}
-		want := "astar"
-		if mode != "" {
-			args, want = append(args, "-directed", mode), mode
+	for _, mode := range []string{"", "plain", "astar"} {
+		name := mode
+		if name == "" {
+			name = "default"
 		}
-		var out bytes.Buffer
-		if err := run(args, strings.NewReader("route 0 6\nquit\n"), &out); err != nil {
-			t.Fatalf("-directed %q: %v", mode, err)
-		}
-		if got := out.String(); !strings.Contains(got, want+" search)") || !strings.Contains(got, "cost 20") {
-			t.Fatalf("-directed %q: want a %s banner and cost 20:\n%s", mode, want, got)
-		}
+		t.Run("accepts/"+name, func(t *testing.T) {
+			args := []string{"-topo", "paper"}
+			want := "astar"
+			if mode != "" {
+				args, want = append(args, "-directed", mode), mode
+			}
+			var out bytes.Buffer
+			if err := run(args, strings.NewReader("route 0 6\nquit\n"), &out); err != nil {
+				t.Fatalf("-directed %q: %v", mode, err)
+			}
+			if got := out.String(); !strings.Contains(got, want+" search)") || !strings.Contains(got, "cost 20") {
+				t.Fatalf("-directed %q: want a %s banner and cost 20:\n%s", mode, want, got)
+			}
+		})
 	}
-	var out bytes.Buffer
-	for _, mode := range []string{"alt", "landmark", "ASTAR"} {
-		if err := run([]string{"-directed", mode}, strings.NewReader(""), &out); err == nil {
-			t.Fatalf("-directed %s must fail", mode)
-		}
+	for _, mode := range []string{"bidi", "alt", "landmark", "ASTAR"} {
+		t.Run("refuses/"+mode, func(t *testing.T) {
+			var out bytes.Buffer
+			if err := run([]string{"-directed", mode}, strings.NewReader(""), &out); err == nil {
+				t.Fatalf("-directed %s must fail", mode)
+			}
+		})
 	}
 }
 

@@ -145,8 +145,8 @@ func (a *Aux) RouteFrom(s int, opts *Options) (*SourceTree, error) {
 // TreePays reports the break-even multiplicity of a source under mode:
 // with at least that many requests from one source at one epoch, one
 // RouteFrom pass read that many times is cheaper than that many Route
-// calls. A plain or bidirectional point query settles about half of G′
-// on a heap, so the second request already pays for the pass. A
+// calls. A plain point query settles about half of G′ on a heap, so
+// the second request already pays for the pass. A
 // DirectedAStar query costs ≈ n queue operations (its backward bound
 // pass pops each physical node at most once, the forward search a few
 // dozen aux nodes) against the pass's one scan per X-shore node, so the

@@ -91,7 +91,7 @@ func BenchmarkRoutePoint(b *testing.B) {
 			pairs[i] = [2]int{rng.Intn(n), rng.Intn(n)}
 		}
 		if n == 300 {
-			for _, mode := range []DirectedMode{DirectedPlain, DirectedBidi, DirectedAStar} {
+			for _, mode := range []DirectedMode{DirectedPlain, DirectedAStar} {
 				b.Run(mode.String(), func(b *testing.B) {
 					run(b, aux, pairs, &Options{Queue: graph.QueueBinary, Directed: mode})
 				})

@@ -209,7 +209,7 @@ func TestRouteBoundedDelegatesWhenBoundCannotBind(t *testing.T) {
 	req := tracer.Start("request")
 	res, err := a.RouteBounded(0, 2, a.NumAuxNodes(), &Options{
 		Queue:    graph.QueueBinary,
-		Directed: DirectedBidi,
+		Directed: DirectedAStar,
 		Span:     req.Root(),
 	})
 	if err != nil {
@@ -224,8 +224,8 @@ func TestRouteBoundedDelegatesWhenBoundCannotBind(t *testing.T) {
 	if cs == nil {
 		t.Fatal("delegation should produce a core_search span")
 	}
-	if attr, ok := cs.Attr("directed_mode"); !ok || attr.Str != "bidi" {
-		t.Errorf("directed_mode attr = %+v ok=%v, want bidi (options were honored)", attr, ok)
+	if attr, ok := cs.Attr("directed_mode"); !ok || attr.Str != "astar" {
+		t.Errorf("directed_mode attr = %+v ok=%v, want astar (options were honored)", attr, ok)
 	}
 	if req.Span("core_bounded_search") != nil {
 		t.Error("delegated query should not open a bounded-search span")

@@ -236,10 +236,8 @@ func TestTreePays(t *testing.T) {
 		if got := a.TreePays(DirectedAStar); got != tc.want {
 			t.Errorf("%s: astar break-even %d, want %d", tc.name, got, tc.want)
 		}
-		for _, mode := range []DirectedMode{DirectedPlain, DirectedBidi} {
-			if got := a.TreePays(mode); got != 2 {
-				t.Errorf("%s: %s break-even %d, want 2", tc.name, mode, got)
-			}
+		if got := a.TreePays(DirectedPlain); got != 2 {
+			t.Errorf("%s: plain break-even %d, want 2", tc.name, got)
 		}
 	}
 	a := mustAux(t, line(4, 5))

@@ -22,8 +22,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"lightpath/internal/graph"
 	"lightpath/internal/wdm"
@@ -114,13 +112,6 @@ type Aux struct {
 
 	stats BuildStats
 	depth int // ApplyDelta steps since the last full compile
-
-	// rev caches Reverse() of g for bidirectional search's backward
-	// frontier — built lazily under revMu, then immutable and shared.
-	// ApplyDelta patches it copy-on-write when the parent has one (see
-	// reverse.go), so churn never recomputes it from scratch.
-	rev   atomic.Pointer[graph.Digraph]
-	revMu sync.Mutex
 
 	// pool recycles per-query Dijkstra scratch, keyed by this graph's
 	// node count; delta-built children share their parent's pool since
@@ -303,6 +294,16 @@ func (a *Aux) DeltaDepth() int { return a.depth }
 
 // Stats reports the measured construction sizes (Observations 1–5).
 func (a *Aux) Stats() BuildStats { return a.stats }
+
+// ReverseGraph returns the transpose of the compiled auxiliary graph,
+// compacted into one arc arena: arc-for-arc Digraph.Reverse() of the
+// forward graph. It is built afresh on every call: no search runs on
+// it, so no Aux keeps one.
+func (a *Aux) ReverseGraph() *graph.Digraph {
+	r := a.g.Reverse()
+	r.Compact()
+	return r
+}
 
 // NumAuxNodes reports |V'|.
 func (a *Aux) NumAuxNodes() int { return len(a.info) }

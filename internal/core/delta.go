@@ -74,12 +74,7 @@ func (a *Aux) ApplyDelta(next *wdm.Network, changed []int) (*Aux, error) {
 	// wavelength the *layout* installs on e names a Y_u(λ) whose
 	// out-segment may gain or lose the (e,λ) arc. Wavelengths beyond the
 	// layout set cannot appear (checked here), and wavelengths on other
-	// links of u are untouched by e. The mirror set for the cached reverse
-	// graph is collected only when the parent materialized one: each
-	// changed link's layout wavelengths also name the X_v(λ) nodes whose
-	// reversed in-segments may change (see reverse.go).
-	rev := a.rev.Load()
-	var touchedX []int32
+	// links of u are untouched by e.
 	room := 0
 	for _, id := range changed {
 		if id < 0 || id >= a.layout.NumLinks() {
@@ -93,16 +88,6 @@ func (a *Aux) ApplyDelta(next *wdm.Network, changed []int) (*Aux, error) {
 			}
 		}
 		room += len(ll.Channels) * next.OutDegree(ll.From)
-		if rev == nil {
-			continue
-		}
-		for _, ch := range ll.Channels {
-			x, ok := a.xIndex(ll.To, ch.Lambda)
-			if !ok {
-				return nil, fmt.Errorf("%w: λ%d missing from layout shore X_%d", ErrDeltaShape, ch.Lambda, ll.To)
-			}
-			touchedX = append(touchedX, int32(x))
-		}
 	}
 
 	// Re-emit each touched segment from the next residual into one arena,
@@ -137,15 +122,6 @@ func (a *Aux) ApplyDelta(next *wdm.Network, changed []int) (*Aux, error) {
 			if err := child.g.ReplaceOut(y, arena[start:len(arena):len(arena)]); err != nil {
 				return nil, fmt.Errorf("core: patch segment Y_%d(λ%d): %w", u, lam, err)
 			}
-		}
-	}
-
-	// Carry a materialized reverse graph forward the same way: COW clone
-	// plus re-emission of the touched X segments. A parent that never
-	// served a backward query stays lazy in the child too.
-	if rev != nil {
-		if err := child.patchReverse(rev, touchedX); err != nil {
-			return nil, err
 		}
 	}
 

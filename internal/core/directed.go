@@ -3,8 +3,9 @@ package core
 import "fmt"
 
 // DirectedMode selects the search strategy for point-to-point queries
-// (Aux.Route). All modes return the same optimal cost; they differ only
-// in how much of the auxiliary graph they settle proving it.
+// (Aux.Route). Both modes return the same optimal cost; they differ only
+// in how much of the auxiliary graph they settle proving it. Any other
+// value is refused.
 type DirectedMode uint8
 
 const (
@@ -13,12 +14,6 @@ const (
 	// and the only mode where Options.Queue selects the priority
 	// structure (the goal-directed kernels are built on the binary heap).
 	DirectedPlain DirectedMode = iota
-
-	// DirectedBidi runs bidirectional Dijkstra: a forward frontier from
-	// Y_s meets a backward frontier from X_t over the cached reverse
-	// graph. No precomputation needed; typically settles a fraction of
-	// the plain search's node count.
-	DirectedBidi
 
 	// DirectedAStar runs A* on the auxiliary graph under a potential read
 	// off the physical network: a backward Dijkstra from t over the
@@ -36,8 +31,6 @@ func (m DirectedMode) String() string {
 	switch m {
 	case DirectedPlain:
 		return "plain"
-	case DirectedBidi:
-		return "bidi"
 	case DirectedAStar:
 		return "astar"
 	default:

@@ -20,13 +20,26 @@ import (
 func TestDirectedModeString(t *testing.T) {
 	cases := map[DirectedMode]string{
 		DirectedPlain:   "plain",
-		DirectedBidi:    "bidi",
 		DirectedAStar:   "astar",
+		DirectedMode(2): "DirectedMode(2)",
 		DirectedMode(9): "DirectedMode(9)",
 	}
 	for m, want := range cases {
 		if got := m.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", int(m), got, want)
+		}
+	}
+}
+
+// TestRouteRefusesUnknownMode: a mode that names no search is an error
+// naming the mode, not a silent plain search — 2 was astar's number
+// before the modes were renumbered.
+func TestRouteRefusesUnknownMode(t *testing.T) {
+	a := mustAux(t, residualTrap(t))
+	for _, mode := range []DirectedMode{2, 9} {
+		res, err := a.Route(0, 3, &Options{Directed: mode})
+		if err == nil || !strings.Contains(err.Error(), mode.String()) {
+			t.Fatalf("mode %d: result %+v, error %v; want an error naming %s", uint8(mode), res, err, mode)
 		}
 	}
 }
@@ -41,7 +54,6 @@ func costEq(a, b float64) bool {
 
 var (
 	plainOpts = &Options{Directed: DirectedPlain}
-	bidiOpts  = &Options{Directed: DirectedBidi}
 	astarOpts = &Options{Directed: DirectedAStar}
 )
 
@@ -123,12 +135,12 @@ func churnWithFailures(t *testing.T, nw *wdm.Network, rng *rand.Rand) (*wdm.Netw
 const allPairsMax, sampledPairs = 64, 200
 
 // checkDirectedAgree routes every (s,t) pair of a — or, above
-// allPairsMax nodes, a seeded sample — under all three modes and
-// demands: one blocked/served verdict, bidi within tolerance, astar
-// bit-identical to plain in cost, every returned path a valid
-// semilightpath of exactly its reported cost, and astar never settling
-// more auxiliary nodes than plain (f ≤ d* implies g ≤ d*). A sample of
-// pairs is also put to the auxiliary-graph-free oracle. It returns each
+// allPairsMax nodes, a seeded sample — under both modes and demands:
+// one blocked/served verdict, astar bit-identical to plain in cost,
+// every returned path a valid semilightpath of exactly its reported
+// cost, and astar never settling more auxiliary nodes than plain
+// (f ≤ d* implies g ≤ d*). A sample of pairs is also put to the
+// auxiliary-graph-free oracle. It returns each
 // side's work over the served pairs: plain's settled nodes, and astar's
 // settled nodes plus its bound pass's physical scans.
 func checkDirectedAgree(t *testing.T, a *Aux, rng *rand.Rand) (plainWork, astarWork int) {
@@ -151,15 +163,14 @@ func checkDirectedAgree(t *testing.T, a *Aux, rng *rand.Rand) (plainWork, astarW
 				continue
 			}
 			rp, errP := a.Route(s, d, plainOpts)
-			rb, errB := a.Route(s, d, bidiOpts)
 			ra, errA := a.Route(s, d, astarOpts)
-			if (errP == nil) != (errB == nil) || (errP == nil) != (errA == nil) {
-				t.Fatalf("%d→%d: outcome disagreement plain=%v bidi=%v astar=%v", s, d, errP, errB, errA)
+			if (errP == nil) != (errA == nil) {
+				t.Fatalf("%d→%d: outcome disagreement plain=%v astar=%v", s, d, errP, errA)
 			}
 			askOracle := rng.Intn(8) == 0
 			if errP != nil {
-				if !errors.Is(errB, ErrNoRoute) || !errors.Is(errA, ErrNoRoute) {
-					t.Fatalf("%d→%d: blocked but not ErrNoRoute: %v / %v", s, d, errB, errA)
+				if !errors.Is(errA, ErrNoRoute) {
+					t.Fatalf("%d→%d: blocked but not ErrNoRoute: %v", s, d, errA)
 				}
 				if errA.Error() != errP.Error() {
 					t.Fatalf("%d→%d: astar blocks with %q, plain with %q", s, d, errA, errP)
@@ -174,10 +185,7 @@ func checkDirectedAgree(t *testing.T, a *Aux, rng *rand.Rand) (plainWork, astarW
 			if math.Float64bits(ra.Cost) != math.Float64bits(rp.Cost) {
 				t.Fatalf("%d→%d: astar cost %v, plain %v", s, d, ra.Cost, rp.Cost)
 			}
-			if !costEq(rp.Cost, rb.Cost) {
-				t.Fatalf("%d→%d: bidi cost %v, plain %v", s, d, rb.Cost, rp.Cost)
-			}
-			for mode, r := range map[string]*Result{"plain": rp, "bidi": rb, "astar": ra} {
+			for mode, r := range map[string]*Result{"plain": rp, "astar": ra} {
 				if err := r.Path.Validate(nw, s, d); err != nil {
 					t.Fatalf("%d→%d %s: invalid path: %v", s, d, mode, err)
 				}
@@ -297,9 +305,8 @@ func TestDirectedOnTieHeavyNetworks(t *testing.T) {
 	t.Logf("%d queries returned a different equal-cost optimum than plain", differ)
 }
 
-// TestDirectedUnderChurn replays a delta chain and checks the three
-// modes stay cost-identical on every intermediate Aux — the reverse
-// graph is COW-patched rather than recomputed and the physical bound is
+// TestDirectedUnderChurn replays a delta chain and checks both modes
+// stay cost-identical on every intermediate Aux — the physical bound is
 // read from each child's own residual, all through one shared scratch
 // pool.
 func TestDirectedUnderChurn(t *testing.T) {
@@ -635,7 +642,7 @@ func TestBlockedCause(t *testing.T) {
 	}
 
 	// Early exits, identical in every mode.
-	for _, mode := range []DirectedMode{DirectedPlain, DirectedBidi, DirectedAStar} {
+	for _, mode := range []DirectedMode{DirectedPlain, DirectedAStar} {
 		if res, err, _ := searchSpan(t, a, 2, 2, mode); err != nil || res.Cost != 0 || res.Path.Len() != 0 {
 			t.Fatalf("%v 2→2: %+v, %v", mode, res, err)
 		}

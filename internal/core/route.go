@@ -16,10 +16,10 @@ type Options struct {
 	// the binary-heap engine by construction.
 	Queue graph.QueueKind
 
-	// Directed selects the point-query search strategy (plain,
-	// bidirectional, or A* under the physical lower bound). All modes
-	// return the same optimal cost — differential-tested across every
-	// topology fixture — and differ only in settled-node counts. Full-tree
+	// Directed selects the point-query search strategy (plain, or A*
+	// under the physical lower bound). Both return the same optimal cost
+	// — differential-tested across every topology fixture — and differ
+	// only in settled-node counts; an unknown mode is an error. Full-tree
 	// queries (RouteFrom, AllPairs) ignore it: a tree wants the whole
 	// graph settled.
 	Directed DirectedMode
@@ -148,9 +148,10 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 	}
 
 	// Mode dispatch: every branch fills the same result variables, so
-	// stats, span attributes and extraction below are mode-agnostic. All modes
-	// return the same optimal cost; they differ in nodes settled proving
-	// it (and, among equal-cost optima, possibly in which path they pick).
+	// stats, span attributes and extraction below are mode-agnostic. Both
+	// modes return the same optimal cost; they differ in nodes settled
+	// proving it (and, among equal-cost optima, possibly in which path
+	// they pick).
 	mode := opts.directed()
 	var (
 		fwdTree  *graph.ShortestPathTree // forward tree: extraction + per-λ profile; nil if no search ran
@@ -160,7 +161,6 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 		boundRow string // DirectedAStar only: a BoundRow* value
 		bestDist = graph.Inf
 		bestNode = -1
-		bidiHops []graph.HopRef // non-nil exactly when bidi found a path
 	)
 	switch mode {
 	case DirectedAStar:
@@ -174,38 +174,16 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 			return nil, fmt.Errorf("core: goal-directed dijkstra: %w", err)
 		}
 		fwdTree, settled, relaxed = tree, tree.Settled, tree.Relaxed
-	case DirectedBidi:
-		if qs.b == nil {
-			qs.b = graph.NewScratch(a.NumAuxNodes())
-		}
-		rev := a.ReverseGraph()
-		bt, err := graph.BidirectionalDijkstraScratch(a.g, rev, qs.seeds, qs.goals, qs.g, qs.b)
-		if err != nil {
-			return nil, fmt.Errorf("core: bidirectional dijkstra: %w", err)
-		}
-		fwdTree, settled, relaxed = bt.Fwd, bt.Settled, bt.Relaxed
-		if bt.Reached() {
-			bidiHops, err = bt.Path(a.g, rev)
-			if err != nil {
-				return nil, fmt.Errorf("core: reconstruct path: %w", err)
-			}
-			// Forward-order sum: identical accumulation to a plain
-			// search settling the same path.
-			bestDist = graph.PathCost(a.g, bidiHops)
-			bestNode = bt.Meet
-			if len(bidiHops) > 0 {
-				last := bidiHops[len(bidiHops)-1]
-				bestNode = int(a.g.Out(last.From)[last.ArcIndex].To)
-			}
-		}
-	default:
+	case DirectedPlain:
 		tree, err := graph.DijkstraSeedsUntilScratch(a.g, qs.seeds, qs.goals, opts.queue(), qs.g, a.yPass)
 		if err != nil {
 			return nil, fmt.Errorf("core: dijkstra: %w", err)
 		}
 		fwdTree, settled, relaxed = tree, tree.Settled, tree.Relaxed
+	default:
+		return nil, fmt.Errorf("core: unknown search mode %v", mode)
 	}
-	if fwdTree != nil && bidiHops == nil {
+	if fwdTree != nil {
 		// Virtual super sink: min over X_t on the forward tree.
 		for xi := range a.xLambdas[t] {
 			x := int(a.xStart[t]) + xi
@@ -245,15 +223,9 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 		return nil, fmt.Errorf("%w: from %d to %d", ErrNoRoute, s, t)
 	}
 
-	var path *wdm.Semilightpath
-	if bidiHops != nil {
-		path = a.hopsToPath(bidiHops)
-	} else {
-		var err error
-		path, err = a.extractPath(fwdTree, bestNode)
-		if err != nil {
-			return nil, err
-		}
+	path, err := a.extractPath(fwdTree, bestNode)
+	if err != nil {
+		return nil, err
 	}
 	sp.SetFloat(AttrCost, bestDist)
 	return &Result{Path: path, Cost: bestDist, Source: s, Dest: t, Stats: stats}, nil
@@ -317,7 +289,7 @@ func (a *Aux) extractPath(tree *graph.ShortestPathTree, goal int) (*wdm.Semiligh
 }
 
 // hopsToPath maps a sequence of auxiliary-graph arc references to the
-// semilightpath they encode, regardless of which search produced them.
+// semilightpath they encode.
 func (a *Aux) hopsToPath(hops []graph.HopRef) *wdm.Semilightpath {
 	path := &wdm.Semilightpath{Hops: make([]wdm.Hop, 0, len(hops)/2+1)}
 	for _, h := range hops {

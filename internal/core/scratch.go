@@ -13,8 +13,7 @@ import (
 // inside the search.
 type queryScratch struct {
 	g     *graph.Scratch
-	b     *graph.Scratch // backward-frontier scratch, built on first bidi query
-	bound *boundScratch  // physical lower bound, built on first astar query
+	bound *boundScratch // physical lower bound, built on first astar query
 	seeds []int
 	goals []int
 

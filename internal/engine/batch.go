@@ -32,7 +32,7 @@ type BatchResult struct {
 //
 // Each request is answered the cheapest way its source allows, priced in
 // queue scans (core.Aux.TreePays): when the batch names the source at
-// least TreePays times — twice under plain and bidi, about k times under
+// least TreePays times — twice under plain, about k times under
 // astar, whose point query is that much cheaper than the single-source
 // pass — through one tree built for the batch, read by all of the
 // source's requests and dropped; else by a point query, which stops at

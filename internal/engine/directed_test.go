@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"lightpath/internal/core"
@@ -32,13 +33,12 @@ func directedTestEngine(t *testing.T, directed core.DirectedMode) *Engine {
 }
 
 // TestEngineDirectedModesAgree routes every pair on engines configured
-// plain, bidi and astar over the same base network and demands identical
+// plain and astar over the same base network and demands identical
 // blocked/served outcomes and costs — the engine-level differential.
 func TestEngineDirectedModesAgree(t *testing.T) {
 	plain := directedTestEngine(t, core.DirectedPlain)
-	bidi := directedTestEngine(t, core.DirectedBidi)
 	astar := directedTestEngine(t, core.DirectedAStar)
-	if plain.Directed() != core.DirectedPlain || bidi.Directed() != core.DirectedBidi || astar.Directed() != core.DirectedAStar {
+	if plain.Directed() != core.DirectedPlain || astar.Directed() != core.DirectedAStar {
 		t.Fatal("Directed() accessor disagrees with configuration")
 	}
 	n := plain.Base().NumNodes()
@@ -48,17 +48,62 @@ func TestEngineDirectedModesAgree(t *testing.T) {
 				continue
 			}
 			rp, errP := plain.Route(s, d)
-			rb, errB := bidi.Route(s, d)
 			ra, errA := astar.Route(s, d)
-			if (errP == nil) != (errB == nil) || (errP == nil) != (errA == nil) {
-				t.Fatalf("%d→%d: outcomes plain=%v bidi=%v astar=%v", s, d, errP, errB, errA)
+			if (errP == nil) != (errA == nil) {
+				t.Fatalf("%d→%d: outcomes plain=%v astar=%v", s, d, errP, errA)
 			}
 			if errP != nil {
 				continue
 			}
-			if !costsAgree(rp.Cost, rb.Cost) || math.Float64bits(rp.Cost) != math.Float64bits(ra.Cost) {
-				t.Fatalf("%d→%d: costs plain=%v bidi=%v astar=%v", s, d, rp.Cost, rb.Cost, ra.Cost)
+			if math.Float64bits(rp.Cost) != math.Float64bits(ra.Cost) {
+				t.Fatalf("%d→%d: costs plain=%v astar=%v", s, d, rp.Cost, ra.Cost)
 			}
+		}
+	}
+}
+
+// TestNewRefusesUnknownMode: a mode that names no search fails New
+// before the first publish — 2 was astar's number before the modes were
+// renumbered, and would otherwise run as a silent plain search.
+func TestNewRefusesUnknownMode(t *testing.T) {
+	base := directedTestEngine(t, core.DirectedPlain).Base()
+	for _, mode := range []core.DirectedMode{2, 9} {
+		e, err := New(base, &Options{Directed: mode})
+		if err == nil || !strings.Contains(err.Error(), mode.String()) {
+			t.Fatalf("mode %d: engine %v, error %v; want an error naming %s", uint8(mode), e, err, mode)
+		}
+	}
+}
+
+// TestGoalSettledCountsAStar: engine_goal_settled_total is the sum of
+// Stats.Settled over an astar engine's point queries and stays 0 on a
+// plain engine; route latency is one histogram, engine_route_latency_ns,
+// whatever the mode.
+func TestGoalSettledCountsAStar(t *testing.T) {
+	for _, mode := range []core.DirectedMode{core.DirectedPlain, core.DirectedAStar} {
+		e := directedTestEngine(t, mode)
+		want := uint64(0)
+		for d := 1; d < e.Base().NumNodes(); d++ {
+			res, err := e.Route(0, d)
+			if err != nil && !errors.Is(err, core.ErrNoRoute) {
+				t.Fatal(err)
+			}
+			if res != nil && mode == core.DirectedAStar {
+				want += uint64(res.Stats.Settled)
+			}
+		}
+		snap := e.Metrics().Snapshot()
+		if got := snap["engine_goal_settled_total"].(uint64); got != want {
+			t.Fatalf("%v: engine_goal_settled_total = %d, want %d", mode, got, want)
+		}
+		if mode == core.DirectedAStar && want == 0 {
+			t.Fatal("astar: no query settled anything")
+		}
+		if _, ok := snap["engine_directed_route_latency_ns"]; ok {
+			t.Fatalf("%v: registry still has engine_directed_route_latency_ns", mode)
+		}
+		if _, ok := snap["engine_route_latency_ns"]; !ok {
+			t.Fatalf("%v: registry has no engine_route_latency_ns", mode)
 		}
 	}
 }

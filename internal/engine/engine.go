@@ -92,12 +92,12 @@ type Options struct {
 	// after that many consecutive deltas, which interleaves both publish
 	// paths under the fuzzer.
 	MaxDeltaDepth int
-	// Directed selects the point-query search strategy for all snapshots
-	// (core.DirectedPlain, core.DirectedBidi or core.DirectedAStar). The
-	// zero value is plain — the paper's exhaustive-toward-the-goal-set
-	// search. No mode keeps state across epochs: every query derives what
-	// it needs from the snapshot it is pinned to, and what DirectedAStar
-	// keeps — bound rows — is keyed by epoch like the cost rows.
+	// Directed selects the point-query search strategy for all snapshots:
+	// core.DirectedPlain or core.DirectedAStar; New refuses any other
+	// value. The zero value is plain — the paper's search. Neither mode
+	// keeps state across epochs: every query derives what it needs from
+	// the snapshot it is pinned to, and what DirectedAStar keeps — bound
+	// rows — is keyed by epoch like the cost rows.
 	Directed core.DirectedMode
 }
 
@@ -215,6 +215,9 @@ func New(nw *wdm.Network, opts *Options) (*Engine, error) {
 			e.maxDeltaDepth = opts.MaxDeltaDepth
 		}
 		e.directed = opts.Directed
+	}
+	if e.directed != core.DirectedPlain && e.directed != core.DirectedAStar {
+		return nil, fmt.Errorf("engine: unknown search mode %v", e.directed)
 	}
 	if cacheSize > 0 {
 		// The row capacities are set below, once TreePays is known.
@@ -696,7 +699,7 @@ func (e *Engine) CacheStats() CacheStats {
 }
 
 // BoundRowStats reports the bound-row cache counters (zero value when
-// the engine keeps no rows: plain or bidi search, or caching disabled).
+// the engine keeps no rows: plain search, or caching disabled).
 func (e *Engine) BoundRowStats() CacheStats {
 	if e.rows == nil {
 		return CacheStats{}

@@ -6,22 +6,24 @@ import (
 	"testing"
 
 	"lightpath/internal/core"
+	"lightpath/internal/oracle"
 	"lightpath/internal/topo"
 	"lightpath/internal/workload"
 )
 
 // FuzzGoalDirected churns an astar engine with an arbitrary mutation
 // sequence — through delta chains of depth 3 and the full rebuilds that
-// end them — and, after every mutation, cross-checks all three search
-// modes on the SAME published snapshot:
+// end them — and, after every mutation, cross-checks three answers on the
+// SAME published snapshot:
 //
 //   - the engine's configured search (A* under the physical bound, read
 //     from that snapshot's residual or from the bound row kept for its
 //     epoch) must agree with a plain search on blocked/served and on
 //     cost: a bound that outlived its epoch, or one that overestimates,
 //     breaks cost equality;
-//   - an explicitly bidirectional query must agree too (this exercises
-//     the COW-patched reverse graph after every delta).
+//   - the oracle, which searches the snapshot's residual network without
+//     the auxiliary graph, must agree with both (blocked means
+//     oracle.ErrNoRoute).
 func FuzzGoalDirected(f *testing.F) {
 	f.Add([]byte{0, 1, 9, 0, 3, 2, 1, 0, 3, 3, 2, 0, 0, 2, 11, 0, 0, 5})
 	f.Add([]byte{2, 0, 2, 0, 1, 5, 3, 0, 2, 1, 0, 0, 0, 4, 7})
@@ -110,7 +112,7 @@ func FuzzGoalDirected(f *testing.F) {
 			}
 
 			// Differential: configured goal-directed search vs plain vs
-			// explicit bidi, all on the same pinned snapshot.
+			// the oracle, all on the same pinned snapshot.
 			snap := e.Snapshot()
 			s, d := (a+int(op))%n, b%n
 			if s == d {
@@ -127,20 +129,21 @@ func FuzzGoalDirected(f *testing.F) {
 				}
 			}
 			plain, errP := snap.Aux().Route(s, d, nil)
-			bidi, errB := snap.Aux().Route(s, d, &core.Options{Directed: core.DirectedBidi})
-			if (errG == nil) != (errP == nil) || (errB == nil) != (errP == nil) {
-				t.Fatalf("epoch %d %d->%d: outcomes goal=%v plain=%v bidi=%v",
-					snap.Epoch(), s, d, errG, errP, errB)
+			want, _, errO := oracle.Solve(snap.Network(), s, d)
+			if (errG == nil) != (errP == nil) || (errO == nil) != (errP == nil) {
+				t.Fatalf("epoch %d %d->%d: outcomes goal=%v plain=%v oracle=%v",
+					snap.Epoch(), s, d, errG, errP, errO)
 			}
 			if errP != nil {
-				if !errors.Is(errG, core.ErrNoRoute) {
-					t.Fatalf("epoch %d %d->%d: blocked with %v, want ErrNoRoute", snap.Epoch(), s, d, errG)
+				if !errors.Is(errG, core.ErrNoRoute) || !errors.Is(errO, oracle.ErrNoRoute) {
+					t.Fatalf("epoch %d %d->%d: blocked with %v / oracle %v, want ErrNoRoute",
+						snap.Epoch(), s, d, errG, errO)
 				}
 				continue
 			}
-			if !costsAgree(goal.Cost, plain.Cost) || !costsAgree(bidi.Cost, plain.Cost) {
-				t.Fatalf("epoch %d %d->%d: costs goal=%v plain=%v bidi=%v",
-					snap.Epoch(), s, d, goal.Cost, plain.Cost, bidi.Cost)
+			if !costsAgree(goal.Cost, plain.Cost) || !costsAgree(want, plain.Cost) {
+				t.Fatalf("epoch %d %d->%d: costs goal=%v plain=%v oracle=%v",
+					snap.Epoch(), s, d, goal.Cost, plain.Cost, want)
 			}
 			if err := goal.Path.Validate(snap.Network(), s, d); err != nil {
 				t.Fatalf("epoch %d %d->%d: goal-directed path invalid: %v", snap.Epoch(), s, d, err)

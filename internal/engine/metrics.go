@@ -18,12 +18,11 @@ import (
 type Metrics struct {
 	reg *obs.Registry
 
-	routeLatency         *obs.Histogram // engine_route_latency_ns
-	routeFromLatency     *obs.Histogram // engine_routefrom_latency_ns
-	batchLatency         *obs.Histogram // engine_batch_latency_ns (whole batch)
-	rebuildLatency       *obs.Histogram // engine_rebuild_latency_ns (full compiles)
-	deltaLatency         *obs.Histogram // engine_delta_latency_ns (incremental applies)
-	directedRouteLatency *obs.Histogram // engine_directed_route_latency_ns (bidi/astar only)
+	routeLatency     *obs.Histogram // engine_route_latency_ns
+	routeFromLatency *obs.Histogram // engine_routefrom_latency_ns
+	batchLatency     *obs.Histogram // engine_batch_latency_ns (whole batch)
+	rebuildLatency   *obs.Histogram // engine_rebuild_latency_ns (full compiles)
+	deltaLatency     *obs.Histogram // engine_delta_latency_ns (incremental applies)
 
 	routes        *obs.Counter // engine_routes_total
 	routesBlocked *obs.Counter // engine_routes_blocked_total
@@ -33,7 +32,7 @@ type Metrics struct {
 	batchViaRow   *obs.Counter // engine_batch_row_requests_total (read off a cost row; BatchCosts only)
 	batchViaTree  *obs.Counter // engine_batch_tree_requests_total (read off a tree the batch built)
 	batchViaPoint *obs.Counter // engine_batch_point_requests_total (point query)
-	goalSettled   *obs.Counter // engine_goal_settled_total (nodes settled by directed queries)
+	goalSettled   *obs.Counter // engine_goal_settled_total (auxiliary nodes astar point queries settled)
 	// engine_tree_rescans_total: scans the bucket-queue SourceTree passes
 	// spent on nodes they had scanned already. 0 while the network's weight
 	// range fits the bucket window; growth means trees are still exact but
@@ -56,25 +55,24 @@ func newMetrics(e *Engine) *Metrics {
 	reg := obs.NewRegistry()
 	lat := obs.DefaultLatencyBuckets()
 	m := &Metrics{
-		reg:                  reg,
-		routeLatency:         reg.Histogram("engine_route_latency_ns", lat),
-		routeFromLatency:     reg.Histogram("engine_routefrom_latency_ns", lat),
-		batchLatency:         reg.Histogram("engine_batch_latency_ns", lat),
-		rebuildLatency:       reg.Histogram("engine_rebuild_latency_ns", lat),
-		deltaLatency:         reg.Histogram("engine_delta_latency_ns", lat),
-		directedRouteLatency: reg.Histogram("engine_directed_route_latency_ns", lat),
-		routes:               reg.Counter("engine_routes_total"),
-		routesBlocked:        reg.Counter("engine_routes_blocked_total"),
-		allocRetries:         reg.Counter("engine_alloc_retries_total"),
-		batchRequests:        reg.Counter("engine_batch_requests_total"),
-		batchViaRow:          reg.Counter("engine_batch_row_requests_total"),
-		batchViaTree:         reg.Counter("engine_batch_tree_requests_total"),
-		batchViaPoint:        reg.Counter("engine_batch_point_requests_total"),
-		goalSettled:          reg.Counter("engine_goal_settled_total"),
-		treeRescans:          reg.Counter("engine_tree_rescans_total"),
-		boundRowBuilds:       reg.Counter("engine_bound_row_builds_total"),
-		costRowBuilds:        reg.Counter("engine_cost_row_builds_total"),
-		batchInFlight:        reg.Gauge("engine_batch_inflight"),
+		reg:              reg,
+		routeLatency:     reg.Histogram("engine_route_latency_ns", lat),
+		routeFromLatency: reg.Histogram("engine_routefrom_latency_ns", lat),
+		batchLatency:     reg.Histogram("engine_batch_latency_ns", lat),
+		rebuildLatency:   reg.Histogram("engine_rebuild_latency_ns", lat),
+		deltaLatency:     reg.Histogram("engine_delta_latency_ns", lat),
+		routes:           reg.Counter("engine_routes_total"),
+		routesBlocked:    reg.Counter("engine_routes_blocked_total"),
+		allocRetries:     reg.Counter("engine_alloc_retries_total"),
+		batchRequests:    reg.Counter("engine_batch_requests_total"),
+		batchViaRow:      reg.Counter("engine_batch_row_requests_total"),
+		batchViaTree:     reg.Counter("engine_batch_tree_requests_total"),
+		batchViaPoint:    reg.Counter("engine_batch_point_requests_total"),
+		goalSettled:      reg.Counter("engine_goal_settled_total"),
+		treeRescans:      reg.Counter("engine_tree_rescans_total"),
+		boundRowBuilds:   reg.Counter("engine_bound_row_builds_total"),
+		costRowBuilds:    reg.Counter("engine_cost_row_builds_total"),
+		batchInFlight:    reg.Gauge("engine_batch_inflight"),
 	}
 
 	reg.GaugeFunc("engine_epoch", func() float64 { return float64(e.Epoch()) })
@@ -141,16 +139,11 @@ func (m *Metrics) observeRoute(elapsed time.Duration, err error) {
 	}
 }
 
-// observeDirected records the goal-directed-only instruments: the
-// directed latency histogram plus the settled-node counter whose ratio
-// to engine_routes_total quantifies the search-space reduction. No-op
-// for plain-mode snapshots so undirected engines pay nothing.
-func (m *Metrics) observeDirected(elapsed time.Duration, res *core.Result, mode core.DirectedMode) {
-	if mode == core.DirectedPlain {
-		return
-	}
-	m.directedRouteLatency.ObserveDuration(elapsed)
-	if res != nil {
+// observeAStarSettled adds an astar point query's settled auxiliary
+// nodes to engine_goal_settled_total, whose ratio to engine_routes_total
+// quantifies the search-space reduction. No-op for plain-mode snapshots.
+func (m *Metrics) observeAStarSettled(res *core.Result, mode core.DirectedMode) {
+	if mode == core.DirectedAStar && res != nil {
 		m.goalSettled.Add(uint64(res.Stats.Settled))
 	}
 }

@@ -254,7 +254,7 @@ func TestRouteAndAllocateRecordsAttempts(t *testing.T) {
 // pass and keeps nothing, its second builds the one row, every later one
 // reads it, whatever the source — and a new epoch starts over. hits ≤
 // lookups and builds ≤ lookups − hits always. An engine that keeps no
-// rows (plain or bidi search, cache disabled) never looks one up.
+// rows (plain search, cache disabled) never looks one up.
 func TestBoundRowCounters(t *testing.T) {
 	base := obsTestEngine(t, 13).Base()
 	e, err := New(base, &Options{Directed: core.DirectedAStar})
@@ -300,7 +300,6 @@ func TestBoundRowCounters(t *testing.T) {
 
 	for name, opts := range map[string]*Options{
 		"plain":     {Directed: core.DirectedPlain},
-		"bidi":      {Directed: core.DirectedBidi},
 		"-cache -1": {Directed: core.DirectedAStar, CacheSize: -1},
 	} {
 		e, err := New(base, opts)

@@ -54,8 +54,8 @@ func (s *Snapshot) opts(sp *obs.Span) *core.Options {
 
 // Route finds an optimal semilightpath from src to dst over this
 // snapshot's residual capacity. Latency and the blocked/served outcome
-// land on the engine's route metrics; goal-directed queries additionally
-// feed the directed latency histogram and settled-node counter. Under a
+// land on the engine's route metrics; astar queries additionally feed
+// the settled-node counter. Under a
 // parent span the query is timed as an engine_route child annotated with
 // the epoch, with core's core_search span (the Dijkstra counters) below
 // it.
@@ -67,7 +67,7 @@ func (s *Snapshot) Route(src, dst int, parent ...*obs.Span) (*core.Result, error
 	res, err := s.aux.Route(src, dst, s.opts(sp))
 	elapsed := time.Since(start)
 	s.eng.metrics.observeRoute(elapsed, err)
-	s.eng.metrics.observeDirected(elapsed, res, s.ropts.Directed)
+	s.eng.metrics.observeAStarSettled(res, s.ropts.Directed)
 	return res, err
 }
 

@@ -153,12 +153,10 @@ func anyTrue(b []bool) bool {
 	return false
 }
 
-// TestReverseFidelity pins the properties the bidirectional kernel and
-// the core reverse cache build on: Reverse() preserves every arc's weight
-// AND tag exactly (BidiTree.Path matches reverse arcs back to forward
-// ones by that triple), keeps parallel arcs distinct, and orders each
-// reverse adjacency list by ascending source node — the deterministic
-// layout core.reverseInSegment reproduces when patching deltas.
+// TestReverseFidelity pins what core.Aux.ReverseGraph hands out:
+// Reverse() preserves every arc's weight AND tag exactly, keeps parallel
+// arcs distinct, and orders each reverse adjacency list by ascending
+// source node, so the transpose is deterministic.
 func TestReverseFidelity(t *testing.T) {
 	g := New(4)
 	mustTaggedArc(t, g, 0, 2, 1.5, 7)

@@ -7,7 +7,7 @@
 // heap array holds (key, item) entries inline, so a sift compares
 // neighbouring slots directly, and moves a hole instead of swapping. It
 // is the queue behind every search that stops at a goal — plain
-// first-goal, A*, bidirectional and A*'s backward bound pass, which need
+// first-goal, A* and A*'s backward bound pass, which need
 // the pop order — while the server's goal-less SourceTree passes run on
 // graph's bucket array (DESIGN.md §6); the benchmark suite also uses it
 // for the heap-choice ablation called out in DESIGN.md. Not every node a
@@ -100,17 +100,6 @@ func (h *Heap) Push(item int, key float64) error {
 	h.ents = append(h.ents, entry{})
 	h.up(len(h.ents)-1, entry{key: key, item: int32(item)})
 	return nil
-}
-
-// Min reports the item with the smallest key and that key without
-// removing it. ok is false when the heap is empty. Bidirectional
-// Dijkstra's stopping rule peeks both frontiers' minima every round, so
-// this is O(1) by construction.
-func (h *Heap) Min() (item int, key float64, ok bool) {
-	if len(h.ents) == 0 {
-		return 0, 0, false
-	}
-	return int(h.ents[0].item), h.ents[0].key, true
 }
 
 // Pop removes and returns the item with the smallest key.

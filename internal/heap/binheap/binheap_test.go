@@ -186,7 +186,7 @@ func TestQuickSortedDrain(t *testing.T) {
 }
 
 // TestRandomOpsAgainstModel interleaves every operation — Push,
-// PushOrDecrease, DecreaseKey, Min, Pop and Reset, with reuse after each
+// PushOrDecrease, DecreaseKey, Pop and Reset, with reuse after each
 // Reset — and compares with a model kept as a slice sorted by key. Keys
 // are small integers, so ties are the common case: among tied items any
 // pop order is legal, but the popped key, the item's own key and the
@@ -264,19 +264,15 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 					set(item, key)
 				}
 			case r < 97:
-				mi, mk, ok := h.Min()
 				pi, pk, err := h.Pop()
 				if len(model) == 0 {
-					if ok || err != ErrEmpty {
-						t.Fatalf("empty heap: Min ok = %v, Pop err = %v", ok, err)
+					if err != ErrEmpty {
+						t.Fatalf("empty heap: Pop err = %v", err)
 					}
 					break
 				}
-				if !ok || err != nil {
-					t.Fatalf("Min ok = %v, Pop err = %v on %d items", ok, err, len(model))
-				}
-				if mi != pi || mk != pk {
-					t.Fatalf("Min (%d,%v) disagrees with the Pop after it (%d,%v)", mi, mk, pi, pk)
+				if err != nil {
+					t.Fatalf("Pop err = %v on %d items", err, len(model))
 				}
 				pat := find(pi)
 				if pk != model[0].key || pat < 0 || model[pat].key != pk {

@@ -132,17 +132,15 @@ const (
 // DirectedMode selects the point-query search strategy (Options.Directed).
 type DirectedMode = core.DirectedMode
 
-// Directed modes: the paper's goal-set Dijkstra (the zero value),
-// bidirectional Dijkstra over the cached reverse graph, and A* under a
-// lower bound each query reads off the physical network — a backward
-// Dijkstra from the destination over the residual links, each weighing
-// its cheapest free channel. A* precomputes nothing, refuses a
+// Directed modes: the paper's goal-set Dijkstra (the zero value) and A*
+// under a lower bound each query reads off the physical network — a
+// backward Dijkstra from the destination over the residual links, each
+// weighing its cheapest free channel. A* precomputes nothing, refuses a
 // physically unreachable destination without searching the auxiliary
-// graph, and is what wdmserve runs by default. All return identical
+// graph, and is what wdmserve runs by default. Both return identical
 // costs; see DESIGN.md §14.
 const (
 	DirectedPlain = core.DirectedPlain
-	DirectedBidi  = core.DirectedBidi
 	DirectedAStar = core.DirectedAStar
 )
 
