@@ -8,7 +8,6 @@
 //	BenchmarkRestrictedK       E4  Theorem 4 k-independence (fixed k0)
 //	BenchmarkDistributed       E5  Theorem 3 messages/rounds
 //	BenchmarkAllPairs          E7  Corollary 1 all-pairs
-//	BenchmarkHeapAblation      design-choice ablation (queue selection)
 //
 // (E6, E8 and E9 are correctness-shaped artifacts; they live as tests:
 // core.TestFig5Revisit / TestTheorem2LoopFree, core.TestObservationBounds
@@ -25,7 +24,6 @@ import (
 	"lightpath/internal/baseline"
 	"lightpath/internal/core"
 	"lightpath/internal/dist"
-	"lightpath/internal/graph"
 	"lightpath/internal/topo"
 	"lightpath/internal/wdm"
 	"lightpath/internal/workload"
@@ -198,29 +196,6 @@ func BenchmarkAllPairs(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := aux.AllPairs(nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkHeapAblation: identical query under the three Dijkstra
-// priority structures (DESIGN.md ablation).
-func BenchmarkHeapAblation(b *testing.B) {
-	const n = 2000
-	tp := topo.RandomSparse(n, 4, 5, rand.New(rand.NewSource(7)))
-	nw := mustInstance(b, tp, workload.RestrictedSpec(8), 7)
-	aux, err := core.NewAux(nw)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, kind := range []graph.QueueKind{graph.QueueFibonacci, graph.QueueBinary, graph.QueuePairing, graph.QueueLinear} {
-		opts := &core.Options{Queue: kind}
-		b.Run(kind.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := aux.Route(0, n/2, opts); err != nil && !errors.Is(err, core.ErrNoRoute) {
 					b.Fatal(err)
 				}
 			}

@@ -36,13 +36,30 @@ func run(args []string, w io.Writer) error {
 	nf.Register(fs)
 	from := fs.Int("from", 0, "source node")
 	to := fs.Int("to", 1, "destination node")
-	queue := fs.String("queue", "fibonacci", "dijkstra queue: fibonacci|binary|pairing|linear")
+	queue := fs.String("queue", "fibonacci", "dijkstra queue: fibonacci|binary|linear")
 	all := fs.Bool("all", false, "print optimal costs from -from to every node")
 	kPaths := fs.Int("paths", 1, "number of alternate semilightpaths to enumerate (Yen)")
 	explain := fs.Bool("explain", false, "print the per-hop cost breakdown")
 	maxHops := fs.Int("max-hops", 0, "optical reach limit: max physical hops (0 = unlimited)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// -all prints a cost table and -paths > 1 runs Yen's enumeration; neither
+	// path reads a hop limit or prints a breakdown, so each refuses the
+	// flags it would otherwise ignore.
+	for _, c := range []struct {
+		set  bool
+		a, b string
+	}{
+		{*all && *kPaths > 1, "-all", "-paths"},
+		{*all && *maxHops > 0, "-all", "-max-hops"},
+		{*all && *explain, "-all", "-explain"},
+		{*kPaths > 1 && *maxHops > 0, "-paths", "-max-hops"},
+		{*kPaths > 1 && *explain, "-paths", "-explain"},
+	} {
+		if c.set {
+			return fmt.Errorf("%s cannot be combined with %s", c.a, c.b)
+		}
 	}
 
 	nw, err := nf.Build()
@@ -58,8 +75,6 @@ func run(args []string, w io.Writer) error {
 		kind = graph.QueueFibonacci
 	case "binary":
 		kind = graph.QueueBinary
-	case "pairing":
-		kind = graph.QueuePairing
 	case "linear":
 		kind = graph.QueueLinear
 	default:

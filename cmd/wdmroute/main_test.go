@@ -31,9 +31,11 @@ func TestRouteQueues(t *testing.T) {
 			t.Fatalf("queue %s: wrong cost:\n%s", q, out.String())
 		}
 	}
-	var out bytes.Buffer
-	if err := run([]string{"-topo", "paper", "-queue", "warp"}, &out); err == nil {
-		t.Fatal("unknown queue must fail")
+	for _, q := range []string{"warp", "pairing"} {
+		var out bytes.Buffer
+		if err := run([]string{"-topo", "paper", "-queue", q}, &out); err == nil {
+			t.Fatalf("unknown queue %s must fail", q)
+		}
 	}
 }
 
@@ -132,16 +134,6 @@ func TestRouteKShortest(t *testing.T) {
 	}
 }
 
-func TestRoutePairingQueue(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-topo", "paper", "-from", "0", "-to", "6", "-queue", "pairing"}, &out); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if !strings.Contains(out.String(), "cost:  20") {
-		t.Fatalf("wrong cost:\n%s", out.String())
-	}
-}
-
 func TestRouteExplain(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-topo", "paper", "-from", "0", "-to", "6", "-explain"}, &out); err != nil {
@@ -168,5 +160,33 @@ func TestRouteMaxHops(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "cost:  20") {
 		t.Fatalf("2-hop route should match the optimum:\n%s", out.String())
+	}
+}
+
+// TestRouteRefusesIgnoredFlags: -all and -paths > 1 answer without a hop
+// limit or a breakdown, so naming -max-hops or -explain beside them — or
+// the two together — is an error that names both flags, not a reply that
+// silently drops one.
+func TestRouteRefusesIgnoredFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		a, b string
+	}{
+		{[]string{"-all", "-paths", "2"}, "-all", "-paths"},
+		{[]string{"-all", "-max-hops", "1"}, "-all", "-max-hops"},
+		{[]string{"-all", "-explain"}, "-all", "-explain"},
+		{[]string{"-paths", "2", "-max-hops", "1"}, "-paths", "-max-hops"},
+		{[]string{"-paths", "2", "-explain"}, "-paths", "-explain"},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			var out bytes.Buffer
+			err := run(append([]string{"-topo", "paper", "-from", "0", "-to", "6"}, tc.args...), &out)
+			if err == nil || !strings.Contains(err.Error(), tc.a) || !strings.Contains(err.Error(), tc.b) {
+				t.Fatalf("err = %v, want a refusal naming %s and %s (output %q)", err, tc.a, tc.b, out.String())
+			}
+			if out.Len() != 0 {
+				t.Fatalf("refused run printed %q", out.String())
+			}
+		})
 	}
 }

@@ -145,7 +145,7 @@ func run(args []string, stdin io.Reader, w io.Writer) error {
 		kind = graph.QueueBucket
 	case "binary":
 		kind = graph.QueueBinary
-	case "fibonacci", "pairing", "linear":
+	case "fibonacci", "linear":
 		return fmt.Errorf("queue %q is an ablation subject, not a serving queue: measure it with wdmbench -experiment heap-ablation", *queue)
 	default:
 		return fmt.Errorf("unknown queue %q", *queue)

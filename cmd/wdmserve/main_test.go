@@ -193,7 +193,7 @@ func TestServeQueueFlag(t *testing.T) {
 		t.Fatalf("replies differ across -queue values:\ndefault:\n%s\nbucket:\n%s\nbinary:\n%s",
 			replies[""], replies["bucket"], replies["binary"])
 	}
-	for _, q := range []string{"fibonacci", "pairing", "linear"} {
+	for _, q := range []string{"fibonacci", "linear"} {
 		var out bytes.Buffer
 		err := run([]string{"-queue", q}, strings.NewReader(""), &out)
 		if err == nil || !strings.Contains(err.Error(), "wdmbench") {

@@ -97,7 +97,7 @@ func TestIntegrationAllSolversAgree(t *testing.T) {
 				// Centralized, all queues.
 				for _, kind := range []lightpath.QueueKind{
 					lightpath.QueueFibonacci, lightpath.QueueBinary,
-					lightpath.QueuePairing, lightpath.QueueLinear,
+					lightpath.QueueLinear, lightpath.QueueBucket,
 				} {
 					res, err := router.Route(s, d, &lightpath.Options{Queue: kind})
 					if (oErr == nil) != (err == nil) {

@@ -562,11 +562,11 @@ func RunRepresentation(w io.Writer, cfg Config) error {
 func RunHeapAblation(w io.Writer, cfg Config) error {
 	rng := rand.New(rand.NewSource(cfg.Seed + 8))
 	kinds := []graph.QueueKind{
-		graph.QueueFibonacci, graph.QueueBinary, graph.QueuePairing, graph.QueueLinear, graph.QueueBucket,
+		graph.QueueFibonacci, graph.QueueBinary, graph.QueueLinear, graph.QueueBucket,
 	}
 	t := &Table{
 		Title:   "Ablation — queue choice inside the core algorithm (k=8)",
-		Note:    "Fibonacci carries the Theorem 1 bound; binary/pairing usually win a point query; linear is the CFZ-era structure; bucket serves goal-less trees (its route cells are the binary heap)",
+		Note:    "Fibonacci carries the Theorem 1 bound; binary usually wins a point query; linear is the CFZ-era structure; bucket serves goal-less trees (its route cells are the binary heap)",
 		Headers: []string{"queue"},
 	}
 	rows := make([][]any, len(kinds))

@@ -12,7 +12,7 @@ import (
 	"lightpath/internal/workload"
 )
 
-var allQueues = []graph.QueueKind{graph.QueueFibonacci, graph.QueueBinary, graph.QueueLinear, graph.QueuePairing, graph.QueueBucket}
+var allQueues = []graph.QueueKind{graph.QueueFibonacci, graph.QueueBinary, graph.QueueLinear, graph.QueueBucket}
 
 // tieHeavyAux builds a small random instance on which equal-cost optima
 // are the rule: channel weights are integers in 0..2 (so zero-weight

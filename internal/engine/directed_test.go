@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"lightpath/internal/core"
+	"lightpath/internal/graph"
 	"lightpath/internal/obs"
 	"lightpath/internal/topo"
 	"lightpath/internal/wdm"
@@ -64,13 +65,27 @@ func TestEngineDirectedModesAgree(t *testing.T) {
 
 // TestNewRefusesUnknownMode: a mode that names no search fails New
 // before the first publish — 2 was astar's number before the modes were
-// renumbered, and would otherwise run as a silent plain search.
+// renumbered, and would otherwise run as a silent plain search. So does a
+// queue the engine does not serve on: an unknown kind would fail every
+// later RouteFrom, and an ablation heap would build served trees without
+// the pass-through mask.
 func TestNewRefusesUnknownMode(t *testing.T) {
 	base := directedTestEngine(t, core.DirectedPlain).Base()
 	for _, mode := range []core.DirectedMode{2, 9} {
 		e, err := New(base, &Options{Directed: mode})
 		if err == nil || !strings.Contains(err.Error(), mode.String()) {
 			t.Fatalf("mode %d: engine %v, error %v; want an error naming %s", uint8(mode), e, err, mode)
+		}
+	}
+	for _, q := range []graph.QueueKind{graph.QueueFibonacci, graph.QueueLinear, 99} {
+		e, err := New(base, &Options{Queue: q})
+		if err == nil || !strings.Contains(err.Error(), q.String()) {
+			t.Fatalf("queue %d: engine %v, error %v; want an error naming %s", int(q), e, err, q)
+		}
+	}
+	for _, q := range []graph.QueueKind{0, graph.QueueBucket, graph.QueueBinary} {
+		if _, err := New(base, &Options{Queue: q}); err != nil {
+			t.Fatalf("serving queue %v refused: %v", q, err)
 		}
 	}
 }

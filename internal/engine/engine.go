@@ -78,7 +78,8 @@ type Options struct {
 	// DirectedPlain point queries. Zero means graph.QueueBucket — trees
 	// built label-correcting over buckets, point queries on the binary heap
 	// every search with a goal runs on. graph.QueueBinary builds the trees
-	// on the heap too (same costs bit for bit; the A/B reference).
+	// on the heap too (same costs bit for bit; the A/B reference). New
+	// refuses any other kind: Fibonacci and linear are ablation subjects.
 	Queue graph.QueueKind
 	// CacheSize sizes the two row caches at CacheSize × TreePays rows
 	// each: the cost-row LRU and — under DirectedAStar — the bound-row
@@ -218,6 +219,9 @@ func New(nw *wdm.Network, opts *Options) (*Engine, error) {
 	}
 	if e.directed != core.DirectedPlain && e.directed != core.DirectedAStar {
 		return nil, fmt.Errorf("engine: unknown search mode %v", e.directed)
+	}
+	if e.queue != graph.QueueBucket && e.queue != graph.QueueBinary {
+		return nil, fmt.Errorf("engine: %v is not a serving queue (bucket or binary)", e.queue)
 	}
 	if cacheSize > 0 {
 		// The row capacities are set below, once TreePays is known.

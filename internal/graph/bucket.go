@@ -156,7 +156,7 @@ func (q *BucketQueue) Timely(key float64) bool { return q.offset(key) < 1 }
 // offset is how many buckets ahead of the one being drained key belongs.
 func (q *BucketQueue) offset(key float64) float64 { return key/q.width - q.base }
 
-// bucketTree runs the search into t (seeded by newSeedTree/seedTree) on
+// bucketTree runs the search into t (seeded by Scratch.seedTree) on
 // q. pass is dijkstraBinInto's pass-through mask: a masked node is never
 // queued, it is scanned the moment a relaxation improves it. seen is the
 // cleared per-node set a duplicate seed is recognised with, nothing else.

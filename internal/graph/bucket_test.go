@@ -10,11 +10,12 @@ import (
 // which the exported entry points fix.
 func bucketRun(t *testing.T, g *Digraph, seeds []int, pass []bool, width float64, buckets int) *ShortestPathTree {
 	t.Helper()
-	tree, err := newSeedTree(g, seeds)
+	sc := NewScratch(g.NumNodes())
+	tree, err := sc.seedTree(seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bucketTree(g, tree, newBucketQueue(buckets), width, make([]bool, g.NumNodes()), pass)
+	bucketTree(g, tree, newBucketQueue(buckets), width, sc.done, pass)
 	return tree
 }
 

@@ -132,7 +132,7 @@ func TestCompactPreservesContents(t *testing.T) {
 func TestScratchMatchesAllocatingPath(t *testing.T) {
 	g := buildRandom(t, 60, 300, 4)
 	sc := NewScratch(g.NumNodes())
-	kinds := []QueueKind{QueueBinary, QueueFibonacci, QueueLinear, QueuePairing, QueueBucket}
+	kinds := []QueueKind{QueueBinary, QueueFibonacci, QueueLinear, QueueBucket}
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
 		seeds := []int{rng.Intn(60), rng.Intn(60)}

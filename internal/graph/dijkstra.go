@@ -3,10 +3,8 @@ package graph
 import (
 	"fmt"
 
-	"lightpath/internal/heap/arrayq"
 	"lightpath/internal/heap/binheap"
 	"lightpath/internal/heap/fibheap"
-	"lightpath/internal/heap/pairing"
 )
 
 // QueueKind selects the priority structure driving Dijkstra's algorithm.
@@ -15,7 +13,6 @@ import (
 //	QueueFibonacci  O(m + n·log n)   — the bound Theorem 1 cites
 //	QueueBinary     O((m+n)·log n)   — what every search with a goal runs on
 //	QueueLinear     O(n² + m)        — the CFZ-era baseline structure
-//	QueuePairing    O(m·α + n·log n) — pairing heap; small constants
 //	QueueBucket     O(m + n + D/W)   — cyclic bucket array of width W ≤ the
 //	                                   lightest hop, D the largest distance;
 //	                                   goal-less searches only (bucket.go) —
@@ -27,7 +24,6 @@ const (
 	QueueFibonacci QueueKind = iota + 1
 	QueueBinary
 	QueueLinear
-	QueuePairing
 	QueueBucket
 )
 
@@ -40,8 +36,6 @@ func (k QueueKind) String() string {
 		return "binary"
 	case QueueLinear:
 		return "linear"
-	case QueuePairing:
-		return "pairing"
 	case QueueBucket:
 		return "bucket"
 	default:
@@ -166,22 +160,8 @@ func DijkstraSeeds(g *Digraph, seeds []int, goal int, kind QueueKind) (*Shortest
 // exhaustion. The routing layer uses it for point queries, where the
 // goals are the X_t shore of the destination.
 func DijkstraSeedsUntil(g *Digraph, seeds, goals []int, kind QueueKind) (*ShortestPathTree, error) {
-	n := g.NumNodes()
-	var gs goalStop
-	if len(goals) > 0 {
-		gs.mark = make([]bool, n)
-	}
-	for _, gl := range goals {
-		if gl < 0 || gl >= n {
-			return nil, fmt.Errorf("%w: goal %d", ErrNodeRange, gl)
-		}
-		gs.mark[gl] = true
-	}
-	t, err := newSeedTree(g, seeds)
-	if err != nil {
-		return nil, err
-	}
-	return t, runEngine(g, t, &gs, kind)
+	// The scratch is this call's alone, so the tree it returns is retainable.
+	return searchScratch(g, seeds, goals, kind, -1, nil, nil)
 }
 
 // goalStop is the stopping rule of DijkstraSeedsUntil, shared by every
@@ -203,119 +183,6 @@ func (gs *goalStop) settle(u int, k float64) {
 	if !gs.hit && gs.mark != nil && gs.mark[u] {
 		gs.hit, gs.dstar = true, k
 	}
-}
-
-func runEngine(g *Digraph, t *ShortestPathTree, gs *goalStop, kind QueueKind) error {
-	switch kind {
-	case QueueFibonacci:
-		return dijkstraFib(g, t, gs)
-	case QueueBinary:
-		return dijkstraBin(g, t, gs)
-	case QueueLinear:
-		return dijkstraLinear(g, t, gs)
-	case QueuePairing:
-		return dijkstraPairing(g, t, gs)
-	case QueueBucket:
-		if gs.mark != nil {
-			return dijkstraBin(g, t, gs) // a goal stop needs the pop order
-		}
-		bucketTree(g, t, newBucketQueue(bucketCount), arcWidth(g), make([]bool, g.NumNodes()), nil)
-		return nil
-	default:
-		return fmt.Errorf("graph: unknown queue kind %d", int(kind))
-	}
-}
-
-func dijkstraPairing(g *Digraph, t *ShortestPathTree, gs *goalStop) error {
-	h := pairing.New()
-	handles := make([]*pairing.Node, g.NumNodes())
-	for _, s := range t.seeds {
-		if handles[s] == nil {
-			handles[s] = h.Insert(0, int64(s))
-		}
-	}
-	done := make([]bool, g.NumNodes())
-	for !h.Empty() {
-		node, err := h.ExtractMin()
-		if err != nil {
-			return err
-		}
-		u, du := int(node.Value()), node.Key()
-		if gs.past(du) {
-			return nil
-		}
-		handles[u] = nil
-		done[u] = true
-		t.Settled++
-		gs.settle(u, du)
-		for i, a := range g.Out(u) {
-			v := int(a.To)
-			if done[v] {
-				continue
-			}
-			t.Relaxed++
-			nd := du + a.Weight
-			if nd < t.Dist[v] {
-				t.Dist[v] = nd
-				t.Parent[v] = int32(u)
-				t.ViaArc[v] = int32(i)
-				if handles[v] == nil {
-					handles[v] = h.Insert(nd, int64(v))
-				} else if err := h.DecreaseKey(handles[v], nd); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-func dijkstraFib(g *Digraph, t *ShortestPathTree, gs *goalStop) error {
-	h := fibheap.New()
-	handles := make([]*fibheap.Node, g.NumNodes())
-	for _, s := range t.seeds {
-		if handles[s] == nil {
-			handles[s] = h.Insert(0, int64(s))
-		}
-	}
-	done := make([]bool, g.NumNodes())
-	for !h.Empty() {
-		node, err := h.ExtractMin()
-		if err != nil {
-			return err
-		}
-		u, du := int(node.Value()), node.Key()
-		if gs.past(du) {
-			return nil
-		}
-		handles[u] = nil
-		done[u] = true
-		t.Settled++
-		gs.settle(u, du)
-		for i, a := range g.Out(u) {
-			v := int(a.To)
-			if done[v] {
-				continue
-			}
-			t.Relaxed++
-			nd := du + a.Weight
-			if nd < t.Dist[v] {
-				t.Dist[v] = nd
-				t.Parent[v] = int32(u)
-				t.ViaArc[v] = int32(i)
-				if handles[v] == nil {
-					handles[v] = h.Insert(nd, int64(v))
-				} else if err := h.DecreaseKey(handles[v], nd); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-func dijkstraBin(g *Digraph, t *ShortestPathTree, gs *goalStop) error {
-	return dijkstraBinInto(g, t, gs, binheap.New(g.NumNodes()), make([]bool, g.NumNodes()), nil)
 }
 
 // dijkstraBinInto is the binary-heap engine over caller-provided heap
@@ -387,12 +254,22 @@ func relaxBin(g *Digraph, t *ShortestPathTree, h *binheap.Heap, done, pass []boo
 	return nil
 }
 
-func dijkstraLinear(g *Digraph, t *ShortestPathTree, gs *goalStop) error {
-	q := arrayq.New(g.NumNodes())
+// ablationQueue is what ablationTree asks of its priority queue — the
+// shape of arrayq, which fibQueue gives the Fibonacci heap.
+type ablationQueue interface {
+	PushOrDecrease(v int, key float64) bool
+	Pop() (v int, key float64, err error)
+	Empty() bool
+}
+
+// ablationTree is Dijkstra on one of the two queues the paper's bounds
+// are stated for — QueueFibonacci (Theorem 1) and QueueLinear (the CFZ
+// baseline) — into t, with done the cleared settled set. It takes no
+// pass-through mask: every node reached is queued and popped.
+func ablationTree(g *Digraph, t *ShortestPathTree, gs *goalStop, q ablationQueue, done []bool) error {
 	for _, s := range t.seeds {
 		q.PushOrDecrease(s, 0)
 	}
-	done := make([]bool, g.NumNodes())
 	for !q.Empty() {
 		u, du, err := q.Pop()
 		if err != nil {
@@ -420,6 +297,32 @@ func dijkstraLinear(g *Digraph, t *ShortestPathTree, gs *goalStop) error {
 		}
 	}
 	return nil
+}
+
+// fibQueue is the Fibonacci heap behind ablationQueue: node holds the
+// handle of every queued node, so a lower key is a DecreaseKey.
+type fibQueue struct {
+	*fibheap.Heap
+	node []*fibheap.Node
+}
+
+func (q *fibQueue) PushOrDecrease(v int, key float64) bool {
+	if x := q.node[v]; x != nil {
+		// x is queued (Pop drops its handle) and the key is lower, so
+		// DecreaseKey has no error to return.
+		return key < x.Key() && q.DecreaseKey(x, key) == nil
+	}
+	q.node[v] = q.Insert(key, int64(v))
+	return true
+}
+
+func (q *fibQueue) Pop() (int, float64, error) {
+	x, err := q.ExtractMin()
+	if err != nil {
+		return 0, 0, err
+	}
+	q.node[x.Value()] = nil
+	return int(x.Value()), x.Key(), nil
 }
 
 // BellmanFord computes single-source shortest paths by edge relaxation in
@@ -469,37 +372,4 @@ func BellmanFord(g *Digraph, src int) (*ShortestPathTree, int, error) {
 	}
 	t.Settled = n
 	return t, rounds, nil
-}
-
-// newSeedTree validates seeds and initializes a distance tree with every
-// seed at distance 0.
-func newSeedTree(g *Digraph, seeds []int) (*ShortestPathTree, error) {
-	n := g.NumNodes()
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("%w: no seeds", ErrNodeRange)
-	}
-	for _, s := range seeds {
-		if s < 0 || s >= n {
-			return nil, fmt.Errorf("%w: seed %d", ErrNodeRange, s)
-		}
-	}
-	t := &ShortestPathTree{
-		Source: -1,
-		Dist:   make([]float64, n),
-		Parent: make([]int32, n),
-		ViaArc: make([]int32, n),
-	}
-	if len(seeds) == 1 {
-		t.Source = seeds[0]
-	}
-	for i := range t.Dist {
-		t.Dist[i] = Inf
-		t.Parent[i] = -1
-		t.ViaArc[i] = -1
-	}
-	t.seeds = seeds
-	for _, s := range seeds {
-		t.Dist[s] = 0
-	}
-	return t, nil
 }

@@ -2,12 +2,13 @@ package graph
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-var allKinds = []QueueKind{QueueFibonacci, QueueBinary, QueueLinear, QueuePairing, QueueBucket}
+var allKinds = []QueueKind{QueueFibonacci, QueueBinary, QueueLinear, QueueBucket}
 
 func TestQueueKindString(t *testing.T) {
 	cases := map[QueueKind]string{
@@ -34,56 +35,60 @@ func lineGraph(t *testing.T, n int) *Digraph {
 
 func TestDijkstraLine(t *testing.T) {
 	for _, kind := range allKinds {
-		g := lineGraph(t, 5)
-		tree, err := Dijkstra(g, 0, -1, kind)
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		want := []float64{0, 1, 3, 6, 10}
-		for v, d := range want {
-			if tree.Dist[v] != d {
-				t.Fatalf("%v: Dist[%d] = %v, want %v", kind, v, tree.Dist[v], d)
+		t.Run(kind.String(), func(t *testing.T) {
+			g := lineGraph(t, 5)
+			tree, err := Dijkstra(g, 0, -1, kind)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		path, err := tree.PathTo(4)
-		if err != nil {
-			t.Fatalf("%v: PathTo: %v", kind, err)
-		}
-		if len(path) != 5 {
-			t.Fatalf("%v: path = %v", kind, path)
-		}
-		for i, v := range path {
-			if v != i {
-				t.Fatalf("%v: path = %v, want 0..4", kind, path)
+			want := []float64{0, 1, 3, 6, 10}
+			for v, d := range want {
+				if tree.Dist[v] != d {
+					t.Fatalf("Dist[%d] = %v, want %v", v, tree.Dist[v], d)
+				}
 			}
-		}
+			path, err := tree.PathTo(4)
+			if err != nil {
+				t.Fatalf("PathTo: %v", err)
+			}
+			if len(path) != 5 {
+				t.Fatalf("path = %v", path)
+			}
+			for i, v := range path {
+				if v != i {
+					t.Fatalf("path = %v, want 0..4", path)
+				}
+			}
+		})
 	}
 }
 
 func TestDijkstraPicksCheaperOfParallelArcs(t *testing.T) {
 	for _, kind := range allKinds {
-		g := New(2)
-		mustTaggedArc(t, g, 0, 1, 9, 1)
-		mustTaggedArc(t, g, 0, 1, 4, 2)
-		mustTaggedArc(t, g, 0, 1, 6, 3)
-		tree, err := Dijkstra(g, 0, -1, kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tree.Dist[1] != 4 {
-			t.Fatalf("%v: Dist[1] = %v, want 4", kind, tree.Dist[1])
-		}
-		hops, err := tree.ArcsTo(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(hops) != 1 {
-			t.Fatalf("%v: hops = %+v", kind, hops)
-		}
-		arc := g.Out(hops[0].From)[hops[0].ArcIndex]
-		if arc.Tag != 2 {
-			t.Fatalf("%v: chose arc tag %d, want 2 (the cheap one)", kind, arc.Tag)
-		}
+		t.Run(kind.String(), func(t *testing.T) {
+			g := New(2)
+			mustTaggedArc(t, g, 0, 1, 9, 1)
+			mustTaggedArc(t, g, 0, 1, 4, 2)
+			mustTaggedArc(t, g, 0, 1, 6, 3)
+			tree, err := Dijkstra(g, 0, -1, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tree.Dist[1] != 4 {
+				t.Fatalf("Dist[1] = %v, want 4", tree.Dist[1])
+			}
+			hops, err := tree.ArcsTo(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(hops) != 1 {
+				t.Fatalf("hops = %+v", hops)
+			}
+			arc := g.Out(hops[0].From)[hops[0].ArcIndex]
+			if arc.Tag != 2 {
+				t.Fatalf("chose arc tag %d, want 2 (the cheap one)", arc.Tag)
+			}
+		})
 	}
 }
 
@@ -96,18 +101,20 @@ func mustTaggedArc(t *testing.T, g *Digraph, u, v int, w float64, tag int32) {
 
 func TestDijkstraUnreachable(t *testing.T) {
 	for _, kind := range allKinds {
-		g := New(3)
-		mustArc(t, g, 0, 1, 1)
-		tree, err := Dijkstra(g, 0, -1, kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tree.Reached(2) {
-			t.Fatalf("%v: node 2 should be unreachable", kind)
-		}
-		if _, err := tree.PathTo(2); !errors.Is(err, ErrNoPath) {
-			t.Fatalf("%v: PathTo unreachable: %v", kind, err)
-		}
+		t.Run(kind.String(), func(t *testing.T) {
+			g := New(3)
+			mustArc(t, g, 0, 1, 1)
+			tree, err := Dijkstra(g, 0, -1, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tree.Reached(2) {
+				t.Fatal("node 2 should be unreachable")
+			}
+			if _, err := tree.PathTo(2); !errors.Is(err, ErrNoPath) {
+				t.Fatalf("PathTo unreachable: %v", err)
+			}
+		})
 	}
 }
 
@@ -141,66 +148,106 @@ func TestDijkstraArgErrors(t *testing.T) {
 func TestDijkstraZeroWeightCycle(t *testing.T) {
 	// Zero-weight cycles must not hang or corrupt distances.
 	for _, kind := range allKinds {
-		g := New(3)
-		mustArc(t, g, 0, 1, 0)
-		mustArc(t, g, 1, 0, 0)
-		mustArc(t, g, 1, 2, 5)
-		tree, err := Dijkstra(g, 0, -1, kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tree.Dist[2] != 5 {
-			t.Fatalf("%v: Dist[2] = %v, want 5", kind, tree.Dist[2])
-		}
+		t.Run(kind.String(), func(t *testing.T) {
+			g := New(3)
+			mustArc(t, g, 0, 1, 0)
+			mustArc(t, g, 1, 0, 0)
+			mustArc(t, g, 1, 2, 5)
+			tree, err := Dijkstra(g, 0, -1, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tree.Dist[2] != 5 {
+				t.Fatalf("Dist[2] = %v, want 5", tree.Dist[2])
+			}
+		})
 	}
 }
 
 // TestEnginesAgree is the central cross-validation property: on random
-// digraphs all three Dijkstra engines and Bellman-Ford produce identical
-// distance vectors, and every reconstructed path's arc weights sum to the
-// reported distance.
+// digraphs every queue kind gives every node the binary heap's distance,
+// bit for bit, and settles as many nodes — with no goal, and with a goal
+// set, where the search stops at the same plateau and leaves the same
+// tentative distances. The full trees match Bellman-Ford, and every
+// reconstructed path's arc weights sum to the reported distance.
 func TestEnginesAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(2024))
-	for trial := 0; trial < 40; trial++ {
+	type instance struct {
+		g          *Digraph
+		src        int
+		goals      []int
+		bellman    *ShortestPathTree
+		full, goal *ShortestPathTree // QueueBinary's trees
+	}
+	rng, grng := rand.New(rand.NewSource(2024)), rand.New(rand.NewSource(99))
+	cases := make([]instance, 40)
+	for trial := range cases {
 		n := 2 + rng.Intn(40)
-		g := randomDigraph(rng, n, 0.15)
-		src := rng.Intn(n)
-
-		ref, _, err := BellmanFord(g, src)
-		if err != nil {
+		c := &cases[trial]
+		c.g = randomDigraph(rng, n, 0.15)
+		c.src = rng.Intn(n)
+		c.goals = []int{grng.Intn(n), grng.Intn(n)}
+		var err error
+		if c.bellman, _, err = BellmanFord(c.g, c.src); err != nil {
 			t.Fatalf("BellmanFord: %v", err)
 		}
-		for _, kind := range allKinds {
-			tree, err := Dijkstra(g, src, -1, kind)
-			if err != nil {
-				t.Fatalf("%v: %v", kind, err)
-			}
-			for v := 0; v < n; v++ {
-				if !almostEq(tree.Dist[v], ref.Dist[v]) {
-					t.Fatalf("trial %d %v: Dist[%d] = %v, reference %v", trial, kind, v, tree.Dist[v], ref.Dist[v])
-				}
-				if !tree.Reached(v) {
-					continue
-				}
-				hops, err := tree.ArcsTo(v)
-				if err != nil {
-					t.Fatalf("ArcsTo(%d): %v", v, err)
-				}
-				sum := 0.0
-				at := src
-				for _, h := range hops {
-					if h.From != at {
-						t.Fatalf("path discontinuity at %d", h.From)
-					}
-					arc := g.Out(h.From)[h.ArcIndex]
-					sum += arc.Weight
-					at = int(arc.To)
-				}
-				if at != v || !almostEq(sum, tree.Dist[v]) {
-					t.Fatalf("trial %d %v: path to %d sums to %v, Dist %v", trial, kind, v, sum, tree.Dist[v])
-				}
-			}
+		if c.full, err = Dijkstra(c.g, c.src, -1, QueueBinary); err != nil {
+			t.Fatal(err)
 		}
+		if c.goal, err = DijkstraSeedsUntil(c.g, []int{c.src}, c.goals, QueueBinary); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, kind := range allKinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			for trial, c := range cases {
+				tree, err := Dijkstra(c.g, c.src, -1, kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				goal, err := DijkstraSeedsUntil(c.g, []int{c.src}, c.goals, kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range []struct {
+					what      string
+					got, want *ShortestPathTree
+				}{{"full", tree, c.full}, {"goals", goal, c.goal}} {
+					if p.got.Settled != p.want.Settled {
+						t.Fatalf("trial %d %s: settled %d, binary %d", trial, p.what, p.got.Settled, p.want.Settled)
+					}
+					for v := range p.want.Dist {
+						if math.Float64bits(p.got.Dist[v]) != math.Float64bits(p.want.Dist[v]) {
+							t.Fatalf("trial %d %s: Dist[%d] = %v, binary %v", trial, p.what, v, p.got.Dist[v], p.want.Dist[v])
+						}
+					}
+				}
+				for v := range tree.Dist {
+					if !almostEq(tree.Dist[v], c.bellman.Dist[v]) {
+						t.Fatalf("trial %d: Dist[%d] = %v, reference %v", trial, v, tree.Dist[v], c.bellman.Dist[v])
+					}
+					if !tree.Reached(v) {
+						continue
+					}
+					hops, err := tree.ArcsTo(v)
+					if err != nil {
+						t.Fatalf("ArcsTo(%d): %v", v, err)
+					}
+					sum := 0.0
+					at := c.src
+					for _, h := range hops {
+						if h.From != at {
+							t.Fatalf("path discontinuity at %d", h.From)
+						}
+						arc := c.g.Out(h.From)[h.ArcIndex]
+						sum += arc.Weight
+						at = int(arc.To)
+					}
+					if at != v || !almostEq(sum, tree.Dist[v]) {
+						t.Fatalf("trial %d: path to %d sums to %v, Dist %v", trial, v, sum, tree.Dist[v])
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -338,19 +385,21 @@ func TestDijkstraSeedsErrors(t *testing.T) {
 func TestDijkstraSeedsUntilEarlyStop(t *testing.T) {
 	g := lineGraph(t, 100)
 	for _, kind := range allKinds {
-		tree, err := DijkstraSeedsUntil(g, []int{0}, []int{2, 4}, kind)
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		if tree.Dist[2] != 3 {
-			t.Fatalf("%v: Dist[2] = %v, want 3", kind, tree.Dist[2])
-		}
-		if tree.Settled != 3 {
-			t.Fatalf("%v: settled %d nodes, want 3 (0, 1 and the first goal)", kind, tree.Settled)
-		}
-		if tree.Reached(4) {
-			t.Fatalf("%v: goal 4 lies past the first goal, Dist %v", kind, tree.Dist[4])
-		}
+		t.Run(kind.String(), func(t *testing.T) {
+			tree, err := DijkstraSeedsUntil(g, []int{0}, []int{2, 4}, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tree.Dist[2] != 3 {
+				t.Fatalf("Dist[2] = %v, want 3", tree.Dist[2])
+			}
+			if tree.Settled != 3 {
+				t.Fatalf("settled %d nodes, want 3 (0, 1 and the first goal)", tree.Settled)
+			}
+			if tree.Reached(4) {
+				t.Fatalf("goal 4 lies past the first goal, Dist %v", tree.Dist[4])
+			}
+		})
 	}
 }
 
@@ -369,18 +418,20 @@ func TestDijkstraSeedsUntilDrainsTies(t *testing.T) {
 	mustArc(t, g, 1, 4, 0)
 	mustArc(t, g, 4, 5, 1)
 	for _, kind := range allKinds {
-		tree, err := DijkstraSeedsUntil(g, []int{0}, []int{5, 4, 3, 1}, kind)
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		for v, parent := range map[int]int32{1: 0, 2: 0, 3: 2, 4: 1} {
-			if tree.Dist[v] != 2 || tree.Parent[v] != parent {
-				t.Fatalf("%v: node %d dist %v parent %d, want 2 via %d", kind, v, tree.Dist[v], tree.Parent[v], parent)
+		t.Run(kind.String(), func(t *testing.T) {
+			tree, err := DijkstraSeedsUntil(g, []int{0}, []int{5, 4, 3, 1}, kind)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if tree.Settled != 5 {
-			t.Fatalf("%v: settled %d nodes, want 5 (the seed and the plateau, not goal 5)", kind, tree.Settled)
-		}
+			for v, parent := range map[int]int32{1: 0, 2: 0, 3: 2, 4: 1} {
+				if tree.Dist[v] != 2 || tree.Parent[v] != parent {
+					t.Fatalf("node %d dist %v parent %d, want 2 via %d", v, tree.Dist[v], tree.Parent[v], parent)
+				}
+			}
+			if tree.Settled != 5 {
+				t.Fatalf("settled %d nodes, want 5 (the seed and the plateau, not goal 5)", tree.Settled)
+			}
+		})
 	}
 }
 
@@ -391,8 +442,13 @@ func TestDijkstraSeedsUntilDrainsTies(t *testing.T) {
 // engine agree on the minimum over the goals, on the lowest-index goal
 // attaining it, and on the whole parent chain into that goal.
 func TestGoalStopMatchesExhaustive(t *testing.T) {
+	type instance struct {
+		g            *Digraph
+		seeds, goals []int
+	}
 	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 150; trial++ {
+	cases := make([]instance, 150)
+	for trial := range cases {
 		n := 2 + rng.Intn(40)
 		g := New(n)
 		for u := 0; u < n; u++ {
@@ -407,64 +463,69 @@ func TestGoalStopMatchesExhaustive(t *testing.T) {
 		for i := range goals {
 			goals[i] = rng.Intn(n)
 		}
-		type engine struct {
-			name string
-			run  func(goals []int) (*ShortestPathTree, error)
+		cases[trial] = instance{g, seeds, goals}
+	}
+	type engine struct {
+		name string
+		run  func(t *testing.T, c instance, goals []int) (*ShortestPathTree, error)
+	}
+	var engines []engine
+	for _, kind := range allKinds {
+		if kind == QueueBucket {
+			// With goals it is the binary engine, and its own exhaustive
+			// run may pick another of several equal-cost paths.
+			continue
 		}
-		var engines []engine
-		for _, kind := range allKinds {
-			kind := kind
-			if kind == QueueBucket {
-				// With goals it is the binary engine, and its own exhaustive
-				// run may pick another of several equal-cost paths.
-				continue
-			}
-			engines = append(engines, engine{kind.String(), func(goals []int) (*ShortestPathTree, error) {
-				return DijkstraSeedsUntil(g, seeds, goals, kind)
-			}})
-		}
-		for name, pot := range map[string]func(int) float64{"astar-zero": ZeroPotential, "astar-exact": exactPotential(t, g, goals)} {
-			pot := pot
-			engines = append(engines, engine{name, func(goals []int) (*ShortestPathTree, error) {
-				return AStarSeedsUntil(g, seeds, goals, pot)
-			}})
-		}
-		for _, e := range engines {
-			got, err := e.run(goals)
-			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, e.name, err)
-			}
-			full, err := e.run(nil)
-			if err != nil {
-				t.Fatalf("trial %d %s exhaustive: %v", trial, e.name, err)
-			}
-			gotAt, wantAt := argminGoal(got, goals), argminGoal(full, goals)
-			if gotAt != wantAt {
-				t.Fatalf("trial %d %s: best goal %d, exhaustive run says %d", trial, e.name, gotAt, wantAt)
-			}
-			if wantAt < 0 {
-				continue
-			}
-			if got.Dist[gotAt] != full.Dist[wantAt] {
-				t.Fatalf("trial %d %s: dist %v, exhaustive %v", trial, e.name, got.Dist[gotAt], full.Dist[wantAt])
-			}
-			gotHops, err := got.ArcsTo(gotAt)
-			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, e.name, err)
-			}
-			wantHops, _ := full.ArcsTo(wantAt)
-			if len(gotHops) != len(wantHops) {
-				t.Fatalf("trial %d %s: path %v, exhaustive %v", trial, e.name, gotHops, wantHops)
-			}
-			for i := range gotHops {
-				if gotHops[i] != wantHops[i] {
-					t.Fatalf("trial %d %s: path %v, exhaustive %v", trial, e.name, gotHops, wantHops)
+		engines = append(engines, engine{kind.String(), func(_ *testing.T, c instance, goals []int) (*ShortestPathTree, error) {
+			return DijkstraSeedsUntil(c.g, c.seeds, goals, kind)
+		}})
+	}
+	engines = append(engines,
+		engine{"astar-zero", func(_ *testing.T, c instance, goals []int) (*ShortestPathTree, error) {
+			return AStarSeedsUntil(c.g, c.seeds, goals, ZeroPotential)
+		}},
+		engine{"astar-exact", func(t *testing.T, c instance, goals []int) (*ShortestPathTree, error) {
+			return AStarSeedsUntil(c.g, c.seeds, goals, exactPotential(t, c.g, c.goals))
+		}})
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) {
+			for trial, c := range cases {
+				got, err := e.run(t, c, c.goals)
+				if err != nil {
+					t.Fatalf("trial %d: %v", trial, err)
+				}
+				full, err := e.run(t, c, nil)
+				if err != nil {
+					t.Fatalf("trial %d exhaustive: %v", trial, err)
+				}
+				gotAt, wantAt := argminGoal(got, c.goals), argminGoal(full, c.goals)
+				if gotAt != wantAt {
+					t.Fatalf("trial %d: best goal %d, exhaustive run says %d", trial, gotAt, wantAt)
+				}
+				if wantAt < 0 {
+					continue
+				}
+				if got.Dist[gotAt] != full.Dist[wantAt] {
+					t.Fatalf("trial %d: dist %v, exhaustive %v", trial, got.Dist[gotAt], full.Dist[wantAt])
+				}
+				gotHops, err := got.ArcsTo(gotAt)
+				if err != nil {
+					t.Fatalf("trial %d: %v", trial, err)
+				}
+				wantHops, _ := full.ArcsTo(wantAt)
+				if len(gotHops) != len(wantHops) {
+					t.Fatalf("trial %d: path %v, exhaustive %v", trial, gotHops, wantHops)
+				}
+				for i := range gotHops {
+					if gotHops[i] != wantHops[i] {
+						t.Fatalf("trial %d: path %v, exhaustive %v", trial, gotHops, wantHops)
+					}
+				}
+				if got.Settled > full.Settled {
+					t.Fatalf("trial %d: settled %d > exhaustive %d", trial, got.Settled, full.Settled)
 				}
 			}
-			if got.Settled > full.Settled {
-				t.Fatalf("trial %d %s: settled %d > exhaustive %d", trial, e.name, got.Settled, full.Settled)
-			}
-		}
+		})
 	}
 }
 
@@ -568,35 +629,37 @@ func TestDijkstraSeedsUntilEdgeCases(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		for _, kind := range allKinds {
-			t.Run(tc.name+"/"+kind.String(), func(t *testing.T) {
-				g := build(t)
-				tree, err := DijkstraSeedsUntil(g, tc.seeds, tc.goals, kind)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for v, want := range tc.wantDist {
-					if !almostEq(tree.Dist[v], want) {
-						t.Fatalf("Dist[%d] = %v, want %v", v, tree.Dist[v], want)
+		t.Run(tc.name, func(t *testing.T) {
+			for _, kind := range allKinds {
+				t.Run(kind.String(), func(t *testing.T) {
+					g := build(t)
+					tree, err := DijkstraSeedsUntil(g, tc.seeds, tc.goals, kind)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				for _, v := range tc.wantUnrea {
-					if tree.Reached(v) {
-						t.Fatalf("node %d should be unreachable, Dist %v", v, tree.Dist[v])
-					}
-				}
-				if tc.fullTree {
-					for v := 0; v <= 3; v++ {
-						if !tree.Reached(v) {
-							t.Fatalf("full-tree run left reachable node %d unsettled", v)
+					for v, want := range tc.wantDist {
+						if !almostEq(tree.Dist[v], want) {
+							t.Fatalf("Dist[%d] = %v, want %v", v, tree.Dist[v], want)
 						}
 					}
-				}
-				if tc.maxSettle > 0 && tree.Settled > tc.maxSettle {
-					t.Fatalf("settled %d nodes, early stop should need ≤%d", tree.Settled, tc.maxSettle)
-				}
-			})
-		}
+					for _, v := range tc.wantUnrea {
+						if tree.Reached(v) {
+							t.Fatalf("node %d should be unreachable, Dist %v", v, tree.Dist[v])
+						}
+					}
+					if tc.fullTree {
+						for v := 0; v <= 3; v++ {
+							if !tree.Reached(v) {
+								t.Fatalf("full-tree run left reachable node %d unsettled", v)
+							}
+						}
+					}
+					if tc.maxSettle > 0 && tree.Settled > tc.maxSettle {
+						t.Fatalf("settled %d nodes, early stop should need ≤%d", tree.Settled, tc.maxSettle)
+					}
+				})
+			}
+		})
 	}
 }
 

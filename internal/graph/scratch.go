@@ -3,7 +3,9 @@ package graph
 import (
 	"fmt"
 
+	"lightpath/internal/heap/arrayq"
 	"lightpath/internal/heap/binheap"
+	"lightpath/internal/heap/fibheap"
 )
 
 // Scratch is the reusable state of one Dijkstra pass over a graph of a
@@ -56,8 +58,8 @@ func NewScratch(n int) *Scratch {
 // Nodes reports the graph size this scratch serves.
 func (sc *Scratch) Nodes() int { return sc.n }
 
-// seedTree initializes the scratch-backed tree and settled set for the
-// given seeds, mirroring newSeedTree without allocating.
+// seedTree validates seeds and initializes the scratch-backed tree and
+// settled set with every seed at distance 0.
 func (sc *Scratch) seedTree(seeds []int) (*ShortestPathTree, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("%w: no seeds", ErrNodeRange)
@@ -104,17 +106,18 @@ func (sc *Scratch) Touched() (nodes []int32, ok bool) { return sc.touched, sc.sp
 // through whatever their pool handed them.
 //
 // The binary queue reuses the scratch's heap and settled set, the bucket
-// queue its entry array; the other queue kinds reuse the tree arrays but
-// keep their own pointer-based structures (their handle graphs cannot be
-// recycled flatly). QueueBucket with goals runs the binary queue, and
-// without them sizes its buckets from g's arc weights on every call —
-// a caller that knows its weight range uses BucketTreeScratch.
+// queue its entry array; the two ablation queues reuse the tree arrays and
+// the settled set but build their own queue per call (the Fibonacci
+// heap's handle graph cannot be recycled flatly). QueueBucket with goals
+// runs the binary queue, and without them sizes its buckets from g's arc
+// weights on every call — a caller that knows its weight range uses
+// BucketTreeScratch.
 //
 // pass is the binary and bucket queues' optional pass-through mask (see
 // dijkstraBinInto): one entry per node, true for nodes that forward an
 // improved key along their out-arcs instead of being queued. No goal may
 // be masked — a masked node is never settled, so the stopping rule would
-// not see it. The other queue kinds search unmasked whatever pass holds;
+// not see it. The ablation queues search unmasked whatever pass holds;
 // distances are the same either way.
 func DijkstraSeedsUntilScratch(g *Digraph, seeds, goals []int, kind QueueKind, sc *Scratch, pass []bool) (*ShortestPathTree, error) {
 	return searchScratch(g, seeds, goals, kind, -1, sc, pass)
@@ -131,8 +134,9 @@ func BucketTreeScratch(g *Digraph, seeds []int, width float64, sc *Scratch, pass
 	return searchScratch(g, seeds, nil, QueueBucket, width, sc, pass)
 }
 
-// searchScratch is the body of both: width is the bucket queue's, and a
-// negative one is replaced by arcWidth(g).
+// searchScratch is the body of every Dijkstra entry point and the one
+// dispatch on QueueKind: width is the bucket queue's, and a negative one
+// is replaced by arcWidth(g).
 func searchScratch(g *Digraph, seeds, goals []int, kind QueueKind, width float64, sc *Scratch, pass []bool) (*ShortestPathTree, error) {
 	n := g.NumNodes()
 	if pass != nil && len(pass) != n {
@@ -166,8 +170,12 @@ func searchScratch(g *Digraph, seeds, goals []int, kind QueueKind, width float64
 	case kind == QueueBinary || kind == QueueBucket: // a goal stop needs the pop order
 		h, done := sc.queue()
 		err = dijkstraBinInto(g, t, &gs, h, done, pass)
+	case kind == QueueFibonacci:
+		err = ablationTree(g, t, &gs, &fibQueue{fibheap.New(), make([]*fibheap.Node, n)}, sc.done)
+	case kind == QueueLinear:
+		err = ablationTree(g, t, &gs, arrayq.New(n), sc.done)
 	default:
-		err = runEngine(g, t, &gs, kind)
+		err = fmt.Errorf("graph: unknown queue kind %d", int(kind))
 	}
 	sc.clearGoals(goals)
 	return t, err

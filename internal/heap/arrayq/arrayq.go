@@ -30,19 +30,8 @@ func New(capacity int) *Queue {
 	}
 }
 
-// Len reports the number of items currently queued.
-func (q *Queue) Len() int { return q.n }
-
 // Empty reports whether the queue has no items.
 func (q *Queue) Empty() bool { return q.n == 0 }
-
-// Contains reports whether item is currently queued.
-func (q *Queue) Contains(item int) bool {
-	return item >= 0 && item < len(q.in) && q.in[item]
-}
-
-// Key returns the current priority of item; meaningful only if queued.
-func (q *Queue) Key(item int) float64 { return q.keys[item] }
 
 // PushOrDecrease inserts item or lowers its key, whichever applies.
 // It reports whether the stored key changed. O(1).
@@ -75,12 +64,4 @@ func (q *Queue) Pop() (item int, key float64, err error) {
 	q.in[best] = false
 	q.n--
 	return best, q.keys[best], nil
-}
-
-// Reset empties the queue, retaining capacity.
-func (q *Queue) Reset() {
-	for i := range q.in {
-		q.in[i] = false
-	}
-	q.n = 0
 }

@@ -9,7 +9,7 @@ import (
 
 func TestEmpty(t *testing.T) {
 	q := New(4)
-	if !q.Empty() || q.Len() != 0 {
+	if !q.Empty() {
 		t.Fatal("new queue should be empty")
 	}
 	if _, _, err := q.Pop(); err != ErrEmpty {
@@ -45,47 +45,15 @@ func TestPushOrDecreaseSemantics(t *testing.T) {
 	if q.PushOrDecrease(0, 15) {
 		t.Fatal("worse key should not change")
 	}
-	if q.Key(0) != 10 {
-		t.Fatalf("Key = %v, want 10", q.Key(0))
-	}
 	if !q.PushOrDecrease(0, 3) {
 		t.Fatal("better key should change")
 	}
-	if q.Key(0) != 3 {
-		t.Fatalf("Key = %v, want 3", q.Key(0))
+	item, key, err := q.Pop()
+	if err != nil || item != 0 || key != 3 {
+		t.Fatalf("Pop = (%d, %v, %v), want (0, 3, nil)", item, key, err)
 	}
-	if q.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", q.Len())
-	}
-}
-
-func TestContains(t *testing.T) {
-	q := New(3)
-	if q.Contains(1) || q.Contains(-1) || q.Contains(3) {
-		t.Fatal("empty/out-of-range Contains should be false")
-	}
-	q.PushOrDecrease(1, 5)
-	if !q.Contains(1) {
-		t.Fatal("queued item should be contained")
-	}
-	_, _, _ = q.Pop()
-	if q.Contains(1) {
-		t.Fatal("popped item should not be contained")
-	}
-}
-
-func TestReset(t *testing.T) {
-	q := New(3)
-	q.PushOrDecrease(0, 1)
-	q.PushOrDecrease(1, 2)
-	q.Reset()
-	if !q.Empty() || q.Contains(0) {
-		t.Fatal("Reset should clear queue")
-	}
-	q.PushOrDecrease(2, 9)
-	item, key, _ := q.Pop()
-	if item != 2 || key != 9 {
-		t.Fatalf("popped (%d,%v), want (2,9)", item, key)
+	if !q.Empty() {
+		t.Fatal("one item pushed three times should pop once")
 	}
 }
 
@@ -157,8 +125,8 @@ func TestAgainstModel(t *testing.T) {
 			}
 			delete(model, item)
 		}
-		if q.Len() != len(model) {
-			t.Fatalf("Len = %d, model %d", q.Len(), len(model))
+		if q.Empty() != (len(model) == 0) {
+			t.Fatalf("Empty = %v, model holds %d", q.Empty(), len(model))
 		}
 	}
 }

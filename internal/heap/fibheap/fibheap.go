@@ -1,25 +1,19 @@
 // Package fibheap implements a Fibonacci heap (Fredman & Tarjan, JACM 1987)
 // keyed by float64 priorities with int64 payloads.
 //
-// The heap supports the full set of mergeable-heap operations with the
+// The heap carries the operations Dijkstra's algorithm issues, with the
 // amortized bounds the paper's Theorem 1 relies on:
 //
 //	Insert       O(1)
-//	Min          O(1)
 //	ExtractMin   O(log n) amortized
 //	DecreaseKey  O(1) amortized
-//	Delete       O(log n) amortized
-//	Meld         O(1)
 //
 // Nodes are exposed as opaque *Node handles so callers (Dijkstra) can
 // perform DecreaseKey on specific entries. The zero value of Heap is an
 // empty heap ready for use.
 package fibheap
 
-import (
-	"errors"
-	"math"
-)
+import "errors"
 
 // Errors returned by heap operations.
 var (
@@ -34,7 +28,7 @@ var (
 )
 
 // Node is a handle to an entry stored in a Heap. A Node is created by
-// Insert and invalidated by ExtractMin/Delete on it.
+// Insert and invalidated by ExtractMin on it.
 type Node struct {
 	key    float64
 	value  int64
@@ -84,10 +78,6 @@ func (h *Heap) Insert(key float64, value int64) *Node {
 	h.n++
 	return x
 }
-
-// Min returns the node with the smallest key without removing it, or nil
-// if the heap is empty. O(1).
-func (h *Heap) Min() *Node { return h.min }
 
 // ExtractMin removes and returns the node with the smallest key.
 // O(log n) amortized.
@@ -145,64 +135,6 @@ func (h *Heap) DecreaseKey(x *Node, newKey float64) error {
 		h.min = x
 	}
 	return nil
-}
-
-// Delete removes node x from the heap. O(log n) amortized.
-func (h *Heap) Delete(x *Node) error {
-	if err := h.DecreaseKey(x, math.Inf(-1)); err != nil {
-		return err
-	}
-	_, err := h.ExtractMin()
-	return err
-}
-
-// Meld moves all entries of other into h, leaving other empty. O(1).
-// Node handles issued by other remain valid and now belong to h.
-func (h *Heap) Meld(other *Heap) {
-	if other == nil || other.min == nil {
-		return
-	}
-	// Re-own the other heap's nodes lazily: ownership is tracked per node,
-	// so we must rewrite owner pointers on roots and their descendants.
-	// Amortized against the inserts that created them this is still O(1)
-	// per node over the heap's lifetime, but to keep strict O(1) Meld we
-	// instead compare owners transitively via the root heap pointer.
-	// Simpler and adequate here: rewrite all owners (other is consumed).
-	other.forEach(other.min, func(n *Node) { n.owner = h })
-	if h.min == nil {
-		h.min = other.min
-	} else {
-		// Splice root lists.
-		h.min.right.left = other.min.left
-		other.min.left.right = h.min.right
-		h.min.right = other.min
-		other.min.left = h.min
-		if other.min.key < h.min.key {
-			h.min = other.min
-		}
-	}
-	h.n += other.n
-	other.min = nil
-	other.n = 0
-}
-
-// forEach walks the circular sibling list starting at start, recursing
-// into children, applying fn to every node.
-func (h *Heap) forEach(start *Node, fn func(*Node)) {
-	if start == nil {
-		return
-	}
-	c := start
-	for {
-		fn(c)
-		if c.child != nil {
-			h.forEach(c.child, fn)
-		}
-		c = c.right
-		if c == start {
-			return
-		}
-	}
 }
 
 func (h *Heap) addToRoots(x *Node) {

@@ -16,9 +16,6 @@ func TestEmptyHeap(t *testing.T) {
 	if h.Len() != 0 {
 		t.Fatalf("Len() = %d, want 0", h.Len())
 	}
-	if h.Min() != nil {
-		t.Fatal("Min() on empty heap should be nil")
-	}
 	if _, err := h.ExtractMin(); err != ErrEmpty {
 		t.Fatalf("ExtractMin on empty heap: err = %v, want ErrEmpty", err)
 	}
@@ -32,11 +29,15 @@ func TestInsertAndMin(t *testing.T) {
 	if h.Len() != 3 {
 		t.Fatalf("Len() = %d, want 3", h.Len())
 	}
-	if got := h.Min().Key(); got != 3 {
-		t.Fatalf("Min().Key() = %v, want 3", got)
+	n, err := h.ExtractMin()
+	if err != nil {
+		t.Fatalf("ExtractMin: %v", err)
 	}
-	if got := h.Min().Value(); got != 30 {
-		t.Fatalf("Min().Value() = %v, want 30", got)
+	if n.Key() != 3 || n.Value() != 30 {
+		t.Fatalf("min = (%v, %v), want (3, 30)", n.Key(), n.Value())
+	}
+	if h.Len() != 2 {
+		t.Fatalf("Len() = %d after ExtractMin, want 2", h.Len())
 	}
 }
 
@@ -93,11 +94,8 @@ func TestDecreaseKey(t *testing.T) {
 	if err := h.DecreaseKey(c, 5); err != nil {
 		t.Fatalf("DecreaseKey: %v", err)
 	}
-	if h.Min() != c {
-		t.Fatal("min should be the decreased node")
-	}
 	n, _ := h.ExtractMin()
-	if n.Value() != 3 {
+	if n != c {
 		t.Fatalf("first extracted value = %d, want 3", n.Value())
 	}
 	// Decrease below current min.
@@ -136,89 +134,6 @@ func TestDecreaseKeyErrors(t *testing.T) {
 	}
 	if err := h.DecreaseKey(a, 0); err != ErrDetachedNode {
 		t.Fatalf("detached node: err = %v, want ErrDetachedNode", err)
-	}
-}
-
-func TestDelete(t *testing.T) {
-	h := New()
-	h.Insert(1, 1)
-	b := h.Insert(2, 2)
-	h.Insert(3, 3)
-	if err := h.Delete(b); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	if h.Len() != 2 {
-		t.Fatalf("Len() = %d, want 2", h.Len())
-	}
-	var got []int64
-	for !h.Empty() {
-		n, _ := h.ExtractMin()
-		got = append(got, n.Value())
-	}
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("remaining values = %v, want [1 3]", got)
-	}
-}
-
-func TestMeld(t *testing.T) {
-	h1 := New()
-	h2 := New()
-	for i := 0; i < 10; i += 2 {
-		h1.Insert(float64(i), int64(i))
-	}
-	for i := 1; i < 10; i += 2 {
-		h2.Insert(float64(i), int64(i))
-	}
-	h1.Meld(h2)
-	if h2.Len() != 0 || !h2.Empty() {
-		t.Fatal("melded-from heap should be empty")
-	}
-	if h1.Len() != 10 {
-		t.Fatalf("Len() = %d, want 10", h1.Len())
-	}
-	for want := int64(0); want < 10; want++ {
-		n, err := h1.ExtractMin()
-		if err != nil {
-			t.Fatalf("ExtractMin: %v", err)
-		}
-		if n.Value() != want {
-			t.Fatalf("value %d, want %d", n.Value(), want)
-		}
-	}
-}
-
-func TestMeldEmptyCases(t *testing.T) {
-	h := New()
-	h.Insert(1, 1)
-	h.Meld(nil) // no-op
-	h.Meld(New())
-	if h.Len() != 1 {
-		t.Fatalf("Len() = %d, want 1", h.Len())
-	}
-	empty := New()
-	full := New()
-	full.Insert(2, 2)
-	empty.Meld(full)
-	if empty.Len() != 1 || full.Len() != 0 {
-		t.Fatal("meld into empty heap failed")
-	}
-	n, _ := empty.ExtractMin()
-	if n.Value() != 2 {
-		t.Fatalf("value = %d, want 2", n.Value())
-	}
-}
-
-func TestMeldTransfersOwnership(t *testing.T) {
-	h1 := New()
-	h2 := New()
-	n2 := h2.Insert(5, 5)
-	h1.Meld(h2)
-	if err := h1.DecreaseKey(n2, 1); err != nil {
-		t.Fatalf("DecreaseKey on melded node: %v", err)
-	}
-	min, _ := h1.ExtractMin()
-	if min != n2 {
-		t.Fatal("melded node should be extractable from the target heap")
 	}
 }
 

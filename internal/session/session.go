@@ -22,7 +22,6 @@ import (
 
 	"lightpath/internal/core"
 	"lightpath/internal/engine"
-	"lightpath/internal/graph"
 	"lightpath/internal/obs"
 	"lightpath/internal/wdm"
 )
@@ -134,7 +133,7 @@ func NewManager(nw *wdm.Network) (*Manager, error) {
 	if nw == nil {
 		return nil, ErrNilNetwork
 	}
-	eng, err := engine.New(nw, &engine.Options{Queue: graph.QueueBinary})
+	eng, err := engine.New(nw, nil)
 	if err != nil {
 		return nil, fmt.Errorf("session: %w", err)
 	}

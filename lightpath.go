@@ -115,17 +115,16 @@ type DistStats = dist.Stats
 // QueueKind selects the Dijkstra priority structure.
 type QueueKind = graph.QueueKind
 
-// Queue kinds: Fibonacci heap (the Theorem 1 bound, and the zero-Options
-// default), binary heap (what every search with a goal runs on), linear
-// scan (the CFZ-era structure), pairing heap (low-constant decrease-key)
-// and the cyclic bucket array the engine builds SourceTrees on (RouteFrom
-// and AllPairs; a point query under it runs the binary heap). All return
-// the same costs.
+// Queue kinds: two the paper's bounds are stated for — the Fibonacci heap
+// (Theorem 1, and the zero-Options default) and the linear scan (the
+// CFZ-era structure) — and two the engine serves on: the binary heap
+// (every search with a goal) and the cyclic bucket array it builds
+// SourceTrees on (RouteFrom and AllPairs; a point query under it runs the
+// binary heap). All return the same costs.
 const (
 	QueueFibonacci = graph.QueueFibonacci
 	QueueBinary    = graph.QueueBinary
 	QueueLinear    = graph.QueueLinear
-	QueuePairing   = graph.QueuePairing
 	QueueBucket    = graph.QueueBucket
 )
 

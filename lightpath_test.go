@@ -224,14 +224,6 @@ func TestAdmissionPolicies(t *testing.T) {
 	}
 }
 
-func TestQueuePairingFacade(t *testing.T) {
-	nw := buildQuickstartNet(t)
-	res, err := lightpath.Find(nw, 0, 2, &lightpath.Options{Queue: lightpath.QueuePairing})
-	if err != nil || math.Abs(res.Cost-3.5) > 1e-9 {
-		t.Fatalf("pairing queue: %v %v", res, err)
-	}
-}
-
 func TestAdmitProtectedFacade(t *testing.T) {
 	// A 4-node ring with ample capacity: protected admission succeeds and
 	// cascade-release frees everything.
