@@ -63,9 +63,9 @@ lint-audit:
 verify: build vet test race-hot race bench-whole-smoke
 
 # Focused race pass over the span-tracing/self-observation layer and
-# its TCP consumer — the flight recorder's and metric history's
-# lock-free rings, health evaluation, bundle capture (including the
-# overload e2e that drives health to failing) and the serve request
+# its TCP consumer — the flight recorder's ring and the obs.Monitor
+# (frame ring, rule checks, the bundle written on failing, including
+# the overload e2e that drives health to failing) and the serve request
 # lifecycle are only considered verified under the race detector, run
 # twice to vary goroutine interleavings.
 race-obs:
@@ -92,10 +92,11 @@ race-obs:
 # `route` through Session.Exec bare and under the default recorder, whose
 # rows should differ by about a microsecond and by no allocation, then
 # `routefrom` and a 16-pair `batch` at n=100 with cost rows resident (a
-# lookup and the encode) vs absent (a pass; 16 point queries). Not a
-# stable-numbers benchmark.
+# lookup and the encode) vs absent (a pass; 16 point queries);
+# BenchmarkMonitorSample is one obs.Monitor tick (registry snapshot,
+# push, rule check). Not a stable-numbers benchmark.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Route|CostsFrom|AllocateRelease|Dijkstra|AStar|Sampler|History|HeapSearchMix|SessionExec' \
+	$(GO) test -run '^$$' -bench 'Route|CostsFrom|AllocateRelease|Dijkstra|AStar|MonitorSample|HeapSearchMix|SessionExec' \
 		-benchtime 100ms -benchmem \
 		./internal/heap/binheap ./internal/graph ./internal/core ./internal/engine ./internal/obs ./internal/serve
 

@@ -48,15 +48,14 @@
 // are additionally retained in a separate slow log that fast traffic
 // cannot evict.
 //
-// A background sampler (interval -sample-interval, ring capacity
-// -history-size) snapshots the telemetry registry into a frame ring
-// and evaluates SLO health rules against it after every sample: the
-// engine's blocked-route rate and windowed route p99, plus a
-// failing-severity ceiling on the TCP shed rate. When health
-// transitions to failing and -bundle-dir is set, a diagnostic bundle
-// (metric history, recent and slow traces, goroutine/heap profiles,
-// server config) is captured atomically — rate-limited so a flapping
-// rule cannot fill the disk.
+// A background monitor (interval -sample-interval) snapshots the
+// telemetry registry into a 128-frame ring and checks the health rules
+// (serve.HealthRules) after every sample: the blocked-route rate and
+// windowed route p99 degrade, a sustained TCP shed rate fails. When
+// health transitions to failing and -bundle-dir is set, a diagnostic
+// bundle (metric history, recent and slow traces, goroutine/heap
+// profiles, every flag's value) is captured atomically — rate-limited
+// so a flapping rule cannot fill the disk.
 //
 // With -debug-addr HOST:PORT the service also runs an HTTP debug
 // endpoint exposing /metrics (the telemetry registry as JSON),
@@ -68,6 +67,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"expvar"
 	"flag"
@@ -96,76 +96,92 @@ func main() {
 	}
 }
 
-func run(args []string, stdin io.Reader, w io.Writer) error {
-	fs := flag.NewFlagSet("wdmserve", flag.ContinueOnError)
-	var nf cli.NetFlags
-	nf.Register(fs)
-	queue := fs.String("queue", "bucket",
+// flags is wdmserve's command line.
+type flags struct {
+	net      cli.NetFlags
+	recorder bool
+
+	queue, directed, script, listen, debugAddr, bundleDir string
+
+	cacheSize, workers, queueDepth, recorderSize, traceSample int
+
+	requestTimeout, idleTimeout, writeTimeout, drainTimeout time.Duration
+	slowThreshold, sampleInterval                           time.Duration
+}
+
+// newFlags declares the command line on a fresh FlagSet bound to f.
+func newFlags() (*flag.FlagSet, *flags) {
+	fs, f := flag.NewFlagSet("wdmserve", flag.ContinueOnError), &flags{}
+	f.net.Register(fs)
+	fs.StringVar(&f.queue, "queue", "bucket",
 		"queue SourceTrees are built on: bucket|binary (same costs; searches with a goal always run on the binary heap)")
-	directed := fs.String("directed", "astar",
+	fs.StringVar(&f.directed, "directed", "astar",
 		"point-query search strategy: plain|astar (astar = A* under a per-query lower bound from the physical network)")
-	cacheSize := fs.Int("cache", engine.DefaultCacheSize, "sizes the cost-row cache and, under astar, the bound-row cache at this many × TreePays rows each (<0 disables both)")
-	workers := fs.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
-	script := fs.String("script", "", "read commands from this file instead of stdin")
-	listen := fs.String("listen", "",
+	fs.IntVar(&f.cacheSize, "cache", engine.DefaultCacheSize, "sizes the cost-row cache and, under astar, the bound-row cache at this many × TreePays rows each (<0 disables both)")
+	fs.IntVar(&f.workers, "workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
+	fs.StringVar(&f.script, "script", "", "read commands from this file instead of stdin")
+	fs.StringVar(&f.listen, "listen", "",
 		"serve the line protocol to concurrent TCP clients on this address (disables the stdin REPL)")
-	queueDepth := fs.Int("queue-depth", serve.DefaultQueueDepth,
+	fs.IntVar(&f.queueDepth, "queue-depth", serve.DefaultQueueDepth,
 		"TCP admission queue capacity across all connections; full queue sheds with a busy reply")
-	requestTimeout := fs.Duration("request-timeout", 100*time.Millisecond,
+	fs.DurationVar(&f.requestTimeout, "request-timeout", 100*time.Millisecond,
 		"TCP: max wait for an admission slot before a request is shed (<=0 sheds immediately)")
-	idleTimeout := fs.Duration("idle-timeout", 0,
+	fs.DurationVar(&f.idleTimeout, "idle-timeout", 0,
 		"TCP: disconnect a client idle for this long (0 = no limit)")
-	writeTimeout := fs.Duration("write-timeout", 10*time.Second,
+	fs.DurationVar(&f.writeTimeout, "write-timeout", 10*time.Second,
 		"TCP: per-reply flush deadline (0 = no limit)")
-	drainTimeout := fs.Duration("drain-timeout", 5*time.Second,
+	fs.DurationVar(&f.drainTimeout, "drain-timeout", 5*time.Second,
 		"TCP: graceful drain budget on SIGINT/SIGTERM before force-closing connections")
-	debugAddr := fs.String("debug-addr", "",
+	fs.StringVar(&f.debugAddr, "debug-addr", "",
 		"serve /metrics, /metrics.prom, /debug/requests, /debug/slow, /debug/vars and /debug/pprof on this address (e.g. 127.0.0.1:6060)")
-	recorder := fs.Bool("recorder", true,
+	fs.BoolVar(&f.recorder, "recorder", true,
 		"record every request as a span tree in the flight recorder")
-	recorderSize := fs.Int("recorder-size", obs.DefaultRingSize,
+	fs.IntVar(&f.recorderSize, "recorder-size", obs.DefaultRingSize,
 		"flight-recorder capacity in retained request traces")
-	slowThreshold := fs.Duration("slow-threshold", obs.DefaultSlowThreshold,
+	fs.DurationVar(&f.slowThreshold, "slow-threshold", obs.DefaultSlowThreshold,
 		"retain requests at or above this duration in the slow log (<0 disables)")
-	traceSample := fs.Int("trace-sample", 1,
+	fs.IntVar(&f.traceSample, "trace-sample", 1,
 		"head-sample recording: record every Nth request (1 = all)")
-	sampleInterval := fs.Duration("sample-interval", obs.DefaultSampleInterval,
+	fs.DurationVar(&f.sampleInterval, "sample-interval", obs.DefaultSampleInterval,
 		"metric history sampling interval (0 disables the sampler and health evaluation)")
-	historySize := fs.Int("history-size", obs.DefaultHistorySize,
-		"metric history ring capacity in frames")
-	bundleDir := fs.String("bundle-dir", "",
+	fs.StringVar(&f.bundleDir, "bundle-dir", "",
 		"capture a diagnostic bundle into this directory when health transitions to failing (empty disables)")
+	return fs, f
+}
+
+func run(args []string, stdin io.Reader, w io.Writer) error {
+	fs, f := newFlags()
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	var kind graph.QueueKind
-	switch *queue {
+	switch f.queue {
 	case "bucket":
 		kind = graph.QueueBucket
 	case "binary":
 		kind = graph.QueueBinary
 	case "fibonacci", "linear":
-		return fmt.Errorf("queue %q is an ablation subject, not a serving queue: measure it with wdmbench -experiment heap-ablation", *queue)
+		return fmt.Errorf("queue %q is an ablation subject, not a serving queue: measure it with wdmbench -experiment heap-ablation", f.queue)
 	default:
-		return fmt.Errorf("unknown queue %q", *queue)
+		return fmt.Errorf("unknown queue %q", f.queue)
 	}
 
 	var mode core.DirectedMode
-	switch *directed {
+	switch f.directed {
 	case "plain":
 		mode = core.DirectedPlain
 	case "astar":
 		mode = core.DirectedAStar
 	default:
-		return fmt.Errorf("unknown directed mode %q", *directed)
+		return fmt.Errorf("unknown directed mode %q", f.directed)
 	}
 
-	nw, err := nf.Build()
+	nw, err := f.net.Build()
 	if err != nil {
 		return err
 	}
-	eng, err := engine.New(nw, &engine.Options{Queue: kind, CacheSize: *cacheSize, Directed: mode})
+	eng, err := engine.New(nw, &engine.Options{Queue: kind, CacheSize: f.cacheSize, Directed: mode})
 	if err != nil {
 		return err
 	}
@@ -173,73 +189,22 @@ func run(args []string, stdin io.Reader, w io.Writer) error {
 		nw.NumNodes(), nw.NumLinks(), nw.K(), eng.Epoch(), eng.Directed())
 
 	tracer := obs.NewTracer(&obs.TracerOptions{
-		RingSize: *recorderSize,
-		Sample:   *traceSample,
-		Disabled: !*recorder,
+		RingSize: f.recorderSize,
+		Sample:   f.traceSample,
+		Disabled: !f.recorder,
 	})
 	// Set the threshold after construction: the flag value is literal
 	// (0 retains everything, negative disables the slow log), unlike the
 	// options field where 0 selects the default.
-	tracer.SetSlowThreshold(*slowThreshold)
+	tracer.SetSlowThreshold(f.slowThreshold)
 	tracer.RegisterMetrics(eng.Metrics())
 
-	// SLO health: the engine's default rules plus a failing-severity
-	// ceiling on the TCP shed rate — sustained shedding is the one
-	// signal that means clients are actively being turned away.
-	health := obs.NewHealth()
-	if err := engine.RegisterDefaultHealthRules(health); err != nil {
-		return err
+	mon := obs.NewMonitor(eng.Metrics(), f.sampleInterval, serve.HealthRules)
+	if f.bundleDir != "" {
+		mon.BundleOnFailing(f.bundleDir, tracer, flagConfig(fs), w)
 	}
-	if err := health.AddRule("serve_shed_rate_failing", obs.RuleSpec{
-		Metric:    "serve_shed_total",
-		Kind:      obs.RuleRate,
-		Threshold: shedRateThreshold,
-		Sustain:   engine.DefaultHealthSustain,
-		Severity:  obs.HealthFailing,
-	}); err != nil {
-		return err
-	}
-	health.RegisterMetrics(eng.Metrics())
-
-	var sampler *obs.Sampler
-	if *sampleInterval > 0 {
-		sampler = obs.NewSampler(eng.Metrics(), &obs.SamplerOptions{
-			Interval: *sampleInterval,
-			Capacity: *historySize,
-		})
-		sampler.RegisterMetrics(eng.Metrics())
-		sampler.AttachHealth(health)
-		sampler.Start()
-		defer sampler.Stop()
-	}
-	if *bundleDir != "" {
-		bundler := obs.NewBundler(&obs.BundlerOptions{Dir: *bundleDir})
-		bundler.RegisterMetrics(eng.Metrics())
-		config := fmt.Sprintf(
-			"listen=%s\nqueue-depth=%d\nrequest-timeout=%s\nsample-interval=%s\nhistory-size=%d\n",
-			*listen, *queueDepth, *requestTimeout, *sampleInterval, *historySize)
-		health.OnTransition(func(from, to obs.HealthStatus, detail []obs.RuleState) {
-			if to != obs.HealthFailing {
-				return
-			}
-			path, err := bundler.Capture("health_failing", []obs.Artifact{
-				obs.HistoryArtifact(sampler.History(), 0),
-				obs.RegistryArtifact(eng.Metrics()),
-				obs.HealthArtifact(health),
-				obs.TracerRecentArtifact(tracer, obs.DefaultRingSize),
-				obs.TracerSlowArtifact(tracer, obs.DefaultSlowRingSize),
-				obs.GoroutineArtifact(),
-				obs.HeapArtifact(),
-				obs.StaticArtifact("config.txt", []byte(config)),
-			})
-			switch {
-			case err != nil:
-				fmt.Fprintf(w, "health failing: bundle capture failed: %v\n", err)
-			case path != "":
-				fmt.Fprintf(w, "health failing: diagnostic bundle captured at %s\n", path)
-			}
-		})
-	}
+	mon.Start()
+	defer mon.Stop()
 
 	// The TCP server is built before the debug mux so /readyz can close
 	// over its drain state; on the REPL path srv stays nil and Draining
@@ -247,60 +212,60 @@ func run(args []string, stdin io.Reader, w io.Writer) error {
 	tel := serve.NewTelemetry(eng.Metrics())
 	var srv *serve.Server
 	var cfg *serve.ServerConfig
-	if *listen != "" {
+	if f.listen != "" {
 		cfg = &serve.ServerConfig{
-			QueueDepth:     *queueDepth,
-			RequestTimeout: *requestTimeout,
-			IdleTimeout:    *idleTimeout,
-			WriteTimeout:   *writeTimeout,
-			Workers:        *workers,
+			QueueDepth:     f.queueDepth,
+			RequestTimeout: f.requestTimeout,
+			IdleTimeout:    f.idleTimeout,
+			WriteTimeout:   f.writeTimeout,
+			Workers:        f.workers,
 			Telemetry:      tel,
 			Tracer:         tracer,
-			Sampler:        sampler,
-			Health:         health,
+			Monitor:        mon,
 		}
 		srv = serve.NewServer(eng, cfg)
 	}
 
-	if *debugAddr != "" {
-		ln, err := net.Listen("tcp", *debugAddr)
+	if f.debugAddr != "" {
+		ln, err := net.Listen("tcp", f.debugAddr)
 		if err != nil {
 			return fmt.Errorf("debug listener: %w", err)
 		}
 		defer ln.Close()
-		mux := debugMux(eng, tracer, health, sampler, func() bool { return !srv.Draining() })
+		mux := debugMux(eng, tracer, mon, func() bool { return !srv.Draining() })
 		go func() { _ = http.Serve(ln, mux) }()
 		fmt.Fprintf(w, "debug server on %s (/metrics, /metrics.prom, /healthz, /readyz, /debug/requests, /debug/slow, /debug/history, /debug/vars, /debug/pprof)\n", ln.Addr())
 	}
 
 	if srv != nil {
-		return serveTCP(srv, eng, w, *listen, cfg, *drainTimeout)
+		return serveTCP(srv, eng, w, f.listen, cfg, f.drainTimeout)
 	}
 
 	input := stdin
-	if *script != "" {
-		f, err := os.Open(*script)
+	if f.script != "" {
+		file, err := os.Open(f.script)
 		if err != nil {
 			return fmt.Errorf("open script: %w", err)
 		}
-		defer f.Close()
-		input = f
+		defer file.Close()
+		input = file
 	}
 	sess := serve.NewSession(eng, w, &serve.SessionOptions{
-		Workers:   *workers,
+		Workers:   f.workers,
 		Telemetry: tel,
 		Tracer:    tracer,
-		Sampler:   sampler,
-		Health:    health,
+		Monitor:   mon,
 	})
 	return serve.RunScript(sess, input)
 }
 
-// shedRateThreshold is the sheds-per-second ceiling of the default
-// failing-severity SLO rule: sustained at DefaultHealthSustain
-// consecutive frames it means the admission queue is turning clients
-// away faster than any transient burst explains.
-const shedRateThreshold = 100.0
+// flagConfig renders every flag's effective value as sorted name=value
+// lines: a bundle's config.txt, enough to rebuild the network it served.
+func flagConfig(fs *flag.FlagSet) []byte {
+	var b bytes.Buffer
+	fs.VisitAll(func(f *flag.Flag) { fmt.Fprintf(&b, "%s=%s\n", f.Name, f.Value) })
+	return b.Bytes()
+}
 
 // serveTCP runs the network front-end until a listener error or a
 // drain-triggering signal (SIGINT/SIGTERM), then drains gracefully:
@@ -359,7 +324,7 @@ func serveTCP(srv *serve.Server, eng *engine.Engine, w io.Writer, addr string, c
 // handlers. The registry is also published under the expvar name
 // "lightpath" (first engine in the process wins — expvar's namespace
 // is global).
-func debugMux(eng *engine.Engine, tracer *obs.Tracer, health *obs.Health, sampler *obs.Sampler, ready func() bool) *http.ServeMux {
+func debugMux(eng *engine.Engine, tracer *obs.Tracer, mon *obs.Monitor, ready func() bool) *http.ServeMux {
 	obs.PublishExpvar("lightpath", eng.Metrics())
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", eng.Metrics())
@@ -367,16 +332,9 @@ func debugMux(eng *engine.Engine, tracer *obs.Tracer, health *obs.Health, sample
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = eng.Metrics().WritePrometheus(w)
 	})
-	mux.Handle("/healthz", health)
+	mux.Handle("/healthz", mon)
 	mux.Handle("/readyz", serve.ReadyzHandler(ready))
-	mux.HandleFunc("/debug/history", func(w http.ResponseWriter, r *http.Request) {
-		if sampler == nil {
-			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			fmt.Fprintln(w, "[]")
-			return
-		}
-		sampler.History().ServeHTTP(w, r)
-	})
+	mux.HandleFunc("/debug/history", mon.ServeHistory)
 	mux.HandleFunc("/debug/requests", tracer.ServeRecent)
 	mux.HandleFunc("/debug/slow", tracer.ServeSlow)
 	mux.Handle("/debug/vars", expvar.Handler())

@@ -10,12 +10,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"lightpath/internal/cli"
 	"lightpath/internal/engine"
 	"lightpath/internal/obs"
+	"lightpath/internal/serve"
 	"lightpath/internal/wdm"
 )
 
@@ -379,6 +382,32 @@ func TestServeHealthAndHistoryVerbs(t *testing.T) {
 	}
 }
 
+// TestFlagConfigNamesTheNetwork: a bundle's config.txt is every flag's
+// effective value, one sorted name=value line each, so it says which
+// network the server built and how it searched it.
+func TestFlagConfigNamesTheNetwork(t *testing.T) {
+	fs, _ := newFlags()
+	if err := fs.Parse([]string{"-topo", "sparse", "-n", "40", "-k", "4", "-seed", "9", "-cache", "-1"}); err != nil {
+		t.Fatal(err)
+	}
+	got := string(flagConfig(fs))
+	for _, want := range []string{"topo=sparse", "n=40", "k=4", "seed=9", "directed=astar", "cache=-1", "queue=bucket", "sample-interval=1s"} {
+		if !strings.Contains("\n"+got, "\n"+want+"\n") {
+			t.Errorf("config missing %q:\n%s", want, got)
+		}
+	}
+	var names []string
+	for _, line := range strings.Split(strings.TrimSuffix(got, "\n"), "\n") {
+		names = append(names, strings.SplitN(line, "=", 2)[0])
+	}
+	if !sort.StringsAreSorted(names) {
+		t.Errorf("config lines are not sorted by name:\n%s", got)
+	}
+	if strings.Contains(got, "history-size") {
+		t.Errorf("config names a retired flag:\n%s", got)
+	}
+}
+
 func TestServeMetricsJSON(t *testing.T) {
 	out := runScript(t, []string{"-topo", "nsfnet", "-k", "6", "-seed", "3"},
 		"route 0 9\nmetrics\nquit\n")
@@ -429,13 +458,9 @@ func TestServeDebugAddrFlagAndMux(t *testing.T) {
 	} else {
 		t.Fatal("tracer did not record")
 	}
-	health := obs.NewHealth()
-	if err := engine.RegisterDefaultHealthRules(health); err != nil {
-		t.Fatal(err)
-	}
-	sampler := obs.NewSampler(eng.Metrics(), &obs.SamplerOptions{Capacity: 8})
-	sampler.SampleNow()
-	srv := httptest.NewServer(debugMux(eng, tracer, health, sampler, func() bool { return true }))
+	mon := obs.NewMonitor(eng.Metrics(), time.Second, serve.HealthRules)
+	mon.SampleNow()
+	srv := httptest.NewServer(debugMux(eng, tracer, mon, func() bool { return true }))
 	defer srv.Close()
 	for path, want := range map[string]string{
 		"/metrics":        "engine_routes_total",
@@ -463,8 +488,9 @@ func TestServeDebugAddrFlagAndMux(t *testing.T) {
 	}
 
 	// Drain-aware readiness: the same mux built over a draining server
-	// answers 503 on /readyz while /healthz stays governed by SLOs.
-	draining := httptest.NewServer(debugMux(eng, tracer, health, nil, func() bool { return false }))
+	// answers 503 on /readyz while /healthz stays governed by SLOs; a
+	// monitor that does not sample serves an empty history.
+	draining := httptest.NewServer(debugMux(eng, tracer, obs.NewMonitor(obs.NewRegistry(), 0, serve.HealthRules), func() bool { return false }))
 	defer draining.Close()
 	resp, err := http.Get(draining.URL + "/readyz")
 	if err != nil {
@@ -474,6 +500,11 @@ func TestServeDebugAddrFlagAndMux(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), "draining") {
 		t.Errorf("draining /readyz = %d %q", resp.StatusCode, body)
+	}
+	if resp, err := http.Get(draining.URL + "/healthz"); err != nil || resp.StatusCode != http.StatusOK {
+		t.Errorf("draining /healthz = %v, %v; want 200 while healthy", resp, err)
+	} else {
+		resp.Body.Close()
 	}
 	resp, err = http.Get(draining.URL + "/debug/history")
 	if err != nil {

@@ -54,20 +54,11 @@ var lowerSnake = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
 // span name would fork its definition — while attribute keys may repeat
 // freely across spans.
 //
-// Health rule names (Health.AddRule) join the same namespace
-// discipline: they appear in health-verb replies, /healthz JSON and
-// diagnostic bundles, so each must be a unique lower_snake compile-time
-// constant. Uniqueness is enforced statically across packages — AddRule
-// does reject duplicates at runtime, but only when both registrations
-// reach the same Health instance, which a package wiring its rules onto
-// a caller-supplied Health cannot assume.
-//
 // Cross-package uniqueness needs cross-package state, so the analyzer
 // instance accumulates registrations; build a fresh Suite per run. In
 // single-package drivers (vet mode) uniqueness degrades to per-package.
 func NewMetricName() *Analyzer {
-	seen := make(map[string]string)  // metric name -> "file:line" of first registration
-	rules := make(map[string]string) // health rule name -> "file:line" of first AddRule
+	seen := make(map[string]string) // metric name -> "file:line" of first registration
 	type spanDecl struct {
 		ident string // const identity ("pkg.ConstName"), or "" for a literal
 		at    string // "file:line" of first use
@@ -75,7 +66,7 @@ func NewMetricName() *Analyzer {
 	spans := make(map[string]spanDecl) // span name -> first declaring use
 	a := &Analyzer{
 		Name: "metricname",
-		Doc:  "requires unique lower_snake compile-time metric, span, attribute and health-rule names in obs registrations",
+		Doc:  "requires unique lower_snake compile-time metric, span and attribute names in obs registrations",
 	}
 	a.Run = func(pass *Pass) error {
 		for _, f := range pass.Files {
@@ -120,19 +111,6 @@ func NewMetricName() *Analyzer {
 						return true
 					}
 					spans[name] = spanDecl{ident: ident, at: at}
-				case fn.Name() == "AddRule" && recvNamed(fn, obsPath, "Health"):
-					arg := call.Args[0]
-					name, ok := constName(pass, arg, "health rule name")
-					if !ok {
-						return true
-					}
-					pos := pass.Fset.Position(arg.Pos())
-					at := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
-					if first, dup := rules[name]; dup && first != at {
-						pass.Reportf(arg.Pos(), "health rule name %s already registered at %s; names must be unique", strconv.Quote(name), first)
-						return true
-					}
-					rules[name] = at
 				case attrSetters[fn.Name()] && recvNamed(fn, obsPath, "Span"):
 					_, _ = constName(pass, call.Args[0], "span attribute key")
 				}

@@ -1,9 +1,8 @@
 // Package metricname is a golden fixture for the metricname analyzer:
 // obs.Registry names must be unique compile-time constants in
 // lower_snake form; span names must also funnel through one shared
-// constant each, span attribute keys must be lower_snake constants
-// (duplicates allowed), and obs.Health rule names follow the metric
-// contract (unique lower_snake constants).
+// constant each, and span attribute keys must be lower_snake constants
+// (duplicates allowed).
 package metricname
 
 import (
@@ -50,14 +49,4 @@ func spans(tr *obs.Tracer, k int) {
 	sp.SetFloat(fmt.Sprintf("a_%d", k), 1) // want `span attribute key must be a compile-time string constant`
 	sp.SetBool("blocked", true)
 	tr.Finish(req)
-}
-
-const ruleName = "fixture_shed_rate_high"
-
-func healthRules(h *obs.Health, k int) {
-	_ = h.AddRule("fixture_blocked_rate", obs.RuleSpec{Metric: "engine_ops_total", Kind: obs.RuleRate, Threshold: 1})
-	_ = h.AddRule(ruleName, obs.RuleSpec{Metric: "requests_total", Kind: obs.RuleRate, Threshold: 1}) // named constant: fine
-	_ = h.AddRule("Shed-Rate", obs.RuleSpec{Metric: "requests_total", Threshold: 1})                  // want `health rule name "Shed-Rate" is not lower_snake`
-	_ = h.AddRule(fmt.Sprintf("rule_%d", k), obs.RuleSpec{Metric: "requests_total", Threshold: 1})    // want `health rule name must be a compile-time string constant`
-	_ = h.AddRule("fixture_blocked_rate", obs.RuleSpec{Metric: "route_latency_ns", Threshold: 2})     // want `health rule name "fixture_blocked_rate" already registered`
 }

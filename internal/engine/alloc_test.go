@@ -11,7 +11,7 @@ import (
 // zero heap allocations — with no parent span, with an explicit nil one,
 // with the nil span a disabled recorder hands out (the always-on flight
 // recorder is free when off), through the engine's forwarder, with every
-// cost read, and beside a running sampler on the engine's registry
+// cost read, and beside a running obs.Monitor on the engine's registry
 // (sampling is pull-based, so the query path never sees it). A regression
 // here (a closure that escapes, per-call options, key boxing, a variadic
 // slice that reaches the heap) lands on the latency path of every cached
@@ -30,7 +30,7 @@ func TestCachedRouteFromAllocationFree(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		query   func(src int) error
-		sampled bool // run with a background obs.Sampler started
+		sampled bool // run with a background obs.Monitor started
 	}{
 		{"no span", func(src int) error {
 			_, err := snap.CostsFrom(src)
@@ -63,16 +63,16 @@ func TestCachedRouteFromAllocationFree(t *testing.T) {
 		}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// AllocsPerRun counts process-wide mallocs, so the sampler
-			// keeps its default one-second interval: it is running, but
+			// AllocsPerRun counts process-wide mallocs, so the monitor
+			// keeps the default one-second interval: it is running, but
 			// no tick lands inside the measurement and charges its
 			// snapshot here.
-			var sampler *obs.Sampler
+			var mon *obs.Monitor
 			if tc.sampled {
-				sampler = obs.NewSampler(e.Metrics(), nil)
+				mon = obs.NewMonitor(e.Metrics(), obs.DefaultSampleInterval, nil)
 			}
-			sampler.Start()
-			defer sampler.Stop()
+			mon.Start()
+			defer mon.Stop()
 			src := 0
 			allocs := testing.AllocsPerRun(100, func() {
 				if err := tc.query(src); err != nil {

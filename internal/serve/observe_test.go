@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -13,27 +14,21 @@ import (
 	"lightpath/internal/obs"
 )
 
-// obsSession builds a REPL-style session with a sampler and health
-// wired onto the engine's registry, returning the session, its output
-// buffer, and the observability handles.
-func obsSession(t *testing.T) (*Session, *bytes.Buffer, *obs.Sampler, *obs.Health) {
+// obsSession builds a REPL-style session with a monitor wired onto the
+// engine's registry (never started: tests sample by hand), returning
+// the session, its output buffer and the monitor.
+func obsSession(t *testing.T) (*Session, *bytes.Buffer, *obs.Monitor) {
 	t.Helper()
 	eng := newEngine(t, "-topo", "nsfnet", "-k", "8", "-seed", "1")
-	sampler := obs.NewSampler(eng.Metrics(), &obs.SamplerOptions{Capacity: 16})
-	health := obs.NewHealth()
-	if err := health.AddRule("blocked_rate_high", obs.RuleSpec{
-		Metric: "engine_routes_blocked_total", Kind: obs.RuleRate, Threshold: 1000,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sampler.AttachHealth(health)
+	mon := obs.NewMonitor(eng.Metrics(), time.Second, []obs.Rule{{
+		Name: "blocked_rate_high", Metric: "engine_routes_blocked_total", Threshold: 1000, Severity: obs.HealthDegraded,
+	}})
 	var out bytes.Buffer
 	sess := NewSession(eng, &out, &SessionOptions{
 		Telemetry: NewTelemetry(eng.Metrics()),
-		Sampler:   sampler,
-		Health:    health,
+		Monitor:   mon,
 	})
-	return sess, &out, sampler, health
+	return sess, &out, mon
 }
 
 func execLine(t *testing.T, sess *Session, line string) error {
@@ -45,10 +40,59 @@ func execLine(t *testing.T, sess *Session, line string) error {
 	return err
 }
 
+// TestHealthRules: the server's rule table names each rule once, in the
+// lower_snake form health replies, /healthz JSON and bundles print, and
+// watches metrics the engine and the serve layer register. Against a
+// live engine, a routed window leaves every rule knowable and the status
+// ok.
+func TestHealthRules(t *testing.T) {
+	eng := newEngine(t, "-topo", "nsfnet", "-k", "8", "-seed", "1")
+	NewTelemetry(eng.Metrics())
+	registered := map[string]bool{}
+	for _, name := range eng.Metrics().Names() {
+		registered[name] = true
+	}
+	t.Run("names are unique lower_snake", func(t *testing.T) {
+		lowerSnake := regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
+		seen := map[string]bool{}
+		for _, r := range HealthRules {
+			if !lowerSnake.MatchString(r.Name) || seen[r.Name] {
+				t.Errorf("rule name %q: want unique lower_snake", r.Name)
+			}
+			seen[r.Name] = true
+			if !registered[r.Metric] {
+				t.Errorf("rule %s watches %q, which nothing registers", r.Name, r.Metric)
+			}
+		}
+		if len(seen) != 3 {
+			t.Errorf("%d rules, want the three the server has always had", len(seen))
+		}
+	})
+	t.Run("a live engine is healthy and knowable", func(t *testing.T) {
+		mon := obs.NewMonitor(eng.Metrics(), time.Second, HealthRules)
+		mon.SampleNow()
+		time.Sleep(2 * time.Millisecond) // a measurable frame gap for the rates
+		for i := 0; i < 20; i++ {
+			if _, err := eng.Route(0, 9); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mon.SampleNow()
+		if got := mon.Status(); got != obs.HealthOK {
+			t.Errorf("healthy engine status = %v (detail %+v)", got, mon.Detail())
+		}
+		for _, r := range mon.Detail() {
+			if !r.Known {
+				t.Errorf("rule %s unknowable after a routed window: %+v", r.Name, r)
+			}
+		}
+	})
+}
+
 func TestHealthVerb(t *testing.T) {
-	sess, out, sampler, _ := obsSession(t)
-	sampler.SampleNow()
-	sampler.SampleNow()
+	sess, out, mon := obsSession(t)
+	mon.SampleNow()
+	mon.SampleNow()
 	if err := execLine(t, sess, "health"); err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +100,8 @@ func TestHealthVerb(t *testing.T) {
 	if !strings.HasPrefix(got, "health ok\n") {
 		t.Errorf("health output = %q", got)
 	}
-	if !strings.Contains(got, "blocked_rate_high: rate(engine_routes_blocked_total)") {
+	if !strings.Contains(got, "  blocked_rate_high: rate(engine_routes_blocked_total) 0 threshold 1000  streak 0/3  severity degraded\n") {
 		t.Errorf("health detail missing rule line: %q", got)
-	}
-	if !strings.Contains(got, "streak 0/1") {
-		t.Errorf("health detail missing streak: %q", got)
 	}
 	if err := execLine(t, sess, "health extra"); err == nil {
 		t.Error("health with arguments must be a protocol error")
@@ -73,16 +114,25 @@ func TestHealthVerbUnconfigured(t *testing.T) {
 	sess := NewSession(eng, &out, nil)
 	if err := execLine(t, sess, "health"); err == nil ||
 		!strings.Contains(err.Error(), "not configured") {
-		t.Errorf("health without a Health = %v", err)
+		t.Errorf("health without a Monitor = %v", err)
 	}
 	if err := execLine(t, sess, "history"); err == nil ||
 		!strings.Contains(err.Error(), "sampler not configured") {
-		t.Errorf("history without a Sampler = %v", err)
+		t.Errorf("history without a Monitor = %v", err)
+	}
+	// A monitor that does not sample answers health, never history.
+	sess = NewSession(eng, &out, &SessionOptions{Monitor: obs.NewMonitor(eng.Metrics(), 0, HealthRules)})
+	if err := execLine(t, sess, "health"); err != nil {
+		t.Errorf("health on a non-sampling monitor = %v", err)
+	}
+	if err := execLine(t, sess, "history"); err == nil ||
+		err.Error() != "history: sampler not configured" {
+		t.Errorf("history on a non-sampling monitor = %v", err)
 	}
 }
 
 func TestHistoryVerb(t *testing.T) {
-	sess, out, sampler, _ := obsSession(t)
+	sess, out, mon := obsSession(t)
 	if err := execLine(t, sess, "history"); err != nil {
 		t.Fatal(err)
 	}
@@ -91,14 +141,14 @@ func TestHistoryVerb(t *testing.T) {
 	}
 	out.Reset()
 
-	sampler.SampleNow()
+	mon.SampleNow()
 	time.Sleep(2 * time.Millisecond) // distinct frame timestamps
 	if err := execLine(t, sess, "route 0 9"); err != nil {
 		t.Fatal(err)
 	}
 	out.Reset()
-	sampler.SampleNow()
-	sampler.SampleNow()
+	mon.SampleNow()
+	mon.SampleNow()
 	if err := execLine(t, sess, "history 2"); err != nil {
 		t.Fatal(err)
 	}
@@ -118,6 +168,15 @@ func TestHistoryVerb(t *testing.T) {
 	if !strings.Contains(got, "route p99 ") {
 		t.Errorf("history missing route window quantile: %q", got)
 	}
+	// A count past the ring (here past any int plus one) prints every
+	// retained pair, never the empty answer.
+	out.Reset()
+	if err := execLine(t, sess, "history 9223372036854775807"); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(out.String(), "  frame "); got != 2 {
+		t.Errorf("history MaxInt64 printed %d frame lines, want 2:\n%s", got, out.String())
+	}
 	if err := execLine(t, sess, "history 0"); err == nil {
 		t.Error("history 0 must be a protocol error")
 	}
@@ -127,8 +186,8 @@ func TestHistoryVerb(t *testing.T) {
 }
 
 func TestStatsReportsUptimeAndHealth(t *testing.T) {
-	sess, out, sampler, health := obsSession(t)
-	sampler.SampleNow()
+	sess, out, mon := obsSession(t)
+	mon.SampleNow()
 	if err := execLine(t, sess, "stats"); err != nil {
 		t.Fatal(err)
 	}
@@ -136,9 +195,8 @@ func TestStatsReportsUptimeAndHealth(t *testing.T) {
 	if !strings.Contains(got, "uptime ") || !strings.Contains(got, "health ok") {
 		t.Errorf("stats missing uptime/health: %q", got)
 	}
-	_ = health
 
-	// Without a Health the column degrades to "off", never errors.
+	// Without a Monitor the column degrades to "off", never errors.
 	eng := newEngine(t, "-topo", "ring", "-n", "6")
 	var plain bytes.Buffer
 	plainSess := NewSession(eng, &plain, nil)
@@ -166,41 +224,18 @@ func TestTCPOverloadDrivesHealthFailingAndBundles(t *testing.T) {
 	tel := NewTelemetry(reg)
 	tracer := obs.NewTracer(nil)
 
-	sampler := obs.NewSampler(reg, &obs.SamplerOptions{Interval: 10 * time.Millisecond, Capacity: 256})
-	health := obs.NewHealth()
-	if err := health.AddRule("shed_rate_failing", obs.RuleSpec{
+	health := obs.NewMonitor(reg, 10*time.Millisecond, []obs.Rule{{
+		Name:      "shed_rate_failing",
 		Metric:    "serve_shed_total",
-		Kind:      obs.RuleRate,
 		Threshold: 50, // sheds/sec; overload produces thousands
-		Sustain:   2,
 		Severity:  obs.HealthFailing,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	}})
 	bundleRoot := filepath.Join(t.TempDir(), "diag")
-	bundler := obs.NewBundler(&obs.BundlerOptions{Dir: bundleRoot, MinInterval: time.Hour})
-	failingSeen := make(chan struct{}, 16)
-	health.OnTransition(func(from, to obs.HealthStatus, detail []obs.RuleState) {
-		if to != obs.HealthFailing {
-			return
-		}
-		if _, err := bundler.Capture("health_failing", []obs.Artifact{
-			obs.HistoryArtifact(sampler.History(), 0),
-			obs.RegistryArtifact(reg),
-			obs.HealthArtifact(health),
-			obs.TracerRecentArtifact(tracer, 32),
-			obs.GoroutineArtifact(),
-		}); err != nil {
-			t.Errorf("bundle capture: %v", err)
-		}
-		select {
-		case failingSeen <- struct{}{}:
-		default:
-		}
-	})
-	sampler.AttachHealth(health)
-	sampler.Start()
-	t.Cleanup(sampler.Stop)
+	var bundleLog bytes.Buffer
+	health.BundleOnFailing(bundleRoot, tracer, []byte("queue-depth=2\n"), &bundleLog)
+	health.Start()
+	t.Cleanup(health.Stop)
+	bundleCount := func(metric string) any { return reg.Snapshot()["obs_bundles_"+metric+"_total"] }
 
 	srv, addr := startServer(t, eng, &ServerConfig{
 		QueueDepth:     2,
@@ -208,8 +243,7 @@ func TestTCPOverloadDrivesHealthFailingAndBundles(t *testing.T) {
 		WriteTimeout:   10 * time.Second,
 		Telemetry:      tel,
 		Tracer:         tracer,
-		Sampler:        sampler,
-		Health:         health,
+		Monitor:        health,
 		testExecDelay:  time.Millisecond,
 	})
 
@@ -225,21 +259,19 @@ func TestTCPOverloadDrivesHealthFailingAndBundles(t *testing.T) {
 		t.Fatal("undersized queue produced no sheds; the overload premise failed")
 	}
 
-	select {
-	case <-failingSeen:
-	default:
-		t.Fatalf("health never transitioned to failing during overload (sheds=%d, status=%v, detail=%+v)",
-			total.busy, health.Status(), health.Detail())
+	if !strings.Contains(bundleLog.String(), "health failing: diagnostic bundle captured at ") {
+		t.Fatalf("health never transitioned to failing during overload (sheds=%d, status=%v, detail=%+v, log %q)",
+			total.busy, health.Status(), health.Detail(), bundleLog.String())
 	}
 
 	// Exactly one bundle: the rate limit must swallow a repeat capture.
-	if w := bundler.Written(); w != 1 {
-		t.Fatalf("bundles written = %d, want exactly 1", w)
+	if w := bundleCount("written"); w != 1.0 {
+		t.Fatalf("bundles written = %v, want exactly 1", w)
 	}
-	if p, err := bundler.Capture("flap_repeat", nil); err != nil || p != "" {
-		t.Fatalf("repeat capture inside MinInterval = %q, %v; want suppressed", p, err)
+	if p, err := health.Capture("flap_repeat"); err != nil || p != "" {
+		t.Fatalf("repeat capture inside the rate limit = %q, %v; want suppressed", p, err)
 	}
-	if bundler.Suppressed() == 0 {
+	if bundleCount("suppressed") == 0.0 {
 		t.Fatal("rate limit recorded no suppressions")
 	}
 	entries, err := os.ReadDir(bundleRoot)

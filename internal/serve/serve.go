@@ -46,13 +46,11 @@ type SessionOptions struct {
 	// share one Tracer. A nil Tracer disables recording at zero cost and
 	// makes the trace-query verbs answer "recorder not configured".
 	Tracer *obs.Tracer
-	// Sampler, when non-nil, is the metric-history sampler the `history`
-	// verb answers from. Nil makes the verb answer "sampler not
-	// configured".
-	Sampler *obs.Sampler
-	// Health, when non-nil, is the SLO evaluator the `health` verb (and
-	// the stats health column) answer from. Nil renders health as "off".
-	Health *obs.Health
+	// Monitor, when non-nil, answers the `health` verb and the stats
+	// health column, and — when it samples — the `history` verb. Nil
+	// renders health as "off"; a nil or non-sampling Monitor makes
+	// `history` answer "sampler not configured".
+	Monitor *obs.Monitor
 }
 
 // Session executes protocol commands for one client against a shared
@@ -63,8 +61,7 @@ type Session struct {
 	workers int
 	tel     *Telemetry
 	tracer  *obs.Tracer
-	sampler *obs.Sampler
-	health  *obs.Health
+	mon     *obs.Monitor
 	tracing bool   // trace on: append a trace summary to route/alloc answers
 	out     []byte // reply under construction (reply), reused across requests
 }
@@ -77,8 +74,7 @@ func NewSession(eng *engine.Engine, w io.Writer, opts *SessionOptions) *Session 
 		s.workers = opts.Workers
 		s.tel = opts.Telemetry
 		s.tracer = opts.Tracer
-		s.sampler = opts.Sampler
-		s.health = opts.Health
+		s.mon = opts.Monitor
 	}
 	return s
 }
@@ -339,8 +335,8 @@ func (s *Session) exec(cmd string, rest []string, sp *obs.Span) (bool, error) {
 		fmt.Fprintf(s.w, "route latency: p50 %s  p95 %s  p99 %s  (n=%d, max %s)\n",
 			nsDuration(lat.P50), nsDuration(lat.P95), nsDuration(lat.P99), lat.Count, nsDuration(lat.Max))
 		healthState := "off"
-		if s.health != nil {
-			healthState = s.health.Status().String()
+		if s.mon != nil {
+			healthState = s.mon.Status().String()
 		}
 		fmt.Fprintf(s.w, "uptime %s  health %s\n",
 			time.Since(processStart).Round(time.Millisecond), healthState)
@@ -348,18 +344,18 @@ func (s *Session) exec(cmd string, rest []string, sp *obs.Span) (bool, error) {
 		if err := argc(0); err != nil {
 			return false, err
 		}
-		if s.health == nil {
+		if s.mon == nil {
 			return false, fmt.Errorf("health: not configured")
 		}
-		fmt.Fprintf(s.w, "health %s\n", s.health.Status())
-		for _, r := range s.health.Detail() {
+		fmt.Fprintf(s.w, "health %s\n", s.mon.Status())
+		for _, r := range s.mon.Detail() {
 			s.printRuleState(r)
 		}
 	case "history":
 		if len(ints) > 1 {
 			return false, fmt.Errorf("history: want at most one argument, got %d", len(ints))
 		}
-		if s.sampler == nil {
+		if !s.mon.Sampling() {
 			return false, fmt.Errorf("history: sampler not configured")
 		}
 		n := DefaultTraceList
@@ -609,50 +605,57 @@ func (s *Session) printRuleState(r obs.RuleState) {
 	fmt.Fprintln(s.w)
 }
 
+// HealthRules is the server's health-rule table, watching the metrics
+// the history verb prints. Blocking is the paper's time-varying health
+// signal and a route query's cost is what Theorem 1 bounds, but neither
+// alone can tell saturation caused by the network from saturation caused
+// by the workload, so both only degrade. Sustained shedding means
+// clients are being turned away, and is the one failing rule.
+var HealthRules = []obs.Rule{
+	// Blocked routes per second: on a healthy instance blocking is rare;
+	// a stream of ErrNoRoute answers means saturation or a partition.
+	{Name: "engine_blocked_rate_high", Metric: "engine_routes_blocked_total",
+		Threshold: 100, Severity: obs.HealthDegraded},
+	// Route p99 over the frame gap, in ns: routes are served from
+	// compiled snapshots in microseconds, so 10ms means thrashing or
+	// starvation.
+	{Name: "engine_route_p99_slow", Metric: "engine_route_latency_ns", Quantile: 0.99,
+		Threshold: 10e6, Severity: obs.HealthDegraded},
+	// Sheds per second: faster than any transient burst explains.
+	{Name: "serve_shed_rate_failing", Metric: "serve_shed_total",
+		Threshold: 100, Severity: obs.HealthFailing},
+}
+
 // printHistory renders the newest n sampled frames, newest first, with
 // the operational rates derived from each frame pair: requests/shed per
 // second from the serve counters, blocked routes per second from the
 // engine counter, and the route p99 over that frame's window.
 func (s *Session) printHistory(n int) {
-	hist := s.sampler.History()
-	frames := hist.Last(n + 1) // one extra: each line needs its predecessor
+	// One extra frame: each line needs its predecessor.
+	frames := s.mon.Last(min(n, obs.HistorySize) + 1)
 	if len(frames) < 2 {
 		fmt.Fprintln(s.w, "no history sampled yet (need two frames)")
 		return
+	}
+	rate := func(newer, older *obs.Frame, metric string) string {
+		if r, ok := obs.Rate(newer, older, metric); ok {
+			return fmt.Sprintf("%.1f", r)
+		}
+		return "-"
 	}
 	now := time.Now()
 	for i := 0; i+1 < len(frames); i++ {
 		newer, older := frames[i], frames[i+1]
 		fmt.Fprintf(s.w, "  frame %d  age %s  req/s %s  shed/s %s  blocked/s %s",
 			newer.Seq, now.Sub(newer.At).Round(time.Millisecond),
-			frameRate(newer, older, "serve_requests_total"),
-			frameRate(newer, older, "serve_shed_total"),
-			frameRate(newer, older, "engine_routes_blocked_total"))
-		if nh, ok := newer.Histogram("engine_route_latency_ns"); ok {
-			if oh, ok := older.Histogram("engine_route_latency_ns"); ok {
-				d := nh.Sub(oh)
-				fmt.Fprintf(s.w, "  route p99 %s (n=%d)", nsDuration(d.P99), d.Count)
-			}
+			rate(newer, older, "serve_requests_total"),
+			rate(newer, older, "serve_shed_total"),
+			rate(newer, older, "engine_routes_blocked_total"))
+		if d, ok := obs.Window(newer, older, "engine_route_latency_ns"); ok {
+			fmt.Fprintf(s.w, "  route p99 %s (n=%d)", nsDuration(d.P99), d.Count)
 		}
 		fmt.Fprintln(s.w)
 	}
-}
-
-// frameRate derives one counter's per-second rate between two frames,
-// rendered for a history line ("-" when unknowable, counter resets
-// clamp to 0 exactly as History.Rate does).
-func frameRate(newer, older *obs.Frame, metric string) string {
-	v1, ok1 := newer.Number(metric)
-	v0, ok0 := older.Number(metric)
-	dt := newer.At.Sub(older.At).Seconds()
-	if !ok1 || !ok0 || dt <= 0 {
-		return "-"
-	}
-	d := v1 - v0
-	if d < 0 {
-		d = 0
-	}
-	return fmt.Sprintf("%.1f", d/dt)
 }
 
 // nsDuration renders a nanosecond quantity from a histogram as a

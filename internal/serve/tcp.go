@@ -46,10 +46,9 @@ type ServerConfig struct {
 	// retained with outcome=shed. Connection lifetimes are recorded as
 	// serve_conn traces. Nil disables recording at zero cost.
 	Tracer *obs.Tracer
-	// Sampler and Health back the history/health verbs on every
-	// connection's session; nil leaves those verbs unconfigured.
-	Sampler *obs.Sampler
-	Health  *obs.Health
+	// Monitor backs the history/health verbs on every connection's
+	// session; nil leaves those verbs unconfigured.
+	Monitor *obs.Monitor
 
 	// testExecDelay artificially lengthens request execution while the
 	// admission slot is held — package tests use it to make shedding and
@@ -223,8 +222,7 @@ func (s *Server) handle(conn net.Conn) {
 		Workers:   s.cfg.Workers,
 		Telemetry: s.cfg.Telemetry,
 		Tracer:    s.cfg.Tracer,
-		Sampler:   s.cfg.Sampler,
-		Health:    s.cfg.Health,
+		Monitor:   s.cfg.Monitor,
 	})
 	scanner := bufio.NewScanner(conn)
 	scanner.Buffer(make([]byte, 0, 64*1024), MaxLineBytes)
