@@ -23,11 +23,12 @@ race:
 # of snapshot immutability: readers on a pinned
 # snapshot while later epochs copy the pages they write (these tests need
 # the compiled graph, so they sit in internal/core's external test
-# package).
+# package), and every read-only query on one compiled graph while
+# kshortest and protect copy its pages into their private clones.
 race-hot:
 	$(GO) test -race ./internal/obs ./internal/engine
 	$(GO) test -race -count=5 -run 'ConcurrentCostRows' ./internal/engine
-	$(GO) test -race -run 'SnapshotIsolation|LongChain' ./internal/core
+	$(GO) test -race -run 'SnapshotIsolation|LongChain|ConcurrentMixedOperations' ./internal/core
 
 # vet also fails on unformatted files: gofmt -l prints offenders, and
 # any output is an error.
@@ -94,9 +95,12 @@ race-obs:
 # `routefrom` and a 16-pair `batch` at n=100 with cost rows resident (a
 # lookup and the encode) vs absent (a pass; 16 point queries);
 # BenchmarkMonitorSample is one obs.Monitor tick (registry snapshot,
-# push, rule check). Not a stable-numbers benchmark.
+# push, rule check); BenchmarkRouteProtected/opts={paper,served} and
+# BenchmarkKShortest/K={2,5,10} are the two verbs that are not point
+# queries, at n=300 (a served protect: ≈ 26 allocs, no compile). Not a
+# stable-numbers benchmark.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Route|CostsFrom|AllocateRelease|Dijkstra|AStar|MonitorSample|HeapSearchMix|SessionExec' \
+	$(GO) test -run '^$$' -bench 'Route|KShortest|CostsFrom|AllocateRelease|Dijkstra|AStar|MonitorSample|HeapSearchMix|SessionExec' \
 		-benchtime 100ms -benchmem \
 		./internal/heap/binheap ./internal/graph ./internal/core ./internal/engine ./internal/obs ./internal/serve
 

@@ -105,7 +105,7 @@ func run(args []string, w io.Writer) error {
 	}
 
 	if *kPaths > 1 {
-		paths, err := aux.KShortest(*from, *to, *kPaths, opts)
+		paths, err := aux.KShortest(*from, *to, *kPaths)
 		if errors.Is(err, core.ErrNoRoute) {
 			fmt.Fprintf(w, "no semilightpath from %d to %d\n", *from, *to)
 			return nil

@@ -58,7 +58,7 @@ func main() {
 
 	// Alternate routing: the five best semilightpaths for one demand.
 	fmt.Println("\nfive best alternate routes 0 → 19 (Yen over the layered graph):")
-	paths, err := router.KShortest(0, 19, 5, nil)
+	paths, err := router.KShortest(0, 19, 5)
 	if err != nil {
 		log.Fatal(err)
 	}

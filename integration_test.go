@@ -135,7 +135,7 @@ func TestIntegrationAllSolversAgree(t *testing.T) {
 				}
 
 				// K-shortest: first path is the optimum, sequence sorted.
-				paths, err := router.KShortest(s, d, 3, nil)
+				paths, err := router.KShortest(s, d, 3)
 				if err != nil {
 					t.Fatalf("%d→%d kshortest: %v", s, d, err)
 				}

@@ -178,7 +178,7 @@ func RunKShortest(w io.Writer, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		paths, err := aux.KShortest(tc.s, tc.d, 5, nil)
+		paths, err := aux.KShortest(tc.s, tc.d, 5)
 		if errors.Is(err, core.ErrNoRoute) {
 			continue
 		}

@@ -114,9 +114,11 @@ func BenchmarkRoutePoint(b *testing.B) {
 	}
 }
 
+// BenchmarkKShortest is Yen's K cheapest paths on the 300-node network of
+// BenchmarkRouteProtected. It has no options to split: every spur search
+// runs the binary heap, as every served search with a goal does.
 func BenchmarkKShortest(b *testing.B) {
-	nw := benchNetwork(b, 200, 6)
-	aux, err := NewAux(nw)
+	aux, err := NewAux(benchNetwork(b, 300, 6))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -124,7 +126,7 @@ func BenchmarkKShortest(b *testing.B) {
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := aux.KShortest(0, 100, k, nil); err != nil && !errors.Is(err, ErrNoRoute) {
+				if _, err := aux.KShortest(0, 150, k); err != nil && !errors.Is(err, ErrNoRoute) {
 					b.Fatal(err)
 				}
 			}
@@ -132,18 +134,27 @@ func BenchmarkKShortest(b *testing.B) {
 	}
 }
 
+// BenchmarkRouteProtected is one protected pair at n=300 under the
+// paper's search (opts=paper: plain Dijkstra on the Fibonacci heap, the
+// library default) and under the served one (opts=served).
 func BenchmarkRouteProtected(b *testing.B) {
-	nw := benchNetwork(b, 300, 6)
-	aux, err := NewAux(nw)
+	aux, err := NewAux(benchNetwork(b, 300, 6))
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, err := aux.RouteProtected(0, 150, nil)
-		if err != nil && !errors.Is(err, ErrNoRoute) && !errors.Is(err, ErrNoBackup) {
-			b.Fatal(err)
-		}
+	for _, o := range []struct {
+		name string
+		opts *ProtectOptions
+	}{{"paper", nil}, {"served", &ProtectOptions{Route: servedOpts}}} {
+		b.Run("opts="+o.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, err := aux.RouteProtected(0, 150, o.opts)
+				if err != nil && !errors.Is(err, ErrNoRoute) && !errors.Is(err, ErrNoBackup) {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

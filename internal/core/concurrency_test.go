@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"lightpath/internal/topo"
+	"lightpath/internal/wdm"
 	"lightpath/internal/workload"
 )
 
@@ -111,33 +113,87 @@ func TestAllPairsParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestConcurrentMixedOperations interleaves Route, RouteFrom and
-// KShortest concurrently (race check for the full read-only surface).
+// TestConcurrentMixedOperations interleaves Route, RouteFrom, KShortest
+// and RouteProtected on one shared Aux (race check for the full read-only
+// surface), each reply checked against the same query run alone.
+// KShortest and the protection backup each patch a private copy-on-write
+// clone of G′; on the sparse network G′ spans several 32-node spine
+// pages, so those page copies run beside readers of the pages copied.
 func TestConcurrentMixedOperations(t *testing.T) {
-	nw, err := topo.PaperExample(topo.DefaultPaperExampleSpec())
+	paper, err := topo.PaperExample(topo.DefaultPaperExampleSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := NewAux(nw)
+	rng := rand.New(rand.NewSource(311))
+	sparse, err := workload.Build(topo.RandomSparse(30, 3, 4, rng), workload.RestrictedSpec(4), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	for g := 0; g < 6; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				switch g % 3 {
-				case 0:
-					_, _ = a.Route(0, 6, nil)
-				case 1:
-					_, _ = a.RouteFrom(i%7, nil)
-				case 2:
-					_, _ = a.KShortest(0, 6, 3, nil)
+	protect := &ProtectOptions{Route: servedOpts, PrimaryCandidates: 2}
+	for name, nw := range map[string]*wdm.Network{"paper": paper, "sparse": sparse} {
+		a := mustAux(t, nw)
+		if name == "sparse" && a.NumAuxNodes() < 4*32 {
+			t.Fatalf("sparse: G′ has %d nodes, want several spine pages", a.NumAuxNodes())
+		}
+		n := nw.NumNodes()
+		const rounds = 20
+		// answer renders one query's reply, or its error, for comparison.
+		answer := func(verb, i int) string {
+			s, d := i%n, (i+n/2)%n
+			switch verb {
+			case 0:
+				res, err := a.Route(s, d, nil)
+				if err != nil {
+					return err.Error()
 				}
+				return fmt.Sprint(res.Cost)
+			case 1:
+				st, err := a.RouteFrom(s, nil)
+				if err != nil {
+					return err.Error()
+				}
+				return fmt.Sprint(st.Dist(d))
+			case 2:
+				paths, err := a.KShortest(s, d, 3)
+				if err != nil {
+					return err.Error()
+				}
+				costs := make([]float64, len(paths))
+				for j, p := range paths {
+					costs[j] = p.Cost
+				}
+				return fmt.Sprint(costs)
+			default:
+				pair, err := a.RouteProtected(s, d, protect)
+				if err != nil {
+					return err.Error()
+				}
+				return fmt.Sprint(pair.Primary.Cost, pair.Backup.Cost)
 			}
-		}(g)
+		}
+		var want [4][rounds]string
+		for verb := range want {
+			for i := range want[verb] {
+				want[verb][i] = answer(verb, i)
+			}
+		}
+		var wg sync.WaitGroup
+		errCh := make(chan string, 8*rounds)
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(verb int) {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					if got := answer(verb, i); got != want[verb][i] {
+						errCh <- fmt.Sprintf("%s: verb %d query %d: %s concurrently, %s alone", name, verb, i, got, want[verb][i])
+					}
+				}
+			}(g % 4)
+		}
+		wg.Wait()
+		close(errCh)
+		for msg := range errCh {
+			t.Error(msg)
+		}
 	}
-	wg.Wait()
 }

@@ -139,7 +139,7 @@ func TestKShortestNoDuplicates(t *testing.T) {
 	}
 	// With no converters a path keeps one lambda end to end, so there are
 	// exactly 2 sides × 2 lambdas = 4 distinct semilightpaths, all cost 2.
-	paths, err := a.KShortest(0, 3, 50, nil)
+	paths, err := a.KShortest(0, 3, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestKShortestCountOneMatchesRoute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := a.KShortest(0, 3, 1, nil)
+	one, err := a.KShortest(0, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"lightpath/internal/graph"
@@ -20,7 +21,7 @@ import (
 // in nondecreasing cost order. The first result equals Route's optimum.
 // Fewer than count paths are returned when the auxiliary graph admits
 // fewer simple paths.
-func (a *Aux) KShortest(s, t, count int, opts *Options) ([]*Result, error) {
+func (a *Aux) KShortest(s, t, count int) ([]*Result, error) {
 	if s < 0 || s >= a.nw.NumNodes() {
 		return nil, fmt.Errorf("%w: source %d", ErrNodeRange, s)
 	}
@@ -34,24 +35,29 @@ func (a *Aux) KShortest(s, t, count int, opts *Options) ([]*Result, error) {
 		return []*Result{{Path: &wdm.Semilightpath{}, Source: s, Dest: t}}, nil
 	}
 
-	// Materialize a private query graph with explicit super source and
-	// super sink so Yen's bookkeeping has single endpoints. (Unlike
-	// Route, Yen genuinely needs the terminals as nodes.)
-	qg := a.g.Clone()
-	src := qg.AddNode()
-	sink := qg.AddNode()
-	for yi := range a.yLambdas[s] {
-		if err := qg.AddArc(src, int(a.yStart[s])+yi, 0, tagSuper); err != nil {
-			return nil, err
-		}
+	// Yen's bookkeeping wants single endpoints, so unlike Route the query
+	// materializes s′ and t″ — on a copy-on-write clone of G′. Every
+	// segment the query writes is replaced by a fresh slice, never
+	// appended to, so the compiled graph's shared pages stay untouched.
+	qg := a.g.CloneCOW()
+	src := qg.AddNodes(2)
+	sink := src + 1
+	out := make([]graph.Arc, len(a.yLambdas[s]))
+	for yi := range out {
+		out[yi] = graph.Arc{To: a.yStart[s] + int32(yi), Tag: tagSuper}
+	}
+	if err := qg.ReplaceOut(src, out); err != nil {
+		return nil, err
 	}
 	for xi := range a.xLambdas[t] {
-		if err := qg.AddArc(int(a.xStart[t])+xi, sink, 0, tagSuper); err != nil {
+		x := int(a.xStart[t]) + xi
+		arcs := append(slices.Clip(qg.Out(x)), graph.Arc{To: int32(sink), Tag: tagSuper})
+		if err := qg.ReplaceOut(x, arcs); err != nil {
 			return nil, err
 		}
 	}
 
-	y := &yenState{g: qg, src: src, sink: sink}
+	y := &yenState{g: qg, src: src, sink: sink, sc: graph.NewScratch(qg.NumNodes())}
 	auxPaths, err := y.run(count)
 	if err != nil {
 		return nil, err
@@ -95,12 +101,13 @@ type auxPath struct {
 	cost float64
 }
 
-// yenState runs Yen's loopless K-shortest-paths algorithm with
-// ban-aware Dijkstra searches.
+// yenState runs Yen's loopless K-shortest-paths algorithm on the query
+// graph, every spur search on one reused scratch.
 type yenState struct {
 	g    *graph.Digraph
 	src  int
 	sink int
+	sc   *graph.Scratch
 }
 
 func (y *yenState) run(count int) ([]auxPath, error) {
@@ -117,29 +124,22 @@ func (y *yenState) run(count int) ([]auxPath, error) {
 	for len(accepted) < count {
 		prev := accepted[len(accepted)-1]
 		var rootArcs []graph.HopRef
+		var rootNodes []int
 		rootCost := 0.0
 		// Spur from every node of the previous path except the sink.
-		for i := 0; i < len(prev.arcs); i++ {
-			// Ban nodes on the root (except the spur node) to keep
-			// candidates loopless.
-			banNodes := make(map[int]bool, i)
-			at := y.src
-			for j := 0; j < i; j++ {
-				banNodes[at] = true
-				at = int(y.g.Out(prev.arcs[j].From)[prev.arcs[j].ArcIndex].To)
-			}
-			spurStart := at
-
+		for i, h := range prev.arcs {
 			// Ban the next arc of every accepted path sharing this root,
 			// so the spur search must deviate here.
-			banArcs := make(map[[2]int]bool)
+			var banArcs []int
 			for _, acc := range accepted {
 				if len(acc.arcs) > i && sameRoot(acc.arcs, prev.arcs, i) {
-					banArcs[[2]int{acc.arcs[i].From, acc.arcs[i].ArcIndex}] = true
+					banArcs = append(banArcs, acc.arcs[i].ArcIndex)
 				}
 			}
 
-			spur, err := y.shortest(spurStart, banArcs, banNodes)
+			// Ban the root's nodes (all but the spur node) to keep
+			// candidates loopless.
+			spur, err := y.shortest(h.From, banArcs, rootNodes)
 			if err != nil {
 				return nil, err
 			}
@@ -153,10 +153,9 @@ func (y *yenState) run(count int) ([]auxPath, error) {
 				}
 			}
 
-			h := prev.arcs[i]
-			arc := y.g.Out(h.From)[h.ArcIndex]
 			rootArcs = append(rootArcs, h)
-			rootCost += arc.Weight
+			rootNodes = append(rootNodes, h.From)
+			rootCost += y.g.Out(h.From)[h.ArcIndex].Weight
 		}
 		if len(candidates) == 0 {
 			break
@@ -199,117 +198,49 @@ func containsPath(list []auxPath, p auxPath) bool {
 	return false
 }
 
-// shortest runs a ban-aware Dijkstra from start to the sink. Returns nil
-// (no error) when the sink is unreachable under the bans.
-func (y *yenState) shortest(start int, banArcs map[[2]int]bool, banNodes map[int]bool) (*auxPath, error) {
-	n := y.g.NumNodes()
-	dist := make([]float64, n)
-	parent := make([]graph.HopRef, n)
-	settled := make([]bool, n)
-	for i := range dist {
-		dist[i] = graph.Inf
-		parent[i] = graph.HopRef{From: -1}
-	}
-	dist[start] = 0
-
-	// A small local binary heap keyed by dist; reuses the indexed heap
-	// from the shared substrate via PushOrDecrease semantics.
-	h := newLocalHeap(n)
-	h.push(start, 0)
-	for !h.empty() {
-		u, du := h.pop()
-		if settled[u] {
-			continue
-		}
-		settled[u] = true
-		if u == y.sink {
-			break
-		}
-		for i, arc := range y.g.Out(u) {
-			v := int(arc.To)
-			if settled[v] || banNodes[v] || banArcs[[2]int{u, i}] {
-				continue
-			}
-			if nd := du + arc.Weight; nd < dist[v] {
-				dist[v] = nd
-				parent[v] = graph.HopRef{From: u, ArcIndex: i}
-				h.push(v, nd)
-			}
+// shortest returns the cheapest path from start to the sink that leaves
+// start by none of the banArcs (indexes into its out-segment) and passes
+// through no banNodes, or nil when there is none. It runs the shared
+// binary-heap search with those segments patched for the call: start's
+// filtered, each banned node's emptied (a node that cannot be left is on
+// no path to the sink); both are restored before it returns.
+func (y *yenState) shortest(start int, banArcs, banNodes []int) (*auxPath, error) {
+	saved := make([][]graph.Arc, len(banNodes))
+	for i, u := range banNodes {
+		saved[i] = y.g.Out(u)
+		if err := y.g.ReplaceOut(u, nil); err != nil {
+			return nil, err
 		}
 	}
-	if graph.IsInf(dist[y.sink]) {
-		return nil, nil
-	}
-	var rev []graph.HopRef
-	for v := y.sink; v != start; {
-		p := parent[v]
-		if p.From < 0 {
-			return nil, fmt.Errorf("core: broken yen parent chain at %d", v)
+	orig := y.g.Out(start)
+	kept := make([]int, 0, len(orig)) // filtered arc index → original
+	arcs := make([]graph.Arc, 0, len(orig))
+	for i, arc := range orig {
+		if !slices.Contains(banArcs, i) {
+			kept = append(kept, i)
+			arcs = append(arcs, arc)
 		}
-		rev = append(rev, p)
-		v = p.From
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
+	if err := y.g.ReplaceOut(start, arcs); err != nil {
+		return nil, err
 	}
-	return &auxPath{arcs: rev, cost: dist[y.sink]}, nil
-}
-
-// localHeap is a lazy-deletion binary heap of (node, key) pairs.
-type localHeap struct {
-	nodes []int
-	keys  []float64
-}
-
-func newLocalHeap(capacity int) *localHeap {
-	return &localHeap{
-		nodes: make([]int, 0, capacity),
-		keys:  make([]float64, 0, capacity),
+	tree, err := graph.DijkstraSeedsUntilScratch(y.g, []int{start}, []int{y.sink}, graph.QueueBinary, y.sc, nil)
+	if err != nil {
+		return nil, err
 	}
-}
-
-func (h *localHeap) empty() bool { return len(h.nodes) == 0 }
-
-func (h *localHeap) push(node int, key float64) {
-	h.nodes = append(h.nodes, node)
-	h.keys = append(h.keys, key)
-	i := len(h.nodes) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.keys[p] <= h.keys[i] {
-			break
+	var found *auxPath
+	if tree.Reached(y.sink) {
+		hops := graph.HopsTo(tree.Parent, tree.ViaArc, y.sink)
+		hops[0].ArcIndex = kept[hops[0].ArcIndex]
+		found = &auxPath{arcs: hops, cost: tree.Dist[y.sink]}
+	}
+	if err := y.g.ReplaceOut(start, orig); err != nil {
+		return nil, err
+	}
+	for i, u := range banNodes {
+		if err := y.g.ReplaceOut(u, saved[i]); err != nil {
+			return nil, err
 		}
-		h.swap(i, p)
-		i = p
 	}
-}
-
-func (h *localHeap) pop() (int, float64) {
-	node, key := h.nodes[0], h.keys[0]
-	last := len(h.nodes) - 1
-	h.swap(0, last)
-	h.nodes = h.nodes[:last]
-	h.keys = h.keys[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < last && h.keys[l] < h.keys[small] {
-			small = l
-		}
-		if r < last && h.keys[r] < h.keys[small] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h.swap(i, small)
-		i = small
-	}
-	return node, key
-}
-
-func (h *localHeap) swap(i, j int) {
-	h.nodes[i], h.nodes[j] = h.nodes[j], h.nodes[i]
-	h.keys[i], h.keys[j] = h.keys[j], h.keys[i]
+	return found, nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"lightpath/internal/topo"
@@ -17,19 +18,19 @@ func TestKShortestArgs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.KShortest(-1, 0, 1, nil); !errors.Is(err, ErrNodeRange) {
+	if _, err := a.KShortest(-1, 0, 1); !errors.Is(err, ErrNodeRange) {
 		t.Fatalf("bad source: %v", err)
 	}
-	if _, err := a.KShortest(0, 99, 1, nil); !errors.Is(err, ErrNodeRange) {
+	if _, err := a.KShortest(0, 99, 1); !errors.Is(err, ErrNodeRange) {
 		t.Fatalf("bad dest: %v", err)
 	}
-	if _, err := a.KShortest(0, 1, 0, nil); err == nil {
+	if _, err := a.KShortest(0, 1, 0); err == nil {
 		t.Fatal("zero count must fail")
 	}
-	if _, err := a.KShortest(6, 0, 3, nil); !errors.Is(err, ErrNoRoute) {
+	if _, err := a.KShortest(6, 0, 3); !errors.Is(err, ErrNoRoute) {
 		t.Fatalf("unreachable: %v", err)
 	}
-	res, err := a.KShortest(2, 2, 3, nil)
+	res, err := a.KShortest(2, 2, 3)
 	if err != nil || len(res) != 1 || res[0].Cost != 0 {
 		t.Fatalf("s==t: %+v %v", res, err)
 	}
@@ -50,7 +51,7 @@ func TestKShortestParallelChannels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, err := a.KShortest(0, 1, 5, nil)
+	paths, err := a.KShortest(0, 1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestKShortestChainEnumeration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, err := a.KShortest(0, 2, 10, nil)
+	paths, err := a.KShortest(0, 2, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestKShortestFirstIsOptimal(t *testing.T) {
 			continue
 		}
 		route, rerr := a.Route(s, d, nil)
-		paths, kerr := a.KShortest(s, d, 4, nil)
+		paths, kerr := a.KShortest(s, d, 4)
 		if (rerr == nil) != (kerr == nil) {
 			t.Fatalf("trial %d: reachability disagrees: %v vs %v", trial, rerr, kerr)
 		}
@@ -174,7 +175,7 @@ func TestKShortestDoesNotDisturbRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.KShortest(0, 6, 3, nil); err != nil {
+	if _, err := a.KShortest(0, 6, 3); err != nil {
 		t.Fatal(err)
 	}
 	after, err := a.Route(0, 6, nil)
@@ -183,5 +184,124 @@ func TestKShortestDoesNotDisturbRouting(t *testing.T) {
 	}
 	if before.Cost != after.Cost {
 		t.Fatalf("Route changed after KShortest: %v vs %v", before.Cost, after.Cost)
+	}
+}
+
+// costsAgree is the engine differential's tolerance: two costs summed in
+// a different order agree to 1e-9, absolute or relative.
+func costsAgree(a, b float64) bool {
+	if math.IsInf(a, 1) || math.IsInf(b, 1) {
+		return math.IsInf(a, 1) && math.IsInf(b, 1)
+	}
+	diff := math.Abs(a - b)
+	return diff <= 1e-9 || diff <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
+}
+
+// simplePathCosts enumerates every simple s′→t″ path of G_{s,t} by depth
+// first search and returns their costs ascending: a path leaves s′ into
+// Y_s, and ends at t″ from whichever X_t node it last reached — passing
+// one X_t node and ending at another is a different path.
+func simplePathCosts(a *Aux, s, t int) []float64 {
+	var costs []float64
+	onPath := make([]bool, a.NumAuxNodes())
+	var walk func(u int, cost float64)
+	walk = func(u int, cost float64) {
+		if in := a.info[u]; in.Side == SideX && int(in.Node) == t {
+			costs = append(costs, cost)
+		}
+		onPath[u] = true
+		for _, arc := range a.g.Out(u) {
+			if !onPath[arc.To] {
+				walk(int(arc.To), cost+arc.Weight)
+			}
+		}
+		onPath[u] = false
+	}
+	for yi := range a.yLambdas[s] {
+		walk(int(a.yStart[s])+yi, 0)
+	}
+	sort.Float64s(costs)
+	return costs
+}
+
+// TestKShortestMatchesEnumeration: Yen's paths are the cheapest simple
+// paths of G_{s,t}, checked against exhaustive enumeration on networks
+// of at most six nodes under every converter family. Each path must be
+// simple in G′ — no gadget node twice — and price to its cost under
+// Eq. (1).
+func TestKShortestMatchesEnumeration(t *testing.T) {
+	const maxK = 40
+	for conv, spec := range directedConvs {
+		spec.K = 3
+		t.Run(conv, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(3939))
+			enumerated := 0
+			for trial := 0; trial < 12; trial++ {
+				n := 3 + rng.Intn(4)
+				nw, err := workload.Build(topo.RandomSparse(n, 3, 3, rng), spec, rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a := mustAux(t, nw)
+				s := rng.Intn(n)
+				d := (s + 1 + rng.Intn(n-1)) % n
+				want := simplePathCosts(a, s, d)
+				enumerated += len(want)
+				count := min(len(want)+1, maxK)
+				paths, err := a.KShortest(s, d, count)
+				if len(want) == 0 {
+					if !errors.Is(err, ErrNoRoute) {
+						t.Fatalf("trial %d %d→%d: no path enumerated, KShortest says %v", trial, s, d, err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("trial %d %d→%d: %v", trial, s, d, err)
+				}
+				if len(paths) != min(len(want), count) {
+					t.Fatalf("trial %d %d→%d: %d paths for K=%d, %d simple paths exist", trial, s, d, len(paths), count, len(want))
+				}
+				seen := make(map[string]bool, len(paths))
+				for i, p := range paths {
+					if !costsAgree(p.Cost, want[i]) {
+						t.Fatalf("trial %d %d→%d: path %d costs %v, the %d-th cheapest simple path %v", trial, s, d, i, p.Cost, i, want[i])
+					}
+					if err := p.Path.Validate(nw, s, d); err != nil {
+						t.Fatalf("trial %d: path %d: %v", trial, i, err)
+					}
+					if got := p.Path.Cost(nw); !costsAgree(got, p.Cost) {
+						t.Fatalf("trial %d: path %d reported %v, Eq. (1) prices it %v", trial, i, p.Cost, got)
+					}
+					if key := p.Path.String(nw); seen[key] {
+						t.Fatalf("trial %d: path %d repeats %s", trial, i, key)
+					} else {
+						seen[key] = true
+					}
+					checkSimpleInAux(t, a, p.Path)
+				}
+			}
+			if enumerated == 0 {
+				t.Fatal("no instance had a path: the fixtures test nothing")
+			}
+		})
+	}
+}
+
+// checkSimpleInAux fails when path visits a gadget node of G′ twice: hop
+// (e=(u,v), λ) leaves Y_u(λ) and enters X_v(λ).
+func checkSimpleInAux(t *testing.T, a *Aux, path *wdm.Semilightpath) {
+	t.Helper()
+	visited := make(map[int]bool, 2*len(path.Hops))
+	for _, h := range path.Hops {
+		l := a.nw.Link(h.Link)
+		y, okY := a.yIndex(l.From, h.Wavelength)
+		x, okX := a.xIndex(l.To, h.Wavelength)
+		if !okY || !okX {
+			t.Fatalf("hop %+v has no gadget nodes", h)
+		}
+		if visited[y] || visited[x] {
+			t.Fatalf("path %+v visits a gadget node twice", path.Hops)
+		}
+		visited[y], visited[x] = true, true
 	}
 }

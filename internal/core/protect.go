@@ -13,7 +13,8 @@ import (
 // two-step heuristic — route the primary optimally, delete its links,
 // route again. (Suurballe-style joint optimization over the layered
 // auxiliary graph is possible but the two-step is the standard practice
-// baseline, and it shares every code path with normal routing.)
+// baseline, and it shares every code path with normal routing: deleting
+// the links is the delta a link failure publishes.)
 
 // ErrNoBackup is returned when a primary exists but no link-disjoint
 // backup does.
@@ -32,10 +33,6 @@ func (p *ProtectedPair) TotalCost() float64 { return p.Primary.Cost + p.Backup.C
 type ProtectOptions struct {
 	// Route tunes the underlying shortest-path queries.
 	Route *Options
-	// NodeDisjoint additionally forbids the backup from visiting the
-	// primary's intermediate nodes (stronger than link-disjointness:
-	// survives office failures, not just fiber cuts).
-	NodeDisjoint bool
 	// PrimaryCandidates > 1 enables the anti-trap retry: if the optimal
 	// primary admits no disjoint backup, the next-best primaries (via
 	// K-shortest) are tried in cost order before giving up. The classic
@@ -60,8 +57,6 @@ func (o *ProtectOptions) candidates() int {
 	return o.PrimaryCandidates
 }
 
-func (o *ProtectOptions) nodeDisjoint() bool { return o != nil && o.NodeDisjoint }
-
 // RouteProtected finds a primary optimal semilightpath s→t and a backup
 // that shares no physical link with it — the 1+1 protection pair — using
 // the two-step remove-and-reroute heuristic, optionally hardened per
@@ -78,7 +73,7 @@ func (a *Aux) RouteProtected(s, t int, opts *ProtectOptions) (*ProtectedPair, er
 		primaries = []*Result{primary}
 	} else {
 		var err error
-		primaries, err = a.KShortest(s, t, candidates, opts.route())
+		primaries, err = a.KShortest(s, t, candidates)
 		if err != nil {
 			return nil, err
 		}
@@ -100,29 +95,26 @@ func (a *Aux) RouteProtected(s, t int, opts *ProtectOptions) (*ProtectedPair, er
 	return nil, fmt.Errorf("%w: from %d to %d (tried %d primaries)", ErrNoBackup, s, t, len(primaries))
 }
 
-// backupFor routes a disjoint backup around the given primary.
+// backupFor routes a disjoint backup around the given primary on a
+// private delta child of this graph: the residual with the primary's
+// links stripped of every channel, patched in by ApplyDelta like a link
+// failure. Link IDs and gadget nodes are this graph's, so the backup's
+// hop list is valid against the original network too; the child is
+// dropped with the call.
 func (a *Aux) backupFor(s, t int, primary *Result, opts *ProtectOptions) (*Result, error) {
-	exclude := make(map[int]bool, primary.Path.Len())
-	for _, h := range primary.Path.Hops {
-		exclude[h.Link] = true
+	// A link the primary rides twice is listed twice in changed, which
+	// ApplyDelta re-emits twice to the same segments.
+	strip := make(map[int][]wdm.Channel, primary.Path.Len())
+	changed := make([]int, primary.Path.Len())
+	for i, h := range primary.Path.Hops {
+		strip[h.Link] = nil
+		changed[i] = h.Link
 	}
-	if opts.nodeDisjoint() {
-		// Forbid every link touching an intermediate node of the primary.
-		nodes := primary.Path.Nodes(a.nw)
-		for _, v := range nodes[1 : len(nodes)-1] {
-			for _, id := range a.nw.Out(v) {
-				exclude[int(id)] = true
-			}
-			for _, id := range a.nw.In(v) {
-				exclude[int(id)] = true
-			}
-		}
-	}
-	residual, err := networkWithoutLinks(a.nw, exclude)
+	residual, err := a.nw.PatchChannels(strip)
 	if err != nil {
 		return nil, err
 	}
-	residualAux, err := NewAux(residual)
+	child, err := a.ApplyDelta(residual, changed)
 	if err != nil {
 		return nil, err
 	}
@@ -133,26 +125,7 @@ func (a *Aux) backupFor(s, t int, primary *Result, opts *ProtectOptions) (*Resul
 		ro = *r
 		ro.Bound = nil
 	}
-	// Link IDs are preserved by networkWithoutLinks, so the backup's hop
-	// list is valid against the original network too.
-	return residualAux.Route(s, t, &ro)
-}
-
-// networkWithoutLinks clones nw with the excluded links stripped of all
-// channels (the links remain so IDs stay aligned).
-func networkWithoutLinks(nw *wdm.Network, exclude map[int]bool) (*wdm.Network, error) {
-	out := wdm.NewNetwork(nw.NumNodes(), nw.K())
-	for _, l := range nw.Links() {
-		channels := l.Channels
-		if exclude[l.ID] {
-			channels = nil
-		}
-		if _, err := out.AddLink(l.From, l.To, channels); err != nil {
-			return nil, fmt.Errorf("core: strip link %d: %w", l.ID, err)
-		}
-	}
-	out.SetConverter(nw.Converter())
-	return out, nil
+	return child.Route(s, t, &ro)
 }
 
 // LinkDisjoint reports whether two semilightpaths share any physical

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"lightpath/internal/graph"
 	"lightpath/internal/topo"
 	"lightpath/internal/wdm"
 	"lightpath/internal/workload"
@@ -172,46 +173,150 @@ func TestRouteProtectedTrapTopology(t *testing.T) {
 	}
 }
 
-func TestRouteProtectedNodeDisjoint(t *testing.T) {
-	// Diamond 0→{1,2}→3: the only node-disjoint pair routes one path via
-	// node 1 and the other via node 2.
-	nw := wdm.NewNetwork(4, 1)
-	for _, l := range [][3]float64{
-		{0, 1, 1}, {1, 3, 1}, // via node 1
-		{0, 2, 5}, {2, 3, 5}, // via node 2
-	} {
-		if _, err := nw.AddLink(int(l[0]), int(l[1]), []wdm.Channel{{Lambda: 0, Weight: l[2]}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a, err := NewAux(nw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pair, err := a.RouteProtected(0, 3, &ProtectOptions{NodeDisjoint: true})
-	if err != nil {
-		t.Fatalf("node-disjoint: %v", err)
-	}
-	pn := pair.Primary.Path.Nodes(nw)
-	bn := pair.Backup.Path.Nodes(nw)
-	seen := map[int]bool{}
-	for _, v := range pn[1 : len(pn)-1] {
-		seen[v] = true
-	}
-	for _, v := range bn[1 : len(bn)-1] {
-		if seen[v] {
-			t.Fatalf("backup shares intermediate node %d", v)
-		}
-	}
-}
-
 func TestProtectOptionsDefaults(t *testing.T) {
 	var o *ProtectOptions
-	if o.candidates() != 1 || o.nodeDisjoint() || o.route() != nil {
+	if o.candidates() != 1 || o.route() != nil {
 		t.Fatal("nil options defaults wrong")
 	}
 	o2 := &ProtectOptions{PrimaryCandidates: 0}
 	if o2.candidates() != 1 {
 		t.Fatal("candidate floor should be 1")
+	}
+}
+
+// servedOpts is what the engine runs a query with, bound rows aside: A*
+// on the bucket queue (wdmserve's defaults).
+var servedOpts = &Options{Directed: DirectedAStar, Queue: graph.QueueBucket}
+
+// stripAndCompile is the backup's reference: a fresh copy of nw with the
+// primary's links stripped of every channel (IDs stay aligned), compiled
+// from scratch and routed without lent rows.
+func stripAndCompile(t *testing.T, nw *wdm.Network, primary *wdm.Semilightpath, s, d int, opts *Options) (*Result, error) {
+	t.Helper()
+	exclude := make(map[int]bool, primary.Len())
+	for _, h := range primary.Hops {
+		exclude[h.Link] = true
+	}
+	out := wdm.NewNetwork(nw.NumNodes(), nw.K())
+	for _, l := range nw.Links() {
+		channels := l.Channels
+		if exclude[l.ID] {
+			channels = nil
+		}
+		if _, err := out.AddLink(l.From, l.To, channels); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out.SetConverter(nw.Converter())
+	a, err := NewAux(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ro Options
+	if opts != nil {
+		ro = *opts
+		ro.Bound = nil
+	}
+	return a.Route(s, d, &ro)
+}
+
+// TestRouteProtectedMatchesStripAndCompile: on random networks × pairs,
+// under the paper's search and the served one, with one primary and
+// with the anti-trap retry, every backup is link-disjoint from its
+// primary, valid on the original network and as cheap as routing on a
+// fresh compile of the network stripped of the primary's links; and a
+// pair refused for want of a backup has no candidate primary that
+// reference would back up.
+func TestRouteProtectedMatchesStripAndCompile(t *testing.T) {
+	refused := 0
+	for conv, spec := range directedConvs {
+		// Sparse channels: a link free on no wavelength is cut, so some
+		// pairs have a primary and no backup.
+		spec.K, spec.AvailProb = 4, 0.35
+		t.Run(conv, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(3940))
+			pairs := 0
+			for trial := 0; trial < 10; trial++ {
+				tp := topo.RandomSparse(8+rng.Intn(12), 3, 4, rng)
+				nw, err := workload.Build(tp, spec, rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a := mustAux(t, nw)
+				for q := 0; q < 6; q++ {
+					s, d := rng.Intn(tp.N), rng.Intn(tp.N)
+					if s == d {
+						continue
+					}
+					for _, ro := range []*Options{nil, servedOpts} {
+						for _, candidates := range []int{1, 3} {
+							pair, err := a.RouteProtected(s, d, &ProtectOptions{Route: ro, PrimaryCandidates: candidates})
+							switch {
+							case errors.Is(err, ErrNoBackup):
+								refused++
+								primaries, kerr := a.KShortest(s, d, candidates)
+								if kerr != nil {
+									t.Fatal(kerr)
+								}
+								for _, p := range primaries {
+									if ref, rerr := stripAndCompile(t, nw, p.Path, s, d, ro); !errors.Is(rerr, ErrNoRoute) {
+										t.Fatalf("trial %d %d→%d: refused, but the reference backs up a primary: %v, %v", trial, s, d, ref, rerr)
+									}
+								}
+								continue
+							case errors.Is(err, ErrNoRoute):
+								continue
+							case err != nil:
+								t.Fatal(err)
+							}
+							pairs++
+							if !LinkDisjoint(pair.Primary.Path, pair.Backup.Path) {
+								t.Fatalf("trial %d %d→%d: pair shares a link", trial, s, d)
+							}
+							if err := pair.Backup.Path.Validate(nw, s, d); err != nil {
+								t.Fatalf("trial %d %d→%d: backup invalid on the original network: %v", trial, s, d, err)
+							}
+							ref, err := stripAndCompile(t, nw, pair.Primary.Path, s, d, ro)
+							if err != nil {
+								t.Fatalf("trial %d %d→%d: reference: %v", trial, s, d, err)
+							}
+							if !costsAgree(pair.Backup.Cost, ref.Cost) {
+								t.Fatalf("trial %d %d→%d: backup %v, strip-and-compile %v", trial, s, d, pair.Backup.Cost, ref.Cost)
+							}
+						}
+					}
+				}
+			}
+			if pairs == 0 {
+				t.Fatal("no pair found: the fixtures test nothing")
+			}
+		})
+	}
+	if refused == 0 {
+		t.Fatal("no pair refused: the fixtures never reach ErrNoBackup")
+	}
+}
+
+// TestRouteProtectedAllocations pins what one served protect allocates
+// at n=300 (astar on the bucket queue, as the engine runs it): the
+// backup is a delta child of the compiled graph, not a compile.
+func TestRouteProtectedAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(300*100 + 6))
+	nw, err := workload.Build(topo.RandomSparse(300, 4, 5, rng), workload.RestrictedSpec(6), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := mustAux(t, nw)
+	po := &ProtectOptions{Route: servedOpts}
+	if _, err := a.RouteProtected(0, 150, po); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := a.RouteProtected(0, 150, po); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 64 {
+		t.Fatalf("%.0f allocs per protect, want ≤ 64", allocs)
 	}
 }

@@ -498,3 +498,54 @@ func TestProtectedAndKShortestOnSnapshot(t *testing.T) {
 		t.Fatal("protected pair shares a link")
 	}
 }
+
+// TestProtectOptionsReusedAcrossEpochs: one *core.ProtectOptions passed
+// to RouteProtected at every epoch. The snapshot fills its own search
+// options into a copy, so the caller's struct never carries one epoch's
+// bound rows into the next: after 1→2 is repaired the primary is the
+// cheap route again, as with nil options.
+func TestProtectOptionsReusedAcrossEpochs(t *testing.T) {
+	nw := wdm.NewNetwork(5, 1)
+	var mid int
+	for _, l := range []struct {
+		from, to int
+		w        float64
+	}{{0, 1, 1}, {1, 2, 1}, {0, 3, 10}, {3, 2, 10}, {0, 4, 20}, {4, 2, 20}} {
+		id, err := nw.AddLink(l.from, l.to, []wdm.Channel{{Lambda: 0, Weight: l.w}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.from == 1 {
+			mid = id
+		}
+	}
+	e, err := New(nw, &Options{Directed: core.DirectedAStar})
+	if err != nil {
+		t.Fatal(err)
+	}
+	po := &core.ProtectOptions{}
+	if _, err := e.FailLink(mid); err != nil {
+		t.Fatal(err)
+	}
+	for ask := 0; ask < 3; ask++ {
+		pair, err := e.RouteProtected(0, 2, po)
+		if err != nil || pair.Primary.Cost != 20 || pair.Backup.Cost != 40 {
+			t.Fatalf("1→2 failed, ask %d: %+v, %v", ask, pair, err)
+		}
+	}
+	if err := e.RepairLink(mid); err != nil {
+		t.Fatal(err)
+	}
+	for name, opts := range map[string]*core.ProtectOptions{"nil": nil, "reused": po} {
+		pair, err := e.RouteProtected(0, 2, opts)
+		if err != nil {
+			t.Fatalf("%s options: %v", name, err)
+		}
+		if pair.Primary.Cost != 2 || pair.Backup.Cost != 20 {
+			t.Fatalf("%s options after repair: primary %v, backup %v; want 2 and 20", name, pair.Primary.Cost, pair.Backup.Cost)
+		}
+	}
+	if po.Route != nil {
+		t.Fatal("RouteProtected wrote its options into the caller's struct")
+	}
+}

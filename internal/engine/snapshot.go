@@ -170,19 +170,22 @@ func viaTree(st *core.SourceTree, src, dst int) (*core.Result, error) {
 // KShortest enumerates up to count lowest-cost semilightpaths src→dst
 // on this snapshot.
 func (s *Snapshot) KShortest(src, dst, count int) ([]*core.Result, error) {
-	return s.aux.KShortest(src, dst, count, s.opts(nil))
+	return s.aux.KShortest(src, dst, count)
 }
 
 // RouteProtected finds a 1+1 protection pair (primary + link-disjoint
-// backup) on this snapshot.
+// backup) on this snapshot. A nil po.Route runs the snapshot's own
+// search options, filled into a copy: the caller's po may be reused at
+// a later epoch, where this snapshot's bound rows would mislead.
 func (s *Snapshot) RouteProtected(src, dst int, po *core.ProtectOptions) (*core.ProtectedPair, error) {
-	if po == nil {
-		po = &core.ProtectOptions{}
+	var own core.ProtectOptions
+	if po != nil {
+		own = *po
 	}
-	if po.Route == nil {
-		po.Route = s.opts(nil)
+	if own.Route == nil {
+		own.Route = s.opts(nil)
 	}
-	return s.aux.RouteProtected(src, dst, po)
+	return s.aux.RouteProtected(src, dst, &own)
 }
 
 // Engine-level query forwarders: each pins the instantaneous current

@@ -237,6 +237,21 @@ func mustMatch(t *testing.T, what string, g *Digraph, want [][]Arc) {
 	}
 }
 
+// deepCopy is the reference a copy-on-write clone is compared with: a
+// fresh graph holding a copy of every segment.
+func deepCopy(t *testing.T, g *Digraph) *Digraph {
+	t.Helper()
+	c := New(g.NumNodes())
+	for u := 0; u < g.NumNodes(); u++ {
+		for _, a := range g.Out(u) {
+			if err := c.AddArc(u, int(a.To), a.Weight, a.Tag); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return c
+}
+
 // TestCOWAcrossPageEdges runs every writer on clones of graphs whose node
 // count sits one short of a page, on it and one past it, so the first
 // slot, the last slot, a full last page and a one-slot last page are all
@@ -249,7 +264,7 @@ func TestCOWAcrossPageEdges(t *testing.T) {
 		last := n - 1
 
 		c := g.CloneCOW()
-		deep := g.Clone()
+		deep := deepCopy(t, g)
 		for _, w := range []*Digraph{c, deep} {
 			// Twice on one shared page, then the far edge.
 			for _, u := range []int{0, 1, last} {

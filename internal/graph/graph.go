@@ -249,18 +249,6 @@ func (g *Digraph) Reverse() *Digraph {
 	return r
 }
 
-// Clone returns a deep copy of the graph.
-func (g *Digraph) Clone() *Digraph {
-	c := New(g.n)
-	c.arcs = g.arcs
-	for u := 0; u < g.n; u++ {
-		if arcs := g.Out(u); len(arcs) > 0 {
-			*c.slot(u) = append([]Arc(nil), arcs...)
-		}
-	}
-	return c
-}
-
 // ReachableFrom returns the set of nodes reachable from src (including
 // src) as a boolean slice, via BFS over arcs of any weight.
 func (g *Digraph) ReachableFrom(src int) []bool {

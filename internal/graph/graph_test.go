@@ -120,9 +120,9 @@ func TestReverse(t *testing.T) {
 func TestClone(t *testing.T) {
 	g := New(2)
 	mustArc(t, g, 0, 1, 1)
-	c := g.Clone()
+	c := g.CloneCOW()
 	mustArc(t, c, 1, 0, 2)
-	if g.NumArcs() != 1 || c.NumArcs() != 2 {
+	if g.NumArcs() != 1 || c.NumArcs() != 2 || len(g.Out(1)) != 0 {
 		t.Fatalf("clone not independent: g=%d c=%d", g.NumArcs(), c.NumArcs())
 	}
 }

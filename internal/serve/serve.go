@@ -84,6 +84,11 @@ func NewSession(eng *engine.Engine, w io.Writer, opts *SessionOptions) *Session 
 // connection arrived.
 var processStart = time.Now()
 
+// maxKShortest caps kshortest's K. Admission bounds only the wait for a
+// slot, not how long a request holds one, and Yen's work grows faster
+// than K.
+const maxKShortest = 32
+
 // CleanLine strips a trailing '#' comment and surrounding whitespace;
 // an empty result means the line carries no command.
 func CleanLine(line string) string {
@@ -224,6 +229,9 @@ func (s *Session) exec(cmd string, rest []string, sp *obs.Span) (bool, error) {
 	case "kshortest":
 		if err := argc(3); err != nil {
 			return false, err
+		}
+		if ints[2] > maxKShortest {
+			return false, fmt.Errorf("kshortest: K %d above the limit of %d", ints[2], maxKShortest)
 		}
 		paths, err := s.eng.KShortest(ints[0], ints[1], ints[2])
 		if err != nil {

@@ -53,6 +53,9 @@ func TestProtocolMalformedInputs(t *testing.T) {
 		{"route -1 6", `core: node out of range: source -1`},
 		{"routefrom 999", `core: node out of range: source 999`},
 		{"kshortest 0 999 2", `core: node out of range: dest 999`},
+		// K above the limit is refused before any search.
+		{"kshortest 0 6 33", `kshortest: K 33 above the limit of 32`},
+		{"kshortest 0 2 1000000", `kshortest: K 1000000 above the limit of 32`},
 		{"protect 999 0", `core: node out of range: source 999`},
 		{"alloc 0 999", `core: node out of range: dest 999`},
 		{"explain 0 999", `core: node out of range: dest 999`},
@@ -79,6 +82,19 @@ func TestProtocolMalformedInputs(t *testing.T) {
 		if err.Error() != tc.want {
 			t.Errorf("%q: error = %q, want %q", tc.line, err.Error(), tc.want)
 		}
+	}
+}
+
+// TestKShortestAtTheLimit: K = 32, the largest kshortest accepts, is
+// answered in full.
+func TestKShortestAtTheLimit(t *testing.T) {
+	eng := newEngine(t, "-topo", "paper")
+	var out bytes.Buffer
+	if _, err := NewSession(eng, &out, nil).Exec("kshortest 0 6 32"); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(out.String(), "  #"); got != 32 {
+		t.Fatalf("%d paths for K=32:\n%s", got, out.String())
 	}
 }
 

@@ -174,7 +174,7 @@ func TestKShortestViaRouter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, err := router.KShortest(0, 2, 3, nil)
+	paths, err := router.KShortest(0, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
