@@ -5,7 +5,6 @@
 //	wdmlint -dir path/to/fixture  # lint one directory of Go files
 //	wdmlint -list                 # print the analyzer roster (sorted)
 //	wdmlint -audit                # list //lint:ignore suppressions
-//	go vet -vettool=$(which wdmlint) ./...   # run as a vet tool
 //
 // Exit status:
 //
@@ -14,9 +13,6 @@
 //	   empty reason, an unknown analyzer, or more suppressions than
 //	   -audit-max allows
 //	2  operational error (bad patterns, type-check failure, I/O)
-//
-// (Under `go vet -vettool` the go command's own convention applies:
-// findings exit 2, because vet reserves 1 for tool failure.)
 //
 // Findings are suppressed with an inline directive carrying a written
 // reason, which -audit inventories:
@@ -35,22 +31,6 @@ import (
 )
 
 func main() {
-	// go vet probes its -vettool with -V=full before handing it unit
-	// config files; serve that protocol before normal flag parsing.
-	if len(os.Args) == 2 && strings.HasPrefix(os.Args[1], "-V") {
-		fmt.Printf("wdmlint version v0-%s\n", analysisFingerprint())
-		return
-	}
-	// go vet's second probe: a JSON description of the tool's flags. We
-	// expose none to the vet driver.
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
-	if len(os.Args) == 2 && strings.HasSuffix(os.Args[1], ".cfg") {
-		os.Exit(vetUnit(os.Args[1]))
-	}
-
 	var (
 		dir      = flag.String("dir", "", "lint a single directory of Go files instead of package patterns")
 		list     = flag.Bool("list", false, "list analyzers and exit")
@@ -167,18 +147,4 @@ func moduleRoot() (string, error) {
 			dir = "/"
 		}
 	}
-}
-
-// analysisFingerprint keys go vet's result cache: it must change when
-// the analyzer roster changes, so a stable hash of names suffices.
-func analysisFingerprint() string {
-	var names []string
-	for _, a := range analysis.Suite() {
-		names = append(names, a.Name)
-	}
-	h := uint64(14695981039346656037)
-	for _, b := range []byte(strings.Join(names, ",")) {
-		h = (h ^ uint64(b)) * 1099511628211
-	}
-	return fmt.Sprintf("%x", h)
 }

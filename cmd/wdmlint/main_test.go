@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"lightpath/internal/analysis"
 )
 
 // buildLint compiles the driver once per test binary into a temp dir.
@@ -45,7 +47,8 @@ func TestCleanTreeExitsZero(t *testing.T) {
 	}
 }
 
-// TestBrokenFixtureExitsNonZero proves findings drive the exit code.
+// TestBrokenFixtureExitsNonZero proves findings drive the exit code,
+// and that every analyzer in the suite fires through the driver.
 func TestBrokenFixtureExitsNonZero(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles the module; skipped in -short")
@@ -62,41 +65,12 @@ func TestBrokenFixtureExitsNonZero(t *testing.T) {
 		t.Fatalf("want exit 1 on broken fixture, got %v\nstdout: %s\nstderr: %s", err, stdout.String(), stderr.String())
 	}
 	got := stdout.String()
-	for _, analyzer := range []string{"snapshotescape", "errdrop", "infcost", "spanfinish", "leasepair", "lockorder", "deadlinecheck"} {
-		if !strings.Contains(got, analyzer) {
-			t.Errorf("broken fixture output missing %s finding:\n%s", analyzer, got)
-		}
-	}
-}
-
-// TestVetVersionProbe covers the -V=full handshake go vet performs
-// before trusting a -vettool.
-func TestVetVersionProbe(t *testing.T) {
-	if testing.Short() {
-		t.Skip("compiles the module; skipped in -short")
-	}
-	bin, _ := buildLint(t)
-	out, err := exec.Command(bin, "-V=full").CombinedOutput()
-	if err != nil {
-		t.Fatalf("-V=full: %v\n%s", err, out)
-	}
-	fields := strings.Fields(string(out))
-	if len(fields) != 3 || fields[0] != "wdmlint" || fields[1] != "version" {
-		t.Fatalf("-V=full output %q does not match `wdmlint version <v>`", out)
-	}
-}
-
-// TestVettoolRuns exercises the unit-checker protocol end to end
-// through the real go vet driver on a clean package.
-func TestVettoolRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs go vet; skipped in -short")
-	}
-	bin, root := buildLint(t)
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./internal/obs")
-	cmd.Dir = root
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go vet -vettool on clean package: %v\n%s", err, out)
+	for _, a := range analysis.Suite() {
+		t.Run(a.Name, func(t *testing.T) {
+			if !strings.Contains(got, ": "+a.Name+": ") {
+				t.Errorf("broken fixture output missing %s finding:\n%s", a.Name, got)
+			}
+		})
 	}
 }
 
@@ -131,8 +105,8 @@ func TestAuditFlag(t *testing.T) {
 	}
 }
 
-// TestListSorted pins the -list contract: one line per analyzer, in
-// lexicographic order.
+// TestListSorted pins the -list contract: one line per analyzer in
+// Suite(), in lexicographic order.
 func TestListSorted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles the module; skipped in -short")
@@ -151,8 +125,8 @@ func TestListSorted(t *testing.T) {
 		}
 		names = append(names, fields[0])
 	}
-	if len(names) != 9 {
-		t.Fatalf("-list printed %d analyzers, want 9:\n%s", len(names), out)
+	if want := len(analysis.Suite()); len(names) != want {
+		t.Fatalf("-list printed %d analyzers, want %d:\n%s", len(names), want, out)
 	}
 	for i := 1; i < len(names); i++ {
 		if names[i] < names[i-1] {

@@ -1,38 +1,28 @@
 // Package analysis is the repository's domain-aware static-analysis
 // suite: a small analyzer framework on stdlib go/ast + go/types (the
 // build environment has no module proxy, so golang.org/x/tools is
-// deliberately not a dependency), plus nine project-specific analyzers
-// that mechanically enforce the engine's concurrency, lifecycle, and
-// cost-model contracts.
+// deliberately not a dependency), plus six project-specific analyzers.
+// Each one either has fixed a true finding in this tree or guards a
+// hazard nothing else catches:
 //
-// Expression-level analyzers (first generation):
-//
-//   - snapshotescape: *engine.Snapshot values must not outlive the
-//     call that pinned them, and must not be used after an
-//     epoch-advancing engine mutation.
-//   - atomicfield: fields marked //lint:atomic are only touched through
-//     sync/atomic operations (or their atomic.* method sets).
 //   - infcost: the +Inf cost sentinel (graph.Inf, wdm.Inf, math.Inf) is
 //     never compared or combined arithmetically outside blessed helpers.
-//   - metricname: obs.Registry metric names are unique compile-time
-//     constants in lower_snake form.
+//   - metricname: obs.Registry metric names, span names and span
+//     attribute keys are compile-time constants in lower_snake form;
+//     metric names are unique.
 //   - errdrop: error returns of engine/session/core public APIs are
 //     never silently discarded.
-//
-// Flow- and call-graph-aware analyzers (second generation, built on the
-// CFG/dataflow core in cfg.go and the summary store in summary.go):
-//
 //   - spanfinish: traces from Tracer.Start and spans from StartChild
 //     are finished/ended on every path, never twice, never mutated
 //     after the finish.
-//   - leasepair: engine leases and session circuits acquired in cmd/
-//     binaries, benchmarks, and test helpers are released, stored, or
-//     returned — never silently dropped.
 //   - lockorder: the cross-package mutex acquisition graph is acyclic,
 //     and no locked exported method is re-entered while the same
 //     receiver's lock is held.
 //   - deadlinecheck: conn reads/writes in internal/serve are dominated
 //     by a matching SetReadDeadline/SetWriteDeadline on every path.
+//
+// The last three are flow-aware: they run on the CFG/dataflow core in
+// cfg.go and the per-function summaries in summary.go.
 //
 // cmd/wdmlint is the driver; `make lint` runs it over the module.
 package analysis
@@ -59,16 +49,12 @@ func (d Diagnostic) String() string {
 }
 
 // Pass is everything an analyzer sees for one type-checked package.
-// Files is pre-filtered per Analyzer.TestFiles; TestFile reports
-// whether a file in it is an in-package test file.
+// Files is pre-filtered per Analyzer.TestFiles.
 type Pass struct {
 	Fset  *token.FileSet
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
-
-	// TestFile reports whether f was compiled from a _test.go file.
-	TestFile func(f *ast.File) bool
 
 	analyzer string
 	diags    *[]Diagnostic
@@ -101,9 +87,10 @@ type Analyzer struct {
 	Run  func(*Pass) error
 
 	// TestFiles includes in-package _test.go files in Pass.Files. The
-	// expression-level analyzers from the first generation keep their
-	// production-only scope; lifecycle analyzers opt in because test
-	// helpers hold leases and spans too.
+	// expression-level analyzers keep a production-only scope (test
+	// files legitimately exercise the forbidden shapes); the flow-aware
+	// analyzers opt in because test helpers start spans and take locks
+	// too.
 	TestFiles bool
 
 	// Finalize, if set, runs once after every package has been analyzed
@@ -116,13 +103,10 @@ type Analyzer struct {
 // Instances hold per-run state and must not be shared across runs.
 func Suite() []*Analyzer {
 	return []*Analyzer{
-		NewSnapshotEscape(),
-		NewAtomicField(),
 		NewInfCost(),
 		NewMetricName(),
 		NewErrDrop(),
 		NewSpanFinish(),
-		NewLeasePair(),
 		NewLockOrder(),
 		NewDeadlineCheck(),
 	}
@@ -145,7 +129,6 @@ func RunSuite(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				Files:    files,
 				Pkg:      pkg.Types,
 				Info:     pkg.Info,
-				TestFile: pkg.TestFile,
 				analyzer: a.Name,
 				diags:    &diags,
 			}

@@ -5,7 +5,11 @@ import (
 	"go/types"
 )
 
-const sessionPath = "lightpath/internal/session"
+const (
+	enginePath  = "lightpath/internal/engine"
+	sessionPath = "lightpath/internal/session"
+	corePath    = "lightpath/internal/core"
+)
 
 // errdropPaths are the packages whose public APIs must not have their
 // errors discarded: their errors are load-bearing (ErrConflict drives

@@ -315,26 +315,6 @@ func LoadDir(moduleRoot, dir string) ([]*Package, error) {
 	return []*Package{pkg}, nil
 }
 
-// CheckFiles type-checks already-parsed files as one package with the
-// given importer — the entry point for go vet's unit-checker protocol,
-// where the go command supplies the file list and export-data map.
-func CheckFiles(fset *token.FileSet, imp types.ImporterFrom, path, dir string, files []*ast.File) (*Package, error) {
-	return typeCheckParsed(fset, imp, path, dir, files)
-}
-
-// MarkTestFiles records which of the package's files are test files,
-// using the given filename predicate. The standalone loader marks them
-// from `go list` metadata; the vet driver marks them by suffix.
-func (p *Package) MarkTestFiles(isTest func(filename string) bool) {
-	p.testFiles = make(map[string]bool)
-	for _, f := range p.Files {
-		name := p.Fset.Position(f.Package).Filename
-		if isTest(name) {
-			p.testFiles[name] = true
-		}
-	}
-}
-
 func typeCheck(fset *token.FileSet, imp types.ImporterFrom, path, dir string, filenames []string) (*Package, error) {
 	var files []*ast.File
 	for _, f := range filenames {

@@ -55,8 +55,7 @@ var lowerSnake = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
 // freely across spans.
 //
 // Cross-package uniqueness needs cross-package state, so the analyzer
-// instance accumulates registrations; build a fresh Suite per run. In
-// single-package drivers (vet mode) uniqueness degrades to per-package.
+// instance accumulates registrations; build a fresh Suite per run.
 func NewMetricName() *Analyzer {
 	seen := make(map[string]string) // metric name -> "file:line" of first registration
 	type spanDecl struct {

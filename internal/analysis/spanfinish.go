@@ -26,7 +26,12 @@ import (
 	"go/types"
 )
 
-const obsPkgPath = "lightpath/internal/obs"
+// traceFinishers are the obs.Tracer methods that finish the trace
+// passed as their argument 0.
+var traceFinishers = map[string]bool{
+	"Finish":           true,
+	"FinishRecentOnly": true,
+}
 
 // span status bits.
 const (
@@ -97,7 +102,7 @@ func NewSpanFinish() *Analyzer {
 }
 
 func (a *spanfinish) run(pass *Pass) error {
-	if pass.Pkg.Path() == obsPkgPath {
+	if pass.Pkg.Path() == obsPath {
 		return nil // the implementation manipulates its own lifecycle
 	}
 	a.sums.index(pass)
@@ -126,11 +131,11 @@ func isTrackedSpanType(t types.Type) bool {
 	if t == nil {
 		return false
 	}
-	return named(t, obsPkgPath, "ReqTrace") || named(t, obsPkgPath, "Span")
+	return named(t, obsPath, "ReqTrace") || named(t, obsPath, "Span")
 }
 
 func spanKindOf(t types.Type) (kind string, verbs [2]string) {
-	if named(t, obsPkgPath, "ReqTrace") {
+	if named(t, obsPath, "ReqTrace") {
 		return "trace", traceVerbs
 	}
 	return "span", spanVerbs
@@ -141,7 +146,7 @@ func spanKindOf(t types.Type) (kind string, verbs [2]string) {
 // the receiver chain otherwise).
 func classify(info *types.Info, call *ast.CallExpr) (spanOp, ast.Expr) {
 	f := calleeFunc(info, call)
-	if f == nil || f.Pkg() == nil || f.Pkg().Path() != obsPkgPath {
+	if f == nil || f.Pkg() == nil || f.Pkg().Path() != obsPath {
 		return opNone, nil
 	}
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
@@ -153,26 +158,24 @@ func classify(info *types.Info, call *ast.CallExpr) (spanOp, ast.Expr) {
 		return opNone, nil
 	}
 	switch {
-	case named(sig.Recv().Type(), obsPkgPath, "Tracer"):
-		switch f.Name() {
-		case "Start":
+	case named(sig.Recv().Type(), obsPath, "Tracer"):
+		switch {
+		case f.Name() == "Start":
 			return opStart, nil
-		case "Finish", "FinishRecentOnly":
-			if len(call.Args) > 0 {
-				return opFinish, call.Args[0]
-			}
+		case traceFinishers[f.Name()] && len(call.Args) > 0:
+			return opFinish, call.Args[0]
 		}
-	case named(sig.Recv().Type(), obsPkgPath, "ReqTrace"):
+	case named(sig.Recv().Type(), obsPath, "ReqTrace"):
 		if f.Name() == "Root" {
 			return opRoot, sel.X
 		}
-	case named(sig.Recv().Type(), obsPkgPath, "Span"):
-		switch f.Name() {
-		case "StartChild":
+	case named(sig.Recv().Type(), obsPath, "Span"):
+		switch {
+		case f.Name() == "StartChild":
 			return opChild, sel.X
-		case "End":
+		case f.Name() == "End":
 			return opEnd, sel.X
-		case "SetInt", "SetStr", "SetBytes", "SetBool", "SetFloat":
+		case attrSetters[f.Name()]:
 			return opMutate, sel.X
 		}
 	}

@@ -7,12 +7,10 @@ package analysis
 // and memoized for the rest of the lint run.
 //
 // Bodies are indexed per package as packages are analyzed; because the
-// standalone loader returns packages in dependency order, a callee's
-// body has always been indexed by the time a caller in another package
-// asks for its summary. Under `go vet -vettool` each package is a
-// separate process, so cross-package bodies are unavailable and compute
-// falls back to the analyzer's conservative default — the same
-// degradation the first-generation analyzers accept for vet mode.
+// loader returns packages in dependency order, a callee's body has
+// always been indexed by the time a caller in another package asks for
+// its summary. Functions with no indexed body (the standard library,
+// recursion in flight) get the analyzer's conservative default.
 
 import (
 	"go/ast"
@@ -102,21 +100,6 @@ func funcDecls(pass *Pass, yield func(fd *ast.FuncDecl, fn *types.Func)) {
 			yield(fd, fn)
 		}
 	}
-}
-
-// paramIndex returns the position of obj among fn's declared
-// parameters, or -1.
-func paramIndex(fn *types.Func, obj types.Object) int {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return -1
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		if sig.Params().At(i) == obj {
-			return i
-		}
-	}
-	return -1
 }
 
 // exprVar resolves e (through parens) to the *types.Var a plain

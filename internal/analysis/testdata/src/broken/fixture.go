@@ -12,12 +12,15 @@ import (
 	"lightpath/internal/obs"
 )
 
-var pinned *engine.Snapshot
-
+// errdrop and infcost: a dropped release error, a raw sentinel compare.
 func leak(e *engine.Engine, d float64) bool {
-	pinned = e.Snapshot()
 	e.Release(1)
 	return d == graph.Inf
+}
+
+// metricname: a registry name that is not lower_snake.
+func badMetric(reg *obs.Registry) *obs.Counter {
+	return reg.Counter("BadName")
 }
 
 // spanfinish: the trace is lost on the error path.
@@ -27,11 +30,6 @@ func droppedTrace(t *obs.Tracer, fail bool) {
 		return
 	}
 	t.Finish(req)
-}
-
-// leasepair: the lease is never released, stored, or returned.
-func droppedLease(e *engine.Engine, owner int64) {
-	_, _ = e.RouteAndAllocate(owner, 0, 1)
 }
 
 type locked struct{ mu sync.Mutex }

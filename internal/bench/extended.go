@@ -270,7 +270,6 @@ func RunWavelengthRequirement(w io.Writer, cfg Config) error {
 					continue
 				}
 				demands++
-				//lint:ignore leasepair the offered-load sweep measures blocking, not circuit lifecycle; circuits persist until the manager is discarded
 				if _, err := m.Admit(s, d); err == nil {
 					carried++
 				}

@@ -18,11 +18,11 @@ import (
 // flow).
 type Histogram struct {
 	bounds  []float64
-	buckets []atomic.Uint64 //lint:atomic len(bounds)+1; last is overflow
-	count   atomic.Uint64   //lint:atomic
-	sumBits atomic.Uint64   //lint:atomic float64 bits, CAS-accumulated
-	minBits atomic.Uint64   //lint:atomic float64 bits, +Inf when empty
-	maxBits atomic.Uint64   //lint:atomic float64 bits, -Inf when empty
+	buckets []atomic.Uint64 // len(bounds)+1; last is overflow
+	count   atomic.Uint64
+	sumBits atomic.Uint64 // float64 bits, CAS-accumulated
+	minBits atomic.Uint64 // float64 bits, +Inf when empty
+	maxBits atomic.Uint64 // float64 bits, -Inf when empty
 }
 
 // NewHistogram builds a histogram over the given ascending bucket

@@ -19,7 +19,7 @@ import "sync/atomic"
 // Counter is a monotonically-increasing event count. The zero value is
 // ready to use; all methods are safe for concurrent use.
 type Counter struct {
-	v atomic.Uint64 //lint:atomic written concurrently by every instrumented goroutine
+	v atomic.Uint64 // written concurrently by every instrumented goroutine
 }
 
 // Inc adds one.
@@ -35,7 +35,7 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 // requests). The zero value is ready to use; all methods are safe for
 // concurrent use.
 type Gauge struct {
-	v atomic.Int64 //lint:atomic written concurrently by every instrumented goroutine
+	v atomic.Int64 // written concurrently by every instrumented goroutine
 }
 
 // Set replaces the level.

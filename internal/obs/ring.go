@@ -18,7 +18,7 @@ import (
 // claimed its slot and not yet stored; reads at quiescence are exact.
 type ring[T any] struct {
 	slots  []slot[T]
-	next   atomic.Uint64 //lint:atomic write cursor, fetch-add per push
+	next   atomic.Uint64 // write cursor, fetch-add per push
 	assign func(dst, src *T)
 }
 

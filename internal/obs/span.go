@@ -337,9 +337,9 @@ const (
 // nil-receiver safe on the hot path (Start/Finish), so layers can
 // thread an optional tracer without guards.
 type Tracer struct {
-	enabled  atomic.Bool  //lint:atomic toggled at runtime via SetEnabled
-	sample   atomic.Int64 //lint:atomic head-sampling modulus
-	slowNs   atomic.Int64 //lint:atomic slow threshold; < 0 disables
+	enabled  atomic.Bool  // toggled at runtime via SetEnabled
+	sample   atomic.Int64 // head-sampling modulus
+	slowNs   atomic.Int64 // slow threshold; < 0 disables
 	seq      atomic.Uint64
 	recorded atomic.Uint64
 	slowRec  atomic.Uint64
