@@ -129,7 +129,7 @@ func newFlags() (*flag.FlagSet, *flags) {
 	fs.DurationVar(&f.idleTimeout, "idle-timeout", 0,
 		"TCP: disconnect a client idle for this long (0 = no limit)")
 	fs.DurationVar(&f.writeTimeout, "write-timeout", 10*time.Second,
-		"TCP: per-reply flush deadline (0 = no limit)")
+		"TCP: per-reply write deadline, from the reply's first byte on the wire (0 = no limit)")
 	fs.DurationVar(&f.drainTimeout, "drain-timeout", 5*time.Second,
 		"TCP: graceful drain budget on SIGINT/SIGTERM before force-closing connections")
 	fs.StringVar(&f.debugAddr, "debug-addr", "",

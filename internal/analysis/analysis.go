@@ -1,7 +1,7 @@
 // Package analysis is the repository's domain-aware static-analysis
 // suite: a small analyzer framework on stdlib go/ast + go/types (the
 // build environment has no module proxy, so golang.org/x/tools is
-// deliberately not a dependency), plus six project-specific analyzers.
+// deliberately not a dependency), plus five project-specific analyzers.
 // Each one either has fixed a true finding in this tree or guards a
 // hazard nothing else catches:
 //
@@ -18,10 +18,8 @@
 //   - lockorder: the cross-package mutex acquisition graph is acyclic,
 //     and no locked exported method is re-entered while the same
 //     receiver's lock is held.
-//   - deadlinecheck: conn reads/writes in internal/serve are dominated
-//     by a matching SetReadDeadline/SetWriteDeadline on every path.
 //
-// The last three are flow-aware: they run on the CFG/dataflow core in
+// The last two are flow-aware: they run on the CFG/dataflow core in
 // cfg.go and the per-function summaries in summary.go.
 //
 // cmd/wdmlint is the driver; `make lint` runs it over the module.
@@ -108,7 +106,6 @@ func Suite() []*Analyzer {
 		NewErrDrop(),
 		NewSpanFinish(),
 		NewLockOrder(),
-		NewDeadlineCheck(),
 	}
 }
 

@@ -1,8 +1,8 @@
 package analysis
 
 // Control-flow graphs over go/ast, plus a generic forward-dataflow
-// solver — the core the lifecycle analyzers (spanfinish, lockorder,
-// deadlinecheck) are built on.
+// solver — the core the lifecycle analyzers (spanfinish, lockorder)
+// are built on.
 //
 // The builder lowers one function body to basic blocks. Statements land
 // in Block.Nodes in execution order; branch conditions live on the

@@ -3,7 +3,7 @@ package analysis
 // Unit tests for the CFG/dataflow core: block construction over the
 // branching statements the analyzers rely on (if/for/switch/select/
 // defer/goto), no-return call modeling, dead-code reachability, and
-// the must-dominate property deadlinecheck is built on.
+// the must-dominate property an intersection meet gives.
 
 import (
 	"go/ast"
@@ -282,10 +282,11 @@ func TestReversePostorder(t *testing.T) {
 	}
 }
 
-// TestDeadlineDominance drives the deadlinecheck solver directly: an
-// unconditional SetReadDeadline dominates the exit, a conditional one
-// does not survive the intersection meet, and SetDeadline arms both
-// kinds.
+// TestDeadlineDominance drives Solve with an intersection meet, the
+// must-dominate form: a fact holds at the exit only if every path
+// establishes it. The facts are the deadline kinds a conn method arms:
+// an unconditional SetReadDeadline dominates the exit, a conditional
+// one does not survive the meet, and SetDeadline arms both kinds.
 func TestDeadlineDominance(t *testing.T) {
 	pkg := loadSrc(t, `package domfix
 
@@ -308,28 +309,35 @@ func both(conn net.Conn) {
 	_ = conn.SetDeadline(time.Time{})
 }
 `)
-	a := &deadlinecheck{sums: newSummaries(deadSummary{})}
-	exitBits := func(fn string) uint8 {
-		t.Helper()
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.Name == fn {
-					c := &deadChecker{a: a, info: pkg.Info, wrapped: wrappers(pkg.Info, fd.Body)}
-					exit := c.solve(BuildCFG(pkg.Info, fd.Body), deadState{})
-					return exit["conn"]
-				}
+	const read, write = uint8(1), uint8(2)
+	arms := map[string]uint8{"SetReadDeadline": read, "SetWriteDeadline": write, "SetDeadline": read | write}
+	mustArm := FlowProblem[uint8]{
+		Meet: func(a, b uint8) uint8 { return a & b },
+		Transfer: func(s uint8, blk *Block) uint8 {
+			for _, n := range blk.Nodes {
+				ast.Inspect(n, func(m ast.Node) bool {
+					if sel, ok := m.(*ast.SelectorExpr); ok {
+						s |= arms[sel.Sel.Name]
+					}
+					return true
+				})
 			}
-		}
-		t.Fatalf("no function %q", fn)
-		return 0
+			return s
+		},
+		Equal: func(a, b uint8) bool { return a == b },
 	}
-	if got := exitBits("always"); got != dlRead {
-		t.Errorf("always: exit bits = %b, want dlRead", got)
+	exitBits := func(fn string) uint8 {
+		cfg := cfgOf(t, pkg, fn)
+		in, _ := Solve(cfg, mustArm)
+		return in[cfg.Exit.Index]
+	}
+	if got := exitBits("always"); got != read {
+		t.Errorf("always: exit bits = %b, want read", got)
 	}
 	if got := exitBits("sometimes"); got != 0 {
 		t.Errorf("sometimes: exit bits = %b, want 0 (conditional arm must not dominate)", got)
 	}
-	if got := exitBits("both"); got != dlRead|dlWrite {
-		t.Errorf("both: exit bits = %b, want dlRead|dlWrite", got)
+	if got := exitBits("both"); got != read|write {
+		t.Errorf("both: exit bits = %b, want read|write", got)
 	}
 }

@@ -148,12 +148,11 @@ func sameFile(a, b string) bool {
 	return aa == bb
 }
 
-func TestInfCostFixture(t *testing.T)       { runFixture(t, "infcost") }
-func TestMetricNameFixture(t *testing.T)    { runFixture(t, "metricname") }
-func TestErrDropFixture(t *testing.T)       { runFixture(t, "errdrop") }
-func TestSpanFinishFixture(t *testing.T)    { runFixture(t, "spanfinish") }
-func TestLockOrderFixture(t *testing.T)     { runFixture(t, "lockorder") }
-func TestDeadlineCheckFixture(t *testing.T) { runFixture(t, "deadlinecheck") }
+func TestInfCostFixture(t *testing.T)    { runFixture(t, "infcost") }
+func TestMetricNameFixture(t *testing.T) { runFixture(t, "metricname") }
+func TestErrDropFixture(t *testing.T)    { runFixture(t, "errdrop") }
+func TestSpanFinishFixture(t *testing.T) { runFixture(t, "spanfinish") }
+func TestLockOrderFixture(t *testing.T)  { runFixture(t, "lockorder") }
 
 // TestFixtureHarnessCatchesDrift strips one // want expectation from
 // every analyzer's fixture and proves the harness reports the now-

@@ -4,7 +4,6 @@
 package broken
 
 import (
-	"net"
 	"sync"
 
 	"lightpath/internal/engine"
@@ -39,9 +38,4 @@ func relock(l *locked) {
 	l.mu.Lock()
 	l.mu.Lock()
 	l.mu.Unlock()
-}
-
-// deadlinecheck: a conn read with no deadline armed on any path.
-func bareRead(conn net.Conn, buf []byte) {
-	_, _ = conn.Read(buf)
 }

@@ -1,69 +1,9 @@
 package serve
 
 import (
-	"bufio"
-	"fmt"
-	"net"
 	"strconv"
 	"strings"
-	"time"
 )
-
-// Client is a minimal line-protocol client used by the end-to-end
-// tests. It deliberately understands only the reply framing, not the
-// semantics: single-line verbs (route, alloc, release, fail, repair,
-// epoch) answer with exactly one line — a result, an "error:" line, or
-// a transport-level "busy" shed — and multi-line verbs are read with
-// ReadLine by callers who know the shape (batch answers 1+N lines for N
-// pairs, explain ends with its "  search:" line or, blocked, with its
-// "error:" line).
-type Client struct {
-	conn net.Conn
-	r    *bufio.Reader
-}
-
-// Dial connects to a wdmserve -listen address.
-func Dial(addr string, timeout time.Duration) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{conn: conn, r: bufio.NewReader(conn)}, nil
-}
-
-// Close tears the connection down.
-func (c *Client) Close() error { return c.conn.Close() }
-
-// SetDeadline bounds every subsequent read and write on the
-// connection.
-func (c *Client) SetDeadline(t time.Time) error { return c.conn.SetDeadline(t) }
-
-// Send writes one command line. The caller owns the deadline policy:
-// arm SetDeadline before each request.
-func (c *Client) Send(line string) error {
-	//lint:ignore deadlinecheck deadline policy is the caller's via Client.SetDeadline; Send is documented as deadline-agnostic
-	_, err := fmt.Fprintln(c.conn, line)
-	return err
-}
-
-// ReadLine reads one reply line without its trailing newline. As with
-// Send, the caller arms the deadline via SetDeadline.
-func (c *Client) ReadLine() (string, error) {
-	//lint:ignore deadlinecheck deadline policy is the caller's via Client.SetDeadline; ReadLine is documented as deadline-agnostic
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	return strings.TrimSuffix(line, "\n"), nil
-}
-
-// Do sends one single-line verb and returns its one reply line.
-func (c *Client) Do(line string) (string, error) {
-	if err := c.Send(line); err != nil {
-		return "", err
-	}
-	return c.ReadLine()
-}
 
 // ReplyKind classifies one reply line from the client's perspective.
 type ReplyKind int

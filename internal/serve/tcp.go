@@ -29,11 +29,14 @@ type ServerConfig struct {
 	// against a compiled snapshot) is not interruptible. <= 0 sheds
 	// immediately whenever the queue is full.
 	RequestTimeout time.Duration
-	// IdleTimeout is the per-connection read deadline between requests;
-	// a client silent for longer is disconnected. 0 means no limit.
+	// IdleTimeout bounds the wait for each request line: the read
+	// deadline is re-armed before every line, so a client silent for
+	// longer is disconnected. 0 means no limit.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds flushing one reply to a connection. 0 means
-	// no limit.
+	// WriteTimeout bounds writing one reply, from its first byte on the
+	// wire to its last: every chunk of the reply, including one that
+	// overflows the write buffer mid-request, shares one deadline. A
+	// client that stops reading is disconnected. 0 means no limit.
 	WriteTimeout time.Duration
 	// Workers sets each session's batch worker pool (0 = GOMAXPROCS).
 	Workers int
@@ -73,13 +76,13 @@ type Server struct {
 
 	mu    sync.Mutex
 	ln    net.Listener
-	conns map[net.Conn]struct{}
+	conns map[*conn]struct{}
 	wg    sync.WaitGroup
 }
 
 // NewServer builds a TCP front-end over eng.
 func NewServer(eng *engine.Engine, cfg *ServerConfig) *Server {
-	s := &Server{eng: eng, drainCh: make(chan struct{}), conns: make(map[net.Conn]struct{})}
+	s := &Server{eng: eng, drainCh: make(chan struct{}), conns: make(map[*conn]struct{})}
 	if cfg != nil {
 		s.cfg = *cfg
 	}
@@ -99,7 +102,7 @@ func (s *Server) Serve(ln net.Listener) error {
 	s.ln = ln
 	s.mu.Unlock()
 	for {
-		conn, err := ln.Accept()
+		nc, err := ln.Accept()
 		if err != nil {
 			if s.draining() {
 				return nil
@@ -111,9 +114,10 @@ func (s *Server) Serve(ln net.Listener) error {
 			// Raced with Shutdown: the listener was closed after this
 			// accept succeeded. Refuse the connection.
 			s.mu.Unlock()
-			conn.Close()
+			nc.Close()
 			continue
 		}
+		conn := s.wrap(nc)
 		s.conns[conn] = struct{}{}
 		s.wg.Add(1)
 		s.mu.Unlock()
@@ -143,7 +147,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// handler mid-request finishes and flushes first (it only returns
 	// to Read after replying).
 	for conn := range s.conns {
-		_ = conn.SetReadDeadline(time.Now())
+		conn.wake()
 	}
 	s.mu.Unlock()
 
@@ -191,7 +195,7 @@ func (s *Server) Draining() bool {
 // handle drives one connection: read a line, admit it through the
 // bounded queue (or shed with "busy"), execute it on the connection's
 // session, flush the reply.
-func (s *Server) handle(conn net.Conn) {
+func (s *Server) handle(conn *conn) {
 	defer s.wg.Done()
 	defer func() {
 		s.mu.Lock()
@@ -212,7 +216,7 @@ func (s *Server) handle(conn net.Conn) {
 	connReq := s.cfg.Tracer.Start(spanConn)
 	var remote string
 	if connReq != nil {
-		remote = conn.RemoteAddr().String()
+		remote = conn.remoteAddr()
 		connReq.Root().SetStr(attrRemote, remote)
 		defer s.cfg.Tracer.FinishRecentOnly(connReq)
 	}
@@ -227,26 +231,11 @@ func (s *Server) handle(conn net.Conn) {
 	scanner := bufio.NewScanner(conn)
 	scanner.Buffer(make([]byte, 0, 64*1024), MaxLineBytes)
 	for {
-		// Arm the read deadline unconditionally: a zero time.Time means
-		// "no limit", so even the untimed configuration states its
-		// policy explicitly (and deadlinecheck can verify it). Shutdown
-		// closes drainCh before stamping its wake-up deadlines under
-		// s.mu, so if this overwrite races with a drain stamp, the
-		// draining() check below is already true and we return before
-		// parking in Scan.
-		idle := time.Time{}
-		if s.cfg.IdleTimeout > 0 {
-			idle = time.Now().Add(s.cfg.IdleTimeout)
-		}
-		_ = conn.SetReadDeadline(idle)
-		if s.draining() {
-			return
-		}
-		if !scanner.Scan() {
-			// EOF, idle timeout, a drain-induced deadline — or a line
-			// over MaxLineBytes, which gets its reply first.
+		if !conn.next(scanner) {
+			// Draining, EOF, idle timeout, a drain-induced deadline — or
+			// a line over MaxLineBytes, which gets its reply first.
 			if replyTooLong(out, scanner) {
-				s.flush(conn, out)
+				_ = out.Flush() // the connection ends either way
 			}
 			return
 		}
@@ -262,7 +251,7 @@ func (s *Server) handle(conn net.Conn) {
 		req := s.cfg.Tracer.Start(spanRequest)
 		if req != nil {
 			if remote == "" {
-				remote = conn.RemoteAddr().String()
+				remote = conn.remoteAddr()
 			}
 			req.Root().SetStr(attrRemote, remote)
 		}
@@ -276,7 +265,7 @@ func (s *Server) handle(conn net.Conn) {
 				s.cfg.Telemetry.Shed()
 			}
 			fmt.Fprintln(out, "busy")
-			if !s.flush(conn, out) {
+			if out.Flush() != nil {
 				return
 			}
 			continue
@@ -290,7 +279,7 @@ func (s *Server) handle(conn net.Conn) {
 		if err != nil {
 			fmt.Fprintf(out, "error: %v\n", err)
 		}
-		if !s.flush(conn, out) {
+		if out.Flush() != nil {
 			return
 		}
 		if quit || s.draining() {
@@ -323,15 +312,69 @@ func (s *Server) admit() bool {
 	}
 }
 
-// flush pushes one buffered reply to the wire under WriteTimeout; a
-// false result means the connection is unusable.
-func (s *Server) flush(conn net.Conn, out *bufio.Writer) bool {
-	// Zero time.Time = no write limit; arming is unconditional so the
-	// policy is explicit on every path to the wire.
-	wd := time.Time{}
-	if s.cfg.WriteTimeout > 0 {
-		wd = time.Now().Add(s.cfg.WriteTimeout)
-	}
-	_ = conn.SetWriteDeadline(wd)
-	return out.Flush() == nil
+// conn is the server's only handle on an accepted connection: the
+// raw net.Conn is a private field, and every read and write on it goes
+// through a method that arms its deadline first. Zero time.Time means
+// no limit, so the untimed configuration arms too.
+//
+// Reads take one deadline per request line (next). Writes take one
+// deadline per reply, armed at the reply's first wire write and covering
+// every later chunk — the one bufio flushes mid-request when a reply
+// outgrows its buffer as well as the final flush. next starts a new
+// reply, so each request arms exactly one read and one write deadline.
+type conn struct {
+	nc         net.Conn
+	s          *Server
+	writeArmed bool // the current reply's write deadline is set
 }
+
+// wrap takes ownership of an accepted connection.
+func (s *Server) wrap(nc net.Conn) *conn { return &conn{nc: nc, s: s} }
+
+// next reads one request line into sc under a fresh idle deadline and
+// starts a new reply. It reports false once Shutdown has begun, at EOF,
+// and on a read error (sc.Err tells a line over MaxLineBytes apart).
+//
+// Shutdown closes drainCh before stamping its wake deadline under s.mu,
+// so if the idle deadline armed here overwrites a drain stamp, the
+// draining check after it is already true and next returns before
+// parking in Scan.
+func (c *conn) next(sc *bufio.Scanner) bool {
+	idle := time.Time{}
+	if c.s.cfg.IdleTimeout > 0 {
+		idle = time.Now().Add(c.s.cfg.IdleTimeout)
+	}
+	_ = c.nc.SetReadDeadline(idle)
+	c.writeArmed = false
+	if c.s.draining() {
+		return false
+	}
+	return sc.Scan()
+}
+
+// Read serves the scanner inside next, under the deadline next armed.
+func (c *conn) Read(p []byte) (int, error) { return c.nc.Read(p) }
+
+// Write sends part of the current reply, arming WriteTimeout at the
+// reply's first wire write.
+func (c *conn) Write(p []byte) (int, error) {
+	if !c.writeArmed {
+		wd := time.Time{}
+		if c.s.cfg.WriteTimeout > 0 {
+			wd = time.Now().Add(c.s.cfg.WriteTimeout)
+		}
+		_ = c.nc.SetWriteDeadline(wd)
+		c.writeArmed = true
+	}
+	return c.nc.Write(p)
+}
+
+// wake makes a read parked in next return now: Shutdown's nudge to an
+// idle connection. Safe to call from any goroutine.
+func (c *conn) wake() { _ = c.nc.SetReadDeadline(time.Now()) }
+
+// remoteAddr renders the peer's address for trace attributes.
+func (c *conn) remoteAddr() string { return c.nc.RemoteAddr().String() }
+
+// Close closes the underlying connection; safe from any goroutine.
+func (c *conn) Close() error { return c.nc.Close() }

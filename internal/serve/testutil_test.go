@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"flag"
+	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -56,6 +59,12 @@ func startServer(t testing.TB, eng *engine.Engine, cfg *ServerConfig) (*Server, 
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
+	return serveOn(t, ln, eng, cfg), ln.Addr().String()
+}
+
+// serveOn runs a Server on ln and drains it at test end.
+func serveOn(t testing.TB, ln net.Listener, eng *engine.Engine, cfg *ServerConfig) *Server {
+	t.Helper()
 	srv := NewServer(eng, cfg)
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
@@ -69,7 +78,7 @@ func startServer(t testing.TB, eng *engine.Engine, cfg *ServerConfig) (*Server, 
 			t.Errorf("serve: %v", err)
 		}
 	})
-	return srv, ln.Addr().String()
+	return srv
 }
 
 // dialT dials the test server, failing the test on error.
@@ -84,4 +93,58 @@ func dialT(t testing.TB, addr string) *Client {
 		t.Fatalf("deadline: %v", err)
 	}
 	return c
+}
+
+// Client is a minimal line-protocol client used by the end-to-end
+// tests. It deliberately understands only the reply framing, not the
+// semantics: single-line verbs (route, alloc, release, fail, repair,
+// epoch) answer with exactly one line — a result, an "error:" line, or
+// a transport-level "busy" shed — and multi-line verbs are read with
+// ReadLine by callers who know the shape (batch answers 1+N lines for N
+// pairs, explain ends with its "  search:" line or, blocked, with its
+// "error:" line).
+type Client struct {
+	conn net.Conn
+	r    *bufio.Reader
+}
+
+// Dial connects to a wdmserve -listen address.
+func Dial(addr string, timeout time.Duration) (*Client, error) {
+	conn, err := net.DialTimeout("tcp", addr, timeout)
+	if err != nil {
+		return nil, err
+	}
+	return &Client{conn: conn, r: bufio.NewReader(conn)}, nil
+}
+
+// Close tears the connection down.
+func (c *Client) Close() error { return c.conn.Close() }
+
+// SetDeadline bounds every subsequent read and write on the
+// connection.
+func (c *Client) SetDeadline(t time.Time) error { return c.conn.SetDeadline(t) }
+
+// Send writes one command line. The caller owns the deadline policy:
+// arm SetDeadline before each request.
+func (c *Client) Send(line string) error {
+	_, err := fmt.Fprintln(c.conn, line)
+	return err
+}
+
+// ReadLine reads one reply line without its trailing newline. As with
+// Send, the caller arms the deadline via SetDeadline.
+func (c *Client) ReadLine() (string, error) {
+	line, err := c.r.ReadString('\n')
+	if err != nil {
+		return "", err
+	}
+	return strings.TrimSuffix(line, "\n"), nil
+}
+
+// Do sends one single-line verb and returns its one reply line.
+func (c *Client) Do(line string) (string, error) {
+	if err := c.Send(line); err != nil {
+		return "", err
+	}
+	return c.ReadLine()
 }
