@@ -64,7 +64,9 @@ verify: build vet test race-hot race bench-whole-smoke
 # TestTCPWriteTimeoutDropsStalledReader drops a client that stops
 # reading while another connection is served — are only considered
 # verified under the race detector, run twice to vary goroutine
-# interleavings.
+# interleavings. Every TCP test with a tracer ends by asserting the
+# tracer's span lifecycle misuse count (Tracer.Misuses) is 0, as does
+# TestTracerConcurrentRecordAndRead.
 race-obs:
 	$(GO) test -race -count=2 ./internal/obs ./internal/serve
 
@@ -115,6 +117,8 @@ bench-whole-smoke:
 # target per invocation, hence the list). 30s each is a smoke budget:
 # it replays the corpus and gives the generator a brief run, catching
 # shallow parser/engine regressions without a dedicated fuzz farm.
+# FuzzProtocolParse records every input under a tracer, so each verb
+# also runs the span API's lifecycle check (misuse count stays 0).
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzProtocolParse$$' -fuzztime $(FUZZTIME) ./internal/serve

@@ -1,7 +1,7 @@
 // Package analysis is the repository's domain-aware static-analysis
 // suite: a small analyzer framework on stdlib go/ast + go/types (the
 // build environment has no module proxy, so golang.org/x/tools is
-// deliberately not a dependency), plus five project-specific analyzers.
+// deliberately not a dependency), plus four project-specific analyzers.
 // Each one either has fixed a true finding in this tree or guards a
 // hazard nothing else catches:
 //
@@ -12,15 +12,13 @@
 //     metric names are unique.
 //   - errdrop: error returns of engine/session/core public APIs are
 //     never silently discarded.
-//   - spanfinish: traces from Tracer.Start and spans from StartChild
-//     are finished/ended on every path, never twice, never mutated
-//     after the finish.
 //   - lockorder: the cross-package mutex acquisition graph is acyclic,
 //     and no locked exported method is re-entered while the same
 //     receiver's lock is held.
 //
-// The last two are flow-aware: they run on the CFG/dataflow core in
-// cfg.go and the per-function summaries in summary.go.
+// The last is flow-aware: it runs on the CFG/dataflow core in cfg.go
+// and the per-function summaries in summary.go. The span lifecycle is
+// not linted: the obs span API checks it at runtime (Tracer.Misuses).
 //
 // cmd/wdmlint is the driver; `make lint` runs it over the module.
 package analysis
@@ -104,7 +102,6 @@ func Suite() []*Analyzer {
 		NewInfCost(),
 		NewMetricName(),
 		NewErrDrop(),
-		NewSpanFinish(),
 		NewLockOrder(),
 	}
 }

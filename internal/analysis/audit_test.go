@@ -25,11 +25,11 @@ func TestAuditTree(t *testing.T) {
 	write("a.go", `package p
 
 func f() {
-	//lint:ignore spanfinish trace handed to recorder goroutine
+	//lint:ignore lockorder callback runs after the registry unlocks
 	_ = 1
 }
 
-const msg = "annotate with //lint:ignore spanfinish <reason>"
+const msg = "annotate with //lint:ignore lockorder <reason>"
 `)
 	write("sub/b.go", `package q
 
@@ -49,7 +49,7 @@ var z = 3
 `)
 	write("testdata/skip.go", `package skipped
 
-//lint:ignore spanfinish should not be inventoried
+//lint:ignore infcost should not be inventoried
 var w = 4
 `)
 
@@ -62,7 +62,7 @@ var w = 4
 		got[i] = ig.File + ":" + ig.Analyzer
 	}
 	want := []string{
-		"a.go:spanfinish",
+		"a.go:lockorder",
 		filepath.Join("sub", "b.go") + ":errdrop",
 		filepath.Join("sub", "b.go") + ":nosuch",
 		filepath.Join("sub", "b.go") + ":snapshotescape",

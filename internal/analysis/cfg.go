@@ -1,16 +1,15 @@
 package analysis
 
 // Control-flow graphs over go/ast, plus a generic forward-dataflow
-// solver — the core the lifecycle analyzers (spanfinish, lockorder)
-// are built on.
+// solver — the core lockorder is built on.
 //
 // The builder lowers one function body to basic blocks. Statements land
-// in Block.Nodes in execution order; branch conditions live on the
-// outgoing Edges (Cond + Sense) so analyzers can refine state along a
-// branch (e.g. "req != nil" on the true edge). Calls to functions that
-// never return (panic, os.Exit, t.Fatal and friends, log.Fatal,
-// runtime.Goexit) terminate their block with no successors, which is
-// what lets `if err != nil { t.Fatal(err) }` count as handling a path.
+// in Block.Nodes in execution order, branch conditions included; the
+// successors carry no condition, so a state flows into both arms of a
+// branch unchanged. Calls to functions that never return (panic,
+// os.Exit, t.Fatal and friends, log.Fatal, runtime.Goexit) terminate
+// their block with no successors, which is what lets
+// `if err != nil { t.Fatal(err) }` count as handling a path.
 //
 // Deliberate approximations, documented in DESIGN.md §13: defer bodies
 // are analyzed at their registration point rather than at function
@@ -23,21 +22,13 @@ import (
 	"go/types"
 )
 
-// Edge is one control-flow successor. When Cond is non-nil the edge is
-// taken only when Cond evaluates to Sense.
-type Edge struct {
-	To    *Block
-	Cond  ast.Expr
-	Sense bool
-}
-
 // Block is a basic block: nodes executed in order, then a transfer of
 // control along one of Succs. A block with no successors either returns
 // from the function (reaching CFG.Exit) or ends in a no-return call.
 type Block struct {
 	Index int
 	Nodes []ast.Node
-	Succs []Edge
+	Succs []*Block
 }
 
 // CFG is the control-flow graph of one function body. Exit is a
@@ -91,7 +82,7 @@ func BuildCFG(info *types.Info, body *ast.BlockStmt) *CFG {
 	b.moveTo(b.cfg.Exit)
 	for _, g := range b.gotos {
 		if target, ok := b.labels[g.label]; ok {
-			g.from.Succs = append(g.from.Succs, Edge{To: target})
+			g.from.Succs = append(g.from.Succs, target)
 		}
 	}
 	return b.cfg
@@ -108,15 +99,15 @@ func (b *cfgBuilder) newBlock() *Block {
 // break) just resumes at next with no incoming edge.
 func (b *cfgBuilder) moveTo(next *Block) {
 	if b.cur != nil {
-		b.cur.Succs = append(b.cur.Succs, Edge{To: next})
+		b.cur.Succs = append(b.cur.Succs, next)
 	}
 	b.cur = next
 }
 
 // edgeTo adds an edge from the current block without changing it.
-func (b *cfgBuilder) edgeTo(to *Block, cond ast.Expr, sense bool) {
+func (b *cfgBuilder) edgeTo(to *Block) {
 	if b.cur != nil {
-		b.cur.Succs = append(b.cur.Succs, Edge{To: to, Cond: cond, Sense: sense})
+		b.cur.Succs = append(b.cur.Succs, to)
 	}
 }
 
@@ -148,15 +139,15 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.append(s.Cond)
 		thenBlk := b.newBlock()
 		join := b.newBlock()
-		b.edgeTo(thenBlk, s.Cond, true)
+		b.edgeTo(thenBlk)
 		if s.Else != nil {
 			elseBlk := b.newBlock()
-			b.edgeTo(elseBlk, s.Cond, false)
+			b.edgeTo(elseBlk)
 			b.cur = elseBlk
 			b.stmt(s.Else)
 			b.moveTo(join)
 		} else {
-			b.edgeTo(join, s.Cond, false)
+			b.edgeTo(join)
 		}
 		b.cur = thenBlk
 		b.stmts(s.Body.List)
@@ -175,12 +166,10 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		}
 		b.moveTo(head)
 		b.cur = head
+		b.edgeTo(body)
 		if s.Cond != nil {
 			b.append(s.Cond)
-			b.edgeTo(body, s.Cond, true)
-			b.edgeTo(after, s.Cond, false)
-		} else {
-			b.edgeTo(body, nil, false)
+			b.edgeTo(after)
 		}
 		b.pushFrame(loopFrame{label: b.pendingLabel(s), breakTo: after, continueTo: post, isLoop: true})
 		b.cur = body
@@ -204,8 +193,8 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		// The RangeStmt itself carries the key/value assignment and the
 		// ranged expression; analyzers see it once per loop head.
 		b.append(s)
-		b.edgeTo(body, nil, false)
-		b.edgeTo(after, nil, false)
+		b.edgeTo(body)
+		b.edgeTo(after)
 		b.pushFrame(loopFrame{label: b.pendingLabel(s), breakTo: after, continueTo: head, isLoop: true})
 		b.cur = body
 		b.stmts(s.Body.List)
@@ -237,7 +226,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			cc := clause.(*ast.CommClause)
 			blk := b.newBlock()
 			if head != nil {
-				head.Succs = append(head.Succs, Edge{To: blk})
+				head.Succs = append(head.Succs, blk)
 			}
 			b.cur = blk
 			if cc.Comm != nil {
@@ -330,7 +319,7 @@ func (b *cfgBuilder) caseClauses(s ast.Stmt, clauses []ast.Stmt, body func(*ast.
 	for i, clause := range clauses {
 		cc := clause.(*ast.CaseClause)
 		if head != nil {
-			head.Succs = append(head.Succs, Edge{To: blocks[i]})
+			head.Succs = append(head.Succs, blocks[i])
 		}
 		b.cur = blocks[i]
 		for _, e := range cc.List {
@@ -353,7 +342,7 @@ func (b *cfgBuilder) caseClauses(s ast.Stmt, clauses []ast.Stmt, body func(*ast.
 	}
 	b.popFrame()
 	if !hasDefault && head != nil {
-		head.Succs = append(head.Succs, Edge{To: after})
+		head.Succs = append(head.Succs, after)
 	}
 	b.cur = after
 }
@@ -469,8 +458,8 @@ func (c *CFG) ReversePostorder() []*Block {
 			return
 		}
 		seen[blk.Index] = true
-		for _, e := range blk.Succs {
-			visit(e.To)
+		for _, succ := range blk.Succs {
+			visit(succ)
 		}
 		post = append(post, blk)
 	}
@@ -488,8 +477,8 @@ func (c *CFG) ReversePostorder() []*Block {
 }
 
 // FlowProblem defines a forward dataflow analysis over a CFG for state
-// type S. States must be treated as immutable by Transfer and Refine
-// (copy before mutating); a nil-equivalent "unreachable" is represented
+// type S. States must be treated as immutable by Transfer (copy before
+// mutating); a nil-equivalent "unreachable" is represented
 // by the solver, not by S.
 type FlowProblem[S any] struct {
 	// Entry is the state on entry to the function.
@@ -498,9 +487,6 @@ type FlowProblem[S any] struct {
 	Meet func(a, b S) S
 	// Transfer folds one block's nodes over the incoming state.
 	Transfer func(s S, blk *Block) S
-	// Refine, if non-nil, adjusts the state flowing along a conditional
-	// edge: cond evaluated to sense on this path.
-	Refine func(s S, cond ast.Expr, sense bool) S
 	// Equal reports state equality, bounding the fixpoint iteration.
 	Equal func(a, b S) bool
 }
@@ -532,12 +518,9 @@ func Solve[S any](c *CFG, p FlowProblem[S]) (in []S, reached []bool) {
 				outSet[blk.Index] = true
 				changed = true
 			}
-			for _, e := range blk.Succs {
+			for _, succ := range blk.Succs {
 				s := out[blk.Index]
-				if e.Cond != nil && p.Refine != nil {
-					s = p.Refine(s, e.Cond, e.Sense)
-				}
-				ti := e.To.Index
+				ti := succ.Index
 				if !reached[ti] {
 					in[ti] = s
 					reached[ti] = true

@@ -87,12 +87,12 @@ func hasBackEdge(cfg *CFG) bool {
 	var visit func(b *Block) bool
 	visit = func(b *Block) bool {
 		color[b.Index] = gray
-		for _, e := range b.Succs {
-			switch color[e.To.Index] {
+		for _, succ := range b.Succs {
+			switch color[succ.Index] {
 			case gray:
 				return true
 			case white:
-				if visit(e.To) {
+				if visit(succ) {
 					return true
 				}
 			}
@@ -211,14 +211,13 @@ func TestCFGConstruction(t *testing.T) {
 	pkg := loadSrc(t, cfgSrc)
 
 	cases := []struct {
-		fn           string
-		exitReached  bool
-		backEdge     bool
-		markerLive   bool // only meaningful when the body calls marker()
-		condEdgesMin int  // edges carrying a refinement condition
+		fn          string
+		exitReached bool
+		backEdge    bool
+		markerLive  bool // only meaningful when the body calls marker()
 	}{
-		{fn: "ifElse", exitReached: true, condEdgesMin: 2},
-		{fn: "forLoop", exitReached: true, backEdge: true, condEdgesMin: 2},
+		{fn: "ifElse", exitReached: true},
+		{fn: "forLoop", exitReached: true, backEdge: true},
 		{fn: "switchFall", exitReached: true},
 		{fn: "switchDefault", exitReached: true},
 		{fn: "selectForever", exitReached: false, markerLive: false},
@@ -246,17 +245,6 @@ func TestCFGConstruction(t *testing.T) {
 				}
 			} else if tc.markerLive {
 				t.Error("marker call not placed in any block")
-			}
-			condEdges := 0
-			for _, blk := range cfg.Blocks {
-				for _, e := range blk.Succs {
-					if e.Cond != nil {
-						condEdges++
-					}
-				}
-			}
-			if condEdges < tc.condEdgesMin {
-				t.Errorf("%d condition-carrying edges, want >= %d", condEdges, tc.condEdgesMin)
 			}
 		})
 	}

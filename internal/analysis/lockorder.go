@@ -189,6 +189,18 @@ func (a *lockorder) run(pass *Pass) error {
 	return nil
 }
 
+// funcLits collects every function literal nested anywhere under body.
+func funcLits(body *ast.BlockStmt) []*ast.FuncLit {
+	var lits []*ast.FuncLit
+	ast.Inspect(body, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.FuncLit); ok {
+			lits = append(lits, lit)
+		}
+		return true
+	})
+	return lits
+}
+
 // summarize computes which mutexes fb may acquire. Nested function
 // literals are excluded: a closure passed to a registry runs later,
 // not during this call.

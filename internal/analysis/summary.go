@@ -1,8 +1,8 @@
 package analysis
 
-// Per-function summaries: the mechanism that lets the lifecycle
-// analyzers see through helper functions. Each interprocedural analyzer
-// owns a summaries[T] holding one fact of type T per function, keyed by
+// Per-function summaries: the mechanism that lets lockorder see
+// through helper functions. An interprocedural analyzer owns a
+// summaries[T] holding one fact of type T per function, keyed by
 // (*types.Func).FullName(), computed on demand from the function's body
 // and memoized for the rest of the lint run.
 //
@@ -100,28 +100,4 @@ func funcDecls(pass *Pass, yield func(fd *ast.FuncDecl, fn *types.Func)) {
 			yield(fd, fn)
 		}
 	}
-}
-
-// exprVar resolves e (through parens) to the *types.Var a plain
-// identifier denotes, or nil.
-func exprVar(info *types.Info, e ast.Expr) *types.Var {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	v, _ := info.Uses[id].(*types.Var)
-	if v == nil {
-		v, _ = info.Defs[id].(*types.Var)
-	}
-	return v
-}
-
-// isNilIdent reports whether e is the predeclared nil.
-func isNilIdent(info *types.Info, e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	_, isNil := info.Uses[id].(*types.Nil)
-	return isNil
 }

@@ -10,9 +10,8 @@ import (
 // TestNameTablesMatchObs checks the analyzers' obs method-name tables
 // against the real method sets, both ways: a table entry the obs
 // package no longer declares (or declares with a different argument 0)
-// silently matches nothing, and a new registry constructor, attribute
-// setter or trace finisher that no table lists is a call the analyzers
-// silently ignore.
+// silently matches nothing, and a new registry constructor or attribute
+// setter that no table lists is a call the analyzers silently ignore.
 func TestNameTablesMatchObs(t *testing.T) {
 	pkgs, err := LoadPatterns(moduleRoot(t), obsPath)
 	if err != nil {
@@ -46,7 +45,6 @@ func TestNameTablesMatchObs(t *testing.T) {
 		b, ok := t.(*types.Basic)
 		return ok && b.Kind() == types.String
 	}
-	isTrace := func(t types.Type) bool { return named(t, obsPath, "ReqTrace") }
 
 	for _, c := range []struct {
 		table    string
@@ -61,8 +59,6 @@ func TestNameTablesMatchObs(t *testing.T) {
 			func(_ string, arg0 types.Type) bool { return isString(arg0) }, isString},
 		{"attrSetters", attrSetters, "Span",
 			func(name string, _ types.Type) bool { return strings.HasPrefix(name, "Set") }, isString},
-		{"traceFinishers", traceFinishers, "Tracer",
-			func(name string, _ types.Type) bool { return strings.HasPrefix(name, "Finish") }, isTrace},
 	} {
 		t.Run(c.table, func(t *testing.T) {
 			ms := methods(t, c.typeName)

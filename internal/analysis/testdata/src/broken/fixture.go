@@ -22,15 +22,6 @@ func badMetric(reg *obs.Registry) *obs.Counter {
 	return reg.Counter("BadName")
 }
 
-// spanfinish: the trace is lost on the error path.
-func droppedTrace(t *obs.Tracer, fail bool) {
-	req := t.Start("broken_req")
-	if fail {
-		return
-	}
-	t.Finish(req)
-}
-
 type locked struct{ mu sync.Mutex }
 
 // lockorder: re-lock of a held mutex.

@@ -39,6 +39,9 @@ func TestRouteRecordsSearchSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	tracer.Finish(req)
+	if n := tracer.Misuses(); n != 0 {
+		t.Errorf("route made %d span lifecycle misuses (a span left open?)", n)
+	}
 	req = tracer.Recent(1)[0] // what was retained
 
 	er := req.Span("engine_route")
@@ -161,6 +164,7 @@ func TestRouteAndAllocatePublishSpans(t *testing.T) {
 	if a, ok := pub.Attr("mode"); !ok || (a.Str != "delta" && a.Str != "full") {
 		t.Errorf("publish mode attr = %+v ok=%v", a, ok)
 	}
+	tracer.Finish(req)
 
 	// Release under a fresh request span.
 	rel := tracer.Start("request")
@@ -171,6 +175,9 @@ func TestRouteAndAllocatePublishSpans(t *testing.T) {
 	rel = tracer.Recent(1)[0] // what was retained
 	if rel.Span("engine_release") == nil || rel.Span("engine_publish") == nil {
 		t.Error("release must record engine_release and engine_publish spans")
+	}
+	if n := tracer.Misuses(); n != 0 {
+		t.Errorf("allocate and release made %d span lifecycle misuses", n)
 	}
 }
 

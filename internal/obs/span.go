@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,10 +30,16 @@ import (
 //
 // Ownership: a trace belongs to the goroutine that started it until
 // Finish, and to nobody after — the buffer is someone else's next
-// request. Finish empties the trace before pooling it, so a stale
-// *ReqTrace reads as empty (Root is nil, a second Finish is a no-op)
-// until the buffer is handed out again; what was recorded is read back
-// with Recent/Slow/Find, which return private copies.
+// request. Finish empties the trace before pooling it, and the API
+// checks its own lifecycle from that: a span whose index is past its
+// trace's length is stale (Span.usable), so StartChild, End and the
+// setters on it are dropped, as is a second Finish of an emptied trace;
+// a child still open when its trace finishes is recorded as it stands.
+// Each of the three is counted on the tracer (Misuses,
+// trace_misuse_total) rather than applied or panicked on, so a
+// telemetry bug costs a count, not a crash of a server holding leases.
+// What was recorded is read back with Recent/Slow/Find, which return
+// private copies.
 
 // AttrKind discriminates the typed payload of an Attr.
 type AttrKind uint8
@@ -89,7 +94,7 @@ type Span struct {
 // reached its span capacity the child is dropped (counted on the
 // trace) and nil is returned — nil children absorb all further calls.
 func (s *Span) StartChild(name string) *Span {
-	if s == nil {
+	if !s.usable() {
 		return nil
 	}
 	r := s.req
@@ -111,10 +116,26 @@ func (s *Span) StartChild(name string) *Span {
 // End closes the span. Nil-safe; calling End twice keeps the later
 // offset (harmless, single-goroutine construction makes it rare).
 func (s *Span) End() {
-	if s == nil {
-		return
+	if s.usable() {
+		s.EndNs = s.req.sinceBegin()
 	}
-	s.EndNs = s.req.sinceBegin()
+}
+
+// usable reports whether a call on s takes effect: never on the nil
+// span (tracing off, free), and not on a stale one. Finish truncates
+// its trace's spans to length 0, and the buffer's next owner rewrites
+// slot i only once its own trace grows past i, so an index out of
+// bounds marks a span whose trace has finished — the call is dropped
+// and counted on the owning tracer.
+func (s *Span) usable() bool {
+	if s == nil {
+		return false
+	}
+	if int(s.idx) < len(s.req.spans) {
+		return true
+	}
+	s.req.owner.misused()
+	return false
 }
 
 // Duration is the span's closed extent (0 for unclosed spans).
@@ -126,46 +147,33 @@ func (s *Span) Duration() time.Duration {
 }
 
 func (s *Span) set(key string, kind AttrKind, num uint64, str string) {
-	s.req.attrs = append(s.req.attrs, Attr{Key: key, Kind: kind, span: s.idx, num: num, Str: str})
+	if s.usable() {
+		s.req.attrs = append(s.req.attrs, Attr{Key: key, Kind: kind, span: s.idx, num: num, Str: str})
+	}
 }
 
 // SetInt attaches an integer attribute. Nil-safe.
-func (s *Span) SetInt(key string, v int64) {
-	if s == nil {
-		return
-	}
-	s.set(key, AttrInt, uint64(v), "")
-}
+func (s *Span) SetInt(key string, v int64) { s.set(key, AttrInt, uint64(v), "") }
 
 // SetStr attaches a string attribute; v is retained, not copied, so it
 // should be a constant or a string that outlives the request anyway.
 // Nil-safe.
-func (s *Span) SetStr(key, v string) {
-	if s == nil {
-		return
-	}
-	s.set(key, AttrStr, 0, v)
-}
+func (s *Span) SetStr(key, v string) { s.set(key, AttrStr, 0, v) }
 
 // SetBytes attaches a string attribute whose value was rendered for this
 // request: the bytes are copied into the trace's arena, so the caller's
 // buffer is free for reuse and nothing is allocated. Nil-safe.
 func (s *Span) SetBytes(key string, v []byte) {
-	if s == nil {
+	if !s.usable() {
 		return
 	}
 	r := s.req
-	s.set(key, attrArena, uint64(len(r.arena))<<32|uint64(len(v)), "")
+	r.attrs = append(r.attrs, Attr{Key: key, Kind: attrArena, span: s.idx, num: uint64(len(r.arena))<<32 | uint64(len(v))})
 	r.arena = append(r.arena, v...)
 }
 
 // SetBool attaches a boolean attribute. Nil-safe.
-func (s *Span) SetBool(key string, v bool) {
-	if s == nil {
-		return
-	}
-	s.set(key, AttrBool, boolBits(v), "")
-}
+func (s *Span) SetBool(key string, v bool) { s.set(key, AttrBool, boolBits(v), "") }
 
 func boolBits(v bool) uint64 {
 	if v {
@@ -176,12 +184,7 @@ func boolBits(v bool) uint64 {
 
 // SetFloat attaches a float attribute. Nil-safe. Non-finite values are
 // stored as-is but render as 0 in JSON (JSON has no Inf/NaN literal).
-func (s *Span) SetFloat(key string, v float64) {
-	if s == nil {
-		return
-	}
-	s.set(key, AttrFloat, math.Float64bits(v), "")
-}
+func (s *Span) SetFloat(key string, v float64) { s.set(key, AttrFloat, math.Float64bits(v), "") }
 
 // Attr looks an attribute up by key (first match wins). Nil-safe.
 func (s *Span) Attr(key string) (Attr, bool) {
@@ -215,14 +218,15 @@ type ReqTrace struct {
 	DurationNs   int64     // set by Finish
 	DroppedSpans int32     // children discarded at span capacity
 
-	spans []Span // capacity is the span limit while building
-	attrs []Attr // every span's attributes, in setting order
-	arena []byte // SetBytes values
+	spans []Span  // capacity is the span limit while building
+	attrs []Attr  // every span's attributes, in setting order
+	arena []byte  // SetBytes values
+	owner *Tracer // whose pool the buffer is from; nil for StartTrace
 }
 
 // newTrace returns an empty build buffer for at most maxSpans spans.
-func newTrace(maxSpans int) *ReqTrace {
-	return &ReqTrace{spans: make([]Span, 0, maxSpans)}
+func newTrace(owner *Tracer, maxSpans int) *ReqTrace {
+	return &ReqTrace{spans: make([]Span, 0, maxSpans), owner: owner}
 }
 
 // begin starts a new tree in r's storage, which is empty: fresh, or
@@ -316,7 +320,7 @@ type TracerOptions struct {
 	// MaxSpans caps the spans recorded per request; children beyond the
 	// cap are dropped and counted. 0 means DefaultMaxSpans.
 	MaxSpans int
-	// Disabled starts the tracer off (SetEnabled turns it on later).
+	// Disabled builds a tracer that never records.
 	Disabled bool
 }
 
@@ -337,12 +341,13 @@ const (
 // nil-receiver safe on the hot path (Start/Finish), so layers can
 // thread an optional tracer without guards.
 type Tracer struct {
-	enabled  atomic.Bool  // toggled at runtime via SetEnabled
-	sample   atomic.Int64 // head-sampling modulus
+	enabled  bool
+	sample   uint64       // head-sampling modulus
 	slowNs   atomic.Int64 // slow threshold; < 0 disables
 	seq      atomic.Uint64
 	recorded atomic.Uint64
 	slowRec  atomic.Uint64
+	misuse   atomic.Uint64 // span API calls dropped by the lifecycle check
 	maxSpans int
 	bufs     sync.Pool // *ReqTrace build buffers between Finish and the next Start
 	recent   *ring[ReqTrace]
@@ -371,34 +376,18 @@ func NewTracer(opts *TracerOptions) *Tracer {
 		o.MaxSpans = DefaultMaxSpans
 	}
 	t := &Tracer{
+		enabled:  !o.Disabled,
+		sample:   uint64(o.Sample),
 		maxSpans: o.MaxSpans,
 		recent:   newRing(o.RingSize, copyTrace),
 		slow:     newRing(o.SlowRingSize, copyTrace),
 	}
-	t.sample.Store(int64(o.Sample))
-	if o.SlowThreshold < 0 {
-		t.slowNs.Store(-1)
-	} else {
-		t.slowNs.Store(o.SlowThreshold.Nanoseconds())
-	}
-	t.enabled.Store(!o.Disabled)
+	t.SetSlowThreshold(o.SlowThreshold)
 	return t
 }
 
-// Enabled reports whether Start currently records. Nil-safe.
-func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
-
-// SetEnabled toggles recording at runtime.
-func (t *Tracer) SetEnabled(on bool) { t.enabled.Store(on) }
-
-// SetSample changes the head-sampling modulus (values < 1 mean 1:
-// record everything).
-func (t *Tracer) SetSample(n int) {
-	if n < 1 {
-		n = 1
-	}
-	t.sample.Store(int64(n))
-}
+// Enabled reports whether Start records. Nil-safe.
+func (t *Tracer) Enabled() bool { return t != nil && t.enabled }
 
 // SetSlowThreshold changes the slow-log threshold (negative disables).
 func (t *Tracer) SetSlowThreshold(d time.Duration) {
@@ -415,16 +404,16 @@ func (t *Tracer) SetSlowThreshold(d time.Duration) {
 // root span's name. The trace is the caller's until it is passed to
 // Finish.
 func (t *Tracer) Start(name string) *ReqTrace {
-	if t == nil || !t.enabled.Load() {
+	if t == nil || !t.enabled {
 		return nil
 	}
 	id := t.seq.Add(1)
-	if n := t.sample.Load(); n > 1 && id%uint64(n) != 0 {
+	if t.sample > 1 && id%t.sample != 0 {
 		return nil
 	}
 	r, _ := t.bufs.Get().(*ReqTrace)
 	if r == nil {
-		r = newTrace(t.maxSpans)
+		r = newTrace(t, t.maxSpans)
 	}
 	return r.begin(name, id)
 }
@@ -433,13 +422,14 @@ func (t *Tracer) Start(name string) *ReqTrace {
 // span capacity): for a caller that must read a query's spans back even
 // when the recorder is off or sampled the request out — the explain
 // verb does.
-func StartTrace(name string) *ReqTrace { return newTrace(DefaultMaxSpans).begin(name, 0) }
+func StartTrace(name string) *ReqTrace { return newTrace(nil, DefaultMaxSpans).begin(name, 0) }
 
 // Finish closes the request's root span, stamps the total duration and
 // retains a copy of the trace: always in the flight recorder, and
 // additionally in the slow log when the duration reaches the threshold.
 // Nil-safe in both receiver and argument. The trace's storage goes back
-// to the tracer: the caller must not touch r, or any span of it, again.
+// to the tracer: the caller must not touch r, or any span of it, again
+// (a call that does is dropped and counted, see Misuses).
 func (t *Tracer) Finish(r *ReqTrace) {
 	t.finish(r, true)
 }
@@ -453,12 +443,21 @@ func (t *Tracer) FinishRecentOnly(r *ReqTrace) {
 }
 
 func (t *Tracer) finish(r *ReqTrace, slowEligible bool) {
-	if t == nil || r == nil || len(r.spans) == 0 {
-		return // no trace, or one already finished
+	if t == nil || r == nil {
+		return
+	}
+	if len(r.spans) == 0 {
+		t.misused() // finished already
+		return
 	}
 	d := r.sinceBegin()
 	r.DurationNs = d
 	r.spans[0].EndNs = d
+	for i := 1; i < len(r.spans); i++ {
+		if r.spans[i].EndNs == 0 {
+			t.misused() // a child never ended: recorded open
+		}
+	}
 	t.recent.push(r)
 	t.recorded.Add(1)
 	if s := t.slowNs.Load(); slowEligible && s >= 0 && d >= s {
@@ -517,37 +516,34 @@ func (t *Tracer) SlowRecorded() uint64 {
 	return t.slowRec.Load()
 }
 
+// Misuses reports how many span lifecycle violations were dropped or
+// flagged: a call on a span of a finished trace, a Finish of a trace
+// already finished, and a child span still open at its trace's Finish.
+// A correct caller keeps it at 0.
+func (t *Tracer) Misuses() uint64 {
+	if t == nil {
+		return 0
+	}
+	return t.misuse.Load()
+}
+
+func (t *Tracer) misused() {
+	if t != nil {
+		t.misuse.Add(1)
+	}
+}
+
 // RegisterMetrics exposes the tracer's own health on a registry, so a
 // /metrics scrape shows whether the recorder is on and how much it has
 // retained.
 func (t *Tracer) RegisterMetrics(reg *Registry) {
 	reg.GaugeFunc("trace_recorded_total", func() float64 { return float64(t.Recorded()) })
 	reg.GaugeFunc("trace_slow_recorded_total", func() float64 { return float64(t.SlowRecorded()) })
+	reg.GaugeFunc("trace_misuse_total", func() float64 { return float64(t.Misuses()) })
 	reg.GaugeFunc("trace_recorder_enabled", func() float64 {
 		if t.Enabled() {
 			return 1
 		}
 		return 0
 	})
-}
-
-// SlowThresholdString renders the current slow threshold for status
-// lines ("off" when the slow log is disabled).
-func (t *Tracer) SlowThresholdString() string {
-	if t == nil {
-		return "off"
-	}
-	ns := t.slowNs.Load()
-	if ns < 0 {
-		return "off"
-	}
-	return time.Duration(ns).String()
-}
-
-// SampleString renders the head-sampling rate ("1/N").
-func (t *Tracer) SampleString() string {
-	if t == nil {
-		return "0"
-	}
-	return "1/" + strconv.FormatInt(t.sample.Load(), 10)
 }

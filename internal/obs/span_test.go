@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestNilSpanAPIIsFreeAndSafe pins the disabled-path contract every
@@ -117,6 +118,8 @@ func TestSpanCapacityDropsChildren(t *testing.T) {
 	}
 	c3.SetInt("ignored", 1) // nil child absorbs calls
 	c1.SetStr("k", "v")     // pointer still valid after later StartChild
+	c1.End()
+	c2.End()
 	tr.Finish(req)
 	req = tr.Recent(1)[0]
 	if req.DroppedSpans != 1 {
@@ -214,38 +217,67 @@ func TestHeadSampling(t *testing.T) {
 	if recorded != 10 {
 		t.Errorf("1/4 sampling recorded %d of 40", recorded)
 	}
-	tr.SetSample(1)
-	if tr.Start("request") == nil {
+	if NewTracer(&TracerOptions{Sample: 1}).Start("request") == nil {
 		t.Error("sample=1 must record every request")
 	}
 }
 
-func TestSetEnabledToggles(t *testing.T) {
-	tr := NewTracer(nil)
-	if !tr.Enabled() {
-		t.Fatal("default tracer must start enabled")
+// TestSpanLifecycleMisuse: the three lifecycle violations are counted
+// on the owning tracer, not applied — a call on a span of a finished
+// trace, a second Finish, and a child still open at Finish (which is
+// recorded as it stands) — while the nil chain and Finish(nil) stay
+// free and uncounted.
+func TestSpanLifecycleMisuse(t *testing.T) {
+	// The bounds check needs no generation stamp: Span keeps its size.
+	if size := unsafe.Sizeof(Span{}); unsafe.Sizeof(uintptr(0)) == 8 && size != 48 {
+		t.Errorf("Span is %d bytes, want 48", size)
 	}
-	tr.SetEnabled(false)
-	if tr.Start("request") != nil {
-		t.Error("disabled tracer must not record")
+	tr := NewTracer(&TracerOptions{SlowThreshold: -1})
+	req := tr.Start("request")
+	root := req.Root()
+	child := root.StartChild("child")
+	child.End()
+	open := root.StartChild("open")
+	tr.Finish(req)
+	if got := tr.Misuses(); got != 1 {
+		t.Fatalf("child open at Finish: misuses = %d, want 1", got)
 	}
-	tr.SetEnabled(true)
-	if tr.Start("request") == nil {
-		t.Error("re-enabled tracer must record")
+	if tr.Recent(1)[0].Span("open") == nil {
+		t.Error("a child open at Finish must still be recorded")
 	}
-}
 
-func TestTracerStatusStrings(t *testing.T) {
-	tr := NewTracer(&TracerOptions{SlowThreshold: 2 * time.Millisecond, Sample: 3})
-	if got := tr.SlowThresholdString(); got != "2ms" {
-		t.Errorf("SlowThresholdString = %q", got)
+	stale := []func(){
+		func() { root.StartChild("late") },
+		func() { child.End() },
+		func() { open.SetInt("k", 1) },
+		func() { child.SetStr("k", "v") },
+		func() { child.SetBytes("k", []byte("v")) },
+		func() { child.SetBool("k", true) },
+		func() { child.SetFloat("k", 1) },
+		func() { tr.Finish(req) },
+		func() { tr.FinishRecentOnly(req) },
 	}
-	if got := tr.SampleString(); got != "1/3" {
-		t.Errorf("SampleString = %q", got)
+	for i, call := range stale {
+		call()
+		if got, want := tr.Misuses(), uint64(i+2); got != want {
+			t.Fatalf("stale call %d: misuses = %d, want %d", i, got, want)
+		}
 	}
-	tr.SetSlowThreshold(-1)
-	if got := tr.SlowThresholdString(); got != "off" {
-		t.Errorf("disabled SlowThresholdString = %q", got)
+	if tr.Recorded() != 1 {
+		t.Errorf("a second Finish was recorded: %d traces", tr.Recorded())
+	}
+	if len(req.Spans()) != 0 || len(req.attrs) != 0 || len(req.arena) != 0 {
+		t.Error("calls on a finished trace must not write its pooled buffer")
+	}
+
+	before := tr.Misuses()
+	var nilSpan *Span
+	nilSpan.StartChild("x").End()
+	nilSpan.SetInt("k", 1)
+	tr.Finish(nil)
+	tr.FinishRecentOnly(nil)
+	if tr.Misuses() != before {
+		t.Error("the nil chain and Finish(nil) must not count as misuse")
 	}
 }
 
@@ -260,6 +292,9 @@ func TestRegisterMetrics(t *testing.T) {
 	}
 	if snap["trace_recorder_enabled"].(float64) != 1 {
 		t.Errorf("trace_recorder_enabled = %v", snap["trace_recorder_enabled"])
+	}
+	if snap["trace_misuse_total"].(float64) != 0 {
+		t.Errorf("trace_misuse_total = %v", snap["trace_misuse_total"])
 	}
 }
 

@@ -15,7 +15,8 @@ import (
 // continuously snapshot Recent/Slow/Find and encode what they see —
 // the exact interleaving the debug endpoints produce under live
 // traffic. Run under -race this pins the slot ring's publication
-// safety; the final quiescent checks pin exactness.
+// safety; the final quiescent checks pin exactness and a zero misuse
+// count (every span call lands on a live trace).
 func TestTracerConcurrentRecordAndRead(t *testing.T) {
 	const (
 		writers   = 8
@@ -76,6 +77,9 @@ func TestTracerConcurrentRecordAndRead(t *testing.T) {
 	if got := tr.Recorded(); got != writers*perWriter {
 		t.Errorf("recorded = %d, want %d", got, writers*perWriter)
 	}
+	if got := tr.Misuses(); got != 0 {
+		t.Errorf("misuses = %d under concurrent recording, want 0", got)
+	}
 	recent := tr.Recent(ringSize)
 	if len(recent) != ringSize {
 		t.Fatalf("recorder retains %d traces, want %d", len(recent), ringSize)
@@ -92,8 +96,8 @@ func TestTracerConcurrentRecordAndRead(t *testing.T) {
 	}
 }
 
-// TestTracerConcurrentReconfigure flips enabled/sample/threshold while
-// traffic records — the wdmserve admin path against live load.
+// TestTracerConcurrentReconfigure moves the slow threshold while
+// traffic records — the one setter wdmserve calls, against live load.
 func TestTracerConcurrentReconfigure(t *testing.T) {
 	tr := NewTracer(nil)
 	stop := make(chan struct{})
@@ -107,8 +111,6 @@ func TestTracerConcurrentReconfigure(t *testing.T) {
 				return
 			default:
 			}
-			tr.SetEnabled(i%2 == 0)
-			tr.SetSample(1 + i%4)
 			tr.SetSlowThreshold(time.Duration(i%3-1) * time.Millisecond)
 		}
 	}()

@@ -13,13 +13,35 @@ import (
 	"lightpath/internal/obs"
 )
 
-// TestFlightRecorderExactlyOnceUnderLoad is the ISSUE's serve-layer
+// TestFlightRecorderExactlyOnceUnderLoad is the serve layer's recorder
 // acceptance test: 16 concurrent TCP clients fire route/alloc traffic
 // at a server whose flight recorder is large enough to retain
 // everything, and at quiescence every admitted request appears in the
 // recorder exactly once, with queue-wait + exec span durations summing
-// inside the request's wall-clock extent.
+// inside the request's wall-clock extent; shed requests and closed
+// connections are accounted for too (recorderUnderLoad).
 func TestFlightRecorderExactlyOnceUnderLoad(t *testing.T) {
+	recorderUnderLoad(t, 30*time.Second, 0)
+}
+
+// TestFlightRecorderTracesShedRequests is the same load against an
+// immediate-shed queue whose admitted requests hold their slot for a
+// millisecond: it must shed, and every shed request must leave its
+// trace. A trace that is never finished is the one lifecycle misuse
+// the span API's runtime check cannot see; these counts catch it.
+func TestFlightRecorderTracesShedRequests(t *testing.T) {
+	if shed := recorderUnderLoad(t, 0, time.Millisecond); shed == 0 {
+		t.Fatal("immediate-shed queue shed nothing; the premise failed")
+	}
+}
+
+// recorderUnderLoad runs the flight-recorder load and checks that the
+// recorder accounts for every request and connection: admitted request
+// traces equal serve_requests_total (each once, spans consistent), shed
+// ones equal the busy replies, and, once every client has closed,
+// serve_conn traces equal the connections. It returns the shed count.
+func recorderUnderLoad(t *testing.T, requestTimeout, execDelay time.Duration) (shed int) {
+	t.Helper()
 	const (
 		clients   = 16
 		perClient = 25
@@ -36,19 +58,20 @@ func TestFlightRecorderExactlyOnceUnderLoad(t *testing.T) {
 	start := time.Now()
 	_, addr := startServer(t, eng, &ServerConfig{
 		QueueDepth:     4, // small queue: force real queue-wait under 16 clients
-		RequestTimeout: 30 * time.Second,
+		RequestTimeout: requestTimeout,
 		Telemetry:      tel,
 		Tracer:         tracer,
+		testExecDelay:  execDelay,
 	})
 
 	var wg sync.WaitGroup
 	var mu sync.Mutex
-	shed := 0
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			cl := dialT(t, addr)
+			defer cl.Close()
 			for i := 0; i < perClient; i++ {
 				line, err := cl.Do(fmt.Sprintf("route %d %d", (c+i)%14, (c+i+5)%14))
 				if err != nil {
@@ -66,13 +89,17 @@ func TestFlightRecorderExactlyOnceUnderLoad(t *testing.T) {
 	wg.Wait()
 	wall := time.Since(start)
 
-	// Collect everything the recorder retained, split by root span.
+	// Collect everything the recorder retained, split by root span and,
+	// for requests, by outcome. A shed reply is written after its
+	// trace's Finish, so the counts are exact once the replies are in.
 	var requests []*obs.ReqTrace
+	shedTraces := 0
 	for _, r := range tracer.Recent(totalReqs + ringSlack) {
 		if r.Root().Name != spanRequest {
 			continue
 		}
 		if a, _ := r.Root().Attr(attrOutcome); a.Str == outcomeShed {
+			shedTraces++
 			continue
 		}
 		requests = append(requests, r)
@@ -81,6 +108,9 @@ func TestFlightRecorderExactlyOnceUnderLoad(t *testing.T) {
 	admitted := int(reg.Snapshot()["serve_requests_total"].(uint64))
 	if admitted+shed != totalReqs {
 		t.Errorf("admitted %d + shed %d != sent %d", admitted, shed, totalReqs)
+	}
+	if shedTraces != shed {
+		t.Errorf("recorder retains %d shed request traces, clients saw %d busy replies", shedTraces, shed)
 	}
 	if len(requests) != admitted {
 		t.Fatalf("recorder retains %d request traces, telemetry admitted %d", len(requests), admitted)
@@ -112,6 +142,23 @@ func TestFlightRecorderExactlyOnceUnderLoad(t *testing.T) {
 			t.Errorf("trace %d: remote attr = %+v ok=%v", r.ID, a, ok)
 		}
 	}
+
+	// A connection's trace is finished before its handler reports the
+	// close, so at zero active connections every one is retained.
+	deadline := time.Now().Add(10 * time.Second)
+	for tel.connsActive.Value() != 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	conns := 0
+	for _, r := range tracer.Recent(totalReqs + ringSlack) {
+		if r.Root().Name == spanConn {
+			conns++
+		}
+	}
+	if conns != clients {
+		t.Errorf("recorder retains %d serve_conn traces for %d closed connections", conns, clients)
+	}
+	return shed
 }
 
 // TestServeVerbsRecentSlowTracejson drives the three trace-query verbs

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"lightpath/internal/engine"
+	"lightpath/internal/obs"
 )
 
 // fuzzEng is shared across fuzz iterations within one worker process:
@@ -14,10 +15,12 @@ import (
 // coverage — the parser must stay correct against every engine state
 // the protocol itself can reach. The instance is deliberately tiny
 // (4-node ring, 2 wavelengths) so enumeration verbs driven with huge
-// counts stay bounded.
+// counts stay bounded. fuzzTracer records every request, so each verb
+// runs the span API's lifecycle check.
 var (
-	fuzzOnce sync.Once
-	fuzzEng  *engine.Engine
+	fuzzOnce   sync.Once
+	fuzzEng    *engine.Engine
+	fuzzTracer = obs.NewTracer(&obs.TracerOptions{Sample: 1, SlowThreshold: -1})
 )
 
 func fuzzEngine(t *testing.T) *engine.Engine {
@@ -43,6 +46,8 @@ func fuzzEngine(t *testing.T) *engine.Engine {
 // verbs, and render every rejection as a single-line error. The engine
 // is shared across iterations, so protocol-reachable mutations compound
 // and the lease-accounting invariant is re-checked after every input.
+// Every request is traced: a non-blank line records exactly one trace,
+// and no input makes a span lifecycle misuse.
 func FuzzProtocolParse(f *testing.F) {
 	for _, seed := range []string{
 		"route 0 3", "routefrom 1", "kshortest 0 2 4", "protect 0 2",
@@ -56,10 +61,17 @@ func FuzzProtocolParse(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, line string) {
 		eng := fuzzEngine(t)
-		sess := NewSession(eng, io.Discard, nil)
+		sess := NewSession(eng, io.Discard, &SessionOptions{Tracer: fuzzTracer})
 		clean := CleanLine(line)
+		recorded, misuses := fuzzTracer.Recorded(), fuzzTracer.Misuses()
 		quit, err := sess.Exec(clean)
 		fields := strings.Fields(clean)
+		if n := fuzzTracer.Misuses() - misuses; n != 0 {
+			t.Fatalf("input %q: %d span lifecycle misuses", line, n)
+		}
+		if got := fuzzTracer.Recorded() - recorded; len(fields) > 0 && got != 1 {
+			t.Fatalf("input %q recorded %d traces, want 1", line, got)
+		}
 		if quit && (len(fields) == 0 || (fields[0] != "quit" && fields[0] != "exit")) {
 			t.Fatalf("input %q requested shutdown", line)
 		}

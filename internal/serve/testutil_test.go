@@ -62,7 +62,9 @@ func startServer(t testing.TB, eng *engine.Engine, cfg *ServerConfig) (*Server, 
 	return serveOn(t, ln, eng, cfg), ln.Addr().String()
 }
 
-// serveOn runs a Server on ln and drains it at test end.
+// serveOn runs a Server on ln and drains it at test end. With a
+// tracer configured, the drained server must have made no span
+// lifecycle misuse, so every TCP test guards the served lifecycle.
 func serveOn(t testing.TB, ln net.Listener, eng *engine.Engine, cfg *ServerConfig) *Server {
 	t.Helper()
 	srv := NewServer(eng, cfg)
@@ -76,6 +78,11 @@ func serveOn(t testing.TB, ln net.Listener, eng *engine.Engine, cfg *ServerConfi
 		}
 		if err := <-errCh; err != nil {
 			t.Errorf("serve: %v", err)
+		}
+		if cfg != nil && cfg.Tracer != nil {
+			if n := cfg.Tracer.Misuses(); n != 0 {
+				t.Errorf("served traces made %d span lifecycle misuses, want 0", n)
+			}
 		}
 	})
 	return srv
