@@ -86,12 +86,14 @@ race-obs:
 # n=100 and n=300 with trees/op and points/op, so the batch rule's
 # break-even (core.Aux.TreePays, 8 on both) sits where the cold rows
 # switch from points to trees; BenchmarkCostsFrom is one single-source
-# cost read by what answers it (row=resident: a few hundred ns and 0
-# allocs; cold: the pass and its row); BenchmarkSessionExec is one
-# `route` through Session.Exec bare and under the default recorder, whose
-# rows should differ by about a microsecond and by no allocation, then
-# `routefrom` and a 16-pair `batch` at n=100 with cost rows resident (a
-# lookup and the encode) vs absent (a pass; 16 point queries);
+# cost read by what answers it, its n texts appended (row=resident: a
+# lookup and a copy, a couple of µs and 0 allocs; row=first-hit: the
+# render once per row, 3 allocs; cold: the pass and its row);
+# BenchmarkSessionExec is one `route` through Session.Exec bare and
+# under the default recorder, whose rows should differ by about a
+# microsecond and by no allocation, then `routefrom` and a 16-pair
+# `batch` at n=100 with cost rows resident (a lookup and a copy) vs
+# absent (a pass; 16 point queries);
 # BenchmarkMonitorSample is one obs.Monitor tick (registry snapshot,
 # push, rule check); BenchmarkRouteProtected/opts={paper,served} and
 # BenchmarkKShortest/K={2,5,10} are the two verbs that are not point

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"testing"
 
 	"lightpath/internal/obs"
@@ -15,18 +16,34 @@ import (
 // (sampling is pull-based, so the query path never sees it). A regression
 // here (a closure that escapes, per-call options, key boxing, a variadic
 // slice that reaches the heap) lands on the latency path of every cached
-// query, so it fails a test, not just a benchmark.
+// query, so it fails a test, not just a benchmark. Each row is read twice
+// first — built, then rendered: the first hit's render allocates at most
+// three objects, once per row, and every hit after it, its text appended
+// included, allocates nothing.
 func TestCachedRouteFromAllocationFree(t *testing.T) {
 	e := spanTestEngine(t)
 	snap := e.Snapshot()
 	n := e.Base().NumNodes()
-	for s := 0; s < n; s++ { // warm every source's row
+	for s := 0; s < n; s++ { // build every source's row
 		if _, err := snap.CostsFrom(s); err != nil {
 			t.Fatal(err)
 		}
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun: no other P's caches in the count
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for s := 0; s < n; s++ { // render every source's row: its first hit
+		if _, err := snap.CostsFrom(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if renders, allocs := counter(e, "engine_cost_row_renders_total"), after.Mallocs-before.Mallocs; renders != uint64(n) || allocs > 3*uint64(n) {
+		t.Fatalf("%d first hits: %d renders, %d objects; want one render per row and at most 3 objects each", n, renders, allocs)
+	}
 	off := obs.NewTracer(&obs.TracerOptions{Disabled: true})
 	sum := 0.0
+	text := make([]byte, 0, 64*n)
 	for _, tc := range []struct {
 		name    string
 		query   func(src int) error
@@ -54,6 +71,14 @@ func TestCachedRouteFromAllocationFree(t *testing.T) {
 			costs, err := snap.CostsFrom(src)
 			for d := 0; err == nil && d < n; d++ {
 				sum += costs.To(d)
+			}
+			return err
+		}, false},
+		{"every text appended", func(src int) error {
+			costs, err := snap.CostsFrom(src)
+			text = text[:0]
+			for d := 0; err == nil && d < n; d++ {
+				text = costs.AppendCost(text, d)
 			}
 			return err
 		}, false},
@@ -88,6 +113,9 @@ func TestCachedRouteFromAllocationFree(t *testing.T) {
 	benchSink = sum
 	if rs := e.CacheStats(); rs.Size != n || rs.Misses != uint64(n) {
 		t.Fatalf("the cases did not read resident rows: %+v", rs)
+	}
+	if renders := counter(e, "engine_cost_row_renders_total"); renders != uint64(n) {
+		t.Fatalf("hits on rendered rows rendered again: %d renders for %d rows", renders, n)
 	}
 
 	// A costs-only batch whose every source has a resident row allocates

@@ -24,6 +24,16 @@ type BatchResult struct {
 	Result *core.Result
 	Cost   float64
 	Err    error
+	text   *rowText // the text of the rendered row that answered, else nil
+}
+
+// AppendCost appends r.Cost as AppendCost renders it: copied off the
+// cost row's text when a rendered row answered r, formatted otherwise.
+func (r *BatchResult) AppendCost(buf []byte) []byte {
+	if r.text != nil {
+		return append(buf, r.text.entry(r.To)...)
+	}
+	return AppendCost(buf, r.Cost)
 }
 
 // RouteBatch answers every request against ONE pinned snapshot. All
@@ -155,9 +165,10 @@ func (s *Snapshot) search(out []BatchResult, rest []int, workers int, paths bool
 }
 
 // answerRow fills r from its source's cost row if one is resident at
-// this epoch, and reports whether it was. An absent row is neither
-// counted nor built, and a destination out of range is left to the
-// search, whose error names it.
+// this epoch, and reports whether it was; r carries the row's text if a
+// CostsFrom has rendered it, and a batch never renders one. An absent
+// row is neither counted nor built, and a destination out of range is
+// left to the search, whose error names it.
 func (s *Snapshot) answerRow(r *BatchResult) bool {
 	e := s.eng
 	if e.costs == nil || !s.inRange(r.To) {
@@ -165,7 +176,8 @@ func (s *Snapshot) answerRow(r *BatchResult) bool {
 	}
 	row, ok := e.costs.getResident(epochKey{node: r.From, epoch: s.epoch})
 	if ok {
-		r.setCost(row[r.To])
+		r.setCost(row.cost[r.To])
+		r.text = row.text.Load()
 		e.metrics.batchViaRow.Inc()
 	}
 	return ok

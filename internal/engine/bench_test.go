@@ -71,13 +71,15 @@ func BenchmarkRouteFromColdCache(b *testing.B) {
 
 // BenchmarkCostsFrom is one CostsFrom with its n costs read, on the
 // server's search mode over the benchmark's sparse networks, by what
-// answers it: the source's resident cost row (one map lookup, an n-float
-// slice; no allocation) or — with the cache off — the single-source pass
+// answers it: the source's resident cost row, rendered, with its n texts
+// appended as routefrom copies them (one map lookup and a copy; no
+// allocation); the row's first hit, which renders the text before it is
+// appended (the row's text reset before every ask; three objects); or — with the cache off — the single-source pass
 // and the row copied off it.
 func BenchmarkCostsFrom(b *testing.B) {
 	for _, n := range []int{100, 300} {
 		nw := sparseNet(b, n)
-		for _, by := range []string{"row=resident", "cold"} {
+		for _, by := range []string{"row=resident", "row=first-hit", "cold"} {
 			b.Run(fmt.Sprintf("%s/n=%d", by, n), func(b *testing.B) {
 				opts := &Options{CacheSize: n, Directed: core.DirectedAStar}
 				if by == "cold" {
@@ -88,27 +90,41 @@ func BenchmarkCostsFrom(b *testing.B) {
 					b.Fatal(err)
 				}
 				snap := e.Snapshot()
-				for s := 0; s < n && by != "cold"; s++ { // every row
-					if _, err := snap.CostsFrom(s); err != nil {
-						b.Fatal(err)
+				for ask := 0; ask < 2 && by != "cold"; ask++ { // every row, built and rendered
+					for s := 0; s < n; s++ {
+						if _, err := snap.CostsFrom(s); err != nil {
+							b.Fatal(err)
+						}
 					}
 				}
-				rows := e.CacheStats()
+				var rows []*costRow
+				for s := 0; s < n && by == "row=first-hit"; s++ {
+					row, _ := e.costs.getResident(epochKey{node: s, epoch: snap.Epoch()})
+					rows = append(rows, row)
+				}
+				before, renders := e.CacheStats(), counter(e, "engine_cost_row_renders_total")
 				sum := 0.0
+				text := make([]byte, 0, 32*n)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
+					if rows != nil {
+						rows[i%n].text.Store(nil) // one atomic store: cheaper to time than to stop the clock for
+					}
 					costs, err := snap.CostsFrom(i % n)
 					if err != nil {
 						b.Fatal(err)
 					}
+					text = text[:0]
 					for t := 0; t < n; t++ {
 						sum += costs.To(t)
+						text = costs.AppendCost(text, t)
 					}
 				}
 				benchSink = sum
-				if after := e.CacheStats(); (by == "row=resident") != (after.Hits-rows.Hits == uint64(b.N)) {
-					b.Fatalf("%s: cost rows %+v → %+v over %d asks", by, rows, after, b.N)
+				after, rendered := e.CacheStats(), counter(e, "engine_cost_row_renders_total")-renders
+				if (by != "cold") != (after.Hits-before.Hits == uint64(b.N)) || (by == "row=first-hit") != (rendered == uint64(b.N)) {
+					b.Fatalf("%s: cost rows %+v → %+v, %d renders over %d asks", by, before, after, rendered, b.N)
 				}
 			})
 		}

@@ -23,7 +23,8 @@
 //
 //   - bounded LRU caches keyed by (node, epoch): the row of optimal costs
 //     per source (CostsFrom), stored by the pass of a source's first ask
-//     so every later single-source cost query at that epoch is a lookup;
+//     so every later single-source cost query at that epoch is a lookup —
+//     and, once the row's first hit has rendered its text, a copy;
 //     and under DirectedAStar the physical-bound row per destination, so
 //     repeated point queries toward it skip their backward pass. A
 //     SourceTree itself is never kept: it is built, read and dropped; and
@@ -143,9 +144,10 @@ type Engine struct {
 	rowAsked askedAt
 	// costs keeps Corollary 1's answer itself: the n optimal costs from a
 	// source at an epoch, copied off the pass of the source's first
-	// CostsFrom of that epoch — a seventeenth of the tree's bytes at n=100.
-	// Nil with the cache disabled.
-	costs   *epochCache[[]float64]
+	// CostsFrom of that epoch — a seventeenth of the tree's bytes at n=100
+	// — and their text, rendered on the row's first hit. Nil with the cache
+	// disabled.
+	costs   *epochCache[*costRow]
 	metrics *Metrics
 
 	// mu guards the mutable occupancy state below and serializes
@@ -225,7 +227,7 @@ func New(nw *wdm.Network, opts *Options) (*Engine, error) {
 	}
 	if cacheSize > 0 {
 		// The row capacities are set below, once TreePays is known.
-		e.costs = newEpochCache[[]float64](cacheSize)
+		e.costs = newEpochCache[*costRow](cacheSize)
 		if e.directed == core.DirectedAStar {
 			e.rows = newEpochCache[[]float32](cacheSize)
 			e.rowAsked = make(askedAt, nw.NumNodes())

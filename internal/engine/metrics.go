@@ -44,7 +44,11 @@ type Metrics struct {
 	// engine_cost_row_builds_total: cost rows stored — one per cache_misses
 	// but for a miss whose pass failed (a source out of range).
 	costRowBuilds *obs.Counter
-	batchInFlight *obs.Gauge // engine_batch_inflight (queue depth)
+	// engine_cost_row_renders_total: cost rows whose text was rendered —
+	// one per row hit at least once, counted by the reader that published
+	// it, so renders ≤ builds and renders ≤ cache_hits.
+	costRowRenders *obs.Counter
+	batchInFlight  *obs.Gauge // engine_batch_inflight (queue depth)
 }
 
 // newMetrics wires an engine's registry: direct instruments for the
@@ -72,6 +76,7 @@ func newMetrics(e *Engine) *Metrics {
 		treeRescans:      reg.Counter("engine_tree_rescans_total"),
 		boundRowBuilds:   reg.Counter("engine_bound_row_builds_total"),
 		costRowBuilds:    reg.Counter("engine_cost_row_builds_total"),
+		costRowRenders:   reg.Counter("engine_cost_row_renders_total"),
 		batchInFlight:    reg.Gauge("engine_batch_inflight"),
 	}
 

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"strconv"
+	"sync/atomic"
 	"time"
 
 	"lightpath/internal/core"
@@ -87,19 +89,87 @@ func (s *Snapshot) RouteFrom(src int, parent ...*obs.Span) (*core.SourceTree, er
 // (Corollary 1, one row of it). Shared with every reader of the same
 // (source, epoch) while the row is cached; read-only.
 type Costs struct {
-	row []float64
+	cost []float64
+	text *rowText // the row's text once rendered, else nil
 }
 
 // To reports the optimal cost to t: 0 for the source itself, +Inf when t
 // is unreachable. Bit for bit SourceTree.Dist.
-func (c Costs) To(t int) float64 { return c.row[t] }
+func (c Costs) To(t int) float64 { return c.cost[t] }
+
+// AppendCost appends the cost to t as AppendCost renders it: copied off
+// the row's text when a rendered row answered, formatted otherwise.
+func (c Costs) AppendCost(buf []byte, t int) []byte {
+	if c.text != nil {
+		return append(buf, c.text.entry(t)...)
+	}
+	return AppendCost(buf, c.cost[t])
+}
+
+// AppendCost appends c as every cost reply prints it: fmt's %g, the
+// shortest decimal that parses back to c bit for bit, and +Inf for an
+// unreachable node. The one place the number format is decided.
+func AppendCost(buf []byte, c float64) []byte {
+	return strconv.AppendFloat(buf, c, 'g', -1, 64)
+}
+
+// costRow is one cached cost row: the n optimal costs from a source at
+// an epoch and, from the row's first cache hit on, their text.
+type costRow struct {
+	cost []float64
+	text atomic.Pointer[rowText] // nil until rendered
+}
+
+// rowText is a cost row rendered: entry t is AppendCost's form of cost
+// t, the bytes of buf from end[t-1] (0 for t = 0) to end[t].
+type rowText struct {
+	buf []byte
+	end []uint32
+}
+
+func (x *rowText) entry(t int) []byte {
+	start := uint32(0)
+	if t > 0 {
+		start = x.end[t-1]
+	}
+	return x.buf[start:x.end[t]]
+}
+
+// render returns the row's text, rendering it if no reader has, and
+// reports whether this call published it: of readers rendering at once,
+// one wins the compare-and-swap and the others read its text. Three
+// objects: the arena sized exactly by a first pass, its offsets and the
+// header.
+func (r *costRow) render() (*rowText, bool) {
+	if x := r.text.Load(); x != nil {
+		return x, false
+	}
+	x := &rowText{end: make([]uint32, len(r.cost))}
+	var scratch [32]byte
+	size := 0
+	for t, c := range r.cost {
+		size += len(AppendCost(scratch[:0], c))
+		x.end[t] = uint32(size)
+	}
+	x.buf = make([]byte, 0, size)
+	for _, c := range r.cost {
+		x.buf = AppendCost(x.buf, c)
+	}
+	if r.text.CompareAndSwap(nil, x) {
+		return x, true
+	}
+	return r.text.Load(), false
+}
 
 // CostsFrom is RouteFrom for a caller that reads costs, not paths. A
 // resident cost row answers with no pass (answered=row on the
 // engine_cache_lookup span); a miss (answered=built) runs one pass,
 // copies its costs into a row, stores the row for every later reader of
-// this (source, epoch) and drops the tree. With the cache disabled the
-// row is the caller's alone. The Costs are valid only with a nil error.
+// this (source, epoch) and drops the tree. The row's first hit renders
+// its text (engine_cost_row_renders_total), which every later hit hands
+// out beside the costs: a row read once costs no text, one read twice
+// or more is formatted once. With the cache disabled the row is the
+// caller's alone. The Costs are valid only with a nil error.
 func (s *Snapshot) CostsFrom(src int, parent ...*obs.Span) (Costs, error) {
 	sp, start := s.startFrom(parentSpan(parent))
 	defer s.endFrom(sp, start)
@@ -116,24 +186,28 @@ func (s *Snapshot) CostsFrom(src int, parent ...*obs.Span) (Costs, error) {
 		look.SetStr(AttrAnswered, answered)
 		look.End()
 		if ok {
-			return Costs{row: row}, nil
+			text, won := row.render()
+			if won {
+				e.metrics.costRowRenders.Inc()
+			}
+			return Costs{cost: row.cost, text: text}, nil
 		}
 	}
 	st, err := s.buildTree(src, sp)
 	if err != nil {
 		return Costs{}, err
 	}
-	row := make([]float64, s.net.NumNodes())
-	for t := range row {
-		row[t] = st.Dist(t)
+	cost := make([]float64, s.net.NumNodes())
+	for t := range cost {
+		cost[t] = st.Dist(t)
 	}
 	if e.costs != nil {
 		// Concurrent misses on one key each run the pass and the last put
 		// wins: the rows are equal bit for bit.
-		e.costs.put(key, row)
+		e.costs.put(key, &costRow{cost: cost})
 		e.metrics.costRowBuilds.Inc()
 	}
-	return Costs{row: row}, nil
+	return Costs{cost: cost}, nil
 }
 
 // startFrom opens the engine_routefrom span of a single-source read and

@@ -57,10 +57,10 @@ func execRouteLines(sess *Session) []string {
 // recording a request costs (ns, B and allocs per op under -benchmem).
 // The n=100 rows are mid_tree's two verbs on its network — `routefrom`,
 // and a `batch` of 16 pairs over 4 sources — with every source's cost
-// row resident, and with none: a fresh epoch, published with the clock
-// stopped, before every request, which is a pass for the routefrom and
-// 16 point queries for the batch. Resident, either is a lookup and the
-// encoding of its reply.
+// row resident — read twice beforehand, so rendered — and with none: a
+// fresh epoch, published with the clock stopped, before every request,
+// which is a pass for the routefrom and 16 point queries for the batch.
+// Resident, either is a lookup and a copy of the row's text.
 func BenchmarkSessionExec(b *testing.B) {
 	for _, verb := range []string{"routefrom", "batch"} {
 		for _, rows := range []string{"resident", "absent"} {
@@ -76,7 +76,7 @@ func BenchmarkSessionExec(b *testing.B) {
 							lines[s] += " " + strconv.Itoa((s+j%4)%n) + " " + strconv.Itoa((s*7+j*13+5)%n)
 						}
 					}
-					for ask := 0; ask < 2; ask++ { // every row, and the reply buffer's size
+					for ask := 0; ask < 2; ask++ { // every row, built and rendered, and the reply buffer's size
 						_, _ = sess.Exec("routefrom " + strconv.Itoa(s))
 					}
 				}

@@ -28,8 +28,9 @@ func wire(t *testing.T, eng *engine.Engine, line string) string {
 
 // TestCostRepliesIgnoreCacheState: what `routefrom` and `batch` put on
 // the wire is a function of the command and the epoch alone — the same
-// bytes with the caches disabled, cold and holding the sources' cost
-// rows, under either search mode and either tree queue. The script covers an unreachable destination, a source with no
+// bytes with the caches disabled, cold, holding the sources' cost rows
+// and holding them rendered (each read twice, so replies copy the rows'
+// text), under either search mode and either tree queue. The script covers an unreachable destination, a source with no
 // outgoing channel, S→S, duplicate pairs, a source named often enough
 // for the batch to build its tree, and endpoints out of range; the
 // engine's counters prove each state answered the way its name says.
@@ -99,7 +100,7 @@ func TestCostRepliesIgnoreCacheState(t *testing.T) {
 		var want []string // the first combination's replies: every other must match
 		for _, mode := range []core.DirectedMode{core.DirectedAStar, core.DirectedPlain} {
 			for _, queue := range []graph.QueueKind{graph.QueueBucket, graph.QueueBinary} {
-				for _, state := range []string{"cache off", "cold", "row resident"} {
+				for _, state := range []string{"cache off", "cold", "row resident", "row rendered"} {
 					what := fmt.Sprintf("%s/%s/%s/%s", inst.name, mode, queue, state)
 					opts := &engine.Options{Directed: mode, Queue: queue}
 					if state == "cache off" {
@@ -114,14 +115,15 @@ func TestCostRepliesIgnoreCacheState(t *testing.T) {
 							t.Fatalf("%s: %s: %s", what, line, got)
 						}
 					}
+					warm := map[string]int{"row resident": 1, "row rendered": 2}[state]
 					for _, s := range sources {
-						if state == "row resident" {
+						for r := 0; r < warm; r++ {
 							if _, err := eng.CostsFrom(s); err != nil {
 								t.Fatalf("%s: %v", what, err)
 							}
 						}
 					}
-					rows, reads := eng.CacheStats(), singleSourceReads(eng)
+					rows, renders, reads := eng.CacheStats(), rowRenders(eng), singleSourceReads(eng)
 
 					var got []string
 					for _, line := range script {
@@ -162,7 +164,7 @@ func TestCostRepliesIgnoreCacheState(t *testing.T) {
 						if rows2.Misses != 4 || builds != 3 || rows2.Size != 3 || viaRow == 0 || viaPoint == 0 {
 							t.Fatalf("%s: rows %+v, %d built, batch row %d point %d", what, rows2, builds, viaRow, viaPoint)
 						}
-					case "row resident":
+					case "row resident", "row rendered":
 						// Three routefroms and every in-range request read a row;
 						// only `routefrom 999` misses; the out-of-range requests are
 						// point queries' to name, and nothing builds a tree.
@@ -171,12 +173,29 @@ func TestCostRepliesIgnoreCacheState(t *testing.T) {
 							t.Fatalf("%s: rows %+v → %+v, batch row %d tree %d point %d (in range: %d of %d)",
 								what, rows, rows2, viaRow, viaTree, viaPoint, inRange, all)
 						}
+						// Resident rows are rendered by the script's three
+						// routefroms, their first hits; rendered ones were, by the
+						// second reads before it. Batches render nothing.
+						want := map[string][2]uint64{"row resident": {0, 3}, "row rendered": {4, 4}}[state]
+						if got := rowRenders(eng); renders != want[0] || got != want[1] {
+							t.Fatalf("%s: %d rows rendered before the script, %d after; want %d, %d", what, renders, got, want[0], want[1])
+						}
 						checkAfterEpochBump(t, what, eng, a)
+					}
+					if state == "cache off" || state == "cold" {
+						if got := rowRenders(eng); got != 0 {
+							t.Fatalf("%s: %d rows rendered with no row hit by a routefrom", what, got)
+						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// rowRenders reads engine_cost_row_renders_total.
+func rowRenders(eng *engine.Engine) uint64 {
+	return eng.Metrics().Snapshot()["engine_cost_row_renders_total"].(uint64)
 }
 
 // singleSourceReads counts eng's RouteFrom and CostsFrom calls: every

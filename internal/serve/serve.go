@@ -219,8 +219,8 @@ func (s *Session) exec(cmd string, rest []string, sp *obs.Span) (bool, error) {
 		buf := s.out[:0]
 		for t := 0; t < n; t++ {
 			buf = appendPair(buf, ints[0], t)
-			if c := costs.To(t); !math.IsInf(c, 1) {
-				buf = append(appendCost(buf, c), '\n')
+			if !math.IsInf(costs.To(t), 1) {
+				buf = append(costs.AppendCost(append(buf, "cost "...), t), '\n')
 			} else {
 				buf = append(buf, "unreachable\n"...)
 			}
@@ -269,7 +269,7 @@ func (s *Session) exec(cmd string, rest []string, sp *obs.Span) (bool, error) {
 			case r.Err != nil:
 				buf = fmt.Appendf(buf, "error: %v\n", r.Err)
 			default:
-				buf = append(appendCost(buf, r.Cost), '\n')
+				buf = append(r.AppendCost(append(buf, "cost "...)), '\n')
 			}
 		}
 		s.reply(buf)
@@ -682,10 +682,11 @@ func appendPair(buf []byte, from, to int) []byte {
 	return append(buf, ": "...)
 }
 
-// appendCost appends "cost C" with C as fmt's %g renders a float64:
-// shortest representation that round-trips.
+// appendCost appends "cost C" with C as engine.AppendCost renders it —
+// fmt's %g, the shortest representation that round-trips — which is
+// also the text of every cost row routefrom and batch copy.
 func appendCost(buf []byte, c float64) []byte {
-	return strconv.AppendFloat(append(buf, "cost "...), c, 'g', -1, 64)
+	return engine.AppendCost(append(buf, "cost "...), c)
 }
 
 // appendResult appends one routing answer, "cost C  PATH\n", as fmt's
