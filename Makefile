@@ -18,8 +18,9 @@ race:
 # Focused race pass over the packages with lock-free hot paths (the obs
 # atomics and the engine's snapshot/cache machinery) — cheap enough to
 # run on every edit, unlike the full `race` sweep. The second line loops
-# the cost-row readers-beside-a-writer test (every row reply checked
-# against a fresh pass on its epoch); the third is the page-sharing half
+# the cost-row and route-memo readers-beside-a-writer tests (every row
+# reply checked against a fresh pass on its epoch, every route against a
+# fresh search on its epoch); the third is the page-sharing half
 # of snapshot immutability: readers on a pinned
 # snapshot while later epochs copy the pages they write (these tests need
 # the compiled graph, so they sit in internal/core's external test
@@ -27,7 +28,7 @@ race:
 # kshortest and protect copy its pages into their private clones.
 race-hot:
 	$(GO) test -race ./internal/obs ./internal/engine
-	$(GO) test -race -count=5 -run 'ConcurrentCostRows' ./internal/engine
+	$(GO) test -race -count=5 -run 'ConcurrentCostRows|ConcurrentRouteMemo' ./internal/engine
 	$(GO) test -race -run 'SnapshotIsolation|LongChain|ConcurrentMixedOperations' ./internal/core
 
 # vet also fails on unformatted files: gofmt -l prints offenders, and
@@ -91,9 +92,11 @@ race-obs:
 # render once per row, 3 allocs; cold: the pass and its row);
 # BenchmarkSessionExec is one `route` through Session.Exec bare and
 # under the default recorder, whose rows should differ by about a
-# microsecond and by no allocation, then `routefrom` and a 16-pair
-# `batch` at n=100 with cost rows resident (a lookup and a copy) vs
-# absent (a pass; 16 point queries);
+# microsecond and by no allocation, once searching (memo=miss: a fresh
+# epoch before each request) and once answered by the route memo
+# (memo=hit: ≈ 1 µs bare and 2 allocs at either tier), then `routefrom`
+# and a 16-pair `batch` at n=100 with cost rows resident (a lookup and
+# a copy) vs absent (a pass; 16 point queries);
 # BenchmarkMonitorSample is one obs.Monitor tick (registry snapshot,
 # push, rule check); BenchmarkRouteProtected/opts={paper,served} and
 # BenchmarkKShortest/K={2,5,10} are the two verbs that are not point

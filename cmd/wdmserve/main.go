@@ -117,7 +117,7 @@ func newFlags() (*flag.FlagSet, *flags) {
 		"queue SourceTrees are built on: bucket|binary (same costs; searches with a goal always run on the binary heap)")
 	fs.StringVar(&f.directed, "directed", "astar",
 		"point-query search strategy: plain|astar (astar = A* under a per-query lower bound from the physical network)")
-	fs.IntVar(&f.cacheSize, "cache", engine.DefaultCacheSize, "sizes the cost-row cache and, under astar, the bound-row cache at this many × TreePays rows each (<0 disables both)")
+	fs.IntVar(&f.cacheSize, "cache", engine.DefaultCacheSize, "sizes the cost-row cache, the route memo and, under astar, the bound-row cache at this many × TreePays entries each (<0 disables all three)")
 	fs.IntVar(&f.workers, "workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
 	fs.StringVar(&f.script, "script", "", "read commands from this file instead of stdin")
 	fs.StringVar(&f.listen, "listen", "",

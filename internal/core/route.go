@@ -196,13 +196,8 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 	stats := a.searchStats(s, t, settled, relaxed)
 	stats.PhysPops = physPops
 	if sp != nil {
-		sp.SetInt(AttrAuxNodes, int64(stats.AuxNodes))
-		sp.SetInt(AttrAuxArcs, int64(stats.AuxArcs))
-		sp.SetInt(AttrSettled, int64(stats.Settled))
-		sp.SetInt(AttrRelaxed, int64(stats.Relaxed))
-		sp.SetStr(AttrDirected, mode.String())
+		annotateSearch(sp, stats, mode)
 		if mode == DirectedAStar {
-			sp.SetInt(AttrPhysPops, int64(physPops))
 			sp.SetStr(AttrBoundRow, boundRow)
 		}
 		if fwdTree != nil {
@@ -229,6 +224,36 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 	}
 	sp.SetFloat(AttrCost, bestDist)
 	return &Result{Path: path, Cost: bestDist, Source: s, Dest: t, Stats: stats}, nil
+}
+
+// annotateSearch records a point query's work counters on its
+// core_search span.
+func annotateSearch(sp *obs.Span, stats SearchStats, mode DirectedMode) {
+	sp.SetInt(AttrAuxNodes, int64(stats.AuxNodes))
+	sp.SetInt(AttrAuxArcs, int64(stats.AuxArcs))
+	sp.SetInt(AttrSettled, int64(stats.Settled))
+	sp.SetInt(AttrRelaxed, int64(stats.Relaxed))
+	sp.SetStr(AttrDirected, mode.String())
+	if mode == DirectedAStar {
+		sp.SetInt(AttrPhysPops, int64(stats.PhysPops))
+	}
+}
+
+// RecordMemoHit records, under parent, the core_search span of a query
+// answered by res — the Result an earlier Route of the same (s, t) on the
+// same network returned under mode — without a search: the counters are
+// that search's and memo=true says none ran now. It has no bound_row,
+// since no bound was read, and no per-λ profile, since no tree was
+// built. A nil parent records nothing.
+func RecordMemoHit(parent *obs.Span, res *Result, mode DirectedMode) {
+	if parent == nil {
+		return
+	}
+	sp := parent.StartChild(SpanSearch)
+	annotateSearch(sp, res.Stats, mode)
+	sp.SetBool(AttrMemo, true)
+	sp.SetFloat(AttrCost, res.Cost)
+	sp.End()
 }
 
 // searchStats sizes G_{s,t} for a point query's report: the compiled

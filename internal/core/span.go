@@ -31,6 +31,7 @@ const (
 	AttrQueue            = "queue"   // core_tree_search: the graph.QueueKind the pass ran on
 	AttrScans            = "scans"   // bucket queue: entries scanned (popped with a current key)
 	AttrRescans          = "rescans" // bucket queue: scans beyond one per X-shore node reached
+	AttrMemo             = "memo"    // core_search: true when a stored Result answered and no search ran (RecordMemoHit)
 )
 
 // Values of AttrBlockedCause: no physical path from s to t carries a

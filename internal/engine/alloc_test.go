@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"lightpath/internal/core"
 	"lightpath/internal/obs"
 )
 
@@ -127,5 +128,81 @@ func TestCachedRouteFromAllocationFree(t *testing.T) {
 	}
 	if got := counter(e, "engine_batch_row_requests_total"); got != 101*4 {
 		t.Fatalf("%d batch requests read a row, want every one of %d", got, 101*4)
+	}
+}
+
+// TestMemoRouteAllocationFree pins the route memo's hit: a Route the memo
+// answers at a stable epoch performs zero heap allocations — through the
+// engine's forwarder, with no parent span, with a nil one and with the
+// nil span a disabled recorder hands out — as a cached cost row's read
+// does (TestCachedRouteFromAllocationFree). Every pair is asked twice
+// first, on a memo that holds them all, so its Result is stored.
+func TestMemoRouteAllocationFree(t *testing.T) {
+	base := spanTestEngine(t).Base()
+	n := base.NumNodes()
+	e, err := New(base, &Options{Directed: core.DirectedAStar, CacheSize: n * n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pairs [][2]int
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			if s == d {
+				continue
+			}
+			if _, err := e.Route(s, d); err != nil {
+				continue // blocked: never stored, and a blocked answer allocates its error
+			}
+			if _, err := e.Route(s, d); err != nil {
+				t.Fatal(err)
+			}
+			pairs = append(pairs, [2]int{s, d})
+		}
+	}
+	if ms := e.RouteMemoStats(); ms.Size != len(pairs) || ms.Hits != 0 {
+		t.Fatalf("warm-up stored %+v for %d served pairs", ms, len(pairs))
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun: no other P's caches in the count
+	off := obs.NewTracer(&obs.TracerOptions{Disabled: true})
+	snap := e.Snapshot()
+	for _, tc := range []struct {
+		name  string
+		query func(s, d int) error
+	}{
+		{"engine forwarder", func(s, d int) error {
+			_, err := e.Route(s, d)
+			return err
+		}},
+		{"no span", func(s, d int) error {
+			_, err := snap.Route(s, d)
+			return err
+		}},
+		{"nil span", func(s, d int) error {
+			_, err := snap.Route(s, d, nil)
+			return err
+		}},
+		{"disabled tracer", func(s, d int) error {
+			req := off.Start("request") // nil: recorder off
+			_, err := e.Route(s, d, req.Root())
+			off.Finish(req)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			i := 0
+			allocs := testing.AllocsPerRun(100, func() {
+				p := pairs[i%len(pairs)]
+				if err := tc.query(p[0], p[1]); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			})
+			if allocs != 0 {
+				t.Errorf("a memo hit allocates %v objects per call, want 0", allocs)
+			}
+		})
+	}
+	if ms := e.RouteMemoStats(); ms.Hits != 4*101 || ms.Stores != uint64(len(pairs)) {
+		t.Fatalf("the cases did not read stored Results: %+v", ms)
 	}
 }

@@ -6,9 +6,10 @@ import (
 	"sync/atomic"
 )
 
-// epochKey identifies one cached per-node result — the cost row of a
-// source, the bound row of a destination: each is only valid for the
-// exact epoch whose residual network it was computed on.
+// epochKey identifies one cached result — the cost row of a source, the
+// bound row of a destination, the route of a pair (src·n + dst): each is
+// only valid for the exact epoch whose residual network it was computed
+// on.
 type epochKey struct {
 	node  int
 	epoch uint64
@@ -17,11 +18,13 @@ type epochKey struct {
 // CacheStats reports one cache's counters. Lookups is always
 // Hits + Misses — both counters advance under the cache lock — and is
 // carried explicitly so telemetry consumers can assert the invariant
-// instead of assuming it.
+// instead of assuming it. Stores counts the values callers kept, one per
+// put; each follows a miss, so Stores ≤ Misses.
 type CacheStats struct {
 	Hits      uint64
 	Misses    uint64
 	Lookups   uint64
+	Stores    uint64
 	Evictions uint64
 	Size      int
 	Capacity  int
@@ -36,8 +39,8 @@ func (c CacheStats) HitRate() float64 {
 	return float64(c.Hits) / float64(total)
 }
 
-// epochCache is a bounded LRU of per-(node, epoch) results: the engine
-// keeps cost rows in one and bound rows in another. Entries from
+// epochCache is a bounded LRU of per-(key, epoch) results: the engine
+// keeps cost rows, bound rows and routes in one each. Entries from
 // superseded epochs are never explicitly invalidated — they stay correct
 // for readers still pinned to their epoch and age out via normal LRU
 // pressure as fresh epochs dominate lookups. A stored value is shared by
@@ -50,6 +53,7 @@ type epochCache[V any] struct {
 	hits      uint64
 	misses    uint64
 	lookups   uint64
+	stores    uint64
 	evictions uint64
 }
 
@@ -94,6 +98,7 @@ func (c *epochCache[V]) lookup(k epochKey, countMiss bool) (V, bool) {
 func (c *epochCache[V]) put(k epochKey, val V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.stores++
 	if el, ok := c.items[k]; ok {
 		// A concurrent miss computed the same value; keep the newer one.
 		el.Value.(*cacheEntry[V]).val = val
@@ -116,22 +121,30 @@ func (c *epochCache[V]) stats() CacheStats {
 		Hits:      c.hits,
 		Misses:    c.misses,
 		Lookups:   c.lookups,
+		Stores:    c.stores,
 		Evictions: c.evictions,
 		Size:      c.ll.Len(),
 		Capacity:  c.capacity,
 	}
 }
 
-// askedAt is the bound rows' admission rule: per node, the epoch (+1;
-// 0 = never) at which a lookup last found the node's row missing. A row
-// is built on the second miss of its (node, epoch), so a destination
-// that does not recur within an epoch — every one, under churn — never
-// pays for a complete backward pass. (A cost row needs no such rule: it
-// is a copy of the pass its miss runs anyway.)
+// askedAt is the admission rule of the caches that keep a value only
+// from its key's second ask at an epoch — bound rows and routes: a key
+// that does not recur within an epoch, as none does under churn, costs
+// nothing to keep. (A cost row needs no such rule: it is a copy of the
+// pass its miss runs anyway.) Slot key % len records the last (key,
+// epoch) asked in it as a tag: the epoch (+1) in the high 32 bits, key /
+// len in the low. A table as long as its key space (the bound rows' n
+// slots) is exact; a shorter one (the routes' memoSlots) forgets a key
+// whose slot another key took since its last ask, which only delays its
+// admission. Two (key, epoch) share a tag only once the epoch passes
+// 2³², which admits one early. Either way answers stay keyed exactly.
 type askedAt []atomic.Uint64
 
-// second records a miss of (node, epoch) and reports whether it is at
+// second records an ask of (key, epoch) and reports whether it is at
 // least the second.
-func (a askedAt) second(node int, epoch uint64) bool {
-	return a[node].Swap(epoch+1) == epoch+1
+func (a askedAt) second(key int, epoch uint64) bool {
+	n, k := uint64(len(a)), uint64(key)
+	tag := (epoch+1)<<32 | k/n
+	return a[k%n].Swap(tag) == tag
 }

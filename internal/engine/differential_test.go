@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
@@ -9,6 +10,7 @@ import (
 
 	"lightpath/internal/baseline"
 	"lightpath/internal/core"
+	"lightpath/internal/oracle"
 	"lightpath/internal/topo"
 	"lightpath/internal/wdm"
 	"lightpath/internal/workload"
@@ -213,9 +215,13 @@ func TestDifferentialChurn(t *testing.T) {
 						op, cs, builds, renders)
 				}
 				batchSplit(t, tc.name, e)
+				memoIdentities(t, fmt.Sprintf("op %d", op), e)
 			}
 			if rs := e.CacheStats(); rs.Hits == 0 || counter(e, "engine_batch_row_requests_total") == 0 {
 				t.Fatalf("the churn never read a cost row: %+v", rs)
+			}
+			if ms := e.RouteMemoStats(); ms.Hits == 0 {
+				t.Fatalf("the churn never read a stored route: %+v", ms)
 			}
 
 			// Full single-source sweep at the final epoch, through the
@@ -328,26 +334,40 @@ func checkRouteAgainstReferences(t *testing.T, e *Engine, model *churnModel, s, 
 		}
 	}
 
-	got, err := e.Route(s, d)
-	switch {
-	case errors.Is(err, core.ErrNoRoute):
-		if st.Reachable(d) {
-			t.Fatalf("op %d: engine says no route %d->%d, reference cost %v", op, s, d, wantCost)
-		}
-	case err != nil:
-		t.Fatalf("op %d: route %d->%d: %v", op, s, d, err)
-	default:
-		if !costsAgree(got.Cost, wantCost) {
-			t.Fatalf("op %d: engine cost %d->%d = %v, fresh-Aux reference %v", op, s, d, got.Cost, wantCost)
-		}
-		// The returned path must be walkable on the engine's own
-		// snapshot and price out to the reported cost.
-		snapNet := e.Snapshot().Network()
-		if err := got.Path.Validate(snapNet, s, d); err != nil {
-			t.Fatalf("op %d: engine path invalid: %v", op, err)
-		}
-		if !costsAgree(got.Path.Cost(snapNet), got.Cost) {
-			t.Fatalf("op %d: path prices to %v, result says %v", op, got.Path.Cost(snapNet), got.Cost)
+	// The point query, asked three times on one pin: a search, a search
+	// whose Result the memo stores, the stored Result — which must be what
+	// the oracle computes on the residual of its epoch.
+	snap := e.Snapshot()
+	for ask := 0; ask < 3; ask++ {
+		hits := e.RouteMemoStats().Hits
+		got, err := snap.Route(s, d)
+		switch {
+		case errors.Is(err, core.ErrNoRoute):
+			if st.Reachable(d) {
+				t.Fatalf("op %d: engine says no route %d->%d, reference cost %v", op, s, d, wantCost)
+			}
+		case err != nil:
+			t.Fatalf("op %d: route %d->%d: %v", op, s, d, err)
+		default:
+			if !costsAgree(got.Cost, wantCost) {
+				t.Fatalf("op %d ask %d: engine cost %d->%d = %v, fresh-Aux reference %v", op, ask, s, d, got.Cost, wantCost)
+			}
+			// The returned path must be walkable on the engine's own
+			// snapshot and price out to the reported cost.
+			if err := got.Path.Validate(snap.Network(), s, d); err != nil {
+				t.Fatalf("op %d: engine path invalid: %v", op, err)
+			}
+			if !costsAgree(got.Path.Cost(snap.Network()), got.Cost) {
+				t.Fatalf("op %d: path prices to %v, result says %v", op, got.Path.Cost(snap.Network()), got.Cost)
+			}
+			if e.RouteMemoStats().Hits == hits {
+				continue
+			}
+			want, _, err := oracle.Solve(snap.Network(), s, d)
+			if err != nil || !costsAgree(got.Cost, want) {
+				t.Fatalf("op %d ask %d: the memo answered %d->%d at epoch %d with cost %v, the oracle %v (%v)",
+					op, ask, s, d, snap.Epoch(), got.Cost, want, err)
+			}
 		}
 	}
 

@@ -21,13 +21,16 @@
 //
 // On top of the snapshots sit two throughput features:
 //
-//   - bounded LRU caches keyed by (node, epoch): the row of optimal costs
-//     per source (CostsFrom), stored by the pass of a source's first ask
-//     so every later single-source cost query at that epoch is a lookup —
-//     and, once the row's first hit has rendered its text, a copy;
-//     and under DirectedAStar the physical-bound row per destination, so
-//     repeated point queries toward it skip their backward pass. A
-//     SourceTree itself is never kept: it is built, read and dropped; and
+//   - bounded LRU caches keyed by epoch: the row of optimal costs per
+//     source (CostsFrom), stored by the pass of a source's first ask so
+//     every later single-source cost query at that epoch is a lookup —
+//     and, once the row's first hit has rendered its text, a copy; the
+//     Result per (source, destination), stored by the search of the
+//     pair's second ask, so every later point query of it at that epoch
+//     searches nothing; and under DirectedAStar the physical-bound row
+//     per destination, so repeated point queries toward it skip their
+//     backward pass. A SourceTree itself is never kept: it is built, read
+//     and dropped; and
 //   - batched request execution (RouteBatch, BatchCosts), which pins one
 //     snapshot for the whole batch and prices each source: a cached cost
 //     row answers inline, a tree is built only for a source the batch
@@ -82,9 +85,10 @@ type Options struct {
 	// on the heap too (same costs bit for bit; the A/B reference). New
 	// refuses any other kind: Fibonacci and linear are ablation subjects.
 	Queue graph.QueueKind
-	// CacheSize sizes the two row caches at CacheSize × TreePays rows
-	// each: the cost-row LRU and — under DirectedAStar — the bound-row
-	// LRU. Zero means DefaultCacheSize; negative disables both.
+	// CacheSize sizes the three per-epoch caches at CacheSize × TreePays
+	// entries each: the cost-row LRU, the route memo and — under
+	// DirectedAStar — the bound-row LRU. Zero means DefaultCacheSize;
+	// negative disables all three.
 	CacheSize int
 	// MaxDeltaDepth is a test seam, not a tuning knob: the zero value
 	// chains core.Aux.ApplyDelta without bound (a search on a long chain
@@ -104,8 +108,12 @@ type Options struct {
 }
 
 // DefaultCacheSize is Options.CacheSize when it is zero: 64 × TreePays
-// rows of each kind (512 under astar on the serving networks).
+// entries of each kind (512 under astar on the serving networks).
 const DefaultCacheSize = 64
+
+// memoSlots sizes the route memo's askedAt table: 32 KB, one slot per
+// pair while n² ≤ 4096.
+const memoSlots = 4096
 
 // Stats are the engine's lifetime counters.
 type Stats struct {
@@ -147,8 +155,14 @@ type Engine struct {
 	// CostsFrom of that epoch — a seventeenth of the tree's bytes at n=100
 	// — and their text, rendered on the row's first hit. Nil with the cache
 	// disabled.
-	costs   *epochCache[*costRow]
-	metrics *Metrics
+	costs *epochCache[*costRow]
+	// memo keeps Theorem 1's answer itself: the Result of one (source,
+	// destination) at an epoch, stored by the search of the pair's second
+	// ask (memoAsked, keyed src·n + dst) and shared read-only by every
+	// later Route of it. Both nil with the cache disabled.
+	memo      *epochCache[*core.Result]
+	memoAsked askedAt
+	metrics   *Metrics
 
 	// mu guards the mutable occupancy state below and serializes
 	// mutators; readers of occupancy take it in read mode. Routing never
@@ -228,6 +242,8 @@ func New(nw *wdm.Network, opts *Options) (*Engine, error) {
 	if cacheSize > 0 {
 		// The row capacities are set below, once TreePays is known.
 		e.costs = newEpochCache[*costRow](cacheSize)
+		e.memo = newEpochCache[*core.Result](cacheSize)
+		e.memoAsked = make(askedAt, memoSlots)
 		if e.directed == core.DirectedAStar {
 			e.rows = newEpochCache[[]float32](cacheSize)
 			e.rowAsked = make(askedAt, nw.NumNodes())
@@ -243,9 +259,11 @@ func New(nw *wdm.Network, opts *Options) (*Engine, error) {
 		// CacheSize counts tree-sized slots, and a slot holds the TreePays
 		// rows of either kind a tree is worth: n float32s (bound) or
 		// float64s (cost) each, against a tree's two int32s per auxiliary
-		// node — at most half the bytes.
+		// node — at most half the bytes. The memo takes as many Results,
+		// each a path of a few hops.
 		rows := cacheSize * e.Snapshot().aux.TreePays(e.directed)
 		e.costs.capacity = rows
+		e.memo.capacity = rows
 		if e.rows != nil {
 			e.rows.capacity = rows
 		}
@@ -702,6 +720,16 @@ func (e *Engine) CacheStats() CacheStats {
 		return CacheStats{}
 	}
 	return e.costs.stats()
+}
+
+// RouteMemoStats reports the route memo's counters (zero value when
+// caching is disabled): a lookup per Route of two distinct nodes in
+// range, a store per second ask of a pair at an epoch that was served.
+func (e *Engine) RouteMemoStats() CacheStats {
+	if e.memo == nil {
+		return CacheStats{}
+	}
+	return e.memo.stats()
 }
 
 // BoundRowStats reports the bound-row cache counters (zero value when

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"lightpath/internal/core"
@@ -18,9 +20,11 @@ import (
 //
 //   - the engine's configured search (A* under the physical bound, read
 //     from that snapshot's residual or from the bound row kept for its
-//     epoch) must agree with a plain search on blocked/served and on
-//     cost: a bound that outlived its epoch, or one that overestimates,
-//     breaks cost equality;
+//     epoch), asked three times — the third answered by the route memo —
+//     must return the same answer each time, and agree with a plain
+//     search on blocked/served and on cost: a bound or a memo entry that
+//     outlived its epoch, or a bound that overestimates, breaks cost
+//     equality;
 //   - the oracle, which searches the snapshot's residual network without
 //     the auxiliary graph, must agree with both (blocked means
 //     oracle.ErrNoRoute).
@@ -118,12 +122,15 @@ func FuzzGoalDirected(f *testing.F) {
 			if s == d {
 				continue
 			}
-			// Three asks of one destination at one epoch walk its bound row
-			// through absent, built and resident; nothing may depend on it.
+			// Three asks of one pair at one epoch walk its destination's bound
+			// row through absent, built and resident, and its route through a
+			// search, a search the memo stores and the stored Result; the
+			// answer — cost and path — may depend on none of it.
 			goal, errG := snap.Route(s, d)
 			for ask := 0; ask < 2; ask++ {
 				again, err := snap.Route(s, d)
-				if (err == nil) != (errG == nil) || err == nil && again.Cost != goal.Cost {
+				if (err == nil) != (errG == nil) || err == nil &&
+					(math.Float64bits(again.Cost) != math.Float64bits(goal.Cost) || !reflect.DeepEqual(again.Path, goal.Path)) {
 					t.Fatalf("epoch %d %d->%d: ask %d returned %v (%v), the first %v (%v)",
 						snap.Epoch(), s, d, ask+2, again, err, goal, errG)
 				}

@@ -114,6 +114,12 @@ func newMetrics(e *Engine) *Metrics {
 	reg.GaugeFunc("engine_bound_row_lookups_total", func() float64 { return float64(e.BoundRowStats().Lookups) })
 	reg.GaugeFunc("engine_bound_row_hits_total", func() float64 { return float64(e.BoundRowStats().Hits) })
 
+	// The route memo: one lookup per Route of two distinct nodes in range
+	// with the cache on. hits + misses = lookups; stores ≤ misses.
+	reg.GaugeFunc("engine_route_memo_lookups_total", func() float64 { return float64(e.RouteMemoStats().Lookups) })
+	reg.GaugeFunc("engine_route_memo_hits_total", func() float64 { return float64(e.RouteMemoStats().Hits) })
+	reg.GaugeFunc("engine_route_memo_stores_total", func() float64 { return float64(e.RouteMemoStats().Stores) })
+
 	// Current snapshot's compiled auxiliary graph and residual capacity.
 	reg.GaugeFunc("snapshot_aux_nodes", func() float64 { return float64(e.Snapshot().Aux().NumAuxNodes()) })
 	reg.GaugeFunc("snapshot_aux_arcs", func() float64 { return float64(e.Snapshot().Aux().NumAuxArcs()) })
@@ -146,7 +152,8 @@ func (m *Metrics) observeRoute(elapsed time.Duration, err error) {
 
 // observeAStarSettled adds an astar point query's settled auxiliary
 // nodes to engine_goal_settled_total, whose ratio to engine_routes_total
-// quantifies the search-space reduction. No-op for plain-mode snapshots.
+// quantifies the search-space reduction. No-op for plain-mode snapshots,
+// and never called for a route memo hit, which settles nothing.
 func (m *Metrics) observeAStarSettled(res *core.Result, mode core.DirectedMode) {
 	if mode == core.DirectedAStar && res != nil {
 		m.goalSettled.Add(uint64(res.Stats.Settled))

@@ -55,20 +55,52 @@ func (s *Snapshot) opts(sp *obs.Span) *core.Options {
 }
 
 // Route finds an optimal semilightpath from src to dst over this
-// snapshot's residual capacity. Latency and the blocked/served outcome
-// land on the engine's route metrics; astar queries additionally feed
-// the settled-node counter. Under a
-// parent span the query is timed as an engine_route child annotated with
-// the epoch, with core's core_search span (the Dijkstra counters) below
-// it.
+// snapshot's residual capacity. A Result the route memo holds for (src,
+// dst, epoch) answers with no search; a served pair's second ask at the
+// epoch stores the Result its search returns (askedAt), so a pair asked
+// once costs one search and nothing kept, and one asked often costs
+// two. The Result is shared with every later reader of the pair at this
+// epoch and must not be written. Latency and the blocked/served outcome
+// land on the engine's route metrics; astar searches additionally feed
+// the settled-node counter, memo hits do not. Under a parent span the
+// query is timed as an engine_route child annotated with the epoch, with
+// core's core_search span (the Dijkstra counters) below it — on a memo
+// hit the counters of the search that stored the Result, and memo=true.
 func (s *Snapshot) Route(src, dst int, parent ...*obs.Span) (*core.Result, error) {
 	sp := parentSpan(parent).StartChild(SpanRoute)
 	defer sp.End()
 	sp.SetInt(AttrEpoch, int64(s.epoch))
 	start := time.Now()
+	res, err := s.route(src, dst, sp)
+	s.eng.metrics.observeRoute(time.Since(start), err)
+	return res, err
+}
+
+// route is Route's answer: the memo's, else a search's. A pair of one
+// node, or with a node out of range, is not looked up: core answers it
+// without a search.
+func (s *Snapshot) route(src, dst int, sp *obs.Span) (*core.Result, error) {
+	e := s.eng
+	if e.memo == nil || src == dst || !s.inRange(src) || !s.inRange(dst) {
+		return s.pointSearch(src, dst, sp)
+	}
+	key := epochKey{node: src*s.net.NumNodes() + dst, epoch: s.epoch}
+	if res, ok := e.memo.get(key); ok {
+		core.RecordMemoHit(sp, res, s.ropts.Directed)
+		return res, nil
+	}
+	res, err := s.pointSearch(src, dst, sp)
+	if err == nil && e.memoAsked.second(key.node, s.epoch) {
+		// Concurrent second asks each search and the last put wins: the
+		// Results are equal, path included.
+		e.memo.put(key, res)
+	}
+	return res, err
+}
+
+// pointSearch runs one point query on this snapshot's compiled graph.
+func (s *Snapshot) pointSearch(src, dst int, sp *obs.Span) (*core.Result, error) {
 	res, err := s.aux.Route(src, dst, s.opts(sp))
-	elapsed := time.Since(start)
-	s.eng.metrics.observeRoute(elapsed, err)
 	s.eng.metrics.observeAStarSettled(res, s.ropts.Directed)
 	return res, err
 }

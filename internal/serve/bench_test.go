@@ -54,7 +54,11 @@ func execRouteLines(sess *Session) []string {
 
 // BenchmarkSessionExec is one `route` through Session.Exec with and
 // without the default recorder: the pair whose difference is what
-// recording a request costs (ns, B and allocs per op under -benchmem).
+// recording a request costs (ns, B and allocs per op under -benchmem),
+// for a request that searches — memo=miss: a fresh epoch, published with
+// the clock stopped, before every request, so each is its pair's first
+// ask there and its destination's bound row is absent — and for one the
+// route memo answers (memo=hit: every pair asked twice beforehand).
 // The n=100 rows are mid_tree's two verbs on its network — `routefrom`,
 // and a `batch` of 16 pairs over 4 sources — with every source's cost
 // row resident — read twice beforehand, so rendered — and with none: a
@@ -113,18 +117,40 @@ func BenchmarkSessionExec(b *testing.B) {
 			name     string
 			recorded bool
 		}{{"bare", false}, {"recorded", true}} {
-			b.Run(tier.name+"/"+mode.name, func(b *testing.B) {
-				sess := execSession(b, mode.recorded, tier.args...)
-				lines := execRouteLines(sess)
-				for _, l := range lines { // warm pools, ring slots and scratch
-					_, _ = sess.Exec(l)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					_, _ = sess.Exec(lines[i%len(lines)]) // a blocked route is an answer
-				}
-			})
+			for _, memo := range []string{"miss", "hit"} {
+				b.Run(tier.name+"/"+mode.name+"/memo="+memo, func(b *testing.B) {
+					sess := execSession(b, mode.recorded, tier.args...)
+					eng, lines := sess.eng, execRouteLines(sess)
+					for ask := 0; ask < 2; ask++ { // warm pools, ring slots and scratch; store every Result
+						for _, l := range lines {
+							_, _ = sess.Exec(l)
+						}
+					}
+					held, err := eng.Route(0, 9)
+					if err != nil {
+						b.Fatal(err)
+					}
+					hits := eng.RouteMemoStats().Hits
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if memo == "miss" {
+							b.StopTimer()
+							if err := eng.Allocate(1, held.Path); err != nil {
+								b.Fatal(err)
+							}
+							if err := eng.Release(1); err != nil {
+								b.Fatal(err)
+							}
+							b.StartTimer()
+						}
+						_, _ = sess.Exec(lines[i%len(lines)]) // a blocked route is an answer
+					}
+					if got := eng.RouteMemoStats().Hits - hits; (got != 0) != (memo == "hit") {
+						b.Fatalf("memo=%s: %d memo hits over %d requests", memo, got, b.N)
+					}
+				})
+			}
 		}
 	}
 }

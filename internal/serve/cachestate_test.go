@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
@@ -13,6 +14,8 @@ import (
 	"lightpath/internal/graph"
 	"lightpath/internal/obs"
 	"lightpath/internal/oracle"
+	"lightpath/internal/topo"
+	"lightpath/internal/workload"
 )
 
 // wire runs one command through a session on eng and returns the reply
@@ -301,4 +304,115 @@ func sameVerdict(got, want string) bool {
 		return false
 	}
 	return math.Abs(g-w) <= 1e-9*math.Max(1, math.Abs(w))
+}
+
+// TestRouteRepliesIgnoreMemo: what `route` puts on the wire — cost and
+// path — is a function of the pair and the epoch alone: the same bytes
+// with the route memo off (-cache -1), cold, and holding every pair's
+// Result, with every pair asked three times and the pairs toward one
+// node blocked, under either search mode (each its own reference: the
+// modes may break a tie differently).
+// Cold, the asks are a search, a search the memo stores and the stored
+// Result; the engine's counters prove each state answered the way its
+// name says. It runs on FuzzGoalDirected's two networks: one of float
+// weights, and one where every channel and conversion costs 1, so most
+// pairs have many equal-cost optima and the path an answer names is
+// the one a tie-break chose.
+func TestRouteRepliesIgnoreMemo(t *testing.T) {
+	for _, inst := range []struct {
+		name string
+		spec workload.Spec
+	}{
+		{"float", workload.Spec{K: 4, AvailProb: 0.8, Conv: workload.ConvUniform, ConvCost: 0.3}},
+		{"ties", workload.Spec{K: 4, AvailProb: 0.8, MinWeight: 1, MaxWeight: 1, Conv: workload.ConvUniform, ConvCost: 1}},
+	} {
+		nw, err := workload.Build(topo.Grid(3, 3), inst.spec, rand.New(rand.NewSource(7)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := nw.NumNodes()
+		var setup []string // every link into the last node fails: the pairs toward it block
+		for _, l := range nw.Links() {
+			if l.To == n-1 {
+				setup = append(setup, fmt.Sprintf("fail %d", l.ID))
+			}
+		}
+		var script []string
+		for ask := 0; ask < 3; ask++ {
+			for s := 0; s < n; s++ {
+				for d := 0; d < n; d++ {
+					script = append(script, fmt.Sprintf("route %d %d", s, d))
+				}
+			}
+		}
+		for _, mode := range []core.DirectedMode{core.DirectedAStar, core.DirectedPlain} {
+			// The memo-off replies: the other states must match them. (The
+			// two modes may break a tie differently, so each has its own.)
+			var want []string
+			for _, state := range []string{"memo off", "cold", "resident"} {
+				what := fmt.Sprintf("%s/%s/%s", inst.name, mode, state)
+				opts := &engine.Options{Directed: mode}
+				if state == "memo off" {
+					opts.CacheSize = -1
+				}
+				eng, err := engine.New(nw, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				for _, line := range setup {
+					if got := wire(t, eng, line); strings.HasPrefix(got, "error:") {
+						t.Fatalf("%s: %s: %s", what, line, got)
+					}
+				}
+				served := uint64(0) // pairs of two distinct nodes that route
+				for s := 0; s < n; s++ {
+					for d := 0; d < n; d++ {
+						if _, err := eng.Route(s, d); s != d && err == nil {
+							served++
+						}
+						if state == "resident" {
+							_, _ = eng.Route(s, d)
+						}
+					}
+				}
+				before := eng.RouteMemoStats()
+				var got []string
+				for _, line := range script {
+					got = append(got, wire(t, eng, line))
+				}
+				if want == nil {
+					want = got
+					if blocked := strings.Count(strings.Join(got, ""), "error: "); served == 0 || blocked == 0 {
+						t.Fatalf("%s: %d pairs served, %d asks blocked: want both kinds of answer", what, served, blocked)
+					}
+				}
+				for i := range script {
+					if got[i] != want[i] {
+						t.Fatalf("%s: %q:\n%s\nwith the memo off:\n%s", what, script[i], got[i], want[i])
+					}
+				}
+				after := eng.RouteMemoStats()
+				if after.Hits+after.Misses != after.Lookups || after.Stores > after.Misses {
+					t.Fatalf("%s: memo %+v", what, after)
+				}
+				// The warm-up asked every pair once (resident: twice), so the
+				// script's first round is a second ask (resident: a hit).
+				hits, stores := after.Hits-before.Hits, after.Stores-before.Stores
+				switch state {
+				case "memo off":
+					if after != (engine.CacheStats{}) {
+						t.Fatalf("%s: memo %+v, want nothing", what, after)
+					}
+				case "cold":
+					if stores != served || hits != 2*served {
+						t.Fatalf("%s: %d stores, %d hits; want %d and %d", what, stores, hits, served, 2*served)
+					}
+				case "resident":
+					if stores != 0 || hits != 3*served {
+						t.Fatalf("%s: %d stores, %d hits; want 0 and %d", what, stores, hits, 3*served)
+					}
+				}
+			}
+		}
+	}
 }

@@ -475,8 +475,9 @@ type anatomy struct {
 	blocked                             bool
 
 	physPops int64  // astar's backward bound pass over the physical network; 0 in other modes
-	boundRow string // core.AttrBoundRow: where astar's bound came from, "" in other modes
+	boundRow string // core.AttrBoundRow: where astar's bound came from, "" in other modes and on a memo hit
 	cause    string // core.AttrBlockedCause of a blocked query, "" when the search names none
+	memo     bool   // core.AttrMemo: the route memo answered; the counters are the search that stored it
 }
 
 // readAnatomy collects the anatomy from the trace sp belongs to. A
@@ -501,6 +502,8 @@ func readAnatomy(sp *obs.Span) anatomy {
 			a.boundRow = row.Str
 			cause, _ := c.Attr(core.AttrBlockedCause)
 			a.cause = cause.Str
+			memo, _ := c.Attr(core.AttrMemo)
+			a.memo = memo.Bool()
 		case engine.SpanAllocate:
 			a.attempts++
 		}
@@ -534,6 +537,9 @@ func (s *Session) printTraceSummary(src, dst int, res *core.Result, a anatomy) {
 	if a.boundRow != "" {
 		fmt.Fprintf(s.w, " bound row %s", a.boundRow)
 	}
+	if a.memo {
+		fmt.Fprint(s.w, " memo hit")
+	}
 	if a.attempts > 1 {
 		fmt.Fprintf(s.w, " attempts %d", a.attempts)
 	}
@@ -547,6 +553,9 @@ func (s *Session) printExplain(snap *engine.Snapshot, res *core.Result, a anatom
 	buf := fmt.Appendf(s.out[:0], "explain %d -> %d (epoch %d, ", res.Source, res.Dest, snap.Epoch())
 	if a.boundRow != "" {
 		buf = fmt.Appendf(buf, "bound row %s, ", a.boundRow)
+	}
+	if a.memo {
+		buf = append(buf, "memo hit, "...)
 	}
 	buf = fmt.Appendf(buf, "%s)\n", a.elapsed)
 	legs := res.Path.Breakdown(snap.Network())
@@ -564,7 +573,11 @@ func (s *Session) printExplain(snap *engine.Snapshot, res *core.Result, a anatom
 	buf = fmt.Appendf(buf, "  totals: links %g + conversions %g = %g\n", links, convs, links+convs)
 	buf = s.appendResult(append(buf, "  "...), res)
 	// The search line stays last: it is what frames an explain reply. Every
-	// astar reply says where its bound came from on the line before.
+	// astar reply says where its bound came from on the line before, and a
+	// memo hit that its counters are an earlier search's.
+	if a.memo {
+		buf = append(buf, "  memo: no search ran; the counts are those of the search that stored this answer\n"...)
+	}
 	switch a.boundRow {
 	case core.BoundRowHit:
 		buf = append(buf, "  bound: row resident\n"...)
