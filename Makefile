@@ -75,7 +75,8 @@ race-obs:
 # benchmarks briefly with -benchmem so an accidental allocation or a
 # gross regression on the hot paths is visible in the job log without
 # paying for a full measurement run. BenchmarkRoutePoint runs once per
-# search mode (plain, astar — the server default) and reports
+# search mode (plain, astar — the server default — both on the binary
+# engine, so settled/op counts X-shore pops in each) and reports
 # settled/op and physpops/op beside ns/op, then astar/row=absent|resident
 # at n=300 and n=100: the same query with no bound row to read and with
 # every destination's row resident (equal settled/op, physpops/op 0, about
@@ -100,10 +101,13 @@ race-obs:
 # BenchmarkMonitorSample is one obs.Monitor tick (registry snapshot,
 # push, rule check); BenchmarkRouteProtected/opts={paper,served} and
 # BenchmarkKShortest/K={2,5,10} are the two verbs that are not point
-# queries, at n=300 (a served protect: ≈ 26 allocs, no compile). Not a
-# stable-numbers benchmark.
+# queries, at n=300 (a served protect: ≈ 26 allocs, no compile);
+# BenchmarkDijkstraSparse is one allocating full tree per queue kind on a
+# random 2000-node digraph and, as its astar row, one pooled point query
+# on it under the exact potential (0 allocs). Not a stable-numbers
+# benchmark.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Route|KShortest|CostsFrom|AllocateRelease|Dijkstra|AStar|MonitorSample|HeapSearchMix|SessionExec' \
+	$(GO) test -run '^$$' -bench 'Route|KShortest|CostsFrom|AllocateRelease|Dijkstra|MonitorSample|HeapSearchMix|SessionExec' \
 		-benchtime 100ms -benchmem \
 		./internal/heap/binheap ./internal/graph ./internal/core ./internal/engine ./internal/obs ./internal/serve
 

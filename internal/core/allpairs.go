@@ -101,7 +101,7 @@ func (a *Aux) RouteFrom(s int, opts *Options) (*SourceTree, error) {
 	if bucket {
 		tree, err = graph.BucketTreeScratch(a.g, qs.seeds, a.bucketWidth, qs.g, a.yPass)
 	} else {
-		tree, err = graph.DijkstraSeedsUntilScratch(a.g, qs.seeds, nil, kind, qs.g, a.yPass)
+		tree, err = graph.DijkstraSeedsUntilScratch(a.g, qs.seeds, nil, kind, qs.g, a.yPass, nil)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: dijkstra: %w", err)

@@ -12,10 +12,12 @@ const (
 	// DirectedPlain is the paper's search: multi-seed Dijkstra from the
 	// Y_s shore with goal-set early termination on X_t. The zero value,
 	// and the only mode where Options.Queue selects the priority
-	// structure (the goal-directed kernels are built on the binary heap).
+	// structure (A* is the binary-heap engine under a potential).
 	DirectedPlain DirectedMode = iota
 
-	// DirectedAStar runs A* on the auxiliary graph under a potential read
+	// DirectedAStar runs A* — the plain search's binary-heap engine, Y
+	// shore passed through, keyed on dist + potential — on the auxiliary
+	// graph under a potential read
 	// off the physical network: a backward Dijkstra from t over the
 	// snapshot's own residual links, each weighing its cheapest free
 	// channel (bound.go) — or the same distances read from a row the

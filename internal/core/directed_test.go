@@ -55,6 +55,9 @@ func costEq(a, b float64) bool {
 var (
 	plainOpts = &Options{Directed: DirectedPlain}
 	astarOpts = &Options{Directed: DirectedAStar}
+	// plainBinaryOpts is plain on the binary engine A* runs on: both
+	// masked, both counting X-shore pops.
+	plainBinaryOpts = &Options{Directed: DirectedPlain, Queue: graph.QueueBinary}
 )
 
 // directedConvs is every converter family the instance generator ships.
@@ -139,7 +142,9 @@ const allPairsMax, sampledPairs = 64, 200
 // one blocked/served verdict, astar bit-identical to plain in cost,
 // every returned path a valid semilightpath of exactly its reported
 // cost, and astar never settling more auxiliary nodes than plain
-// (f ≤ d* implies g ≤ d*). A sample of pairs is also put to the
+// (f ≤ d* implies g ≤ d*) — plain on its default queue, and plain on
+// the binary engine, which counts pops as astar does. A sample of pairs
+// is also put to the
 // auxiliary-graph-free oracle. It returns each
 // side's work over the served pairs: plain's settled nodes, and astar's
 // settled nodes plus its bound pass's physical scans.
@@ -195,6 +200,13 @@ func checkDirectedAgree(t *testing.T, a *Aux, rng *rand.Rand) (plainWork, astarW
 			}
 			if ra.Stats.Settled > rp.Stats.Settled {
 				t.Fatalf("%d→%d: astar settled %d aux nodes, plain %d", s, d, ra.Stats.Settled, rp.Stats.Settled)
+			}
+			rb, err := a.Route(s, d, plainBinaryOpts)
+			if err != nil || math.Float64bits(rb.Cost) != math.Float64bits(ra.Cost) {
+				t.Fatalf("%d→%d: plain on the binary queue %v (%v), astar %v", s, d, rb, err, ra.Cost)
+			}
+			if ra.Stats.Settled > rb.Stats.Settled {
+				t.Fatalf("%d→%d: astar settled %d X-shore nodes, plain on the binary queue %d", s, d, ra.Stats.Settled, rb.Stats.Settled)
 			}
 			if ra.Stats.PhysPops < 2 || once && ra.Stats.PhysPops > n {
 				t.Fatalf("%d→%d: astar physical scans = %d on %d nodes", s, d, ra.Stats.PhysPops, n)
@@ -485,11 +497,15 @@ func checkBoundConsistent(t *testing.T, a *Aux, rng *rand.Rand, queries int) {
 	}
 }
 
-// TestSparseScratchReset drives one pooled scratch through a run of
-// A* queries with a full-tree search thrown in (which leaves the scratch
-// dirty): after every query the tree must equal a fresh-scratch run entry
-// for entry — nothing stale survives the touched-list reset — and the
-// per-λ profile counted from the touched list must equal the X-shore scan.
+// TestSparseScratchReset drives one pooled scratch through an
+// interleaved run of every search a query lands on: plain and astar
+// point queries on the binary engine, which list what they write and
+// reset sparsely, and a goal-less binary tree, a bucket tree and a
+// Fibonacci point query, which leave the scratch dirty. After every
+// search the tree must equal a fresh-scratch run node for node —
+// nothing stale survives either reset — and after a point query on the
+// binary engine the per-λ profile counted from the touched list must
+// equal the X-shore scan.
 func TestSparseScratchReset(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	nw, _ := churnWithFailures(t, deltaNetwork(t, 30), rng)
@@ -500,9 +516,23 @@ func TestSparseScratchReset(t *testing.T) {
 	n := nw.NumNodes()
 	qs := a.pool.get()
 	defer a.pool.put(qs)
-	searched := 0
-	for q := 0; q < 60; q++ {
+	searches := []struct {
+		name  string
+		kind  graph.QueueKind
+		goals bool // a point query: stops at X_t
+		astar bool // under the physical bound
+	}{
+		{"plain", graph.QueueBinary, true, false},
+		{"astar", graph.QueueBinary, true, true},
+		{"binary-tree", graph.QueueBinary, false, false},
+		{"bucket-tree", graph.QueueBucket, false, false},
+		{"fibonacci", graph.QueueFibonacci, true, false},
+	}
+	ran := make([]int, len(searches))
+	for q := 0; q < 200; q++ {
 		s, d := rng.Intn(n), rng.Intn(n)
+		i := rng.Intn(len(searches))
+		sr := searches[i]
 		qs.seeds = a.sourceSeeds(qs.seeds, s)
 		qs.goals = qs.goals[:0]
 		for xi := range a.xLambdas[d] {
@@ -511,31 +541,48 @@ func TestSparseScratchReset(t *testing.T) {
 		if s == d || len(qs.seeds) == 0 || len(qs.goals) == 0 {
 			continue
 		}
-		if q%7 == 3 {
-			if _, err := graph.DijkstraSeedsUntilScratch(a.g, qs.seeds, nil, graph.QueueBinary, qs.g, a.yPass); err != nil {
+		var (
+			goals []int
+			pot   func(int) float64
+		)
+		if sr.goals {
+			goals = qs.goals
+		}
+		if sr.astar {
+			if pot, _, _ = a.physicalBound(qs, s, d, nil); pot == nil {
+				continue
+			}
+		}
+		search := func(sc *graph.Scratch) *graph.ShortestPathTree {
+			var tree *graph.ShortestPathTree
+			var err error
+			if sr.kind == graph.QueueBucket {
+				tree, err = graph.BucketTreeScratch(a.g, qs.seeds, a.bucketWidth, sc, a.yPass)
+			} else {
+				tree, err = graph.DijkstraSeedsUntilScratch(a.g, qs.seeds, goals, sr.kind, sc, a.yPass, pot)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := qs.g.Touched(); ok {
-				t.Fatal("a full-tree search must leave the scratch marked dirty")
-			}
+			return tree
 		}
-		pot, _, _ := a.physicalBound(qs, s, d, nil)
-		if pot == nil {
-			continue
-		}
-		got, err := graph.AStarSeedsUntilScratch(a.g, qs.seeds, qs.goals, pot, qs.g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := graph.AStarSeedsUntil(a.g, qs.seeds, qs.goals, pot)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := search(nil)
+		got := search(qs.g)
 		for v := range want.Dist {
 			if got.Dist[v] != want.Dist[v] || got.Parent[v] != want.Parent[v] || got.ViaArc[v] != want.ViaArc[v] {
-				t.Fatalf("query %d (%d→%d): aux node %d is (%v,%d,%d) on the reused scratch, (%v,%d,%d) fresh",
-					q, s, d, v, got.Dist[v], got.Parent[v], got.ViaArc[v], want.Dist[v], want.Parent[v], want.ViaArc[v])
+				t.Fatalf("query %d %s (%d→%d): aux node %d is (%v,%d,%d) on the reused scratch, (%v,%d,%d) fresh",
+					q, sr.name, s, d, v, got.Dist[v], got.Parent[v], got.ViaArc[v], want.Dist[v], want.Parent[v], want.ViaArc[v])
 			}
+		}
+		if got.Settled != want.Settled || got.Relaxed != want.Relaxed {
+			t.Fatalf("query %d %s (%d→%d): settled/relaxed %d/%d on the reused scratch, %d/%d fresh",
+				q, sr.name, s, d, got.Settled, got.Relaxed, want.Settled, want.Relaxed)
+		}
+		ran[i]++
+		if _, listed := qs.g.Touched(); listed != (sr.kind == graph.QueueBinary && sr.goals) {
+			t.Fatalf("query %d %s: touched list kept = %v; only a point query on the binary engine keeps one", q, sr.name, listed)
+		} else if !listed {
+			continue
 		}
 		counts := make([]int, nw.K())
 		for v, node := range a.info {
@@ -550,12 +597,13 @@ func TestSparseScratchReset(t *testing.T) {
 			}
 		}
 		if profile := string(a.reachedPerLambda(got, qs)); profile != strings.Join(parts, ",") {
-			t.Fatalf("query %d (%d→%d): profile %q from the touched list, %q from the scan", q, s, d, profile, strings.Join(parts, ","))
+			t.Fatalf("query %d %s (%d→%d): profile %q from the touched list, %q from the scan", q, sr.name, s, d, profile, strings.Join(parts, ","))
 		}
-		searched++
 	}
-	if searched < 20 {
-		t.Fatalf("only %d of 60 queries reached the search", searched)
+	for i, c := range ran {
+		if c < 15 {
+			t.Fatalf("%s ran %d times of 200 queries", searches[i].name, c)
+		}
 	}
 }
 

@@ -106,7 +106,7 @@ func TestRouteMatchesExhaustiveSearch(t *testing.T) {
 					if ref, err = graph.DijkstraSeedsUntil(a.g, seeds, nil, kind); err != nil {
 						t.Fatal(err)
 					}
-					if full, err = graph.DijkstraSeedsUntilScratch(a.g, seeds, nil, routeKind, nil, a.yPass); err != nil {
+					if full, err = graph.DijkstraSeedsUntilScratch(a.g, seeds, nil, routeKind, nil, a.yPass, nil); err != nil {
 						t.Fatal(err)
 					}
 				}

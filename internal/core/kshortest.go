@@ -224,7 +224,7 @@ func (y *yenState) shortest(start int, banArcs, banNodes []int) (*auxPath, error
 	if err := y.g.ReplaceOut(start, arcs); err != nil {
 		return nil, err
 	}
-	tree, err := graph.DijkstraSeedsUntilScratch(y.g, []int{start}, []int{y.sink}, graph.QueueBinary, y.sc, nil)
+	tree, err := graph.DijkstraSeedsUntilScratch(y.g, []int{start}, []int{y.sink}, graph.QueueBinary, y.sc, nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -69,11 +69,11 @@ func checkPassThrough(t *testing.T, a *Aux, rng *rand.Rand, exact bool) {
 			}
 			continue
 		}
-		masked, err := graph.DijkstraSeedsUntilScratch(a.g, seeds, nil, graph.QueueBinary, nil, a.yPass)
+		masked, err := graph.DijkstraSeedsUntilScratch(a.g, seeds, nil, graph.QueueBinary, nil, a.yPass, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := graph.DijkstraSeedsUntilScratch(a.g, seeds, nil, graph.QueueBinary, nil, nil)
+		plain, err := graph.DijkstraSeedsUntilScratch(a.g, seeds, nil, graph.QueueBinary, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

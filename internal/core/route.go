@@ -12,8 +12,8 @@ import (
 type Options struct {
 	// Queue selects the priority structure for Dijkstra. The zero value
 	// means graph.QueueFibonacci, the structure Theorem 1's bound cites.
-	// Only DirectedPlain consults it: the goal-directed kernels run on
-	// the binary-heap engine by construction.
+	// Only DirectedPlain consults it: A* keys its heap on the potential,
+	// so it runs on the binary-heap engine whatever Queue says.
 	Queue graph.QueueKind
 
 	// Directed selects the point-query search strategy (plain, or A*
@@ -72,9 +72,10 @@ type SearchStats struct {
 	AuxNodes int // |V'_{s,t}| (gadget nodes + super terminals)
 	AuxArcs  int // |E'_{s,t}| (gadget and link arcs + the |Y_s| + |X_t| super-terminal arcs)
 	// Settled counts queue pops, including the equal-key drain after the
-	// first X_t node. On the binary queue the plain search passes the Y
-	// shore through unqueued, so only X-shore nodes are counted there; the
-	// other queues and modes pop nodes of both shores.
+	// first X_t node. The binary-heap engine — A*, and plain on
+	// QueueBinary or QueueBucket — passes the Y shore through unqueued,
+	// so only X-shore nodes are counted there; plain on the Fibonacci and
+	// linear queues pops nodes of both shores.
 	Settled int
 	Relaxed int // arc relaxations
 	// PhysPops is DirectedAStar's backward bound pass: physical nodes
@@ -147,48 +148,42 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 		return nil, fmt.Errorf("%w: from %d to %d (no incoming channels at destination)", ErrNoRoute, s, t)
 	}
 
-	// Mode dispatch: every branch fills the same result variables, so
-	// stats, span attributes and extraction below are mode-agnostic. Both
-	// modes return the same optimal cost; they differ in nodes settled
-	// proving it (and, among equal-cost optima, possibly in which path
-	// they pick).
+	// The mode picks the potential: none for plain, the physical lower
+	// bound for A*. One search serves both, so stats, span attributes and
+	// extraction below are mode-agnostic. Both return the same optimal
+	// cost; they differ in nodes settled proving it (and, among equal-cost
+	// optima, possibly in which path they pick).
 	mode := opts.directed()
 	var (
+		pot      func(int) float64
+		physPops int
+		boundRow string                  // DirectedAStar only: a BoundRow* value
 		fwdTree  *graph.ShortestPathTree // forward tree: extraction + per-λ profile; nil if no search ran
 		settled  int
 		relaxed  int
-		physPops int
-		boundRow string // DirectedAStar only: a BoundRow* value
 		bestDist = graph.Inf
 		bestNode = -1
 	)
 	switch mode {
 	case DirectedAStar:
-		var pot func(int) float64
 		pot, physPops, boundRow = a.physicalBound(qs, s, t, opts.bound())
-		if pot == nil {
-			break // t is cut off from s in G itself: G' is not searched
-		}
-		tree, err := graph.AStarSeedsUntilScratch(a.g, qs.seeds, qs.goals, pot, qs.g)
-		if err != nil {
-			return nil, fmt.Errorf("core: goal-directed dijkstra: %w", err)
-		}
-		fwdTree, settled, relaxed = tree, tree.Settled, tree.Relaxed
 	case DirectedPlain:
-		tree, err := graph.DijkstraSeedsUntilScratch(a.g, qs.seeds, qs.goals, opts.queue(), qs.g, a.yPass)
+	default:
+		return nil, fmt.Errorf("core: unknown search mode %v", mode)
+	}
+	// An A* query without a potential has t cut off from s in G itself:
+	// G' is not searched.
+	if mode == DirectedPlain || pot != nil {
+		tree, err := graph.DijkstraSeedsUntilScratch(a.g, qs.seeds, qs.goals, opts.queue(), qs.g, a.yPass, pot)
 		if err != nil {
 			return nil, fmt.Errorf("core: dijkstra: %w", err)
 		}
 		fwdTree, settled, relaxed = tree, tree.Settled, tree.Relaxed
-	default:
-		return nil, fmt.Errorf("core: unknown search mode %v", mode)
-	}
-	if fwdTree != nil {
 		// Virtual super sink: min over X_t on the forward tree.
 		for xi := range a.xLambdas[t] {
 			x := int(a.xStart[t]) + xi
-			if fwdTree.Dist[x] < bestDist {
-				bestDist = fwdTree.Dist[x]
+			if tree.Dist[x] < bestDist {
+				bestDist = tree.Dist[x]
 				bestNode = x
 			}
 		}

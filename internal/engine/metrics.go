@@ -32,7 +32,7 @@ type Metrics struct {
 	batchViaRow   *obs.Counter // engine_batch_row_requests_total (read off a cost row; BatchCosts only)
 	batchViaTree  *obs.Counter // engine_batch_tree_requests_total (read off a tree the batch built)
 	batchViaPoint *obs.Counter // engine_batch_point_requests_total (point query)
-	goalSettled   *obs.Counter // engine_goal_settled_total (auxiliary nodes astar point queries settled)
+	goalSettled   *obs.Counter // engine_goal_settled_total (X-shore nodes astar point queries settled)
 	// engine_tree_rescans_total: scans the bucket-queue SourceTree passes
 	// spent on nodes they had scanned already. 0 while the network's weight
 	// range fits the bucket window; growth means trees are still exact but
@@ -151,7 +151,8 @@ func (m *Metrics) observeRoute(elapsed time.Duration, err error) {
 }
 
 // observeAStarSettled adds an astar point query's settled auxiliary
-// nodes to engine_goal_settled_total, whose ratio to engine_routes_total
+// nodes — X-shore pops: the Y shore is passed through unqueued — to
+// engine_goal_settled_total, whose ratio to engine_routes_total
 // quantifies the search-space reduction. No-op for plain-mode snapshots,
 // and never called for a route memo hit, which settles nothing.
 func (m *Metrics) observeAStarSettled(res *core.Result, mode core.DirectedMode) {

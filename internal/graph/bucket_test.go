@@ -183,7 +183,7 @@ func TestBucketEntryPoints(t *testing.T) {
 		for name, run := range map[string]func() (*ShortestPathTree, error){
 			"allocating": func() (*ShortestPathTree, error) { return DijkstraSeedsUntil(g, seeds, nil, QueueBucket) },
 			"scratch": func() (*ShortestPathTree, error) {
-				return DijkstraSeedsUntilScratch(g, seeds, nil, QueueBucket, sc, pass)
+				return DijkstraSeedsUntilScratch(g, seeds, nil, QueueBucket, sc, pass, nil)
 			},
 			"width":      func() (*ShortestPathTree, error) { return BucketTreeScratch(g, seeds, 0.5, sc, pass) },
 			"no scratch": func() (*ShortestPathTree, error) { return BucketTreeScratch(g, seeds, 0.5, nil, nil) },
@@ -201,11 +201,11 @@ func TestBucketEntryPoints(t *testing.T) {
 	}
 	goals := []int{40, 41}
 	pass[40], pass[41] = false, false
-	bin, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBinary, nil, pass)
+	bin, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBinary, nil, pass, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBucket, sc, pass)
+	got, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBucket, sc, pass, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,16 +123,18 @@ func TestCompactPreservesContents(t *testing.T) {
 	}
 }
 
-// TestScratchMatchesAllocatingPath: every queue kind through the scratch
-// API must stop where the allocating API stops and answer what it
-// answers — same settled count, same best goal, same distance — across
-// repeated reuses of one scratch (stale state from a previous query, goal
-// marks included, must not leak), and that answer must be the exhaustive
-// run's minimum over the goals.
+// TestScratchMatchesAllocatingPath: every queue kind, and A* under the
+// exact potential, through the scratch API must stop where the
+// allocating API stops and answer what it answers — same settled count,
+// same best goal, same distance — across repeated reuses of one scratch
+// (stale state from a previous query, goal marks and the touched list
+// included, must not leak), and that answer must be the exhaustive run's
+// minimum over the goals.
 func TestScratchMatchesAllocatingPath(t *testing.T) {
 	g := buildRandom(t, 60, 300, 4)
 	sc := NewScratch(g.NumNodes())
-	kinds := []QueueKind{QueueBinary, QueueFibonacci, QueueLinear, QueueBucket}
+	const astar = QueueKind(0) // the binary engine under a potential
+	kinds := []QueueKind{QueueBinary, astar, QueueFibonacci, QueueLinear, QueueBucket}
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
 		seeds := []int{rng.Intn(60), rng.Intn(60)}
@@ -142,11 +144,15 @@ func TestScratchMatchesAllocatingPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, kind := range kinds {
-			want, err := DijkstraSeedsUntil(g, seeds, goals, kind)
+			var pot func(int) float64
+			if kind == astar {
+				pot = exactPotential(t, g, goals)
+			}
+			want, err := DijkstraSeedsUntilScratch(g, seeds, goals, kind, nil, nil, pot)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := DijkstraSeedsUntilScratch(g, seeds, goals, kind, sc, nil)
+			got, err := DijkstraSeedsUntilScratch(g, seeds, goals, kind, sc, nil, pot)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +180,7 @@ func TestScratchMatchesAllocatingPath(t *testing.T) {
 func TestScratchWrongSizeFallsBack(t *testing.T) {
 	g := buildRandom(t, 10, 30, 6)
 	sc := NewScratch(5) // wrong size: must fall back, not fail
-	got, err := DijkstraSeedsUntilScratch(g, []int{0}, []int{9}, QueueBinary, sc, nil)
+	got, err := DijkstraSeedsUntilScratch(g, []int{0}, []int{9}, QueueBinary, sc, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,11 +204,11 @@ func TestScratchSearchAllocationFree(t *testing.T) {
 	sc := NewScratch(g.NumNodes())
 	seeds := []int{0, 1}
 	goals := []int{150, 160, 170}
-	if _, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBinary, sc, nil); err != nil {
+	if _, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBinary, sc, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBinary, sc, nil); err != nil {
+		if _, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBinary, sc, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

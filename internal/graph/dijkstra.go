@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 
-	"lightpath/internal/heap/binheap"
 	"lightpath/internal/heap/fibheap"
 )
 
@@ -51,7 +50,7 @@ type ShortestPathTree struct {
 	Dist    []float64
 	Parent  []int32 // -1 when unreached or a seed
 	ViaArc  []int32 // index into Out(Parent[v]); -1 when unreached
-	Settled int     // queue pops, including the equal-key drain of a goal stop (QueueBucket: scans); pass-through nodes are never popped
+	Settled int     // queue pops, including the equal-key (A*: equal-f) drain of a goal stop (QueueBucket: scans); pass-through nodes are never popped
 	Relaxed int     // number of arc relaxations attempted
 
 	seeds []int
@@ -161,11 +160,11 @@ func DijkstraSeeds(g *Digraph, seeds []int, goal int, kind QueueKind) (*Shortest
 // goals are the X_t shore of the destination.
 func DijkstraSeedsUntil(g *Digraph, seeds, goals []int, kind QueueKind) (*ShortestPathTree, error) {
 	// The scratch is this call's alone, so the tree it returns is retainable.
-	return searchScratch(g, seeds, goals, kind, -1, nil, nil)
+	return searchScratch(g, seeds, goals, kind, -1, nil, nil, nil)
 }
 
 // goalStop is the stopping rule of DijkstraSeedsUntil, shared by every
-// queue kind and by A*: each engine asks past before settling a popped
+// queue kind and by A* (keyed on f): each engine asks past before settling a popped
 // node and calls settle once it has.
 type goalStop struct {
 	mark  []bool  // mark[v] reports v is a goal; nil runs to exhaustion
@@ -185,70 +184,116 @@ func (gs *goalStop) settle(u int, k float64) {
 	}
 }
 
-// dijkstraBinInto is the binary-heap engine over caller-provided heap
-// and settled-set storage (empty/cleared on entry), so pooled scratch
-// can drive it without per-query allocation.
+// dijkstraBinInto is the binary-heap engine over the scratch's heap and
+// settled set (seedTree cleared both), so pooled callers drive it
+// without per-query allocation. With goals — a point query, plain or
+// A* — it lists every node whose tree entry it first writes in
+// sc.touched, so the next query on sc resets those alone; a goal-less
+// tree writes most of the graph and leaves sc to be cleared whole.
 //
 // pass, when non-nil, is the pass-through mask (one entry per node): a
 // node in it never enters the heap. When a relaxation improves it, its
 // Dist/Parent/ViaArc are written as for any node and its own out-arcs
-// are relaxed at once with the new key; masked seeds are expanded up
-// front. That is Dijkstra on the graph with the masked nodes contracted
-// away (u → m → v at weight (d + w(u,m)) + w(m,v), the association an
-// uncontracted run sums in), so every distance is bit-identical to a
-// nil-mask run; only the choice among equal-cost parents may differ,
-// because the heap breaks ties over a different push sequence. Settled
-// counts heap pops, so never a masked node; Relaxed counts a masked
-// node's out-arcs once per improvement.
-func dijkstraBinInto(g *Digraph, t *ShortestPathTree, gs *goalStop, h *binheap.Heap, done, pass []bool) error {
+// are relaxed at once with the new distance; masked seeds are expanded
+// up front. That is Dijkstra on the graph with the masked nodes
+// contracted away (u → m → v at weight (d + w(u,m)) + w(m,v), the
+// association an uncontracted run sums in), so every distance is
+// bit-identical to a nil-mask run; only the choice among equal-cost
+// parents may differ, because the heap breaks ties over a different push
+// sequence. Settled counts heap pops, so never a masked node; Relaxed
+// counts a masked node's out-arcs once per improvement.
+//
+// pot, when non-nil, makes the search A*: a queued node's key is
+// f(v) = Dist[v] + pot(v), relaxation reads Dist[u] and the goal stop
+// the popped f. pot must be a consistent lower bound on the distance to
+// the goal set (pot(u) ≤ w(u,v) + pot(v) on every arc) and 0 on every
+// goal; then A* is Dijkstra on the reduced weights w(u,v) + pot(v) −
+// pot(u) ≥ 0, the contraction above is that Dijkstra's, and a goal's f is
+// its distance, so the stopping rule and its exactness carry over with f
+// for the key. A node whose potential is +Inf provably cannot reach a
+// goal and is never written, masked or not. DESIGN.md §14 has the proof.
+func dijkstraBinInto(g *Digraph, t *ShortestPathTree, gs *goalStop, sc *Scratch, pass []bool, pot func(int) float64) error {
+	b := binSearch{g: g, t: t, sc: sc, pass: pass, pot: pot, list: gs.mark != nil}
+	h := sc.heap
+	h.Reset()
+	sc.sparse = b.list // seedTree listed the seeds; relax lists the rest
 	for _, s := range t.seeds {
+		f := 0.0
+		if pot != nil {
+			if f = pot(s); IsInf(f) {
+				continue // s provably cannot reach a goal
+			}
+		}
 		if pass != nil && pass[s] {
-			if err := relaxBin(g, t, h, done, pass, s, 0); err != nil {
+			if err := b.relax(s, 0); err != nil {
 				return err
 			}
-		} else if _, err := h.PushOrDecrease(s, 0); err != nil {
+		} else if _, err := h.PushOrDecrease(s, f); err != nil {
 			return err
 		}
 	}
 	for !h.Empty() {
-		u, du, err := h.Pop()
+		u, fu, err := h.Pop()
 		if err != nil {
 			return err
 		}
-		if gs.past(du) {
+		if gs.past(fu) {
 			return nil
 		}
-		done[u] = true
+		sc.done[u] = true
 		t.Settled++
-		gs.settle(u, du)
-		if err := relaxBin(g, t, h, done, pass, u, du); err != nil {
+		gs.settle(u, fu)
+		if err := b.relax(u, t.Dist[u]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// relaxBin scans u's out-arcs at key du. It recurses through masked
+// binSearch is what dijkstraBinInto's relaxation reads: one search's
+// graph, tree, scratch, mask and potential, and whether it lists its
+// first writes.
+type binSearch struct {
+	g    *Digraph
+	t    *ShortestPathTree
+	sc   *Scratch
+	pass []bool
+	pot  func(int) float64
+	list bool
+}
+
+// relax scans u's out-arcs at distance du. It recurses through masked
 // nodes only, and that ends because each step is a strict improvement.
-func relaxBin(g *Digraph, t *ShortestPathTree, h *binheap.Heap, done, pass []bool, u int, du float64) error {
-	for i, a := range g.Out(u) {
+func (b *binSearch) relax(u int, du float64) error {
+	t, sc := b.t, b.sc
+	for i, a := range b.g.Out(u) {
 		v := int(a.To)
-		if done[v] {
+		if sc.done[v] {
 			continue
 		}
 		t.Relaxed++
 		nd := du + a.Weight
-		if nd < t.Dist[v] {
-			t.Dist[v] = nd
-			t.Parent[v] = int32(u)
-			t.ViaArc[v] = int32(i)
-			if pass != nil && pass[v] {
-				if err := relaxBin(g, t, h, done, pass, v, nd); err != nil {
-					return err
-				}
-			} else if _, err := h.PushOrDecrease(v, nd); err != nil {
+		if !(nd < t.Dist[v]) {
+			continue
+		}
+		hv := 0.0
+		if b.pot != nil {
+			if hv = b.pot(v); IsInf(hv) {
+				continue // v provably cannot reach a goal
+			}
+		}
+		if b.list && IsInf(t.Dist[v]) {
+			sc.touched = append(sc.touched, int32(v))
+		}
+		t.Dist[v] = nd
+		t.Parent[v] = int32(u)
+		t.ViaArc[v] = int32(i)
+		if b.pass != nil && b.pass[v] {
+			if err := b.relax(v, nd); err != nil {
 				return err
 			}
+		} else if _, err := sc.heap.PushOrDecrease(v, nd+hv); err != nil {
+			return err
 		}
 	}
 	return nil

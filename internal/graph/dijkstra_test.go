@@ -339,6 +339,19 @@ func BenchmarkDijkstraSparse(b *testing.B) {
 			}
 		})
 	}
+	// A point query to n/2 on a pooled scratch under the exact potential.
+	b.Run("astar", func(b *testing.B) {
+		seeds, goals := []int{0}, []int{n / 2}
+		pot := exactPotential(b, g, goals)
+		sc := NewScratch(n)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBinary, sc, nil, pot); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func TestDijkstraSeedsMulti(t *testing.T) {
@@ -438,13 +451,15 @@ func TestDijkstraSeedsUntilDrainsTies(t *testing.T) {
 // TestGoalStopMatchesExhaustive is the exactness property behind the
 // stopping rule, on tie-heavy random digraphs (small integer weights,
 // many of them zero): for every queue kind, and for A* under the zero and
-// the exact potential, the goal-set run and an exhaustive run of the same
-// engine agree on the minimum over the goals, on the lowest-index goal
-// attaining it, and on the whole parent chain into that goal.
+// the exact potential, each with and without a pass-through mask, the
+// goal-set run and an exhaustive run of the same engine agree on the
+// minimum over the goals, on the lowest-index goal attaining it, and on
+// the whole parent chain into that goal.
 func TestGoalStopMatchesExhaustive(t *testing.T) {
 	type instance struct {
 		g            *Digraph
 		seeds, goals []int
+		pass         []bool // a random mask that spares the goals
 	}
 	rng := rand.New(rand.NewSource(77))
 	cases := make([]instance, 150)
@@ -463,7 +478,14 @@ func TestGoalStopMatchesExhaustive(t *testing.T) {
 		for i := range goals {
 			goals[i] = rng.Intn(n)
 		}
-		cases[trial] = instance{g, seeds, goals}
+		pass := make([]bool, n)
+		for v := range pass {
+			pass[v] = rng.Float64() < 0.4
+		}
+		for _, gl := range goals {
+			pass[gl] = false
+		}
+		cases[trial] = instance{g, seeds, goals, pass}
 	}
 	type engine struct {
 		name string
@@ -480,13 +502,25 @@ func TestGoalStopMatchesExhaustive(t *testing.T) {
 			return DijkstraSeedsUntil(c.g, c.seeds, goals, kind)
 		}})
 	}
-	engines = append(engines,
-		engine{"astar-zero", func(_ *testing.T, c instance, goals []int) (*ShortestPathTree, error) {
-			return AStarSeedsUntil(c.g, c.seeds, goals, ZeroPotential)
-		}},
-		engine{"astar-exact", func(t *testing.T, c instance, goals []int) (*ShortestPathTree, error) {
-			return AStarSeedsUntil(c.g, c.seeds, goals, exactPotential(t, c.g, c.goals))
-		}})
+	for _, masked := range []bool{false, true} {
+		suffix := ""
+		if masked {
+			suffix = "-masked"
+		}
+		mask := func(c instance) []bool {
+			if masked {
+				return c.pass
+			}
+			return nil
+		}
+		engines = append(engines,
+			engine{"astar-zero" + suffix, func(_ *testing.T, c instance, goals []int) (*ShortestPathTree, error) {
+				return DijkstraSeedsUntilScratch(c.g, c.seeds, goals, QueueBinary, nil, mask(c), zeroPotential)
+			}},
+			engine{"astar-exact" + suffix, func(t *testing.T, c instance, goals []int) (*ShortestPathTree, error) {
+				return DijkstraSeedsUntilScratch(c.g, c.seeds, goals, QueueBinary, nil, mask(c), exactPotential(t, c.g, c.goals))
+			}})
+	}
 	for _, e := range engines {
 		t.Run(e.name, func(t *testing.T) {
 			for trial, c := range cases {
@@ -539,6 +573,128 @@ func argminGoal(t *ShortestPathTree, goals []int) int {
 		}
 	}
 	return at
+}
+
+// zeroPotential is the trivial potential: A* with it is plain Dijkstra.
+func zeroPotential(int) float64 { return 0 }
+
+// exactPotential builds the perfect heuristic — true distance-to-goal-set
+// computed on the reverse graph. It is trivially admissible and
+// consistent, and unreachable-to-goal nodes get the +Inf prune.
+func exactPotential(t testing.TB, g *Digraph, goals []int) func(int) float64 {
+	t.Helper()
+	bwd, err := DijkstraSeedsUntil(g.Reverse(), goals, nil, QueueBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(v int) float64 { return bwd.Dist[v] }
+}
+
+// TestAStarInfPotentialPrunes: nodes the potential marks unreachable are
+// never written, queued or not, and a seed with +Inf potential is skipped
+// outright.
+func TestAStarInfPotentialPrunes(t *testing.T) {
+	// 0→1→2 (goal), plus a fan 0→3→4 that cannot reach the goal; the
+	// mask passes 3 through, so its prune is the masked branch's.
+	g := New(5)
+	mustArc(t, g, 0, 1, 1)
+	mustArc(t, g, 1, 2, 1)
+	mustArc(t, g, 0, 3, 0.1)
+	mustArc(t, g, 3, 4, 0.1)
+	pot := exactPotential(t, g, []int{2})
+	for _, pass := range [][]bool{nil, {false, false, false, true, false}} {
+		tree, err := DijkstraSeedsUntilScratch(g, []int{0}, []int{2}, QueueBinary, nil, pass, pot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tree.Reached(2) || tree.Dist[2] != 2 {
+			t.Fatalf("mask %v goal: reached=%v dist=%v", pass, tree.Reached(2), tree.Dist[2])
+		}
+		if tree.Reached(3) || tree.Reached(4) {
+			t.Fatalf("mask %v: dead-end fan should be pruned, dists %v %v", pass, tree.Dist[3], tree.Dist[4])
+		}
+		// All-Inf seeds: the search starts empty and reports unreachable.
+		tree, err = DijkstraSeedsUntilScratch(g, []int{3}, []int{2}, QueueBinary, nil, pass, pot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tree.Reached(2) || tree.Reached(4) || tree.Settled != 0 {
+			t.Fatalf("mask %v: Inf-potential seed should settle nothing, settled %d", pass, tree.Settled)
+		}
+	}
+}
+
+func TestAStarArgErrors(t *testing.T) {
+	g := New(3)
+	if _, err := DijkstraSeedsUntilScratch(g, []int{0}, []int{9}, QueueBinary, nil, nil, zeroPotential); !errors.Is(err, ErrNodeRange) {
+		t.Fatalf("bad goal: %v", err)
+	}
+	if _, err := DijkstraSeedsUntilScratch(g, []int{7}, []int{1}, QueueBinary, nil, nil, zeroPotential); !errors.Is(err, ErrNodeRange) {
+		t.Fatalf("bad seed: %v", err)
+	}
+}
+
+// TestAStarScratchReuse: A* through one reused scratch answers what the
+// allocating run answers, query after query, so no state from the
+// previous potential or goal leaks into the next.
+func TestAStarScratchReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	n := 35
+	g := randomDigraph(rng, n, 0.12)
+	sc := NewScratch(n)
+	for q := 0; q < 30; q++ {
+		seeds := []int{rng.Intn(n)}
+		goals := []int{rng.Intn(n)}
+		pot := exactPotential(t, g, goals)
+		fresh, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBinary, nil, nil, pot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pooled, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBinary, sc, nil, pot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gl := goals[0]
+		if fresh.Reached(gl) != pooled.Reached(gl) ||
+			(fresh.Reached(gl) && !almostEq(fresh.Dist[gl], pooled.Dist[gl])) {
+			t.Fatalf("query %d: fresh %v vs pooled %v", q, fresh.Dist[gl], pooled.Dist[gl])
+		}
+	}
+}
+
+// TestGoalDirectedSettlesFewer quantifies the point of the potential: a
+// hub with 20 unit-weight branches of 50 nodes each, goal at the end of
+// one branch. Plain goal-set Dijkstra floods every branch ring by ring;
+// exact-potential A* walks only the goal branch. Costs stay identical.
+func TestGoalDirectedSettlesFewer(t *testing.T) {
+	const branches, length = 20, 50
+	n := 1 + branches*length
+	g := New(n)
+	node := func(b, i int) int { return 1 + b*length + i }
+	for b := 0; b < branches; b++ {
+		mustArc(t, g, 0, node(b, 0), 1)
+		mustArc(t, g, node(b, 0), 0, 1)
+		for i := 0; i+1 < length; i++ {
+			mustArc(t, g, node(b, i), node(b, i+1), 1)
+			mustArc(t, g, node(b, i+1), node(b, i), 1)
+		}
+	}
+	seeds, goals := []int{0}, []int{node(0, length-1)}
+	ref, err := DijkstraSeedsUntil(g, seeds, goals, QueueBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBinary, nil, nil, exactPotential(t, g, goals))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gl := goals[0]
+	if !almostEq(tree.Dist[gl], ref.Dist[gl]) {
+		t.Fatalf("A* dist %v, plain %v", tree.Dist[gl], ref.Dist[gl])
+	}
+	if tree.Settled*2 > ref.Settled {
+		t.Fatalf("A* settled %d vs plain %d — expected at least a 2× reduction", tree.Settled, ref.Settled)
+	}
 }
 
 // TestDijkstraSeedsUntilEdgeCases drives the goal-set API through its

@@ -32,10 +32,10 @@ type Scratch struct {
 
 	// While sparse is set, touched lists every node whose dist, parent,
 	// via or done entry differs from its initial value, and the next
-	// seedTree resets those alone. A kernel earns that by recording each
-	// node it first writes (AStarSeedsUntilScratch does: a point query
-	// writes a few hundred of |V′| entries); after any other kernel the
-	// next query clears all n.
+	// seedTree resets those alone. The binary engine earns that on a
+	// search with goals by recording each node it first writes (a point
+	// query, plain or A*, writes a few hundred of |V′| entries); after
+	// any other search the next query clears all n.
 	touched []int32
 	sparse  bool
 
@@ -115,12 +115,18 @@ func (sc *Scratch) Touched() (nodes []int32, ok bool) { return sc.touched, sc.sp
 //
 // pass is the binary and bucket queues' optional pass-through mask (see
 // dijkstraBinInto): one entry per node, true for nodes that forward an
-// improved key along their out-arcs instead of being queued. No goal may
-// be masked — a masked node is never settled, so the stopping rule would
-// not see it. The ablation queues search unmasked whatever pass holds;
-// distances are the same either way.
-func DijkstraSeedsUntilScratch(g *Digraph, seeds, goals []int, kind QueueKind, sc *Scratch, pass []bool) (*ShortestPathTree, error) {
-	return searchScratch(g, seeds, goals, kind, -1, sc, pass)
+// improved distance along their out-arcs instead of being queued. No
+// goal may be masked — a masked node is never settled, so the stopping
+// rule would not see it. The ablation queues search unmasked whatever
+// pass holds; distances are the same either way.
+//
+// pot, when non-nil, is A*'s potential (see dijkstraBinInto): a
+// consistent lower bound on the distance to the goal set, 0 on every
+// goal, +Inf on nodes that cannot reach one. It returns the distances a
+// nil pot does at every goal it stops on, settling fewer nodes, and
+// runs on the binary engine whatever kind says; nil is plain Dijkstra.
+func DijkstraSeedsUntilScratch(g *Digraph, seeds, goals []int, kind QueueKind, sc *Scratch, pass []bool, pot func(int) float64) (*ShortestPathTree, error) {
+	return searchScratch(g, seeds, goals, kind, -1, sc, pass, pot)
 }
 
 // BucketTreeScratch is the goal-less search of QueueBucket computing into
@@ -131,13 +137,13 @@ func DijkstraSeedsUntilScratch(g *Digraph, seeds, goals []int, kind QueueKind, s
 // returned tree aliases sc; a nil or wrong-sized scratch is replaced by a
 // fresh one.
 func BucketTreeScratch(g *Digraph, seeds []int, width float64, sc *Scratch, pass []bool) (*ShortestPathTree, error) {
-	return searchScratch(g, seeds, nil, QueueBucket, width, sc, pass)
+	return searchScratch(g, seeds, nil, QueueBucket, width, sc, pass, nil)
 }
 
 // searchScratch is the body of every Dijkstra entry point and the one
 // dispatch on QueueKind: width is the bucket queue's, and a negative one
 // is replaced by arcWidth(g).
-func searchScratch(g *Digraph, seeds, goals []int, kind QueueKind, width float64, sc *Scratch, pass []bool) (*ShortestPathTree, error) {
+func searchScratch(g *Digraph, seeds, goals []int, kind QueueKind, width float64, sc *Scratch, pass []bool, pot func(int) float64) (*ShortestPathTree, error) {
 	n := g.NumNodes()
 	if pass != nil && len(pass) != n {
 		return nil, fmt.Errorf("graph: pass-through mask covers %d nodes of %d", len(pass), n)
@@ -159,7 +165,7 @@ func searchScratch(g *Digraph, seeds, goals []int, kind QueueKind, width float64
 	}
 	gs := sc.goalStop(goals)
 	switch {
-	case kind == QueueBucket && len(goals) == 0:
+	case kind == QueueBucket && len(goals) == 0 && pot == nil:
 		if sc.bucket == nil {
 			sc.bucket = NewBucketQueue()
 		}
@@ -167,9 +173,8 @@ func searchScratch(g *Digraph, seeds, goals []int, kind QueueKind, width float64
 			width = arcWidth(g)
 		}
 		bucketTree(g, t, sc.bucket, width, sc.done, pass)
-	case kind == QueueBinary || kind == QueueBucket: // a goal stop needs the pop order
-		h, done := sc.queue()
-		err = dijkstraBinInto(g, t, &gs, h, done, pass)
+	case kind == QueueBinary || kind == QueueBucket || pot != nil: // a goal stop needs the pop order, a potential the heap's keys
+		err = dijkstraBinInto(g, t, &gs, sc, pass, pot)
 	case kind == QueueFibonacci:
 		err = ablationTree(g, t, &gs, &fibQueue{fibheap.New(), make([]*fibheap.Node, n)}, sc.done)
 	case kind == QueueLinear:
@@ -197,11 +202,4 @@ func (sc *Scratch) clearGoals(goals []int) {
 	for _, gl := range goals {
 		sc.goalMark[gl] = false
 	}
-}
-
-// queue returns the scratch's heap, emptied, and the settled set
-// seedTree cleared.
-func (sc *Scratch) queue() (*binheap.Heap, []bool) {
-	sc.heap.Reset()
-	return sc.heap, sc.done
 }

@@ -118,9 +118,9 @@ type QueueKind = graph.QueueKind
 // Queue kinds: two the paper's bounds are stated for — the Fibonacci heap
 // (Theorem 1, and the zero-Options default) and the linear scan (the
 // CFZ-era structure) — and two the engine serves on: the binary heap
-// (every search with a goal) and the cyclic bucket array it builds
-// SourceTrees on (RouteFrom and AllPairs; a point query under it runs the
-// binary heap). All return the same costs.
+// (every A* query, whatever the kind, and every plain query with a goal
+// under either serving kind) and the cyclic bucket array it builds
+// SourceTrees on (RouteFrom and AllPairs). All return the same costs.
 const (
 	QueueFibonacci = graph.QueueFibonacci
 	QueueBinary    = graph.QueueBinary
