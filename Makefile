@@ -77,13 +77,16 @@ race-obs:
 # paying for a full measurement run. BenchmarkRoutePoint runs once per
 # search mode (plain, astar — the server default — both on the binary
 # engine, so settled/op counts X-shore pops in each) and reports
-# settled/op and physpops/op beside ns/op, then astar/row=absent|resident
-# at n=300 and n=100: the same query with no bound row to read and with
-# every destination's row resident (equal settled/op, physpops/op 0, about
-# half the ns); BenchmarkRouteFreshEpoch is that query after a churn slot,
-# where rows=second-ask (served) must read what rows=none does with
-# rows/op ≈ 0, beside the two shortcuts measured and left out (every-miss,
-# layout: EXPERIMENTS.md X22); BenchmarkRouteBatch sweeps
+# settled/op, queued/op (heap writes), relaxed/op (arcs scanned) and
+# physpops/op beside ns/op — astar's dive ceiling shows in queued/op,
+# ≈ 20 against 185 without it at n=300, never in settled/op — then
+# astar/row=absent|resident at n=300 and n=100: the same query with no
+# bound row to read and with every destination's row resident (equal
+# settled/op and queued/op, physpops/op 0, about half the ns);
+# BenchmarkRouteFreshEpoch is that query after a churn slot, with the
+# same four counts, where rows=second-ask (served) must read what
+# rows=none does with rows/op ≈ 0, beside the two shortcuts measured and
+# left out (every-miss, layout: EXPERIMENTS.md X22); BenchmarkRouteBatch sweeps
 # requests-per-source r ∈ {1..32} × {cold, resident rows} on an astar engine at
 # n=100 and n=300 with trees/op and points/op, so the batch rule's
 # break-even (core.Aux.TreePays, 8 on both) sits where the cold rows

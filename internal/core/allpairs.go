@@ -101,7 +101,7 @@ func (a *Aux) RouteFrom(s int, opts *Options) (*SourceTree, error) {
 	if bucket {
 		tree, err = graph.BucketTreeScratch(a.g, qs.seeds, a.bucketWidth, qs.g, a.yPass)
 	} else {
-		tree, err = graph.DijkstraSeedsUntilScratch(a.g, qs.seeds, nil, kind, qs.g, a.yPass, nil)
+		tree, err = graph.DijkstraSeedsUntilScratch(a.g, qs.seeds, nil, kind, qs.g, a.yPass, nil, graph.Inf)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: dijkstra: %w", err)
@@ -137,7 +137,6 @@ func (a *Aux) RouteFrom(s int, opts *Options) (*SourceTree, error) {
 			sp.SetInt(AttrScans, int64(tree.Settled))
 			sp.SetInt(AttrRescans, int64(st.rescans))
 		}
-		sp.SetBytes(AttrReachedPerLambda, a.reachedPerLambda(tree, qs))
 	}
 	return st, nil
 }

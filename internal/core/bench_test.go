@@ -55,15 +55,17 @@ func BenchmarkRouteReusedAux(b *testing.B) {
 // queue) over seeded pairs on a 300-node sparse network: astar is the
 // server's default and the kernel the whole-stack benchmark's big_read
 // workload spends its time in; plain is the paper's search it must match.
-// settled/op counts auxiliary-graph pops, physpops/op the backward bound
-// pass over the physical network. The astar/row= rows, at mid_* size
+// settled/op counts auxiliary-graph pops, queued/op the heap writes,
+// relaxed/op the arcs scanned, physpops/op the backward bound pass over
+// the physical network; astar's ceiling shows in queued/op and
+// relaxed/op, never in settled/op. The astar/row= rows, at mid_* size
 // (n=100) and big_read's (n=300), are the same query with no bound row to
 // read (the pass runs up to s — what a destination's first ask at an
 // epoch costs) and with every destination's row resident (no pass):
 // settled/op must be equal across the two, physpops/op 0 on resident.
 func BenchmarkRoutePoint(b *testing.B) {
 	run := func(b *testing.B, aux *Aux, pairs [][2]int, opts *Options) {
-		settled, physPops := 0, 0
+		var work SearchStats
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -73,12 +75,16 @@ func BenchmarkRoutePoint(b *testing.B) {
 				b.Fatal(err)
 			}
 			if res != nil {
-				settled += res.Stats.Settled
-				physPops += res.Stats.PhysPops
+				work.Settled += res.Stats.Settled
+				work.Queued += res.Stats.Queued
+				work.Relaxed += res.Stats.Relaxed
+				work.PhysPops += res.Stats.PhysPops
 			}
 		}
-		b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
-		b.ReportMetric(float64(physPops)/float64(b.N), "physpops/op")
+		b.ReportMetric(float64(work.Settled)/float64(b.N), "settled/op")
+		b.ReportMetric(float64(work.Queued)/float64(b.N), "queued/op")
+		b.ReportMetric(float64(work.Relaxed)/float64(b.N), "relaxed/op")
+		b.ReportMetric(float64(work.PhysPops)/float64(b.N), "physpops/op")
 	}
 	for _, n := range []int{300, 100} {
 		aux, err := NewAux(benchNetwork(b, n, 8))

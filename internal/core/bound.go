@@ -89,12 +89,18 @@ type boundScratch struct {
 	// v ↦ min(π(info[v].Node), cap) over pi and over row, built once:
 	// queries allocate no closure.
 	passPot, rowPot func(int) float64
+
+	// The dive's visited set: physical node v is visited by the current
+	// dive when seen[v] == stamp, so a dive clears nothing.
+	seen  []uint32
+	stamp uint32
 }
 
 func newBoundScratch(n int) *boundScratch {
 	b := &boundScratch{
 		pi:    make([]float64, n),
 		queue: graph.NewBucketQueue(),
+		seen:  make([]uint32, n),
 	}
 	b.passPot = func(v int) float64 { return min(b.pi[b.info[v].Node], b.cap) }
 	b.rowPot = func(v int) float64 { return min(float64(b.row[b.info[v].Node]), b.cap) }
@@ -145,6 +151,77 @@ func (a *Aux) physicalBound(qs *queryScratch, s, t int, rows BoundRows) (pot fun
 		pot = nil
 	}
 	return pot, pops, from
+}
+
+// ceilingMargin widens the dive's price into the forward search's
+// ceiling. A node the search pops has a key f ≤ d* as the search sums
+// it, and a node on the way to it — a pass-through Y node, or one the
+// search relaxes first — has an exact f no larger; the two roundings of
+// a key are each within 2⁻⁵³ of it, far inside 2⁻³⁰, so no such node is
+// over UB·(1 + 2⁻³⁰). DESIGN.md §14, Why the ceiling changes nothing.
+const ceilingMargin = 1 + 0x1p-30
+
+// dive walks G' greedily from Y_s toward X_t under pot and returns the
+// cost UB of the semilightpath it walks, or +Inf when it gives up, with
+// the number of link arcs it took. From s it takes the link arc out of
+// Y_s, and from an X node the conversion arc and then the link arc, that
+// minimise c + w + pot(next); it stops at the first X_t node. It sums
+// the arc weights one at a time in path order — the association the
+// forward search sums distances in — so UB is the search's own sum along
+// a real s→t path, and float addition being monotone, UB ≥ the d* the
+// search computes. It gives up at a dead end (every next key +Inf) and
+// when the walk comes back to a physical node it has visited, so it
+// takes at most n−1 links. pot must be the potential the forward search
+// runs under; its values are not trusted, only used to steer.
+func (a *Aux) dive(b *boundScratch, s, t int, pot func(int) float64) (ub float64, hops int) {
+	if b.stamp++; b.stamp == 0 {
+		clear(b.seen) // the stamp wrapped: old stamps would read as visits
+		b.stamp = 1
+	}
+	b.seen[s] = b.stamp
+	g, cur := 0.0, -1 // cur is the X node the walk stands on; -1 at s
+	for {
+		best := hop{key: graph.Inf, x: -1}
+		if cur < 0 {
+			for yi := range a.yLambdas[s] {
+				a.bestLink(int(a.yStart[s])+yi, 0, pot, &best)
+			}
+		} else {
+			for _, c := range a.g.Out(cur) {
+				a.bestLink(int(c.To), c.Weight, pot, &best)
+			}
+		}
+		if best.x < 0 {
+			return graph.Inf, hops // a dead end
+		}
+		g = g + best.c + best.w
+		hops++
+		v := int(a.info[best.x].Node)
+		if v == t {
+			return g, hops
+		}
+		if b.seen[v] == b.stamp {
+			return graph.Inf, hops // a cycle: the potential is steering the walk wrong
+		}
+		b.seen[v], cur = b.stamp, best.x
+	}
+}
+
+// hop is a step of the dive: a conversion arc of weight c into a Y node,
+// then a link arc of weight w to the X node x; key is c + w + pot(x).
+type hop struct {
+	key, c, w float64
+	x         int
+}
+
+// bestLink lowers best to the cheapest step through Y node y, entered
+// by a conversion arc of weight c.
+func (a *Aux) bestLink(y int, c float64, pot func(int) float64, best *hop) {
+	for _, l := range a.g.Out(y) {
+		if k := c + l.Weight + pot(int(l.To)); k < best.key {
+			*best = hop{key: k, c: c, w: l.Weight, x: int(l.To)}
+		}
+	}
 }
 
 // boundPass fills b.pi with backward distances to t and returns the

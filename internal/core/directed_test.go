@@ -143,9 +143,10 @@ const allPairsMax, sampledPairs = 64, 200
 // every returned path a valid semilightpath of exactly its reported
 // cost, and astar never settling more auxiliary nodes than plain
 // (f ≤ d* implies g ≤ d*) — plain on its default queue, and plain on
-// the binary engine, which counts pops as astar does. A sample of pairs
-// is also put to the
-// auxiliary-graph-free oracle. It returns each
+// the binary engine, which counts pops as astar does. The dive that
+// prices astar's ceiling must walk at most n−1 links and price a served
+// pair at no less than its cost, a blocked one at +Inf. A sample of
+// pairs is also put to the auxiliary-graph-free oracle. It returns each
 // side's work over the served pairs: plain's settled nodes, and astar's
 // settled nodes plus its bound pass's physical scans.
 func checkDirectedAgree(t *testing.T, a *Aux, rng *rand.Rand) (plainWork, astarWork int) {
@@ -162,6 +163,8 @@ func checkDirectedAgree(t *testing.T, a *Aux, rng *rand.Rand) (plainWork, astarW
 		}
 	}
 	once := a.bucketWidth <= lightest && graph.BucketWidth(a.bucketWidth, heaviest) == a.bucketWidth
+	qs := a.pool.get()
+	defer a.pool.put(qs)
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
 			if s == d || n > allPairsMax && rng.Intn(n*n) >= sampledPairs {
@@ -171,6 +174,16 @@ func checkDirectedAgree(t *testing.T, a *Aux, rng *rand.Rand) (plainWork, astarW
 			ra, errA := a.Route(s, d, astarOpts)
 			if (errP == nil) != (errA == nil) {
 				t.Fatalf("%d→%d: outcome disagreement plain=%v astar=%v", s, d, errP, errA)
+			}
+			ub := graph.Inf
+			if pot, _, _ := a.physicalBound(qs, s, d, nil); pot != nil {
+				var hops int
+				if ub, hops = a.dive(qs.bound, s, d, pot); hops > n-1 {
+					t.Fatalf("%d→%d: the dive took %d links on %d nodes", s, d, hops, n)
+				}
+			}
+			if errP != nil && !graph.IsInf(ub) || errP == nil && !(ub >= ra.Cost) {
+				t.Fatalf("%d→%d: the dive prices %v, astar %v (%v)", s, d, ub, ra, errA)
 			}
 			askOracle := rng.Intn(8) == 0
 			if errP != nil {
@@ -335,6 +348,104 @@ func TestDirectedUnderChurn(t *testing.T) {
 		checkDirectedAgree(t, child, rng)
 		cur, residual = child, res
 	}
+}
+
+// TestCeilingMarginCoversRounding: on the chain 0→1→2→3 the search sums
+// d* = (0.09 + 0.171875) + 0.75 = 1.0118749999999999, while X_1's key
+// is 0.09 + π(1) = 0.09 + (0.171875 + 0.75) = 1.011875 (π is exact on
+// the grid, so the two sums associate differently): a node on the only
+// path has a key one ulp over the cost. The dive prices that path at d*
+// exactly, so a ceiling of UB itself would never queue X_1 and block
+// the query; UB·(1 + 2⁻³⁰) must serve it at plain's cost.
+func TestCeilingMarginCoversRounding(t *testing.T) {
+	nw := wdm.NewNetwork(4, 1)
+	for i, w := range []float64{0.09, 0.171875, 0.75} {
+		if _, err := nw.AddLink(i, i+1, []wdm.Channel{{Lambda: 0, Weight: w}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := mustAux(t, nw)
+	rp, err := a.Route(0, 3, plainOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := a.pool.get()
+	defer a.pool.put(qs)
+	pot, _, _ := a.physicalBound(qs, 0, 3, nil)
+	key := 0.09 + pot(int(a.xStart[1]))
+	if ub, _ := a.dive(qs.bound, 0, 3, pot); ub != rp.Cost || !(key > rp.Cost) {
+		t.Fatalf("fixture: the dive prices %v, d* = %v, X_1's key %v: the rounding this test needs is gone", ub, rp.Cost, key)
+	}
+	ra, err := a.Route(0, 3, astarOpts)
+	if err != nil || math.Float64bits(ra.Cost) != math.Float64bits(rp.Cost) {
+		t.Fatalf("astar %v (%v), plain %v", ra, err, rp.Cost)
+	}
+}
+
+// TestDiveGivesUpOnStaleRows: rows computed once on the installed
+// network and lent to queries on a loaded residual (what
+// BenchmarkRouteFreshEpoch/rows=layout measures) are a valid potential
+// but a stale one, and the greedy walk they steer runs into links the
+// residual no longer has and around cycles. Every dive must give up
+// within n−1 links or price a real path — at no less than the cost —
+// and every astar answer under those rows must be plain's, bit for bit.
+func TestDiveGivesUpOnStaleRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	nw, err := workload.Build(topo.RandomSparse(100, 4, 6, rng),
+		workload.Spec{K: 8, AvailProb: 0.6, Conv: workload.ConvUniform, ConvCost: 0.5}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := nw.NumNodes()
+	installed := mustAux(t, nw)
+	layout := &keepRows{rows: make(map[int][]float32), build: true}
+	for d := 0; d < n; d++ {
+		if _, err := installed.Route((d+1)%n, d, &Options{Directed: DirectedAStar, Bound: layout}); err != nil && !errors.Is(err, ErrNoRoute) {
+			t.Fatal(err)
+		}
+	}
+	layout.build = false
+	res, _ := occupyResidual(t, nw, nw.NumLinks(), rng)
+	a, err := NewAuxWithLayout(nw, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := a.pool.get()
+	defer a.pool.put(qs)
+	served, gaveUp := 0, 0
+	for q := 0; q < 1500; q++ {
+		s, d := rng.Intn(n), rng.Intn(n)
+		if s == d {
+			continue
+		}
+		rp, errP := a.Route(s, d, plainOpts)
+		ra, errA := a.Route(s, d, &Options{Directed: DirectedAStar, Bound: layout})
+		if (errP == nil) != (errA == nil) || errP == nil && math.Float64bits(ra.Cost) != math.Float64bits(rp.Cost) {
+			t.Fatalf("%d→%d: astar under stale rows %v (%v), plain %v (%v)", s, d, ra, errA, rp, errP)
+		}
+		pot, _, from := a.physicalBound(qs, s, d, layout)
+		if from != BoundRowHit || pot == nil {
+			continue
+		}
+		ub, hops := a.dive(qs.bound, s, d, pot)
+		if hops > n-1 {
+			t.Fatalf("%d→%d: the dive took %d links on %d nodes", s, d, hops, n)
+		}
+		if errP != nil {
+			continue
+		}
+		served++
+		if graph.IsInf(ub) {
+			gaveUp++
+		} else if ub < rp.Cost {
+			t.Fatalf("%d→%d: the dive prices %v under a cost of %v", s, d, ub, rp.Cost)
+		}
+	}
+	// The rows must be stale enough to steer the walk wrong.
+	if gaveUp*20 < served {
+		t.Fatalf("the dive gave up on %d of %d served pairs: the rows are not stale enough to test anything", gaveUp, served)
+	}
+	t.Logf("the dive gave up on %d of %d served pairs", gaveUp, served)
 }
 
 func mustAux(t *testing.T, nw *wdm.Network) *Aux {
@@ -504,8 +615,8 @@ func checkBoundConsistent(t *testing.T, a *Aux, rng *rand.Rand, queries int) {
 // Fibonacci point query, which leave the scratch dirty. After every
 // search the tree must equal a fresh-scratch run node for node —
 // nothing stale survives either reset — and after a point query on the
-// binary engine the per-λ profile counted from the touched list must
-// equal the X-shore scan.
+// binary engine the touched list must name every node the search
+// reached. The astar row runs under the dive's ceiling, as Route does.
 func TestSparseScratchReset(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	nw, _ := churnWithFailures(t, deltaNetwork(t, 30), rng)
@@ -542,8 +653,9 @@ func TestSparseScratchReset(t *testing.T) {
 			continue
 		}
 		var (
-			goals []int
-			pot   func(int) float64
+			goals   []int
+			pot     func(int) float64
+			ceiling = graph.Inf
 		)
 		if sr.goals {
 			goals = qs.goals
@@ -552,6 +664,8 @@ func TestSparseScratchReset(t *testing.T) {
 			if pot, _, _ = a.physicalBound(qs, s, d, nil); pot == nil {
 				continue
 			}
+			ub, _ := a.dive(qs.bound, s, d, pot)
+			ceiling = ub * ceilingMargin
 		}
 		search := func(sc *graph.Scratch) *graph.ShortestPathTree {
 			var tree *graph.ShortestPathTree
@@ -559,7 +673,7 @@ func TestSparseScratchReset(t *testing.T) {
 			if sr.kind == graph.QueueBucket {
 				tree, err = graph.BucketTreeScratch(a.g, qs.seeds, a.bucketWidth, sc, a.yPass)
 			} else {
-				tree, err = graph.DijkstraSeedsUntilScratch(a.g, qs.seeds, goals, sr.kind, sc, a.yPass, pot)
+				tree, err = graph.DijkstraSeedsUntilScratch(a.g, qs.seeds, goals, sr.kind, sc, a.yPass, pot, ceiling)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -579,25 +693,21 @@ func TestSparseScratchReset(t *testing.T) {
 				q, sr.name, s, d, got.Settled, got.Relaxed, want.Settled, want.Relaxed)
 		}
 		ran[i]++
-		if _, listed := qs.g.Touched(); listed != (sr.kind == graph.QueueBinary && sr.goals) {
+		touched, listed := qs.g.Touched()
+		if listed != (sr.kind == graph.QueueBinary && sr.goals) {
 			t.Fatalf("query %d %s: touched list kept = %v; only a point query on the binary engine keeps one", q, sr.name, listed)
-		} else if !listed {
+		}
+		if !listed {
 			continue
 		}
-		counts := make([]int, nw.K())
-		for v, node := range a.info {
-			if node.Side == SideX && want.Reached(v) {
-				counts[node.Lambda]++
-			}
+		inList := make(map[int32]bool, len(touched))
+		for _, v := range touched {
+			inList[v] = true
 		}
-		var parts []string
-		for l, c := range counts {
-			if c > 0 {
-				parts = append(parts, fmt.Sprintf("%d:%d", l, c))
+		for v := range want.Dist {
+			if want.Reached(v) && !inList[int32(v)] {
+				t.Fatalf("query %d %s (%d→%d): aux node %d reached but not in the touched list", q, sr.name, s, d, v)
 			}
-		}
-		if profile := string(a.reachedPerLambda(got, qs)); profile != strings.Join(parts, ",") {
-			t.Fatalf("query %d %s (%d→%d): profile %q from the touched list, %q from the scan", q, sr.name, s, d, profile, strings.Join(parts, ","))
 		}
 	}
 	for i, c := range ran {
@@ -678,9 +788,6 @@ func TestBlockedCause(t *testing.T) {
 	}
 	if settled, pops := spanInt(t, sp, AttrSettled), spanInt(t, sp, AttrPhysPops); settled != 0 || pops != 1 {
 		t.Fatalf("cut 0→2: settled %d aux nodes after %d physical pops, want 0 after 1", settled, pops)
-	}
-	if _, ok := sp.Attr(AttrReachedPerLambda); ok {
-		t.Fatal("cut 0→2: a search that never ran has no per-λ profile")
 	}
 	if _, ok := spP.Attr(AttrBlockedCause); ok {
 		t.Fatal("plain runs no backward pass and must not guess a cause")

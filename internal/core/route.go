@@ -26,10 +26,10 @@ type Options struct {
 
 	// Span, when non-nil, is the parent under which the query opens its
 	// own timed child span (core_search for Route, core_tree_search for
-	// RouteFrom) annotated with the search's work counters and per-λ
-	// expansion profile. A nil Span — the default, and what a disabled
-	// request tracer yields — costs nothing: every span call is
-	// nil-receiver safe and the annotation work is skipped entirely.
+	// RouteFrom) annotated with the search's work counters. A nil Span —
+	// the default, and what a disabled request tracer yields — costs
+	// nothing: every span call is nil-receiver safe and the annotation
+	// work is skipped entirely.
 	Span *obs.Span
 
 	// Bound, when non-nil, lends DirectedAStar complete physical-bound
@@ -77,7 +77,13 @@ type SearchStats struct {
 	// so only X-shore nodes are counted there; plain on the Fibonacci and
 	// linear queues pops nodes of both shores.
 	Settled int
-	Relaxed int // arc relaxations
+	// Relaxed counts arc relaxations. Under DirectedAStar a pass-through
+	// Y node whose key is over the dive's ceiling is not expanded, so its
+	// link arcs are not counted.
+	Relaxed int
+	// Queued counts queue writes (insertions and key decreases). A* never
+	// queues a node whose key is over its ceiling.
+	Queued int
 	// PhysPops is DirectedAStar's backward bound pass: physical nodes
 	// popped, 0 when a resident bound row (Options.Bound) spared the pass.
 	PhysPops int
@@ -148,25 +154,32 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 		return nil, fmt.Errorf("%w: from %d to %d (no incoming channels at destination)", ErrNoRoute, s, t)
 	}
 
-	// The mode picks the potential: none for plain, the physical lower
-	// bound for A*. One search serves both, so stats, span attributes and
-	// extraction below are mode-agnostic. Both return the same optimal
-	// cost; they differ in nodes settled proving it (and, among equal-cost
-	// optima, possibly in which path they pick).
+	// The mode picks the potential and the ceiling: neither for plain; for
+	// A* the physical lower bound, and the price of the semilightpath a
+	// greedy dive under it finds. One search serves both, so stats, span
+	// attributes and extraction below are mode-agnostic. Both return the
+	// same optimal cost; they differ in nodes settled proving it (and,
+	// among equal-cost optima, possibly in which path they pick).
 	mode := opts.directed()
 	var (
 		pot      func(int) float64
+		ceiling  = graph.Inf
 		physPops int
 		boundRow string                  // DirectedAStar only: a BoundRow* value
-		fwdTree  *graph.ShortestPathTree // forward tree: extraction + per-λ profile; nil if no search ran
+		fwdTree  *graph.ShortestPathTree // forward tree, for extraction; nil if no search ran
 		settled  int
 		relaxed  int
+		queued   int
 		bestDist = graph.Inf
 		bestNode = -1
 	)
 	switch mode {
 	case DirectedAStar:
 		pot, physPops, boundRow = a.physicalBound(qs, s, t, opts.bound())
+		if pot != nil {
+			ub, _ := a.dive(qs.bound, s, t, pot)
+			ceiling = ub * ceilingMargin
+		}
 	case DirectedPlain:
 	default:
 		return nil, fmt.Errorf("core: unknown search mode %v", mode)
@@ -174,11 +187,11 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 	// An A* query without a potential has t cut off from s in G itself:
 	// G' is not searched.
 	if mode == DirectedPlain || pot != nil {
-		tree, err := graph.DijkstraSeedsUntilScratch(a.g, qs.seeds, qs.goals, opts.queue(), qs.g, a.yPass, pot)
+		tree, err := graph.DijkstraSeedsUntilScratch(a.g, qs.seeds, qs.goals, opts.queue(), qs.g, a.yPass, pot, ceiling)
 		if err != nil {
 			return nil, fmt.Errorf("core: dijkstra: %w", err)
 		}
-		fwdTree, settled, relaxed = tree, tree.Settled, tree.Relaxed
+		fwdTree, settled, relaxed, queued = tree, tree.Settled, tree.Relaxed, tree.Queued
 		// Virtual super sink: min over X_t on the forward tree.
 		for xi := range a.xLambdas[t] {
 			x := int(a.xStart[t]) + xi
@@ -189,14 +202,11 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 		}
 	}
 	stats := a.searchStats(s, t, settled, relaxed)
-	stats.PhysPops = physPops
+	stats.Queued, stats.PhysPops = queued, physPops
 	if sp != nil {
 		annotateSearch(sp, stats, mode)
 		if mode == DirectedAStar {
 			sp.SetStr(AttrBoundRow, boundRow)
-		}
-		if fwdTree != nil {
-			sp.SetBytes(AttrReachedPerLambda, a.reachedPerLambda(fwdTree, qs))
 		}
 	}
 	if bestNode < 0 {
@@ -238,8 +248,7 @@ func annotateSearch(sp *obs.Span, stats SearchStats, mode DirectedMode) {
 // answered by res — the Result an earlier Route of the same (s, t) on the
 // same network returned under mode — without a search: the counters are
 // that search's and memo=true says none ran now. It has no bound_row,
-// since no bound was read, and no per-λ profile, since no tree was
-// built. A nil parent records nothing.
+// since no bound was read. A nil parent records nothing.
 func RecordMemoHit(parent *obs.Span, res *Result, mode DirectedMode) {
 	if parent == nil {
 		return

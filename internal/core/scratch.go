@@ -7,18 +7,15 @@ import (
 )
 
 // queryScratch bundles everything one query needs to borrow: the
-// graph-layer Dijkstra scratch, the seed/goal list backings and the
-// buffers the traced path renders its per-λ profile in. It is recycled
+// graph-layer Dijkstra scratch, the bound pass's and dive's state and
+// the seed/goal list backings. It is recycled
 // through a scratchPool so steady-state Route calls allocate nothing
 // inside the search.
 type queryScratch struct {
 	g     *graph.Scratch
-	bound *boundScratch // physical lower bound, built on first astar query
+	bound *boundScratch // physical lower bound and the dive, built on first astar query
 	seeds []int
 	goals []int
-
-	lambdaCount []int  // reachedPerLambda: reached X-shore nodes per wavelength
-	attrBuf     []byte // reachedPerLambda: rendered attribute value
 }
 
 // scratchPool recycles queryScratch values for one auxiliary-graph node

@@ -29,7 +29,7 @@ func spanTestEngine(t *testing.T) *Engine {
 
 // TestRouteRecordsSearchSpans checks the span tree a recorded
 // point-to-point query produces: engine_route → core_search with the
-// Dijkstra counters and the per-λ expansion profile.
+// Dijkstra counters, and no retired per-λ profile.
 func TestRouteRecordsSearchSpans(t *testing.T) {
 	e := spanTestEngine(t)
 	tracer := obs.NewTracer(&obs.TracerOptions{SlowThreshold: -1})
@@ -58,7 +58,7 @@ func TestRouteRecordsSearchSpans(t *testing.T) {
 	if spans := req.Spans(); cs.Parent <= 0 || spans[cs.Parent].Name != "engine_route" {
 		t.Errorf("core_search parent = %d, want the engine_route span", cs.Parent)
 	}
-	for _, key := range []string{"aux_nodes", "aux_arcs", "settled", "relaxed", "reached_per_lambda"} {
+	for _, key := range []string{"aux_nodes", "aux_arcs", "settled", "relaxed"} {
 		if _, ok := cs.Attr(key); !ok {
 			t.Errorf("core_search missing attr %q", key)
 		}
@@ -69,8 +69,8 @@ func TestRouteRecordsSearchSpans(t *testing.T) {
 	if a, ok := cs.Attr("cost"); !ok || a.Float() != res.Cost {
 		t.Errorf("cost attr = %+v, want %v", a, res.Cost)
 	}
-	if a, _ := cs.Attr("reached_per_lambda"); a.Str == "" {
-		t.Error("reached_per_lambda empty on a served query")
+	if _, ok := cs.Attr("reached_per_lambda"); ok {
+		t.Error("core_search carries reached_per_lambda, a retired attribute")
 	}
 }
 

@@ -170,6 +170,7 @@ func bucketTree(g *Digraph, t *ShortestPathTree, q *BucketQueue, width float64, 
 			q.relax(g, t, pass, s, 0)
 		case !seen[s]:
 			seen[s] = true
+			t.Queued++
 			q.Push(s, 0)
 		}
 	}
@@ -200,6 +201,7 @@ func (q *BucketQueue) relax(g *Digraph, t *ShortestPathTree, pass []bool, u int,
 			if pass != nil && pass[v] {
 				q.relax(g, t, pass, v, nd)
 			} else {
+				t.Queued++
 				q.Push(v, nd)
 			}
 		}

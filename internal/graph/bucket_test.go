@@ -183,7 +183,7 @@ func TestBucketEntryPoints(t *testing.T) {
 		for name, run := range map[string]func() (*ShortestPathTree, error){
 			"allocating": func() (*ShortestPathTree, error) { return DijkstraSeedsUntil(g, seeds, nil, QueueBucket) },
 			"scratch": func() (*ShortestPathTree, error) {
-				return DijkstraSeedsUntilScratch(g, seeds, nil, QueueBucket, sc, pass, nil)
+				return DijkstraSeedsUntilScratch(g, seeds, nil, QueueBucket, sc, pass, nil, Inf)
 			},
 			"width":      func() (*ShortestPathTree, error) { return BucketTreeScratch(g, seeds, 0.5, sc, pass) },
 			"no scratch": func() (*ShortestPathTree, error) { return BucketTreeScratch(g, seeds, 0.5, nil, nil) },
@@ -201,11 +201,11 @@ func TestBucketEntryPoints(t *testing.T) {
 	}
 	goals := []int{40, 41}
 	pass[40], pass[41] = false, false
-	bin, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBinary, nil, pass, nil)
+	bin, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBinary, nil, pass, nil, Inf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBucket, sc, pass, nil)
+	got, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBucket, sc, pass, nil, Inf)
 	if err != nil {
 		t.Fatal(err)
 	}

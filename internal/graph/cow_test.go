@@ -148,11 +148,11 @@ func TestScratchMatchesAllocatingPath(t *testing.T) {
 			if kind == astar {
 				pot = exactPotential(t, g, goals)
 			}
-			want, err := DijkstraSeedsUntilScratch(g, seeds, goals, kind, nil, nil, pot)
+			want, err := DijkstraSeedsUntilScratch(g, seeds, goals, kind, nil, nil, pot, Inf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := DijkstraSeedsUntilScratch(g, seeds, goals, kind, sc, nil, pot)
+			got, err := DijkstraSeedsUntilScratch(g, seeds, goals, kind, sc, nil, pot, Inf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,7 +180,7 @@ func TestScratchMatchesAllocatingPath(t *testing.T) {
 func TestScratchWrongSizeFallsBack(t *testing.T) {
 	g := buildRandom(t, 10, 30, 6)
 	sc := NewScratch(5) // wrong size: must fall back, not fail
-	got, err := DijkstraSeedsUntilScratch(g, []int{0}, []int{9}, QueueBinary, sc, nil, nil)
+	got, err := DijkstraSeedsUntilScratch(g, []int{0}, []int{9}, QueueBinary, sc, nil, nil, Inf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,11 +204,11 @@ func TestScratchSearchAllocationFree(t *testing.T) {
 	sc := NewScratch(g.NumNodes())
 	seeds := []int{0, 1}
 	goals := []int{150, 160, 170}
-	if _, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBinary, sc, nil, nil); err != nil {
+	if _, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBinary, sc, nil, nil, Inf); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBinary, sc, nil, nil); err != nil {
+		if _, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBinary, sc, nil, nil, Inf); err != nil {
 			t.Fatal(err)
 		}
 	})

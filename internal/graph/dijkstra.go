@@ -52,6 +52,7 @@ type ShortestPathTree struct {
 	ViaArc  []int32 // index into Out(Parent[v]); -1 when unreached
 	Settled int     // queue pops, including the equal-key (A*: equal-f) drain of a goal stop (QueueBucket: scans); pass-through nodes are never popped
 	Relaxed int     // number of arc relaxations attempted
+	Queued  int     // queue writes: insertions and key decreases (QueueBucket: pushes); pass-through nodes are never queued
 
 	seeds []int
 }
@@ -160,7 +161,7 @@ func DijkstraSeeds(g *Digraph, seeds []int, goal int, kind QueueKind) (*Shortest
 // goals are the X_t shore of the destination.
 func DijkstraSeedsUntil(g *Digraph, seeds, goals []int, kind QueueKind) (*ShortestPathTree, error) {
 	// The scratch is this call's alone, so the tree it returns is retainable.
-	return searchScratch(g, seeds, goals, kind, -1, nil, nil, nil)
+	return searchScratch(g, seeds, goals, kind, -1, nil, nil, nil, Inf)
 }
 
 // goalStop is the stopping rule of DijkstraSeedsUntil, shared by every
@@ -212,8 +213,17 @@ func (gs *goalStop) settle(u int, k float64) {
 // its distance, so the stopping rule and its exactness carry over with f
 // for the key. A node whose potential is +Inf provably cannot reach a
 // goal and is never written, masked or not. DESIGN.md §14 has the proof.
-func dijkstraBinInto(g *Digraph, t *ShortestPathTree, gs *goalStop, sc *Scratch, pass []bool, pot func(int) float64) error {
-	b := binSearch{g: g, t: t, sc: sc, pass: pass, pot: pot, list: gs.mark != nil}
+//
+// ceiling (+Inf for none) caps the keys: a write whose f = nd + pot(v)
+// (nd alone without a potential) exceeds it is skipped, masked or not,
+// and so is a seed whose f does. A goal stop pops no key above d*, and
+// along a consistent potential f never falls, so a ceiling at or above
+// every key the search pops — the caller's price of one real path to a
+// goal, with a margin for the rounding of f — leaves every popped node,
+// its distance and the goal's the same and only queues fewer nodes. A
+// ceiling below d* reaches no goal. DESIGN.md §14 has this proof too.
+func dijkstraBinInto(g *Digraph, t *ShortestPathTree, gs *goalStop, sc *Scratch, pass []bool, pot func(int) float64, ceiling float64) error {
+	b := binSearch{g: g, t: t, sc: sc, pass: pass, pot: pot, ceiling: ceiling, list: gs.mark != nil}
 	h := sc.heap
 	h.Reset()
 	sc.sparse = b.list // seedTree listed the seeds; relax lists the rest
@@ -224,11 +234,17 @@ func dijkstraBinInto(g *Digraph, t *ShortestPathTree, gs *goalStop, sc *Scratch,
 				continue // s provably cannot reach a goal
 			}
 		}
+		if f > ceiling {
+			continue
+		}
 		if pass != nil && pass[s] {
 			if err := b.relax(s, 0); err != nil {
 				return err
 			}
-		} else if _, err := h.PushOrDecrease(s, f); err != nil {
+			continue
+		}
+		t.Queued++
+		if _, err := h.PushOrDecrease(s, f); err != nil {
 			return err
 		}
 	}
@@ -251,15 +267,16 @@ func dijkstraBinInto(g *Digraph, t *ShortestPathTree, gs *goalStop, sc *Scratch,
 }
 
 // binSearch is what dijkstraBinInto's relaxation reads: one search's
-// graph, tree, scratch, mask and potential, and whether it lists its
-// first writes.
+// graph, tree, scratch, mask, potential and ceiling, and whether it lists
+// its first writes.
 type binSearch struct {
-	g    *Digraph
-	t    *ShortestPathTree
-	sc   *Scratch
-	pass []bool
-	pot  func(int) float64
-	list bool
+	g       *Digraph
+	t       *ShortestPathTree
+	sc      *Scratch
+	pass    []bool
+	pot     func(int) float64
+	ceiling float64
+	list    bool
 }
 
 // relax scans u's out-arcs at distance du. It recurses through masked
@@ -282,6 +299,10 @@ func (b *binSearch) relax(u int, du float64) error {
 				continue // v provably cannot reach a goal
 			}
 		}
+		f := nd + hv
+		if f > b.ceiling {
+			continue // v could never pop: its key is above every key the search pops
+		}
 		if b.list && IsInf(t.Dist[v]) {
 			sc.touched = append(sc.touched, int32(v))
 		}
@@ -292,7 +313,10 @@ func (b *binSearch) relax(u int, du float64) error {
 			if err := b.relax(v, nd); err != nil {
 				return err
 			}
-		} else if _, err := sc.heap.PushOrDecrease(v, nd+hv); err != nil {
+			continue
+		}
+		t.Queued++
+		if _, err := sc.heap.PushOrDecrease(v, f); err != nil {
 			return err
 		}
 	}
@@ -313,6 +337,7 @@ type ablationQueue interface {
 // pass-through mask: every node reached is queued and popped.
 func ablationTree(g *Digraph, t *ShortestPathTree, gs *goalStop, q ablationQueue, done []bool) error {
 	for _, s := range t.seeds {
+		t.Queued++
 		q.PushOrDecrease(s, 0)
 	}
 	for !q.Empty() {
@@ -337,6 +362,7 @@ func ablationTree(g *Digraph, t *ShortestPathTree, gs *goalStop, q ablationQueue
 				t.Dist[v] = nd
 				t.Parent[v] = int32(u)
 				t.ViaArc[v] = int32(i)
+				t.Queued++
 				q.PushOrDecrease(v, nd)
 			}
 		}

@@ -347,7 +347,7 @@ func BenchmarkDijkstraSparse(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBinary, sc, nil, pot); err != nil {
+			if _, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBinary, sc, nil, pot, Inf); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -515,10 +515,10 @@ func TestGoalStopMatchesExhaustive(t *testing.T) {
 		}
 		engines = append(engines,
 			engine{"astar-zero" + suffix, func(_ *testing.T, c instance, goals []int) (*ShortestPathTree, error) {
-				return DijkstraSeedsUntilScratch(c.g, c.seeds, goals, QueueBinary, nil, mask(c), zeroPotential)
+				return DijkstraSeedsUntilScratch(c.g, c.seeds, goals, QueueBinary, nil, mask(c), zeroPotential, Inf)
 			}},
 			engine{"astar-exact" + suffix, func(t *testing.T, c instance, goals []int) (*ShortestPathTree, error) {
-				return DijkstraSeedsUntilScratch(c.g, c.seeds, goals, QueueBinary, nil, mask(c), exactPotential(t, c.g, c.goals))
+				return DijkstraSeedsUntilScratch(c.g, c.seeds, goals, QueueBinary, nil, mask(c), exactPotential(t, c.g, c.goals), Inf)
 			}})
 	}
 	for _, e := range engines {
@@ -603,7 +603,7 @@ func TestAStarInfPotentialPrunes(t *testing.T) {
 	mustArc(t, g, 3, 4, 0.1)
 	pot := exactPotential(t, g, []int{2})
 	for _, pass := range [][]bool{nil, {false, false, false, true, false}} {
-		tree, err := DijkstraSeedsUntilScratch(g, []int{0}, []int{2}, QueueBinary, nil, pass, pot)
+		tree, err := DijkstraSeedsUntilScratch(g, []int{0}, []int{2}, QueueBinary, nil, pass, pot, Inf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -614,7 +614,7 @@ func TestAStarInfPotentialPrunes(t *testing.T) {
 			t.Fatalf("mask %v: dead-end fan should be pruned, dists %v %v", pass, tree.Dist[3], tree.Dist[4])
 		}
 		// All-Inf seeds: the search starts empty and reports unreachable.
-		tree, err = DijkstraSeedsUntilScratch(g, []int{3}, []int{2}, QueueBinary, nil, pass, pot)
+		tree, err = DijkstraSeedsUntilScratch(g, []int{3}, []int{2}, QueueBinary, nil, pass, pot, Inf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -626,10 +626,10 @@ func TestAStarInfPotentialPrunes(t *testing.T) {
 
 func TestAStarArgErrors(t *testing.T) {
 	g := New(3)
-	if _, err := DijkstraSeedsUntilScratch(g, []int{0}, []int{9}, QueueBinary, nil, nil, zeroPotential); !errors.Is(err, ErrNodeRange) {
+	if _, err := DijkstraSeedsUntilScratch(g, []int{0}, []int{9}, QueueBinary, nil, nil, zeroPotential, Inf); !errors.Is(err, ErrNodeRange) {
 		t.Fatalf("bad goal: %v", err)
 	}
-	if _, err := DijkstraSeedsUntilScratch(g, []int{7}, []int{1}, QueueBinary, nil, nil, zeroPotential); !errors.Is(err, ErrNodeRange) {
+	if _, err := DijkstraSeedsUntilScratch(g, []int{7}, []int{1}, QueueBinary, nil, nil, zeroPotential, Inf); !errors.Is(err, ErrNodeRange) {
 		t.Fatalf("bad seed: %v", err)
 	}
 }
@@ -646,11 +646,11 @@ func TestAStarScratchReuse(t *testing.T) {
 		seeds := []int{rng.Intn(n)}
 		goals := []int{rng.Intn(n)}
 		pot := exactPotential(t, g, goals)
-		fresh, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBinary, nil, nil, pot)
+		fresh, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBinary, nil, nil, pot, Inf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pooled, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBinary, sc, nil, pot)
+		pooled, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBinary, sc, nil, pot, Inf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -684,7 +684,7 @@ func TestGoalDirectedSettlesFewer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBinary, nil, nil, exactPotential(t, g, goals))
+	tree, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBinary, nil, nil, exactPotential(t, g, goals), Inf)
 	if err != nil {
 		t.Fatal(err)
 	}

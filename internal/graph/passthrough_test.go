@@ -63,6 +63,32 @@ var potentials = []struct {
 	{"exact", exactPotential},
 }
 
+// ceilingRow is one value of the pass-through tests' ceiling column.
+type ceilingRow struct {
+	name  string
+	c     float64
+	below bool // under d*: the search must reach no goal
+}
+
+// ceilings is the ceiling column, from an exhaustive run's d*: none, d*
+// widened by the margin core prices its dive with, d* itself where sums
+// are exact (integer weights), and the float just below d*, which pins
+// the contract's other side.
+func ceilings(dstar float64, integer bool) []ceilingRow {
+	rows := []ceilingRow{{"none", Inf, false}}
+	if IsInf(dstar) {
+		return rows
+	}
+	rows = append(rows, ceilingRow{"margin", dstar * (1 + 0x1p-30), false})
+	if integer {
+		rows = append(rows, ceilingRow{"dstar", dstar, false})
+	}
+	if dstar > 0 {
+		rows = append(rows, ceilingRow{"below", math.Nextafter(dstar, 0), true})
+	}
+	return rows
+}
+
 // TestPassThroughMatchesUnmasked: on random graphs under random masks —
 // masked seeds, masked chains, zero-weight arcs — a full-tree search
 // with the mask, on either queue that takes one, gives every node the
@@ -73,7 +99,10 @@ var potentials = []struct {
 // potential (the binary engine whatever the kind) the nodes it marks
 // +Inf are left unwritten, seeds aside, and the rest are as above; the
 // exact potential runs on the integer-weight trials, where its sums are
-// exact and pop order cannot round (DESIGN.md §14, Floats).
+// exact and pop order cannot round (DESIGN.md §14, Floats). Under a
+// ceiling (the binary engine too) exactly the nodes whose final key
+// exceeds it are left unwritten: the target, at d*, keeps its distance
+// bits under every ceiling down to d* and is unreached below it.
 func TestPassThroughMatchesUnmasked(t *testing.T) {
 	for _, col := range potentials {
 		t.Run(col.name, func(t *testing.T) {
@@ -93,30 +122,41 @@ func TestPassThroughMatchesUnmasked(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, kind := range []QueueKind{QueueBinary, QueueBucket} {
-					got, err := DijkstraSeedsUntilScratch(g, seeds, nil, kind, sc, pass, pot)
-					if err != nil {
-						t.Fatal(err)
-					}
-					unmasked := 0
-					for v := range want.Dist {
-						if pot != nil && IsInf(pot(v)) {
-							if got.Reached(v) && v != seeds[0] && v != seeds[1] {
-								t.Fatalf("trial %d %v: dist[%d] = %v under a +Inf potential", trial, kind, v, got.Dist[v])
+				for _, ceil := range ceilings(want.Dist[target[0]], integer) {
+					for _, kind := range []QueueKind{QueueBinary, QueueBucket} {
+						got, err := DijkstraSeedsUntilScratch(g, seeds, nil, kind, sc, pass, pot, ceil.c)
+						if err != nil {
+							t.Fatal(err)
+						}
+						unmasked := 0
+						for v := range want.Dist {
+							seed := v == seeds[0] || v == seeds[1]
+							f := want.Dist[v]
+							if pot != nil {
+								f += pot(v)
 							}
-							continue
+							if IsInf(f) || f > ceil.c {
+								if got.Reached(v) && !seed {
+									t.Fatalf("trial %d %v ceiling %s: dist[%d] = %v, key %v over the ceiling %v", trial, kind, ceil.name, v, got.Dist[v], f, ceil.c)
+								}
+								continue
+							}
+							if math.Float64bits(got.Dist[v]) != math.Float64bits(want.Dist[v]) {
+								t.Fatalf("trial %d %v ceiling %s: dist[%d] = %v masked, %v unmasked", trial, kind, ceil.name, v, got.Dist[v], want.Dist[v])
+							}
+							if want.Reached(v) && !pass[v] {
+								unmasked++
+							}
 						}
-						if math.Float64bits(got.Dist[v]) != math.Float64bits(want.Dist[v]) {
-							t.Fatalf("trial %d %v: dist[%d] = %v masked, %v unmasked", trial, kind, v, got.Dist[v], want.Dist[v])
+						if ceil.below && got.Reached(target[0]) && target[0] != seeds[0] && target[0] != seeds[1] {
+							t.Fatalf("trial %d %v: target reached at %v under a ceiling %v below d*", trial, kind, got.Dist[target[0]], ceil.c)
 						}
-						if want.Reached(v) && !pass[v] {
-							unmasked++
+						keyed := kind == QueueBinary || pot != nil || !IsInf(ceil.c)
+						if got.Settled < unmasked || keyed && got.Settled != unmasked {
+							t.Fatalf("trial %d %v ceiling %s: masked search scanned %d nodes, %d unmasked nodes are reachable", trial, kind, ceil.name, got.Settled, unmasked)
 						}
+						checkTreeSums(t, g, got)
 					}
-					if got.Settled < unmasked || (kind == QueueBinary || pot != nil) && got.Settled != unmasked {
-						t.Fatalf("trial %d %v: masked search scanned %d nodes, %d unmasked nodes are reachable", trial, kind, got.Settled, unmasked)
-					}
-					checkTreeSums(t, g, got)
 				}
 			}
 		})
@@ -127,7 +167,9 @@ func TestPassThroughMatchesUnmasked(t *testing.T) {
 // rule of DijkstraSeedsUntil — the first goal's key plateau is drained,
 // on f under a potential — so the best goal and its distance are those
 // of the exhaustive unmasked plain run, its parent chains sum to their
-// distances, and it settles no more than that run.
+// distances, and it settles no more than that run. A ceiling at or above
+// d* changes neither the goal, nor its distance bits, nor Settled, and
+// queues no more nodes; a ceiling below d* reaches no goal.
 func TestPassThroughGoalStop(t *testing.T) {
 	for _, col := range potentials {
 		t.Run(col.name, func(t *testing.T) {
@@ -148,21 +190,43 @@ func TestPassThroughGoalStop(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBinary, nil, pass, col.pot(t, g, goals))
-				if err != nil {
-					t.Fatal(err)
+				fullAt := argminGoal(full, goals)
+				dstar := Inf
+				if fullAt >= 0 {
+					dstar = full.Dist[fullAt]
 				}
-				at, fullAt := argminGoal(got, goals), argminGoal(full, goals)
-				if at != fullAt {
-					t.Fatalf("trial %d: best goal %d, exhaustive %d", trial, at, fullAt)
+				pot := col.pot(t, g, goals)
+				var none *ShortestPathTree
+				for _, ceil := range ceilings(dstar, true) {
+					got, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBinary, nil, pass, pot, ceil.c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkTreeSums(t, g, got)
+					at := argminGoal(got, goals)
+					if ceil.below {
+						if at >= 0 {
+							t.Fatalf("trial %d: goal %d reached at %v under a ceiling %v below d* = %v", trial, at, got.Dist[at], ceil.c, dstar)
+						}
+						continue
+					}
+					if at != fullAt {
+						t.Fatalf("trial %d ceiling %s: best goal %d, exhaustive %d", trial, ceil.name, at, fullAt)
+					}
+					if at >= 0 && math.Float64bits(got.Dist[at]) != math.Float64bits(full.Dist[at]) {
+						t.Fatalf("trial %d ceiling %s: dist[%d] = %v, exhaustive %v", trial, ceil.name, at, got.Dist[at], full.Dist[at])
+					}
+					if got.Settled > full.Settled {
+						t.Fatalf("trial %d ceiling %s: settled %d, exhaustive %d", trial, ceil.name, got.Settled, full.Settled)
+					}
+					if none == nil {
+						none = got
+						continue
+					}
+					if got.Settled != none.Settled || got.Queued > none.Queued {
+						t.Fatalf("trial %d ceiling %s: settled/queued %d/%d, %d/%d with no ceiling", trial, ceil.name, got.Settled, got.Queued, none.Settled, none.Queued)
+					}
 				}
-				if at >= 0 && got.Dist[at] != full.Dist[at] {
-					t.Fatalf("trial %d: dist[%d] = %v, exhaustive %v", trial, at, got.Dist[at], full.Dist[at])
-				}
-				if got.Settled > full.Settled {
-					t.Fatalf("trial %d: settled %d, exhaustive %d", trial, got.Settled, full.Settled)
-				}
-				checkTreeSums(t, g, got)
 			}
 		})
 	}
@@ -175,17 +239,17 @@ func TestPassThroughRejectsBadMasks(t *testing.T) {
 	g := buildRandom(t, 10, 30, 6)
 	pass := make([]bool, 10)
 	pass[9] = true
-	if _, err := DijkstraSeedsUntilScratch(g, []int{0}, nil, QueueBinary, nil, pass[:5], nil); err == nil {
+	if _, err := DijkstraSeedsUntilScratch(g, []int{0}, nil, QueueBinary, nil, pass[:5], nil, Inf); err == nil {
 		t.Error("short mask accepted")
 	}
-	if _, err := DijkstraSeedsUntilScratch(g, []int{0}, []int{9}, QueueBinary, nil, pass, nil); err == nil {
+	if _, err := DijkstraSeedsUntilScratch(g, []int{0}, []int{9}, QueueBinary, nil, pass, nil, Inf); err == nil {
 		t.Error("masked goal accepted")
 	}
 	want, err := DijkstraSeedsUntil(g, []int{0}, nil, QueueFibonacci)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DijkstraSeedsUntilScratch(g, []int{0}, nil, QueueFibonacci, nil, pass, nil)
+	got, err := DijkstraSeedsUntilScratch(g, []int{0}, nil, QueueFibonacci, nil, pass, nil, Inf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +267,7 @@ func TestPassThroughAllocationFree(t *testing.T) {
 	for _, col := range potentials {
 		pot := col.pot(t, g, []int{199})
 		allocs := testing.AllocsPerRun(50, func() {
-			if _, err := DijkstraSeedsUntilScratch(g, seeds, nil, QueueBinary, sc, pass, pot); err != nil {
+			if _, err := DijkstraSeedsUntilScratch(g, seeds, nil, QueueBinary, sc, pass, pot, Inf); err != nil {
 				t.Fatal(err)
 			}
 		})

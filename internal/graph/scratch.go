@@ -75,7 +75,7 @@ func (sc *Scratch) seedTree(seeds []int) (*ShortestPathTree, error) {
 		t.Source = seeds[0]
 	}
 	t.Dist, t.Parent, t.ViaArc = sc.dist, sc.parent, sc.via
-	t.Settled, t.Relaxed = 0, 0
+	t.Settled, t.Relaxed, t.Queued = 0, 0, 0
 	t.seeds = seeds
 	if sc.sparse {
 		for _, v := range sc.touched {
@@ -125,8 +125,14 @@ func (sc *Scratch) Touched() (nodes []int32, ok bool) { return sc.touched, sc.sp
 // goal, +Inf on nodes that cannot reach one. It returns the distances a
 // nil pot does at every goal it stops on, settling fewer nodes, and
 // runs on the binary engine whatever kind says; nil is plain Dijkstra.
-func DijkstraSeedsUntilScratch(g *Digraph, seeds, goals []int, kind QueueKind, sc *Scratch, pass []bool, pot func(int) float64) (*ShortestPathTree, error) {
-	return searchScratch(g, seeds, goals, kind, -1, sc, pass, pot)
+//
+// ceiling caps the keys the search writes (see dijkstraBinInto): +Inf
+// for none. A finite ceiling runs the binary engine whatever kind says;
+// one at or above d*, widened by a margin for the rounding of keys
+// (exact sums need none), changes no distance the search stops on, nor
+// Settled, and only queues fewer nodes.
+func DijkstraSeedsUntilScratch(g *Digraph, seeds, goals []int, kind QueueKind, sc *Scratch, pass []bool, pot func(int) float64, ceiling float64) (*ShortestPathTree, error) {
+	return searchScratch(g, seeds, goals, kind, -1, sc, pass, pot, ceiling)
 }
 
 // BucketTreeScratch is the goal-less search of QueueBucket computing into
@@ -137,13 +143,13 @@ func DijkstraSeedsUntilScratch(g *Digraph, seeds, goals []int, kind QueueKind, s
 // returned tree aliases sc; a nil or wrong-sized scratch is replaced by a
 // fresh one.
 func BucketTreeScratch(g *Digraph, seeds []int, width float64, sc *Scratch, pass []bool) (*ShortestPathTree, error) {
-	return searchScratch(g, seeds, nil, QueueBucket, width, sc, pass, nil)
+	return searchScratch(g, seeds, nil, QueueBucket, width, sc, pass, nil, Inf)
 }
 
 // searchScratch is the body of every Dijkstra entry point and the one
 // dispatch on QueueKind: width is the bucket queue's, and a negative one
 // is replaced by arcWidth(g).
-func searchScratch(g *Digraph, seeds, goals []int, kind QueueKind, width float64, sc *Scratch, pass []bool, pot func(int) float64) (*ShortestPathTree, error) {
+func searchScratch(g *Digraph, seeds, goals []int, kind QueueKind, width float64, sc *Scratch, pass []bool, pot func(int) float64, ceiling float64) (*ShortestPathTree, error) {
 	n := g.NumNodes()
 	if pass != nil && len(pass) != n {
 		return nil, fmt.Errorf("graph: pass-through mask covers %d nodes of %d", len(pass), n)
@@ -164,8 +170,9 @@ func searchScratch(g *Digraph, seeds, goals []int, kind QueueKind, width float64
 		return nil, err
 	}
 	gs := sc.goalStop(goals)
+	keyed := pot != nil || !IsInf(ceiling) // the search needs the binary engine's keys
 	switch {
-	case kind == QueueBucket && len(goals) == 0 && pot == nil:
+	case kind == QueueBucket && len(goals) == 0 && !keyed:
 		if sc.bucket == nil {
 			sc.bucket = NewBucketQueue()
 		}
@@ -173,8 +180,8 @@ func searchScratch(g *Digraph, seeds, goals []int, kind QueueKind, width float64
 			width = arcWidth(g)
 		}
 		bucketTree(g, t, sc.bucket, width, sc.done, pass)
-	case kind == QueueBinary || kind == QueueBucket || pot != nil: // a goal stop needs the pop order, a potential the heap's keys
-		err = dijkstraBinInto(g, t, &gs, sc, pass, pot)
+	case kind == QueueBinary || kind == QueueBucket || keyed: // a goal stop needs the pop order, a potential or a ceiling the heap's keys
+		err = dijkstraBinInto(g, t, &gs, sc, pass, pot, ceiling)
 	case kind == QueueFibonacci:
 		err = ablationTree(g, t, &gs, &fibQueue{fibheap.New(), make([]*fibheap.Node, n)}, sc.done)
 	case kind == QueueLinear:
