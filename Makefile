@@ -107,10 +107,14 @@ race-obs:
 # queries, at n=300 (a served protect: ≈ 26 allocs, no compile);
 # BenchmarkDijkstraSparse is one allocating full tree per queue kind on a
 # random 2000-node digraph and, as its astar row, one pooled point query
-# on it under the exact potential (0 allocs). Not a stable-numbers
-# benchmark.
+# on it under the exact potential (0 allocs); BenchmarkNewAux/n={100,300,1000}
+# is one full compile of G′ (18 allocs/op at every n: per structure, not
+# per node) and BenchmarkEngineNew/n={100,300} the epoch-0 residual plus
+# that compile under wdmserve's defaults (≈ 140 allocs; thousands mean
+# the compile or the residual is built per node again). Not a
+# stable-numbers benchmark.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Route|KShortest|CostsFrom|AllocateRelease|Dijkstra|MonitorSample|HeapSearchMix|SessionExec' \
+	$(GO) test -run '^$$' -bench 'Route|KShortest|CostsFrom|AllocateRelease|Dijkstra|MonitorSample|HeapSearchMix|SessionExec|NewAux|EngineNew' \
 		-benchtime 100ms -benchmem \
 		./internal/heap/binheap ./internal/graph ./internal/core ./internal/engine ./internal/obs ./internal/serve
 

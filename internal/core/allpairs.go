@@ -145,12 +145,14 @@ func (a *Aux) RouteFrom(s int, opts *Options) (*SourceTree, error) {
 // with at least that many requests from one source at one epoch, one
 // RouteFrom pass read that many times is cheaper than that many Route
 // calls. A plain point query settles about half of G′ on a heap, so
-// the second request already pays for the pass. A
-// DirectedAStar query costs ≈ n queue operations (its backward bound
-// pass pops each physical node at most once, the forward search a few
-// dozen aux nodes) against the pass's one scan per X-shore node, so the
-// pass pays from ⌈|X shore| / n⌉ requests on — the mean in-wavelength
-// count, at most k.
+// the second request already pays for the pass. Under DirectedAStar the
+// rule is ⌈|X shore| / n⌉ — the mean in-wavelength count, at most k: 8
+// on the k=8 serving networks. Measured with no row resident
+// (BenchmarkRouteBatch, cold), a point query costs ≈ 15 µs at n=100 and
+// ≈ 30 µs at n=300 against a pass's ≈ 120 µs and ≈ 355 µs, so the true
+// break-even is ≈ 8 at n=100 and ≈ 12 at n=300: the rule builds a tree
+// a little early for 8 ≤ r < 12 requests from one source at n=300, a
+// band no served workload sends.
 func (a *Aux) TreePays(mode DirectedMode) int {
 	if mode != DirectedAStar {
 		return 2

@@ -23,8 +23,10 @@ func benchNetwork(b *testing.B, n, k int) *wdm.Network {
 	return nw
 }
 
+// BenchmarkNewAux is one full compile of G′; n=300 is the whole-stack
+// benchmark's big_read size. allocs/op does not depend on n.
 func BenchmarkNewAux(b *testing.B) {
-	for _, n := range []int{100, 1000} {
+	for _, n := range []int{100, 300, 1000} {
 		nw := benchNetwork(b, n, 8)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()

@@ -22,6 +22,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"lightpath/internal/graph"
 	"lightpath/internal/wdm"
@@ -145,7 +146,7 @@ func NewAuxWithLayout(layout, residual *wdm.Network) (*Aux, error) {
 	if err := checkSubNetwork(layout, residual); err != nil {
 		return nil, err
 	}
-	n := layout.NumNodes()
+	n, k := layout.NumNodes(), layout.K()
 	a := &Aux{
 		nw:       residual,
 		layout:   layout,
@@ -157,89 +158,152 @@ func NewAuxWithLayout(layout, residual *wdm.Network) (*Aux, error) {
 
 	// Pass 1: gadget shores. Λ_in(G_M,v)/Λ_out(G_M,v) equal the unions of
 	// the channel sets on incident links (the multigraph adds no new
-	// wavelengths, it only splits links into parallel arcs).
-	total, xShore := 0, 0
-	for v := 0; v < n; v++ {
-		a.xLambdas[v] = layout.LambdaIn(v)
-		a.yLambdas[v] = layout.LambdaOut(v)
-		a.xStart[v] = int32(total)
-		total += len(a.xLambdas[v])
-		xShore += len(a.xLambdas[v])
-		a.yStart[v] = int32(total)
-		total += len(a.yLambdas[v])
+	// wavelengths, it only splits links into parallel arcs). One pass over
+	// the layout's links marks them in a dense (node, side, λ) table, row
+	// (2v + side)·k, which the numbering below turns into aux IDs — X_v
+	// then Y_v per node, each shore in ascending λ — and -1 for a
+	// wavelength not on the shore. The table serves this compile's
+	// lookups; queries binary-search the shore lists (xIndex, yIndex).
+	id := make([]int32, 2*n*k)
+	total := 0
+	minW, maxW := graph.Inf, 0.0
+	for lid := 0; lid < layout.NumLinks(); lid++ {
+		l := layout.Link(lid)
+		in, out := id[2*l.To*k:][:k], id[(2*l.From+1)*k:][:k]
+		for _, ch := range l.Channels {
+			if in[ch.Lambda] == 0 {
+				in[ch.Lambda] = 1
+				total++
+			}
+			if out[ch.Lambda] == 0 {
+				out[ch.Lambda] = 1
+				total++
+			}
+			minW, maxW = min(minW, ch.Weight), max(maxW, ch.Weight)
+		}
 	}
 	a.info = make([]AuxNode, total)
 	a.yPass = make([]bool, total)
+	lambdas := make([]wdm.Wavelength, total) // every shore list, cut from one arena
+	next, xShore := int32(0), 0
 	for v := 0; v < n; v++ {
-		for i, l := range a.xLambdas[v] {
-			a.info[int(a.xStart[v])+i] = AuxNode{Node: int32(v), Lambda: l, Side: SideX}
-		}
-		for i, l := range a.yLambdas[v] {
-			a.info[int(a.yStart[v])+i] = AuxNode{Node: int32(v), Lambda: l, Side: SideY}
-			a.yPass[int(a.yStart[v])+i] = true
-		}
-	}
-	a.g = graph.New(total)
-
-	// Pass 2: gadget arcs E_v (conversion edges, Observation 1/4 sizes).
-	conv := layout.Converter()
-	gadgetArcs := 0
-	maxConv := 0.0
-	for v := 0; v < n; v++ {
-		for xi, p := range a.xLambdas[v] {
-			x := int(a.xStart[v]) + xi
-			for yi, q := range a.yLambdas[v] {
-				y := int(a.yStart[v]) + yi
-				var c float64
-				switch {
-				case p == q:
-					c = 0
-				case conv == nil:
+		for side := SideX; side <= SideY; side++ {
+			start := next
+			row := id[(2*v+int(side-SideX))*k:][:k]
+			for lam, mark := range row {
+				if mark == 0 {
+					row[lam] = -1
 					continue
-				default:
-					c = conv.Cost(v, p, q)
-					if graph.Finite(c) {
-						maxConv = max(maxConv, c)
-					}
 				}
-				if err := a.g.AddArc(x, y, c, tagConversion); err != nil {
-					return nil, fmt.Errorf("core: gadget arc at node %d: %w", v, err)
-				}
+				row[lam] = next
+				a.info[next] = AuxNode{Node: int32(v), Lambda: wdm.Wavelength(lam), Side: side}
+				a.yPass[next] = side == SideY
+				lambdas[next] = wdm.Wavelength(lam)
+				next++
+			}
+			if shore := lambdas[start:next:next]; side == SideX {
+				a.xStart[v], a.xLambdas[v] = start, shore
+				xShore += len(shore)
+			} else {
+				a.yStart[v], a.yLambdas[v] = start, shore
 			}
 		}
 	}
-	gadgetArcs = a.g.NumArcs()
-	minW, maxW := graph.Inf, 0.0
-	for id := 0; id < layout.NumLinks(); id++ {
-		for _, ch := range layout.Link(id).Channels {
-			minW, maxW = min(minW, ch.Weight), max(maxW, ch.Weight)
+
+	// Pass 2: count every aux node's out-arcs into ends[u]. E_org holds one
+	// arc per (link, channel), Y_u(λ) → X_v(λ) with weight w(e,λ), so a Y
+	// node's count is the residual links that leave u carrying λ. The
+	// gadget arcs E_v (Observation 1/4 sizes) are priced once here, into
+	// costs in (v, x, y) order: an X node's count is its finite arcs, and
+	// +Inf — "not supported", or no converter — marks an arc not built.
+	ends := make([]int32, total)
+	for lid := 0; lid < residual.NumLinks(); lid++ {
+		l := residual.Link(lid)
+		for _, ch := range l.Channels {
+			y, x := id[(2*l.From+1)*k+int(ch.Lambda)], id[2*l.To*k+int(ch.Lambda)]
+			if y < 0 || x < 0 {
+				return nil, fmt.Errorf("core: λ%d of residual link %d is missing from Y_%d or X_%d of the layout",
+					ch.Lambda, lid, l.From, l.To)
+			}
+			ends[y]++
+		}
+	}
+	pairs := 0
+	for v := 0; v < n; v++ {
+		pairs += len(a.xLambdas[v]) * len(a.yLambdas[v])
+	}
+	costs := make([]float64, 0, pairs)
+	conv := layout.Converter()
+	maxConv := 0.0
+	for v := 0; v < n; v++ {
+		for xi, p := range a.xLambdas[v] {
+			x := a.xStart[v] + int32(xi)
+			for yi, q := range a.yLambdas[v] {
+				c := 0.0
+				switch {
+				case p == q:
+				case conv == nil:
+					c = graph.Inf
+				default:
+					c = conv.Cost(v, p, q)
+					if c < 0 || math.IsNaN(c) {
+						return nil, fmt.Errorf("core: gadget arc at node %d: %w: arc %d->%d weight %v",
+							v, graph.ErrNegativeWeight, x, a.yStart[v]+int32(yi), c)
+					}
+				}
+				if graph.Finite(c) {
+					if c > maxConv {
+						maxConv = c
+					}
+					ends[x]++
+				}
+				costs = append(costs, c)
+			}
 		}
 	}
 	a.bucketWidth = graph.BucketWidth(minW, maxW+maxConv)
 	a.treePays = max(2, (xShore+n-1)/max(n, 1)) // ⌈xShore / n⌉
 	a.boundGrid = boundGrid(n, maxW)
 
-	// Pass 3: E_org — one arc per (link, channel), Y_u(λ) → X_v(λ) with
-	// weight w(e,λ). Wavelength positions are found by binary search in
-	// the sorted shore lists.
-	for _, l := range residual.Links() {
-		for _, ch := range l.Channels {
-			yID, ok := a.yIndex(l.From, ch.Lambda)
-			if !ok {
-				return nil, fmt.Errorf("core: internal: λ%d missing from Y_%d", ch.Lambda, l.From)
-			}
-			xID, ok := a.xIndex(l.To, ch.Lambda)
-			if !ok {
-				return nil, fmt.Errorf("core: internal: λ%d missing from X_%d", ch.Lambda, l.To)
-			}
-			if err := a.g.AddArc(yID, xID, ch.Weight, int32(l.ID)); err != nil {
-				return nil, fmt.Errorf("core: E_org arc for link %d: %w", l.ID, err)
+	// Pass 3: allocate the arc arena once, at its exact size, and fill it
+	// in place — the CSR form the Dijkstra hot loop walks, with delta
+	// children patching segments out of it. ends[u] starts as u's first
+	// slot and is advanced past each arc written, so it ends as the
+	// segment end graph.FromCSR takes. X segments are written in Y-shore
+	// order, Y segments in link-ID order (a counting sort over the
+	// residual's links): the order ApplyDelta re-emits a segment in.
+	sum := int32(0)
+	for u, c := range ends {
+		ends[u], sum = sum, sum+c
+	}
+	arena := make([]graph.Arc, sum)
+	gadgetArcs := 0
+	for v, j := 0, 0; v < n; v++ {
+		for xi := range a.xLambdas[v] {
+			x := a.xStart[v] + int32(xi)
+			for yi := range a.yLambdas[v] {
+				if c := costs[j]; graph.Finite(c) {
+					arena[ends[x]] = graph.Arc{To: a.yStart[v] + int32(yi), Weight: c, Tag: tagConversion}
+					ends[x]++
+					gadgetArcs++
+				}
+				j++
 			}
 		}
 	}
-	// Full compiles produce the contiguous (CSR) arc arena the Dijkstra
-	// hot loop iterates; delta children patch segments out of it.
-	a.g.Compact()
+	for lid := 0; lid < residual.NumLinks(); lid++ {
+		l := residual.Link(lid)
+		for _, ch := range l.Channels {
+			y, x := id[(2*l.From+1)*k+int(ch.Lambda)], id[2*l.To*k+int(ch.Lambda)]
+			arena[ends[y]] = graph.Arc{To: x, Weight: ch.Weight, Tag: int32(lid)}
+			ends[y]++
+		}
+	}
+	g, err := graph.FromCSR(arena, ends)
+	if err != nil {
+		return nil, fmt.Errorf("core: compile: %w", err)
+	}
+	a.g = g
 
 	a.stats = BuildStats{
 		Nodes:         residual.NumNodes(),
@@ -249,7 +313,7 @@ func NewAuxWithLayout(layout, residual *wdm.Network) (*Aux, error) {
 		MaxDegree:     residual.MaxDegree(),
 		AuxNodes:      total,
 		GadgetArcs:    gadgetArcs,
-		OrgArcs:       a.g.NumArcs() - gadgetArcs,
+		OrgArcs:       len(arena) - gadgetArcs,
 		MultigraphArc: residual.TotalChannels(),
 	}
 	a.pool = newScratchPool(total)
@@ -257,10 +321,15 @@ func NewAuxWithLayout(layout, residual *wdm.Network) (*Aux, error) {
 }
 
 // checkSubNetwork verifies residual fits inside layout's node space:
-// equal node/wavelength/link counts and matching link endpoints. Channel
-// subset-ness is enforced arc-by-arc during compilation (a residual
-// channel outside the layout shores cannot be indexed).
+// equal node/wavelength/link counts and matching link endpoints. A
+// residual patched from the layout (wdm.Network.SameTopology) fits by
+// construction. Channel subset-ness is enforced arc by arc during
+// compilation (a residual channel outside the layout shores has no aux
+// node to land on).
 func checkSubNetwork(layout, residual *wdm.Network) error {
+	if residual.SameTopology(layout) {
+		return nil
+	}
 	if layout.NumNodes() != residual.NumNodes() || layout.K() != residual.K() {
 		return fmt.Errorf("%w: layout %d nodes/k=%d vs residual %d nodes/k=%d",
 			ErrLayoutMismatch, layout.NumNodes(), layout.K(), residual.NumNodes(), residual.K())
@@ -269,11 +338,11 @@ func checkSubNetwork(layout, residual *wdm.Network) error {
 		return fmt.Errorf("%w: layout has %d links, residual %d",
 			ErrLayoutMismatch, layout.NumLinks(), residual.NumLinks())
 	}
-	for _, l := range residual.Links() {
-		ll := layout.Link(l.ID)
+	for id := 0; id < residual.NumLinks(); id++ {
+		l, ll := residual.Link(id), layout.Link(id)
 		if ll.From != l.From || ll.To != l.To {
 			return fmt.Errorf("%w: link %d is %d->%d in layout, %d->%d in residual",
-				ErrLayoutMismatch, l.ID, ll.From, ll.To, l.From, l.To)
+				ErrLayoutMismatch, id, ll.From, ll.To, l.From, l.To)
 		}
 	}
 	return nil
@@ -295,15 +364,10 @@ func (a *Aux) DeltaDepth() int { return a.depth }
 // Stats reports the measured construction sizes (Observations 1–5).
 func (a *Aux) Stats() BuildStats { return a.stats }
 
-// ReverseGraph returns the transpose of the compiled auxiliary graph,
-// compacted into one arc arena: arc-for-arc Digraph.Reverse() of the
-// forward graph. It is built afresh on every call: no search runs on
-// it, so no Aux keeps one.
-func (a *Aux) ReverseGraph() *graph.Digraph {
-	r := a.g.Reverse()
-	r.Compact()
-	return r
-}
+// ReverseGraph returns the transpose of the compiled auxiliary graph in
+// one arc arena: Digraph.Reverse of the forward graph. It is built
+// afresh on every call: no search runs on it, so no Aux keeps one.
+func (a *Aux) ReverseGraph() *graph.Digraph { return a.g.Reverse() }
 
 // NumAuxNodes reports |V'|.
 func (a *Aux) NumAuxNodes() int { return len(a.info) }

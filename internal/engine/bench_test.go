@@ -171,6 +171,24 @@ func benchAllocateRelease(b *testing.B, opts *Options) {
 	}
 }
 
+// BenchmarkEngineNew is what wdmserve pays before it serves: the epoch-0
+// residual (the base, patched nowhere) and the full compile inside it,
+// under wdmserve's defaults (astar, bucket trees, the default cache) on
+// its `-topo sparse -n N -k 8` instances; n=300 is big_read's.
+func BenchmarkEngineNew(b *testing.B) {
+	for _, n := range []int{100, 300} {
+		nw := sparseNet(b, n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := New(nw, &Options{Directed: core.DirectedAStar}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkRouteOnLongChain is the measurement that retired the periodic
 // recompaction: the same searches on the compiled graph at the end of a
 // 3000-deep delta chain (250-Erlang churn, sparse n=100 k=8) and on a

@@ -174,9 +174,9 @@ type Engine struct {
 
 	maxDeltaDepth int // Options.MaxDeltaDepth
 
-	// Publish scratch, reused across epochs under mu: the changed-link
-	// set, the free-channel lists handed to PatchChannels/AddLink (both
-	// copy what they keep) and the patch map itself.
+	// Delta-publish scratch, reused across epochs under mu: the
+	// changed-link set, the free-channel lists handed to PatchChannels
+	// (which copies what it keeps) and the patch map itself.
 	changedBuf []int
 	freeBuf    []wdm.Channel
 	patchBuf   map[int][]wdm.Channel
@@ -321,16 +321,34 @@ func (e *Engine) publish(epoch uint64, changed []int, sp *obs.Span) error {
 			return err
 		}
 	}
-	res := wdm.NewNetwork(e.base.NumNodes(), e.base.K())
-	for _, l := range e.base.Links() {
-		e.freeBuf = e.appendFree(e.freeBuf[:0], l.ID)
-		// Fully-occupied and failed links are added channel-less so link
-		// IDs stay aligned with the base network.
-		if _, err := res.AddLink(l.From, l.To, e.freeBuf); err != nil {
-			return fmt.Errorf("engine: residual link %d: %w", l.ID, err)
+	// The residual is the base patched on every link with a held channel
+	// or a failed state, each to its free set (a failed link to none, so
+	// link IDs stay aligned): every other link, the spines and the
+	// converter are the base's own, and at epoch 0 nothing is patched.
+	// The free lists and the patch map are not kept: PatchChannels copies
+	// the lists into an exactly sized arena of its own.
+	var patch map[int][]wdm.Channel
+	var free []wdm.Channel
+	add := func(id int) {
+		if _, done := patch[id]; !done {
+			at := len(free)
+			free = e.appendFree(free, id)
+			patch[id] = free[at:]
 		}
 	}
-	res.SetConverter(e.base.Converter())
+	if touched := len(e.inUse) + len(e.failed); touched > 0 {
+		patch = make(map[int][]wdm.Channel, touched)
+	}
+	for c := range e.inUse {
+		add(c.Link)
+	}
+	for id := range e.failed {
+		add(id)
+	}
+	res, err := e.base.PatchChannels(patch)
+	if err != nil {
+		return fmt.Errorf("engine: residual: %w", err)
+	}
 	// Compile inside the base network's layout so the gadget-node space
 	// is identical at every epoch — the invariant that lets subsequent
 	// mutations be applied as deltas no matter the occupancy level.

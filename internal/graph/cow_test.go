@@ -95,30 +95,83 @@ func TestReplaceOutValidates(t *testing.T) {
 	}
 }
 
-func TestCompactPreservesContents(t *testing.T) {
-	g := buildRandom(t, 15, 50, 3)
-	want := make([][]Arc, g.NumNodes())
-	for u := range want {
-		want[u] = append([]Arc(nil), g.Out(u)...)
+// csrOf lays g's adjacency lists back to back in one arena, in node
+// order, with each segment's end offset.
+func csrOf(g *Digraph) ([]Arc, []int32) {
+	var arena []Arc
+	ends := make([]int32, g.NumNodes())
+	for u := range ends {
+		arena = append(arena, g.Out(u)...)
+		ends[u] = int32(len(arena))
 	}
-	arcs := g.NumArcs()
-	g.Compact()
-	if g.NumArcs() != arcs {
-		t.Fatalf("arc count changed: %d vs %d", g.NumArcs(), arcs)
-	}
-	for u := 0; u < g.NumNodes(); u++ {
-		if !sameArcs(g.Out(u), want[u]) {
-			t.Fatalf("node %d changed by Compact", u)
+	return arena, ends
+}
+
+// TestFromCSRPreservesContents: a graph built from an arena and its
+// segment ends has the adjacency lists the ends cut, every segment is a
+// full-capacity window of that one arena in node order, growing one
+// segment leaves its neighbours alone, a clone's write copies one page
+// of the slab and no other, and malformed input is refused.
+func TestFromCSRPreservesContents(t *testing.T) {
+	for _, n := range []int{0, 1, 15, pageSize, 2*pageSize + 3} {
+		src := buildRandom(t, max(n, 1), 4*n, int64(n))
+		if n == 0 {
+			src = New(0)
+		}
+		want := snapshotArcs(src)
+		arena, ends := csrOf(src)
+		g, err := FromCSR(arena, ends)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustMatch(t, "FromCSR", g, want)
+		start := int32(0)
+		for u, end := range ends {
+			if out := g.Out(u); cap(out) != len(out) || (len(out) > 0 && &out[0] != &arena[start]) {
+				t.Fatalf("n=%d: node %d is not arena[%d:%d] at full capacity", n, u, start, end)
+			}
+			start = end
+		}
+		if n < 2 {
+			continue
+		}
+		c := g.CloneCOW()
+		if err := c.AddArc(0, 1, 1.0, -7); err != nil {
+			t.Fatal(err)
+		}
+		mustMatch(t, "parent after the clone grew node 0", g, want)
+		if c.pages[0] == g.pages[0] || (len(g.pages) > 1 && c.pages[1] != g.pages[1]) {
+			t.Fatalf("n=%d: the clone's write copied the wrong pages", n)
+		}
+		if err := g.AddArc(0, 1, 1.0, -7); err != nil {
+			t.Fatal(err)
+		}
+		for u := 1; u < n; u++ {
+			if !sameArcs(g.Out(u), want[u]) {
+				t.Fatalf("n=%d: AddArc on node 0 corrupted node %d", n, u)
+			}
 		}
 	}
-	// Segments are full-capacity subslices: growing one must not bleed
-	// into its neighbour.
-	if err := g.AddArc(0, 1, 1.0, -7); err != nil {
-		t.Fatal(err)
-	}
-	for u := 1; u < g.NumNodes(); u++ {
-		if !sameArcs(g.Out(u), want[u]) {
-			t.Fatalf("AddArc after Compact corrupted node %d", u)
+
+	arc := []Arc{{To: 1, Weight: 1}}
+	for _, bad := range []struct {
+		name  string
+		arena []Arc
+		ends  []int32
+		err   error
+	}{
+		{"arcs past the last end", arc, []int32{0, 0}, ErrNodeRange},
+		{"an end past the arena", arc, []int32{0, 2}, ErrNodeRange},
+		{"decreasing ends", []Arc{{To: 1, Weight: 1}, {To: 0, Weight: 1}}, []int32{2, 1}, ErrNodeRange},
+		{"arcs and no nodes", arc, nil, ErrNodeRange},
+		{"target out of range", []Arc{{To: 2, Weight: 1}}, []int32{1, 1}, ErrNodeRange},
+		{"negative target", []Arc{{To: -1, Weight: 1}}, []int32{1, 1}, ErrNodeRange},
+		{"negative weight", []Arc{{To: 1, Weight: -1}}, []int32{1, 1}, ErrNegativeWeight},
+		{"NaN weight", []Arc{{To: 1, Weight: math.NaN()}}, []int32{1, 1}, ErrNegativeWeight},
+		{"infinite weight", []Arc{{To: 1, Weight: math.Inf(1)}}, []int32{1, 1}, ErrNegativeWeight},
+	} {
+		if _, err := FromCSR(bad.arena, bad.ends); !errors.Is(err, bad.err) {
+			t.Errorf("%s: err = %v, want %v", bad.name, err, bad.err)
 		}
 	}
 }
@@ -307,14 +360,18 @@ func TestCOWAcrossPageEdges(t *testing.T) {
 			t.Fatalf("n=%d: untouched page 1 was copied", n)
 		}
 
-		// Compact on a clone of the clone rewrites every page it holds and
-		// neither ancestor.
+		// Rewriting every segment of a clone of the clone copies every page
+		// it holds and writes neither ancestor.
 		want := snapshotArcs(c)
 		cc := c.CloneCOW()
-		cc.Compact()
-		mustMatch(t, "compacted grandchild", cc, want)
-		mustMatch(t, "clone after grandchild Compact", c, want)
-		mustMatch(t, "parent after grandchild Compact", g, parent)
+		for u := 0; u < cc.NumNodes(); u++ {
+			if err := cc.ReplaceOut(u, append([]Arc(nil), cc.Out(u)...)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustMatch(t, "rewritten grandchild", cc, want)
+		mustMatch(t, "clone after grandchild rewrite", c, want)
+		mustMatch(t, "parent after grandchild rewrite", g, parent)
 		if err := cc.AddArc(0, 1, 1, 11); err != nil {
 			t.Fatal(err)
 		}

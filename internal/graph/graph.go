@@ -177,7 +177,7 @@ func (g *Digraph) MaxDegree() int {
 // CloneCOW returns a copy-on-write clone: the page table is copied and
 // every page — hence every adjacency segment — is shared with g. The
 // clone costs O(n/pageSize) pointers regardless of arc count; afterwards
-// each write to the clone (ReplaceOut, AddArc, ClearOut, Compact) copies
+// each write to the clone (ReplaceOut, AddArc, ClearOut) copies
 // the page it lands in once and leaves g undisturbed. This is the
 // structural-sharing primitive behind incremental auxiliary-graph
 // maintenance — a chain of clones shares every untouched page with the
@@ -205,13 +205,8 @@ func (g *Digraph) ReplaceOut(u int, arcs []Arc) error {
 	if u < 0 || u >= g.n {
 		return fmt.Errorf("%w: replace out-arcs of %d in graph of %d nodes", ErrNodeRange, u, g.n)
 	}
-	for _, a := range arcs {
-		if a.To < 0 || int(a.To) >= g.n {
-			return fmt.Errorf("%w: arc %d->%d in graph of %d nodes", ErrNodeRange, u, a.To, g.n)
-		}
-		if a.Weight < 0 || math.IsNaN(a.Weight) || math.IsInf(a.Weight, 1) {
-			return fmt.Errorf("%w: arc %d->%d weight %v", ErrNegativeWeight, u, a.To, a.Weight)
-		}
+	if err := checkSegment(u, arcs, g.n); err != nil {
+		return err
 	}
 	s := g.slot(u)
 	g.arcs += len(arcs) - len(*s)
@@ -219,34 +214,88 @@ func (g *Digraph) ReplaceOut(u int, arcs []Arc) error {
 	return nil
 }
 
-// Compact rewrites every adjacency segment into one contiguous arena —
-// the CSR (compressed sparse row) form of the graph. Iteration order and
-// contents are unchanged; what changes is locality: the Dijkstra hot
-// loop walks segments that now sit back-to-back in one allocation
-// instead of scattered per-node slices. Each segment is stored with full
-// capacity so a later AddArc on the compacted graph reallocates that
-// segment rather than bleeding into its neighbour.
-func (g *Digraph) Compact() {
-	arena := make([]Arc, 0, g.arcs)
-	for u := 0; u < g.n; u++ {
-		s := g.slot(u)
-		off := len(arena)
-		arena = append(arena, *s...)
-		*s = arena[off:len(arena):len(arena)]
-	}
-}
-
-// Reverse returns a new graph with every arc direction flipped.
-func (g *Digraph) Reverse() *Digraph {
-	r := New(g.n)
-	for u := 0; u < g.n; u++ {
-		for _, a := range g.Out(u) {
-			s := r.slot(int(a.To))
-			*s = append(*s, Arc{To: int32(u), Weight: a.Weight, Tag: a.Tag})
-			r.arcs++
+// checkSegment validates node u's arcs in a graph of n nodes as an
+// explicitly assembled segment must be: targets in range, weights
+// non-negative and finite.
+func checkSegment(u int, arcs []Arc, n int) error {
+	for _, a := range arcs {
+		if a.To < 0 || int(a.To) >= n {
+			return fmt.Errorf("%w: arc %d->%d in graph of %d nodes", ErrNodeRange, u, a.To, n)
+		}
+		if a.Weight < 0 || math.IsNaN(a.Weight) || math.IsInf(a.Weight, 1) {
+			return fmt.Errorf("%w: arc %d->%d weight %v", ErrNegativeWeight, u, a.To, a.Weight)
 		}
 	}
-	return r
+	return nil
+}
+
+// FromCSR returns a graph of len(ends) nodes whose adjacency lists are
+// cut from one arc arena — the CSR (compressed sparse row) form the
+// Dijkstra hot loop walks: node u's arcs are arena[ends[u-1]:ends[u]]
+// (from 0 for u = 0), segments sit back to back in node order, and the
+// last end is len(arena). Each segment is stored at full capacity, so an
+// AddArc on the result reallocates that segment rather than bleeding
+// into its neighbour, and the page table is one slab of pages. The graph
+// takes ownership of arena; arcs are validated as ReplaceOut validates
+// them, so an infinite weight is an error here too.
+func FromCSR(arena []Arc, ends []int32) (*Digraph, error) {
+	start := int32(0)
+	for u, end := range ends {
+		if end < start || int(end) > len(arena) {
+			return nil, fmt.Errorf("%w: segment %d is [%d, %d) of %d arcs", ErrNodeRange, u, start, end, len(arena))
+		}
+		if err := checkSegment(u, arena[start:end], len(ends)); err != nil {
+			return nil, err
+		}
+		start = end
+	}
+	if int(start) != len(arena) {
+		return nil, fmt.Errorf("%w: segments cover %d of %d arcs", ErrNodeRange, start, len(arena))
+	}
+	return fromCSR(arena, ends), nil
+}
+
+// fromCSR is FromCSR on input known to be valid.
+func fromCSR(arena []Arc, ends []int32) *Digraph {
+	n := len(ends)
+	np := (n + pageSize - 1) >> pageShift
+	g := &Digraph{pages: make([]*page, np), owned: make([]bool, np), n: n, arcs: len(arena)}
+	slab := make([]page, np)
+	start := int32(0)
+	for u, end := range ends {
+		slab[u>>pageShift][u&pageMask] = arena[start:end:end]
+		start = end
+	}
+	for p := range slab {
+		g.pages[p], g.owned[p] = &slab[p], true
+	}
+	return g
+}
+
+// Reverse returns a new graph with every arc direction flipped, in CSR
+// form (FromCSR): node v's arcs are the arcs into v in g, ordered by
+// their source, then by their position in the source's list.
+func (g *Digraph) Reverse() *Digraph {
+	ends := make([]int32, g.n)
+	for u := 0; u < g.n; u++ {
+		for _, a := range g.Out(u) {
+			ends[a.To]++
+		}
+	}
+	// Exclusive prefix sums: ends[v] is where v's segment starts, and the
+	// fill below advances it to where the segment ends.
+	sum := int32(0)
+	for v, c := range ends {
+		ends[v], sum = sum, sum+c
+	}
+	arena := make([]Arc, sum)
+	for u := 0; u < g.n; u++ {
+		for _, a := range g.Out(u) {
+			arena[ends[a.To]] = Arc{To: int32(u), Weight: a.Weight, Tag: a.Tag}
+			ends[a.To]++
+		}
+	}
+	return fromCSR(arena, ends)
 }
 
 // ReachableFrom returns the set of nodes reachable from src (including

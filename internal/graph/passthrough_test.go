@@ -232,6 +232,108 @@ func TestPassThroughGoalStop(t *testing.T) {
 	}
 }
 
+// TestSparseResetListsReached drives one scratch through an interleaved
+// run of the masked searches core's queries land on: plain and A* point
+// queries on the binary engine (A* under the exact potential and a
+// ceiling at d* widened by core's margin), which list every node they
+// write and reset sparsely, and a goal-less binary tree, a bucket tree
+// and a Fibonacci point query, which leave the scratch dirty. After every
+// search the tree equals a fresh-scratch run node for node, the scratch
+// keeps a touched list exactly after a point query on the binary engine,
+// and that list names every node the search reached.
+func TestSparseResetListsReached(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	g, pass := maskedGraph(rng, 120, 480, false, 0.5)
+	n := g.NumNodes()
+	sc := NewScratch(n)
+	searches := []struct {
+		name  string
+		kind  QueueKind
+		goals bool // a point query
+		astar bool
+	}{
+		{"plain", QueueBinary, true, false},
+		{"astar", QueueBinary, true, true},
+		{"binary-tree", QueueBinary, false, false},
+		{"bucket-tree", QueueBucket, false, false},
+		{"fibonacci", QueueFibonacci, true, false},
+	}
+	ran := make([]int, len(searches))
+	for q := 0; q < 200; q++ {
+		i := rng.Intn(len(searches))
+		sr := searches[i]
+		seeds := []int{rng.Intn(n)}
+		var goals []int
+		for len(goals) < 2 {
+			if v := rng.Intn(n); !pass[v] {
+				goals = append(goals, v)
+			}
+		}
+		var (
+			goalArg []int
+			pot     func(int) float64
+			ceiling = Inf
+			mask    = pass
+		)
+		if sr.goals {
+			goalArg = goals
+		}
+		if sr.kind == QueueFibonacci {
+			mask = nil
+		}
+		if sr.astar {
+			full, err := DijkstraSeedsUntil(g, seeds, nil, QueueBinary)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pot = exactPotential(t, g, goals)
+			if at := argminGoal(full, goals); at >= 0 {
+				ceiling = full.Dist[at] * (1 + 0x1p-30)
+			}
+		}
+		search := func(s *Scratch) *ShortestPathTree {
+			tree, err := DijkstraSeedsUntilScratch(g, seeds, goalArg, sr.kind, s, mask, pot, ceiling)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tree
+		}
+		want := search(nil)
+		got := search(sc)
+		for v := range want.Dist {
+			if got.Dist[v] != want.Dist[v] || got.Parent[v] != want.Parent[v] || got.ViaArc[v] != want.ViaArc[v] {
+				t.Fatalf("query %d %s: node %d is (%v,%d,%d) on the reused scratch, (%v,%d,%d) fresh",
+					q, sr.name, v, got.Dist[v], got.Parent[v], got.ViaArc[v], want.Dist[v], want.Parent[v], want.ViaArc[v])
+			}
+		}
+		if got.Settled != want.Settled || got.Relaxed != want.Relaxed {
+			t.Fatalf("query %d %s: settled/relaxed %d/%d on the reused scratch, %d/%d fresh",
+				q, sr.name, got.Settled, got.Relaxed, want.Settled, want.Relaxed)
+		}
+		ran[i]++
+		if sc.sparse != (sr.kind == QueueBinary && sr.goals) {
+			t.Fatalf("query %d %s: touched list kept = %v; only a point query on the binary engine keeps one", q, sr.name, sc.sparse)
+		}
+		if !sc.sparse {
+			continue
+		}
+		listed := make(map[int32]bool, len(sc.touched))
+		for _, v := range sc.touched {
+			listed[v] = true
+		}
+		for v := range want.Dist {
+			if want.Reached(v) && !listed[int32(v)] {
+				t.Fatalf("query %d %s: node %d reached but not in the touched list", q, sr.name, v)
+			}
+		}
+	}
+	for i, c := range ran {
+		if c < 15 {
+			t.Fatalf("%s ran %d times of 200 queries", searches[i].name, c)
+		}
+	}
+}
+
 // TestPassThroughRejectsBadMasks: a mask of the wrong length and a masked
 // goal are caller errors; the other queue kinds accept a mask and search
 // unmasked.

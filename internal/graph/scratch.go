@@ -94,10 +94,6 @@ func (sc *Scratch) seedTree(seeds []int) (*ShortestPathTree, error) {
 	return t, nil
 }
 
-// Touched lists the nodes the last query on sc reached, when its kernel
-// recorded them (ok); the slice is valid until the next query.
-func (sc *Scratch) Touched() (nodes []int32, ok bool) { return sc.touched, sc.sparse }
-
 // DijkstraSeedsUntilScratch is DijkstraSeedsUntil computing into sc
 // instead of freshly allocated state. The returned tree aliases sc: it
 // is valid until the next query on the same scratch and must not be

@@ -22,10 +22,9 @@ import (
 // The recording path allocates nothing in the steady state either. A
 // trace is built in a buffer drawn from the tracer's pool: a span array
 // of fixed capacity (spans never move, so *Span pointers handed to
-// callers stay valid), one flat attribute list in setting order (each
-// entry names its span) and a byte arena for string values computed per
-// request. Finish copies the used prefix of all three into a ring
-// slot's own storage and returns the buffer to the pool; readers copy a
+// callers stay valid) and one flat attribute list in setting order (each
+// entry names its span). Finish copies the used prefix of both into a
+// ring slot's own storage and returns the buffer to the pool; readers copy a
 // slot out again. Nothing retained points into a build buffer.
 //
 // Ownership: a trace belongs to the goroutine that started it until
@@ -50,11 +49,6 @@ const (
 	AttrStr
 	AttrBool
 	AttrFloat
-
-	// attrArena is AttrStr whose bytes sit in the owning trace's arena at
-	// num = offset<<32 | length. Readers never see it: Span.Attr hands
-	// out AttrStr with Str filled in.
-	attrArena
 )
 
 // Attr is one typed key/value annotation on a span. Str holds an AttrStr
@@ -160,18 +154,6 @@ func (s *Span) SetInt(key string, v int64) { s.set(key, AttrInt, uint64(v), "") 
 // Nil-safe.
 func (s *Span) SetStr(key, v string) { s.set(key, AttrStr, 0, v) }
 
-// SetBytes attaches a string attribute whose value was rendered for this
-// request: the bytes are copied into the trace's arena, so the caller's
-// buffer is free for reuse and nothing is allocated. Nil-safe.
-func (s *Span) SetBytes(key string, v []byte) {
-	if !s.usable() {
-		return
-	}
-	r := s.req
-	r.attrs = append(r.attrs, Attr{Key: key, Kind: attrArena, span: s.idx, num: uint64(len(r.arena))<<32 | uint64(len(v))})
-	r.arena = append(r.arena, v...)
-}
-
 // SetBool attaches a boolean attribute. Nil-safe.
 func (s *Span) SetBool(key string, v bool) { s.set(key, AttrBool, boolBits(v), "") }
 
@@ -193,7 +175,7 @@ func (s *Span) Attr(key string) (Attr, bool) {
 	}
 	for _, a := range s.req.attrs {
 		if a.span == s.idx && a.Key == key {
-			return s.req.resolve(a), true
+			return a, true
 		}
 	}
 	return Attr{}, false
@@ -220,7 +202,6 @@ type ReqTrace struct {
 
 	spans []Span  // capacity is the span limit while building
 	attrs []Attr  // every span's attributes, in setting order
-	arena []byte  // SetBytes values
 	owner *Tracer // whose pool the buffer is from; nil for StartTrace
 }
 
@@ -246,16 +227,6 @@ func copyTrace(dst, src *ReqTrace) {
 		dst.spans[i].req = dst
 	}
 	dst.attrs = append(dst.attrs[:0], src.attrs...)
-	dst.arena = append(dst.arena[:0], src.arena...)
-}
-
-// resolve turns an arena-backed attribute into the AttrStr readers see.
-func (r *ReqTrace) resolve(a Attr) Attr {
-	if a.Kind == attrArena {
-		off, n := a.num>>32, a.num&(1<<32-1)
-		a.Kind, a.num, a.Str = AttrStr, 0, string(r.arena[off:off+n])
-	}
-	return a
 }
 
 // sinceBegin is the monotonic offset from the request's begin instant.
@@ -464,7 +435,7 @@ func (t *Tracer) finish(r *ReqTrace, slowEligible bool) {
 		t.slow.push(r)
 		t.slowRec.Add(1)
 	}
-	r.spans, r.attrs, r.arena = r.spans[:0], r.attrs[:0], r.arena[:0]
+	r.spans, r.attrs = r.spans[:0], r.attrs[:0]
 	t.bufs.Put(r)
 }
 

@@ -251,7 +251,6 @@ func TestSpanLifecycleMisuse(t *testing.T) {
 		func() { child.End() },
 		func() { open.SetInt("k", 1) },
 		func() { child.SetStr("k", "v") },
-		func() { child.SetBytes("k", []byte("v")) },
 		func() { child.SetBool("k", true) },
 		func() { child.SetFloat("k", 1) },
 		func() { tr.Finish(req) },
@@ -266,7 +265,7 @@ func TestSpanLifecycleMisuse(t *testing.T) {
 	if tr.Recorded() != 1 {
 		t.Errorf("a second Finish was recorded: %d traces", tr.Recorded())
 	}
-	if len(req.Spans()) != 0 || len(req.attrs) != 0 || len(req.arena) != 0 {
+	if len(req.Spans()) != 0 || len(req.attrs) != 0 {
 		t.Error("calls on a finished trace must not write its pooled buffer")
 	}
 
@@ -301,7 +300,7 @@ func TestRegisterMetrics(t *testing.T) {
 // TestReusedStorageLeaksNothing: a trace that fills the span capacity
 // (and drops the overflow, counted) followed by a small one through the
 // same one-slot ring — and, the pool willing, the same build buffer —
-// leaves no span, attribute, arena byte or drop count of the first in
+// leaves no span, attribute or drop count of the first in
 // the second.
 func TestReusedStorageLeaksNothing(t *testing.T) {
 	tr := NewTracer(&TracerOptions{RingSize: 1, SlowThreshold: -1})
@@ -309,7 +308,7 @@ func TestReusedStorageLeaksNothing(t *testing.T) {
 	for i := 0; i < DefaultMaxSpans+5; i++ {
 		sp := big.Root().StartChild("batch_item")
 		sp.SetInt("item", int64(i))
-		sp.SetBytes("payload", []byte("first-trace-bytes"))
+		sp.SetStr("payload", "first-trace-bytes")
 		sp.End()
 	}
 	tr.Finish(big)
@@ -322,7 +321,7 @@ func TestReusedStorageLeaksNothing(t *testing.T) {
 	small.Root().SetStr("verb", "route")
 	for _, name := range []string{"a", "b", "c"} {
 		sp := small.Root().StartChild(name)
-		sp.SetBytes("payload", []byte(name))
+		sp.SetStr("payload", name)
 		sp.End()
 	}
 	tr.Finish(small)
@@ -343,7 +342,7 @@ func TestReusedStorageLeaksNothing(t *testing.T) {
 		}
 	}
 	if p, _ := got.Span("b").Attr("payload"); p.Str != "b" {
-		t.Errorf("arena value of the small trace = %q, want %q", p.Str, "b")
+		t.Errorf("payload of the small trace = %q, want %q", p.Str, "b")
 	}
 }
 

@@ -66,7 +66,6 @@ func (r *ReqTrace) MarshalJSON() ([]byte, error) {
 		w.Spans[i] = wireSpan{Name: wireText(s.Name), Parent: s.Parent, StartNs: s.StartNs, EndNs: s.EndNs}
 	}
 	for _, a := range r.attrs {
-		a = r.resolve(a)
 		wa := wireAttr{K: wireText(a.Key)}
 		switch a.Kind {
 		case AttrInt:

@@ -122,8 +122,8 @@ func TestTracerConcurrentReconfigure(t *testing.T) {
 }
 
 // selfDescribingTrace records one trace whose every attribute names the
-// trace it belongs to: root and children carry the ID as an integer and,
-// through the arena, as text, and the root states the span count.
+// trace it belongs to: root and children carry the ID as an integer and
+// as text, and the root states the span count.
 func selfDescribingTrace(tr *Tracer) {
 	req := tr.Start("request")
 	id := int64(req.ID)
@@ -131,14 +131,14 @@ func selfDescribingTrace(tr *Tracer) {
 	root := req.Root()
 	root.SetInt("id", id)
 	root.SetInt("spans", int64(children+1))
-	tag := strconv.AppendInt(nil, id, 10)
+	tag := strconv.FormatInt(id, 10)
 	for c := 0; c < children; c++ {
 		sp := root.StartChild("work")
 		sp.SetInt("id", id)
-		sp.SetBytes("tag", tag)
+		sp.SetStr("tag", tag)
 		sp.End()
 	}
-	root.SetBytes("tag", tag)
+	root.SetStr("tag", tag)
 	tr.Finish(req)
 }
 
