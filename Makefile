@@ -10,8 +10,9 @@ build:
 test:
 	$(GO) test ./...
 
-# The engine/session concurrency layer is only considered verified under
-# the race detector; `verify` is the gate CI and pre-commit should run.
+# The concurrency layer (the engine and the facade's circuit admission,
+# admission.go) is only considered verified under the race detector;
+# `verify` is the gate CI and pre-commit should run.
 race:
 	$(GO) test -race ./...
 

@@ -19,8 +19,8 @@ import (
 	"strconv"
 	"strings"
 
+	"lightpath"
 	"lightpath/internal/cli"
-	"lightpath/internal/session"
 )
 
 func main() {
@@ -45,19 +45,13 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var policy session.Policy
-	switch *policyArg {
-	case "optimal":
-		policy = session.PolicyOptimal
-	case "first-fit":
-		policy = session.PolicyFirstFit
-	case "most-used":
-		policy = session.PolicyMostUsed
-	case "least-used":
-		policy = session.PolicyLeastUsed
-	case "random-fit":
-		policy = session.PolicyRandomFit
-	default:
+	var policy lightpath.AdmissionPolicy // parsed by the names String prints
+	for p := lightpath.PolicyOptimal; p <= lightpath.PolicyRandomFit; p++ {
+		if p.String() == *policyArg {
+			policy = p
+		}
+	}
+	if policy == 0 {
 		return fmt.Errorf("unknown policy %q", *policyArg)
 	}
 
@@ -71,11 +65,11 @@ func run(args []string, w io.Writer) error {
 		"load(E)", "admitted", "blocked", "P(block)", "mean active", "mean util", "mean cost")
 
 	for _, load := range loads {
-		m, err := session.NewManager(nw)
+		m, err := lightpath.NewSessionManager(nw)
 		if err != nil {
 			return err
 		}
-		res, err := session.SimulateTraffic(m, session.TrafficConfig{
+		res, err := lightpath.SimulateTraffic(m, lightpath.TrafficConfig{
 			Requests: *requests,
 			Load:     load,
 			Seed:     *simSeed,

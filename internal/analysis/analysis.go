@@ -10,7 +10,7 @@
 //   - metricname: obs.Registry metric names, span names and span
 //     attribute keys are compile-time constants in lower_snake form;
 //     metric names are unique.
-//   - errdrop: error returns of engine/session/core public APIs are
+//   - errdrop: error returns of engine/facade/core public APIs are
 //     never silently discarded.
 //   - lockorder: the cross-package mutex acquisition graph is acyclic,
 //     and no locked exported method is re-entered while the same

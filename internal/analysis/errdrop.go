@@ -6,24 +6,24 @@ import (
 )
 
 const (
-	enginePath  = "lightpath/internal/engine"
-	sessionPath = "lightpath/internal/session"
-	corePath    = "lightpath/internal/core"
+	enginePath = "lightpath/internal/engine"
+	facadePath = "lightpath"
+	corePath   = "lightpath/internal/core"
 )
 
 // errdropPaths are the packages whose public APIs must not have their
 // errors discarded: their errors are load-bearing (ErrConflict drives
-// the engine's optimistic retry loop, ErrBlocked is the session
+// the engine's optimistic retry loop, ErrBlocked is the facade's
 // admission verdict, core.ErrNoRoute is the paper's blocking outcome).
 var errdropPaths = map[string]bool{
-	enginePath:  true,
-	sessionPath: true,
-	corePath:    true,
+	enginePath: true,
+	facadePath: true,
+	corePath:   true,
 }
 
 // NewErrDrop builds the errdrop analyzer.
 //
-// It flags calls to exported engine/session/core functions and methods
+// It flags calls to exported engine/facade/core functions and methods
 // whose final result is an error when that error is discarded:
 //
 //   - the call stands alone as an expression statement (including
@@ -36,7 +36,7 @@ var errdropPaths = map[string]bool{
 func NewErrDrop() *Analyzer {
 	a := &Analyzer{
 		Name: "errdrop",
-		Doc:  "flags discarded error results of engine/session/core public APIs",
+		Doc:  "flags discarded error results of engine/facade/core public APIs",
 	}
 	a.Run = func(pass *Pass) error {
 		for _, f := range pass.Files {
@@ -61,7 +61,7 @@ func NewErrDrop() *Analyzer {
 
 // watchedErrorCall returns the qualified name of the watched API f
 // invokes, if call's last result is an error from an exported
-// engine/session/core function.
+// engine/facade/core function.
 func watchedErrorCall(pass *Pass, e ast.Expr) (string, bool) {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {

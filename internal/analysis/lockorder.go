@@ -5,9 +5,9 @@ package analysis
 //
 //  1. No re-entry: calling a method that locks mutex M while M is
 //     already held on the same object self-deadlocks (Go mutexes are
-//     not reentrant). This is exactly the session.Manager discipline —
-//     locked exported methods must only call unlocked internal helpers
-//     — generalized to every type in the module.
+//     not reentrant). This is exactly lightpath.SessionManager's
+//     discipline — locked exported methods must only call unlocked
+//     internal helpers — generalized to every type in the module.
 //  2. No cycles: if some path acquires A then B while another acquires
 //     B then A, the two can deadlock under concurrency. Edges are
 //     collected per call site as packages are analyzed; cycle detection

@@ -1,21 +1,21 @@
 // Package errdrop is a golden fixture for the errdrop analyzer:
-// error results of engine/session/core public APIs must be handled,
+// error results of engine/facade/core public APIs must be handled,
 // or the discard must carry a written //lint:ignore justification.
 package errdrop
 
 import (
+	"lightpath"
 	"lightpath/internal/engine"
-	"lightpath/internal/session"
 )
 
-func drops(e *engine.Engine, m *session.Manager) {
+func drops(e *engine.Engine, m *lightpath.SessionManager) {
 	e.Release(1)                          // want `error result of Engine\.Release is discarded`
 	_ = e.RepairLink(2)                   // want `error result of Engine\.RepairLink is assigned to _`
 	go e.Release(3)                       // want `error result of Engine\.Release is discarded`
 	defer e.Release(4)                    // want `error result of Engine\.Release is discarded`
 	res, _ := e.RouteAndAllocate(5, 0, 1) // want `error result of Engine\.RouteAndAllocate is assigned to _`
 	_ = res
-	m.Admit(0, 1) // want `error result of Manager\.Admit is discarded`
+	m.Admit(0, 1) // want `error result of SessionManager\.Admit is discarded`
 }
 
 func justified(e *engine.Engine) {
@@ -24,7 +24,7 @@ func justified(e *engine.Engine) {
 	_ = e.Release(7) //lint:ignore errdrop fixture demonstrates same-line suppression
 }
 
-func handled(e *engine.Engine, m *session.Manager) error {
+func handled(e *engine.Engine, m *lightpath.SessionManager) error {
 	if err := e.Release(1); err != nil {
 		return err
 	}

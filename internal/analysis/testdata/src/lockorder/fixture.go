@@ -132,7 +132,7 @@ func orderCDAgain(c *C, d *D) {
 	defer d.mu.Unlock()
 }
 
-// lockedCallsUnlocked is the session.Manager discipline: the exported
+// lockedCallsUnlocked is the SessionManager discipline: the exported
 // method locks, the helper it calls does not.
 func (r *R) lockedCallsUnlocked() {
 	r.mu.Lock()

@@ -6,10 +6,10 @@ import (
 	"io"
 	"math/rand"
 
+	"lightpath"
 	"lightpath/internal/core"
 	"lightpath/internal/dist"
 	"lightpath/internal/place"
-	"lightpath/internal/session"
 	"lightpath/internal/topo"
 	"lightpath/internal/wdm"
 	"lightpath/internal/workload"
@@ -42,11 +42,11 @@ func RunSession(w io.Writer, cfg Config) error {
 	}
 	requests := cfg.scaled(3000)
 	for _, load := range []float64{1, 4, 16, 64, 256} {
-		m, err := session.NewManager(nw)
+		m, err := lightpath.NewSessionManager(nw)
 		if err != nil {
 			return err
 		}
-		res, err := session.SimulateTraffic(m, session.TrafficConfig{
+		res, err := lightpath.SimulateTraffic(m, lightpath.TrafficConfig{
 			Requests: requests,
 			Load:     load,
 			Seed:     cfg.Seed,
@@ -79,9 +79,9 @@ func RunRWACompare(w io.Writer, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	policies := []session.Policy{
-		session.PolicyOptimal, session.PolicyFirstFit,
-		session.PolicyMostUsed, session.PolicyLeastUsed, session.PolicyRandomFit,
+	policies := []lightpath.AdmissionPolicy{
+		lightpath.PolicyOptimal, lightpath.PolicyFirstFit,
+		lightpath.PolicyMostUsed, lightpath.PolicyLeastUsed, lightpath.PolicyRandomFit,
 	}
 	t := &Table{
 		Title:   "Application — admission policy shoot-out: P(block) by offered load (NSFNET, k=6)",
@@ -92,11 +92,11 @@ func RunRWACompare(w io.Writer, cfg Config) error {
 	for _, load := range []float64{4, 8, 16, 32, 64} {
 		row := []interface{}{load}
 		for _, policy := range policies {
-			m, err := session.NewManager(nw)
+			m, err := lightpath.NewSessionManager(nw)
 			if err != nil {
 				return err
 			}
-			res, err := session.SimulateTraffic(m, session.TrafficConfig{
+			res, err := lightpath.SimulateTraffic(m, lightpath.TrafficConfig{
 				Requests: requests,
 				Load:     load,
 				Seed:     cfg.Seed,
@@ -257,7 +257,7 @@ func RunWavelengthRequirement(w io.Writer, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		m, err := session.NewManager(nw)
+		m, err := lightpath.NewSessionManager(nw)
 		if err != nil {
 			return err
 		}

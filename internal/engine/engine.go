@@ -653,24 +653,6 @@ func (e *Engine) HolderOf(link int, lam wdm.Wavelength) (int64, bool) {
 	return owner, ok
 }
 
-// ChannelFree reports whether (link, λ) is installed, in service and
-// unheld — i.e. whether it appears in the current snapshot.
-func (e *Engine) ChannelFree(link int, lam wdm.Wavelength) bool {
-	if link < 0 || link >= e.base.NumLinks() {
-		return false
-	}
-	if _, installed := e.base.Link(link).Has(lam); !installed {
-		return false
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.failed[link] {
-		return false
-	}
-	_, taken := e.inUse[Channel{Link: link, Lambda: lam}]
-	return !taken
-}
-
 // OwnerChannels returns the channels the owner currently holds (nil for
 // unknown owners). The slice is a copy.
 func (e *Engine) OwnerChannels(owner int64) []Channel {

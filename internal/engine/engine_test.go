@@ -76,9 +76,6 @@ func TestAllocateReleaseRoundTrip(t *testing.T) {
 		if _, free := snap.Network().Link(h.Link).Has(h.Wavelength); free {
 			t.Fatalf("allocated channel (link %d, λ%d) still in residual", h.Link, h.Wavelength)
 		}
-		if e.ChannelFree(h.Link, h.Wavelength) {
-			t.Fatalf("ChannelFree true for held channel (link %d, λ%d)", h.Link, h.Wavelength)
-		}
 	}
 	if got, want := e.HeldChannels(), res.Path.Len(); got != want {
 		t.Fatalf("held channels = %d, want %d", got, want)

@@ -166,8 +166,11 @@ func TestPublishFailureRollsBack(t *testing.T) {
 		t.Fatalf("owner 50 holds %v after its allocation failed", got)
 	}
 	for _, h := range res.Path.Hops {
-		if !e.ChannelFree(h.Link, h.Wavelength) {
+		if _, held := e.HolderOf(h.Link, h.Wavelength); held {
 			t.Fatalf("(link %d, λ%d) still claimed after a failed allocation", h.Link, h.Wavelength)
+		}
+		if _, free := e.Snapshot().Network().Link(h.Link).Has(h.Wavelength); !free {
+			t.Fatalf("(link %d, λ%d) missing from the residual after a failed allocation", h.Link, h.Wavelength)
 		}
 	}
 	if got := e.OwnerChannels(1); len(got) != len(held.Path.Hops) {

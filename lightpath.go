@@ -43,14 +43,15 @@
 // Chlamtac–Faragó–Zhang comparator), internal/dist (the distributed
 // algorithm), internal/topo and internal/workload (instance generators),
 // and internal/bench (the experiment harness behind the cmd/wdmbench
-// binary). This package re-exports the stable surface.
+// binary). This package re-exports the stable surface, and builds online
+// circuit switching (SessionManager, admission.go) directly on the
+// routing engine of internal/engine.
 package lightpath
 
 import (
 	"lightpath/internal/core"
 	"lightpath/internal/dist"
 	"lightpath/internal/graph"
-	"lightpath/internal/session"
 	"lightpath/internal/wdm"
 )
 
@@ -143,60 +144,13 @@ const (
 	DirectedAStar = core.DirectedAStar
 )
 
-// Online circuit-switching re-exports (package session): a
-// SessionManager owns live wavelength occupancy, admits circuits over
-// residual capacity and releases them at teardown — the application the
-// paper's introduction motivates.
-type (
-	// SessionManager admits and releases circuits against live occupancy.
-	SessionManager = session.Manager
-	// Circuit is an admitted connection holding its channels.
-	Circuit = session.Circuit
-	// SessionID identifies an admitted circuit.
-	SessionID = session.ID
-	// SessionStats counts admission outcomes.
-	SessionStats = session.Stats
-	// TrafficConfig parameterizes a dynamic-traffic simulation.
-	TrafficConfig = session.TrafficConfig
-	// TrafficResult summarizes a dynamic-traffic simulation.
-	TrafficResult = session.TrafficResult
-	// AdmissionPolicy selects the session admission algorithm.
-	AdmissionPolicy = session.Policy
-)
-
-// Admission policies: the paper's conversion-aware optimal routing over
-// residual capacity, and the classical fixed-routing + first-fit
-// wavelength-assignment heuristic.
-const (
-	PolicyOptimal   = session.PolicyOptimal
-	PolicyFirstFit  = session.PolicyFirstFit
-	PolicyMostUsed  = session.PolicyMostUsed
-	PolicyLeastUsed = session.PolicyLeastUsed
-	PolicyRandomFit = session.PolicyRandomFit
-)
-
 // Common errors surfaced by the API.
 var (
 	// ErrNoRoute reports that no semilightpath exists between the nodes.
 	ErrNoRoute = core.ErrNoRoute
 	// ErrNoConverter reports a conversion query on a converter-less network.
 	ErrNoConverter = wdm.ErrNoConverter
-	// ErrBlocked reports an admission rejected for lack of capacity.
-	ErrBlocked = session.ErrBlocked
 )
-
-// NewSessionManager wraps nw for online circuit admission. The manager
-// never mutates nw.
-func NewSessionManager(nw *Network) (*SessionManager, error) {
-	return session.NewManager(nw)
-}
-
-// SimulateTraffic runs an Erlang-style dynamic-traffic simulation
-// against a fresh manager m: Poisson arrivals at rate cfg.Load, unit
-// mean exponential holding times, uniform random node pairs.
-func SimulateTraffic(m *SessionManager, cfg TrafficConfig) (*TrafficResult, error) {
-	return session.SimulateTraffic(m, cfg)
-}
 
 // NewNetwork returns an empty network with n nodes and k wavelengths.
 func NewNetwork(n, k int) *Network { return wdm.NewNetwork(n, k) }
