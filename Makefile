@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-hot race-obs vet lint lint-audit verify bench-smoke bench-whole-smoke fuzz-smoke
+.PHONY: all build test race race-hot race-obs vet lint lint-audit verify bench-smoke bench-whole-smoke fuzz-smoke loc
 
 all: verify
 
@@ -144,3 +144,13 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalNetwork$$' -fuzztime $(FUZZTIME) ./internal/wdm
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineAllocateRelease$$' -fuzztime $(FUZZTIME) ./internal/wdm
 	$(GO) test -run '^$$' -fuzz '^FuzzSpanEncode$$' -fuzztime $(FUZZTIME) ./internal/obs
+
+# Non-test Go lines per package directory and in total, outside the
+# nested benchmark/ module and testdata/ fixtures: the size the
+# simplicity work tracks (ROADMAP item 8 compares obs with engine).
+# Prints only; gates nothing.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' \
+		-not -path '*/testdata/*' -not -path './.git/*' -print0 | xargs -0 wc -l | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'

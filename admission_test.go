@@ -7,6 +7,7 @@ package lightpath
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -55,7 +56,7 @@ func TestAdmitClaimsChannels(t *testing.T) {
 	if c.Cost != 1 || c.Path.Len() != 1 {
 		t.Fatalf("first circuit should take the direct link: %+v", c)
 	}
-	if id, held := m.eng.HolderOf(0, 0); !held || SessionID(id) != c.ID {
+	if !slices.Contains(m.eng.OwnerChannels(int64(c.ID)), engine.Channel{Link: 0, Lambda: 0}) {
 		t.Fatal("direct channel not claimed")
 	}
 	if m.ActiveCircuits() != 1 {
@@ -718,8 +719,10 @@ func TestFailLinkDropsRidingCircuits(t *testing.T) {
 	if c2.Path.Len() != 2 {
 		t.Fatalf("route should detour around the cut: %+v", c2.Path)
 	}
-	if got := m.eng.FailedLinks(); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("FailedLinks = %v", got)
+	for l := 0; l < m.eng.Snapshot().Network().NumLinks(); l++ {
+		if m.eng.LinkFailed(l) != (l == 0) {
+			t.Fatalf("LinkFailed(%d) = %v with only link 0 cut", l, m.eng.LinkFailed(l))
+		}
 	}
 	// Repair restores the direct route for future circuits.
 	_ = m.Release(c2.ID)
@@ -754,8 +757,8 @@ func TestFailLinkProtectedSurvives(t *testing.T) {
 	if m.ActiveCircuits() != 1 {
 		t.Fatalf("active = %d, want 1 (the backup)", m.ActiveCircuits())
 	}
-	if _, held := m.eng.HolderOf(cut, primary.Path.Hops[0].Wavelength); held {
-		t.Fatal("failed primary channels must be freed")
+	if got := m.eng.OwnerChannels(int64(primary.ID)); got != nil {
+		t.Fatalf("failed primary channels must be freed, still holds %v", got)
 	}
 	if err := m.Release(backup.ID); err != nil {
 		t.Fatalf("backup should be releasable stand-alone: %v", err)

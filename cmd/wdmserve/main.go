@@ -42,11 +42,11 @@
 //	quit               exit
 //
 // Every request is recorded as a span tree in an always-on flight
-// recorder (disable with -recorder=false): queue wait, per-verb
+// recorder (-recorder=false builds none): queue wait, per-verb
 // dispatch, engine cache/allocate/publish, and the core search with its
-// per-lambda expansion counts. Requests at or above -slow-threshold
-// are additionally retained in a separate slow log that fast traffic
-// cannot evict.
+// counts — |V′| and |E′| of the graph it searched and the nodes it
+// settled. Requests at or above -slow-threshold are additionally
+// retained in a separate slow log that fast traffic cannot evict.
 //
 // A background monitor (interval -sample-interval) snapshots the
 // telemetry registry into a 128-frame ring and checks the health rules
@@ -63,7 +63,8 @@
 // /debug/slow (flight-recorder traces as JSON, ?n= bounds the count),
 // /debug/history (the sampled frame series as JSON), /healthz (SLO
 // status, 503 once failing), /readyz (drain-aware readiness: 503 the
-// moment Shutdown begins), /debug/vars (expvar) and /debug/pprof.
+// moment Shutdown begins), /debug/vars (expvar: Go's memstats and
+// cmdline) and /debug/pprof.
 package main
 
 import (
@@ -103,7 +104,7 @@ type flags struct {
 
 	queue, directed, script, listen, debugAddr, bundleDir string
 
-	cacheSize, workers, queueDepth, recorderSize, traceSample int
+	cacheSize, workers, queueDepth, recorderSize int
 
 	requestTimeout, idleTimeout, writeTimeout, drainTimeout time.Duration
 	slowThreshold, sampleInterval                           time.Duration
@@ -135,13 +136,11 @@ func newFlags() (*flag.FlagSet, *flags) {
 	fs.StringVar(&f.debugAddr, "debug-addr", "",
 		"serve /metrics, /metrics.prom, /debug/requests, /debug/slow, /debug/vars and /debug/pprof on this address (e.g. 127.0.0.1:6060)")
 	fs.BoolVar(&f.recorder, "recorder", true,
-		"record every request as a span tree in the flight recorder")
+		"record every request as a span tree in the flight recorder (false builds no recorder)")
 	fs.IntVar(&f.recorderSize, "recorder-size", obs.DefaultRingSize,
 		"flight-recorder capacity in retained request traces")
 	fs.DurationVar(&f.slowThreshold, "slow-threshold", obs.DefaultSlowThreshold,
 		"retain requests at or above this duration in the slow log (<0 disables)")
-	fs.IntVar(&f.traceSample, "trace-sample", 1,
-		"head-sample recording: record every Nth request (1 = all)")
 	fs.DurationVar(&f.sampleInterval, "sample-interval", obs.DefaultSampleInterval,
 		"metric history sampling interval (0 disables the sampler and health evaluation)")
 	fs.StringVar(&f.bundleDir, "bundle-dir", "",
@@ -188,15 +187,14 @@ func run(args []string, stdin io.Reader, w io.Writer) error {
 	fmt.Fprintf(w, "serving %d nodes, %d links, k=%d (epoch %d, %s search)\n",
 		nw.NumNodes(), nw.NumLinks(), nw.K(), eng.Epoch(), eng.Directed())
 
-	tracer := obs.NewTracer(&obs.TracerOptions{
-		RingSize: f.recorderSize,
-		Sample:   f.traceSample,
-		Disabled: !f.recorder,
-	})
-	// Set the threshold after construction: the flag value is literal
-	// (0 retains everything, negative disables the slow log), unlike the
-	// options field where 0 selects the default.
-	tracer.SetSlowThreshold(f.slowThreshold)
+	// A nil tracer is the recorder switched off: every layer threads it
+	// at zero cost, the trace verbs answer "not configured" and its
+	// gauges read 0.
+	var tracer *obs.Tracer
+	if f.recorder {
+		tracer = obs.NewTracer(&obs.TracerOptions{RingSize: f.recorderSize})
+		tracer.SetSlowThreshold(f.slowThreshold)
+	}
 	tracer.RegisterMetrics(eng.Metrics())
 
 	mon := obs.NewMonitor(eng.Metrics(), f.sampleInterval, serve.HealthRules)
@@ -319,13 +317,10 @@ func serveTCP(srv *serve.Server, eng *engine.Engine, w io.Writer, addr string, c
 // /metrics.prom, the flight recorder and slow log as JSON trace arrays
 // at /debug/requests and /debug/slow, the sampled metric history at
 // /debug/history, the SLO status at /healthz (503 once failing),
-// drain-aware readiness at /readyz (503 once ready() turns false), the
-// same registry through expvar at /debug/vars, and the standard pprof
-// handlers. The registry is also published under the expvar name
-// "lightpath" (first engine in the process wins — expvar's namespace
-// is global).
+// drain-aware readiness at /readyz (503 once ready() turns false), Go's
+// expvar memstats and cmdline at /debug/vars, and the standard pprof
+// handlers.
 func debugMux(eng *engine.Engine, tracer *obs.Tracer, mon *obs.Monitor, ready func() bool) *http.ServeMux {
-	obs.PublishExpvar("lightpath", eng.Metrics())
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", eng.Metrics())
 	mux.HandleFunc("/metrics.prom", func(w http.ResponseWriter, r *http.Request) {

@@ -436,7 +436,8 @@ func TestServeDebugAddrFlagAndMux(t *testing.T) {
 
 	// Handler surface: /metrics serves the registry (JSON and
 	// Prometheus text), /debug/requests+/debug/slow the flight
-	// recorder, /debug/vars expvar, /debug/pprof/ the profile index.
+	// recorder, /debug/vars expvar's own memstats, /debug/pprof/ the
+	// profile index.
 	nw, err := cliBuildPaper()
 	if err != nil {
 		t.Fatal(err)
@@ -448,7 +449,8 @@ func TestServeDebugAddrFlagAndMux(t *testing.T) {
 	if _, err := eng.Route(0, 6); err != nil {
 		t.Fatal(err)
 	}
-	tracer := obs.NewTracer(&obs.TracerOptions{SlowThreshold: -1})
+	tracer := obs.NewTracer(nil)
+	tracer.SetSlowThreshold(-1)
 	if req := tracer.Start("serve_request"); req != nil {
 		res, err := eng.Route(0, 6, req.Root())
 		if err != nil || res == nil {
@@ -470,7 +472,7 @@ func TestServeDebugAddrFlagAndMux(t *testing.T) {
 		"/debug/history":  `"engine_routes_total"`,
 		"/debug/requests": "core_search",
 		"/debug/slow":     "[",
-		"/debug/vars":     "lightpath",
+		"/debug/vars":     `"memstats"`,
 		"/debug/pprof/":   "profile",
 	} {
 		resp, err := http.Get(srv.URL + path)
@@ -489,8 +491,9 @@ func TestServeDebugAddrFlagAndMux(t *testing.T) {
 
 	// Drain-aware readiness: the same mux built over a draining server
 	// answers 503 on /readyz while /healthz stays governed by SLOs; a
-	// monitor that does not sample serves an empty history.
-	draining := httptest.NewServer(debugMux(eng, tracer, obs.NewMonitor(obs.NewRegistry(), 0, serve.HealthRules), func() bool { return false }))
+	// monitor that does not sample serves an empty history, and no
+	// recorder (-recorder=false) an empty trace array.
+	draining := httptest.NewServer(debugMux(eng, nil, obs.NewMonitor(obs.NewRegistry(), 0, serve.HealthRules), func() bool { return false }))
 	defer draining.Close()
 	resp, err := http.Get(draining.URL + "/readyz")
 	if err != nil {
@@ -515,6 +518,15 @@ func TestServeDebugAddrFlagAndMux(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || strings.TrimSpace(string(body)) != "[]" {
 		t.Errorf("sampler-less /debug/history = %d %q, want empty JSON array", resp.StatusCode, body)
 	}
+	resp, err = http.Get(draining.URL + "/debug/requests")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || strings.Join(strings.Fields(string(body)), "") != "[]" {
+		t.Errorf("recorder-less /debug/requests = %d %q, want empty JSON array", resp.StatusCode, body)
+	}
 }
 
 func TestServeRecorderFlagsAndVerbs(t *testing.T) {
@@ -525,10 +537,21 @@ func TestServeRecorderFlagsAndVerbs(t *testing.T) {
 		t.Fatalf("recent missing route trace:\n%s", out)
 	}
 
-	// -recorder=false: nothing retained.
-	out = runScript(t, []string{"-topo", "paper", "-recorder=false"}, "route 0 6\nrecent\nquit\n")
-	if !strings.Contains(out, "no traces retained") {
-		t.Fatalf("disabled recorder still lists traces:\n%s", out)
+	// -recorder=false builds no recorder: its gauges still read 0, the
+	// trace verbs say it is not configured, and explain still reads its
+	// search back from a private trace.
+	out = runScript(t, []string{"-topo", "paper", "-recorder=false"},
+		"route 0 6\nmetrics\nrecent\ntracejson 1\nexplain 0 6\nquit\n")
+	for _, want := range []string{
+		`"trace_recorder_enabled": 0,`,
+		`"trace_recorded_total": 0,`,
+		"error: recent: request recorder not configured\n",
+		"error: tracejson: request recorder not configured\n",
+		"  search: aux ",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("-recorder=false: output lacks %q:\n%s", want, out)
+		}
 	}
 
 	// -slow-threshold=0: every request also lands in the slow log.
@@ -537,11 +560,10 @@ func TestServeRecorderFlagsAndVerbs(t *testing.T) {
 		t.Fatalf("slow log missing route trace:\n%s", out)
 	}
 
-	// -trace-sample=2: only every other request is recorded.
-	out = runScript(t, []string{"-topo", "paper", "-trace-sample", "2"},
-		"route 0 6\nroute 0 6\nroute 0 6\nroute 0 6\nrecent 10\nquit\n")
-	if got := strings.Count(out, "verb route"); got >= 4 {
-		t.Fatalf("sampling 1/2 recorded all %d requests:\n%s", got, out)
+	// -recorder=false is the one off switch: -trace-sample is refused.
+	var discard bytes.Buffer
+	if err := run([]string{"-topo", "paper", "-trace-sample", "2"}, strings.NewReader(""), &discard); err == nil {
+		t.Error("-trace-sample must be refused as an unknown flag")
 	}
 }
 

@@ -35,7 +35,7 @@ var lowerSnake = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
 // NewMetricName builds the metricname analyzer.
 //
 // Registry names are the public contract of the telemetry layer: they
-// appear verbatim in /metrics JSON, expvar and the wdmserve stats verb.
+// appear verbatim in /metrics JSON, /metrics.prom and the wdmserve stats verb.
 // The analyzer requires every name passed to Registry.Counter / Gauge /
 // GaugeFunc / Histogram to be a compile-time string constant (so the
 // full metric namespace is greppable and knowable without running the

@@ -130,13 +130,8 @@ func (a *Aux) RouteFrom(s int, opts *Options) (*SourceTree, error) {
 	if sp != nil {
 		sp.SetInt(AttrAuxNodes, int64(a.NumAuxNodes()+1))          // plus the virtual super source
 		sp.SetInt(AttrAuxArcs, int64(a.g.NumArcs()+len(qs.seeds))) // and its arcs into Y_s
-		sp.SetStr(AttrQueue, kind.String())
 		sp.SetInt(AttrSettled, int64(tree.Settled))
 		sp.SetInt(AttrRelaxed, int64(tree.Relaxed))
-		if bucket {
-			sp.SetInt(AttrScans, int64(tree.Settled))
-			sp.SetInt(AttrRescans, int64(st.rescans))
-		}
 	}
 	return st, nil
 }

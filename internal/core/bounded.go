@@ -57,8 +57,6 @@ func (a *Aux) RouteBounded(s, t, maxHops int, opts *Options) (*Result, error) {
 		return a.Route(s, t, opts)
 	}
 
-	sp := opts.span().StartChild(SpanBoundedSearch)
-	defer sp.End()
 	inf := math.Inf(1)
 	// dist[h][v]: cheapest cost reaching aux node v with exactly ≤h
 	// physical hops consumed. Two rolling layers suffice for the DP, but
@@ -137,13 +135,6 @@ func (a *Aux) RouteBounded(s, t, maxHops int, opts *Options) (*Result, error) {
 		relaxGadgets(h)
 	}
 	stats := a.searchStats(s, t, settled, relaxed)
-	if sp != nil {
-		sp.SetInt(AttrAuxNodes, int64(stats.AuxNodes))
-		sp.SetInt(AttrAuxArcs, int64(stats.AuxArcs))
-		sp.SetInt(AttrSettled, int64(stats.Settled))
-		sp.SetInt(AttrRelaxed, int64(stats.Relaxed))
-		sp.SetInt(AttrMaxHops, int64(maxHops))
-	}
 
 	// Virtual super sink over X_t at the final layer.
 	best, bestX := inf, -1
@@ -155,7 +146,6 @@ func (a *Aux) RouteBounded(s, t, maxHops int, opts *Options) (*Result, error) {
 		}
 	}
 	if bestX < 0 {
-		sp.SetBool(AttrBlocked, true)
 		return nil, fmt.Errorf("%w: from %d to %d within %d hops", ErrNoRoute, s, t, maxHops)
 	}
 
@@ -180,7 +170,6 @@ func (a *Aux) RouteBounded(s, t, maxHops int, opts *Options) (*Result, error) {
 		hops[i], hops[j] = hops[j], hops[i]
 	}
 	path := &wdm.Semilightpath{Hops: hops}
-	sp.SetFloat(AttrCost, best)
 	return &Result{
 		Path:   path,
 		Cost:   best,

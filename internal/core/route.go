@@ -238,7 +238,6 @@ func annotateSearch(sp *obs.Span, stats SearchStats, mode DirectedMode) {
 	sp.SetInt(AttrAuxArcs, int64(stats.AuxArcs))
 	sp.SetInt(AttrSettled, int64(stats.Settled))
 	sp.SetInt(AttrRelaxed, int64(stats.Relaxed))
-	sp.SetStr(AttrDirected, mode.String())
 	if mode == DirectedAStar {
 		sp.SetInt(AttrPhysPops, int64(stats.PhysPops))
 	}

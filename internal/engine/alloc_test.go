@@ -42,7 +42,8 @@ func TestCachedRouteFromAllocationFree(t *testing.T) {
 	if renders, allocs := counter(e, "engine_cost_row_renders_total"), after.Mallocs-before.Mallocs; renders != uint64(n) || allocs > 3*uint64(n) {
 		t.Fatalf("%d first hits: %d renders, %d objects; want one render per row and at most 3 objects each", n, renders, allocs)
 	}
-	off := obs.NewTracer(&obs.TracerOptions{Disabled: true})
+	// off is the recorder switched off: a nil tracer.
+	var off *obs.Tracer
 	sum := 0.0
 	text := make([]byte, 0, 64*n)
 	for _, tc := range []struct {
@@ -163,7 +164,8 @@ func TestMemoRouteAllocationFree(t *testing.T) {
 		t.Fatalf("warm-up stored %+v for %d served pairs", ms, len(pairs))
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun: no other P's caches in the count
-	off := obs.NewTracer(&obs.TracerOptions{Disabled: true})
+	// off is the recorder switched off: a nil tracer.
+	var off *obs.Tracer
 	snap := e.Snapshot()
 	for _, tc := range []struct {
 		name  string

@@ -633,26 +633,6 @@ func (e *Engine) LinkFailed(link int) bool {
 	return e.failed[link]
 }
 
-// FailedLinks lists the links currently out of service, ascending.
-func (e *Engine) FailedLinks() []int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([]int, 0, len(e.failed))
-	for l := range e.failed {
-		out = append(out, l)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// HolderOf reports which owner holds the given channel, if any.
-func (e *Engine) HolderOf(link int, lam wdm.Wavelength) (int64, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	owner, ok := e.inUse[Channel{Link: link, Lambda: lam}]
-	return owner, ok
-}
-
 // OwnerChannels returns the channels the owner currently holds (nil for
 // unknown owners). The slice is a copy.
 func (e *Engine) OwnerChannels(owner int64) []Channel {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"lightpath/internal/core"
@@ -69,9 +70,8 @@ func TestAllocateReleaseRoundTrip(t *testing.T) {
 	// residual snapshot.
 	snap := e.Snapshot()
 	for _, h := range res.Path.Hops {
-		owner, held := e.HolderOf(h.Link, h.Wavelength)
-		if !held || owner != 7 {
-			t.Fatalf("channel (link %d, λ%d): owner=%d held=%v", h.Link, h.Wavelength, owner, held)
+		if !slices.Contains(e.OwnerChannels(7), Channel{Link: h.Link, Lambda: h.Wavelength}) {
+			t.Fatalf("channel (link %d, λ%d) not held by owner 7", h.Link, h.Wavelength)
 		}
 		if _, free := snap.Network().Link(h.Link).Has(h.Wavelength); free {
 			t.Fatalf("allocated channel (link %d, λ%d) still in residual", h.Link, h.Wavelength)
@@ -332,8 +332,8 @@ func TestFailRepairLink(t *testing.T) {
 	if !e.LinkFailed(cut) {
 		t.Fatal("LinkFailed false after FailLink")
 	}
-	if got := e.FailedLinks(); len(got) != 1 || got[0] != cut {
-		t.Fatalf("FailedLinks = %v, want [%d]", got, cut)
+	if got := failedLinks(e); len(got) != 1 || got[0] != cut {
+		t.Fatalf("failed links = %v, want [%d]", got, cut)
 	}
 	// The failed link's channels are gone from the snapshot.
 	if got := len(e.Snapshot().Network().Link(cut).Channels); got != 0 {
@@ -545,4 +545,15 @@ func TestProtectOptionsReusedAcrossEpochs(t *testing.T) {
 	if po.Route != nil {
 		t.Fatal("RouteProtected wrote its options into the caller's struct")
 	}
+}
+
+// failedLinks lists the links e has out of service, ascending.
+func failedLinks(e *Engine) []int {
+	var out []int
+	for l := 0; l < e.Snapshot().Network().NumLinks(); l++ {
+		if e.LinkFailed(l) {
+			out = append(out, l)
+		}
+	}
+	return out
 }

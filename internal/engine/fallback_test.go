@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"lightpath/internal/core"
@@ -51,7 +52,7 @@ func drive(t *testing.T, e *Engine, ops int) []string {
 			}
 			out = append(out, fmt.Sprintf("fail %v", riders))
 		case r < 0.8:
-			failed := e.FailedLinks()
+			failed := failedLinks(e)
 			if len(failed) == 0 {
 				continue
 			}
@@ -166,9 +167,6 @@ func TestPublishFailureRollsBack(t *testing.T) {
 		t.Fatalf("owner 50 holds %v after its allocation failed", got)
 	}
 	for _, h := range res.Path.Hops {
-		if _, held := e.HolderOf(h.Link, h.Wavelength); held {
-			t.Fatalf("(link %d, λ%d) still claimed after a failed allocation", h.Link, h.Wavelength)
-		}
 		if _, free := e.Snapshot().Network().Link(h.Link).Has(h.Wavelength); !free {
 			t.Fatalf("(link %d, λ%d) missing from the residual after a failed allocation", h.Link, h.Wavelength)
 		}
@@ -177,7 +175,7 @@ func TestPublishFailureRollsBack(t *testing.T) {
 		t.Fatalf("owner 1 holds %v after its release failed", got)
 	}
 	for _, h := range held.Path.Hops {
-		if owner, ok := e.HolderOf(h.Link, h.Wavelength); !ok || owner != 1 {
+		if !slices.Contains(e.OwnerChannels(1), Channel{Link: h.Link, Lambda: h.Wavelength}) {
 			t.Fatalf("(link %d, λ%d) lost its holder after a failed release", h.Link, h.Wavelength)
 		}
 	}

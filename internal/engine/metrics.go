@@ -164,7 +164,7 @@ func (m *Metrics) observeAStarSettled(res *core.Result, mode core.DirectedMode) 
 // Metrics exposes the engine's telemetry registry: counters and
 // latency histograms written on the hot paths plus lazy gauges over the
 // engine's live state. Callers may register additional metrics of their
-// own (internal/session does).
+// own (internal/serve's Telemetry and the obs.Tracer gauges do).
 func (e *Engine) Metrics() *obs.Registry { return e.metrics.reg }
 
 // heldOnWavelength counts currently-held channels using wavelength

@@ -90,7 +90,7 @@ func TestPatchedResidualMatchesDeltaChain(t *testing.T) {
 						}
 					}
 				default:
-					failed := mixed.FailedLinks()
+					failed := failedLinks(mixed)
 					if len(failed) == 0 {
 						continue
 					}

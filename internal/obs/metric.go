@@ -1,8 +1,8 @@
 // Package obs is the repository's telemetry substrate: lock-free
 // counters, gauges and fixed-bucket latency histograms behind a named
-// Registry that renders to JSON and expvar, plus the request-scoped Span
-// tree the routing layers annotate so a caller can ask *why* a query
-// produced the answer it did.
+// Registry that renders to JSON and Prometheus text, plus the
+// request-scoped Span tree the routing layers annotate so a caller can
+// ask *why* a query produced the answer it did.
 //
 // The package deliberately depends on nothing but the standard library
 // and knows nothing about WDM networks — internal/core and

@@ -676,7 +676,7 @@ func TestMonitorSampler(t *testing.T) {
 		}
 	})
 	t.Run("gauges follow what is configured", func(t *testing.T) {
-		names := func(reg *Registry) string { return strings.Join(reg.Names(), " ") }
+		names := func(reg *Registry) string { return strings.Join(metricNames(reg), " ") }
 		reg := NewRegistry()
 		m := NewMonitor(reg, 250*time.Millisecond, nil)
 		m.SampleNow()

@@ -111,15 +111,6 @@ func TestSnapshotOrderedSorted(t *testing.T) {
 			t.Errorf("not sorted at %d: %q >= %q", i, ordered[i-1].Name, ordered[i].Name)
 		}
 	}
-	names := reg.Names()
-	if len(names) != len(ordered) {
-		t.Fatalf("Names() has %d entries, SnapshotOrdered %d", len(names), len(ordered))
-	}
-	for i, nv := range ordered {
-		if names[i] != nv.Name {
-			t.Errorf("Names()[%d] = %q, SnapshotOrdered[%d].Name = %q", i, names[i], i, nv.Name)
-		}
-	}
 }
 
 // TestWritePrometheusCumulativeBuckets checks the histogram translation:

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"expvar"
 	"io"
 	"net/http"
 	"sort"
@@ -146,27 +145,6 @@ func (r *Registry) SnapshotOrdered() []NamedValue {
 	return out
 }
 
-// Names lists every registered metric name, sorted.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.gaugeFuncs)+len(r.histograms))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.gaugeFuncs {
-		names = append(names, n)
-	}
-	for n := range r.histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // WriteJSON renders the snapshot as indented JSON with a trailing
 // newline. Keys are emitted in sorted name order by construction (the
 // object is assembled from SnapshotOrdered, not from a map), so two
@@ -207,15 +185,4 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	_ = r.WriteJSON(w)
-}
-
-// PublishExpvar exposes the registry under the given expvar name (and
-// therefore at /debug/vars). expvar's namespace is global and panics on
-// duplicates, so publishing an already-taken name is a no-op — the
-// first registry published under a name wins for the process lifetime.
-func PublishExpvar(name string, r *Registry) {
-	if expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"expvar"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -63,9 +62,9 @@ func TestRegistrySnapshotAndJSON(t *testing.T) {
 		}
 	}
 
-	names := r.Names()
+	names := metricNames(r)
 	if want := []string{"depth", "derived", "hits", "lat"}; strings.Join(names, ",") != strings.Join(want, ",") {
-		t.Errorf("Names() = %v, want %v", names, want)
+		t.Errorf("names = %v, want %v", names, want)
 	}
 }
 
@@ -82,18 +81,11 @@ func TestRegistryServeHTTP(t *testing.T) {
 	}
 }
 
-func TestPublishExpvarIsIdempotent(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x").Inc()
-	PublishExpvar("obs_test_registry", r)
-	// A second publish under the same name must not panic and must keep
-	// the first registry.
-	PublishExpvar("obs_test_registry", NewRegistry())
-	v := expvar.Get("obs_test_registry")
-	if v == nil {
-		t.Fatal("registry not published")
+// metricNames lists every registered metric name, sorted.
+func metricNames(r *Registry) []string {
+	var names []string
+	for _, nv := range r.SnapshotOrdered() {
+		names = append(names, nv.Name)
 	}
-	if !strings.Contains(v.String(), `"x"`) {
-		t.Errorf("expvar shows wrong registry: %s", v.String())
-	}
+	return names
 }

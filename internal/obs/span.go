@@ -13,11 +13,11 @@ import (
 // completed trees by value plus an always-retained slow-request log.
 //
 // The design constraint is the same one the metric types obey: the
-// *disabled* path must be free. Tracer.Start returns a nil *ReqTrace
-// when recording is off (or the request is head-sampled out), every
-// Span and ReqTrace method is nil-receiver safe, and nil spans thread
-// through serve → engine → core without a single allocation — the
-// AllocsPerRun tests in internal/engine pin this at 0 allocs/op.
+// *disabled* path must be free. Recording off is a nil *Tracer: its
+// Start returns a nil *ReqTrace, every Span and ReqTrace method is
+// nil-receiver safe, and nil spans thread through serve → engine → core
+// without a single allocation — the AllocsPerRun tests in
+// internal/engine pin this at 0 allocs/op.
 //
 // The recording path allocates nothing in the steady state either. A
 // trace is built in a buffer drawn from the tracer's pool: a span array
@@ -277,25 +277,11 @@ type TracerOptions struct {
 	// RingSize is the flight recorder's capacity in completed request
 	// traces (the newest RingSize survive). 0 means DefaultRingSize.
 	RingSize int
-	// SlowRingSize bounds the slow-request log. 0 means
-	// DefaultSlowRingSize.
-	SlowRingSize int
-	// SlowThreshold is the duration at or above which a finished request
-	// is also retained in the slow log. 0 means DefaultSlowThreshold;
-	// negative disables the slow log.
-	SlowThreshold time.Duration
-	// Sample head-samples recording: only every Sample-th request is
-	// recorded (1, the default for 0, records every request). The
-	// decision is made at Start, so sampled-out requests cost nothing.
-	Sample int
-	// MaxSpans caps the spans recorded per request; children beyond the
-	// cap are dropped and counted. 0 means DefaultMaxSpans.
-	MaxSpans int
-	// Disabled builds a tracer that never records.
-	Disabled bool
 }
 
-// Defaults for TracerOptions zero values.
+// Tracer defaults: the flight recorder's and the slow log's capacities,
+// the slow threshold until SetSlowThreshold changes it, and the spans
+// recorded per request (children beyond it are dropped and counted).
 const (
 	DefaultRingSize      = 256
 	DefaultSlowRingSize  = 64
@@ -303,62 +289,38 @@ const (
 	DefaultMaxSpans      = 64
 )
 
-// Tracer decides which requests are recorded and retains their span
-// trees: every finished sampled-in request lands in the flight
-// recorder (a fixed ring — bounded retention, always on), and requests
-// at or above the slow threshold are additionally retained in a
-// separate slow log so a burst of fast traffic cannot evict the
-// evidence of a slow one. All methods are safe for concurrent use and
-// nil-receiver safe on the hot path (Start/Finish), so layers can
-// thread an optional tracer without guards.
+// Tracer retains the span trees of the requests it starts: every
+// finished request lands in the flight recorder (a fixed ring — bounded
+// retention, always on), and requests at or above the slow threshold
+// are additionally retained in a separate slow log so a burst of fast
+// traffic cannot evict the evidence of a slow one. A nil *Tracer is the
+// recorder switched off. All methods are safe for concurrent use and
+// nil-receiver safe but SetSlowThreshold, so layers can thread an
+// optional tracer without guards.
 type Tracer struct {
-	enabled  bool
-	sample   uint64       // head-sampling modulus
 	slowNs   atomic.Int64 // slow threshold; < 0 disables
 	seq      atomic.Uint64
 	recorded atomic.Uint64
 	slowRec  atomic.Uint64
 	misuse   atomic.Uint64 // span API calls dropped by the lifecycle check
-	maxSpans int
-	bufs     sync.Pool // *ReqTrace build buffers between Finish and the next Start
+	bufs     sync.Pool     // *ReqTrace build buffers between Finish and the next Start
 	recent   *ring[ReqTrace]
 	slow     *ring[ReqTrace]
 }
 
 // NewTracer builds a tracer with the given options (nil for defaults).
 func NewTracer(opts *TracerOptions) *Tracer {
-	o := TracerOptions{}
-	if opts != nil {
-		o = *opts
-	}
-	if o.RingSize <= 0 {
-		o.RingSize = DefaultRingSize
-	}
-	if o.SlowRingSize <= 0 {
-		o.SlowRingSize = DefaultSlowRingSize
-	}
-	if o.SlowThreshold == 0 {
-		o.SlowThreshold = DefaultSlowThreshold
-	}
-	if o.Sample <= 0 {
-		o.Sample = 1
-	}
-	if o.MaxSpans <= 0 {
-		o.MaxSpans = DefaultMaxSpans
+	size := DefaultRingSize
+	if opts != nil && opts.RingSize > 0 {
+		size = opts.RingSize
 	}
 	t := &Tracer{
-		enabled:  !o.Disabled,
-		sample:   uint64(o.Sample),
-		maxSpans: o.MaxSpans,
-		recent:   newRing(o.RingSize, copyTrace),
-		slow:     newRing(o.SlowRingSize, copyTrace),
+		recent: newRing(size, copyTrace),
+		slow:   newRing(DefaultSlowRingSize, copyTrace),
 	}
-	t.SetSlowThreshold(o.SlowThreshold)
+	t.SetSlowThreshold(DefaultSlowThreshold)
 	return t
 }
-
-// Enabled reports whether Start records. Nil-safe.
-func (t *Tracer) Enabled() bool { return t != nil && t.enabled }
 
 // SetSlowThreshold changes the slow-log threshold (negative disables).
 func (t *Tracer) SetSlowThreshold(d time.Duration) {
@@ -371,28 +333,22 @@ func (t *Tracer) SetSlowThreshold(d time.Duration) {
 
 // Start begins the span tree for one request, returning nil — the
 // zero-cost signal every downstream layer honours — when the tracer is
-// nil, disabled, or the request is head-sampled out. name becomes the
-// root span's name. The trace is the caller's until it is passed to
-// Finish.
+// nil. name becomes the root span's name. The trace is the caller's
+// until it is passed to Finish.
 func (t *Tracer) Start(name string) *ReqTrace {
-	if t == nil || !t.enabled {
-		return nil
-	}
-	id := t.seq.Add(1)
-	if t.sample > 1 && id%t.sample != 0 {
+	if t == nil {
 		return nil
 	}
 	r, _ := t.bufs.Get().(*ReqTrace)
 	if r == nil {
-		r = newTrace(t, t.maxSpans)
+		r = newTrace(t, DefaultMaxSpans)
 	}
-	return r.begin(name, id)
+	return r.begin(name, t.seq.Add(1))
 }
 
 // StartTrace begins a span tree no tracer will retain (ID 0, default
 // span capacity): for a caller that must read a query's spans back even
-// when the recorder is off or sampled the request out — the explain
-// verb does.
+// when the recorder is off — the explain verb does.
 func StartTrace(name string) *ReqTrace { return newTrace(nil, DefaultMaxSpans).begin(name, 0) }
 
 // Finish closes the request's root span, stamps the total duration and
@@ -402,18 +358,6 @@ func StartTrace(name string) *ReqTrace { return newTrace(nil, DefaultMaxSpans).b
 // to the tracer: the caller must not touch r, or any span of it, again
 // (a call that does is dropped and counted, see Misuses).
 func (t *Tracer) Finish(r *ReqTrace) {
-	t.finish(r, true)
-}
-
-// FinishRecentOnly is Finish without slow-log consideration, for traces
-// whose duration is a lifetime rather than a latency (a connection, a
-// session): they would otherwise always exceed the threshold and evict
-// genuinely slow requests from the bounded slow ring.
-func (t *Tracer) FinishRecentOnly(r *ReqTrace) {
-	t.finish(r, false)
-}
-
-func (t *Tracer) finish(r *ReqTrace, slowEligible bool) {
 	if t == nil || r == nil {
 		return
 	}
@@ -431,7 +375,7 @@ func (t *Tracer) finish(r *ReqTrace, slowEligible bool) {
 	}
 	t.recent.push(r)
 	t.recorded.Add(1)
-	if s := t.slowNs.Load(); slowEligible && s >= 0 && d >= s {
+	if s := t.slowNs.Load(); s >= 0 && d >= s {
 		t.slow.push(r)
 		t.slowRec.Add(1)
 	}
@@ -506,13 +450,13 @@ func (t *Tracer) misused() {
 
 // RegisterMetrics exposes the tracer's own health on a registry, so a
 // /metrics scrape shows whether the recorder is on and how much it has
-// retained.
+// retained. On a nil tracer every gauge reads 0.
 func (t *Tracer) RegisterMetrics(reg *Registry) {
 	reg.GaugeFunc("trace_recorded_total", func() float64 { return float64(t.Recorded()) })
 	reg.GaugeFunc("trace_slow_recorded_total", func() float64 { return float64(t.SlowRecorded()) })
 	reg.GaugeFunc("trace_misuse_total", func() float64 { return float64(t.Misuses()) })
 	reg.GaugeFunc("trace_recorder_enabled", func() float64 {
-		if t.Enabled() {
+		if t != nil {
 			return 1
 		}
 		return 0

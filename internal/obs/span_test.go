@@ -27,30 +27,33 @@ func TestNilSpanAPIIsFreeAndSafe(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("nil-path span API allocates %v objects per request, want 0", allocs)
 	}
-	if tr.Enabled() || tr.Recent(5) != nil || tr.Find(1) != nil || tr.Recorded() != 0 {
+	if tr.Recent(5) != nil || tr.Find(1) != nil || tr.Recorded() != 0 {
 		t.Error("nil tracer must report empty state")
 	}
 }
 
-// TestDisabledTracerRecordsNothing: Start on a disabled tracer returns
-// nil and the recorder stays empty; allocations stay at zero.
+// TestDisabledTracerRecordsNothing: the recorder switched off is a nil
+// tracer, and its gauges still register — every one reading 0 — so a
+// scrape tells "off" from "on and idle".
 func TestDisabledTracerRecordsNothing(t *testing.T) {
-	tr := NewTracer(&TracerOptions{Disabled: true})
-	allocs := testing.AllocsPerRun(100, func() {
-		req := tr.Start("req")
-		req.Root().StartChild("child").End()
-		tr.Finish(req)
-	})
-	if allocs != 0 {
-		t.Fatalf("disabled tracer allocates %v objects per request, want 0", allocs)
+	var tr *Tracer
+	reg := NewRegistry()
+	tr.RegisterMetrics(reg)
+	tr.Finish(tr.Start("request"))
+	snap := reg.Snapshot()
+	for _, name := range []string{"trace_recorder_enabled", "trace_recorded_total", "trace_slow_recorded_total", "trace_misuse_total"} {
+		if v, ok := snap[name].(float64); !ok || v != 0 {
+			t.Errorf("%s = %v, want 0", name, snap[name])
+		}
 	}
-	if got := tr.Recent(10); len(got) != 0 {
-		t.Fatalf("disabled tracer retained %d traces", len(got))
+	if tr.Slow(10) != nil || tr.SlowRecorded() != 0 || tr.Misuses() != 0 {
+		t.Error("nil tracer must report empty state")
 	}
 }
 
 func TestSpanTreeConstruction(t *testing.T) {
-	tr := NewTracer(&TracerOptions{SlowThreshold: -1})
+	tr := NewTracer(nil)
+	tr.SetSlowThreshold(-1)
 	req := tr.Start("request")
 	if req == nil {
 		t.Fatal("enabled tracer returned nil trace")
@@ -101,25 +104,27 @@ func TestSpanTreeConstruction(t *testing.T) {
 	}
 }
 
-// TestSpanCapacityDropsChildren: spans beyond MaxSpans are dropped and
-// counted, and the pointers already handed out stay valid.
+// TestSpanCapacityDropsChildren: spans beyond DefaultMaxSpans are
+// dropped and counted, and the pointers already handed out stay valid.
 func TestSpanCapacityDropsChildren(t *testing.T) {
-	tr := NewTracer(&TracerOptions{MaxSpans: 3, SlowThreshold: -1})
+	tr := NewTracer(nil)
+	tr.SetSlowThreshold(-1)
 	req := tr.Start("request")
 	root := req.Root()
 	c1 := root.StartChild("one")
-	c2 := root.StartChild("two")
-	c3 := root.StartChild("three") // over capacity: dropped
-	if c1 == nil || c2 == nil {
+	if c1 == nil {
 		t.Fatal("children under capacity must be recorded")
 	}
-	if c3 != nil {
+	for i := 2; i < DefaultMaxSpans; i++ { // the root and c1 hold two slots
+		root.StartChild("more").End()
+	}
+	over := root.StartChild("over") // over capacity: dropped
+	if over != nil {
 		t.Fatal("child over capacity must be dropped")
 	}
-	c3.SetInt("ignored", 1) // nil child absorbs calls
-	c1.SetStr("k", "v")     // pointer still valid after later StartChild
+	over.SetInt("ignored", 1) // nil child absorbs calls
+	c1.SetStr("k", "v")       // pointer still valid after later StartChild
 	c1.End()
-	c2.End()
 	tr.Finish(req)
 	req = tr.Recent(1)[0]
 	if req.DroppedSpans != 1 {
@@ -131,7 +136,8 @@ func TestSpanCapacityDropsChildren(t *testing.T) {
 }
 
 func TestRingRetentionAndWraparound(t *testing.T) {
-	tr := NewTracer(&TracerOptions{RingSize: 4, SlowThreshold: -1})
+	tr := NewTracer(&TracerOptions{RingSize: 4})
+	tr.SetSlowThreshold(-1)
 	for i := 0; i < 10; i++ {
 		tr.Finish(tr.Start("request"))
 	}
@@ -159,7 +165,8 @@ func TestRingRetentionAndWraparound(t *testing.T) {
 // TestSlowLogRetention: fast requests never reach the slow log; slow
 // ones are retained there even after the flight recorder evicts them.
 func TestSlowLogRetention(t *testing.T) {
-	tr := NewTracer(&TracerOptions{RingSize: 2, SlowThreshold: 5 * time.Millisecond})
+	tr := NewTracer(&TracerOptions{RingSize: 2})
+	tr.SetSlowThreshold(5 * time.Millisecond)
 	slow := tr.Start("request")
 	slowID := slow.ID
 	time.Sleep(10 * time.Millisecond)
@@ -185,43 +192,6 @@ func TestSlowLogRetention(t *testing.T) {
 	}
 }
 
-func TestFinishRecentOnlySkipsSlowLog(t *testing.T) {
-	tr := NewTracer(&TracerOptions{SlowThreshold: 0}) // everything qualifies as slow
-	tr.SetSlowThreshold(0)
-	conn := tr.Start("conn")
-	tr.FinishRecentOnly(conn)
-	if got := len(tr.Recent(10)); got != 1 {
-		t.Fatalf("recorder has %d traces, want 1", got)
-	}
-	if got := len(tr.Slow(10)); got != 0 {
-		t.Fatalf("slow log has %d traces, want 0: lifetimes must stay out", got)
-	}
-	if tr.SlowRecorded() != 0 {
-		t.Errorf("slowRecorded = %d, want 0", tr.SlowRecorded())
-	}
-	// Nil-safety matches Finish.
-	var nilT *Tracer
-	nilT.FinishRecentOnly(nil)
-	tr.FinishRecentOnly(nil)
-}
-
-func TestHeadSampling(t *testing.T) {
-	tr := NewTracer(&TracerOptions{Sample: 4, SlowThreshold: -1})
-	recorded := 0
-	for i := 0; i < 40; i++ {
-		if req := tr.Start("request"); req != nil {
-			recorded++
-			tr.Finish(req)
-		}
-	}
-	if recorded != 10 {
-		t.Errorf("1/4 sampling recorded %d of 40", recorded)
-	}
-	if NewTracer(&TracerOptions{Sample: 1}).Start("request") == nil {
-		t.Error("sample=1 must record every request")
-	}
-}
-
 // TestSpanLifecycleMisuse: the three lifecycle violations are counted
 // on the owning tracer, not applied — a call on a span of a finished
 // trace, a second Finish, and a child still open at Finish (which is
@@ -232,7 +202,8 @@ func TestSpanLifecycleMisuse(t *testing.T) {
 	if size := unsafe.Sizeof(Span{}); unsafe.Sizeof(uintptr(0)) == 8 && size != 48 {
 		t.Errorf("Span is %d bytes, want 48", size)
 	}
-	tr := NewTracer(&TracerOptions{SlowThreshold: -1})
+	tr := NewTracer(nil)
+	tr.SetSlowThreshold(-1)
 	req := tr.Start("request")
 	root := req.Root()
 	child := root.StartChild("child")
@@ -254,7 +225,6 @@ func TestSpanLifecycleMisuse(t *testing.T) {
 		func() { child.SetBool("k", true) },
 		func() { child.SetFloat("k", 1) },
 		func() { tr.Finish(req) },
-		func() { tr.FinishRecentOnly(req) },
 	}
 	for i, call := range stale {
 		call()
@@ -274,14 +244,14 @@ func TestSpanLifecycleMisuse(t *testing.T) {
 	nilSpan.StartChild("x").End()
 	nilSpan.SetInt("k", 1)
 	tr.Finish(nil)
-	tr.FinishRecentOnly(nil)
 	if tr.Misuses() != before {
 		t.Error("the nil chain and Finish(nil) must not count as misuse")
 	}
 }
 
 func TestRegisterMetrics(t *testing.T) {
-	tr := NewTracer(&TracerOptions{SlowThreshold: -1})
+	tr := NewTracer(nil)
+	tr.SetSlowThreshold(-1)
 	reg := NewRegistry()
 	tr.RegisterMetrics(reg)
 	tr.Finish(tr.Start("request"))
@@ -303,7 +273,8 @@ func TestRegisterMetrics(t *testing.T) {
 // leaves no span, attribute or drop count of the first in
 // the second.
 func TestReusedStorageLeaksNothing(t *testing.T) {
-	tr := NewTracer(&TracerOptions{RingSize: 1, SlowThreshold: -1})
+	tr := NewTracer(&TracerOptions{RingSize: 1})
+	tr.SetSlowThreshold(-1)
 	big := tr.Start("batch_request")
 	for i := 0; i < DefaultMaxSpans+5; i++ {
 		sp := big.Root().StartChild("batch_item")

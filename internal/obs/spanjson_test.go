@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -11,7 +12,8 @@ import (
 // buildTrace assembles a deterministic trace with every attribute kind.
 func buildTrace(t *testing.T) *ReqTrace {
 	t.Helper()
-	tr := NewTracer(&TracerOptions{SlowThreshold: -1})
+	tr := NewTracer(nil)
+	tr.SetSlowThreshold(-1)
 	req := tr.Start("request")
 	root := req.Root()
 	root.SetStr("verb", "route")
@@ -27,6 +29,9 @@ func buildTrace(t *testing.T) *ReqTrace {
 	return tr.Recent(1)[0]
 }
 
+// TestEncodeDecodeRoundTrip: encoding/json decodes an encoded trace
+// into the wire shape, false booleans and zero integers included, and
+// re-encodes it to the same bytes.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	req := buildTrace(t)
 	var buf bytes.Buffer
@@ -37,35 +42,34 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if !strings.HasSuffix(first, "\n") {
 		t.Error("encoding must end with a newline")
 	}
-	dec, err := DecodeReqTrace([]byte(first))
+	var w wireTrace
+	if err := json.Unmarshal([]byte(first), &w); err != nil {
+		t.Fatal(err)
+	}
+	if w.ID != req.ID || w.DurationNs != req.DurationNs || len(w.Spans) != len(req.Spans()) {
+		t.Fatalf("decoded header mismatch: %+v vs %+v", w, req)
+	}
+	if w.Spans[0].Name != "request" || w.Spans[0].Parent != -1 {
+		t.Errorf("decoded root = %+v", w.Spans[0])
+	}
+	if a := w.Spans[1].Attrs[1]; a.K != "hit" || a.B == nil || *a.B {
+		t.Errorf("decoded bool attr = %+v (false must survive the trip)", a)
+	}
+	if a := w.Spans[2].Attrs[0]; a.K != "zero" || a.I == nil || *a.I != 0 {
+		t.Errorf("decoded zero int attr = %+v", a)
+	}
+	again, err := json.Marshal(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.ID != req.ID || dec.DurationNs != req.DurationNs || len(dec.Spans()) != len(req.Spans()) {
-		t.Fatalf("decoded header mismatch: %+v vs %+v", dec, req)
-	}
-	// The decoded trace must be fully linked: accessors work.
-	if dec.Root().Name != "request" {
-		t.Errorf("decoded root = %q", dec.Root().Name)
-	}
-	if a, ok := dec.Span("child_one").Attr("hit"); !ok || a.Kind != AttrBool || a.Bool() {
-		t.Errorf("decoded bool attr = %+v ok=%v (false must survive the trip)", a, ok)
-	}
-	if a, ok := dec.Span("grandchild").Attr("zero"); !ok || a.Kind != AttrInt || a.Int() != 0 {
-		t.Errorf("decoded zero int attr = %+v ok=%v", a, ok)
-	}
-	// Second trip is byte-identical.
-	var buf2 bytes.Buffer
-	if err := EncodeReqTrace(&buf2, dec); err != nil {
-		t.Fatal(err)
-	}
-	if buf2.String() != first {
-		t.Errorf("re-encoding differs:\n%s\nvs\n%s", buf2.String(), first)
+	if string(again)+"\n" != first {
+		t.Errorf("re-encoding differs:\n%s\nvs\n%s", again, first)
 	}
 }
 
 func TestEncodeClampsNonFiniteFloats(t *testing.T) {
-	tr := NewTracer(&TracerOptions{SlowThreshold: -1})
+	tr := NewTracer(nil)
+	tr.SetSlowThreshold(-1)
 	req := tr.Start("request")
 	req.Root().SetFloat("inf", math.Inf(1))
 	req.Root().SetFloat("nan", math.NaN())
@@ -74,30 +78,10 @@ func TestEncodeClampsNonFiniteFloats(t *testing.T) {
 	if err := EncodeReqTrace(&buf, tr.Recent(1)[0]); err != nil {
 		t.Fatalf("non-finite floats must not poison the encoding: %v", err)
 	}
-	dec, err := DecodeReqTrace(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"inf", "nan"} {
-		if a, ok := dec.Root().Attr(key); !ok || a.Float() != 0 {
-			t.Errorf("attr %q = %+v ok=%v, want clamped 0", key, a, ok)
-		}
-	}
-}
-
-func TestDecodeRejectsMalformedTraces(t *testing.T) {
-	cases := map[string]string{
-		"not json":           `{`,
-		"no spans":           `{"id":1,"begin":"2026-01-01T00:00:00Z","duration_ns":5,"spans":[]}`,
-		"root with parent":   `{"id":1,"begin":"2026-01-01T00:00:00Z","duration_ns":5,"spans":[{"name":"r","parent":0,"start_ns":0,"end_ns":5}]}`,
-		"forward parent":     `{"id":1,"begin":"2026-01-01T00:00:00Z","duration_ns":5,"spans":[{"name":"r","parent":-1,"start_ns":0,"end_ns":5},{"name":"c","parent":1,"start_ns":0,"end_ns":1}]}`,
-		"attr no payload":    `{"id":1,"begin":"2026-01-01T00:00:00Z","duration_ns":5,"spans":[{"name":"r","parent":-1,"start_ns":0,"end_ns":5,"attrs":[{"k":"x"}]}]}`,
-		"attr two payloads":  `{"id":1,"begin":"2026-01-01T00:00:00Z","duration_ns":5,"spans":[{"name":"r","parent":-1,"start_ns":0,"end_ns":5,"attrs":[{"k":"x","i":1,"s":"y"}]}]}`,
-		"non-root no parent": `{"id":1,"begin":"2026-01-01T00:00:00Z","duration_ns":5,"spans":[{"name":"r","parent":-1,"start_ns":0,"end_ns":5},{"name":"c","parent":-1,"start_ns":0,"end_ns":1}]}`,
-	}
-	for name, raw := range cases {
-		if _, err := DecodeReqTrace([]byte(raw)); err == nil {
-			t.Errorf("%s: decode accepted malformed input", name)
+	spans := wireSpans(t, buf.Bytes())
+	for i, key := range []string{"inf", "nan"} {
+		if a := spans[0].attrs[i]; a.key != key || a.kind != "f" || a.value != 0.0 {
+			t.Errorf("attr %d = %+v, want %q clamped to 0", i, a, key)
 		}
 	}
 }
@@ -121,16 +105,86 @@ func TestWriteTracesArrayShape(t *testing.T) {
 	}
 }
 
-// FuzzSpanEncode: any trace the API can build round-trips through the
-// codec with a stable second encoding, and any byte soup either decodes
-// to something that re-encodes cleanly or is rejected — never a panic.
+// decodedSpan is one span of an encoded trace as encoding/json alone
+// reads it back.
+type decodedSpan struct {
+	name   string
+	parent int
+	attrs  []decodedAttr
+}
+
+// decodedAttr is one attribute: its key, which payload field carried
+// it ("i", "s", "b" or "f") and that field's decoded value.
+type decodedAttr struct {
+	key   string
+	kind  string
+	value any
+}
+
+// wireSpans checks one encoded trace against the wire contract with
+// encoding/json alone: the document is valid JSON, span 0 is the one
+// root, every other span's parent precedes it, and every attribute has
+// exactly one payload. It returns the spans in order.
+func wireSpans(t *testing.T, doc []byte) []decodedSpan {
+	t.Helper()
+	if !json.Valid(doc) {
+		t.Fatalf("encoding is not valid JSON:\n%s", doc)
+	}
+	var w struct {
+		Spans []struct {
+			Name   string           `json:"name"`
+			Parent *int             `json:"parent"`
+			Attrs  []map[string]any `json:"attrs"`
+		} `json:"spans"`
+	}
+	if err := json.Unmarshal(doc, &w); err != nil {
+		t.Fatal(err)
+	}
+	if len(w.Spans) == 0 {
+		t.Fatalf("trace has no spans:\n%s", doc)
+	}
+	out := make([]decodedSpan, len(w.Spans))
+	for i, ws := range w.Spans {
+		if ws.Parent == nil {
+			t.Fatalf("span %d has no parent field:\n%s", i, doc)
+		}
+		if p := *ws.Parent; (i == 0) != (p < 0) || p >= i {
+			t.Fatalf("span %d has parent %d: want one root, at 0, and parents before children", i, p)
+		}
+		out[i] = decodedSpan{name: ws.Name, parent: *ws.Parent}
+		for _, wa := range ws.Attrs {
+			key, _ := wa["k"].(string)
+			a := decodedAttr{key: key}
+			for kind, v := range wa {
+				if kind == "k" {
+					continue
+				}
+				if a.kind != "" {
+					t.Fatalf("span %d attr %q has payloads %q and %q", i, key, a.kind, kind)
+				}
+				a.kind, a.value = kind, v
+			}
+			if a.kind == "" {
+				t.Fatalf("span %d attr %q has no payload", i, key)
+			}
+			out[i].attrs = append(out[i].attrs, a)
+		}
+	}
+	return out
+}
+
+// FuzzSpanEncode: any trace the API can build — arbitrary names, keys,
+// values and durations, invalid UTF-8 and more children than a trace
+// holds included — encodes to valid JSON that encoding/json reads back
+// as the tree and the typed attributes it was built from.
 func FuzzSpanEncode(f *testing.F) {
 	f.Add(int64(1), "route", "verb", int64(-3), 2.5, true, uint8(2))
 	f.Add(int64(0), "", "", int64(0), math.Inf(1), false, uint8(0))
 	f.Add(int64(99), "a_b", "k", int64(1<<62), math.NaN(), true, uint8(200))
 	f.Add(int64(7), "bad\xffname", "k\xfe", int64(1), 0.0, true, uint8(1)) // invalid UTF-8 in names, keys and values
 	f.Fuzz(func(t *testing.T, durNs int64, name, key string, iv int64, fv float64, bv bool, children uint8) {
-		tr := NewTracer(&TracerOptions{SlowThreshold: -1, MaxSpans: 8})
+		tr := NewTracer(nil)
+		tr.SetSlowThreshold(-1)
 		req := tr.Start(name)
 		root := req.Root()
 		root.SetInt(key, iv)
@@ -150,22 +204,29 @@ func FuzzSpanEncode(f *testing.F) {
 		if err := EncodeReqTrace(&buf, req); err != nil {
 			t.Fatalf("encode of API-built trace failed: %v", err)
 		}
-		first := buf.Bytes()
-		dec, err := DecodeReqTrace(first)
-		if err != nil {
-			t.Fatalf("decode of own encoding failed: %v\n%s", err, first)
+		spans := wireSpans(t, buf.Bytes())
+		if want := 1 + min(int(children), DefaultMaxSpans-1); len(spans) != want {
+			t.Fatalf("%d spans encoded, want %d", len(spans), want)
 		}
-		var buf2 bytes.Buffer
-		if err := EncodeReqTrace(&buf2, dec); err != nil {
-			t.Fatalf("re-encode failed: %v", err)
+		for i, sp := range spans {
+			want := []string{"i"} // each child's index
+			if i == 0 {
+				want = []string{"i", "f", "b", "s"} // the root's, in setting order
+			}
+			if len(sp.attrs) != len(want) {
+				t.Fatalf("span %d has %d attrs, want %d", i, len(sp.attrs), len(want))
+			}
+			for j, a := range sp.attrs {
+				if a.kind != want[j] {
+					t.Errorf("span %d attr %d carries %q, set as %q", i, j, a.kind, want[j])
+				}
+			}
+			if i > 0 && (sp.parent != 0 || sp.attrs[0].value != float64(i-1)) {
+				t.Errorf("child %d = %+v, want parent 0 and index %d", i, sp, i-1)
+			}
 		}
-		if !bytes.Equal(first, buf2.Bytes()) {
-			t.Fatalf("round trip not stable:\n%s\nvs\n%s", first, buf2.Bytes())
-		}
-		// Feeding the raw input bytes back as a document must never panic.
-		if dec2, err := DecodeReqTrace([]byte(name)); err == nil {
-			var sink bytes.Buffer
-			_ = EncodeReqTrace(&sink, dec2)
+		if b := spans[0].attrs[2].value; b != bv {
+			t.Errorf("root bool = %v, set %v", b, bv)
 		}
 	})
 }

@@ -24,7 +24,8 @@ func TestTracerConcurrentRecordAndRead(t *testing.T) {
 		readers   = 4
 		ringSize  = 64
 	)
-	tr := NewTracer(&TracerOptions{RingSize: ringSize, SlowThreshold: -1})
+	tr := NewTracer(&TracerOptions{RingSize: ringSize})
+	tr.SetSlowThreshold(-1)
 	stop := make(chan struct{})
 	var readerWG sync.WaitGroup
 	for i := 0; i < readers; i++ {
@@ -144,6 +145,32 @@ func selfDescribingTrace(tr *Tracer) {
 
 // checkSelfDescribing fails if r mixes two traces: an attribute naming
 // another ID, or a span count other than the one its root recorded.
+// checkWireSelfDescribing is checkSelfDescribing on a trace's encoding,
+// read back with encoding/json.
+func checkWireSelfDescribing(t *testing.T, doc []byte) {
+	t.Helper()
+	var w wireTrace
+	if err := json.Unmarshal(doc, &w); err != nil {
+		t.Errorf("a written trace does not decode: %v", err)
+		return
+	}
+	tag, attrs := strconv.FormatUint(w.ID, 10), 0
+	for i, sp := range w.Spans {
+		for _, a := range sp.Attrs {
+			attrs++
+			switch {
+			case a.K == "id" && (a.I == nil || uint64(*a.I) != w.ID),
+				a.K == "tag" && (a.S == nil || *a.S != tag),
+				a.K == "spans" && (a.I == nil || int(*a.I) != len(w.Spans)):
+				t.Errorf("written trace %d span %d carries %+v", w.ID, i, a)
+			}
+		}
+	}
+	if want := 2*len(w.Spans) + 1; attrs != want {
+		t.Errorf("written trace %d carries %d attributes over %d spans, want %d", w.ID, attrs, len(w.Spans), want)
+	}
+}
+
 func checkSelfDescribing(t *testing.T, r *ReqTrace) {
 	t.Helper()
 	want, _ := r.Root().Attr("spans")
@@ -174,7 +201,7 @@ func TestRingCopiesAreConsistentAndIsolated(t *testing.T) {
 		readers    = 2
 		readRounds = 150 // fixed reader work: a 1-CPU box may not interleave a flag loop
 	)
-	tr := NewTracer(&TracerOptions{RingSize: 4, SlowRingSize: 4})
+	tr := NewTracer(&TracerOptions{RingSize: 4})
 	tr.SetSlowThreshold(0) // every trace is slow too: both rings churn
 	var readersDone atomic.Bool
 	var writerWG, readerWG sync.WaitGroup
@@ -210,12 +237,7 @@ func TestRingCopiesAreConsistentAndIsolated(t *testing.T) {
 					return
 				}
 				for _, doc := range docs {
-					dec, err := DecodeReqTrace(doc)
-					if err != nil {
-						t.Errorf("decode of a written trace: %v", err)
-						return
-					}
-					checkSelfDescribing(t, dec)
+					checkWireSelfDescribing(t, doc)
 				}
 			}
 		}()

@@ -38,23 +38,20 @@ func TestFlightRecorderTracesShedRequests(t *testing.T) {
 // recorderUnderLoad runs the flight-recorder load and checks that the
 // recorder accounts for every request and connection: admitted request
 // traces equal serve_requests_total (each once, spans consistent), shed
-// ones equal the busy replies, and, once every client has closed,
-// serve_conn traces equal the connections. It returns the shed count.
+// ones equal the busy replies, and, once every client has closed, a
+// connection has recorded no trace of its own. It returns the shed count.
 func recorderUnderLoad(t *testing.T, requestTimeout, execDelay time.Duration) (shed int) {
 	t.Helper()
 	const (
 		clients   = 16
 		perClient = 25
 		totalReqs = clients * perClient
-		ringSlack = 64 // room for serve_conn traces alongside requests
 	)
 	eng := newEngine(t, "-topo", "nsfnet", "-k", "8", "-seed", "7")
 	reg := obs.NewRegistry()
 	tel := NewTelemetry(reg)
-	tracer := obs.NewTracer(&obs.TracerOptions{
-		RingSize:      totalReqs + ringSlack,
-		SlowThreshold: -1,
-	})
+	tracer := obs.NewTracer(&obs.TracerOptions{RingSize: totalReqs})
+	tracer.SetSlowThreshold(-1)
 	start := time.Now()
 	_, addr := startServer(t, eng, &ServerConfig{
 		QueueDepth:     4, // small queue: force real queue-wait under 16 clients
@@ -94,8 +91,9 @@ func recorderUnderLoad(t *testing.T, requestTimeout, execDelay time.Duration) (s
 	// trace's Finish, so the counts are exact once the replies are in.
 	var requests []*obs.ReqTrace
 	shedTraces := 0
-	for _, r := range tracer.Recent(totalReqs + ringSlack) {
+	for _, r := range tracer.Recent(totalReqs) {
 		if r.Root().Name != spanRequest {
+			t.Errorf("trace %d is a %s, not a request", r.ID, r.Root().Name)
 			continue
 		}
 		if a, _ := r.Root().Attr(attrOutcome); a.Str == outcomeShed {
@@ -143,20 +141,14 @@ func recorderUnderLoad(t *testing.T, requestTimeout, execDelay time.Duration) (s
 		}
 	}
 
-	// A connection's trace is finished before its handler reports the
-	// close, so at zero active connections every one is retained.
+	// Connections are counted by serve_connections_total, not traced:
+	// once every one has closed, the recorder holds the requests alone.
 	deadline := time.Now().Add(10 * time.Second)
 	for tel.connsActive.Value() != 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	conns := 0
-	for _, r := range tracer.Recent(totalReqs + ringSlack) {
-		if r.Root().Name == spanConn {
-			conns++
-		}
-	}
-	if conns != clients {
-		t.Errorf("recorder retains %d serve_conn traces for %d closed connections", conns, clients)
+	if got := tracer.Recorded(); got != totalReqs {
+		t.Errorf("recorder retained %d traces for %d requests over %d connections", got, totalReqs, clients)
 	}
 	return shed
 }
@@ -165,8 +157,8 @@ func recorderUnderLoad(t *testing.T, requestTimeout, execDelay time.Duration) (s
 // over TCP end to end.
 func TestServeVerbsRecentSlowTracejson(t *testing.T) {
 	eng := newEngine(t, "-topo", "nsfnet", "-k", "8", "-seed", "7")
-	tracer := obs.NewTracer(&obs.TracerOptions{SlowThreshold: 0}) // default 1ms
-	tracer.SetSlowThreshold(0)                                    // everything is "slow"
+	tracer := obs.NewTracer(nil)
+	tracer.SetSlowThreshold(0) // everything is "slow"
 	_, addr := startServer(t, eng, &ServerConfig{Tracer: tracer})
 	cl := dialT(t, addr)
 
@@ -253,7 +245,8 @@ func TestServeVerbsWithoutRecorder(t *testing.T) {
 // REPL path) records one serve_request per Exec.
 func TestReplExecOwnsTraceLifecycle(t *testing.T) {
 	eng := newEngine(t, "-topo", "nsfnet", "-k", "8", "-seed", "7")
-	tracer := obs.NewTracer(&obs.TracerOptions{SlowThreshold: -1})
+	tracer := obs.NewTracer(nil)
+	tracer.SetSlowThreshold(-1)
 	var sb strings.Builder
 	sess := NewSession(eng, &sb, &SessionOptions{Tracer: tracer})
 	if _, err := sess.Exec("route 0 7"); err != nil {
@@ -288,7 +281,8 @@ func TestReplExecOwnsTraceLifecycle(t *testing.T) {
 // back from those same spans.
 func TestInspectedRequestsAreRecorded(t *testing.T) {
 	eng := newEngine(t, "-topo", "nsfnet", "-k", "8", "-seed", "7")
-	tracer := obs.NewTracer(&obs.TracerOptions{SlowThreshold: -1})
+	tracer := obs.NewTracer(nil)
+	tracer.SetSlowThreshold(-1)
 	var sb strings.Builder
 	sess := NewSession(eng, &sb, &SessionOptions{Tracer: tracer})
 	for _, tc := range []struct {
@@ -335,34 +329,24 @@ func TestInspectedRequestsAreRecorded(t *testing.T) {
 	}
 }
 
-// TestExplainWithoutRecorder: the recorder being absent, off, or having
-// sampled the request out must not blind explain or the trace-on
-// summaries — they run the query under a private trace instead.
+// TestExplainWithoutRecorder: the recorder switched off — a nil tracer —
+// must not blind explain or the trace-on summaries: they run the query
+// under a private trace instead.
 func TestExplainWithoutRecorder(t *testing.T) {
-	sampledOut := obs.NewTracer(&obs.TracerOptions{Sample: 1000})
-	for name, tracer := range map[string]*obs.Tracer{
-		"no tracer":   nil,
-		"disabled":    obs.NewTracer(&obs.TracerOptions{Disabled: true}),
-		"sampled out": sampledOut,
-	} {
-		eng := newEngine(t, "-topo", "nsfnet", "-k", "8", "-seed", "7")
-		var sb strings.Builder
-		sess := NewSession(eng, &sb, &SessionOptions{Tracer: tracer})
-		for _, line := range []string{"explain 0 7", "trace on", "route 0 7", "alloc 0 7"} {
-			if _, err := sess.Exec(line); err != nil {
-				t.Fatalf("%s: %s: %v", name, line, err)
-			}
+	eng := newEngine(t, "-topo", "nsfnet", "-k", "8", "-seed", "7")
+	var sb strings.Builder
+	sess := NewSession(eng, &sb, nil)
+	for _, line := range []string{"explain 0 7", "trace on", "route 0 7", "alloc 0 7"} {
+		if _, err := sess.Exec(line); err != nil {
+			t.Fatalf("%s: %v", line, err)
 		}
-		out := sb.String()
-		if got := strings.Count(out, "settled "); got != 3 {
-			t.Fatalf("%s: want 3 anatomy lines (explain, route, alloc), got %d:\n%s", name, got, out)
-		}
-		if strings.Contains(out, "settled 0") || strings.Contains(out, "aux 0") {
-			t.Errorf("%s: anatomy rendered without its search counters:\n%s", name, out)
-		}
-		if tracer.Recorded() != 0 {
-			t.Errorf("%s: private traces leaked into the recorder (%d recorded)", name, tracer.Recorded())
-		}
+	}
+	out := sb.String()
+	if got := strings.Count(out, "settled "); got != 3 {
+		t.Fatalf("want 3 anatomy lines (explain, route, alloc), got %d:\n%s", got, out)
+	}
+	if strings.Contains(out, "settled 0") || strings.Contains(out, "aux 0") {
+		t.Errorf("anatomy rendered without its search counters:\n%s", out)
 	}
 }
 

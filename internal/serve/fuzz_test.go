@@ -20,7 +20,7 @@ import (
 var (
 	fuzzOnce   sync.Once
 	fuzzEng    *engine.Engine
-	fuzzTracer = obs.NewTracer(&obs.TracerOptions{Sample: 1, SlowThreshold: -1})
+	fuzzTracer = obs.NewTracer(nil)
 )
 
 func fuzzEngine(t *testing.T) *engine.Engine {

@@ -49,8 +49,8 @@ func TestHealthRules(t *testing.T) {
 	eng := newEngine(t, "-topo", "nsfnet", "-k", "8", "-seed", "1")
 	NewTelemetry(eng.Metrics())
 	registered := map[string]bool{}
-	for _, name := range eng.Metrics().Names() {
-		registered[name] = true
+	for _, nv := range eng.Metrics().SnapshotOrdered() {
+		registered[nv.Name] = true
 	}
 	t.Run("names are unique lower_snake", func(t *testing.T) {
 		lowerSnake := regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)

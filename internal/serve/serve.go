@@ -456,8 +456,8 @@ func (s *Session) execTrace(args []string) error {
 
 // readableSpan is the span an inspected query runs under: the request's
 // own serve_exec when the request is being recorded, else the root of a
-// private trace nothing retains — the recorder being off or having
-// sampled the request out must not blind explain.
+// private trace nothing retains — the recorder being off must not blind
+// explain.
 func readableSpan(sp *obs.Span) *obs.Span {
 	if sp == nil {
 		return obs.StartTrace(spanExec).Root()

@@ -7,7 +7,6 @@ package serve
 // Session.Exec for REPL/script transports.
 const (
 	spanRequest   = "serve_request"
-	spanConn      = "serve_conn"
 	spanQueueWait = "serve_queue_wait"
 	spanExec      = "serve_exec"
 )

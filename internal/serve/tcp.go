@@ -43,11 +43,11 @@ type ServerConfig struct {
 	// Telemetry receives connection/shed/latency instruments; nil
 	// disables serve-layer metrics.
 	Telemetry *Telemetry
-	// Tracer, when non-nil, records every request (subject to its own
-	// sampling) as a span tree in the flight recorder: the trace starts
-	// before admission so queue wait is measured, and shed requests are
-	// retained with outcome=shed. Connection lifetimes are recorded as
-	// serve_conn traces. Nil disables recording at zero cost.
+	// Tracer, when non-nil, records every request as a span tree in the
+	// flight recorder: the trace starts before admission so queue wait is
+	// measured, the root carries the client's remote address, and shed
+	// requests are retained with outcome=shed. Nil disables recording at
+	// zero cost.
 	Tracer *obs.Tracer
 	// Monitor backs the history/health verbs on every connection's
 	// session; nil leaves those verbs unconfigured.
@@ -209,17 +209,8 @@ func (s *Server) handle(conn *conn) {
 	if s.cfg.Telemetry != nil {
 		s.cfg.Telemetry.ConnOpened()
 	}
-	// The connection's own lifetime is a one-span trace; the remote
-	// address is rendered only when the trace is actually recorded.
-	// Connection lifetimes are not latencies: keep them out of the slow
-	// log, where they would always exceed the threshold.
-	connReq := s.cfg.Tracer.Start(spanConn)
+	// The remote address is rendered once, by the first recorded request.
 	var remote string
-	if connReq != nil {
-		remote = conn.remoteAddr()
-		connReq.Root().SetStr(attrRemote, remote)
-		defer s.cfg.Tracer.FinishRecentOnly(connReq)
-	}
 
 	out := bufio.NewWriter(conn)
 	sess := NewSession(s.eng, out, &SessionOptions{
