@@ -7,8 +7,11 @@ all: verify
 build:
 	$(GO) build ./...
 
+# A self-deadlock shows up as a hung test: the timeout turns it into a
+# failure that names the running test within minutes, not go test's
+# default ten. internal/core, the slowest package, takes about 30 s.
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 3m ./...
 
 # The concurrency layer (the engine and the facade's circuit admission,
 # admission.go) is only considered verified under the race detector;

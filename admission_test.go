@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"lightpath/internal/core"
 	"lightpath/internal/engine"
 	"lightpath/internal/topo"
 	"lightpath/internal/wdm"
@@ -689,6 +690,41 @@ func TestAdmitProtectedCapacityExhaustion(t *testing.T) {
 	}
 	if _, _, err := m.AdmitProtected(0, 4); !errors.Is(err, ErrBlocked) {
 		t.Fatalf("third protected admission: %v, want ErrBlocked", err)
+	}
+}
+
+// TestAdmitNodeRangeErrors runs the error returns inside SessionManager.mu
+// that are not blocking: an out-of-range endpoint is the engine's error,
+// passed through without counting a block or claiming a channel. Running
+// them is what makes a re-entry written on those lines hang here.
+func TestAdmitNodeRangeErrors(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	nw, err := workload.Build(topo.NSFNET(), workload.RestrictedSpec(8), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewSessionManager(nw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		admit func() error
+	}{
+		{"policy", func() error { _, err := m.AdmitPolicy(-1, 0, PolicyOptimal); return err }},
+		{"protected", func() error { _, _, err := m.AdmitProtected(0, 99); return err }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.admit(); !errors.Is(err, core.ErrNodeRange) {
+				t.Fatalf("err = %v, want core.ErrNodeRange", err)
+			}
+			if st := m.Stats(); st.Admitted != 0 || st.Blocked != 0 {
+				t.Errorf("stats = %+v, want admitted 0 and blocked 0", st)
+			}
+			if n := m.ActiveCircuits(); n != 0 {
+				t.Errorf("active circuits = %d, want 0", n)
+			}
+		})
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package analysis is the repository's domain-aware static-analysis
 // suite: a small analyzer framework on stdlib go/ast + go/types (the
 // build environment has no module proxy, so golang.org/x/tools is
-// deliberately not a dependency), plus four project-specific analyzers.
-// Each one either has fixed a true finding in this tree or guards a
-// hazard nothing else catches:
+// deliberately not a dependency), plus three project-specific
+// analyzers. Each one either has fixed a true finding in this tree or
+// guards a hazard nothing else catches:
 //
 //   - infcost: the +Inf cost sentinel (graph.Inf, wdm.Inf, math.Inf) is
 //     never compared or combined arithmetically outside blessed helpers.
@@ -12,13 +12,11 @@
 //     metric names are unique.
 //   - errdrop: error returns of engine/facade/core public APIs are
 //     never silently discarded.
-//   - lockorder: the cross-package mutex acquisition graph is acyclic,
-//     and no locked exported method is re-entered while the same
-//     receiver's lock is held.
 //
-// The last is flow-aware: it runs on the CFG/dataflow core in cfg.go
-// and the per-function summaries in summary.go. The span lifecycle is
-// not linted: the obs span API checks it at runtime (Tracer.Misuses).
+// All three read production files only, and none needs control flow. The
+// span lifecycle is not linted: the obs span API checks it at runtime
+// (Tracer.Misuses). Lock order is not linted either: EXPERIMENTS.md X56
+// tables what catches each lock hazard this tree can express.
 //
 // cmd/wdmlint is the driver; `make lint` runs it over the module.
 package analysis
@@ -45,7 +43,6 @@ func (d Diagnostic) String() string {
 }
 
 // Pass is everything an analyzer sees for one type-checked package.
-// Files is pre-filtered per Analyzer.TestFiles.
 type Pass struct {
 	Fset  *token.FileSet
 	Files []*ast.File
@@ -73,26 +70,13 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 	return p.Info.TypeOf(e)
 }
 
-// Analyzer is one named check. Run is called once per package; analyzers
-// that need cross-package state (metricname uniqueness, function
-// summaries, the lock graph) keep it in the closure, so a fresh Suite
-// must be built per lint run.
+// Analyzer is one named check. Run is called once per package; an
+// analyzer that needs cross-package state (metricname's uniqueness)
+// keeps it in the closure, so a fresh Suite must be built per lint run.
 type Analyzer struct {
 	Name string
 	Doc  string
 	Run  func(*Pass) error
-
-	// TestFiles includes in-package _test.go files in Pass.Files. The
-	// expression-level analyzers keep a production-only scope (test
-	// files legitimately exercise the forbidden shapes); the flow-aware
-	// analyzers opt in because test helpers start spans and take locks
-	// too.
-	TestFiles bool
-
-	// Finalize, if set, runs once after every package has been analyzed
-	// — the hook for whole-program findings such as lock-order cycles,
-	// which no single package can see.
-	Finalize func(report func(Diagnostic))
 }
 
 // Suite builds fresh instances of every analyzer, in stable order.
@@ -102,7 +86,6 @@ func Suite() []*Analyzer {
 		NewInfCost(),
 		NewMetricName(),
 		NewErrDrop(),
-		NewLockOrder(),
 	}
 }
 
@@ -114,13 +97,9 @@ func RunSuite(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
-			files := pkg.Files
-			if !a.TestFiles {
-				files = pkg.NonTestFiles()
-			}
 			pass := &Pass{
 				Fset:     pkg.Fset,
-				Files:    files,
+				Files:    pkg.Files,
 				Pkg:      pkg.Types,
 				Info:     pkg.Info,
 				analyzer: a.Name,
@@ -129,11 +108,6 @@ func RunSuite(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
 			}
-		}
-	}
-	for _, a := range analyzers {
-		if a.Finalize != nil {
-			a.Finalize(func(d Diagnostic) { diags = append(diags, d) })
 		}
 	}
 	for _, pkg := range pkgs {

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,7 +10,8 @@ import (
 // TestAuditTree scans a synthetic tree: real directives are inventoried
 // in file/line order, directive-shaped text inside string literals is
 // not, and testdata subtrees are skipped. Against the live roster, a
-// directive naming a retired analyzer is as unknown as a made-up one.
+// directive naming a retired analyzer (snapshotescape, lockorder) is as
+// unknown as a made-up one, even with a written reason.
 func TestAuditTree(t *testing.T) {
 	root := t.TempDir()
 	write := func(rel, content string) {
@@ -25,11 +27,11 @@ func TestAuditTree(t *testing.T) {
 	write("a.go", `package p
 
 func f() {
-	//lint:ignore lockorder callback runs after the registry unlocks
+	//lint:ignore infcost the comparison is the sentinel test itself
 	_ = 1
 }
 
-const msg = "annotate with //lint:ignore lockorder <reason>"
+const msg = "annotate with //lint:ignore infcost <reason>"
 `)
 	write("sub/b.go", `package q
 
@@ -41,10 +43,13 @@ var y = 2
 
 //lint:ignore snapshotescape x
 var v = 5
+
+//lint:ignore lockorder the registry runs callbacks after it unlocks
+var u = 6
 `)
 	write("sub/b_test.go", `package q
 
-//lint:ignore lockorder test holds both locks deliberately
+//lint:ignore metricname test registers one name twice deliberately
 var z = 3
 `)
 	write("testdata/skip.go", `package skipped
@@ -62,11 +67,12 @@ var w = 4
 		got[i] = ig.File + ":" + ig.Analyzer
 	}
 	want := []string{
-		"a.go:lockorder",
+		"a.go:infcost",
 		filepath.Join("sub", "b.go") + ":errdrop",
 		filepath.Join("sub", "b.go") + ":nosuch",
 		filepath.Join("sub", "b.go") + ":snapshotescape",
-		filepath.Join("sub", "b_test.go") + ":lockorder",
+		filepath.Join("sub", "b.go") + ":lockorder",
+		filepath.Join("sub", "b_test.go") + ":metricname",
 	}
 	if len(got) != len(want) {
 		t.Fatalf("AuditTree = %v, want %v", got, want)
@@ -87,14 +93,17 @@ var w = 4
 			problems++
 			switch ig.Analyzer {
 			case "errdrop": // empty reason
-			case "nosuch", "snapshotescape": // unknown analyzer; snapshotescape is retired
+			case "nosuch", "snapshotescape", "lockorder": // unknown; the last two are retired
+				if want := fmt.Sprintf("unknown analyzer %q", ig.Analyzer); p != want {
+					t.Errorf("%s: problem %q, want %q", ig.Analyzer, p, want)
+				}
 			default:
 				t.Errorf("unexpected problem on %s: %s", ig.Analyzer, p)
 			}
 		}
 	}
-	if problems != 3 {
-		t.Errorf("%d problem directives, want 3 (empty reason + two unknown analyzers)", problems)
+	if problems != 4 {
+		t.Errorf("%d problem directives, want 4 (empty reason + three unknown analyzers)", problems)
 	}
 }
 

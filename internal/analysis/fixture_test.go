@@ -151,7 +151,6 @@ func sameFile(a, b string) bool {
 func TestInfCostFixture(t *testing.T)    { runFixture(t, "infcost") }
 func TestMetricNameFixture(t *testing.T) { runFixture(t, "metricname") }
 func TestErrDropFixture(t *testing.T)    { runFixture(t, "errdrop") }
-func TestLockOrderFixture(t *testing.T)  { runFixture(t, "lockorder") }
 
 // TestFixtureHarnessCatchesDrift strips one // want expectation from
 // every analyzer's fixture and proves the harness reports the now-

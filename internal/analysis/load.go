@@ -17,10 +17,8 @@ import (
 	"strings"
 )
 
-// Package is one type-checked package ready for analysis. Files holds
-// every compiled file including in-package _test.go files; analyzers
-// that only enforce production contracts receive the non-test subset
-// (see RunSuite and Analyzer.TestFiles).
+// Package is one type-checked package ready for analysis: its
+// production files, without _test.go files.
 type Package struct {
 	Path  string
 	Dir   string
@@ -29,40 +27,19 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 
-	testFiles map[string]bool // absolute filename -> is _test.go
-	ignores   ignoreIndex
-}
-
-// TestFile reports whether f is an in-package test file.
-func (p *Package) TestFile(f *ast.File) bool {
-	return p.testFiles[p.Fset.Position(f.Package).Filename]
-}
-
-// NonTestFiles returns the production subset of Files.
-func (p *Package) NonTestFiles() []*ast.File {
-	var out []*ast.File
-	for _, f := range p.Files {
-		if !p.TestFile(f) {
-			out = append(out, f)
-		}
-	}
-	return out
+	ignores ignoreIndex
 }
 
 // listPkg is the subset of `go list -json` output the loader needs.
 type listPkg struct {
-	ImportPath  string
-	Dir         string
-	GoFiles     []string
-	CgoFiles    []string
-	TestGoFiles []string
-	Imports     []string
-	TestImports []string
-	Standard    bool
-	DepOnly     bool
-	Export      string
-	ImportMap   map[string]string
-	Error       *struct{ Err string }
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	CgoFiles   []string
+	Standard   bool
+	DepOnly    bool
+	Export     string
+	Error      *struct{ Err string }
 }
 
 // goList runs `go list -export -deps -json` in dir over the given
@@ -126,12 +103,10 @@ func (imp *exportImporter) ImportFrom(path, dir string, mode types.ImportMode) (
 }
 
 // LoadPatterns loads and type-checks the Go packages matched by the
-// given `go list` patterns (e.g. "./..."), rooted at dir. In-package
-// _test.go files are compiled into their package and marked (see
-// Package.TestFile); external test packages (package foo_test) are not
-// loaded. Results come back in dependency order — every package after
-// all packages it imports — so interprocedural analyzers can summarize
-// callees before checking callers.
+// given `go list` patterns (e.g. "./..."), rooted at dir. Only
+// production files are loaded; test files and external test packages
+// (package foo_test) are not. Packages come back in `go list -deps`
+// order, every package after the packages it imports.
 func LoadPatterns(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -155,94 +130,23 @@ func LoadPatterns(dir string, patterns ...string) ([]*Package, error) {
 		}
 	}
 
-	// Test files may import packages outside the non-test dependency
-	// closure `go list -deps` returned (testing, net, sibling helpers);
-	// resolve the missing ones with a second -export call.
-	missing := make(map[string]bool)
-	for _, lp := range targets {
-		for _, path := range lp.TestImports {
-			if path != "unsafe" && path != "C" && exports[path] == "" {
-				missing[path] = true
-			}
-		}
-	}
-	if len(missing) > 0 {
-		var paths []string
-		for p := range missing {
-			paths = append(paths, p)
-		}
-		sort.Strings(paths)
-		extra, err := goList(dir, paths)
-		if err != nil {
-			return nil, err
-		}
-		for _, lp := range extra {
-			if lp.Error != nil {
-				return nil, fmt.Errorf("load test dependency %s: %s", lp.ImportPath, lp.Error.Err)
-			}
-			if lp.Export != "" && exports[lp.ImportPath] == "" {
-				exports[lp.ImportPath] = lp.Export
-			}
-		}
-	}
-
 	imp := newExportImporter(fset, exports)
 	var pkgs []*Package
-	for _, lp := range sortByImports(targets) {
+	for _, lp := range targets {
 		if len(lp.CgoFiles) > 0 {
 			return nil, fmt.Errorf("load %s: cgo packages are not supported", lp.ImportPath)
 		}
 		var files []string
-		testSet := make(map[string]bool)
 		for _, f := range lp.GoFiles {
 			files = append(files, filepath.Join(lp.Dir, f))
-		}
-		for _, f := range lp.TestGoFiles {
-			abs := filepath.Join(lp.Dir, f)
-			files = append(files, abs)
-			testSet[abs] = true
 		}
 		pkg, err := typeCheck(fset, imp, lp.ImportPath, lp.Dir, files)
 		if err != nil {
 			return nil, err
 		}
-		pkg.testFiles = testSet
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
-}
-
-// sortByImports orders targets so that every package appears after all
-// target packages it imports (test imports included — helpers called
-// from test files still need callee summaries first). Import cycles
-// cannot occur between compiled packages, so the DFS always terminates
-// with a complete order.
-func sortByImports(targets []*listPkg) []*listPkg {
-	byPath := make(map[string]*listPkg, len(targets))
-	for _, lp := range targets {
-		byPath[lp.ImportPath] = lp
-	}
-	seen := make(map[string]bool, len(targets))
-	var out []*listPkg
-	var visit func(lp *listPkg)
-	visit = func(lp *listPkg) {
-		if seen[lp.ImportPath] {
-			return
-		}
-		seen[lp.ImportPath] = true
-		for _, edges := range [][]string{lp.Imports, lp.TestImports} {
-			for _, path := range edges {
-				if dep, ok := byPath[path]; ok && path != lp.ImportPath {
-					visit(dep)
-				}
-			}
-		}
-		out = append(out, lp)
-	}
-	for _, lp := range targets {
-		visit(lp)
-	}
-	return out
 }
 
 // LoadDir loads one directory of Go files as a single package — the

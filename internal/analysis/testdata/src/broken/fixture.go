@@ -4,8 +4,6 @@
 package broken
 
 import (
-	"sync"
-
 	"lightpath/internal/engine"
 	"lightpath/internal/graph"
 	"lightpath/internal/obs"
@@ -20,13 +18,4 @@ func leak(e *engine.Engine, d float64) bool {
 // metricname: a registry name that is not lower_snake.
 func badMetric(reg *obs.Registry) *obs.Counter {
 	return reg.Counter("BadName")
-}
-
-type locked struct{ mu sync.Mutex }
-
-// lockorder: re-lock of a held mutex.
-func relock(l *locked) {
-	l.mu.Lock()
-	l.mu.Lock()
-	l.mu.Unlock()
 }

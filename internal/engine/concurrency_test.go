@@ -171,3 +171,90 @@ func TestConcurrentChurn(t *testing.T) {
 		t.Fatalf("final residual %d channels, want %d", got, want)
 	}
 }
+
+// TestLockedReadsBesideWriters calls every method that read-locks the
+// engine — LinkFailed, OwnerChannels, HeldByWavelength, HeldChannels,
+// Stats and the registry's gauges — while writers claim, release, fail
+// and repair. Nothing lints lock order, so this is the test that hangs
+// when one of those methods read-locks again under its own lock (a
+// recursive RLock deadlocks once a writer queues between the two) or
+// takes the write lock. Readers get fixed work, not a done flag, so a
+// single CPU still interleaves them with the writers.
+func TestLockedReadsBesideWriters(t *testing.T) {
+	const (
+		writers = 2
+		readers = 4
+		ops     = 600
+		reads   = 2000
+	)
+	nw := buildNet(t, topo.NSFNET(), 4, 7)
+	e, err := New(nw, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, links := nw.NumNodes(), nw.NumLinks()
+	var (
+		wg       sync.WaitGroup
+		ownerSeq atomic.Int64
+	)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for op := 0; op < ops; op++ {
+				owner := ownerSeq.Add(1)
+				if _, err := e.RouteAndAllocate(owner, rng.Intn(n), rng.Intn(n)); err == nil {
+					if err := e.Release(owner); err != nil {
+						t.Errorf("release %d: %v", owner, err)
+						return
+					}
+				}
+				if op%10 == 0 {
+					link := rng.Intn(links)
+					if _, err := e.FailLink(link); err != nil {
+						t.Errorf("fail %d: %v", link, err)
+						return
+					}
+					if err := e.RepairLink(link); err != nil {
+						t.Errorf("repair %d: %v", link, err)
+						return
+					}
+				}
+			}
+		}(int64(w + 1))
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < reads; i++ {
+				switch i % 6 {
+				case 0:
+					e.LinkFailed(rng.Intn(links))
+				case 1:
+					e.OwnerChannels(ownerSeq.Load())
+				case 2:
+					if got := len(e.HeldByWavelength()); got != nw.K() {
+						t.Errorf("HeldByWavelength has %d entries, want %d", got, nw.K())
+						return
+					}
+				case 3:
+					if e.HeldChannels() < 0 {
+						t.Error("negative held channels")
+						return
+					}
+				case 4:
+					e.Stats()
+				default:
+					e.Metrics().Snapshot()
+				}
+			}
+		}(int64(100 + r))
+	}
+	wg.Wait()
+	if held := e.HeldChannels(); held != 0 {
+		t.Fatalf("%d channels held after every writer released", held)
+	}
+}

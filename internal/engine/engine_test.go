@@ -373,6 +373,9 @@ func TestAllocateRejectsBadPaths(t *testing.T) {
 	if err := e.Allocate(1, &wdm.Semilightpath{Hops: []wdm.Hop{{Link: 9999, Wavelength: 0}}}); !errors.Is(err, ErrLinkRange) {
 		t.Fatalf("out-of-range link: got %v", err)
 	}
+	if err := e.Allocate(1, &wdm.Semilightpath{Hops: []wdm.Hop{{Link: 0, Wavelength: wdm.Wavelength(nw.K())}}}); err == nil {
+		t.Fatal("wavelength not installed on the link accepted")
+	}
 	// A path claiming the same channel twice must be rejected whole.
 	res, err := e.Route(0, 9)
 	if err != nil {

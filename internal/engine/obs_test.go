@@ -134,7 +134,7 @@ func TestMetricsCountersTrackWork(t *testing.T) {
 	if got := snap["engine_routes_blocked_total"].(uint64); got != uint64(blocked) {
 		t.Fatalf("engine_routes_blocked_total = %d, want %d", got, blocked)
 	}
-	if hist := e.metrics.routeLatency.Count(); hist != routes {
+	if hist := e.metrics.routeLatency.Snapshot().Count; hist != routes {
 		t.Fatalf("route latency histogram has %d observations, want %d", hist, routes)
 	}
 
@@ -173,7 +173,7 @@ func TestMetricsCountersTrackWork(t *testing.T) {
 	// Every publish lands on exactly one of the two latency histograms:
 	// full compiles on engine_rebuild_latency_ns, incremental applies on
 	// engine_delta_latency_ns. Together they reconcile with the epoch.
-	full, delta := e.metrics.rebuildLatency.Count(), e.metrics.deltaLatency.Count()
+	full, delta := e.metrics.rebuildLatency.Snapshot().Count, e.metrics.deltaLatency.Snapshot().Count
 	if full+delta != uint64(e.Epoch())+1 {
 		t.Fatalf("rebuild(%d) + delta(%d) histogram observations, want epoch %d + 1", full, delta, e.Epoch())
 	}

@@ -19,10 +19,9 @@ import (
 type Histogram struct {
 	bounds  []float64
 	buckets []atomic.Uint64 // len(bounds)+1; last is overflow
-	count   atomic.Uint64
-	sumBits atomic.Uint64 // float64 bits, CAS-accumulated
-	minBits atomic.Uint64 // float64 bits, +Inf when empty
-	maxBits atomic.Uint64 // float64 bits, -Inf when empty
+	sumBits atomic.Uint64   // float64 bits, CAS-accumulated
+	minBits atomic.Uint64   // float64 bits, +Inf when empty
+	maxBits atomic.Uint64   // float64 bits, -Inf when empty
 }
 
 // NewHistogram builds a histogram over the given ascending bucket
@@ -65,7 +64,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 	h.buckets[lo].Add(1)
-	h.count.Add(1)
 	atomicAddFloat(&h.sumBits, v)
 	atomicMinFloat(&h.minBits, v)
 	atomicMaxFloat(&h.maxBits, v)
@@ -75,9 +73,6 @@ func (h *Histogram) Observe(v float64) {
 func (h *Histogram) ObserveDuration(d time.Duration) {
 	h.Observe(float64(d.Nanoseconds()))
 }
-
-// Count reports the number of observations so far.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 func atomicAddFloat(bits *atomic.Uint64, delta float64) {
 	for {

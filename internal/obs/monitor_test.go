@@ -539,6 +539,28 @@ func TestMonitorBundle(t *testing.T) {
 			t.Errorf("capture after failure = %q, %v", p, err)
 		}
 	})
+	t.Run("a blocked directory or name fails the capture", func(t *testing.T) {
+		m, dir := monitor(t)
+		file := filepath.Join(dir, "file")
+		if err := os.WriteFile(file, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m.bundleDir = filepath.Join(file, "diag")
+		if _, err := m.writeBundle("nodir", one); err == nil {
+			t.Error("a bundle dir under a regular file must fail the capture")
+		}
+		m.bundleDir = dir
+		taken := filepath.Join(dir, "bundle-001-taken")
+		if err := os.MkdirAll(filepath.Join(taken, "old"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.writeBundle("taken", one); err == nil {
+			t.Error("a bundle name already taken must fail the capture")
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 2 || m.written.Load() != 0 {
+			t.Errorf("failed captures left %v behind, wrote %d", entries, m.written.Load())
+		}
+	})
 }
 
 func TestMonitorHistory(t *testing.T) {
@@ -640,6 +662,24 @@ func TestMonitorSampler(t *testing.T) {
 			t.Error("monitor kept sampling after Stop")
 		}
 		m.Stop() // a no-op
+		// Stop called mid-tick waits for the tick to end, then for the loop
+		// to exit. A Stop that held loopMu while it waits deadlocks here
+		// against a tick that takes loopMu under Monitor.mu.
+		reg := NewRegistry()
+		entered, release := make(chan struct{}), make(chan struct{})
+		var once sync.Once
+		reg.GaugeFunc("held_tick", func() float64 {
+			once.Do(func() { close(entered); <-release })
+			return 0
+		})
+		busy := NewMonitor(reg, time.Millisecond, nil)
+		busy.Start()
+		<-entered
+		stopped := make(chan struct{})
+		go func() { busy.Stop(); close(stopped) }()
+		time.Sleep(5 * time.Millisecond) // let Stop begin while the tick is held
+		close(release)
+		<-stopped
 		var nilMonitor *Monitor
 		nilMonitor.Start()
 		nilMonitor.Stop()

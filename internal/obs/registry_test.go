@@ -22,7 +22,7 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	}
 	h1 := r.Histogram("lat", DefaultLatencyBuckets())
 	h1.Observe(5000)
-	if h2 := r.Histogram("lat", nil); h2 != h1 || h2.Count() != 1 {
+	if h2 := r.Histogram("lat", nil); h2 != h1 || h2.Snapshot().Count != 1 {
 		t.Error("Histogram must return the same instance per name")
 	}
 }

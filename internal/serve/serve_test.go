@@ -180,13 +180,13 @@ func TestTelemetryPerVerbLatency(t *testing.T) {
 	if got := tel.errors.Value(); got != 2 {
 		t.Fatalf("serve_request_errors_total = %d, want 2 (unknown verb + bad arity)", got)
 	}
-	if got := tel.verbLatency["route"].Count(); got != 3 {
+	if got := tel.verbLatency["route"].Snapshot().Count; got != 3 {
 		t.Fatalf("route verb latency count = %d, want 3 (two answers + one arity error)", got)
 	}
-	if got := tel.verbLatency["epoch"].Count(); got != 1 {
+	if got := tel.verbLatency["epoch"].Snapshot().Count; got != 1 {
 		t.Fatalf("epoch verb latency count = %d, want 1", got)
 	}
-	if got := tel.reqLatency.Count(); got != uint64(len(lines)) {
+	if got := tel.reqLatency.Snapshot().Count; got != uint64(len(lines)) {
 		t.Fatalf("serve_request_latency_ns count = %d, want %d", got, len(lines))
 	}
 }

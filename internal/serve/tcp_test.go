@@ -461,6 +461,45 @@ func TestTCPDrainDeadlineForceCloses(t *testing.T) {
 	}
 }
 
+// drainingListener hands over one accepted connection only after it has
+// started the server's drain: the accept that races with Shutdown.
+type drainingListener struct {
+	net.Listener
+	srv *Server
+}
+
+func (l *drainingListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err == nil {
+		err = l.srv.Shutdown(context.Background())
+	}
+	return nc, err
+}
+
+// TestTCPAcceptRacingShutdownIsRefused runs Serve's refusal branch: a
+// connection accepted after the drain began is closed unserved, and
+// Serve returns nil.
+func TestTCPAcceptRacingShutdownIsRefused(t *testing.T) {
+	eng := newEngine(t, "-topo", "paper")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(eng, nil)
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(&drainingListener{Listener: ln, srv: srv}) }()
+	c := dialT(t, ln.Addr().String())
+	if err := <-serveErr; err != nil {
+		t.Fatalf("Serve returned %v after a drain", err)
+	}
+	if err := c.SetDeadline(time.Now().Add(2 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if line, err := c.ReadLine(); err == nil {
+		t.Fatalf("connection accepted during the drain read %q", line)
+	}
+}
+
 // TestTCPIdleTimeoutDisconnects verifies the per-connection read
 // deadline: a silent client is dropped, an active one keeps its
 // connection.
