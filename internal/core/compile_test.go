@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"testing"
@@ -373,5 +374,57 @@ func TestCompileAllocationsIndependentOfSize(t *testing.T) {
 	}
 	if counts[0] > 80 {
 		t.Fatalf("NewAuxWithLayout allocates %v times, want ≤ 80", counts[0])
+	}
+}
+
+// kSweepNetwork is E4's shape at wavelength count k: n=400 sparse, degree
+// 4–5, four distinct random wavelengths per link, uniform conversion. It
+// draws the channels itself rather than through workload.Build, which
+// visits every one of the k wavelengths on every link.
+func kSweepNetwork(tb testing.TB, k int) *wdm.Network {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(4))
+	tp := topo.RandomSparse(400, 4, 5, rng)
+	nw := wdm.NewNetwork(tp.N, k)
+	for _, e := range tp.Edges {
+		var chans []wdm.Channel
+		for len(chans) < 4 {
+			lam := wdm.Wavelength(rng.Intn(k))
+			if !slices.ContainsFunc(chans, func(c wdm.Channel) bool { return c.Lambda == lam }) {
+				chans = append(chans, wdm.Channel{Lambda: lam, Weight: 2 + 8*rng.Float64()})
+			}
+		}
+		if _, err := nw.AddLink(e[0], e[1], chans); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	nw.SetConverter(wdm.UniformConversion{C: 0.5})
+	return nw
+}
+
+// TestCompileBytesIndependentOfK is Theorem 4 for memory: with |Λ(e)| ≤ 4
+// the compile allocates O(|V′| + |E′| + n + m) bytes whatever k is, so
+// nothing k wide (a per-node row over all wavelengths) is built.
+func TestCompileBytesIndependentOfK(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, k := range []int{8, 512, 1 << 17} {
+		nw := kSweepNetwork(t, k)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		a, err := NewAux(nw)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes := after.TotalAlloc - before.TotalAlloc
+		items := uint64(a.NumAuxNodes() + a.NumAuxArcs() + nw.NumNodes() + nw.NumLinks())
+		t.Logf("k=%d: %d bytes, %d items, %.1f B/item", k, bytes, items, float64(bytes)/float64(items))
+		if bytes > 64*items {
+			t.Errorf("k=%d: NewAux allocates %d bytes for %d nodes, arcs, links and network nodes: over 64 per item",
+				k, bytes, items)
+		}
 	}
 }

@@ -4,11 +4,13 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"lightpath/internal/core"
 	"lightpath/internal/obs"
 	"lightpath/internal/topo"
+	"lightpath/internal/wdm"
 	"lightpath/internal/workload"
 )
 
@@ -219,6 +221,41 @@ func TestPerWavelengthUtilizationGauges(t *testing.T) {
 		if got := e.heldOnWavelength(lam); got != perLam[lam] {
 			t.Fatalf("λ%d: gauge %d, path holds %d", lam, got, perLam[lam])
 		}
+	}
+}
+
+// TestEngineNewIndependentOfK: engine.New registers the same metric
+// series whatever the wavelength count, so a snapshot of the registry
+// costs nothing per installed wavelength. The network carries four
+// random wavelengths per NSFNET link, drawn directly: workload.Build
+// visits all k on every link.
+func TestEngineNewIndependentOfK(t *testing.T) {
+	series := make(map[int]int)
+	for _, k := range []int{8, 1 << 17} {
+		rng := rand.New(rand.NewSource(5))
+		tp := topo.NSFNET()
+		nw := wdm.NewNetwork(tp.N, k)
+		for _, l := range tp.Edges {
+			var chans []wdm.Channel
+			for len(chans) < 4 {
+				lam := wdm.Wavelength(rng.Intn(k))
+				if !slices.ContainsFunc(chans, func(c wdm.Channel) bool { return c.Lambda == lam }) {
+					chans = append(chans, wdm.Channel{Lambda: lam, Weight: 1 + rng.Float64()})
+				}
+			}
+			if _, err := nw.AddLink(l[0], l[1], chans); err != nil {
+				t.Fatal(err)
+			}
+		}
+		nw.SetConverter(wdm.UniformConversion{C: 0.5})
+		e, err := New(nw, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		series[k] = len(e.Metrics().Snapshot())
+	}
+	if series[8] != series[1<<17] {
+		t.Fatalf("engine.New registers %d metric series at k=8 and %d at k=2^17", series[8], series[1<<17])
 	}
 }
 
