@@ -55,7 +55,7 @@ lint:
 # and a written reason, and the total count is pinned so it can only
 # grow deliberately (bump LINT_SUPPRESSIONS_MAX in the same commit that
 # adds a justified directive).
-LINT_SUPPRESSIONS_MAX ?= 1
+LINT_SUPPRESSIONS_MAX ?= 0
 lint-audit:
 	$(GO) run ./cmd/wdmlint -audit -audit-max $(LINT_SUPPRESSIONS_MAX)
 
@@ -114,7 +114,7 @@ race-obs:
 # on it under the exact potential (0 allocs); BenchmarkNewAux/n={100,300,1000}
 # is one full compile of G′ (18 allocs/op at every n: per structure, not
 # per node) and BenchmarkEngineNew/n={100,300} the epoch-0 residual plus
-# that compile under wdmserve's defaults (≈ 140 allocs; thousands mean
+# that compile under wdmserve's defaults (≈ 121 allocs; thousands mean
 # the compile or the residual is built per node again). Not a
 # stable-numbers benchmark.
 bench-smoke:

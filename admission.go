@@ -198,17 +198,21 @@ func (m *SessionManager) admitFixed(s, t int, policy AdmissionPolicy) (*Circuit,
 	if !ok {
 		return nil, m.block(s, t, " (no physical route)")
 	}
+	if len(route) == 0 { // s == t: a circuit of no hops, as PolicyOptimal admits
+		return m.claim(s, t, &wdm.Semilightpath{}, 0), nil
+	}
 	residual := m.eng.Snapshot().Network()
-	var free []wdm.Wavelength // the wavelengths free on every link of the route
+	var free []wdm.Wavelength // the wavelengths free on every link of the route, ascending
 next:
-	for lam := wdm.Wavelength(0); int(lam) < residual.K(); lam++ {
-		for _, link := range route {
-			if _, ok := residual.Link(link).Has(lam); !ok {
+	for _, ch := range residual.Link(route[0]).Channels {
+		for _, link := range route[1:] {
+			if _, ok := residual.Link(link).Has(ch.Lambda); !ok {
 				continue next
 			}
 		}
-		free = append(free, lam)
+		free = append(free, ch.Lambda)
 	}
+	slices.Sort(free)
 	if len(free) == 0 {
 		return nil, m.block(s, t, " (no continuous wavelength on the fixed route)")
 	}

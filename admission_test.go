@@ -331,6 +331,30 @@ func TestFirstFitPicksLowestWavelength(t *testing.T) {
 	}
 }
 
+// TestFirstFitIgnoresChannelOrder: the free list is the first hop's
+// channels found on every later hop, sorted, so first-fit picks the
+// lowest common wavelength however the links list their channels.
+func TestFirstFitIgnoresChannelOrder(t *testing.T) {
+	nw := wdm.NewNetwork(3, 4)
+	mustLink(t, nw, 0, 1,
+		wdm.Channel{Lambda: 3, Weight: 1}, wdm.Channel{Lambda: 2, Weight: 1}, wdm.Channel{Lambda: 1, Weight: 1})
+	mustLink(t, nw, 1, 2,
+		wdm.Channel{Lambda: 0, Weight: 1}, wdm.Channel{Lambda: 3, Weight: 1}, wdm.Channel{Lambda: 2, Weight: 1})
+	m, err := NewSessionManager(nw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := m.AdmitPolicy(0, 2, PolicyFirstFit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range c.Path.Hops {
+		if h.Wavelength != 2 {
+			t.Fatalf("first-fit routed %v, want λ2 on both hops", c.Path.Hops)
+		}
+	}
+}
+
 func TestFirstFitWavelengthContinuityBlocking(t *testing.T) {
 	// Chain 0→1→2: link 0 has λ0 only, link 1 has λ1 only. A converter
 	// exists, so optimal admission succeeds — but first-fit needs one

@@ -420,7 +420,7 @@ func TestServeMetricsJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(out[start:end+1]), &decoded); err != nil {
 		t.Fatalf("metrics JSON invalid: %v\n%s", err, out)
 	}
-	for _, key := range []string{"engine_routes_total", "engine_route_latency_ns", "engine_epoch", "cache_hit_rate", "wavelength_0_held"} {
+	for _, key := range []string{"engine_routes_total", "engine_route_latency_ns", "engine_epoch", "cache_hit_rate", "engine_held_channels"} {
 		if _, ok := decoded[key]; !ok {
 			t.Errorf("metrics JSON missing %q", key)
 		}

@@ -62,14 +62,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// TypeOf is a nil-tolerant shorthand for Info.TypeOf.
-func (p *Pass) TypeOf(e ast.Expr) types.Type {
-	if e == nil {
-		return nil
-	}
-	return p.Info.TypeOf(e)
-}
-
 // Analyzer is one named check. Run is called once per package; an
 // analyzer that needs cross-package state (metricname's uniqueness)
 // keeps it in the closure, so a fresh Suite must be built per lint run.

@@ -21,7 +21,6 @@ import (
 // production files, without _test.go files.
 type Package struct {
 	Path  string
-	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
@@ -140,7 +139,7 @@ func LoadPatterns(dir string, patterns ...string) ([]*Package, error) {
 		for _, f := range lp.GoFiles {
 			files = append(files, filepath.Join(lp.Dir, f))
 		}
-		pkg, err := typeCheck(fset, imp, lp.ImportPath, lp.Dir, files)
+		pkg, err := typeCheck(fset, imp, lp.ImportPath, files)
 		if err != nil {
 			return nil, err
 		}
@@ -212,14 +211,14 @@ func LoadDir(moduleRoot, dir string) ([]*Package, error) {
 		}
 	}
 	imp := newExportImporter(fset, exports)
-	pkg, err := typeCheckParsed(fset, imp, "fixture/"+filepath.Base(dir), dir, parsed)
+	pkg, err := typeCheckParsed(fset, imp, "fixture/"+filepath.Base(dir), parsed)
 	if err != nil {
 		return nil, err
 	}
 	return []*Package{pkg}, nil
 }
 
-func typeCheck(fset *token.FileSet, imp types.ImporterFrom, path, dir string, filenames []string) (*Package, error) {
+func typeCheck(fset *token.FileSet, imp types.ImporterFrom, path string, filenames []string) (*Package, error) {
 	var files []*ast.File
 	for _, f := range filenames {
 		af, err := parser.ParseFile(fset, f, nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -228,10 +227,10 @@ func typeCheck(fset *token.FileSet, imp types.ImporterFrom, path, dir string, fi
 		}
 		files = append(files, af)
 	}
-	return typeCheckParsed(fset, imp, path, dir, files)
+	return typeCheckParsed(fset, imp, path, files)
 }
 
-func typeCheckParsed(fset *token.FileSet, imp types.ImporterFrom, path, dir string, files []*ast.File) (*Package, error) {
+func typeCheckParsed(fset *token.FileSet, imp types.ImporterFrom, path string, files []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -258,7 +257,6 @@ func typeCheckParsed(fset *token.FileSet, imp types.ImporterFrom, path, dir stri
 	}
 	pkg := &Package{
 		Path:  path,
-		Dir:   dir,
 		Fset:  fset,
 		Files: files,
 		Types: tpkg,

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"lightpath/internal/graph"
 	"lightpath/internal/wdm"
@@ -146,7 +147,7 @@ func NewAuxWithLayout(layout, residual *wdm.Network) (*Aux, error) {
 	if err := checkSubNetwork(layout, residual); err != nil {
 		return nil, err
 	}
-	n, k := layout.NumNodes(), layout.K()
+	n := layout.NumNodes()
 	a := &Aux{
 		nw:       residual,
 		layout:   layout,
@@ -158,55 +159,45 @@ func NewAuxWithLayout(layout, residual *wdm.Network) (*Aux, error) {
 
 	// Pass 1: gadget shores. Λ_in(G_M,v)/Λ_out(G_M,v) equal the unions of
 	// the channel sets on incident links (the multigraph adds no new
-	// wavelengths, it only splits links into parallel arcs). One pass over
-	// the layout's links marks them in a dense (node, side, λ) table, row
-	// (2v + side)·k, which the numbering below turns into aux IDs — X_v
-	// then Y_v per node, each shore in ascending λ — and -1 for a
-	// wavelength not on the shore. The table serves this compile's
-	// lookups; queries binary-search the shore lists (xIndex, yIndex).
-	id := make([]int32, 2*n*k)
-	total := 0
-	minW, maxW := graph.Inf, 0.0
-	for lid := 0; lid < layout.NumLinks(); lid++ {
-		l := layout.Link(lid)
-		in, out := id[2*l.To*k:][:k], id[(2*l.From+1)*k:][:k]
-		for _, ch := range l.Channels {
-			if in[ch.Lambda] == 0 {
-				in[ch.Lambda] = 1
-				total++
-			}
-			if out[ch.Lambda] == 0 {
-				out[ch.Lambda] = 1
-				total++
-			}
-			minW, maxW = min(minW, ch.Weight), max(maxW, ch.Weight)
-		}
+	// wavelengths, it only splits links into parallel arcs), and the layout
+	// appends them — X_v then Y_v per node, each ascending — into one arena
+	// that holds every shore list; an aux node's ID is its position there.
+	// A link's channels land on one X and one Y shore, so 2·Σ|Λ(e)| bounds
+	// the arena and nothing here is k wide (Theorem 4).
+	lambdas := make([]wdm.Wavelength, 0, 2*layout.TotalChannels())
+	xShore := 0
+	for v := 0; v < n; v++ {
+		start := len(lambdas)
+		lambdas = layout.AppendLambdaIn(lambdas, v)
+		a.xStart[v], a.xLambdas[v] = int32(start), lambdas[start:len(lambdas):len(lambdas)]
+		xShore += len(lambdas) - start
+		start = len(lambdas)
+		lambdas = layout.AppendLambdaOut(lambdas, v)
+		a.yStart[v], a.yLambdas[v] = int32(start), lambdas[start:len(lambdas):len(lambdas)]
 	}
+	total := len(lambdas)
 	a.info = make([]AuxNode, total)
 	a.yPass = make([]bool, total)
-	lambdas := make([]wdm.Wavelength, total) // every shore list, cut from one arena
-	next, xShore := int32(0), 0
+	// low: each shore's wavelengths below 64 as a bit word, for the
+	// compile's own lookups (orgEnds). Queries binary-search the shore
+	// lists (xIndex, yIndex), so the words are not retained.
+	low := make([]uint64, 2*n)
 	for v := 0; v < n; v++ {
-		for side := SideX; side <= SideY; side++ {
-			start := next
-			row := id[(2*v+int(side-SideX))*k:][:k]
-			for lam, mark := range row {
-				if mark == 0 {
-					row[lam] = -1
-					continue
-				}
-				row[lam] = next
-				a.info[next] = AuxNode{Node: int32(v), Lambda: wdm.Wavelength(lam), Side: side}
-				a.yPass[next] = side == SideY
-				lambdas[next] = wdm.Wavelength(lam)
-				next++
-			}
-			if shore := lambdas[start:next:next]; side == SideX {
-				a.xStart[v], a.xLambdas[v] = start, shore
-				xShore += len(shore)
-			} else {
-				a.yStart[v], a.yLambdas[v] = start, shore
-			}
+		for i, lam := range a.xLambdas[v] {
+			a.info[int(a.xStart[v])+i] = AuxNode{Node: int32(v), Lambda: lam, Side: SideX}
+			low[2*v] |= 1 << lam // 0 from λ = 64 on
+		}
+		for i, lam := range a.yLambdas[v] {
+			y := int(a.yStart[v]) + i
+			a.info[y] = AuxNode{Node: int32(v), Lambda: lam, Side: SideY}
+			a.yPass[y] = true
+			low[2*v+1] |= 1 << lam
+		}
+	}
+	minW, maxW := graph.Inf, 0.0
+	for lid := 0; lid < layout.NumLinks(); lid++ {
+		for _, ch := range layout.Link(lid).Channels {
+			minW, maxW = min(minW, ch.Weight), max(maxW, ch.Weight)
 		}
 	}
 
@@ -220,8 +211,8 @@ func NewAuxWithLayout(layout, residual *wdm.Network) (*Aux, error) {
 	for lid := 0; lid < residual.NumLinks(); lid++ {
 		l := residual.Link(lid)
 		for _, ch := range l.Channels {
-			y, x := id[(2*l.From+1)*k+int(ch.Lambda)], id[2*l.To*k+int(ch.Lambda)]
-			if y < 0 || x < 0 {
+			y, _, ok := a.orgEnds(low, l, ch.Lambda)
+			if !ok {
 				return nil, fmt.Errorf("core: λ%d of residual link %d is missing from Y_%d or X_%d of the layout",
 					ch.Lambda, lid, l.From, l.To)
 			}
@@ -294,7 +285,7 @@ func NewAuxWithLayout(layout, residual *wdm.Network) (*Aux, error) {
 	for lid := 0; lid < residual.NumLinks(); lid++ {
 		l := residual.Link(lid)
 		for _, ch := range l.Channels {
-			y, x := id[(2*l.From+1)*k+int(ch.Lambda)], id[2*l.To*k+int(ch.Lambda)]
+			y, x, _ := a.orgEnds(low, l, ch.Lambda)
 			arena[ends[y]] = graph.Arc{To: x, Weight: ch.Weight, Tag: int32(lid)}
 			ends[y]++
 		}
@@ -404,6 +395,23 @@ func (a *Aux) GadgetArcs(v int) []wdm.Conversion {
 		}
 	}
 	return out
+}
+
+// orgEnds returns the aux IDs Y_u(λ) → X_v(λ) that the E_org arc of λ
+// on link u→v joins, and whether both shores carry λ. low holds each
+// shore's wavelengths below 64 as a bit word, Y_u's at 2u+1 and X_v's at
+// 2v, so a low λ's rank on either shore is a popcount; a higher one is
+// found as queries find it (yIndex, xIndex).
+func (a *Aux) orgEnds(low []uint64, l *wdm.Link, lam wdm.Wavelength) (y, x int32, ok bool) {
+	u, v := l.From, l.To
+	if b := uint(lam); b < 64 {
+		yw, xw, below := low[2*u+1], low[2*v], uint64(1)<<b-1
+		return a.yStart[u] + int32(bits.OnesCount64(yw&below)), a.xStart[v] + int32(bits.OnesCount64(xw&below)),
+			(yw&xw)>>b&1 == 1
+	}
+	yi, yok := a.yIndex(u, lam)
+	xi, xok := a.xIndex(v, lam)
+	return int32(yi), int32(xi), yok && xok
 }
 
 func (a *Aux) xIndex(v int, l wdm.Wavelength) (int, bool) {

@@ -277,8 +277,8 @@ func TestDifferentialChurn(t *testing.T) {
 			if st.Epoch > 0 && st.DeltaApplies == 0 {
 				t.Fatalf("no delta applies after %d epochs of churn: %+v", st.Epoch, st)
 			}
-			for lam := 0; lam < nw.K(); lam++ {
-				if held := e.heldOnWavelength(lam); held != 0 {
+			for lam, held := range e.HeldByWavelength() {
+				if held != 0 {
 					t.Fatalf("λ%d still shows %d held channels after drain", lam, held)
 				}
 			}

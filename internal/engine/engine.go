@@ -6,9 +6,8 @@
 // immutable auxiliary graph (core.Aux), which is perfect for a static
 // network but wrong for online circuit switching — every wavelength
 // allocation changes the residual capacity, and the naive fix (rebuild
-// the Aux inside every request, as internal/session originally did)
-// puts the full O(k²n + km) construction on the latency path of every
-// query and forbids concurrency.
+// the Aux inside every request) puts the full O(k²n + km) construction
+// on the latency path of every query and forbids concurrency.
 //
 // The engine inverts that: mutators (Allocate/Release/FailLink/
 // RepairLink) pay for the rebuild, bumping a monotone epoch counter and

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"lightpath/internal/core"
@@ -13,8 +12,8 @@ import (
 // per engine. Hot-path instruments (latency histograms, counters) are
 // held as direct pointers so recording costs a few atomic operations;
 // levels another structure already tracks (epoch, cache counters,
-// per-wavelength utilization) are registered as lazy gauge functions
-// and cost nothing until a snapshot is rendered.
+// held channels) are registered as lazy gauge functions and cost
+// nothing until a snapshot is rendered.
 type Metrics struct {
 	reg *obs.Registry
 
@@ -124,20 +123,6 @@ func newMetrics(e *Engine) *Metrics {
 	reg.GaugeFunc("snapshot_aux_nodes", func() float64 { return float64(e.Snapshot().Aux().NumAuxNodes()) })
 	reg.GaugeFunc("snapshot_aux_arcs", func() float64 { return float64(e.Snapshot().Aux().NumAuxArcs()) })
 	reg.GaugeFunc("snapshot_free_channels", func() float64 { return float64(e.Snapshot().Network().TotalChannels()) })
-
-	// Per-wavelength utilization of the residual: held channels on each
-	// color, the counter family blocking-probability and conversion-gain
-	// studies aggregate over.
-	for i := 0; i < e.base.K(); i++ {
-		lam := i
-		// The one sanctioned dynamic metric name in the module: a gauge per
-		// installed wavelength, K known only at engine construction. The
-		// family shape wavelength_<i>_held stays greppable and lower_snake.
-		//lint:ignore metricname per-wavelength gauge family is indexed by runtime K
-		reg.GaugeFunc(fmt.Sprintf("wavelength_%d_held", lam), func() float64 {
-			return float64(e.heldOnWavelength(lam))
-		})
-	}
 	return m
 }
 
@@ -166,17 +151,3 @@ func (m *Metrics) observeAStarSettled(res *core.Result, mode core.DirectedMode) 
 // engine's live state. Callers may register additional metrics of their
 // own (internal/serve's Telemetry and the obs.Tracer gauges do).
 func (e *Engine) Metrics() *obs.Registry { return e.metrics.reg }
-
-// heldOnWavelength counts currently-held channels using wavelength
-// index lam.
-func (e *Engine) heldOnWavelength(lam int) int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	held := 0
-	for c := range e.inUse {
-		if int(c.Lambda) == lam {
-			held++
-		}
-	}
-	return held
-}

@@ -191,22 +191,20 @@ func TestMetricsCountersTrackWork(t *testing.T) {
 		t.Fatalf("engine_allocations_total = %v, want 1", got)
 	}
 
-	// Per-wavelength gauges exist for every installed color and are all
-	// zero with nothing held.
-	for lam := 0; lam < e.Base().K(); lam++ {
-		name := "wavelength_" + string(rune('0'+lam)) + "_held"
-		v, ok := snap[name]
-		if !ok {
-			t.Fatalf("registry missing %s", name)
-		}
-		if v.(float64) != 0 {
-			t.Fatalf("%s = %v with nothing held", name, v)
+	// With nothing held, the aggregate gauge and every wavelength's count
+	// read zero.
+	if got := snap["engine_held_channels"].(float64); got != 0 {
+		t.Fatalf("engine_held_channels = %v with nothing held", got)
+	}
+	for lam, held := range e.HeldByWavelength() {
+		if held != 0 {
+			t.Fatalf("λ%d: %d channels held with nothing held", lam, held)
 		}
 	}
 }
 
 // TestPerWavelengthUtilizationGauges: holding a path moves exactly the
-// gauges of the wavelengths it uses.
+// per-wavelength counts of the wavelengths it uses.
 func TestPerWavelengthUtilizationGauges(t *testing.T) {
 	e := obsTestEngine(t, 12)
 	res, err := e.RouteAndAllocate(1, 0, 9)
@@ -217,9 +215,9 @@ func TestPerWavelengthUtilizationGauges(t *testing.T) {
 	for _, h := range res.Path.Hops {
 		perLam[int(h.Wavelength)]++
 	}
-	for lam := 0; lam < e.Base().K(); lam++ {
-		if got := e.heldOnWavelength(lam); got != perLam[lam] {
-			t.Fatalf("λ%d: gauge %d, path holds %d", lam, got, perLam[lam])
+	for lam, got := range e.HeldByWavelength() {
+		if got != perLam[lam] {
+			t.Fatalf("λ%d: %d held, path holds %d", lam, got, perLam[lam])
 		}
 	}
 }

@@ -212,7 +212,7 @@ func soakAgainst(t *testing.T, eng *engine.Engine, addr string, clients, request
 // invariants the in-process churn differential test pins: lifetime
 // alloc/release counters reconcile with live leases, the cost-row
 // cache's hits and misses partition its lookups, and after every lease
-// is released each per-wavelength held gauge reads zero.
+// is released the engine_held_channels gauge reads zero.
 func checkWireInvariants(t *testing.T, eng *engine.Engine) {
 	t.Helper()
 	st := eng.Stats()
@@ -229,16 +229,12 @@ func checkWireInvariants(t *testing.T, eng *engine.Engine) {
 	if st.Rebuilds != st.FullRebuilds+st.DeltaApplies {
 		t.Errorf("rebuilds %d != full %d + delta %d", st.Rebuilds, st.FullRebuilds, st.DeltaApplies)
 	}
-	snap := eng.Metrics().Snapshot()
-	for lam := 0; lam < eng.Base().K(); lam++ {
-		name := fmt.Sprintf("wavelength_%d_held", lam)
-		held, ok := snap[name].(float64)
-		if !ok {
-			t.Fatalf("metric %s missing from snapshot", name)
-		}
-		if held != 0 {
-			t.Errorf("%s = %g after full drain, want 0", name, held)
-		}
+	held, ok := eng.Metrics().Snapshot()["engine_held_channels"].(float64)
+	if !ok {
+		t.Fatal("metric engine_held_channels missing from snapshot")
+	}
+	if held != 0 {
+		t.Errorf("engine_held_channels = %g after full drain, want 0", held)
 	}
 	if held := eng.HeldChannels(); held != 0 {
 		t.Errorf("%d channels held after full drain", held)

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Wavelength identifies one wavelength λ ∈ Λ as a 0-based index.
@@ -277,34 +278,56 @@ func (nw *Network) TotalChannels() int { return nw.channels }
 
 // LambdaIn returns Λ_in(G,v): the union of Λ(e) over incoming links,
 // in ascending wavelength order.
-func (nw *Network) LambdaIn(v int) []Wavelength {
-	return nw.lambdaUnion(nw.in[v])
-}
+func (nw *Network) LambdaIn(v int) []Wavelength { return nw.AppendLambdaIn(nil, v) }
 
 // LambdaOut returns Λ_out(G,v): the union of Λ(e) over outgoing links,
 // in ascending wavelength order.
-func (nw *Network) LambdaOut(v int) []Wavelength {
-	return nw.lambdaUnion(nw.out[v])
+func (nw *Network) LambdaOut(v int) []Wavelength { return nw.AppendLambdaOut(nil, v) }
+
+// AppendLambdaIn appends Λ_in(G,v) to dst, ascending, and returns it.
+func (nw *Network) AppendLambdaIn(dst []Wavelength, v int) []Wavelength {
+	return nw.appendUnion(dst, nw.in[v])
 }
 
-func (nw *Network) lambdaUnion(linkIDs []int32) []Wavelength {
-	present := make([]bool, nw.k)
-	count := 0
+// AppendLambdaOut appends Λ_out(G,v) to dst, ascending, and returns it.
+func (nw *Network) AppendLambdaOut(dst []Wavelength, v int) []Wavelength {
+	return nw.appendUnion(dst, nw.out[v])
+}
+
+// appendUnion appends the union of Λ(e) over the given links to dst in
+// ascending wavelength order, in O(d·k0·|union|) for d links of at most
+// k0 channels: Theorem 4's gadget term, and nothing k wide. Wavelengths
+// below 64 are gathered in one bit word; any others are inserted in
+// order after them, scanning from the run's end, where a link's
+// channels, usually listed ascending, land.
+func (nw *Network) appendUnion(dst []Wavelength, linkIDs []int32) []Wavelength {
+	var low uint64
+	start := len(dst)
 	for _, id := range linkIDs {
 		for _, c := range nw.Link(int(id)).Channels {
-			if !present[c.Lambda] {
-				present[c.Lambda] = true
-				count++
+			if c.Lambda < 64 {
+				low |= 1 << c.Lambda
+				continue
 			}
+			i := len(dst)
+			for i > start && dst[i-1] > c.Lambda {
+				i--
+			}
+			if i > start && dst[i-1] == c.Lambda {
+				continue
+			}
+			dst = append(dst, 0)
+			copy(dst[i+1:], dst[i:])
+			dst[i] = c.Lambda
 		}
 	}
-	res := make([]Wavelength, 0, count)
-	for l, ok := range present {
-		if ok {
-			res = append(res, Wavelength(l))
-		}
+	high := len(dst) - start
+	dst = append(dst, make([]Wavelength, bits.OnesCount64(low))...)
+	copy(dst[len(dst)-high:], dst[start:start+high])
+	for i := start; low != 0; i, low = i+1, low&(low-1) {
+		dst[i] = Wavelength(bits.TrailingZeros64(low))
 	}
-	return res
+	return dst
 }
 
 // PatchChannels returns a copy of nw with the channel sets of the given

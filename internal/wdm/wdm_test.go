@@ -3,6 +3,8 @@ package wdm
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -111,6 +113,48 @@ func TestLambdaInOut(t *testing.T) {
 	}
 	if got := nw.LambdaOut(2); len(got) != 2 {
 		t.Fatalf("LambdaOut(2) = %v", got)
+	}
+}
+
+// TestAppendLambdaUnion: the append form leaves dst's prefix alone and
+// appends the ascending, duplicate-free union of the incident channels,
+// for wavelengths on both sides of 64 listed in any order, and the
+// nil-dst wrappers return the same sets.
+func TestAppendLambdaUnion(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	for _, k := range []int{8, 64, 100, 1 << 17} {
+		nw := NewNetwork(6, k)
+		for l := 0; l < 24; l++ {
+			var cs []Channel // four distinct wavelengths, unordered
+			for len(cs) < 4 {
+				lam := Wavelength(rng.Intn(k))
+				if !slices.ContainsFunc(cs, func(c Channel) bool { return c.Lambda == lam }) {
+					cs = append(cs, Channel{Lambda: lam, Weight: 1})
+				}
+			}
+			mustLink(t, nw, rng.Intn(6), rng.Intn(6), cs)
+		}
+		for v := 0; v < nw.NumNodes(); v++ {
+			for side, links := range [][]int32{nw.In(v), nw.Out(v)} {
+				var want []Wavelength
+				for _, id := range links {
+					for _, c := range nw.Link(int(id)).Channels {
+						want = append(want, c.Lambda)
+					}
+				}
+				slices.Sort(want)
+				want = slices.Compact(want)
+				prefix := []Wavelength{99, 3}
+				got := nw.AppendLambdaIn(slices.Clone(prefix), v)
+				plain := nw.LambdaIn(v)
+				if side == 1 {
+					got, plain = nw.AppendLambdaOut(slices.Clone(prefix), v), nw.LambdaOut(v)
+				}
+				if !slices.Equal(got[:2], prefix) || !slices.Equal(got[2:], want) || !slices.Equal(plain, want) {
+					t.Fatalf("k=%d node %d side %d: appended %v, plain %v, want %v after %v", k, v, side, got, plain, want, prefix)
+				}
+			}
+		}
 	}
 }
 
