@@ -402,6 +402,27 @@ func kSweepNetwork(tb testing.TB, k int) *wdm.Network {
 	return nw
 }
 
+// TestCompileMatchesReferenceWideK: on E4's shape at k = 100 and 2¹⁷,
+// where most wavelengths are 64 or more, the shores take the union's
+// insertion path and the arc ends the shore search; the compile still
+// matches the reference, in its own layout and for a residual that lost
+// each link's first channel.
+func TestCompileMatchesReferenceWideK(t *testing.T) {
+	for _, k := range []int{100, 1 << 17} {
+		nw := kSweepNetwork(t, k)
+		compileBoth(t, fmt.Sprintf("k=%d", k), nw, nw)
+		changes := map[int][]wdm.Channel{}
+		for id := 0; id < nw.NumLinks(); id++ {
+			changes[id] = nw.Link(id).Channels[1:]
+		}
+		res, err := nw.PatchChannels(changes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compileBoth(t, fmt.Sprintf("k=%d/residual", k), nw, res)
+	}
+}
+
 // TestCompileBytesIndependentOfK is Theorem 4 for memory: with |Λ(e)| ≤ 4
 // the compile allocates O(|V′| + |E′| + n + m) bytes whatever k is, so
 // nothing k wide (a per-node row over all wavelengths) is built.
