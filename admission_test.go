@@ -7,6 +7,8 @@ package lightpath
 import (
 	"errors"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"sync"
@@ -516,6 +518,61 @@ func TestMostUsedPacks(t *testing.T) {
 	}
 	if c.Path.Hops[0].Wavelength != 0 {
 		t.Fatalf("most-used picked λ%d, want λ0", c.Path.Hops[0].Wavelength)
+	}
+}
+
+// TestUsageRankedAdmitIndependentOfK: a most-used or least-used
+// admission ranks only the route's free wavelengths, so admitting and
+// releasing one circuit allocates the same bytes whatever the
+// wavelength count. Every NSFNET link carries λ0 and three more of
+// eight wavelengths spread evenly over [0, k), so the admissions are
+// the same at either k.
+func TestUsageRankedAdmitIndependentOfK(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const ops = 50
+	for _, policy := range []AdmissionPolicy{PolicyMostUsed, PolicyLeastUsed} {
+		perOp := make(map[int]uint64)
+		for _, k := range []int{8, 1 << 17} {
+			rng := rand.New(rand.NewSource(9))
+			tp := topo.NSFNET()
+			nw := wdm.NewNetwork(tp.N, k)
+			for _, l := range tp.Edges {
+				chans := []wdm.Channel{{Lambda: 0, Weight: 1}}
+				for _, i := range rng.Perm(7)[:3] {
+					chans = append(chans, wdm.Channel{Lambda: wdm.Wavelength((i + 1) * k / 8), Weight: 1 + rng.Float64()})
+				}
+				mustLink(t, nw, l[0], l[1], chans...)
+			}
+			nw.SetConverter(wdm.UniformConversion{C: 0.5})
+			m, err := NewSessionManager(nw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.AdmitPolicy(9, 0, PolicyFirstFit); err != nil { // usage to rank by, on the reverse links
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < ops; i++ {
+				c, err := m.AdmitPolicy(0, 9, policy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Release(c.ID); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			perOp[k] = (after.TotalAlloc - before.TotalAlloc) / ops
+			t.Logf("%v, k=%d: %d B per admit+release", policy, k, perOp[k])
+		}
+		if perOp[1<<17] > perOp[8]*5/4 {
+			t.Errorf("%v: admit+release allocates %d B at k=2^17, over 1.25 × the %d B at k=8",
+				policy, perOp[1<<17], perOp[8])
+		}
 	}
 }
 
