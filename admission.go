@@ -219,12 +219,13 @@ next:
 	lam := free[0] // PolicyFirstFit
 	switch policy {
 	case PolicyMostUsed, PolicyLeastUsed:
-		usage := m.eng.HeldByWavelength()
-		for _, l := range free[1:] {
-			if policy == PolicyMostUsed && usage[l] > usage[lam] || policy == PolicyLeastUsed && usage[l] < usage[lam] {
-				lam = l
+		usage, best := m.eng.HeldOn(free), 0
+		for i := 1; i < len(free); i++ {
+			if policy == PolicyMostUsed && usage[i] > usage[best] || policy == PolicyLeastUsed && usage[i] < usage[best] {
+				best = i
 			}
 		}
+		lam = free[best]
 	case PolicyRandomFit:
 		lam = free[m.rng.Intn(len(free))]
 	}

@@ -173,7 +173,7 @@ func TestConcurrentChurn(t *testing.T) {
 }
 
 // TestLockedReadsBesideWriters calls every method that read-locks the
-// engine — LinkFailed, OwnerChannels, HeldByWavelength, HeldChannels,
+// engine — LinkFailed, OwnerChannels, HeldOn, HeldChannels,
 // Stats and the registry's gauges — while writers claim, release, fail
 // and repair. Nothing lints lock order, so this is the test that hangs
 // when one of those methods read-locks again under its own lock (a
@@ -236,8 +236,8 @@ func TestLockedReadsBesideWriters(t *testing.T) {
 				case 1:
 					e.OwnerChannels(ownerSeq.Load())
 				case 2:
-					if got := len(e.HeldByWavelength()); got != nw.K() {
-						t.Errorf("HeldByWavelength has %d entries, want %d", got, nw.K())
+					if got := len(heldPerWavelength(e)); got != nw.K() {
+						t.Errorf("HeldOn has %d entries, want %d", got, nw.K())
 						return
 					}
 				case 3:

@@ -277,7 +277,7 @@ func TestDifferentialChurn(t *testing.T) {
 			if st.Epoch > 0 && st.DeltaApplies == 0 {
 				t.Fatalf("no delta applies after %d epochs of churn: %+v", st.Epoch, st)
 			}
-			for lam, held := range e.HeldByWavelength() {
+			for lam, held := range heldPerWavelength(e) {
 				if held != 0 {
 					t.Fatalf("λ%d still shows %d held channels after drain", lam, held)
 				}

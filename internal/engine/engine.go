@@ -646,14 +646,19 @@ func (e *Engine) OwnerChannels(owner int64) []Channel {
 	return out
 }
 
-// HeldByWavelength counts currently-held channels per wavelength index
-// (length K). Wavelength-assignment heuristics use it to rank colors.
-func (e *Engine) HeldByWavelength() []int {
+// HeldOn counts the currently-held channels on each of the given
+// wavelengths, which must be ascending: the result's i-th entry is
+// lambdas[i]'s count. Wavelength-assignment heuristics use it to rank a
+// route's free colors; it allocates len(lambdas) ints, nothing per
+// installed wavelength.
+func (e *Engine) HeldOn(lambdas []wdm.Wavelength) []int {
+	usage := make([]int, len(lambdas))
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	usage := make([]int, e.base.K())
 	for c := range e.inUse {
-		usage[c.Lambda]++
+		if i, ok := slices.BinarySearch(lambdas, c.Lambda); ok {
+			usage[i]++
+		}
 	}
 	return usage
 }

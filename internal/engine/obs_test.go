@@ -196,7 +196,7 @@ func TestMetricsCountersTrackWork(t *testing.T) {
 	if got := snap["engine_held_channels"].(float64); got != 0 {
 		t.Fatalf("engine_held_channels = %v with nothing held", got)
 	}
-	for lam, held := range e.HeldByWavelength() {
+	for lam, held := range heldPerWavelength(e) {
 		if held != 0 {
 			t.Fatalf("λ%d: %d channels held with nothing held", lam, held)
 		}
@@ -215,11 +215,21 @@ func TestPerWavelengthUtilizationGauges(t *testing.T) {
 	for _, h := range res.Path.Hops {
 		perLam[int(h.Wavelength)]++
 	}
-	for lam, got := range e.HeldByWavelength() {
+	for lam, got := range heldPerWavelength(e) {
 		if got != perLam[lam] {
 			t.Fatalf("λ%d: %d held, path holds %d", lam, got, perLam[lam])
 		}
 	}
+}
+
+// heldPerWavelength is HeldOn over every installed wavelength: entry λ
+// counts the channels held on λ.
+func heldPerWavelength(e *Engine) []int {
+	all := make([]wdm.Wavelength, e.Base().K())
+	for i := range all {
+		all[i] = wdm.Wavelength(i)
+	}
+	return e.HeldOn(all)
 }
 
 // TestEngineNewIndependentOfK: engine.New registers the same metric
