@@ -15,9 +15,11 @@ test:
 
 # The concurrency layer (the engine and the facade's circuit admission,
 # admission.go) is only considered verified under the race detector;
-# `verify` is the gate CI and pre-commit should run.
+# `verify` is the gate CI and pre-commit should run. The timeout bounds
+# each package's test binary: internal/core, the slowest under -race,
+# took 142-162 s over three runs on two cores, and 8m is about 3x that.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 8m ./...
 
 # Focused race pass over the packages with lock-free hot paths (the obs
 # atomics and the engine's snapshot/cache machinery) — cheap enough to

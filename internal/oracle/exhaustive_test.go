@@ -68,6 +68,7 @@ func (in instance) size(opts [][]wdm.Channel) int {
 	return size
 }
 
+// build returns the instance's network.
 func (in instance) build(opts [][]wdm.Channel) *wdm.Network {
 	nw := wdm.NewNetwork(in.n, 2)
 	pair := 0
@@ -92,7 +93,8 @@ func (in instance) build(opts [][]wdm.Channel) *wdm.Network {
 	return nw
 }
 
-func (in instance) String(opts [][]wdm.Channel) string {
+// describe lists the instance's links, with channels, and converters.
+func (in instance) describe(opts [][]wdm.Channel) string {
 	var b strings.Builder
 	nw := in.build(opts)
 	for _, l := range nw.Links() {
@@ -245,7 +247,7 @@ func runExhaustive(t *testing.T, n int, weights []float64, perNode bool, wantIns
 		t.Errorf("enumerated %d instances, want %d", count, wantInstances)
 	}
 	if worstErr != nil {
-		t.Fatalf("%d of %d instances disagree; the smallest: %s: %v", failures, count, worst.String(opts), worstErr)
+		t.Fatalf("%d of %d instances disagree; the smallest: %s: %v", failures, count, worst.describe(opts), worstErr)
 	}
 }
 
