@@ -189,12 +189,10 @@ func checkInstance(nw *wdm.Network) error {
 			}
 			for _, mode := range []core.DirectedMode{core.DirectedPlain, core.DirectedAStar} {
 				r, err := aux.Route(s, t, &core.Options{Directed: mode})
-				var path *wdm.Semilightpath
-				var cost float64
-				if err == nil {
-					path, cost = r.Path, r.Cost
+				if err != nil {
+					r = &core.Result{}
 				}
-				if err := check("core/"+mode.String(), path, cost, err); err != nil {
+				if err := check("core/"+mode.String(), r.Path, r.Cost, err); err != nil {
 					return err
 				}
 			}
@@ -202,21 +200,17 @@ func checkInstance(nw *wdm.Network) error {
 				continue // the two references below route s ≠ t only
 			}
 			b, err := wg.Route(s, t, graph.QueueLinear) // baseline.FindSemilightpath on one graph per instance
-			if err == nil {
-				err = check("baseline", b.Path, b.Cost, nil)
-			} else {
-				err = check("baseline", nil, 0, err)
-			}
 			if err != nil {
+				b = &baseline.Result{}
+			}
+			if err := check("baseline", b.Path, b.Cost, err); err != nil {
 				return err
 			}
 			d, err := dist.Route(nw, s, t)
-			if err == nil {
-				err = check("dist", d.Path, d.Cost, nil)
-			} else {
-				err = check("dist", nil, 0, err)
-			}
 			if err != nil {
+				d = &dist.Result{}
+			}
+			if err := check("dist", d.Path, d.Cost, err); err != nil {
 				return err
 			}
 		}
