@@ -363,11 +363,7 @@ func (m *SessionManager) FailLink(link int) (*FailureReport, error) {
 			report.Survived = append(report.Survived, id)
 			continue
 		}
-		err := m.release(id)
-		if errors.Is(err, engine.ErrUnknownOwner) {
-			continue // a backup already released with its primary
-		}
-		if err != nil {
+		if err := m.release(id); err != nil {
 			return nil, fmt.Errorf("lightpath: teardown after failure: %w", err)
 		}
 		report.Dropped = append(report.Dropped, id)

@@ -121,9 +121,6 @@ func NewWavelengthGraph(nw *wdm.Network) (*WavelengthGraph, error) {
 	return wg, nil
 }
 
-// NumNodes reports |V(WG)| = kn (excluding the reserved super source).
-func (wg *WavelengthGraph) NumNodes() int { return wg.nw.K() * wg.nw.NumNodes() }
-
 // NumArcs reports |E(WG)| (excluding current super-source wiring).
 func (wg *WavelengthGraph) NumArcs() int {
 	return wg.g.NumArcs() - wg.g.OutDegree(wg.superSrc)

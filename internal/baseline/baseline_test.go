@@ -30,9 +30,10 @@ func TestWavelengthGraphShape(t *testing.T) {
 		t.Fatalf("NewWavelengthGraph: %v", err)
 	}
 	// WG always has exactly kn nodes — even for wavelengths absent from
-	// every link. That is the structural difference from core's G'.
-	if wg.NumNodes() != nw.K()*nw.NumNodes() {
-		t.Fatalf("|V(WG)| = %d, want %d", wg.NumNodes(), nw.K()*nw.NumNodes())
+	// every link — plus the reserved super source. That is the structural
+	// difference from core's G'.
+	if got := wg.g.NumNodes() - 1; got != nw.K()*nw.NumNodes() {
+		t.Fatalf("|V(WG)| = %d, want %d", got, nw.K()*nw.NumNodes())
 	}
 	if wg.NumArcs() <= nw.TotalChannels() {
 		t.Fatalf("|E(WG)| = %d should exceed the %d link arcs (conversion arcs exist)",

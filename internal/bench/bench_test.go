@@ -116,9 +116,6 @@ func TestConfigHelpers(t *testing.T) {
 	if got := c.scaled(100); got != 200 {
 		t.Fatalf("scaled = %d, want 200", got)
 	}
-	if DefaultConfig().Scale != 1 || DefaultConfig().Reps < 1 {
-		t.Fatal("DefaultConfig misconfigured")
-	}
 	if (Config{}).reps() != 1 {
 		t.Fatal("reps floor should be 1")
 	}

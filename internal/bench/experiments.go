@@ -29,9 +29,6 @@ type Config struct {
 	Reps int
 }
 
-// DefaultConfig is the full-size configuration the wdmbench binary uses.
-func DefaultConfig() Config { return Config{Seed: 1998, Scale: 1, Reps: 3} }
-
 func (c Config) scaled(n int) int {
 	s := int(float64(n) * c.Scale)
 	if s < 4 {

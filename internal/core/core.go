@@ -5,7 +5,8 @@
 // The construction pipeline is:
 //
 //	G           the physical WDM network (package wdm)
-//	G_M         directed multigraph: one arc per (link, λ∈Λ(e)) pair
+//	G_M         directed multigraph: one arc per (link, λ∈Λ(e)) pair;
+//	            never built, the compile reads Λ(e) off each link
 //	G_v         per-node bipartite conversion gadget Λ_in(G_M,v) → Λ_out(G_M,v)
 //	G'          union of the gadgets plus E_org (the G_M arcs re-targeted
 //	            at gadget nodes)
@@ -343,11 +344,6 @@ func checkSubNetwork(layout, residual *wdm.Network) error {
 // (the residual network for layout/delta-built graphs).
 func (a *Aux) Network() *wdm.Network { return a.nw }
 
-// Layout returns the network whose wavelength sets define this graph's
-// gadget-node space. For NewAux it is Network(); for NewAuxWithLayout
-// and ApplyDelta chains it is the fixed layout the chain was rooted at.
-func (a *Aux) Layout() *wdm.Network { return a.layout }
-
 // DeltaDepth reports how many ApplyDelta steps separate this graph from
 // its last full compile (0 for NewAux/NewAuxWithLayout results).
 func (a *Aux) DeltaDepth() int { return a.depth }
@@ -365,9 +361,6 @@ func (a *Aux) NumAuxNodes() int { return len(a.info) }
 
 // NumAuxArcs reports |E'|.
 func (a *Aux) NumAuxArcs() int { return a.g.NumArcs() }
-
-// NodeInfo returns the identity of auxiliary node id.
-func (a *Aux) NodeInfo(id int) AuxNode { return a.info[id] }
 
 // XShore returns the wavelengths of X_v in ascending order (Λ_in(G_M,v)).
 func (a *Aux) XShore(v int) []wdm.Wavelength { return a.xLambdas[v] }

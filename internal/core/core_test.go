@@ -140,43 +140,6 @@ func TestPaperExampleSizes(t *testing.T) {
 	}
 }
 
-// TestMultigraph verifies G_M construction (Fig. 2): node count, arc
-// count, parallel arcs and tag decoding.
-func TestMultigraph(t *testing.T) {
-	nw := paperNet(t)
-	gm, err := Multigraph(nw)
-	if err != nil {
-		t.Fatalf("Multigraph: %v", err)
-	}
-	if gm.NumNodes() != 7 {
-		t.Fatalf("|V_M| = %d, want 7", gm.NumNodes())
-	}
-	if gm.NumArcs() != nw.TotalChannels() {
-		t.Fatalf("|E_M| = %d, want %d", gm.NumArcs(), nw.TotalChannels())
-	}
-	// Link ⟨1,4⟩ (our 0→3) has 3 wavelengths → 3 parallel arcs 0→3.
-	par := 0
-	for _, arc := range gm.Out(0) {
-		if arc.To == 3 {
-			par++
-			link, lam := DecodeMultigraphTag(arc.Tag, nw.K())
-			l := nw.Link(link)
-			if l.From != 0 || l.To != 3 {
-				t.Errorf("tag decodes to link %d->%d, want 0->3", l.From, l.To)
-			}
-			if _, ok := l.Has(lam); !ok {
-				t.Errorf("decoded λ%d not available on link", lam)
-			}
-		}
-	}
-	if par != 3 {
-		t.Fatalf("parallel 0→3 arcs = %d, want 3", par)
-	}
-	if _, err := Multigraph(nil); !errors.Is(err, ErrNilNetwork) {
-		t.Fatalf("nil network: %v", err)
-	}
-}
-
 func TestNewAuxNil(t *testing.T) {
 	if _, err := NewAux(nil); !errors.Is(err, ErrNilNetwork) {
 		t.Fatalf("NewAux(nil): %v", err)
@@ -367,7 +330,7 @@ func TestNodeInfoRoundTrip(t *testing.T) {
 	// Every aux node's identity must be consistent with its shore lists.
 	counts := make(map[int32]int)
 	for id := 0; id < a.NumAuxNodes(); id++ {
-		info := a.NodeInfo(id)
+		info := a.info[id]
 		counts[info.Node]++
 		var shore []wdm.Wavelength
 		if info.Side == SideX {

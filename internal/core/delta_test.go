@@ -43,7 +43,7 @@ func auxEqual(t testing.TB, got, want *Aux) {
 // every spine page rewritten many times over.
 func deepChain(t testing.TB, a *Aux, rng *rand.Rand, steps int) *Aux {
 	t.Helper()
-	layout := a.Layout()
+	layout := a.layout
 	m := layout.NumLinks()
 	taken := make([]uint64, m) // bit i: the link's i-th installed channel is held
 	failed := make([]bool, m)
@@ -136,8 +136,8 @@ func TestNewAuxWithLayoutFullNetworkMatchesNewAux(t *testing.T) {
 		t.Fatal(err)
 	}
 	auxEqual(t, b, a)
-	if a.Layout() != nw || a.DeltaDepth() != 0 {
-		t.Fatalf("layout/depth: %v %d", a.Layout() == nw, a.DeltaDepth())
+	if a.layout != nw || a.DeltaDepth() != 0 {
+		t.Fatalf("layout/depth: %v %d", a.layout == nw, a.DeltaDepth())
 	}
 }
 
@@ -161,7 +161,7 @@ func TestApplyDeltaMatchesFullCompile(t *testing.T) {
 	if got.DeltaDepth() != 1 {
 		t.Fatalf("delta depth = %d, want 1", got.DeltaDepth())
 	}
-	if got.Layout() != nw {
+	if got.layout != nw {
 		t.Fatal("delta changed the layout")
 	}
 	// The parent is untouched: it still matches its own full compile.
@@ -325,7 +325,7 @@ func TestApplyDeltaSharesUntouchedSegments(t *testing.T) {
 			shared++
 		default:
 			replaced++
-			if info := a.NodeInfo(u); int(info.Node) != from {
+			if info := a.info[u]; int(info.Node) != from {
 				t.Fatalf("segment of aux node %d (net node %d) re-emitted; only node %d's Y-shore should change",
 					u, info.Node, from)
 			}

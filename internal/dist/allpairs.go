@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"math"
 
 	"lightpath/internal/wdm"
 )
@@ -75,11 +74,7 @@ func AllPairsPipelined(nw *wdm.Network) ([][]float64, Stats, error) {
 	for s := 0; s < n; s++ {
 		prog.insts[s] = buildProgram(nw, s)
 	}
-	wires := make([]Wire, nw.NumLinks())
-	for _, l := range nw.Links() {
-		wires[l.ID] = Wire{From: l.From, To: l.To}
-	}
-	rt, err := NewRuntime[multiMsg](n, wires, prog)
+	rt, err := NewRuntime[multiMsg](n, wiresOf(nw), prog)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -89,22 +84,8 @@ func AllPairsPipelined(nw *wdm.Network) ([][]float64, Stats, error) {
 	}
 
 	costs := make([][]float64, n)
-	for s := 0; s < n; s++ {
-		row := make([]float64, n)
-		for t := 0; t < n; t++ {
-			if t == s {
-				continue
-			}
-			stT := prog.insts[s].states[t]
-			best := math.Inf(1)
-			for xi := range stT.x {
-				if stT.x[xi].dist < best {
-					best = stT.x[xi].dist
-				}
-			}
-			row[t] = best
-		}
-		costs[s] = row
+	for s, inst := range prog.insts {
+		costs[s] = costRow(inst, s)
 	}
 	return costs, stats, nil
 }

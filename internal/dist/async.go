@@ -94,18 +94,8 @@ func (o *AsyncOptions) seed() int64 {
 // with asynchronous statistics.
 func RouteAsync(nw *wdm.Network, s, t int, opts *AsyncOptions) (*Result, AsyncStats, error) {
 	var astats AsyncStats
-	if nw == nil {
-		return nil, astats, ErrNilNetwork
-	}
-	n := nw.NumNodes()
-	if s < 0 || s >= n {
-		return nil, astats, fmt.Errorf("%w: source %d", ErrNodeRange, s)
-	}
-	if t < 0 || t >= n {
-		return nil, astats, fmt.Errorf("%w: dest %d", ErrNodeRange, t)
-	}
-	if s == t {
-		return &Result{Path: &wdm.Semilightpath{}, Cost: 0}, astats, nil
+	if res, err := checkPair(nw, s, t); res != nil || err != nil {
+		return res, astats, err
 	}
 
 	prog := buildProgram(nw, s)

@@ -370,8 +370,12 @@ func TestRouteWithTrace(t *testing.T) {
 	if math.Abs(res.Cost-plain.Cost) > 1e-9 {
 		t.Fatalf("traced cost %v != plain %v", res.Cost, plain.Cost)
 	}
-	if trace.TotalMessages() != res.Stats.Messages {
-		t.Fatalf("trace messages %d != stats %d", trace.TotalMessages(), res.Stats.Messages)
+	total := 0
+	for _, r := range trace.Rounds {
+		total += r.Messages
+	}
+	if total != res.Stats.Messages {
+		t.Fatalf("trace messages %d != stats %d", total, res.Stats.Messages)
 	}
 	if len(trace.Rounds) == 0 || trace.Rounds[0].Round != -1 {
 		t.Fatalf("trace should start with init phase: %+v", trace.Rounds)

@@ -166,6 +166,36 @@ type Result struct {
 // (or Theorem 5 when availability is k0-bounded). The physical links of
 // nw are the wires; nothing else carries messages.
 func Route(nw *wdm.Network, s, t int) (*Result, error) {
+	return route(nw, s, t, nil)
+}
+
+// route is the body of Route and RouteWithTrace: a non-nil trace is
+// attached to the runtime before it runs.
+func route(nw *wdm.Network, s, t int, trace *Trace) (*Result, error) {
+	if res, err := checkPair(nw, s, t); res != nil || err != nil {
+		return res, err
+	}
+	prog := buildProgram(nw, s)
+	rt, err := NewRuntime[distMsg](nw.NumNodes(), wiresOf(nw), prog)
+	if err != nil {
+		return nil, err
+	}
+	rt.Trace = trace
+	stats, err := rt.Run()
+	if err != nil {
+		return nil, err
+	}
+	path, cost, err := extractPath(nw, prog, s, t)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Path: path, Cost: cost, Stats: stats}, nil
+}
+
+// checkPair is the prologue every point query shares: a nil network and
+// an endpoint out of range are errors, and s == t is answered at once by
+// the empty path at cost 0. A nil result and nil error mean: run.
+func checkPair(nw *wdm.Network, s, t int) (*Result, error) {
 	if nw == nil {
 		return nil, ErrNilNetwork
 	}
@@ -179,26 +209,41 @@ func Route(nw *wdm.Network, s, t int) (*Result, error) {
 	if s == t {
 		return &Result{Path: &wdm.Semilightpath{}, Cost: 0}, nil
 	}
+	return nil, nil
+}
 
-	prog := buildProgram(nw, s)
+// wiresOf returns the physical links of nw as the runtime's wires,
+// indexed by link ID.
+func wiresOf(nw *wdm.Network) []Wire {
 	wires := make([]Wire, nw.NumLinks())
 	for _, l := range nw.Links() {
 		wires[l.ID] = Wire{From: l.From, To: l.To}
 	}
-	rt, err := NewRuntime[distMsg](n, wires, prog)
-	if err != nil {
-		return nil, err
-	}
-	stats, err := rt.Run()
-	if err != nil {
-		return nil, err
-	}
+	return wires
+}
 
-	path, cost, err := extractPath(nw, prog, s, t)
-	if err != nil {
-		return nil, err
+// bestX returns the cheapest label on the node's X shore and its index:
+// the best arrival at the node, or (-1, +Inf) when no label arrived.
+func (st *nodeState) bestX() (int, float64) {
+	bestXi, best := -1, math.Inf(1)
+	for xi := range st.x {
+		if st.x[xi].dist < best {
+			bestXi, best = xi, st.x[xi].dist
+		}
 	}
-	return &Result{Path: path, Cost: cost, Stats: stats}, nil
+	return bestXi, best
+}
+
+// costRow reads one converged single-source run from s: entry t is the
+// best arrival at t, +Inf where none arrived, and 0 at s itself.
+func costRow(prog *semiProgram, s int) []float64 {
+	row := make([]float64, len(prog.states))
+	for t, st := range prog.states {
+		if t != s {
+			_, row[t] = st.bestX()
+		}
+	}
+	return row
 }
 
 // buildProgram constructs each node's fragment of G_{s,t}.
@@ -268,14 +313,7 @@ func buildProgram(nw *wdm.Network, s int) *semiProgram {
 // parent pointers (O(path length) extra messages); here the coordinator
 // reads the converged node states directly.
 func extractPath(nw *wdm.Network, prog *semiProgram, s, t int) (*wdm.Semilightpath, float64, error) {
-	stT := prog.states[t]
-	bestXi, best := -1, math.Inf(1)
-	for xi := range stT.x {
-		if stT.x[xi].dist < best {
-			best = stT.x[xi].dist
-			bestXi = xi
-		}
-	}
+	bestXi, best := prog.states[t].bestX()
 	if bestXi < 0 {
 		return nil, 0, fmt.Errorf("%w: from %d to %d", ErrNoRoute, s, t)
 	}
@@ -326,12 +364,9 @@ func AllPairs(nw *wdm.Network) ([][]float64, Stats, error) {
 	n := nw.NumNodes()
 	costs := make([][]float64, n)
 	var total Stats
+	wires := wiresOf(nw)
 	for s := 0; s < n; s++ {
 		prog := buildProgram(nw, s)
-		wires := make([]Wire, nw.NumLinks())
-		for _, l := range nw.Links() {
-			wires[l.ID] = Wire{From: l.From, To: l.To}
-		}
 		rt, err := NewRuntime[distMsg](n, wires, prog)
 		if err != nil {
 			return nil, total, err
@@ -344,21 +379,7 @@ func AllPairs(nw *wdm.Network) ([][]float64, Stats, error) {
 		// pipeline the n sources (Haldar's algorithm) and pay only the max.
 		total.Messages += stats.Messages
 		total.Rounds += stats.Rounds
-		row := make([]float64, n)
-		for t := 0; t < n; t++ {
-			if t == s {
-				continue
-			}
-			stT := prog.states[t]
-			best := math.Inf(1)
-			for xi := range stT.x {
-				if stT.x[xi].dist < best {
-					best = stT.x[xi].dist
-				}
-			}
-			row[t] = best
-		}
-		costs[s] = row
+		costs[s] = costRow(prog, s)
 	}
 	return costs, total, nil
 }

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -34,49 +35,14 @@ func (tr *Trace) Fprint(w io.Writer) {
 	}
 }
 
-// TotalMessages sums messages across all phases.
-func (tr *Trace) TotalMessages() int {
-	total := 0
-	for _, r := range tr.Rounds {
-		total += r.Messages
-	}
-	return total
-}
-
 // RouteWithTrace runs the synchronous distributed algorithm recording a
-// per-round convergence trace alongside the usual result.
+// per-round convergence trace alongside the usual result. The trace comes
+// back with a result, and with ErrNoRoute when the run found no path.
 func RouteWithTrace(nw *wdm.Network, s, t int) (*Result, *Trace, error) {
-	if nw == nil {
-		return nil, nil, ErrNilNetwork
-	}
-	n := nw.NumNodes()
-	if s < 0 || s >= n {
-		return nil, nil, fmt.Errorf("%w: source %d", ErrNodeRange, s)
-	}
-	if t < 0 || t >= n {
-		return nil, nil, fmt.Errorf("%w: dest %d", ErrNodeRange, t)
-	}
-	if s == t {
-		return &Result{Path: &wdm.Semilightpath{}, Cost: 0}, &Trace{}, nil
-	}
-	prog := buildProgram(nw, s)
-	wires := make([]Wire, nw.NumLinks())
-	for _, l := range nw.Links() {
-		wires[l.ID] = Wire{From: l.From, To: l.To}
-	}
-	rt, err := NewRuntime[distMsg](n, wires, prog)
-	if err != nil {
-		return nil, nil, err
-	}
 	trace := &Trace{}
-	rt.Trace = trace
-	stats, err := rt.Run()
-	if err != nil {
+	res, err := route(nw, s, t, trace)
+	if err != nil && !errors.Is(err, ErrNoRoute) {
 		return nil, nil, err
 	}
-	path, cost, err := extractPath(nw, prog, s, t)
-	if err != nil {
-		return nil, trace, err
-	}
-	return &Result{Path: path, Cost: cost, Stats: stats}, trace, nil
+	return res, trace, err
 }

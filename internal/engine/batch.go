@@ -36,7 +36,7 @@ func (r *BatchResult) AppendCost(buf []byte) []byte {
 	return AppendCost(buf, r.Cost)
 }
 
-// RouteBatch answers every request against ONE pinned snapshot. All
+// RouteBatch answers every request against this one snapshot. All
 // answers therefore observe the same epoch, even if mutators publish
 // newer snapshots mid-batch.
 //
@@ -54,12 +54,6 @@ func (r *BatchResult) AppendCost(buf []byte) []byte {
 // fan-out shape: shared atomic cursor, no per-item goroutine), one item
 // per tree and one per point query, so no two workers build one tree.
 // workers ≤ 0 selects GOMAXPROCS.
-func (e *Engine) RouteBatch(reqs []Request, workers int) []BatchResult {
-	snap := e.Snapshot()
-	return snap.RouteBatch(reqs, workers)
-}
-
-// RouteBatch is Engine.RouteBatch against this specific snapshot.
 func (s *Snapshot) RouteBatch(reqs []Request, workers int) []BatchResult {
 	return s.batch(reqs, workers, true)
 }

@@ -157,7 +157,7 @@ func TestRouteBatchBranchesAgree(t *testing.T) {
 				// one request per batch is below it under every mode.
 				e := fresh(mode)
 				for _, r := range at {
-					sameAnswers(t, what+" point", ref, []Request{r}, e.RouteBatch([]Request{r}, 1))
+					sameAnswers(t, what+" point", ref, []Request{r}, e.Snapshot().RouteBatch([]Request{r}, 1))
 				}
 				if cs := reconciles(e); cs.Lookups != 0 || treePasses(e) != 0 {
 					t.Fatalf("%s: point queries touched the cache: %+v, %d tree passes", what, cs, treePasses(e))
@@ -168,7 +168,7 @@ func TestRouteBatchBranchesAgree(t *testing.T) {
 
 				// Below the break-even: still point queries, no pass.
 				e = fresh(mode)
-				sameAnswers(t, what+" below", ref, below, e.RouteBatch(below, 1))
+				sameAnswers(t, what+" below", ref, below, e.Snapshot().RouteBatch(below, 1))
 				if cs := reconciles(e); cs.Lookups != 0 || treePasses(e) != 0 {
 					t.Fatalf("%s: below the break-even: %+v, %d tree passes", what, cs, treePasses(e))
 				}
@@ -177,7 +177,7 @@ func TestRouteBatchBranchesAgree(t *testing.T) {
 				// again at the same epoch is three passes again.
 				e = fresh(mode)
 				for round := 1; round <= 2; round++ {
-					sameAnswers(t, what+" built", ref, at, e.RouteBatch(at, 1))
+					sameAnswers(t, what+" built", ref, at, e.Snapshot().RouteBatch(at, 1))
 					if cs := reconciles(e); cs.Lookups != 0 || cs.Size != 0 || treePasses(e) != uint64(3*round) {
 						t.Fatalf("%s: at the break-even, batch %d: %+v, %d tree passes, want %d", what, round, cs, treePasses(e), 3*round)
 					}
@@ -215,7 +215,7 @@ func TestRouteBatchBranchesAgree(t *testing.T) {
 					t.Fatalf("%s: %d of %d requests via a cost row", what, got, len(at)+len(below))
 				}
 				// RouteBatch owes its callers paths: rows cannot serve it.
-				sameAnswers(t, what+" paths beside rows", ref, at, e.RouteBatch(at, 1))
+				sameAnswers(t, what+" paths beside rows", ref, at, e.Snapshot().RouteBatch(at, 1))
 				if got := counter(e, "engine_batch_row_requests_total"); got != uint64(len(at)+len(below)) {
 					t.Fatalf("%s: RouteBatch read a cost row", what)
 				}
@@ -258,7 +258,7 @@ func TestRouteBatchWithoutCacheBuildsTreePerSource(t *testing.T) {
 		if mode == core.DirectedPlain && trees != 4 {
 			t.Fatalf("fixture: %d of 4 sources pay for a tree under plain", trees)
 		}
-		sameAnswers(t, mode.String(), ref, reqs, e.RouteBatch(reqs, 2))
+		sameAnswers(t, mode.String(), ref, reqs, e.Snapshot().RouteBatch(reqs, 2))
 		if got := treePasses(e); got != trees {
 			t.Fatalf("%s: %d single-source passes for a 16-pair batch, want one per paying source: %d", mode, got, trees)
 		}

@@ -321,7 +321,7 @@ func benchBatch(b *testing.B, nw *wdm.Network, opts *Options, workers int, rows 
 		}
 		var out []BatchResult
 		if rows == "" {
-			out = e.RouteBatch(batch(i), workers)
+			out = e.Snapshot().RouteBatch(batch(i), workers)
 		} else {
 			out = e.Snapshot().BatchCosts(batch(i), workers)
 		}

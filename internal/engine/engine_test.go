@@ -409,7 +409,7 @@ func TestRouteBatchPinsOneEpoch(t *testing.T) {
 			reqs = append(reqs, Request{From: 0, To: tgt}) // shared source: one tree
 			reqs = append(reqs, Request{From: tgt, To: 0}) // unique sources: targeted Route
 		}
-		out := e.RouteBatch(reqs, 4)
+		out := e.Snapshot().RouteBatch(reqs, 4)
 		if len(out) != len(reqs) {
 			t.Fatalf("%s: got %d results for %d requests", mode, len(out), len(reqs))
 		}

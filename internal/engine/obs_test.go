@@ -143,7 +143,7 @@ func TestMetricsCountersTrackWork(t *testing.T) {
 	// A batch: requests counter rises by the batch size, in-flight
 	// drains back to zero.
 	reqs := []Request{{0, 9}, {0, 13}, {5, 2}, {7, 11}}
-	e.RouteBatch(reqs, 2)
+	e.Snapshot().RouteBatch(reqs, 2)
 	snap = reg.Snapshot()
 	if got := snap["engine_batch_requests_total"].(uint64); got != uint64(len(reqs)) {
 		t.Fatalf("engine_batch_requests_total = %d, want %d", got, len(reqs))

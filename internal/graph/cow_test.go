@@ -385,8 +385,8 @@ func TestZeroAndTinyGraphs(t *testing.T) {
 	if z.NumNodes() != 0 || z.CloneCOW().NumNodes() != 0 {
 		t.Fatal("zero graph has nodes")
 	}
-	if id := z.AddNode(); id != 0 || z.NumNodes() != 1 {
-		t.Fatalf("AddNode on zero graph: id %d, %d nodes", id, z.NumNodes())
+	if id := z.AddNodes(1); id != 0 || z.NumNodes() != 1 {
+		t.Fatalf("AddNodes on zero graph: id %d, %d nodes", id, z.NumNodes())
 	}
 	if err := z.AddArc(0, 0, 1, 0); err != nil {
 		t.Fatal(err)

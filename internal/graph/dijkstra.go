@@ -62,30 +62,6 @@ func (t *ShortestPathTree) Reached(v int) bool {
 	return v >= 0 && v < len(t.Dist) && Finite(t.Dist[v])
 }
 
-// PathTo reconstructs the node sequence seed..v, or ErrNoPath. For a
-// single-source tree the path starts at Source; for a multi-seed tree it
-// starts at whichever seed the parent chain reaches.
-func (t *ShortestPathTree) PathTo(v int) ([]int, error) {
-	if !t.Reached(v) {
-		return nil, fmt.Errorf("%w: to node %d", ErrNoPath, v)
-	}
-	var rev []int
-	for u := v; ; u = int(t.Parent[u]) {
-		rev = append(rev, u)
-		if t.Parent[u] < 0 {
-			// Must be a seed (distance 0); anything else is corruption.
-			if t.Dist[u] != 0 {
-				return nil, fmt.Errorf("graph: broken parent chain at node %d", u)
-			}
-			break
-		}
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev, nil
-}
-
 // ArcsTo reconstructs the sequence of (node, arc-index) hops from the
 // source to v; each entry identifies the arc Out(node)[idx] taken.
 func (t *ShortestPathTree) ArcsTo(v int) ([]HopRef, error) {

@@ -47,16 +47,16 @@ func TestDijkstraLine(t *testing.T) {
 					t.Fatalf("Dist[%d] = %v, want %v", v, tree.Dist[v], d)
 				}
 			}
-			path, err := tree.PathTo(4)
+			hops, err := tree.ArcsTo(4)
 			if err != nil {
-				t.Fatalf("PathTo: %v", err)
+				t.Fatalf("ArcsTo: %v", err)
 			}
-			if len(path) != 5 {
-				t.Fatalf("path = %v", path)
+			if len(hops) != 4 {
+				t.Fatalf("hops = %+v", hops)
 			}
-			for i, v := range path {
-				if v != i {
-					t.Fatalf("path = %v, want 0..4", path)
+			for i, h := range hops {
+				if h.From != i || g.Out(i)[h.ArcIndex].To != int32(i+1) {
+					t.Fatalf("hops = %+v, want 0..4", hops)
 				}
 			}
 		})
@@ -111,8 +111,8 @@ func TestDijkstraUnreachable(t *testing.T) {
 			if tree.Reached(2) {
 				t.Fatal("node 2 should be unreachable")
 			}
-			if _, err := tree.PathTo(2); !errors.Is(err, ErrNoPath) {
-				t.Fatalf("PathTo unreachable: %v", err)
+			if _, err := tree.ArcsTo(2); !errors.Is(err, ErrNoPath) {
+				t.Fatalf("ArcsTo unreachable: %v", err)
 			}
 		})
 	}
@@ -370,12 +370,12 @@ func TestDijkstraSeedsMulti(t *testing.T) {
 	if tree.Dist[2] != 1 || tree.Dist[3] != 2 {
 		t.Fatalf("dists = %v", tree.Dist)
 	}
-	path, err := tree.PathTo(3)
+	hops, err := tree.ArcsTo(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if path[0] != 1 {
-		t.Fatalf("path should start at seed 1: %v", path)
+	if hops[0].From != 1 {
+		t.Fatalf("path should start at seed 1: %+v", hops)
 	}
 }
 

@@ -4,8 +4,8 @@
 // engines backed by three interchangeable priority structures (Fibonacci
 // heap, binary heap, linear scan).
 //
-// All auxiliary graphs of the reproduced paper (G_M, G', G_{s,t}, G_all,
-// and the CFZ wavelength graph WG) are instances of Digraph; the engines
+// The auxiliary graphs the reproduction builds (G', G_{s,t}, G_all and
+// the CFZ wavelength graph WG) are instances of Digraph; the engines
 // here are what realize Theorem 1's O(m' + n'·log n') shortest-path step.
 package graph
 
@@ -92,9 +92,6 @@ func (g *Digraph) NumNodes() int { return g.n }
 // NumArcs reports the number of arcs.
 func (g *Digraph) NumArcs() int { return g.arcs }
 
-// AddNode appends a fresh node and returns its ID.
-func (g *Digraph) AddNode() int { return g.AddNodes(1) }
-
 // AddNodes appends count fresh nodes and returns the ID of the first.
 func (g *Digraph) AddNodes(count int) int {
 	first := g.n
@@ -118,7 +115,8 @@ func (g *Digraph) slot(u int) *[]Arc {
 }
 
 // AddArc inserts a directed arc from u to v with the given weight and tag.
-// Parallel arcs are permitted (the multigraph G_M depends on this).
+// Parallel arcs are permitted (two links between one pair of nodes
+// that share a wavelength give G′ two arcs).
 func (g *Digraph) AddArc(u, v int, weight float64, tag int32) error {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return fmt.Errorf("%w: arc %d->%d in graph of %d nodes", ErrNodeRange, u, v, g.n)
@@ -151,28 +149,6 @@ func (g *Digraph) ClearOut(u int) {
 
 // OutDegree reports the number of arcs leaving u.
 func (g *Digraph) OutDegree(u int) int { return len(g.Out(u)) }
-
-// InDegrees computes the in-degree of every node in one pass.
-func (g *Digraph) InDegrees() []int {
-	in := make([]int, g.n)
-	for u := 0; u < g.n; u++ {
-		for _, a := range g.Out(u) {
-			in[a.To]++
-		}
-	}
-	return in
-}
-
-// MaxDegree returns d = max over nodes of max(in-degree, out-degree),
-// the parameter the paper's Theorem 4 bound is stated in.
-func (g *Digraph) MaxDegree() int {
-	in := g.InDegrees()
-	d := 0
-	for u := 0; u < g.n; u++ {
-		d = max(d, len(g.Out(u)), in[u])
-	}
-	return d
-}
 
 // CloneCOW returns a copy-on-write clone: the page table is copied and
 // every page — hence every adjacency segment — is shared with g. The
@@ -296,26 +272,4 @@ func (g *Digraph) Reverse() *Digraph {
 		}
 	}
 	return fromCSR(arena, ends)
-}
-
-// ReachableFrom returns the set of nodes reachable from src (including
-// src) as a boolean slice, via BFS over arcs of any weight.
-func (g *Digraph) ReachableFrom(src int) []bool {
-	seen := make([]bool, g.n)
-	if src < 0 || src >= g.n {
-		return seen
-	}
-	queue := []int{src}
-	seen[src] = true
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, a := range g.Out(u) {
-			if !seen[a.To] {
-				seen[a.To] = true
-				queue = append(queue, int(a.To))
-			}
-		}
-	}
-	return seen
 }

@@ -55,9 +55,6 @@ func NewScratch(n int) *Scratch {
 	}
 }
 
-// Nodes reports the graph size this scratch serves.
-func (sc *Scratch) Nodes() int { return sc.n }
-
 // seedTree validates seeds and initializes the scratch-backed tree and
 // settled set with every seed at distance 0.
 func (sc *Scratch) seedTree(seeds []int) (*ShortestPathTree, error) {

@@ -2,7 +2,7 @@
 // item IDs with float64 priorities.
 //
 // It is the practical workhorse alternative to the Fibonacci heap of
-// package fibheap: DecreaseKey costs O(log n) instead of amortized O(1),
+// package fibheap: a key decrease costs O(log n) instead of amortized O(1),
 // but constants are far smaller and memory is a pair of flat slices: the
 // heap array holds (key, item) entries inline, so a sift compares
 // neighbouring slots directly, and moves a hole instead of swapping. It
@@ -35,12 +35,8 @@ import (
 var (
 	// ErrEmpty is returned when popping from an empty heap.
 	ErrEmpty = errors.New("binheap: empty heap")
-	// ErrNotPresent is returned when decreasing an absent item.
-	ErrNotPresent = errors.New("binheap: item not in heap")
 	// ErrDuplicate is returned when pushing an item already present.
 	ErrDuplicate = errors.New("binheap: item already in heap")
-	// ErrKeyIncrease is returned when DecreaseKey is given a larger key.
-	ErrKeyIncrease = errors.New("binheap: new key is greater than current key")
 )
 
 // entry is one heap slot: the key travels with its item, so a sift reads
@@ -69,24 +65,12 @@ func New(capacity int) *Heap {
 	return h
 }
 
-// Len reports the number of items currently in the heap.
-func (h *Heap) Len() int { return len(h.ents) }
-
 // Empty reports whether the heap has no items.
 func (h *Heap) Empty() bool { return len(h.ents) == 0 }
 
 // Contains reports whether item is currently in the heap.
 func (h *Heap) Contains(item int) bool {
 	return item >= 0 && item < len(h.pos) && h.pos[item] >= 0
-}
-
-// Key returns the current priority of item. The result is meaningful only
-// if Contains(item); an absent item reports 0.
-func (h *Heap) Key(item int) float64 {
-	if !h.Contains(item) {
-		return 0
-	}
-	return h.ents[h.pos[item]].key
 }
 
 // Push inserts item with the given key.
@@ -115,19 +99,6 @@ func (h *Heap) Pop() (item int, key float64, err error) {
 		h.down(tail)
 	}
 	return int(top.item), top.key, nil
-}
-
-// DecreaseKey lowers the priority of item to newKey.
-func (h *Heap) DecreaseKey(item int, newKey float64) error {
-	if !h.Contains(item) {
-		return ErrNotPresent
-	}
-	i := int(h.pos[item])
-	if newKey > h.ents[i].key {
-		return ErrKeyIncrease
-	}
-	h.up(i, entry{key: newKey, item: int32(item)})
-	return nil
 }
 
 // PushOrDecrease inserts item if absent, otherwise lowers its key if

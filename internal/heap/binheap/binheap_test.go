@@ -10,7 +10,7 @@ import (
 
 func TestEmpty(t *testing.T) {
 	h := New(4)
-	if !h.Empty() || h.Len() != 0 {
+	if !h.Empty() {
 		t.Fatal("new heap should be empty")
 	}
 	if _, _, err := h.Pop(); err != ErrEmpty {
@@ -56,28 +56,6 @@ func TestPushErrors(t *testing.T) {
 	}
 }
 
-func TestDecreaseKey(t *testing.T) {
-	h := New(3)
-	for i, k := range []float64{10, 20, 30} {
-		if err := h.Push(i, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := h.DecreaseKey(2, 5); err != nil {
-		t.Fatalf("DecreaseKey: %v", err)
-	}
-	item, key, _ := h.Pop()
-	if item != 2 || key != 5 {
-		t.Fatalf("popped (%d,%v), want (2,5)", item, key)
-	}
-	if err := h.DecreaseKey(2, 1); err != ErrNotPresent {
-		t.Fatalf("decrease absent: err = %v, want ErrNotPresent", err)
-	}
-	if err := h.DecreaseKey(0, 100); err != ErrKeyIncrease {
-		t.Fatalf("increase: err = %v, want ErrKeyIncrease", err)
-	}
-}
-
 func TestPushOrDecrease(t *testing.T) {
 	h := New(2)
 	changed, err := h.PushOrDecrease(0, 10)
@@ -110,8 +88,8 @@ func TestContainsAndKey(t *testing.T) {
 	if !h.Contains(3) {
 		t.Fatal("heap should contain 3")
 	}
-	if h.Key(3) != 42 {
-		t.Fatalf("Key(3) = %v, want 42", h.Key(3))
+	if k := h.ents[h.pos[3]].key; k != 42 {
+		t.Fatalf("key of 3 = %v, want 42", k)
 	}
 	_, _, _ = h.Pop()
 	if h.Contains(3) {
@@ -186,7 +164,7 @@ func TestQuickSortedDrain(t *testing.T) {
 }
 
 // TestRandomOpsAgainstModel interleaves every operation — Push,
-// PushOrDecrease, DecreaseKey, Pop and Reset, with reuse after each
+// PushOrDecrease, Pop and Reset, with reuse after each
 // Reset — and compares with a model kept as a slice sorted by key. Keys
 // are small integers, so ties are the common case: among tied items any
 // pop order is legal, but the popped key, the item's own key and the
@@ -246,23 +224,6 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 				if want {
 					set(item, key)
 				}
-			case r < 70:
-				err := h.DecreaseKey(item, key)
-				switch {
-				case at < 0:
-					if err != ErrNotPresent {
-						t.Fatalf("DecreaseKey of absent item: err = %v, want ErrNotPresent", err)
-					}
-				case key > model[at].key:
-					if err != ErrKeyIncrease {
-						t.Fatalf("DecreaseKey upward: err = %v, want ErrKeyIncrease", err)
-					}
-				default:
-					if err != nil {
-						t.Fatalf("DecreaseKey: %v", err)
-					}
-					set(item, key)
-				}
 			case r < 97:
 				pi, pk, err := h.Pop()
 				if len(model) == 0 {
@@ -283,12 +244,12 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 				h.Reset()
 				model = model[:0]
 			}
-			if h.Len() != len(model) || h.Empty() != (len(model) == 0) {
-				t.Fatalf("Len() = %d Empty() = %v, model %d", h.Len(), h.Empty(), len(model))
+			if len(h.ents) != len(model) || h.Empty() != (len(model) == 0) {
+				t.Fatalf("%d entries, Empty() = %v, model %d", len(h.ents), h.Empty(), len(model))
 			}
 			at = find(item)
-			if h.Contains(item) != (at >= 0) || (at >= 0 && h.Key(item) != model[at].key) {
-				t.Fatalf("item %d: Contains %v Key %v, model index %d", item, h.Contains(item), h.Key(item), at)
+			if h.Contains(item) != (at >= 0) || (at >= 0 && h.ents[h.pos[item]].key != model[at].key) {
+				t.Fatalf("item %d: Contains %v, model index %d", item, h.Contains(item), at)
 			}
 		}
 		// Drain: what is left comes out in key order.

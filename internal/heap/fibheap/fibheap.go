@@ -62,9 +62,6 @@ type Heap struct {
 // with the other heap packages.
 func New() *Heap { return &Heap{} }
 
-// Len reports the number of entries in the heap.
-func (h *Heap) Len() int { return h.n }
-
 // Empty reports whether the heap has no entries.
 func (h *Heap) Empty() bool { return h.n == 0 }
 

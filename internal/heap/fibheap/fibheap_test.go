@@ -13,8 +13,8 @@ func TestEmptyHeap(t *testing.T) {
 	if !h.Empty() {
 		t.Fatal("new heap should be empty")
 	}
-	if h.Len() != 0 {
-		t.Fatalf("Len() = %d, want 0", h.Len())
+	if h.n != 0 {
+		t.Fatalf("size = %d, want 0", h.n)
 	}
 	if _, err := h.ExtractMin(); err != ErrEmpty {
 		t.Fatalf("ExtractMin on empty heap: err = %v, want ErrEmpty", err)
@@ -26,8 +26,8 @@ func TestInsertAndMin(t *testing.T) {
 	h.Insert(5, 50)
 	h.Insert(3, 30)
 	h.Insert(8, 80)
-	if h.Len() != 3 {
-		t.Fatalf("Len() = %d, want 3", h.Len())
+	if h.n != 3 {
+		t.Fatalf("size = %d, want 3", h.n)
 	}
 	n, err := h.ExtractMin()
 	if err != nil {
@@ -36,8 +36,8 @@ func TestInsertAndMin(t *testing.T) {
 	if n.Key() != 3 || n.Value() != 30 {
 		t.Fatalf("min = (%v, %v), want (3, 30)", n.Key(), n.Value())
 	}
-	if h.Len() != 2 {
-		t.Fatalf("Len() = %d after ExtractMin, want 2", h.Len())
+	if h.n != 2 {
+		t.Fatalf("size = %d after ExtractMin, want 2", h.n)
 	}
 }
 
@@ -210,8 +210,8 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 				}
 				model[i].key = nk
 			}
-			if h.Len() != len(model) {
-				t.Fatalf("op %d: Len() = %d, model %d", op, h.Len(), len(model))
+			if h.n != len(model) {
+				t.Fatalf("op %d: size = %d, model %d", op, h.n, len(model))
 			}
 		}
 	}
@@ -312,7 +312,7 @@ func verifyHeapProperty(t *testing.T, h *Heap) {
 	}
 	walk(h.min, math.Inf(-1), true)
 	if count != h.n {
-		t.Fatalf("reachable nodes = %d, Len() = %d", count, h.n)
+		t.Fatalf("reachable nodes = %d, size = %d", count, h.n)
 	}
 }
 

@@ -38,9 +38,6 @@ type Gauge struct {
 	v atomic.Int64 // written concurrently by every instrumented goroutine
 }
 
-// Set replaces the level.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
 // Add moves the level by delta (negative to decrease).
 func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 

@@ -752,7 +752,7 @@ func BenchmarkMonitorSample(b *testing.B) {
 	for _, n := range []string{"a_total", "b_total", "c_total", "d_total"} {
 		reg.Counter(n).Add(1)
 	}
-	reg.Gauge("depth").Set(3)
+	reg.Gauge("depth").Add(3)
 	reg.Histogram("lat", DefaultLatencyBuckets()).Observe(5000)
 	reg.Histogram("lat2", DefaultLatencyBuckets()).Observe(5000)
 	m := NewMonitor(reg, time.Second, []Rule{

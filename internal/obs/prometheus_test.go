@@ -16,7 +16,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 func goldenRegistry() *Registry {
 	reg := NewRegistry()
 	reg.Counter("zeta_requests_total").Add(7)
-	reg.Gauge("alpha_depth").Set(3)
+	reg.Gauge("alpha_depth").Add(3)
 	reg.GaugeFunc("mid_cache_size", func() float64 { return 12.5 })
 	h := reg.Histogram("beta_latency_ns", []float64{100, 1000})
 	h.Observe(50)

@@ -16,7 +16,7 @@ func TestRegistryGetOrCreate(t *testing.T) {
 		t.Error("Counter must return the same instance per name")
 	}
 	g1 := r.Gauge("depth")
-	g1.Set(7)
+	g1.Add(7)
 	if g2 := r.Gauge("depth"); g2 != g1 || g2.Value() != 7 {
 		t.Error("Gauge must return the same instance per name")
 	}
@@ -30,7 +30,7 @@ func TestRegistryGetOrCreate(t *testing.T) {
 func TestRegistrySnapshotAndJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("hits").Add(11)
-	r.Gauge("depth").Set(-2)
+	r.Gauge("depth").Add(-2)
 	r.GaugeFunc("derived", func() float64 { return 1.5 })
 	r.Histogram("lat", []float64{10, 100}).Observe(50)
 

@@ -98,13 +98,3 @@ func PaperExample(spec PaperExampleSpec) (*wdm.Network, error) {
 	nw.SetConverter(tab)
 	return nw, nil
 }
-
-// PaperExampleTopology returns just the directed edge list of Fig. 1,
-// for generators that want to re-dress it with other workloads.
-func PaperExampleTopology() *Topology {
-	t := &Topology{Name: "paper-fig1", N: PaperExampleNodes}
-	for _, l := range paperLinks {
-		t.Edges = append(t.Edges, [2]int{l.from - 1, l.to - 1})
-	}
-	return t
-}

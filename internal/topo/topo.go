@@ -24,26 +24,6 @@ type Topology struct {
 // M reports the number of directed edges.
 func (t *Topology) M() int { return len(t.Edges) }
 
-// MaxDegree reports d = max over nodes of max(in-degree, out-degree).
-func (t *Topology) MaxDegree() int {
-	in := make([]int, t.N)
-	out := make([]int, t.N)
-	for _, e := range t.Edges {
-		out[e[0]]++
-		in[e[1]]++
-	}
-	d := 0
-	for v := 0; v < t.N; v++ {
-		if out[v] > d {
-			d = out[v]
-		}
-		if in[v] > d {
-			d = in[v]
-		}
-	}
-	return d
-}
-
 // Validate checks that every edge endpoint is in range and no self-loops
 // exist.
 func (t *Topology) Validate() error {

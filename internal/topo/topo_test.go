@@ -6,38 +6,52 @@ import (
 	"testing/quick"
 )
 
-// strongConnectivity checks every node reaches every other via the
-// directed edges (all generators except Complete build symmetric links,
-// so undirected connectivity suffices, but we verify the strong form).
+// strongConnectivity reports whether every node reaches every other along
+// the directed edges: node 0 reaches every node, and every node reaches
+// node 0 (a forward and a reverse search from node 0).
 func strongConnectivity(t *Topology) bool {
-	adj := make([][]int, t.N)
+	fwd := make([][]int, t.N)
+	rev := make([][]int, t.N)
 	for _, e := range t.Edges {
-		adj[e[0]] = append(adj[e[0]], e[1])
+		fwd[e[0]] = append(fwd[e[0]], e[1])
+		rev[e[1]] = append(rev[e[1]], e[0])
 	}
-	for src := 0; src < t.N; src++ {
-		seen := make([]bool, t.N)
-		stack := []int{src}
-		seen[src] = true
-		count := 1
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, v := range adj[u] {
-				if !seen[v] {
-					seen[v] = true
-					count++
-					stack = append(stack, v)
-				}
+	return t.N == 0 || reachesAll(fwd) && reachesAll(rev)
+}
+
+// reachesAll reports whether a search from node 0 along adj visits every
+// node.
+func reachesAll(adj [][]int) bool {
+	seen := make([]bool, len(adj))
+	seen[0] = true
+	stack, count := []int{0}, 1
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, v := range adj[u] {
+			if !seen[v] {
+				seen[v] = true
+				count++
+				stack = append(stack, v)
 			}
 		}
-		if count != t.N {
-			return false
-		}
-		if src > 0 {
-			break // one forward pass + symmetry of construction is enough
-		}
 	}
-	return true
+	return count == len(adj)
+}
+
+// maxDegree reports d = max over nodes of max(in-degree, out-degree).
+func maxDegree(t *Topology) int {
+	in := make([]int, t.N)
+	out := make([]int, t.N)
+	for _, e := range t.Edges {
+		out[e[0]]++
+		in[e[1]]++
+	}
+	d := 0
+	for v := 0; v < t.N; v++ {
+		d = max(d, out[v], in[v])
+	}
+	return d
 }
 
 func TestRing(t *testing.T) {
@@ -48,7 +62,7 @@ func TestRing(t *testing.T) {
 	if err := r.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if d := r.MaxDegree(); d != 2 {
+	if d := maxDegree(r); d != 2 {
 		t.Fatalf("ring degree = %d, want 2", d)
 	}
 	if !strongConnectivity(r) {
@@ -75,7 +89,7 @@ func TestGrid(t *testing.T) {
 	if g.M() != 34 {
 		t.Fatalf("grid m = %d, want 34", g.M())
 	}
-	if d := g.MaxDegree(); d != 4 {
+	if d := maxDegree(g); d != 4 {
 		t.Fatalf("grid degree = %d, want 4", d)
 	}
 	if !strongConnectivity(g) {
@@ -93,7 +107,7 @@ func TestRandomSparse(t *testing.T) {
 		if err := g.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		if d := g.MaxDegree(); d > 5 {
+		if d := maxDegree(g); d > 5 {
 			t.Fatalf("degree %d exceeds cap 5", d)
 		}
 		if !strongConnectivity(g) {
@@ -135,7 +149,7 @@ func TestComplete(t *testing.T) {
 	if g.M() != 20 {
 		t.Fatalf("complete m = %d, want 20", g.M())
 	}
-	if d := g.MaxDegree(); d != 4 {
+	if d := maxDegree(g); d != 4 {
 		t.Fatalf("degree = %d, want 4", d)
 	}
 }
@@ -161,7 +175,7 @@ func TestARPANET(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if d := g.MaxDegree(); d > 4 {
+	if d := maxDegree(g); d > 4 {
 		t.Fatalf("arpanet degree = %d, want ≤ 4", d)
 	}
 	if !strongConnectivity(g) {
@@ -177,16 +191,6 @@ func TestValidateCatchesBadEdges(t *testing.T) {
 	loop := &Topology{N: 2, Edges: [][2]int{{1, 1}}}
 	if err := loop.Validate(); err == nil {
 		t.Fatal("self-loop must fail")
-	}
-}
-
-func TestPaperExampleTopology(t *testing.T) {
-	g := PaperExampleTopology()
-	if g.N != PaperExampleNodes || g.M() != 11 {
-		t.Fatalf("paper topology: n=%d m=%d, want 7/11", g.N, g.M())
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -263,7 +267,7 @@ func TestTorus(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if d := g.MaxDegree(); d != 4 {
+	if d := maxDegree(g); d != 4 {
 		t.Fatalf("degree = %d, want 4", d)
 	}
 	if !strongConnectivity(g) {
@@ -288,7 +292,7 @@ func TestHypercube(t *testing.T) {
 	if g.M() != 64 {
 		t.Fatalf("m = %d, want 64", g.M())
 	}
-	if d := g.MaxDegree(); d != 4 {
+	if d := maxDegree(g); d != 4 {
 		t.Fatalf("degree = %d, want dim=4", d)
 	}
 	if err := g.Validate(); err != nil {
@@ -310,7 +314,7 @@ func TestShuffleNet(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if d := g.MaxDegree(); d != 2 {
+	if d := maxDegree(g); d != 2 {
 		t.Fatalf("degree = %d, want 2", d)
 	}
 	if !strongConnectivity(g) {

@@ -82,15 +82,6 @@ func UnmarshalNetwork(data []byte) (*Network, error) {
 	return nw, nil
 }
 
-// ReadNetwork parses a network from JSON read off r.
-func ReadNetwork(r io.Reader) (*Network, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("wdm: read network: %w", err)
-	}
-	return UnmarshalNetwork(data)
-}
-
 func encodeConverter(c Converter) (*converterJSON, error) {
 	switch cv := c.(type) {
 	case nil:

@@ -109,7 +109,7 @@ func TestWriteRead(t *testing.T) {
 	if !strings.Contains(buf.String(), `"kind": "none"`) {
 		t.Fatalf("serialized form missing converter kind: %s", buf.String())
 	}
-	got, err := ReadNetwork(&buf)
+	got, err := UnmarshalNetwork(buf.Bytes())
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}

@@ -246,9 +246,6 @@ func (nw *Network) In(v int) []int32 { return nw.in[v] }
 // OutDegree reports d_out(G,v).
 func (nw *Network) OutDegree(v int) int { return len(nw.out[v]) }
 
-// InDegree reports d_in(G,v).
-func (nw *Network) InDegree(v int) int { return len(nw.in[v]) }
-
 // MaxDegree reports d = max over v of max(d_in(G,v), d_out(G,v)).
 func (nw *Network) MaxDegree() int {
 	d := 0

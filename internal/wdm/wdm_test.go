@@ -90,7 +90,7 @@ func TestDegreesAndCounts(t *testing.T) {
 	if tc := nw.TotalChannels(); tc != 7 {
 		t.Fatalf("TotalChannels = %d, want 7", tc)
 	}
-	if nw.OutDegree(0) != 2 || nw.InDegree(2) != 2 || nw.InDegree(0) != 1 {
+	if nw.OutDegree(0) != 2 || len(nw.In(2)) != 2 || len(nw.In(0)) != 1 {
 		t.Fatal("degree accessors wrong")
 	}
 }
