@@ -115,8 +115,8 @@ func (g *Digraph) slot(u int) *[]Arc {
 }
 
 // AddArc inserts a directed arc from u to v with the given weight and tag.
-// Parallel arcs are permitted (two links between one pair of nodes
-// that share a wavelength give G′ two arcs).
+// Parallel arcs are permitted: two links between one pair of nodes that
+// share a wavelength give parallel arcs.
 func (g *Digraph) AddArc(u, v int, weight float64, tag int32) error {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return fmt.Errorf("%w: arc %d->%d in graph of %d nodes", ErrNodeRange, u, v, g.n)
