@@ -140,6 +140,54 @@ func TestPaperExampleSizes(t *testing.T) {
 	}
 }
 
+// TestMultigraph verifies G_M (Fig. 2) as G' carries it: one link arc
+// Y_u(λ) → X_v(λ) per channel (e, λ), so the arcs over the 7 physical
+// nodes number Σ|Λ(e)|, parallel arcs stay distinct, and each arc's tag
+// names the link whose channel it is.
+func TestMultigraph(t *testing.T) {
+	nw := paperNet(t)
+	a, err := NewAux(nw)
+	if err != nil {
+		t.Fatalf("NewAux: %v", err)
+	}
+	nodes := make(map[int32]bool)
+	arcs, par := 0, 0
+	for u := 0; u < a.NumAuxNodes(); u++ {
+		from := a.info[u]
+		nodes[from.Node] = true
+		for _, arc := range a.g.Out(u) {
+			if arc.Tag == tagConversion {
+				continue
+			}
+			arcs++
+			to := a.info[arc.To]
+			if from.Side != SideY || to.Side != SideX || from.Lambda != to.Lambda {
+				t.Fatalf("link arc %v -> %v, want Y_u(λ) -> X_v(λ)", from, to)
+			}
+			l := nw.Link(int(arc.Tag))
+			if int32(l.From) != from.Node || int32(l.To) != to.Node {
+				t.Errorf("tag names link %d->%d, arc runs %d->%d", l.From, l.To, from.Node, to.Node)
+			}
+			if _, ok := l.Has(to.Lambda); !ok {
+				t.Errorf("λ%d not available on link %d", to.Lambda, arc.Tag)
+			}
+			// Link ⟨1,4⟩ (our 0→3) has 3 wavelengths → 3 parallel arcs 0→3.
+			if from.Node == 0 && to.Node == 3 {
+				par++
+			}
+		}
+	}
+	if len(nodes) != 7 {
+		t.Fatalf("|V_M| = %d, want 7", len(nodes))
+	}
+	if arcs != nw.TotalChannels() {
+		t.Fatalf("|E_M| = %d, want %d", arcs, nw.TotalChannels())
+	}
+	if par != 3 {
+		t.Fatalf("parallel 0→3 arcs = %d, want 3", par)
+	}
+}
+
 func TestNewAuxNil(t *testing.T) {
 	if _, err := NewAux(nil); !errors.Is(err, ErrNilNetwork) {
 		t.Fatalf("NewAux(nil): %v", err)

@@ -17,7 +17,7 @@ func TestArcSize(t *testing.T) {
 	}
 }
 
-func TestNewAndAddNodes(t *testing.T) {
+func TestNewAndAddNode(t *testing.T) {
 	g := New(3)
 	if g.NumNodes() != 3 || g.NumArcs() != 0 {
 		t.Fatalf("got %d nodes %d arcs, want 3/0", g.NumNodes(), g.NumArcs())
@@ -76,6 +76,25 @@ func TestParallelArcs(t *testing.T) {
 	}
 	if g.NumArcs() != 3 || g.OutDegree(0) != 3 {
 		t.Fatalf("parallel arcs not stored: arcs=%d deg=%d", g.NumArcs(), g.OutDegree(0))
+	}
+}
+
+func TestDegrees(t *testing.T) {
+	g := New(4)
+	mustArc(t, g, 0, 1, 1)
+	mustArc(t, g, 0, 2, 1)
+	mustArc(t, g, 0, 3, 1)
+	mustArc(t, g, 1, 3, 1)
+	mustArc(t, g, 2, 3, 1)
+	want := []int{3, 1, 1, 0}
+	for u := range want {
+		if d := g.OutDegree(u); d != want[u] {
+			t.Fatalf("OutDegree(%d) = %d, want %d", u, d, want[u])
+		}
+	}
+	g.ClearOut(0)
+	if d := g.OutDegree(0); d != 0 {
+		t.Fatalf("OutDegree(0) after ClearOut = %d, want 0", d)
 	}
 }
 

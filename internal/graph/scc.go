@@ -6,8 +6,8 @@ package graph
 // topological order of the condensation — the order Tarjan emits them —
 // and every node appears in exactly one component.
 //
-// The topology generators promise strong connectivity; this is the
-// library primitive their validation (and any user's) rests on.
+// No routing path calls it: the topology generators promise strong
+// connectivity, but Topology.Validate checks only edge ranges.
 func StronglyConnectedComponents(g *Digraph) [][]int {
 	n := g.NumNodes()
 	const unvisited = -1

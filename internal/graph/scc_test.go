@@ -101,7 +101,7 @@ func TestQuickSCCPartition(t *testing.T) {
 				for _, v := range comp {
 					inComp[v] = true
 				}
-				reach := g.ReachableFrom(comp[0])
+				reach := reachableFrom(g, comp[0])
 				for _, v := range comp {
 					if !reach[v] {
 						return false
@@ -109,7 +109,7 @@ func TestQuickSCCPartition(t *testing.T) {
 				}
 				// And back: every member reaches comp[0].
 				for _, v := range comp[1:] {
-					if !g.ReachableFrom(v)[comp[0]] {
+					if !reachableFrom(g, v)[comp[0]] {
 						return false
 					}
 				}
@@ -120,4 +120,23 @@ func TestQuickSCCPartition(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// reachableFrom returns the set of nodes reachable from src (src
+// included), by a search over arcs of any weight.
+func reachableFrom(g *Digraph, src int) []bool {
+	seen := make([]bool, g.NumNodes())
+	seen[src] = true
+	stack := []int{src}
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, a := range g.Out(u) {
+			if !seen[a.To] {
+				seen[a.To] = true
+				stack = append(stack, int(a.To))
+			}
+		}
+	}
+	return seen
 }

@@ -56,6 +56,33 @@ func TestPushErrors(t *testing.T) {
 	}
 }
 
+// TestDecreaseKey lowers the key of an item below the root through
+// PushOrDecrease, the heap's one decrease operation: the item moves to
+// the top, and a key raise leaves the heap as it was.
+func TestDecreaseKey(t *testing.T) {
+	h := New(3)
+	for i, k := range []float64{10, 20, 30} {
+		if err := h.Push(i, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if changed, err := h.PushOrDecrease(2, 5); err != nil || !changed {
+		t.Fatalf("decrease: changed=%v err=%v", changed, err)
+	}
+	if changed, err := h.PushOrDecrease(0, 100); err != nil || changed {
+		t.Fatalf("increase: changed=%v err=%v, want no change", changed, err)
+	}
+	for _, want := range []struct {
+		item int
+		key  float64
+	}{{2, 5}, {0, 10}, {1, 20}} {
+		item, key, err := h.Pop()
+		if err != nil || item != want.item || key != want.key {
+			t.Fatalf("popped (%d,%v,%v), want (%d,%v)", item, key, err, want.item, want.key)
+		}
+	}
+}
+
 func TestPushOrDecrease(t *testing.T) {
 	h := New(2)
 	changed, err := h.PushOrDecrease(0, 10)

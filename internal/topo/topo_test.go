@@ -194,6 +194,21 @@ func TestValidateCatchesBadEdges(t *testing.T) {
 	}
 }
 
+// TestPaperExampleTopology checks Fig. 1's directed edge list as a
+// topology: 7 nodes, 11 valid links.
+func TestPaperExampleTopology(t *testing.T) {
+	g := &Topology{Name: "paper-fig1", N: PaperExampleNodes}
+	for _, l := range paperLinks {
+		g.Edges = append(g.Edges, [2]int{l.from - 1, l.to - 1})
+	}
+	if g.N != 7 || g.M() != 11 {
+		t.Fatalf("paper topology: n=%d m=%d, want 7/11", g.N, g.M())
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPaperExampleNetwork(t *testing.T) {
 	nw, err := PaperExample(DefaultPaperExampleSpec())
 	if err != nil {
