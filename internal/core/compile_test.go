@@ -377,14 +377,15 @@ func TestCompileAllocationsIndependentOfSize(t *testing.T) {
 	}
 }
 
-// kSweepNetwork is E4's shape at wavelength count k: n=400 sparse, degree
-// 4–5, four distinct random wavelengths per link, uniform conversion. It
-// draws the channels itself rather than through workload.Build, which
-// visits every one of the k wavelengths on every link.
-func kSweepNetwork(tb testing.TB, k int) *wdm.Network {
+// kSweepNetwork is E4's shape at n nodes and wavelength count k: sparse,
+// degree 4–5, four distinct random wavelengths per link, uniform
+// conversion (E4 itself is n=400). It draws the channels itself rather
+// than through workload.Build, which visits every one of the k
+// wavelengths on every link.
+func kSweepNetwork(tb testing.TB, n, k int) *wdm.Network {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(4))
-	tp := topo.RandomSparse(400, 4, 5, rng)
+	tp := topo.RandomSparse(n, 4, 5, rng)
 	nw := wdm.NewNetwork(tp.N, k)
 	for _, e := range tp.Edges {
 		var chans []wdm.Channel
@@ -409,7 +410,7 @@ func kSweepNetwork(tb testing.TB, k int) *wdm.Network {
 // each link's first channel.
 func TestCompileMatchesReferenceWideK(t *testing.T) {
 	for _, k := range []int{100, 1 << 17} {
-		nw := kSweepNetwork(t, k)
+		nw := kSweepNetwork(t, 400, k)
 		compileBoth(t, fmt.Sprintf("k=%d", k), nw, nw)
 		changes := map[int][]wdm.Channel{}
 		for id := 0; id < nw.NumLinks(); id++ {
@@ -432,7 +433,7 @@ func TestCompileBytesIndependentOfK(t *testing.T) {
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, k := range []int{8, 512, 1 << 17} {
-		nw := kSweepNetwork(t, k)
+		nw := kSweepNetwork(t, 400, k)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		a, err := NewAux(nw)
@@ -446,6 +447,45 @@ func TestCompileBytesIndependentOfK(t *testing.T) {
 		if bytes > 64*items {
 			t.Errorf("k=%d: NewAux allocates %d bytes for %d nodes, arcs, links and network nodes: over 64 per item",
 				k, bytes, items)
+		}
+	}
+}
+
+// TestZeroOptionsSearchAllocationsFlat: a search with nil Options runs
+// the served queue policy on pooled scratch, so Route allocates only its
+// Result and path and RouteFrom only its SourceTree — a handful of
+// objects, the same count at n = 100 and n = 400. A queue that builds a
+// node per entry (the Fibonacci heap) allocates in proportion to n.
+func TestZeroOptionsSearchAllocationsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const most = 5
+	var route, from []float64
+	for _, n := range []int{100, 400} {
+		a := mustAux(t, kSweepNetwork(t, n, 8))
+		if _, err := a.Route(0, n/2, nil); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		route = append(route, testing.AllocsPerRun(5, func() {
+			if _, err := a.Route(0, n/2, nil); err != nil {
+				t.Fatal(err)
+			}
+		}))
+		from = append(from, testing.AllocsPerRun(5, func() {
+			if _, err := a.RouteFrom(0, nil); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	for _, c := range []struct {
+		name   string
+		counts []float64
+	}{{"Route", route}, {"RouteFrom", from}} {
+		if c.counts[0] != c.counts[1] || c.counts[1] > most {
+			t.Errorf("%s with nil Options allocates %v objects at n=100 and %v at n=400, want the same count ≤ %d",
+				c.name, c.counts[0], c.counts[1], most)
 		}
 	}
 }
