@@ -7,7 +7,7 @@
 //
 //	wdmroute -net instance.json -from 0 -to 6
 //	wdmroute -topo nsfnet -k 8 -from 0 -to 13
-//	wdmroute -topo paper -from 0 -to 6 -queue binary -all
+//	wdmroute -topo paper -from 0 -all
 package main
 
 import (
@@ -19,7 +19,6 @@ import (
 
 	"lightpath/internal/cli"
 	"lightpath/internal/core"
-	"lightpath/internal/graph"
 	"lightpath/internal/wdm"
 )
 
@@ -36,7 +35,6 @@ func run(args []string, w io.Writer) error {
 	nf.Register(fs)
 	from := fs.Int("from", 0, "source node")
 	to := fs.Int("to", 1, "destination node")
-	queue := fs.String("queue", "fibonacci", "dijkstra queue: fibonacci|binary|linear")
 	all := fs.Bool("all", false, "print optimal costs from -from to every node")
 	kPaths := fs.Int("paths", 1, "number of alternate semilightpaths to enumerate (Yen)")
 	explain := fs.Bool("explain", false, "print the per-hop cost breakdown")
@@ -69,19 +67,6 @@ func run(args []string, w io.Writer) error {
 	if err := cli.ParseEndpoints(nw, *from, *to); err != nil {
 		return err
 	}
-	var kind graph.QueueKind
-	switch *queue {
-	case "fibonacci":
-		kind = graph.QueueFibonacci
-	case "binary":
-		kind = graph.QueueBinary
-	case "linear":
-		kind = graph.QueueLinear
-	default:
-		return fmt.Errorf("unknown queue %q", *queue)
-	}
-	opts := &core.Options{Queue: kind}
-
 	aux, err := core.NewAux(nw)
 	if err != nil {
 		return err
@@ -89,7 +74,7 @@ func run(args []string, w io.Writer) error {
 	fmt.Fprintf(w, "network: %s\n", aux.Stats())
 
 	if *all {
-		tree, err := aux.RouteFrom(*from, opts)
+		tree, err := aux.RouteFrom(*from, nil)
 		if err != nil {
 			return err
 		}
@@ -122,9 +107,9 @@ func run(args []string, w io.Writer) error {
 
 	var res *core.Result
 	if *maxHops > 0 {
-		res, err = aux.RouteBounded(*from, *to, *maxHops, opts)
+		res, err = aux.RouteBounded(*from, *to, *maxHops, nil)
 	} else {
-		res, err = aux.Route(*from, *to, opts)
+		res, err = aux.Route(*from, *to, nil)
 	}
 	if errors.Is(err, core.ErrNoRoute) {
 		fmt.Fprintf(w, "no semilightpath from %d to %d\n", *from, *to)

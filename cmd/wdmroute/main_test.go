@@ -21,24 +21,6 @@ func TestRoutePaperExample(t *testing.T) {
 	}
 }
 
-func TestRouteQueues(t *testing.T) {
-	for _, q := range []string{"fibonacci", "binary", "linear"} {
-		var out bytes.Buffer
-		if err := run([]string{"-topo", "paper", "-from", "0", "-to", "6", "-queue", q}, &out); err != nil {
-			t.Fatalf("queue %s: %v", q, err)
-		}
-		if !strings.Contains(out.String(), "cost:  20") {
-			t.Fatalf("queue %s: wrong cost:\n%s", q, out.String())
-		}
-	}
-	for _, q := range []string{"warp", "pairing"} {
-		var out bytes.Buffer
-		if err := run([]string{"-topo", "paper", "-queue", q}, &out); err == nil {
-			t.Fatalf("unknown queue %s must fail", q)
-		}
-	}
-}
-
 func TestRouteAllFlag(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-topo", "paper", "-from", "0", "-all"}, &out); err != nil {

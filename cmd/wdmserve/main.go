@@ -85,7 +85,6 @@ import (
 	"lightpath/internal/cli"
 	"lightpath/internal/core"
 	"lightpath/internal/engine"
-	"lightpath/internal/graph"
 	"lightpath/internal/obs"
 	"lightpath/internal/serve"
 )
@@ -102,7 +101,7 @@ type flags struct {
 	net      cli.NetFlags
 	recorder bool
 
-	queue, directed, script, listen, debugAddr, bundleDir string
+	directed, script, listen, debugAddr, bundleDir string
 
 	cacheSize, workers, queueDepth, recorderSize int
 
@@ -114,8 +113,6 @@ type flags struct {
 func newFlags() (*flag.FlagSet, *flags) {
 	fs, f := flag.NewFlagSet("wdmserve", flag.ContinueOnError), &flags{}
 	f.net.Register(fs)
-	fs.StringVar(&f.queue, "queue", "bucket",
-		"queue SourceTrees are built on: bucket|binary (same costs; searches with a goal always run on the binary heap)")
 	fs.StringVar(&f.directed, "directed", "astar",
 		"point-query search strategy: plain|astar (astar = A* under a per-query lower bound from the physical network)")
 	fs.IntVar(&f.cacheSize, "cache", engine.DefaultCacheSize, "sizes the cost-row cache, the route memo and, under astar, the bound-row cache at this many × TreePays entries each (<0 disables all three)")
@@ -154,18 +151,6 @@ func run(args []string, stdin io.Reader, w io.Writer) error {
 		return err
 	}
 
-	var kind graph.QueueKind
-	switch f.queue {
-	case "bucket":
-		kind = graph.QueueBucket
-	case "binary":
-		kind = graph.QueueBinary
-	case "fibonacci", "linear":
-		return fmt.Errorf("queue %q is an ablation subject, not a serving queue: measure it with wdmbench -experiment heap-ablation", f.queue)
-	default:
-		return fmt.Errorf("unknown queue %q", f.queue)
-	}
-
 	var mode core.DirectedMode
 	switch f.directed {
 	case "plain":
@@ -180,7 +165,7 @@ func run(args []string, stdin io.Reader, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	eng, err := engine.New(nw, &engine.Options{Queue: kind, CacheSize: f.cacheSize, Directed: mode})
+	eng, err := engine.New(nw, &engine.Options{CacheSize: f.cacheSize, Directed: mode})
 	if err != nil {
 		return err
 	}

@@ -125,8 +125,8 @@ func TestServeScriptFile(t *testing.T) {
 
 func TestServeFlagErrors(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-queue", "warp"}, strings.NewReader(""), &out); err == nil {
-		t.Fatal("unknown queue must fail")
+	if err := run([]string{"-queue", "binary"}, strings.NewReader(""), &out); err == nil {
+		t.Fatal("the retired -queue flag must be refused")
 	}
 	if err := run([]string{"-topo", "warp"}, strings.NewReader(""), &out); err == nil {
 		t.Fatal("unknown topology must fail")
@@ -167,41 +167,6 @@ func TestServeDirectedFlag(t *testing.T) {
 				t.Fatalf("-directed %s must fail", mode)
 			}
 		})
-	}
-}
-
-// TestServeQueueFlag: -queue offers the two queues SourceTrees are served
-// from — bucket by default, binary for an A/B — with byte-identical
-// routefrom and batch replies, and turns the ablation-only queues away by
-// name.
-func TestServeQueueFlag(t *testing.T) {
-	script := "routefrom 3\nbatch 0 9 0 5 7 2\nstats\nquit\n"
-	replies := make(map[string]string)
-	for _, q := range []string{"", "bucket", "binary"} {
-		args := []string{"-topo", "nsfnet", "-k", "6", "-seed", "3"}
-		if q != "" {
-			args = append(args, "-queue", q)
-		}
-		var out bytes.Buffer
-		if err := run(args, strings.NewReader(script), &out); err != nil {
-			t.Fatalf("-queue %q: %v", q, err)
-		}
-		got := out.String()
-		if !strings.Contains(got, "tree rescans 0  bound rows ") {
-			t.Fatalf("-queue %q: stats must report 0 tree rescans:\n%s", q, got)
-		}
-		replies[q] = got[:strings.Index(got, "epoch 0 ")] // up to the stats reply, which embeds latencies
-	}
-	if replies[""] != replies["bucket"] || replies["bucket"] != replies["binary"] {
-		t.Fatalf("replies differ across -queue values:\ndefault:\n%s\nbucket:\n%s\nbinary:\n%s",
-			replies[""], replies["bucket"], replies["binary"])
-	}
-	for _, q := range []string{"fibonacci", "linear"} {
-		var out bytes.Buffer
-		err := run([]string{"-queue", q}, strings.NewReader(""), &out)
-		if err == nil || !strings.Contains(err.Error(), "wdmbench") {
-			t.Fatalf("-queue %s: err = %v, want a refusal naming wdmbench", q, err)
-		}
 	}
 }
 
@@ -391,7 +356,7 @@ func TestFlagConfigNamesTheNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := string(flagConfig(fs))
-	for _, want := range []string{"topo=sparse", "n=40", "k=4", "seed=9", "directed=astar", "cache=-1", "queue=bucket", "sample-interval=1s"} {
+	for _, want := range []string{"topo=sparse", "n=40", "k=4", "seed=9", "directed=astar", "cache=-1", "sample-interval=1s"} {
 		if !strings.Contains("\n"+got, "\n"+want+"\n") {
 			t.Errorf("config missing %q:\n%s", want, got)
 		}

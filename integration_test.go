@@ -16,6 +16,7 @@ import (
 	"lightpath"
 	"lightpath/internal/core"
 	"lightpath/internal/dist"
+	"lightpath/internal/graph"
 	"lightpath/internal/oracle"
 	"lightpath/internal/topo"
 	"lightpath/internal/workload"
@@ -95,9 +96,9 @@ func TestIntegrationAllSolversAgree(t *testing.T) {
 				oCost, _, oErr := oracle.Solve(nw, s, d)
 
 				// Centralized, all queues.
-				for _, kind := range []lightpath.QueueKind{
-					lightpath.QueueFibonacci, lightpath.QueueBinary,
-					lightpath.QueueLinear, lightpath.QueueBucket,
+				for _, kind := range []graph.QueueKind{
+					graph.QueueFibonacci, graph.QueueBinary,
+					graph.QueueLinear, graph.QueueBucket,
 				} {
 					res, err := router.Route(s, d, &lightpath.Options{Queue: kind})
 					if (oErr == nil) != (err == nil) {

@@ -152,10 +152,6 @@ func (wg *WavelengthGraph) Route(s, t int, kind graph.QueueKind) (*Result, error
 	if s == t {
 		return &Result{Path: &wdm.Semilightpath{}, Source: s, Dest: t}, nil
 	}
-	if kind == 0 {
-		kind = graph.QueueLinear
-	}
-
 	// Wire the super source to (λ, s) for every wavelength.
 	wg.g.ClearOut(wg.superSrc)
 	k := wg.nw.K()

@@ -56,16 +56,16 @@ func TestRouteErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wg.Route(-1, 0, 0); !errors.Is(err, ErrNodeRange) {
+	if _, err := wg.Route(-1, 0, graph.QueueLinear); !errors.Is(err, ErrNodeRange) {
 		t.Fatalf("bad source: %v", err)
 	}
-	if _, err := wg.Route(0, 99, 0); !errors.Is(err, ErrNodeRange) {
+	if _, err := wg.Route(0, 99, graph.QueueLinear); !errors.Is(err, ErrNodeRange) {
 		t.Fatalf("bad dest: %v", err)
 	}
-	if _, err := wg.Route(6, 0, 0); !errors.Is(err, ErrNoRoute) {
+	if _, err := wg.Route(6, 0, graph.QueueLinear); !errors.Is(err, ErrNoRoute) {
 		t.Fatalf("no route: %v", err)
 	}
-	res, err := wg.Route(2, 2, 0)
+	res, err := wg.Route(2, 2, graph.QueueLinear)
 	if err != nil || res.Cost != 0 || res.Path.Len() != 0 {
 		t.Fatalf("trivial route: %+v, %v", res, err)
 	}

@@ -44,6 +44,11 @@ func (c Config) reps() int {
 	return c.Reps
 }
 
+// theoremOpts is what the experiments timing Theorem 1's bound (E2, E3,
+// E4) and Corollary 1's (E7) search with: the Fibonacci heap both bounds
+// cite, not the served queue policy that every other caller gets.
+var theoremOpts = &core.Options{Queue: graph.QueueFibonacci}
+
 // Experiment names accepted by Run.
 var Names = []string{
 	"example", "scaling-n", "scaling-k", "compare", "k-independence",
@@ -201,7 +206,7 @@ func RunScalingN(w io.Writer, cfg Config) error {
 				panic(err)
 			}
 			st = aux.Stats()
-			if _, err := aux.Route(0, n/2, nil); err != nil && !errors.Is(err, core.ErrNoRoute) {
+			if _, err := aux.Route(0, n/2, theoremOpts); err != nil && !errors.Is(err, core.ErrNoRoute) {
 				panic(err)
 			}
 		})
@@ -240,7 +245,7 @@ func RunScalingK(w io.Writer, cfg Config) error {
 				panic(err)
 			}
 			st = aux.Stats()
-			if _, err := aux.Route(0, n/2, nil); err != nil && !errors.Is(err, core.ErrNoRoute) {
+			if _, err := aux.Route(0, n/2, theoremOpts); err != nil && !errors.Is(err, core.ErrNoRoute) {
 				panic(err)
 			}
 		})
@@ -276,7 +281,7 @@ func RunComparison(w io.Writer, cfg Config) error {
 		}
 		s, d := 0, n/2
 		ours := medianDuration(cfg.reps(), func() {
-			if _, err := core.FindSemilightpath(nw, s, d, nil); err != nil && !errors.Is(err, core.ErrNoRoute) {
+			if _, err := core.FindSemilightpath(nw, s, d, theoremOpts); err != nil && !errors.Is(err, core.ErrNoRoute) {
 				panic(err)
 			}
 		})
@@ -318,7 +323,7 @@ func RunKIndependence(w io.Writer, cfg Config) error {
 				panic(err)
 			}
 			st = aux.Stats()
-			if _, err := aux.Route(s, d, nil); err != nil && !errors.Is(err, core.ErrNoRoute) {
+			if _, err := aux.Route(s, d, theoremOpts); err != nil && !errors.Is(err, core.ErrNoRoute) {
 				panic(err)
 			}
 		})
@@ -450,7 +455,7 @@ func RunAllPairs(w io.Writer, cfg Config) error {
 		}
 		var ref *core.AllPairsResult
 		dur := medianDuration(cfg.reps(), func() {
-			ref, err = aux.AllPairs(nil)
+			ref, err = aux.AllPairs(theoremOpts)
 			if err != nil {
 				panic(err)
 			}

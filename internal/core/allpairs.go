@@ -68,9 +68,9 @@ func (st *SourceTree) PathTo(t int) (*wdm.Semilightpath, error) {
 
 // RouteFrom computes optimal semilightpaths from s to every node in one
 // single-source pass over G_{s,·} — the building block of Corollary 1's
-// all-pairs algorithm. Under graph.QueueBucket the pass is label-correcting
-// over buckets sized from the layout's weight range; every queue returns
-// the same costs bit for bit. Safe for concurrent use on one Aux.
+// all-pairs algorithm. On the zero queue the pass is label-correcting over
+// buckets sized from the layout's weight range; every queue returns the
+// same costs bit for bit. Safe for concurrent use on one Aux.
 func (a *Aux) RouteFrom(s int, opts *Options) (*SourceTree, error) {
 	if s < 0 || s >= a.nw.NumNodes() {
 		return nil, fmt.Errorf("%w: source %d", ErrNodeRange, s)

@@ -3,9 +3,9 @@ package core
 import (
 	"errors"
 	"math/rand"
-	"reflect"
 	"testing"
 
+	"lightpath/internal/graph"
 	"lightpath/internal/topo"
 	"lightpath/internal/wdm"
 	"lightpath/internal/workload"
@@ -418,14 +418,13 @@ func TestBuildStatsString(t *testing.T) {
 
 func TestDefaultOptions(t *testing.T) {
 	var o *Options
-	if o.queue().String() != "fibonacci" {
+	if o.queue() != graph.QueueBucket {
 		t.Fatalf("nil options queue = %v", o.queue())
 	}
-	o2 := &Options{}
-	if o2.queue().String() != "fibonacci" {
-		t.Fatalf("zero options queue = %v", o2.queue())
+	if q := (&Options{}).queue(); q != graph.QueueBucket {
+		t.Fatalf("zero options queue = %v", q)
 	}
-	if !reflect.DeepEqual((&Options{Queue: 2}).queue().String(), "binary") {
-		t.Fatal("explicit queue not honored")
+	if q := (&Options{Queue: graph.QueueFibonacci}).queue(); q != graph.QueueFibonacci {
+		t.Fatalf("explicit queue not honored: %v", q)
 	}
 }

@@ -11,8 +11,8 @@ type DirectedMode uint8
 const (
 	// DirectedPlain is the paper's search: multi-seed Dijkstra from the
 	// Y_s shore with goal-set early termination on X_t. The zero value,
-	// and the only mode where Options.Queue selects the priority
-	// structure (A* is the binary-heap engine under a potential).
+	// and the only mode where Options.Queue can name an ablation queue
+	// (A* is the binary-heap engine under a potential).
 	DirectedPlain DirectedMode = iota
 
 	// DirectedAStar runs A* — the plain search's binary-heap engine, Y

@@ -53,7 +53,9 @@ func costEq(a, b float64) bool {
 }
 
 var (
-	plainOpts = &Options{Directed: DirectedPlain}
+	// plainOpts is the paper's search on the paper's heap: the subject
+	// the differential and work gates compare A* against.
+	plainOpts = &Options{Directed: DirectedPlain, Queue: graph.QueueFibonacci}
 	astarOpts = &Options{Directed: DirectedAStar}
 	// plainBinaryOpts is plain on the binary engine A* runs on: both
 	// masked, both counting X-shore pops.

@@ -103,7 +103,7 @@ func TestRouteMatchesExhaustiveSearch(t *testing.T) {
 				var ref, full *graph.ShortestPathTree
 				if seeds := a.sourceSeeds(nil, s); len(seeds) > 0 {
 					var err error
-					if ref, err = graph.DijkstraSeedsUntil(a.g, seeds, nil, kind); err != nil {
+					if ref, err = graph.DijkstraSeedsUntilScratch(a.g, seeds, nil, kind, nil, nil, nil, graph.Inf); err != nil {
 						t.Fatal(err)
 					}
 					if full, err = graph.DijkstraSeedsUntilScratch(a.g, seeds, nil, routeKind, nil, a.yPass, nil, graph.Inf); err != nil {

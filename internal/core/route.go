@@ -10,10 +10,11 @@ import (
 
 // Options configures a routing query.
 type Options struct {
-	// Queue selects the priority structure for Dijkstra. The zero value
-	// means graph.QueueFibonacci, the structure Theorem 1's bound cites.
-	// Only DirectedPlain consults it: A* keys its heap on the potential,
-	// so it runs on the binary-heap engine whatever Queue says.
+	// Queue selects the priority structure for Dijkstra. The zero value,
+	// graph.QueueBucket, is the served policy; the experiments that time
+	// Theorem 1's bound name graph.QueueFibonacci. Point queries consult
+	// it only under DirectedPlain: A* runs on the binary heap whatever
+	// Queue says.
 	Queue graph.QueueKind
 
 	// Directed selects the point-query search strategy (plain, or A*
@@ -40,8 +41,8 @@ type Options struct {
 }
 
 func (o *Options) queue() graph.QueueKind {
-	if o == nil || o.Queue == 0 {
-		return graph.QueueFibonacci
+	if o == nil {
+		return graph.QueueBucket
 	}
 	return o.Queue
 }
@@ -72,10 +73,10 @@ type SearchStats struct {
 	AuxNodes int // |V'_{s,t}| (gadget nodes + super terminals)
 	AuxArcs  int // |E'_{s,t}| (gadget and link arcs + the |Y_s| + |X_t| super-terminal arcs)
 	// Settled counts queue pops, including the equal-key drain after the
-	// first X_t node. The binary-heap engine — A*, and plain on
-	// QueueBinary or QueueBucket — passes the Y shore through unqueued,
-	// so only X-shore nodes are counted there; plain on the Fibonacci and
-	// linear queues pops nodes of both shores.
+	// first X_t node. The binary-heap engine — A*, and plain on the zero
+	// queue or QueueBinary — passes the Y shore through unqueued, so only
+	// X-shore nodes are counted there; plain on the Fibonacci and linear
+	// ablation queues pops nodes of both shores.
 	Settled int
 	// Relaxed counts arc relaxations. Under DirectedAStar a pass-through
 	// Y node whose key is over the dive's ceiling is not expanded, so its
@@ -142,8 +143,9 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 	}
 	// Early termination: t″ hangs off X_t by 0-weight arcs, so it is
 	// settled with the first X_t shore node; the search drains that node's
-	// key plateau and stops (graph.DijkstraSeedsUntil). Only a destination
-	// no X_t node of which is reachable runs the search to exhaustion.
+	// key plateau and stops (graph.DijkstraSeedsUntilScratch). Only a
+	// destination no X_t node of which is reachable runs the search to
+	// exhaustion.
 	qs.goals = qs.goals[:0]
 	for xi := range a.xLambdas[t] {
 		qs.goals = append(qs.goals, int(a.xStart[t])+xi)

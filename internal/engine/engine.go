@@ -78,11 +78,11 @@ type Channel struct {
 type Options struct {
 	// Queue selects the priority structure of the searches that consult
 	// one: SourceTree passes (RouteFrom, the trees RouteBatch builds) and
-	// DirectedPlain point queries. Zero means graph.QueueBucket — trees
-	// built label-correcting over buckets, point queries on the binary heap
-	// every search with a goal runs on. graph.QueueBinary builds the trees
-	// on the heap too (same costs bit for bit; the A/B reference). New
-	// refuses any other kind: Fibonacci and linear are ablation subjects.
+	// DirectedPlain point queries. The zero value, graph.QueueBucket,
+	// builds trees over buckets and runs point queries on the binary heap.
+	// graph.QueueBinary builds the trees on the heap too (same costs bit
+	// for bit; the A/B reference). New refuses any other kind: Fibonacci
+	// and linear are ablation subjects.
 	Queue graph.QueueKind
 	// CacheSize sizes the three per-epoch caches at CacheSize × TreePays
 	// entries each: the cost-row LRU, the route memo and — under
@@ -213,7 +213,6 @@ func New(nw *wdm.Network, opts *Options) (*Engine, error) {
 	}
 	e := &Engine{
 		base:     nw,
-		queue:    graph.QueueBucket,
 		inUse:    make(map[Channel]int64),
 		owners:   make(map[int64][]Channel),
 		failed:   make(map[int]bool),
@@ -221,9 +220,7 @@ func New(nw *wdm.Network, opts *Options) (*Engine, error) {
 	}
 	cacheSize := DefaultCacheSize
 	if opts != nil {
-		if opts.Queue != 0 {
-			e.queue = opts.Queue
-		}
+		e.queue = opts.Queue
 		if opts.CacheSize != 0 {
 			cacheSize = opts.CacheSize
 		}

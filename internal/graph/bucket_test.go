@@ -86,7 +86,7 @@ func TestBucketMatchesBinaryAndBellmanFord(t *testing.T) {
 		if IsInf(delta) {
 			delta = 1
 		}
-		want, err := DijkstraSeedsUntil(g, seeds, nil, QueueBinary)
+		want, err := DijkstraSeedsUntilScratch(g, seeds, nil, QueueBinary, nil, nil, nil, Inf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,14 +174,16 @@ func TestBucketWidthRule(t *testing.T) {
 func TestBucketEntryPoints(t *testing.T) {
 	g, pass := maskedGraph(rand.New(rand.NewSource(23)), 80, 400, false, 0.3)
 	seeds := []int{3, 5}
-	want, err := DijkstraSeedsUntil(g, seeds, nil, QueueBinary)
+	want, err := DijkstraSeedsUntilScratch(g, seeds, nil, QueueBinary, nil, nil, nil, Inf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := NewScratch(g.NumNodes())
 	for i := 0; i < 3; i++ {
 		for name, run := range map[string]func() (*ShortestPathTree, error){
-			"allocating": func() (*ShortestPathTree, error) { return DijkstraSeedsUntil(g, seeds, nil, QueueBucket) },
+			"allocating": func() (*ShortestPathTree, error) {
+				return DijkstraSeedsUntilScratch(g, seeds, nil, QueueBucket, nil, nil, nil, Inf)
+			},
 			"scratch": func() (*ShortestPathTree, error) {
 				return DijkstraSeedsUntilScratch(g, seeds, nil, QueueBucket, sc, pass, nil, Inf)
 			},

@@ -186,13 +186,13 @@ func TestFromCSRPreservesContents(t *testing.T) {
 func TestScratchMatchesAllocatingPath(t *testing.T) {
 	g := buildRandom(t, 60, 300, 4)
 	sc := NewScratch(g.NumNodes())
-	const astar = QueueKind(0) // the binary engine under a potential
+	const astar = QueueKind(-1) // the binary engine under a potential
 	kinds := []QueueKind{QueueBinary, astar, QueueFibonacci, QueueLinear, QueueBucket}
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
 		seeds := []int{rng.Intn(60), rng.Intn(60)}
 		goals := []int{rng.Intn(60), rng.Intn(60), rng.Intn(60)}
-		full, err := DijkstraSeedsUntil(g, seeds, nil, QueueBinary)
+		full, err := DijkstraSeedsUntilScratch(g, seeds, nil, QueueBinary, nil, nil, nil, Inf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +237,7 @@ func TestScratchWrongSizeFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := DijkstraSeedsUntil(g, []int{0}, []int{9}, QueueBinary)
+	want, err := DijkstraSeedsUntilScratch(g, []int{0}, []int{9}, QueueBinary, nil, nil, nil, Inf)
 	if err != nil {
 		t.Fatal(err)
 	}

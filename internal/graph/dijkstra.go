@@ -7,36 +7,37 @@ import (
 )
 
 // QueueKind selects the priority structure driving Dijkstra's algorithm.
-// The choice changes the time bound, not the result:
+// The choice changes the time bound, not the result. The zero value is
+// the served policy; the other kinds are ablation and reference subjects.
 //
-//	QueueFibonacci  O(m + n·log n)   — the bound Theorem 1 cites
-//	QueueBinary     O((m+n)·log n)   — what every search with a goal runs on
-//	QueueLinear     O(n² + m)        — the CFZ-era baseline structure
 //	QueueBucket     O(m + n + D/W)   — cyclic bucket array of width W ≤ the
 //	                                   lightest hop, D the largest distance;
 //	                                   goal-less searches only (bucket.go) —
 //	                                   with goals it is QueueBinary
+//	QueueFibonacci  O(m + n·log n)   — the bound Theorem 1 cites
+//	QueueBinary     O((m+n)·log n)   — what every search with a goal runs on
+//	QueueLinear     O(n² + m)        — the CFZ-era baseline structure
 type QueueKind int
 
 // Supported queue kinds.
 const (
-	QueueFibonacci QueueKind = iota + 1
+	QueueBucket QueueKind = iota
+	QueueFibonacci
 	QueueBinary
 	QueueLinear
-	QueueBucket
 )
 
 // String implements fmt.Stringer.
 func (k QueueKind) String() string {
 	switch k {
+	case QueueBucket:
+		return "bucket"
 	case QueueFibonacci:
 		return "fibonacci"
 	case QueueBinary:
 		return "binary"
 	case QueueLinear:
 		return "linear"
-	case QueueBucket:
-		return "bucket"
 	default:
 		return fmt.Sprintf("QueueKind(%d)", int(k))
 	}
@@ -96,53 +97,21 @@ type HopRef struct {
 	ArcIndex int
 }
 
-// Dijkstra computes single-source shortest paths from src using the given
-// queue kind. Arc weights are guaranteed non-negative by construction
-// (AddArc rejects negatives), which Dijkstra requires.
-//
-// If goal >= 0 the search stops once goal is settled, under the rule of
-// DijkstraSeedsUntil with the one goal — distances of nodes not settled
-// by then are not final. Pass goal < 0 for a full tree.
+// Dijkstra computes single-source shortest paths from src on the given
+// queue kind, into a fresh scratch the caller may retain (AddArc rejects
+// negative weights, which Dijkstra requires). A goal >= 0 stops it under
+// DijkstraSeedsUntilScratch's rule; goal < 0 gives a full tree.
 func Dijkstra(g *Digraph, src int, goal int, kind QueueKind) (*ShortestPathTree, error) {
-	return DijkstraSeeds(g, []int{src}, goal, kind)
-}
-
-// DijkstraSeeds computes shortest paths from a *set* of seed nodes, all
-// at distance 0 — equivalent to Dijkstra from a virtual super source
-// wired to every seed with weight-0 arcs, without materializing it.
-// The routing layer uses this to query the immutable auxiliary graph
-// concurrently: the seeds are the Y_s shore of the query's source.
-//
-// The returned tree has Source set to the first seed when there is
-// exactly one, and -1 otherwise; PathTo walks parents until it reaches
-// any seed.
-func DijkstraSeeds(g *Digraph, seeds []int, goal int, kind QueueKind) (*ShortestPathTree, error) {
-	if goal < 0 {
-		return DijkstraSeedsUntil(g, seeds, nil, kind)
+	var goals []int
+	if goal >= 0 {
+		goals = []int{goal}
 	}
-	return DijkstraSeedsUntil(g, seeds, []int{goal}, kind)
+	return searchScratch(g, []int{src}, goals, kind, -1, nil, nil, nil, Inf)
 }
 
-// DijkstraSeedsUntil is DijkstraSeeds with goal-SET early termination:
-// the search is Dijkstra to a virtual super sink wired from every goal
-// with weight-0 arcs, and that sink is settled the moment the first goal
-// is. So the search notes the key d* of the first goal it settles, keeps
-// settling while the queue minimum equals d*, and stops. On return every
-// node at distance ≤ d* is settled with the distance and parent an
-// exhaustive run would give it (nodes settled later pop at keys > d* and
-// cannot improve either), so the minimum over the goals and the
-// lowest-index goal attaining it are exact; every other distance is
-// tentative or Inf. With no goals, or none reachable, the search runs to
-// exhaustion. The routing layer uses it for point queries, where the
-// goals are the X_t shore of the destination.
-func DijkstraSeedsUntil(g *Digraph, seeds, goals []int, kind QueueKind) (*ShortestPathTree, error) {
-	// The scratch is this call's alone, so the tree it returns is retainable.
-	return searchScratch(g, seeds, goals, kind, -1, nil, nil, nil, Inf)
-}
-
-// goalStop is the stopping rule of DijkstraSeedsUntil, shared by every
-// queue kind and by A* (keyed on f): each engine asks past before settling a popped
-// node and calls settle once it has.
+// goalStop is the stopping rule of DijkstraSeedsUntilScratch, shared by
+// every queue kind and by A* (keyed on f): each engine asks past before
+// settling a popped node and calls settle once it has.
 type goalStop struct {
 	mark  []bool  // mark[v] reports v is a goal; nil runs to exhaustion
 	hit   bool    // a goal has been settled

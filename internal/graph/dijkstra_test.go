@@ -12,10 +12,11 @@ var allKinds = []QueueKind{QueueFibonacci, QueueBinary, QueueLinear, QueueBucket
 
 func TestQueueKindString(t *testing.T) {
 	cases := map[QueueKind]string{
+		QueueKind(0):   "bucket",
 		QueueFibonacci: "fibonacci",
 		QueueBinary:    "binary",
 		QueueLinear:    "linear",
-		QueueKind(0):   "QueueKind(0)",
+		QueueKind(99):  "QueueKind(99)",
 	}
 	for k, want := range cases {
 		if got := k.String(); got != want {
@@ -193,7 +194,7 @@ func TestEnginesAgree(t *testing.T) {
 		if c.full, err = Dijkstra(c.g, c.src, -1, QueueBinary); err != nil {
 			t.Fatal(err)
 		}
-		if c.goal, err = DijkstraSeedsUntil(c.g, []int{c.src}, c.goals, QueueBinary); err != nil {
+		if c.goal, err = DijkstraSeedsUntilScratch(c.g, []int{c.src}, c.goals, QueueBinary, nil, nil, nil, Inf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -204,7 +205,7 @@ func TestEnginesAgree(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				goal, err := DijkstraSeedsUntil(c.g, []int{c.src}, c.goals, kind)
+				goal, err := DijkstraSeedsUntilScratch(c.g, []int{c.src}, c.goals, kind, nil, nil, nil, Inf)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -360,7 +361,7 @@ func TestDijkstraSeedsMulti(t *testing.T) {
 	mustArc(t, g, 0, 2, 10)
 	mustArc(t, g, 1, 2, 1)
 	mustArc(t, g, 2, 3, 1)
-	tree, err := DijkstraSeeds(g, []int{0, 1}, -1, QueueBinary)
+	tree, err := DijkstraSeedsUntilScratch(g, []int{0, 1}, nil, QueueBinary, nil, nil, nil, Inf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,13 +382,13 @@ func TestDijkstraSeedsMulti(t *testing.T) {
 
 func TestDijkstraSeedsErrors(t *testing.T) {
 	g := New(2)
-	if _, err := DijkstraSeeds(g, nil, -1, QueueBinary); !errors.Is(err, ErrNodeRange) {
+	if _, err := DijkstraSeedsUntilScratch(g, nil, nil, QueueBinary, nil, nil, nil, Inf); !errors.Is(err, ErrNodeRange) {
 		t.Fatalf("no seeds: %v", err)
 	}
-	if _, err := DijkstraSeeds(g, []int{5}, -1, QueueBinary); !errors.Is(err, ErrNodeRange) {
+	if _, err := DijkstraSeedsUntilScratch(g, []int{5}, nil, QueueBinary, nil, nil, nil, Inf); !errors.Is(err, ErrNodeRange) {
 		t.Fatalf("bad seed: %v", err)
 	}
-	if _, err := DijkstraSeedsUntil(g, []int{0}, []int{9}, QueueBinary); !errors.Is(err, ErrNodeRange) {
+	if _, err := DijkstraSeedsUntilScratch(g, []int{0}, []int{9}, QueueBinary, nil, nil, nil, Inf); !errors.Is(err, ErrNodeRange) {
 		t.Fatalf("bad goal: %v", err)
 	}
 }
@@ -399,7 +400,7 @@ func TestDijkstraSeedsUntilEarlyStop(t *testing.T) {
 	g := lineGraph(t, 100)
 	for _, kind := range allKinds {
 		t.Run(kind.String(), func(t *testing.T) {
-			tree, err := DijkstraSeedsUntil(g, []int{0}, []int{2, 4}, kind)
+			tree, err := DijkstraSeedsUntilScratch(g, []int{0}, []int{2, 4}, kind, nil, nil, nil, Inf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -432,7 +433,7 @@ func TestDijkstraSeedsUntilDrainsTies(t *testing.T) {
 	mustArc(t, g, 4, 5, 1)
 	for _, kind := range allKinds {
 		t.Run(kind.String(), func(t *testing.T) {
-			tree, err := DijkstraSeedsUntil(g, []int{0}, []int{5, 4, 3, 1}, kind)
+			tree, err := DijkstraSeedsUntilScratch(g, []int{0}, []int{5, 4, 3, 1}, kind, nil, nil, nil, Inf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -499,7 +500,7 @@ func TestGoalStopMatchesExhaustive(t *testing.T) {
 			continue
 		}
 		engines = append(engines, engine{kind.String(), func(_ *testing.T, c instance, goals []int) (*ShortestPathTree, error) {
-			return DijkstraSeedsUntil(c.g, c.seeds, goals, kind)
+			return DijkstraSeedsUntilScratch(c.g, c.seeds, goals, kind, nil, nil, nil, Inf)
 		}})
 	}
 	for _, masked := range []bool{false, true} {
@@ -583,7 +584,7 @@ func zeroPotential(int) float64 { return 0 }
 // consistent, and unreachable-to-goal nodes get the +Inf prune.
 func exactPotential(t testing.TB, g *Digraph, goals []int) func(int) float64 {
 	t.Helper()
-	bwd, err := DijkstraSeedsUntil(g.Reverse(), goals, nil, QueueBinary)
+	bwd, err := DijkstraSeedsUntilScratch(g.Reverse(), goals, nil, QueueBinary, nil, nil, nil, Inf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -680,7 +681,7 @@ func TestGoalDirectedSettlesFewer(t *testing.T) {
 		}
 	}
 	seeds, goals := []int{0}, []int{node(0, length-1)}
-	ref, err := DijkstraSeedsUntil(g, seeds, goals, QueueBinary)
+	ref, err := DijkstraSeedsUntilScratch(g, seeds, goals, QueueBinary, nil, nil, nil, Inf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -789,7 +790,7 @@ func TestDijkstraSeedsUntilEdgeCases(t *testing.T) {
 			for _, kind := range allKinds {
 				t.Run(kind.String(), func(t *testing.T) {
 					g := build(t)
-					tree, err := DijkstraSeedsUntil(g, tc.seeds, tc.goals, kind)
+					tree, err := DijkstraSeedsUntilScratch(g, tc.seeds, tc.goals, kind, nil, nil, nil, Inf)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -824,7 +825,7 @@ func TestDijkstraSeedsUntilUnreachableGoalRunsFull(t *testing.T) {
 	mustArc(t, g, 0, 1, 1)
 	mustArc(t, g, 1, 2, 1)
 	// No goal reachable: the search exhausts and every distance is final.
-	tree, err := DijkstraSeedsUntil(g, []int{0}, []int{3}, QueueBinary)
+	tree, err := DijkstraSeedsUntilScratch(g, []int{0}, []int{3}, QueueBinary, nil, nil, nil, Inf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,7 +118,7 @@ func TestPassThroughMatchesUnmasked(t *testing.T) {
 				}
 				pot := col.pot(t, g, target)
 				sc := NewScratch(n)
-				want, err := DijkstraSeedsUntil(g, seeds, nil, QueueBinary)
+				want, err := DijkstraSeedsUntilScratch(g, seeds, nil, QueueBinary, nil, nil, nil, Inf)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -164,10 +164,10 @@ func TestPassThroughMatchesUnmasked(t *testing.T) {
 }
 
 // TestPassThroughGoalStop: with goals, the masked search stops on the
-// rule of DijkstraSeedsUntil — the first goal's key plateau is drained,
-// on f under a potential — so the best goal and its distance are those
-// of the exhaustive unmasked plain run, its parent chains sum to their
-// distances, and it settles no more than that run. A ceiling at or above
+// rule of DijkstraSeedsUntilScratch — the first goal's key plateau is
+// drained, on f under a potential — so the best goal and its distance are
+// those of the exhaustive unmasked plain run, its parent chains sum to
+// their distances, and it settles no more than that run. A ceiling at or above
 // d* changes neither the goal, nor its distance bits, nor Settled, and
 // queues no more nodes; a ceiling below d* reaches no goal.
 func TestPassThroughGoalStop(t *testing.T) {
@@ -186,7 +186,7 @@ func TestPassThroughGoalStop(t *testing.T) {
 						pass[v] = false
 					}
 				}
-				full, err := DijkstraSeedsUntil(g, seeds, nil, QueueBinary)
+				full, err := DijkstraSeedsUntilScratch(g, seeds, nil, QueueBinary, nil, nil, nil, Inf)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -282,7 +282,7 @@ func TestSparseResetListsReached(t *testing.T) {
 			mask = nil
 		}
 		if sr.astar {
-			full, err := DijkstraSeedsUntil(g, seeds, nil, QueueBinary)
+			full, err := DijkstraSeedsUntilScratch(g, seeds, nil, QueueBinary, nil, nil, nil, Inf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -347,7 +347,7 @@ func TestPassThroughRejectsBadMasks(t *testing.T) {
 	if _, err := DijkstraSeedsUntilScratch(g, []int{0}, []int{9}, QueueBinary, nil, pass, nil, Inf); err == nil {
 		t.Error("masked goal accepted")
 	}
-	want, err := DijkstraSeedsUntil(g, []int{0}, nil, QueueFibonacci)
+	want, err := DijkstraSeedsUntilScratch(g, []int{0}, nil, QueueFibonacci, nil, nil, nil, Inf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,12 +91,19 @@ func (sc *Scratch) seedTree(seeds []int) (*ShortestPathTree, error) {
 	return t, nil
 }
 
-// DijkstraSeedsUntilScratch is DijkstraSeedsUntil computing into sc
-// instead of freshly allocated state. The returned tree aliases sc: it
-// is valid until the next query on the same scratch and must not be
-// retained (retainable trees come from DijkstraSeeds). A nil or
-// wrong-sized scratch is replaced by a fresh one, so callers can pass
-// through whatever their pool handed them.
+// DijkstraSeedsUntilScratch computes shortest paths from a set of seed
+// nodes, all at distance 0 (a virtual super source), into sc. The tree's
+// Source is the seed when there is exactly one, and -1 otherwise.
+//
+// With goals the search stops once a goal is settled and the queue
+// minimum has left that goal's key d*: every node at distance ≤ d* then
+// has an exhaustive run's distance and parent, so the best goal is exact
+// and every other distance is tentative or Inf (DESIGN.md §14 has the
+// proof). With no goals, or none reachable, it runs to exhaustion.
+//
+// The tree aliases sc until the next query on it. A nil or wrong-sized
+// scratch is replaced by a fresh one, so callers pass whatever their
+// pool handed them, and a nil one yields a tree the caller may retain.
 //
 // The binary queue reuses the scratch's heap and settled set, the bucket
 // queue its entry array; the two ablation queues reuse the tree arrays and

@@ -51,7 +51,6 @@ package lightpath
 import (
 	"lightpath/internal/core"
 	"lightpath/internal/dist"
-	"lightpath/internal/graph"
 	"lightpath/internal/wdm"
 )
 
@@ -98,8 +97,8 @@ type (
 	SourceTree = core.SourceTree
 	// AllPairsResult is the n×n optimal cost matrix.
 	AllPairsResult = core.AllPairsResult
-	// Options tunes a query (priority queue and directed-search
-	// strategy selection).
+	// Options tunes a query: Directed selects the search strategy; the
+	// zero Queue is the served queue policy.
 	Options = core.Options
 	// BuildStats reports auxiliary graph construction sizes against the
 	// paper's Observation bounds.
@@ -112,22 +111,6 @@ type DistResult = dist.Result
 
 // DistStats aggregates distributed execution counters.
 type DistStats = dist.Stats
-
-// QueueKind selects the Dijkstra priority structure.
-type QueueKind = graph.QueueKind
-
-// Queue kinds: two the paper's bounds are stated for — the Fibonacci heap
-// (Theorem 1, and the zero-Options default) and the linear scan (the
-// CFZ-era structure) — and two the engine serves on: the binary heap
-// (every A* query, whatever the kind, and every plain query with a goal
-// under either serving kind) and the cyclic bucket array it builds
-// SourceTrees on (RouteFrom and AllPairs). All return the same costs.
-const (
-	QueueFibonacci = graph.QueueFibonacci
-	QueueBinary    = graph.QueueBinary
-	QueueLinear    = graph.QueueLinear
-	QueueBucket    = graph.QueueBucket
-)
 
 // DirectedMode selects the point-query search strategy (Options.Directed).
 type DirectedMode = core.DirectedMode
@@ -162,9 +145,10 @@ func NewTableConversion() *TableConversion { return wdm.NewTableConversion() }
 // nw. Construction costs O(k²n + km) time and space (Observation 3).
 func NewRouter(nw *Network) (*Router, error) { return core.NewAux(nw) }
 
-// Find computes an optimal semilightpath from s to t in nw, in
-// O(k²n + km + kn·log(kn)) total time (Theorem 1). For repeated queries
-// build a Router once instead.
+// Find computes an optimal semilightpath from s to t in nw. Theorem 1
+// bounds it by O(k²n + km + kn·log(kn)) on a Fibonacci heap; the point
+// query runs on a binary heap, whose bound has a log factor on the arc
+// term. For repeated queries build a Router once instead.
 func Find(nw *Network, s, t int, opts *Options) (*Result, error) {
 	return core.FindSemilightpath(nw, s, t, opts)
 }

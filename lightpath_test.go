@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lightpath"
+	"lightpath/internal/graph"
 )
 
 // buildQuickstartNet is the network of the package doc comment.
@@ -49,7 +50,7 @@ func TestRouterReuse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
 	}
-	res, err := router.Route(0, 2, &lightpath.Options{Queue: lightpath.QueueBinary})
+	res, err := router.Route(0, 2, &lightpath.Options{Queue: graph.QueueBinary})
 	if err != nil {
 		t.Fatal(err)
 	}
