@@ -483,6 +483,7 @@ func TestZeroOptionsSearchAllocationsFlat(t *testing.T) {
 		name   string
 		counts []float64
 	}{{"Route", route}, {"RouteFrom", from}} {
+		t.Logf("%s: %v allocs at n=100, %v at n=400", c.name, c.counts[0], c.counts[1])
 		if c.counts[0] != c.counts[1] || c.counts[1] > most {
 			t.Errorf("%s with nil Options allocates %v objects at n=100 and %v at n=400, want the same count ≤ %d",
 				c.name, c.counts[0], c.counts[1], most)

@@ -98,9 +98,9 @@ type HopRef struct {
 }
 
 // Dijkstra computes single-source shortest paths from src on the given
-// queue kind, into a fresh scratch the caller may retain (AddArc rejects
-// negative weights, which Dijkstra requires). A goal >= 0 stops it under
-// DijkstraSeedsUntilScratch's rule; goal < 0 gives a full tree.
+// queue kind, on a fresh scratch, so the caller may retain the tree
+// (AddArc rejects negative weights, which Dijkstra requires). A goal >= 0
+// stops it under DijkstraSeedsUntilScratch's rule; goal < 0 runs it out.
 func Dijkstra(g *Digraph, src int, goal int, kind QueueKind) (*ShortestPathTree, error) {
 	var goals []int
 	if goal >= 0 {
