@@ -4,11 +4,10 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"lightpath/internal/core"
 	"lightpath/internal/topo"
@@ -337,24 +336,60 @@ func TestFig5RevisitDistributed(t *testing.T) {
 	}
 }
 
-// TestRuntimeNoGoroutineLeak: every Run must terminate all node
-// goroutines before returning.
-func TestRuntimeNoGoroutineLeak(t *testing.T) {
-	nw := paperNet(t)
-	before := runtime.NumGoroutine()
-	for i := 0; i < 20; i++ {
-		if _, err := Route(nw, 0, 6); err != nil {
-			t.Fatal(err)
-		}
+// recorder sends fixed messages in Init and records every inbox it is
+// handed, copied, since an inbox is valid only during its Step.
+type recorder struct {
+	seeds   map[int][][2]int // node → (wire, msg) sends, in order
+	inboxes map[int][]Delivery[int]
+}
+
+func (r *recorder) Init(node int, send Send[int]) {
+	for _, s := range r.seeds[node] {
+		send(s[0], s[1])
 	}
-	// Give any stragglers a beat to exit, then compare.
-	for wait := 0; wait < 100; wait++ {
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		time.Sleep(time.Millisecond)
+}
+
+func (r *recorder) Step(node, round int, inbox []Delivery[int], send Send[int]) {
+	r.inboxes[node] = append(r.inboxes[node], inbox...)
+}
+
+// TestRuntimeInboxOrder: an inbox is sorted by wire ID, in send order
+// within a wire, whatever order the senders were stepped in.
+func TestRuntimeInboxOrder(t *testing.T) {
+	// Node 1 is stepped before node 2, but node 2 owns the lower wire.
+	wires := []Wire{{From: 2, To: 0}, {From: 1, To: 0}}
+	r := &recorder{
+		seeds:   map[int][][2]int{1: {{1, 30}}, 2: {{0, 10}, {0, 20}}},
+		inboxes: map[int][]Delivery[int]{},
 	}
-	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+	rt, err := NewRuntime[int](3, wires, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []Delivery[int]{{Wire: 0, Msg: 10}, {Wire: 0, Msg: 20}, {Wire: 1, Msg: 30}}
+	if got := r.inboxes[0]; !slices.Equal(got, want) {
+		t.Fatalf("inbox of node 0 = %v, want %v", got, want)
+	}
+}
+
+// TestRuntimeForeignWirePanics: a send on a wire the node does not own
+// panics in the caller of Run, naming the node and the wire.
+func TestRuntimeForeignWirePanics(t *testing.T) {
+	r := &recorder{seeds: map[int][][2]int{1: {{0, 1}}}}
+	rt, err := NewRuntime[int](3, []Wire{{From: 2, To: 0}}, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if p := recover(); p != "dist: node 1 sent on foreign wire 0" {
+			t.Fatalf("recovered %v", p)
+		}
+	}()
+	rt.Run()
+	t.Fatal("Run returned")
 }
 
 func TestRouteWithTrace(t *testing.T) {

@@ -3,15 +3,15 @@
 //
 // Two layers live here:
 //
-//   - Runtime — a synchronous message-passing simulator. Every physical
-//     node runs as its own goroutine; messages travel only over the
-//     physical directed links of the network, and a coordinator enforces
-//     round barriers (the synchronous model the paper's O(kn)-time /
-//     O(km)-message claims of Theorem 3 are stated in). The runtime
-//     counts exactly what the theorems bound: messages crossing physical
-//     links and rounds to quiescence. Computation inside a node — i.e.
-//     inside its gadget fragment of G_{s,t} — is local and free, matching
-//     "the communication costs on these links are negligible".
+//   - Runtime — a synchronous message-passing simulator: synchronous
+//     rounds, stepped in node order. Messages travel only over the
+//     physical directed links of the network, and a message sent in one
+//     round is delivered at the next (the synchronous model the paper's
+//     O(kn)-time / O(km)-message claims of Theorem 3 are stated in). The
+//     runtime counts exactly what the theorems bound: messages crossing
+//     physical links and rounds to quiescence. Computation inside a node
+//     — i.e. inside its gadget fragment of G_{s,t} — is local and free,
+//     matching "the communication costs on these links are negligible".
 //
 //   - The semilightpath program (sssp.go) — each node holds its own
 //     bipartite fragment G_v of the embedded auxiliary graph G_{s,t} and
@@ -20,10 +20,10 @@
 package dist
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 )
 
 // Errors returned by the runtime.
@@ -59,14 +59,17 @@ type Delivery[M any] struct {
 type Send[M any] func(wire int, msg M)
 
 // Program is the per-node behaviour. Implementations must be
-// self-contained per node; the runtime guarantees Init and Step are
-// never called concurrently for the same node.
+// self-contained per node: a node learns of others only through its
+// inbox. Init and Step never run concurrently — the runtime steps nodes
+// one at a time, in node order — and an inbox is valid only during its
+// Step: the runtime reuses its storage for a later round.
 type Program[M any] interface {
 	// Init runs once before round 0 and may send seed messages.
 	Init(node int, send Send[M])
 	// Step runs once per round with the messages delivered this round
-	// (sent during the previous round), sorted by wire ID for
-	// determinism. It may send messages for delivery next round.
+	// (sent during the previous round), sorted by wire ID — in send
+	// order within a wire — for determinism. It may send messages for
+	// delivery next round.
 	Step(node, round int, inbox []Delivery[M], send Send[M])
 }
 
@@ -80,8 +83,9 @@ type Stats struct {
 
 // Runtime executes a Program over a set of nodes and wires in
 // synchronous rounds until quiescence (a round in which no messages are
-// in flight). One goroutine per node runs the program steps; the
-// coordinator routes messages and enforces the barrier.
+// in flight): synchronous rounds, stepped in node order. Each round
+// steps nodes 0…n−1 on one goroutine, appending every send to its
+// destination's next-round inbox; the round's end is the barrier.
 type Runtime[M any] struct {
 	numNodes int
 	wires    []Wire
@@ -103,20 +107,6 @@ func NewRuntime[M any](numNodes int, wires []Wire, prog Program[M]) (*Runtime[M]
 	return &Runtime[M]{numNodes: numNodes, wires: wires, prog: prog}, nil
 }
 
-// outMsg is a message captured from a node before routing.
-type outMsg[M any] struct {
-	wire int
-	msg  M
-}
-
-// task is one unit of work handed to a node goroutine: either the init
-// phase or a numbered round with its inbox.
-type task[M any] struct {
-	round int
-	inbox []Delivery[M]
-	init  bool
-}
-
 // Run executes rounds until quiescence and returns the stats.
 func (r *Runtime[M]) Run() (Stats, error) {
 	maxRounds := r.MaxRounds
@@ -124,95 +114,63 @@ func (r *Runtime[M]) Run() (Stats, error) {
 		maxRounds = 4*r.numNodes + 16
 	}
 
-	// Per-node worker goroutines. Each receives an inbox and returns an
-	// outbox; the coordinator owns all routing state, so node programs
-	// never share memory with each other.
-	taskCh := make([]chan task[M], r.numNodes)
-	doneCh := make([]chan []outMsg[M], r.numNodes)
-	var wg sync.WaitGroup
-	for v := 0; v < r.numNodes; v++ {
-		taskCh[v] = make(chan task[M], 1)
-		doneCh[v] = make(chan []outMsg[M], 1)
-		wg.Add(1)
-		go func(v int) {
-			defer wg.Done()
-			for tk := range taskCh[v] {
-				var out []outMsg[M]
-				send := func(wire int, msg M) {
-					if wire < 0 || wire >= len(r.wires) || r.wires[wire].From != v {
-						panic(fmt.Sprintf("dist: node %d sent on foreign wire %d", v, wire))
-					}
-					out = append(out, outMsg[M]{wire: wire, msg: msg})
-				}
-				if tk.init {
-					r.prog.Init(v, send)
-				} else {
-					r.prog.Step(v, tk.round, tk.inbox, send)
-				}
-				doneCh[v] <- out
-			}
-		}(v)
-	}
-	defer func() {
-		for v := 0; v < r.numNodes; v++ {
-			close(taskCh[v])
-		}
-		wg.Wait()
-	}()
-
 	var stats Stats
 	wireLoad := make([]int, len(r.wires))
-
-	// dispatch runs one barrier-synchronized phase across all nodes and
-	// routes the emitted messages into next-round inboxes.
-	dispatch := func(init bool, round int, inboxes map[int][]Delivery[M]) map[int][]Delivery[M] {
-		for v := 0; v < r.numNodes; v++ {
-			tk := task[M]{init: init, round: round}
-			if !init {
-				tk.inbox = inboxes[v]
-				if len(tk.inbox) > stats.MaxNodeInbox {
-					stats.MaxNodeInbox = len(tk.inbox)
-				}
-			}
-			taskCh[v] <- tk
+	// cur holds the inboxes being stepped, next the ones filling for the
+	// following round; the two swap at each barrier and keep their
+	// capacity, so a round allocates only when an inbox outgrows it.
+	cur := make([][]Delivery[M], r.numNodes)
+	next := make([][]Delivery[M], r.numNodes)
+	node, sent := 0, 0
+	send := func(wire int, msg M) {
+		if wire < 0 || wire >= len(r.wires) || r.wires[wire].From != node {
+			panic(fmt.Sprintf("dist: node %d sent on foreign wire %d", node, wire))
 		}
-		next := make(map[int][]Delivery[M])
-		sent := 0
-		for v := 0; v < r.numNodes; v++ {
-			for _, om := range <-doneCh[v] {
-				dst := r.wires[om.wire].To
-				next[dst] = append(next[dst], Delivery[M]{Wire: om.wire, Msg: om.msg})
-				stats.Messages++
-				sent++
-				wireLoad[om.wire]++
-			}
-		}
-		// Sort inboxes by wire for deterministic Step behaviour.
+		dst := r.wires[wire].To
+		next[dst] = append(next[dst], Delivery[M]{Wire: wire, Msg: msg})
+		wireLoad[wire]++
+		sent++
+	}
+	// barrier ends a phase: it sorts every next-round inbox by wire for
+	// deterministic Step behaviour, records the phase and reports whether
+	// any message is in flight.
+	barrier := func(round, active int) bool {
 		for _, box := range next {
-			sort.Slice(box, func(i, j int) bool { return box[i].Wire < box[j].Wire })
+			slices.SortStableFunc(box, func(a, b Delivery[M]) int { return cmp.Compare(a.Wire, b.Wire) })
 		}
+		stats.Messages += sent
 		if r.Trace != nil {
-			entry := RoundTrace{Round: round, Messages: sent, ActiveNodes: len(inboxes)}
-			if init {
-				entry.Round = -1
-			}
-			r.Trace.Rounds = append(r.Trace.Rounds, entry)
+			r.Trace.Rounds = append(r.Trace.Rounds, RoundTrace{Round: round, Messages: sent, ActiveNodes: active})
 		}
-		return next
+		inFlight := sent > 0
+		sent = 0
+		cur, next = next, cur
+		return inFlight
 	}
 
-	inFlight := dispatch(true, 0, nil)
-	for round := 0; len(inFlight) > 0; round++ {
+	for node = 0; node < r.numNodes; node++ {
+		r.prog.Init(node, send)
+	}
+	inFlight := barrier(-1, 0)
+	for round := 0; inFlight; round++ {
 		if round >= maxRounds {
 			return stats, fmt.Errorf("%w: %d rounds", ErrNoQuiescence, round)
 		}
 		stats.Rounds++
-		inFlight = dispatch(false, round, inFlight)
+		active := 0
+		for node = 0; node < r.numNodes; node++ {
+			inbox := cur[node]
+			if len(inbox) > 0 {
+				active++
+			}
+			stats.MaxNodeInbox = max(stats.MaxNodeInbox, len(inbox))
+			r.prog.Step(node, round, inbox, send)
+			cur[node] = inbox[:0]
+		}
+		inFlight = barrier(round, active)
 	}
 	for _, l := range wireLoad {
-		if l > stats.MaxWireLoad {
-			stats.MaxWireLoad = l
-		}
+		stats.MaxWireLoad = max(stats.MaxWireLoad, l)
 	}
 	return stats, nil
 }
