@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-hot race-obs vet lint lint-audit verify bench-smoke bench-whole-smoke fuzz-smoke loc
+.PHONY: all build test race race-hot race-obs vet lint verify bench-smoke bench-whole-smoke fuzz-smoke loc
 
 all: verify
 
@@ -45,21 +45,13 @@ vet:
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 
 # Domain-aware analyzers (internal/analysis) run via the wdmlint driver.
-# Exit 1 means findings; fix them or justify with //lint:ignore. The
-# nested benchmark/ module is outside ./..., so it is linted as a
+# Exit 1 means findings; fix them (there is no suppression directive).
+# The nested benchmark/ module is outside ./..., so it is linted as a
 # directory: it type-checks against this tree's API, which catches a
 # break in what the whole-stack benchmark imports.
 lint:
 	$(GO) run ./cmd/wdmlint ./...
 	$(GO) run ./cmd/wdmlint -dir benchmark
-
-# Suppression audit: every //lint:ignore must carry a known analyzer
-# and a written reason, and the total count is pinned so it can only
-# grow deliberately (bump LINT_SUPPRESSIONS_MAX in the same commit that
-# adds a justified directive).
-LINT_SUPPRESSIONS_MAX ?= 0
-lint-audit:
-	$(GO) run ./cmd/wdmlint -audit -audit-max $(LINT_SUPPRESSIONS_MAX)
 
 verify: build vet test race-hot race bench-whole-smoke
 

@@ -4,20 +4,14 @@
 //	wdmlint ./...                 # lint packages by go-list pattern
 //	wdmlint -dir path/to/fixture  # lint one directory of Go files
 //	wdmlint -list                 # print the analyzer roster (sorted)
-//	wdmlint -audit                # list //lint:ignore suppressions
 //
 // Exit status:
 //
-//	0  the tree is clean (or -list/-audit succeeded)
-//	1  findings were reported, or -audit found a directive with an
-//	   empty reason, an unknown analyzer, or more suppressions than
-//	   -audit-max allows
+//	0  the tree is clean (or -list succeeded)
+//	1  findings were reported
 //	2  operational error (bad patterns, type-check failure, I/O)
 //
-// Findings are suppressed with an inline directive carrying a written
-// reason, which -audit inventories:
-//
-//	//lint:ignore <analyzer> <reason>
+// There is no suppression directive: a finding is fixed, not annotated.
 package main
 
 import (
@@ -32,10 +26,8 @@ import (
 
 func main() {
 	var (
-		dir      = flag.String("dir", "", "lint a single directory of Go files instead of package patterns")
-		list     = flag.Bool("list", false, "list analyzers and exit")
-		audit    = flag.Bool("audit", false, "list every //lint:ignore suppression; exit 1 on empty reasons")
-		auditMax = flag.Int("audit-max", -1, "with -audit: fail when the tree carries more than this many suppressions (-1 = no limit)")
+		dir  = flag.String("dir", "", "lint a single directory of Go files instead of package patterns")
+		list = flag.Bool("list", false, "list analyzers and exit")
 	)
 	flag.Parse()
 
@@ -47,9 +39,6 @@ func main() {
 			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
 		}
 		return
-	}
-	if *audit {
-		os.Exit(runAudit(suite, *auditMax))
 	}
 
 	var (
@@ -89,42 +78,6 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "wdmlint:", err)
 	os.Exit(2)
-}
-
-// runAudit prints the suppression inventory and returns the exit code:
-// 0 when every directive is justified and within budget, 1 otherwise.
-func runAudit(suite []*analysis.Analyzer, max int) int {
-	root, err := moduleRoot()
-	if err != nil {
-		fatal(err)
-	}
-	ignores, err := analysis.AuditTree(root)
-	if err != nil {
-		fatal(err)
-	}
-	known := map[string]bool{"wdmlint": true}
-	for _, a := range suite {
-		known[a.Name] = true
-	}
-	bad := 0
-	for _, ig := range ignores {
-		if problem := ig.Problem(known); problem != "" {
-			fmt.Printf("%s:%d: %s: %s (AUDIT FAIL)\n", ig.File, ig.Line, ig.Analyzer, problem)
-			bad++
-			continue
-		}
-		fmt.Printf("%s:%d: %s: %s\n", ig.File, ig.Line, ig.Analyzer, ig.Reason)
-	}
-	fmt.Printf("wdmlint: %d suppression(s)\n", len(ignores))
-	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "wdmlint: %d unjustified suppression(s)\n", bad)
-		return 1
-	}
-	if max >= 0 && len(ignores) > max {
-		fmt.Fprintf(os.Stderr, "wdmlint: suppression count %d exceeds budget %d; remove one or raise the budget deliberately\n", len(ignores), max)
-		return 1
-	}
-	return 0
 }
 
 // moduleRoot locates the enclosing go.mod directory, so -dir works from

@@ -74,47 +74,6 @@ func TestBrokenFixtureExitsNonZero(t *testing.T) {
 	}
 }
 
-// TestAuditFlag covers the suppression inventory: exit 0 with the
-// count summary on the committed tree, which carries none, at the
-// pinned budget of 0; exit 1 when -audit-max pins the count below what
-// a tree carries — a scratch module with one justified directive.
-func TestAuditFlag(t *testing.T) {
-	if testing.Short() {
-		t.Skip("compiles the module; skipped in -short")
-	}
-	bin, root := buildLint(t)
-
-	cmd := exec.Command(bin, "-audit", "-audit-max", "0")
-	cmd.Dir = root
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("-audit -audit-max 0 on the committed tree: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "0 suppression(s)") {
-		t.Errorf("-audit output missing count summary:\n%s", out)
-	}
-
-	tree := t.TempDir()
-	for name, body := range map[string]string{
-		"go.mod": "module fixture\n",
-		"a.go":   "package fixture\n\n//lint:ignore errdrop the fixture keeps one directive\nvar _ = 0\n",
-	} {
-		if err := os.WriteFile(filepath.Join(tree, name), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cmd = exec.Command(bin, "-audit", "-audit-max", "0")
-	cmd.Dir = tree
-	out, err = cmd.CombinedOutput()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-		t.Fatalf("-audit -audit-max 0 should exit 1 on a tree with a suppression, got %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "exceeds budget") {
-		t.Errorf("budget overflow not explained:\n%s", out)
-	}
-}
-
 // TestListSorted pins the -list contract: one line per analyzer in
 // Suite(), in lexicographic order.
 func TestListSorted(t *testing.T) {

@@ -81,10 +81,9 @@ func Suite() []*Analyzer {
 	}
 }
 
-// RunSuite runs every analyzer over every package and returns the
-// surviving findings (after //lint:ignore filtering), sorted by
-// position. Packages must come from one Load* call so positions share a
-// FileSet.
+// RunSuite runs every analyzer over every package and returns every
+// finding, sorted by position. Packages must come from one Load* call so
+// positions share a FileSet.
 func RunSuite(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
@@ -102,24 +101,8 @@ func RunSuite(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			}
 		}
 	}
-	for _, pkg := range pkgs {
-		diags = append(diags, pkg.ignores.malformed...)
-	}
-	var kept []Diagnostic
-	for _, d := range diags {
-		ignored := false
-		for _, pkg := range pkgs {
-			if pkg.ignores.covers(d) {
-				ignored = true
-				break
-			}
-		}
-		if !ignored {
-			kept = append(kept, d)
-		}
-	}
-	sort.Slice(kept, func(i, j int) bool {
-		a, b := kept[i], kept[j]
+	sort.Slice(diags, func(i, j int) bool {
+		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
 			return a.Pos.Filename < b.Pos.Filename
 		}
@@ -131,7 +114,7 @@ func RunSuite(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return kept, nil
+	return diags, nil
 }
 
 // named reports whether t (after pointer indirection) is the named type

@@ -31,8 +31,8 @@ var errdropPaths = map[string]bool{
 //   - every error-typed result lands in the blank identifier.
 //
 // Explicit `_ =` discards are flagged too — in these packages a
-// swallowed error always deserves either handling or a written
-// //lint:ignore justification.
+// swallowed error always deserves handling. There is no suppression
+// directive: a finding is fixed, not annotated.
 func NewErrDrop() *Analyzer {
 	a := &Analyzer{
 		Name: "errdrop",
@@ -98,7 +98,7 @@ func isErrorType(t types.Type) bool {
 
 func reportDroppedCall(pass *Pass, e ast.Expr) {
 	if name, ok := watchedErrorCall(pass, e); ok {
-		pass.Reportf(e.Pos(), "error result of %s is discarded; handle it or annotate with //lint:ignore errdrop <reason>", name)
+		pass.Reportf(e.Pos(), "error result of %s is discarded; handle it", name)
 	}
 }
 
@@ -128,7 +128,7 @@ func checkBlankAssign(pass *Pass, as *ast.AssignStmt) {
 			}
 		}
 		if errToBlank {
-			pass.Reportf(as.Rhs[0].Pos(), "error result of %s is assigned to _; handle it or annotate with //lint:ignore errdrop <reason>", name)
+			pass.Reportf(as.Rhs[0].Pos(), "error result of %s is assigned to _; handle it", name)
 		}
 		return
 	}
@@ -136,7 +136,7 @@ func checkBlankAssign(pass *Pass, as *ast.AssignStmt) {
 		for i, rhs := range as.Rhs {
 			if id, isIdent := as.Lhs[i].(*ast.Ident); isIdent && id.Name == "_" {
 				if name, ok := watchedErrorCall(pass, rhs); ok {
-					pass.Reportf(rhs.Pos(), "error result of %s is assigned to _; handle it or annotate with //lint:ignore errdrop <reason>", name)
+					pass.Reportf(rhs.Pos(), "error result of %s is assigned to _; handle it", name)
 				}
 			}
 		}

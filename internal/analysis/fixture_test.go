@@ -213,47 +213,6 @@ func TestSuiteRoster(t *testing.T) {
 	}
 }
 
-// TestIgnoreDirectiveMalformed proves a reason-less ignore is itself
-// reported rather than silently honored.
-func TestIgnoreDirectiveMalformed(t *testing.T) {
-	dir := t.TempDir()
-	src := `package scratch
-
-import "lightpath/internal/engine"
-
-func f(e *engine.Engine) {
-	//lint:ignore errdrop
-	e.Release(1)
-}
-`
-	if err := os.WriteFile(filepath.Join(dir, "scratch.go"), []byte(src), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := LoadDir(moduleRoot(t), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := RunSuite(pkgs, Suite())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sawMalformed, sawDrop bool
-	for _, d := range diags {
-		if d.Analyzer == "wdmlint" && strings.Contains(d.Message, "malformed ignore") {
-			sawMalformed = true
-		}
-		if d.Analyzer == "errdrop" {
-			sawDrop = true
-		}
-	}
-	if !sawMalformed {
-		t.Errorf("reason-less directive not reported: %v", diags)
-	}
-	if !sawDrop {
-		t.Errorf("reason-less directive suppressed the finding: %v", diags)
-	}
-}
-
 // TestLoadPatterns smoke-checks the go-list loader on a real package.
 func TestLoadPatterns(t *testing.T) {
 	pkgs, err := LoadPatterns(moduleRoot(t), "lightpath/internal/obs")

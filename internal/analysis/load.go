@@ -25,8 +25,6 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-
-	ignores ignoreIndex
 }
 
 // listPkg is the subset of `go list -json` output the loader needs.
@@ -255,13 +253,11 @@ func typeCheckParsed(fset *token.FileSet, imp types.ImporterFrom, path string, f
 		}
 		return nil, fmt.Errorf("typecheck %s:\n%s", path, sb.String())
 	}
-	pkg := &Package{
+	return &Package{
 		Path:  path,
 		Fset:  fset,
 		Files: files,
 		Types: tpkg,
 		Info:  info,
-	}
-	pkg.ignores = buildIgnoreIndex(fset, files)
-	return pkg, nil
+	}, nil
 }

@@ -1,6 +1,5 @@
 // Package errdrop is a golden fixture for the errdrop analyzer:
-// error results of engine/facade/core public APIs must be handled,
-// or the discard must carry a written //lint:ignore justification.
+// error results of engine/facade/core public APIs must be handled.
 package errdrop
 
 import (
@@ -16,12 +15,6 @@ func drops(e *engine.Engine, m *lightpath.SessionManager) {
 	res, _ := e.RouteAndAllocate(5, 0, 1) // want `error result of Engine\.RouteAndAllocate is assigned to _`
 	_ = res
 	m.Admit(0, 1) // want `error result of SessionManager\.Admit is discarded`
-}
-
-func justified(e *engine.Engine) {
-	//lint:ignore errdrop teardown on a best-effort path; failure only delays reuse
-	e.Release(6)
-	_ = e.Release(7) //lint:ignore errdrop fixture demonstrates same-line suppression
 }
 
 func handled(e *engine.Engine, m *lightpath.SessionManager) error {
