@@ -1,8 +1,8 @@
 // Command wdmdist runs the distributed semilightpath algorithm of the
-// reproduced paper's Section III-B (Theorem 3): every network node
-// executes as its own goroutine, messages travel only over physical
-// links, and the tool reports the measured message/round counts next to
-// the O(km)/O(kn) bounds.
+// reproduced paper's Section III-B (Theorem 3) in synchronous rounds,
+// stepped in node order: messages travel only over physical links, and
+// the tool reports the measured message/round counts next to the
+// O(km)/O(kn) bounds.
 //
 // Usage:
 //

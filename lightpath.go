@@ -30,8 +30,8 @@
 //	tree, _ := router.RouteFrom(0, nil)     // one-to-all
 //	all, _ := router.AllPairs(nil)          // n×n cost matrix
 //
-// The distributed variant (Theorem 3) runs each network node as its own
-// goroutine exchanging messages only over physical links:
+// The distributed variant (Theorem 3) runs synchronous rounds, stepped in
+// node order, with messages only over physical links:
 //
 //	dres, _ := lightpath.FindDistributed(nw, 0, 2)
 //	// dres.Stats.Messages ≤ O(km), dres.Stats.Rounds ≤ O(kn)
@@ -154,8 +154,8 @@ func Find(nw *Network, s, t int, opts *Options) (*Result, error) {
 }
 
 // FindDistributed computes an optimal semilightpath with the distributed
-// algorithm of Theorem 3: one goroutine per network node, messages only
-// over physical links, O(km) messages and O(kn) rounds.
+// algorithm of Theorem 3: synchronous rounds, stepped in node order,
+// messages only over physical links, O(km) messages and O(kn) rounds.
 func FindDistributed(nw *Network, s, t int) (*DistResult, error) {
 	return dist.Route(nw, s, t)
 }
