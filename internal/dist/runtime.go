@@ -82,10 +82,10 @@ type Stats struct {
 }
 
 // Runtime executes a Program over a set of nodes and wires in
-// synchronous rounds until quiescence (a round in which no messages are
-// in flight): synchronous rounds, stepped in node order. Each round
-// steps nodes 0…n−1 on one goroutine, appending every send to its
-// destination's next-round inbox; the round's end is the barrier.
+// synchronous rounds, stepped in node order, until quiescence (a round
+// in which no messages are in flight). Each round steps nodes 0…n−1 on
+// the caller's goroutine, appending every send to its destination's
+// next-round inbox; the round's end is the barrier.
 type Runtime[M any] struct {
 	numNodes int
 	wires    []Wire
