@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"lightpath/internal/core"
@@ -103,5 +104,49 @@ func TestAllPairsPipelinedMessagesBound(t *testing.T) {
 	n := nw.NumNodes()
 	if stats.Messages > 4*k*k*n*n {
 		t.Fatalf("messages %d exceed 4k²n² = %d", stats.Messages, 4*k*k*n*n)
+	}
+}
+
+// stepLog wraps a multiProgram and records every inbox it is handed, in
+// call order, as (node, source, wire, λ) rows. Within a wire an inbox
+// keeps send order, so the rows follow the order in which the previous
+// round's Steps ran the instances.
+type stepLog struct {
+	*multiProgram
+	rows [][4]int
+}
+
+func (l *stepLog) Step(node, round int, inbox []Delivery[multiMsg], send Send[multiMsg]) {
+	for _, d := range inbox {
+		l.rows = append(l.rows, [4]int{node, int(d.Msg.Src), d.Wire, int(d.Msg.M.Lambda)})
+	}
+	l.multiProgram.Step(node, round, inbox, send)
+}
+
+// TestPipelinedInstancesStepInSourceOrder: the per-source Steps of a
+// pipelined run follow source order, so every run of one execution
+// sends the same messages in the same order.
+func TestPipelinedInstancesStepInSourceOrder(t *testing.T) {
+	nw := paperNet(t)
+	n := nw.NumNodes()
+	var first [][4]int
+	for run := 0; run < 20; run++ {
+		prog := &multiProgram{insts: make([]*semiProgram, n)}
+		for s := range prog.insts {
+			prog.insts[s] = buildProgram(nw, s)
+		}
+		l := &stepLog{multiProgram: prog}
+		rt, err := NewRuntime[multiMsg](n, wiresOf(nw), l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = l.rows
+		} else if !slices.Equal(l.rows, first) {
+			t.Fatalf("run %d saw a different inbox sequence from run 0", run)
+		}
 	}
 }

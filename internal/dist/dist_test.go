@@ -2,6 +2,7 @@ package dist
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -436,5 +437,74 @@ func TestRouteWithTrace(t *testing.T) {
 	}
 	if _, tr, err := RouteWithTrace(nw, 6, 0); !errors.Is(err, ErrNoRoute) || tr == nil {
 		t.Fatalf("no route: %v %v", tr, err)
+	}
+}
+
+// laddersNet is the round-cap witness: a ring 0→1→2→0 carrying every λ
+// at weight 1, 3→0 on λ0 only, 2→4 on λ(k−1) only, and a one-step
+// converter (cost 0.5) at node 0 alone. Every route 3→4 climbs one
+// wavelength per lap of the ring, so the optimum has 3k−2 physical
+// hops and costs 3k−2 + (k−1)/2: far more hops than the n = 5 nodes.
+func laddersNet(t *testing.T, k int) *wdm.Network {
+	t.Helper()
+	nw := wdm.NewNetwork(5, k)
+	all := make([]wdm.Channel, k)
+	for l := range all {
+		all[l] = wdm.Channel{Lambda: wdm.Wavelength(l), Weight: 1}
+	}
+	links := []struct {
+		u, v int
+		chs  []wdm.Channel
+	}{
+		{0, 1, all}, {1, 2, all}, {2, 0, all},
+		{3, 0, all[:1]}, {2, 4, all[k-1:]},
+	}
+	for _, l := range links {
+		if _, err := nw.AddLink(l.u, l.v, l.chs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nw.SetConverter(wdm.PerNodeConversion{Nodes: map[int]wdm.Converter{
+		0: wdm.DistanceConversion{Radius: 1, PerStep: 0.5},
+	}})
+	return nw
+}
+
+// TestRoundCapWitness: an optimum with more physical hops than any
+// multiple of n is still found. Synchronous rounds equal its hops, which
+// stay within the cap of Σ_v |Λ_in(v)| + 1 rounds.
+func TestRoundCapWitness(t *testing.T) {
+	for _, k := range []int{16, 32} {
+		nw := laddersNet(t, k)
+		hops := 3*k - 2
+		want := float64(hops) + float64(k-1)/2
+		budget := 1
+		for v := 0; v < nw.NumNodes(); v++ {
+			budget += len(nw.LambdaIn(v))
+		}
+		t.Run(fmt.Sprintf("k=%d/Route", k), func(t *testing.T) {
+			res, err := Route(nw, 3, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Cost != want || len(res.Path.Hops) != hops {
+				t.Fatalf("cost %v in %d hops, want %v in %d", res.Cost, len(res.Path.Hops), want, hops)
+			}
+			if err := res.Path.Validate(nw, 3, 4); err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.Rounds != hops || res.Stats.Rounds > budget {
+				t.Fatalf("%d rounds, want %d (cap %d)", res.Stats.Rounds, hops, budget)
+			}
+		})
+		t.Run(fmt.Sprintf("k=%d/AllPairsPipelined", k), func(t *testing.T) {
+			costs, stats, err := AllPairsPipelined(nw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if costs[3][4] != want || stats.Rounds > budget {
+				t.Fatalf("cost %v in %d rounds, want %v within %d", costs[3][4], stats.Rounds, want, budget)
+			}
+		})
 	}
 }
