@@ -98,7 +98,7 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "  cost: %.6g\n", res.Cost)
 		fmt.Fprintf(w, "  path: %s\n", res.Path.String(nw))
 		fmt.Fprintf(w, "  messages: %d  virtual time: %.2f  peak in-flight: %d\n",
-			astats.Messages, astats.VirtualTime, astats.MaxQueue)
+			astats.Messages, astats.VirtualTime, astats.MaxInFlight)
 		return nil
 	}
 

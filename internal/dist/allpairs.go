@@ -23,34 +23,41 @@ type multiMsg struct {
 // multiProgram runs one semiProgram instance per source node.
 type multiProgram struct {
 	insts []*semiProgram
+	// boxes[src] is source src's share of the inbox being stepped, in
+	// wire order; the slices are reused across Steps.
+	boxes [][]Delivery[distMsg]
 }
 
 var _ Program[multiMsg] = (*multiProgram)(nil)
 
+// newMultiProgram builds one single-source instance per node of nw.
+func newMultiProgram(nw *wdm.Network) *multiProgram {
+	n := nw.NumNodes()
+	p := &multiProgram{insts: make([]*semiProgram, n), boxes: make([][]Delivery[distMsg], n)}
+	for s := range p.insts {
+		p.insts[s] = buildProgram(nw, s)
+	}
+	return p
+}
+
 // Init seeds every source instance at its own node.
 func (p *multiProgram) Init(node int, send Send[multiMsg]) {
 	for src, inst := range p.insts {
-		st := inst.states[node]
-		if !st.isSource {
-			continue
-		}
-		for yi := range st.y {
-			st.y[yi] = label{dist: 0, parent: -1, seeded: true}
-		}
-		st.announce(p.sendFor(int32(src), send))
+		inst.Init(node, p.sendFor(int32(src), send))
 	}
 }
 
 // Step demultiplexes deliveries by source tag and advances each
-// instance independently.
+// instance independently, in source order.
 func (p *multiProgram) Step(node, round int, inbox []Delivery[multiMsg], send Send[multiMsg]) {
-	// Partition the inbox per source, preserving wire order.
-	perSrc := make(map[int32][]Delivery[distMsg])
 	for _, d := range inbox {
-		perSrc[d.Msg.Src] = append(perSrc[d.Msg.Src], Delivery[distMsg]{Wire: d.Wire, Msg: d.Msg.M})
+		p.boxes[d.Msg.Src] = append(p.boxes[d.Msg.Src], Delivery[distMsg]{Wire: d.Wire, Msg: d.Msg.M})
 	}
-	for src, box := range perSrc {
-		p.insts[src].Step(node, round, box, p.sendFor(src, send))
+	for src, box := range p.boxes {
+		if len(box) > 0 {
+			p.insts[src].Step(node, round, box, p.sendFor(int32(src), send))
+			p.boxes[src] = box[:0]
+		}
 	}
 }
 
@@ -65,25 +72,16 @@ func (p *multiProgram) sendFor(src int32, send Send[multiMsg]) Send[distMsg] {
 // n×n cost matrix and the run's statistics; Stats.Rounds here is the
 // genuinely parallel round count.
 func AllPairsPipelined(nw *wdm.Network) ([][]float64, Stats, error) {
-	var stats Stats
 	if nw == nil {
-		return nil, stats, ErrNilNetwork
+		return nil, Stats{}, ErrNilNetwork
 	}
-	n := nw.NumNodes()
-	prog := &multiProgram{insts: make([]*semiProgram, n)}
-	for s := 0; s < n; s++ {
-		prog.insts[s] = buildProgram(nw, s)
-	}
-	rt, err := NewRuntime[multiMsg](n, wiresOf(nw), prog)
-	if err != nil {
-		return nil, stats, err
-	}
-	stats, err = rt.Run()
+	prog := newMultiProgram(nw)
+	stats, err := newRuntime[multiMsg](nw, prog).Run()
 	if err != nil {
 		return nil, stats, fmt.Errorf("dist: pipelined all-pairs: %w", err)
 	}
 
-	costs := make([][]float64, n)
+	costs := make([][]float64, len(prog.insts))
 	for s, inst := range prog.insts {
 		costs[s] = costRow(inst, s)
 	}

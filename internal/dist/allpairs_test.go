@@ -131,11 +131,7 @@ func TestPipelinedInstancesStepInSourceOrder(t *testing.T) {
 	n := nw.NumNodes()
 	var first [][4]int
 	for run := 0; run < 20; run++ {
-		prog := &multiProgram{insts: make([]*semiProgram, n)}
-		for s := range prog.insts {
-			prog.insts[s] = buildProgram(nw, s)
-		}
-		l := &stepLog{multiProgram: prog}
+		l := &stepLog{multiProgram: newMultiProgram(nw)}
 		rt, err := NewRuntime[multiMsg](n, wiresOf(nw), l)
 		if err != nil {
 			t.Fatal(err)

@@ -1,61 +1,25 @@
 package dist
 
 import (
-	"container/heap"
-	"fmt"
 	"math/rand"
 
 	"lightpath/internal/wdm"
 )
 
-// This file implements the asynchronous execution model — the ablation
-// counterpart to the synchronous Runtime. Messages experience
+// This file configures the asynchronous execution model — the ablation
+// counterpart to the synchronous rounds. Messages experience
 // independent random link delays instead of lockstep rounds; the
 // "time" of a run is the virtual time of the last delivery, and
-// termination is global quiescence (an empty event queue — the
-// simulator's omniscient stand-in for a diffusing-computation
-// termination detector such as Dijkstra–Scholten, whose control
-// messages we do not count).
+// termination is global quiescence (an empty queue — the simulator's
+// omniscient stand-in for a diffusing-computation termination detector
+// such as Dijkstra–Scholten, whose control messages we do not count).
+// The Runtime's one delivery loop runs it: only the delays differ.
 //
 // Bellman–Ford-style relaxation stays correct under arbitrary message
 // reordering; what changes is the message *count*: stale labels can
-// overtake fresh ones, triggering re-announcements. Comparing
-// AsyncStats.Messages with the synchronous Stats.Messages on the same
+// overtake fresh ones, triggering re-announcements. Comparing the
+// asynchronous Stats.Messages with the synchronous one on the same
 // instance quantifies that price.
-
-// AsyncStats aggregates an asynchronous run.
-type AsyncStats struct {
-	Messages    int     // labels sent over physical links
-	VirtualTime float64 // delivery time of the last message
-	MaxQueue    int     // peak in-flight messages
-}
-
-// asyncEvent is one in-flight message.
-type asyncEvent struct {
-	at   float64
-	seq  int64 // FIFO tiebreak for determinism
-	wire int
-	msg  distMsg
-}
-
-type asyncQueue []asyncEvent
-
-func (q asyncQueue) Len() int { return len(q) }
-func (q asyncQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q asyncQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *asyncQueue) Push(x interface{}) { *q = append(*q, x.(asyncEvent)) }
-func (q *asyncQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	item := old[n-1]
-	*q = old[:n-1]
-	return item
-}
 
 // AsyncOptions tunes the asynchronous model.
 type AsyncOptions struct {
@@ -89,84 +53,50 @@ func (o *AsyncOptions) seed() int64 {
 	return o.Seed
 }
 
+// asyncModel is the Runtime's hook for the asynchronous model: seeded
+// per-send delays and duplication faults, and the message cap.
+type asyncModel struct {
+	rng                 *rand.Rand
+	minD, maxD, dupProb float64
+	maxMessages         int
+}
+
+func (o *AsyncOptions) model(nw *wdm.Network) *asyncModel {
+	m := &asyncModel{rng: rand.New(rand.NewSource(o.seed()))}
+	m.minD, m.maxD = o.delays()
+	if o != nil {
+		m.dupProb, m.maxMessages = o.DupProb, o.MaxMessages
+	}
+	if m.maxMessages <= 0 {
+		m.maxMessages = 1000 * (nw.TotalChannels() + 1)
+	}
+	return m
+}
+
+// delays appends the delays of one send's copies to buf: one copy, or
+// two under a duplication fault. It draws the fault first, then one
+// delay per copy.
+func (m *asyncModel) delays(buf []float64) []float64 {
+	copies := 1
+	if m.dupProb > 0 && m.rng.Float64() < m.dupProb {
+		copies = 2 // at-least-once fault: a spurious duplicate
+	}
+	for range copies {
+		buf = append(buf, m.minD+m.rng.Float64()*(m.maxD-m.minD))
+	}
+	return buf
+}
+
 // RouteAsync runs the distributed semilightpath algorithm under the
 // asynchronous model and returns the same optimal result as Route,
-// with asynchronous statistics.
-func RouteAsync(nw *wdm.Network, s, t int, opts *AsyncOptions) (*Result, AsyncStats, error) {
-	var astats AsyncStats
-	if res, err := checkPair(nw, s, t); res != nil || err != nil {
-		return res, astats, err
+// with the asynchronous run's statistics.
+func RouteAsync(nw *wdm.Network, s, t int, opts *AsyncOptions) (*Result, Stats, error) {
+	if nw == nil {
+		return nil, Stats{}, ErrNilNetwork
 	}
-
-	prog := buildProgram(nw, s)
-	rng := rand.New(rand.NewSource(opts.seed()))
-	minD, maxD := opts.delays()
-	maxMessages := 0
-	if opts != nil {
-		maxMessages = opts.MaxMessages
-	}
-	if maxMessages <= 0 {
-		maxMessages = 1000 * (nw.TotalChannels() + 1)
-	}
-
-	var (
-		q    asyncQueue
-		seq  int64
-		now  float64
-		sent int
-	)
-	heap.Init(&q)
-	dupProb := 0.0
-	if opts != nil {
-		dupProb = opts.DupProb
-	}
-	emit := func(from int, wire int, msg distMsg) {
-		l := nw.Link(wire)
-		if l.From != from {
-			panic(fmt.Sprintf("dist: node %d sent on foreign wire %d", from, wire))
-		}
-		copies := 1
-		if dupProb > 0 && rng.Float64() < dupProb {
-			copies = 2 // at-least-once fault: a spurious duplicate
-		}
-		for c := 0; c < copies; c++ {
-			seq++
-			sent++
-			heap.Push(&q, asyncEvent{
-				at:   now + minD + rng.Float64()*(maxD-minD),
-				seq:  seq,
-				wire: wire,
-				msg:  msg,
-			})
-		}
-	}
-
-	// Seed the source exactly like the synchronous Init.
-	srcState := prog.states[s]
-	for yi := range srcState.y {
-		srcState.y[yi] = label{dist: 0, parent: -1, seeded: true}
-	}
-	srcState.announce(func(wire int, msg distMsg) { emit(s, wire, msg) })
-
-	for q.Len() > 0 {
-		if sent > maxMessages {
-			return nil, astats, fmt.Errorf("%w: %d messages", ErrNoQuiescence, sent)
-		}
-		if q.Len() > astats.MaxQueue {
-			astats.MaxQueue = q.Len()
-		}
-		ev := heap.Pop(&q).(asyncEvent)
-		now = ev.at
-		node := nw.Link(ev.wire).To
-		prog.Step(node, 0, []Delivery[distMsg]{{Wire: ev.wire, Msg: ev.msg}},
-			func(wire int, msg distMsg) { emit(node, wire, msg) })
-	}
-	astats.Messages = sent
-	astats.VirtualTime = now
-
-	path, cost, err := extractPath(nw, prog, s, t)
+	res, err := route(nw, s, t, nil, opts.model(nw))
 	if err != nil {
-		return nil, astats, err
+		return nil, Stats{}, err
 	}
-	return &Result{Path: path, Cost: cost}, astats, nil
+	return res, res.Stats, nil
 }

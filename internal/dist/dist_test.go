@@ -337,11 +337,13 @@ func TestFig5RevisitDistributed(t *testing.T) {
 	}
 }
 
-// recorder sends fixed messages in Init and records every inbox it is
-// handed, copied, since an inbox is valid only during its Step.
+// recorder sends fixed messages in Init and in each Step, and records
+// every inbox it is handed, copied, since an inbox is valid only during
+// its Step.
 type recorder struct {
-	seeds   map[int][][2]int // node → (wire, msg) sends, in order
-	inboxes map[int][]Delivery[int]
+	seeds   map[int][][2]int // node → (wire, msg) sends in Init, in order
+	echoes  map[int][][2]int // node → (wire, msg) sends in each Step
+	inboxes map[int][][]Delivery[int]
 }
 
 func (r *recorder) Init(node int, send Send[int]) {
@@ -351,46 +353,83 @@ func (r *recorder) Init(node int, send Send[int]) {
 }
 
 func (r *recorder) Step(node, round int, inbox []Delivery[int], send Send[int]) {
-	r.inboxes[node] = append(r.inboxes[node], inbox...)
+	r.inboxes[node] = append(r.inboxes[node], slices.Clone(inbox))
+	for _, s := range r.echoes[node] {
+		send(s[0], s[1])
+	}
 }
 
-// TestRuntimeInboxOrder: an inbox is sorted by wire ID, in send order
-// within a wire, whatever order the senders were stepped in.
+// models are the runtime's two execution models, by name: the
+// synchronous delay of 1 (a nil hook), and the asynchronous hook at a
+// fixed delay of 0.5, so that messages sent together are due together.
+func models() map[string]*asyncModel {
+	return map[string]*asyncModel{
+		"synchronous":  nil,
+		"asynchronous": {rng: rand.New(rand.NewSource(1)), minD: 0.5, maxD: 0.5, maxMessages: 100},
+	}
+}
+
+// TestRuntimeInboxOrder: messages due at one time to one node arrive as
+// one inbox, sorted by wire ID and in send order within a wire, whatever
+// order the senders were stepped in — under both execution models.
 func TestRuntimeInboxOrder(t *testing.T) {
-	// Node 1 is stepped before node 2, but node 2 owns the lower wire.
-	wires := []Wire{{From: 2, To: 0}, {From: 1, To: 0}}
-	r := &recorder{
-		seeds:   map[int][][2]int{1: {{1, 30}}, 2: {{0, 10}, {0, 20}}},
-		inboxes: map[int][]Delivery[int]{},
-	}
-	rt, err := NewRuntime[int](3, wires, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := []Delivery[int]{{Wire: 0, Msg: 10}, {Wire: 0, Msg: 20}, {Wire: 1, Msg: 30}}
-	if got := r.inboxes[0]; !slices.Equal(got, want) {
-		t.Fatalf("inbox of node 0 = %v, want %v", got, want)
+	for name, async := range models() {
+		// Node 1 is stepped before node 2, but node 2 owns the lower wire.
+		wires := []Wire{{From: 2, To: 0}, {From: 1, To: 0}}
+		r := &recorder{
+			seeds:   map[int][][2]int{1: {{1, 30}}, 2: {{0, 10}, {0, 20}}},
+			inboxes: map[int][][]Delivery[int]{},
+		}
+		rt, err := NewRuntime[int](3, wires, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.async = async
+		if _, err := rt.Run(); err != nil {
+			t.Fatal(err)
+		}
+		want := [][]Delivery[int]{{{Wire: 0, Msg: 10}, {Wire: 0, Msg: 20}, {Wire: 1, Msg: 30}}}
+		if got := r.inboxes[0]; !slices.EqualFunc(got, want, slices.Equal) {
+			t.Fatalf("%s: inboxes of node 0 = %v, want %v", name, got, want)
+		}
 	}
 }
 
-// TestRuntimeForeignWirePanics: a send on a wire the node does not own
-// panics in the caller of Run, naming the node and the wire.
+// TestRuntimeForeignWirePanics: a send on a wire the node does not own —
+// from Init, or from a Step under either model — panics in the caller
+// of Run, naming the node and the wire.
 func TestRuntimeForeignWirePanics(t *testing.T) {
+	panics := func(t *testing.T, rt *Runtime[int], want string) {
+		t.Helper()
+		defer func() {
+			if p := recover(); p != want {
+				t.Fatalf("recovered %v, want %q", p, want)
+			}
+		}()
+		rt.Run()
+		t.Fatal("Run returned")
+	}
 	r := &recorder{seeds: map[int][][2]int{1: {{0, 1}}}}
 	rt, err := NewRuntime[int](3, []Wire{{From: 2, To: 0}}, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if p := recover(); p != "dist: node 1 sent on foreign wire 0" {
-			t.Fatalf("recovered %v", p)
+	panics(t, rt, "dist: node 1 sent on foreign wire 0")
+
+	for name, async := range models() {
+		// Node 0's Step answers on node 2's wire.
+		r := &recorder{
+			seeds:   map[int][][2]int{2: {{0, 1}}},
+			echoes:  map[int][][2]int{0: {{0, 2}}},
+			inboxes: map[int][][]Delivery[int]{},
 		}
-	}()
-	rt.Run()
-	t.Fatal("Run returned")
+		rt, err := NewRuntime[int](3, []Wire{{From: 2, To: 0}}, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.async = async
+		t.Run(name, func(t *testing.T) { panics(t, rt, "dist: node 0 sent on foreign wire 0") })
+	}
 }
 
 func TestRouteWithTrace(t *testing.T) {

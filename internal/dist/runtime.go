@@ -3,15 +3,19 @@
 //
 // Two layers live here:
 //
-//   - Runtime — a synchronous message-passing simulator: synchronous
-//     rounds, stepped in node order. Messages travel only over the
-//     physical directed links of the network, and a message sent in one
-//     round is delivered at the next (the synchronous model the paper's
-//     O(kn)-time / O(km)-message claims of Theorem 3 are stated in). The
-//     runtime counts exactly what the theorems bound: messages crossing
-//     physical links and rounds to quiescence. Computation inside a node
-//     — i.e. inside its gadget fragment of G_{s,t} — is local and free,
-//     matching "the communication costs on these links are negligible".
+//   - Runtime — a message-passing simulator with one delivery loop over
+//     a queue of in-flight messages ordered by delivery time. Messages
+//     travel only over the physical directed links of the network. The
+//     synchronous model is every send delayed by exactly 1: a message
+//     sent in one round is delivered at the next, and each round steps
+//     its nodes in node order (the model the paper's O(kn)-time /
+//     O(km)-message claims of Theorem 3 are stated in). The asynchronous
+//     ablation (async.go) is the same loop with seeded random delays.
+//     The runtime counts exactly what the theorems bound: messages
+//     crossing physical links and rounds to quiescence. Computation
+//     inside a node — i.e. inside its gadget fragment of G_{s,t} — is
+//     local and free, matching "the communication costs on these links
+//     are negligible".
 //
 //   - The semilightpath program (sssp.go) — each node holds its own
 //     bipartite fragment G_v of the embedded auxiliary graph G_{s,t} and
@@ -23,7 +27,9 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
+	"sort"
 )
 
 // Errors returned by the runtime.
@@ -62,39 +68,62 @@ type Send[M any] func(wire int, msg M)
 // self-contained per node: a node learns of others only through its
 // inbox. Init and Step never run concurrently — the runtime steps nodes
 // one at a time, in node order — and an inbox is valid only during its
-// Step: the runtime reuses its storage for a later round.
+// Step: the runtime reuses its storage for a later delivery time.
 type Program[M any] interface {
-	// Init runs once before round 0 and may send seed messages.
+	// Init runs once before the first delivery and may send seed
+	// messages.
 	Init(node int, send Send[M])
-	// Step runs once per round with the messages delivered this round
-	// (sent during the previous round), sorted by wire ID — in send
-	// order within a wire — for determinism. It may send messages for
-	// delivery next round.
+	// Step runs for a node with a non-empty inbox: the messages due at
+	// one delivery time, sorted by wire ID — in send order within a wire
+	// — for determinism. round is the index of that delivery time (under
+	// the synchronous model, the round). It may send further messages.
 	Step(node, round int, inbox []Delivery[M], send Send[M])
 }
 
 // Stats aggregates what the distributed complexity theorems talk about.
 type Stats struct {
-	Rounds       int // rounds until global quiescence (the "time" of Theorem 3)
-	Messages     int // total messages over physical wires (the "communication")
-	MaxWireLoad  int // max messages carried by any single wire
-	MaxNodeInbox int // max messages any node received in one round
+	Rounds       int     // delivery times until global quiescence (the "time" of Theorem 3)
+	Messages     int     // total messages over physical wires (the "communication")
+	MaxWireLoad  int     // max messages carried by any single wire
+	MaxNodeInbox int     // max messages any node received at one delivery time
+	VirtualTime  float64 // delivery time of the last message: Rounds under the synchronous model
+	MaxInFlight  int     // peak messages in flight
 }
 
-// Runtime executes a Program over a set of nodes and wires in
-// synchronous rounds, stepped in node order, until quiescence (a round
-// in which no messages are in flight). Each round steps nodes 0…n−1 on
-// the caller's goroutine, appending every send to its destination's
-// next-round inbox; the round's end is the barrier.
+// Runtime executes a Program over a set of nodes and wires until
+// quiescence: no message in flight. It keeps one queue of in-flight
+// messages, ordered by delivery time and, at equal times, by send order.
+// At each distinct time it hands every node its due messages as one
+// inbox and steps those nodes in node order, on the caller's goroutine.
+// Under the synchronous model every send is delivered exactly 1 later,
+// so each delivery time is a round; RouteAsync runs the same loop with
+// seeded random delays.
 type Runtime[M any] struct {
 	numNodes int
 	wires    []Wire
 	prog     Program[M]
-	// MaxRounds caps execution; 0 defaults to 4·numNodes + 16, well above
-	// the O(n) rounds synchronous Bellman–Ford needs.
+	// MaxRounds caps the rounds of a synchronous run; 0 defaults to
+	// 4·numNodes + 16. A semilightpath run sets it from the network to
+	// Σ_v |Λ_in(v)| + 1 ≤ kn + 1, Theorem 3's own time bound. Costs are
+	// non-negative, so each label's optimum is reached by a simple path
+	// in G_{s,t}, and each physical hop of it enters a distinct X-node
+	// (v, λ): at most Σ_v |Λ_in(v)| hops. Round r delivers the labels of
+	// paths of r+1 hops, so every label is final after round
+	// Σ_v |Λ_in(v)| − 1, and the next round sends nothing.
 	MaxRounds int
 	// Trace, when non-nil, accumulates per-round activity.
 	Trace *Trace
+	// async, when non-nil, replaces the synchronous delay of 1 with its
+	// seeded per-send delays and duplicates, and caps the messages sent
+	// instead of the rounds.
+	async *asyncModel
+}
+
+// inFlight is a queued message: its delivery time and destination.
+type inFlight[M any] struct {
+	at  float64
+	dst int
+	Delivery[M]
 }
 
 // NewRuntime validates the wire list and returns a runtime.
@@ -107,70 +136,94 @@ func NewRuntime[M any](numNodes int, wires []Wire, prog Program[M]) (*Runtime[M]
 	return &Runtime[M]{numNodes: numNodes, wires: wires, prog: prog}, nil
 }
 
-// Run executes rounds until quiescence and returns the stats.
+// Run delivers messages until quiescence and returns the stats.
 func (r *Runtime[M]) Run() (Stats, error) {
 	maxRounds := r.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = 4*r.numNodes + 16
 	}
 
-	var stats Stats
+	var (
+		stats  Stats
+		queue  []inFlight[M] // by delivery time, then send order
+		delays []float64
+		now    float64
+	)
 	wireLoad := make([]int, len(r.wires))
-	// cur holds the inboxes being stepped, next the ones filling for the
-	// following round; the two swap at each barrier and keep their
-	// capacity, so a round allocates only when an inbox outgrows it.
-	cur := make([][]Delivery[M], r.numNodes)
-	next := make([][]Delivery[M], r.numNodes)
+	// inboxes keep their capacity across delivery times, so a step
+	// allocates only when an inbox outgrows it; due marks the nodes with
+	// a non-empty inbox, one bit each, and is read in node order.
+	inboxes := make([][]Delivery[M], r.numNodes)
+	due := make([]uint64, (r.numNodes+63)/64)
 	node, sent := 0, 0
 	send := func(wire int, msg M) {
 		if wire < 0 || wire >= len(r.wires) || r.wires[wire].From != node {
 			panic(fmt.Sprintf("dist: node %d sent on foreign wire %d", node, wire))
 		}
-		dst := r.wires[wire].To
-		next[dst] = append(next[dst], Delivery[M]{Wire: wire, Msg: msg})
-		wireLoad[wire]++
-		sent++
-	}
-	// barrier ends a phase: it sorts every next-round inbox by wire for
-	// deterministic Step behaviour, records the phase and reports whether
-	// any message is in flight.
-	barrier := func(round, active int) bool {
-		for _, box := range next {
-			slices.SortStableFunc(box, func(a, b Delivery[M]) int { return cmp.Compare(a.Wire, b.Wire) })
+		if r.async == nil {
+			delays = append(delays[:0], 1)
+		} else {
+			delays = r.async.delays(delays[:0])
 		}
+		for _, d := range delays {
+			m := inFlight[M]{at: now + d, dst: r.wires[wire].To, Delivery: Delivery[M]{Wire: wire, Msg: msg}}
+			// After every message due no later: under a constant delay
+			// that is the end of the queue.
+			if n := len(queue); n == 0 || queue[n-1].at <= m.at {
+				queue = append(queue, m)
+			} else {
+				queue = slices.Insert(queue, sort.Search(n, func(j int) bool { return queue[j].at > m.at }), m)
+			}
+		}
+		wireLoad[wire] += len(delays)
+		stats.MaxWireLoad = max(stats.MaxWireLoad, wireLoad[wire])
+		sent += len(delays)
+	}
+	// record ends a phase: it counts and traces the phase's sends.
+	record := func(round, active int) {
 		stats.Messages += sent
 		if r.Trace != nil {
 			r.Trace.Rounds = append(r.Trace.Rounds, RoundTrace{Round: round, Messages: sent, ActiveNodes: active})
 		}
-		inFlight := sent > 0
 		sent = 0
-		cur, next = next, cur
-		return inFlight
 	}
 
 	for node = 0; node < r.numNodes; node++ {
 		r.prog.Init(node, send)
 	}
-	inFlight := barrier(-1, 0)
-	for round := 0; inFlight; round++ {
-		if round >= maxRounds {
+	record(-1, 0)
+	for round := 0; len(queue) > 0; round++ {
+		switch {
+		case r.async == nil && round >= maxRounds:
 			return stats, fmt.Errorf("%w: %d rounds", ErrNoQuiescence, round)
+		case r.async != nil && stats.Messages > r.async.maxMessages:
+			return stats, fmt.Errorf("%w: %d messages", ErrNoQuiescence, stats.Messages)
 		}
 		stats.Rounds++
-		active := 0
-		for node = 0; node < r.numNodes; node++ {
-			inbox := cur[node]
-			if len(inbox) > 0 {
+		stats.MaxInFlight = max(stats.MaxInFlight, len(queue))
+		now = queue[0].at
+		n, active := 0, 0
+		for ; n < len(queue) && queue[n].at == now; n++ {
+			m := queue[n]
+			if len(inboxes[m.dst]) == 0 {
+				due[m.dst/64] |= 1 << (m.dst % 64)
 				active++
 			}
-			stats.MaxNodeInbox = max(stats.MaxNodeInbox, len(inbox))
-			r.prog.Step(node, round, inbox, send)
-			cur[node] = inbox[:0]
+			inboxes[m.dst] = append(inboxes[m.dst], m.Delivery)
 		}
-		inFlight = barrier(round, active)
+		queue = queue[:copy(queue, queue[n:])]
+		for w := range due {
+			for ; due[w] != 0; due[w] &= due[w] - 1 {
+				node = w*64 + bits.TrailingZeros64(due[w])
+				inbox := inboxes[node]
+				slices.SortStableFunc(inbox, func(a, b Delivery[M]) int { return cmp.Compare(a.Wire, b.Wire) })
+				stats.MaxNodeInbox = max(stats.MaxNodeInbox, len(inbox))
+				r.prog.Step(node, round, inbox, send)
+				inboxes[node] = inbox[:0]
+			}
+		}
+		record(round, active)
 	}
-	for _, l := range wireLoad {
-		stats.MaxWireLoad = max(stats.MaxWireLoad, l)
-	}
+	stats.VirtualTime = now
 	return stats, nil
 }

@@ -70,9 +70,9 @@ type outLink struct {
 	yIdx []int32
 }
 
-// semiProgram is the Program implementation shared by all nodes.
-// All per-node state is partitioned by node ID, so concurrent Step calls
-// on different nodes never share memory.
+// semiProgram is the Program implementation shared by all nodes. All
+// per-node state is partitioned by node ID: a node reads and writes only
+// its own fragment.
 type semiProgram struct {
 	states []*nodeState
 }
@@ -166,21 +166,19 @@ type Result struct {
 // (or Theorem 5 when availability is k0-bounded). The physical links of
 // nw are the wires; nothing else carries messages.
 func Route(nw *wdm.Network, s, t int) (*Result, error) {
-	return route(nw, s, t, nil)
+	return route(nw, s, t, nil, nil)
 }
 
-// route is the body of Route and RouteWithTrace: a non-nil trace is
-// attached to the runtime before it runs.
-func route(nw *wdm.Network, s, t int, trace *Trace) (*Result, error) {
+// route is the body of Route, RouteWithTrace and RouteAsync: a non-nil
+// trace is attached to the runtime, and a non-nil async model replaces
+// the synchronous one.
+func route(nw *wdm.Network, s, t int, trace *Trace, async *asyncModel) (*Result, error) {
 	if res, err := checkPair(nw, s, t); res != nil || err != nil {
 		return res, err
 	}
 	prog := buildProgram(nw, s)
-	rt, err := NewRuntime[distMsg](nw.NumNodes(), wiresOf(nw), prog)
-	if err != nil {
-		return nil, err
-	}
-	rt.Trace = trace
+	rt := newRuntime[distMsg](nw, prog)
+	rt.Trace, rt.async = trace, async
 	stats, err := rt.Run()
 	if err != nil {
 		return nil, err
@@ -190,6 +188,20 @@ func route(nw *wdm.Network, s, t int, trace *Trace) (*Result, error) {
 		return nil, err
 	}
 	return &Result{Path: path, Cost: cost, Stats: stats}, nil
+}
+
+// newRuntime is the one place a semilightpath runtime is built: prog
+// runs over the physical links of nw (valid wires by construction),
+// within the round cap that Runtime.MaxRounds derives,
+// Σ_v |Λ_in(v)| + 1.
+func newRuntime[M any](nw *wdm.Network, prog Program[M]) *Runtime[M] {
+	var in []wdm.Wavelength
+	rounds := 1
+	for v := range nw.NumNodes() {
+		in = nw.AppendLambdaIn(in[:0], v)
+		rounds += len(in)
+	}
+	return &Runtime[M]{numNodes: nw.NumNodes(), wires: wiresOf(nw), prog: prog, MaxRounds: rounds}
 }
 
 // checkPair is the prologue every point query shares: a nil network and
@@ -364,14 +376,9 @@ func AllPairs(nw *wdm.Network) ([][]float64, Stats, error) {
 	n := nw.NumNodes()
 	costs := make([][]float64, n)
 	var total Stats
-	wires := wiresOf(nw)
 	for s := 0; s < n; s++ {
 		prog := buildProgram(nw, s)
-		rt, err := NewRuntime[distMsg](n, wires, prog)
-		if err != nil {
-			return nil, total, err
-		}
-		stats, err := rt.Run()
+		stats, err := newRuntime[distMsg](nw, prog).Run()
 		if err != nil {
 			return nil, total, err
 		}

@@ -40,7 +40,7 @@ func (tr *Trace) Fprint(w io.Writer) {
 // back with a result, and with ErrNoRoute when the run found no path.
 func RouteWithTrace(nw *wdm.Network, s, t int) (*Result, *Trace, error) {
 	trace := &Trace{}
-	res, err := route(nw, s, t, trace)
+	res, err := route(nw, s, t, trace, nil)
 	if err != nil && !errors.Is(err, ErrNoRoute) {
 		return nil, nil, err
 	}

@@ -163,15 +163,13 @@ func FindDistributed(nw *Network, s, t int) (*DistResult, error) {
 // AsyncOptions tunes the asynchronous distributed execution model.
 type AsyncOptions = dist.AsyncOptions
 
-// AsyncStats aggregates an asynchronous distributed run.
-type AsyncStats = dist.AsyncStats
-
 // FindDistributedAsync runs the distributed algorithm under the
-// asynchronous model: per-message random link delays instead of lockstep
-// rounds. The result is identical to FindDistributed (relaxation is
-// reordering-safe); the statistics quantify asynchrony's message
-// overhead.
-func FindDistributedAsync(nw *Network, s, t int, opts *AsyncOptions) (*DistResult, AsyncStats, error) {
+// asynchronous model: the same delivery loop as FindDistributed, with
+// seeded random per-message link delays in place of lockstep rounds.
+// The result is identical to FindDistributed (relaxation is
+// reordering-safe); the statistics — VirtualTime and MaxInFlight among
+// them — quantify asynchrony's message overhead.
+func FindDistributedAsync(nw *Network, s, t int, opts *AsyncOptions) (*DistResult, DistStats, error) {
 	return dist.RouteAsync(nw, s, t, opts)
 }
 
