@@ -76,7 +76,11 @@ func AllPairsPipelined(nw *wdm.Network) ([][]float64, Stats, error) {
 		return nil, Stats{}, ErrNilNetwork
 	}
 	prog := newMultiProgram(nw)
-	stats, err := newRuntime[multiMsg](nw, prog).Run()
+	xNodes := 0 // the same in every instance: the shores do not depend on the source
+	if len(prog.insts) > 0 {
+		xNodes = prog.insts[0].xNodes()
+	}
+	stats, err := newRuntime[multiMsg](nw, prog, xNodes).Run()
 	if err != nil {
 		return nil, stats, fmt.Errorf("dist: pipelined all-pairs: %w", err)
 	}

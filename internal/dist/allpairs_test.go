@@ -108,28 +108,29 @@ func TestAllPairsPipelinedMessagesBound(t *testing.T) {
 }
 
 // stepLog wraps a multiProgram and records every inbox it is handed, in
-// call order, as (node, source, wire, λ) rows. Within a wire an inbox
-// keeps send order, so the rows follow the order in which the previous
-// round's Steps ran the instances.
+// call order, as (round, node, wire, source, λ) rows. Within a wire an
+// inbox keeps send order, so the rows follow the order in which the
+// previous round's Steps ran the instances.
 type stepLog struct {
 	*multiProgram
-	rows [][4]int
+	rows [][5]int
 }
 
 func (l *stepLog) Step(node, round int, inbox []Delivery[multiMsg], send Send[multiMsg]) {
 	for _, d := range inbox {
-		l.rows = append(l.rows, [4]int{node, int(d.Msg.Src), d.Wire, int(d.Msg.M.Lambda)})
+		l.rows = append(l.rows, [5]int{round, node, d.Wire, int(d.Msg.Src), int(d.Msg.M.Lambda)})
 	}
 	l.multiProgram.Step(node, round, inbox, send)
 }
 
 // TestPipelinedInstancesStepInSourceOrder: the per-source Steps of a
-// pipelined run follow source order, so every run of one execution
-// sends the same messages in the same order.
+// pipelined run follow source order, so within a wire an inbox lists
+// its sources in ascending order, and every run of one execution sends
+// the same messages in the same order.
 func TestPipelinedInstancesStepInSourceOrder(t *testing.T) {
 	nw := paperNet(t)
 	n := nw.NumNodes()
-	var first [][4]int
+	var first [][5]int
 	for run := 0; run < 20; run++ {
 		l := &stepLog{multiProgram: newMultiProgram(nw)}
 		rt, err := NewRuntime[multiMsg](n, wiresOf(nw), l)
@@ -138,6 +139,11 @@ func TestPipelinedInstancesStepInSourceOrder(t *testing.T) {
 		}
 		if _, err := rt.Run(); err != nil {
 			t.Fatal(err)
+		}
+		for i := 1; i < len(l.rows); i++ {
+			if a, b := l.rows[i-1], l.rows[i]; [3]int(a[:3]) == [3]int(b[:3]) && a[3] > b[3] {
+				t.Fatalf("run %d: source %d after source %d in one wire of an inbox (round, node, wire %v)", run, b[3], a[3], b[:3])
+			}
 		}
 		if run == 0 {
 			first = l.rows

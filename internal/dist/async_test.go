@@ -205,3 +205,29 @@ func TestAsyncDuplicationFaults(t *testing.T) {
 		}
 	}
 }
+
+// TestAsyncFiguresPinned pins the asynchronous model's figures on the
+// paper example at one seed, with and without duplication faults. They
+// move if the RNG is drawn in another order (per send: the duplication
+// draw, then one delay per copy) or if equal-time deliveries are
+// reordered.
+func TestAsyncFiguresPinned(t *testing.T) {
+	nw := paperNet(t)
+	for _, c := range []struct {
+		dup         float64
+		msgs, peak  int
+		virtualTime float64
+	}{
+		{0, 34, 13, 4.789565083604626},
+		{0.3, 33, 18, 3.3100720804277115},
+	} {
+		res, st, err := RouteAsync(nw, 0, 6, &AsyncOptions{Seed: 7, DupProb: c.dup})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cost != 20 || st.Messages != c.msgs || st.MaxInFlight != c.peak || st.VirtualTime != c.virtualTime {
+			t.Fatalf("dup=%v: cost %v, %d messages, peak %d, virtual time %v; want 20, %d, %d, %v",
+				c.dup, res.Cost, st.Messages, st.MaxInFlight, st.VirtualTime, c.msgs, c.peak, c.virtualTime)
+		}
+	}
+}

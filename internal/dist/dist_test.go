@@ -509,6 +509,26 @@ func laddersNet(t *testing.T, k int) *wdm.Network {
 	return nw
 }
 
+// TestRoundCapIsTight: on the line 0→1→2 with a link 2→1 back, one λ,
+// the optimum 0→2 reaches node 2 at round 1, whose announcement on 2→1
+// is delivered at round 2, so the run takes Σ_v |Λ_in(v)| + 1 = 3
+// rounds: exactly the cap.
+func TestRoundCapIsTight(t *testing.T) {
+	nw := wdm.NewNetwork(3, 1)
+	for _, l := range [][2]int{{0, 1}, {1, 2}, {2, 1}} {
+		if _, err := nw.AddLink(l[0], l[1], []wdm.Channel{{Lambda: 0, Weight: 1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := Route(nw, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cost != 2 || res.Stats.Rounds != 3 {
+		t.Fatalf("cost %v in %d rounds, want 2 in 3", res.Cost, res.Stats.Rounds)
+	}
+}
+
 // TestRoundCapWitness: an optimum with more physical hops than any
 // multiple of n is still found. Synchronous rounds equal its hops, which
 // stay within the cap of Σ_v |Λ_in(v)| + 1 rounds.

@@ -109,7 +109,8 @@ type Runtime[M any] struct {
 	// in G_{s,t}, and each physical hop of it enters a distinct X-node
 	// (v, λ): at most Σ_v |Λ_in(v)| hops. Round r delivers the labels of
 	// paths of r+1 hops, so every label is final after round
-	// Σ_v |Λ_in(v)| − 1, and the next round sends nothing.
+	// Σ_v |Λ_in(v)| − 1; the next round delivers only announcements that
+	// improve nothing, and sends nothing.
 	MaxRounds int
 	// Trace, when non-nil, accumulates per-round activity.
 	Trace *Trace
@@ -119,10 +120,9 @@ type Runtime[M any] struct {
 	async *asyncModel
 }
 
-// inFlight is a queued message: its delivery time and destination.
+// inFlight is a queued message and its delivery time.
 type inFlight[M any] struct {
-	at  float64
-	dst int
+	at float64
 	Delivery[M]
 }
 
@@ -166,7 +166,7 @@ func (r *Runtime[M]) Run() (Stats, error) {
 			delays = r.async.delays(delays[:0])
 		}
 		for _, d := range delays {
-			m := inFlight[M]{at: now + d, dst: r.wires[wire].To, Delivery: Delivery[M]{Wire: wire, Msg: msg}}
+			m := inFlight[M]{at: now + d, Delivery: Delivery[M]{Wire: wire, Msg: msg}}
 			// After every message due no later: under a constant delay
 			// that is the end of the queue.
 			if n := len(queue); n == 0 || queue[n-1].at <= m.at {
@@ -204,12 +204,13 @@ func (r *Runtime[M]) Run() (Stats, error) {
 		now = queue[0].at
 		n, active := 0, 0
 		for ; n < len(queue) && queue[n].at == now; n++ {
-			m := queue[n]
-			if len(inboxes[m.dst]) == 0 {
-				due[m.dst/64] |= 1 << (m.dst % 64)
+			m := &queue[n]
+			dst := r.wires[m.Wire].To
+			if len(inboxes[dst]) == 0 {
+				due[dst/64] |= 1 << (dst % 64)
 				active++
 			}
-			inboxes[m.dst] = append(inboxes[m.dst], m.Delivery)
+			inboxes[dst] = append(inboxes[dst], m.Delivery)
 		}
 		queue = queue[:copy(queue, queue[n:])]
 		for w := range due {

@@ -177,7 +177,7 @@ func route(nw *wdm.Network, s, t int, trace *Trace, async *asyncModel) (*Result,
 		return res, err
 	}
 	prog := buildProgram(nw, s)
-	rt := newRuntime[distMsg](nw, prog)
+	rt := newRuntime[distMsg](nw, prog, prog.xNodes())
 	rt.Trace, rt.async = trace, async
 	stats, err := rt.Run()
 	if err != nil {
@@ -192,16 +192,19 @@ func route(nw *wdm.Network, s, t int, trace *Trace, async *asyncModel) (*Result,
 
 // newRuntime is the one place a semilightpath runtime is built: prog
 // runs over the physical links of nw (valid wires by construction),
-// within the round cap that Runtime.MaxRounds derives,
-// Σ_v |Λ_in(v)| + 1.
-func newRuntime[M any](nw *wdm.Network, prog Program[M]) *Runtime[M] {
-	var in []wdm.Wavelength
-	rounds := 1
-	for v := range nw.NumNodes() {
-		in = nw.AppendLambdaIn(in[:0], v)
-		rounds += len(in)
+// within the round cap that Runtime.MaxRounds derives from the xNodes
+// X-nodes of G_{s,t}, Σ_v |Λ_in(v)|: one round more than there are.
+func newRuntime[M any](nw *wdm.Network, prog Program[M], xNodes int) *Runtime[M] {
+	return &Runtime[M]{numNodes: nw.NumNodes(), wires: wiresOf(nw), prog: prog, MaxRounds: xNodes + 1}
+}
+
+// xNodes counts the X-nodes of the program's G_{s,t}: Σ_v |Λ_in(v)|.
+func (p *semiProgram) xNodes() int {
+	n := 0
+	for _, st := range p.states {
+		n += len(st.x)
 	}
-	return &Runtime[M]{numNodes: nw.NumNodes(), wires: wiresOf(nw), prog: prog, MaxRounds: rounds}
+	return n
 }
 
 // checkPair is the prologue every point query shares: a nil network and
@@ -378,7 +381,7 @@ func AllPairs(nw *wdm.Network) ([][]float64, Stats, error) {
 	var total Stats
 	for s := 0; s < n; s++ {
 		prog := buildProgram(nw, s)
-		stats, err := newRuntime[distMsg](nw, prog).Run()
+		stats, err := newRuntime[distMsg](nw, prog, prog.xNodes()).Run()
 		if err != nil {
 			return nil, total, err
 		}
