@@ -109,12 +109,15 @@ race-obs:
 # is one full compile of G′ (18 allocs/op at every n: per structure, not
 # per node) and BenchmarkEngineNew/n={100,300} the epoch-0 residual plus
 # that compile under wdmserve's defaults (≈ 121 allocs; thousands mean
-# the compile or the residual is built per node again). Not a
-# stable-numbers benchmark.
+# the compile or the residual is built per node again). The last line
+# is the root package's BenchmarkDistributed (E5): one dist.Route per op
+# on the runtime's delivery loop, with msgs and rounds beside ns, B and
+# allocs (≈ 3,535 allocs/op at n=100). Not a stable-numbers benchmark.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Route|KShortest|CostsFrom|AllocateRelease|Dijkstra|MonitorSample|HeapSearchMix|SessionExec|NewAux|EngineNew' \
 		-benchtime 100ms -benchmem \
 		./internal/heap/binheap ./internal/graph ./internal/core ./internal/engine ./internal/obs ./internal/serve
+	$(GO) test -run '^$$' -bench 'Distributed' -benchtime 100ms -benchmem .
 
 # The whole-stack benchmark (BENCHMARK.json, benchmark/) is a nested
 # module, so the root `go build ./... && go test ./...` never compiles
