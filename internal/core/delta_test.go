@@ -336,6 +336,60 @@ func TestApplyDeltaSharesUntouchedSegments(t *testing.T) {
 	}
 }
 
+// TestApplyDeltaReemitsOnlyMovedChannels: a delta that moves one (link,
+// λ) channel — takes it, or reweighs it — re-emits exactly one segment,
+// Y_u(λ) of the link's tail u; every other segment, the link's other
+// wavelengths included, stays shared with the parent, and the child is
+// still the full compile of its residual arc for arc.
+func TestApplyDeltaReemitsOnlyMovedChannels(t *testing.T) {
+	nw := deltaNetwork(t, 7)
+	a, err := NewAux(nw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := -1
+	for l := 0; l < nw.NumLinks() && id < 0; l++ {
+		if len(nw.Link(l).Channels) >= 2 {
+			id = l
+		}
+	}
+	if id < 0 {
+		t.Fatal("fixture: no link carries two wavelengths")
+	}
+	link := nw.Link(id)
+	moved := link.Channels[1]
+	taken := append(append([]wdm.Channel(nil), link.Channels[:1]...), link.Channels[2:]...)
+	reweighed := append([]wdm.Channel(nil), link.Channels...)
+	reweighed[1].Weight += 0.25
+	for name, channels := range map[string][]wdm.Channel{"taken": taken, "reweighed": reweighed} {
+		res, err := nw.PatchChannels(map[int][]wdm.Channel{id: channels})
+		if err != nil {
+			t.Fatal(err)
+		}
+		child, err := a.ApplyDelta(res, []int{id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewAuxWithLayout(nw, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		auxEqual(t, child, fresh)
+		y, ok := a.yIndex(link.From, moved.Lambda)
+		if !ok {
+			t.Fatalf("%s: λ%d missing from Y_%d", name, moved.Lambda, link.From)
+		}
+		for u := 0; u < a.NumAuxNodes(); u++ {
+			pa, ca := a.g.Out(u), child.g.Out(u)
+			shared := len(pa) == len(ca) && (len(pa) == 0 || &pa[0] == &ca[0])
+			if shared == (u == y) {
+				t.Fatalf("%s (link %d, λ%d): segment of aux node %d (net node %d, λ%d) shared=%v; only Y_%d(λ%d) may be re-emitted",
+					name, id, moved.Lambda, u, a.info[u].Node, a.info[u].Lambda, shared, link.From, moved.Lambda)
+			}
+		}
+	}
+}
+
 func TestNewAuxWithLayoutRejectsMismatch(t *testing.T) {
 	nw := deltaNetwork(t, 8)
 	other := wdm.NewNetwork(nw.NumNodes(), nw.K()+1)

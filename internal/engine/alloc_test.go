@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -129,6 +130,35 @@ func TestCachedRouteFromAllocationFree(t *testing.T) {
 	}
 	if got := counter(e, "engine_batch_row_requests_total"); got != 101*4 {
 		t.Fatalf("%d batch requests read a row, want every one of %d", got, 101*4)
+	}
+}
+
+// TestColdCostsFromAllocations pins a cost row's miss: with the cache
+// disabled every CostsFrom runs its pass, on the pooled scratch and
+// straight into the row it returns — its one allocation, no tree and no
+// copy of the pass's parent or via-arc arrays — at n=100 as at n=300.
+// Best of several short measurements: under the race detector sync.Pool
+// drops a quarter of its Puts on purpose, and a dropped scratch shows up
+// as a rebuild in the next call.
+func TestColdCostsFromAllocations(t *testing.T) {
+	for _, n := range []int{100, 300} {
+		e, err := New(sparseNet(t, n), &Options{CacheSize: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := e.Snapshot()
+		src, best := 0, math.Inf(1)
+		for round := 0; round < 16; round++ {
+			best = math.Min(best, testing.AllocsPerRun(2, func() {
+				if _, err := snap.CostsFrom(src); err != nil {
+					t.Fatal(err)
+				}
+				src = (src + 1) % n
+			}))
+		}
+		if best != 1 {
+			t.Errorf("n=%d: a cold CostsFrom allocates %v objects, want 1: its row", n, best)
+		}
 	}
 }
 
