@@ -24,7 +24,7 @@ type SourceTree struct {
 	parent, via []int32
 	// bestX[t] is the argmin aux node over X_t, or -1 when unreachable.
 	bestX []int32
-	dist  []float64
+	dist  []float64 // CostsFrom's row: 0 at the source
 	// settled counts the search's queue pops (bucket queue: scans), and
 	// rescans those of them beyond one per X-shore node reached.
 	settled, rescans int
@@ -40,17 +40,10 @@ func (st *SourceTree) Source() int { return st.source }
 
 // Dist reports the optimal semilightpath cost from the source to t
 // (0 for t == source, +Inf when unreachable).
-func (st *SourceTree) Dist(t int) float64 {
-	if t == st.source {
-		return 0
-	}
-	return st.dist[t]
-}
+func (st *SourceTree) Dist(t int) float64 { return st.dist[t] }
 
 // Reachable reports whether t can be reached from the source.
-func (st *SourceTree) Reachable(t int) bool {
-	return t == st.source || graph.Finite(st.dist[t])
-}
+func (st *SourceTree) Reachable(t int) bool { return graph.Finite(st.dist[t]) }
 
 // PathTo extracts the optimal semilightpath from the source to t.
 func (st *SourceTree) PathTo(t int) (*wdm.Semilightpath, error) {
@@ -70,27 +63,77 @@ func (st *SourceTree) PathTo(t int) (*wdm.Semilightpath, error) {
 // single-source pass over G_{s,·} — the building block of Corollary 1's
 // all-pairs algorithm. On the zero queue the pass is label-correcting over
 // buckets sized from the layout's weight range; every queue returns the
-// same costs bit for bit. Safe for concurrent use on one Aux.
+// same costs bit for bit. The tree keeps the pass's parent and via-arc
+// arrays, 2·|V′| int32s copied off the pooled scratch: a caller that
+// reads only costs asks CostsFrom, the same pass keeping none of it. Safe
+// for concurrent use on one Aux.
 func (a *Aux) RouteFrom(s int, opts *Options) (*SourceTree, error) {
-	if s < 0 || s >= a.nw.NumNodes() {
-		return nil, fmt.Errorf("%w: source %d", ErrNodeRange, s)
+	if err := a.checkSource(s); err != nil {
+		return nil, err
 	}
 	n := a.nw.NumNodes()
-	sp := opts.span().StartChild(SpanTreeSearch)
-	defer sp.End()
 	st := &SourceTree{aux: a, source: s, bestX: make([]int32, n), dist: make([]float64, n)}
-	for t := range st.dist {
-		st.bestX[t] = -1
-		st.dist[t] = graph.Inf
-	}
-	// Borrow the search's working set from the pool; what the SourceTree
-	// retains is copied out of it below.
 	qs := a.pool.get()
 	defer a.pool.put(qs)
+	tree, rescans, err := a.sourcePass(s, opts, qs, st.dist, st.bestX)
+	if err != nil {
+		return nil, err
+	}
+	st.rescans = rescans
+	if tree != nil {
+		st.settled = tree.Settled
+		st.parent = append([]int32(nil), tree.Parent...)
+		st.via = append([]int32(nil), tree.ViaArc...)
+	}
+	return st, nil
+}
+
+// CostsFrom is RouteFrom for a caller that reads costs, not paths: the
+// same pass, on the same pooled scratch, writes the n optimal costs from
+// s into dst — entry t bit for bit SourceTree.Dist(t) — and keeps nothing,
+// so it allocates nothing. It returns the pass's rescans
+// (SourceTree.Rescans). dst must hold exactly one entry per network node.
+func (a *Aux) CostsFrom(s int, opts *Options, dst []float64) (rescans int, err error) {
+	if err := a.checkSource(s); err != nil {
+		return 0, err
+	}
+	if len(dst) != a.nw.NumNodes() {
+		return 0, fmt.Errorf("core: cost row of %d entries for %d nodes", len(dst), a.nw.NumNodes())
+	}
+	qs := a.pool.get()
+	defer a.pool.put(qs)
+	_, rescans, err = a.sourcePass(s, opts, qs, dst, nil)
+	return rescans, err
+}
+
+func (a *Aux) checkSource(s int) error {
+	if s < 0 || s >= a.nw.NumNodes() {
+		return fmt.Errorf("%w: source %d", ErrNodeRange, s)
+	}
+	return nil
+}
+
+// sourcePass is the one single-source pass behind RouteFrom and
+// CostsFrom, timed as a core_tree_search span: the search over G_{s,·}
+// on qs, then the virtual super sink of every node read off it — dist[t]
+// the least distance over X_t (0 at s, +Inf when unreached) and, when
+// bestX is non-nil, bestX[t] the X_t node attaining it (-1 when
+// unreached). The returned tree aliases qs, and is nil when s has no
+// outgoing channel and nothing was searched.
+func (a *Aux) sourcePass(s int, opts *Options, qs *queryScratch, dist []float64, bestX []int32) (*graph.ShortestPathTree, int, error) {
+	sp := opts.span().StartChild(SpanTreeSearch)
+	defer sp.End()
+	for t := range dist {
+		dist[t] = graph.Inf
+	}
+	for t := range bestX {
+		bestX[t] = -1
+	}
+	dist[s] = 0
 	qs.seeds = a.sourceSeeds(qs.seeds, s)
 	if len(qs.seeds) == 0 {
 		sp.SetBool(AttrBlocked, true)
-		return st, nil // no outgoing channels: only s itself is reachable
+		return nil, 0, nil // no outgoing channels: only s itself is reachable
 	}
 	kind := opts.queue()
 	bucket := kind == graph.QueueBucket
@@ -104,28 +147,28 @@ func (a *Aux) RouteFrom(s int, opts *Options) (*SourceTree, error) {
 		tree, err = graph.DijkstraSeedsUntilScratch(a.g, qs.seeds, nil, kind, qs.g, a.yPass, nil, graph.Inf)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("core: dijkstra: %w", err)
+		return nil, 0, fmt.Errorf("core: dijkstra: %w", err)
 	}
-	st.parent = append([]int32(nil), tree.Parent...)
-	st.via = append([]int32(nil), tree.ViaArc...)
-	st.settled = tree.Settled
 	reachedX := 0
-	for t := 0; t < n; t++ {
+	for t := range dist {
 		for xi := range a.xLambdas[t] {
 			x := int(a.xStart[t]) + xi
 			if graph.Finite(tree.Dist[x]) {
 				reachedX++
 			}
-			if tree.Dist[x] < st.dist[t] {
-				st.dist[t] = tree.Dist[x]
-				st.bestX[t] = int32(x)
+			if tree.Dist[x] < dist[t] {
+				dist[t] = tree.Dist[x]
+				if bestX != nil {
+					bestX[t] = int32(x)
+				}
 			}
 		}
 	}
+	rescans := 0
 	if bucket {
 		// The queue holds the X shore alone, and each reached X node is
 		// scanned at least once, at its final distance.
-		st.rescans = tree.Settled - reachedX
+		rescans = tree.Settled - reachedX
 	}
 	if sp != nil {
 		sp.SetInt(AttrAuxNodes, int64(a.NumAuxNodes()+1))          // plus the virtual super source
@@ -133,7 +176,7 @@ func (a *Aux) RouteFrom(s int, opts *Options) (*SourceTree, error) {
 		sp.SetInt(AttrSettled, int64(tree.Settled))
 		sp.SetInt(AttrRelaxed, int64(tree.Relaxed))
 	}
-	return st, nil
+	return tree, rescans, nil
 }
 
 // TreePays reports the break-even multiplicity of a source under mode:
@@ -201,15 +244,11 @@ func (a *Aux) AllPairsParallel(opts *Options, workers int) (*AllPairsResult, err
 				if s >= n || failure.Load() != nil {
 					return
 				}
-				st, err := a.RouteFrom(s, opts)
-				if err != nil {
+				row := make([]float64, n)
+				if _, err := a.CostsFrom(s, opts, row); err != nil {
 					err = fmt.Errorf("core: all-pairs from %d: %w", s, err)
 					failure.CompareAndSwap(nil, &err)
 					return
-				}
-				row := make([]float64, n)
-				for t := 0; t < n; t++ {
-					row[t] = st.Dist(t)
 				}
 				res.Costs[s] = row
 			}

@@ -20,20 +20,23 @@ import (
 
 // ApplyDelta produces the compiled auxiliary graph of the next residual
 // network from this one by copy-on-write: the adjacency page table is
-// copied (|V'|/32 pointers) and only the out-segments of Y-shore nodes
-// incident to the changed links are re-emitted, each copying the spine
-// page it sits on once; every other segment — all gadget conversion arcs
-// and the E_org arcs of untouched links — is shared structurally with the
-// parent. Shore indexes, node identities, the pass-through mask and the
-// scratch pool are shared outright. Cost: O(|changed| · k · d_out + pages
-// touched).
+// copied (|V'|/32 pointers) and only the out-segments of the Y-shore
+// nodes Y_u(λ) whose channel (e,λ) on a changed link e = (u,v) differs
+// between this graph's residual and next — in presence or in weight — are
+// re-emitted, each copying the spine page it sits on once; every other
+// segment — all gadget conversion arcs, the E_org arcs of untouched links
+// and those of a changed link's unchanged wavelengths — is shared
+// structurally with the parent. An alloc or release changes one λ per
+// link, so it re-emits one segment per link. Shore indexes, node
+// identities, the pass-through mask and the scratch pool are shared
+// outright. Cost: O(changed channels · d_out + pages touched).
 //
 // next must be a sub-network of this graph's layout, differing from the
 // current residual only on the links listed in changed (listing an
-// unchanged link is harmless, just wasted re-emission). A mutation the
-// layout cannot express — a channel on a wavelength outside the layout
-// shores, changed topology — returns ErrDeltaShape; callers fall back
-// to a full NewAuxWithLayout compile.
+// unchanged link is harmless: its channels diff to nothing). A mutation
+// the layout cannot express — a channel on a wavelength outside the
+// layout shores, changed topology — returns ErrDeltaShape; callers fall
+// back to a full NewAuxWithLayout compile.
 //
 // The result is equivalent to NewAuxWithLayout(layout, next) arc-for-arc
 // (same node IDs, same per-segment arc order), so routing on a delta
@@ -71,10 +74,12 @@ func (a *Aux) ApplyDelta(next *wdm.Network, changed []int) (*Aux, error) {
 	}
 
 	// The affected fragment: for each changed link e=(u,v), every
-	// wavelength the *layout* installs on e names a Y_u(λ) whose
-	// out-segment may gain or lose the (e,λ) arc. Wavelengths beyond the
-	// layout set cannot appear (checked here), and wavelengths on other
-	// links of u are untouched by e.
+	// wavelength the *layout* installs on e whose channel moved names a
+	// Y_u(λ) whose out-segment gains, loses or reweighs the (e,λ) arc.
+	// Wavelengths beyond the layout set cannot appear (checked here), and
+	// wavelengths on other links of u are untouched by e. The arena holds
+	// those segments alone, each at most d_out(u) arcs: a segment kept by
+	// a later epoch pins the whole arena.
 	room := 0
 	for _, id := range changed {
 		if id < 0 || id >= a.layout.NumLinks() {
@@ -87,21 +92,28 @@ func (a *Aux) ApplyDelta(next *wdm.Network, changed []int) (*Aux, error) {
 					ErrDeltaShape, ch.Lambda, id)
 			}
 		}
-		room += len(ll.Channels) * next.OutDegree(ll.From)
+		for _, ch := range ll.Channels {
+			if a.channelMoved(next, id, ch.Lambda) {
+				room += next.OutDegree(ll.From)
+			}
+		}
 	}
 
-	// Re-emit each touched segment from the next residual into one arena,
-	// every segment at full capacity. Since a Y_u(λ) segment holds the arcs
-	// of *every* link leaving u that carries λ, re-emission scans all of
-	// u's outgoing links; arc order matches the full compile, because
-	// Network.Out lists link IDs ascending, exactly the order pass 3 of
-	// NewAuxWithLayout visits them. Two changed links leaving one node
-	// re-emit the wavelengths they share twice, to the same result.
+	// Re-emit each moved segment from the next residual into the arena.
+	// Since a Y_u(λ) segment holds the arcs of *every* link leaving u that
+	// carries λ, re-emission scans all of u's outgoing links; arc order
+	// matches the full compile, because Network.Out lists link IDs
+	// ascending, exactly the order pass 3 of NewAuxWithLayout visits them.
+	// Two changed links leaving one node re-emit the wavelengths that moved
+	// on both twice, to the same result.
 	arena := make([]graph.Arc, 0, room)
 	for _, id := range changed {
 		u := a.layout.Link(id).From
 		for _, ch := range a.layout.Link(id).Channels {
 			lam := ch.Lambda
+			if !a.channelMoved(next, id, lam) {
+				continue
+			}
 			y, ok := a.yIndex(u, lam)
 			if !ok {
 				return nil, fmt.Errorf("%w: λ%d missing from layout shore Y_%d", ErrDeltaShape, lam, u)
@@ -128,4 +140,13 @@ func (a *Aux) ApplyDelta(next *wdm.Network, changed []int) (*Aux, error) {
 	child.stats.OrgArcs = child.g.NumArcs() - child.stats.GadgetArcs
 	child.stats.MultigraphArc = next.TotalChannels()
 	return child, nil
+}
+
+// channelMoved reports whether channel (id, λ) differs between this
+// graph's residual and next: present in one only, or at another weight.
+// Has answers +Inf for an absent channel, and a present one is finite.
+func (a *Aux) channelMoved(next *wdm.Network, id int, lam wdm.Wavelength) bool {
+	was, _ := a.nw.Link(id).Has(lam)
+	now, _ := next.Link(id).Has(lam)
+	return was != now
 }

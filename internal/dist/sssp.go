@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"lightpath/internal/wdm"
@@ -51,10 +52,7 @@ type nodeState struct {
 	// conv[yi] lists (xi, cost) pairs: the gadget arcs into Y entry yi.
 	conv [][]convArc
 	// outs lists the node's outgoing physical links with channel info.
-	outs []outLink
-	// lastSent[wire][ci] is the best value already announced per
-	// outgoing channel, to suppress non-improving messages.
-	lastSent map[int][]float64
+	outs     []outLink
 	isSource bool
 }
 
@@ -68,6 +66,9 @@ type outLink struct {
 	channels []wdm.Channel
 	// yIdx[ci] is the Y-shore index of channels[ci].Lambda.
 	yIdx []int32
+	// lastSent[ci] is the best value already announced on channels[ci],
+	// to suppress non-improving messages.
+	lastSent []float64
 }
 
 // semiProgram is the Program implementation shared by all nodes. All
@@ -131,7 +132,7 @@ func (p *semiProgram) Step(node, round int, inbox []Delivery[distMsg], send Send
 // improved since the last announcement.
 func (st *nodeState) announce(send Send[distMsg]) {
 	for _, ol := range st.outs {
-		last := st.lastSent[ol.wire]
+		last := ol.lastSent
 		for ci, ch := range ol.channels {
 			yd := st.y[ol.yIdx[ci]].dist
 			if math.IsInf(yd, 1) {
@@ -261,18 +262,29 @@ func costRow(prog *semiProgram, s int) []float64 {
 	return row
 }
 
-// buildProgram constructs each node's fragment of G_{s,t}.
+// buildProgram constructs each node's fragment of G_{s,t}. Every slice
+// is sized before it is filled: one per-channel arena each for the yIdx
+// and lastSent rows of all outgoing channels (Σ|Λ(e)| entries), and per
+// node its outs and one conversion-arc arena, exactly sized off a buffer
+// the nodes share.
 func buildProgram(nw *wdm.Network, s int) *semiProgram {
 	n := nw.NumNodes()
 	conv := nw.Converter()
 	prog := &semiProgram{states: make([]*nodeState, n)}
 	inf := math.Inf(1)
+	yIdx := make([]int32, nw.TotalChannels())
+	lastSent := make([]float64, nw.TotalChannels())
+	for i := range lastSent {
+		lastSent[i] = inf
+	}
+	var arcs []convArc // the node's conversion arcs, reused node to node
+	var ends []int     // ends[yi]: the end of Y entry yi's arcs in arcs
 	for v := 0; v < n; v++ {
 		st := &nodeState{
 			xLam:     nw.LambdaIn(v),
 			yLam:     nw.LambdaOut(v),
 			isSource: v == s,
-			lastSent: make(map[int][]float64, len(nw.Out(v))),
+			outs:     make([]outLink, len(nw.Out(v))),
 		}
 		st.x = make([]label, len(st.xLam))
 		st.y = make([]label, len(st.yLam))
@@ -282,8 +294,8 @@ func buildProgram(nw *wdm.Network, s int) *semiProgram {
 		for i := range st.y {
 			st.y[i] = label{dist: inf, parent: -1}
 		}
-		st.conv = make([][]convArc, len(st.yLam))
-		for yi, q := range st.yLam {
+		arcs, ends = arcs[:0], ends[:0]
+		for _, q := range st.yLam {
 			for xi, p := range st.xLam {
 				var c float64
 				switch {
@@ -297,12 +309,22 @@ func buildProgram(nw *wdm.Network, s int) *semiProgram {
 				if math.IsInf(c, 1) || c < 0 {
 					continue
 				}
-				st.conv[yi] = append(st.conv[yi], convArc{xi: int32(xi), cost: c})
+				arcs = append(arcs, convArc{xi: int32(xi), cost: c})
 			}
+			ends = append(ends, len(arcs))
 		}
-		for _, linkID := range nw.Out(v) {
+		own := slices.Clone(arcs)
+		st.conv = make([][]convArc, len(st.yLam))
+		start := 0
+		for yi, end := range ends {
+			st.conv[yi] = own[start:end:end]
+			start = end
+		}
+		for i, linkID := range nw.Out(v) {
 			l := nw.Link(int(linkID))
-			ol := outLink{wire: l.ID, channels: l.Channels, yIdx: make([]int32, len(l.Channels))}
+			c := len(l.Channels)
+			ol := outLink{wire: l.ID, channels: l.Channels, yIdx: yIdx[:c:c], lastSent: lastSent[:c:c]}
+			yIdx, lastSent = yIdx[c:], lastSent[c:]
 			for ci, ch := range l.Channels {
 				yi, ok := searchLam(st.yLam, ch.Lambda)
 				if !ok {
@@ -311,12 +333,7 @@ func buildProgram(nw *wdm.Network, s int) *semiProgram {
 				}
 				ol.yIdx[ci] = int32(yi)
 			}
-			st.outs = append(st.outs, ol)
-			sent := make([]float64, len(l.Channels))
-			for i := range sent {
-				sent[i] = inf
-			}
-			st.lastSent[l.ID] = sent
+			st.outs[i] = ol
 		}
 		prog.states[v] = st
 	}

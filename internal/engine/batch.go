@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -178,28 +179,43 @@ func (s *Snapshot) answerRow(r *BatchResult) bool {
 }
 
 // answerTree fills out[i] for every i in item — requests sharing one
-// source — off one tree built for them and dropped after.
+// source — off one pass run for them and dropped after: a SourceTree
+// when the batch owes paths, else only the pass's cost row.
 func (s *Snapshot) answerTree(out []BatchResult, item []int, paths bool) {
-	st, err := s.RouteFrom(out[item[0]].From)
-	for _, i := range item {
-		if err != nil {
-			out[i].Err = err
-			continue
+	src := out[item[0]].From
+	if paths {
+		st, err := s.RouteFrom(src)
+		for _, i := range item {
+			if r := &out[i]; err != nil {
+				r.Err = err
+			} else if r.Result, r.Err = viaTree(st, r.From, r.To); r.Err == nil {
+				r.Cost = r.Result.Cost
+			}
 		}
-		s.readTree(&out[i], st, paths)
+		return
+	}
+	sp, start := s.startFrom(nil)
+	cost, err := s.passCosts(src, sp)
+	s.endFrom(sp, start)
+	for _, i := range item {
+		switch r := &out[i]; {
+		case err != nil:
+			r.Err = err
+		case s.inRange(r.To):
+			r.setCost(cost[r.To])
+		default:
+			r.Err = fmt.Errorf("%w: dest %d", core.ErrNodeRange, r.To) // as SourceTree.PathTo words it
+		}
 	}
 }
 
-// readTree fills r from its source's SourceTree, extracting the path
-// only for a caller that reads it.
-func (s *Snapshot) readTree(r *BatchResult, st *core.SourceTree, paths bool) {
-	if !paths && s.inRange(r.To) {
-		r.setCost(st.Dist(r.To))
-		return
+// viaTree reads one destination off a SourceTree as a point-query result.
+func viaTree(st *core.SourceTree, src, dst int) (*core.Result, error) {
+	path, err := st.PathTo(dst)
+	if err != nil {
+		return nil, err
 	}
-	if r.Result, r.Err = viaTree(st, r.From, r.To); r.Err == nil {
-		r.Cost = r.Result.Cost
-	}
+	return &core.Result{Path: path, Cost: st.Dist(dst), Source: src, Dest: dst}, nil
 }
 
 func (s *Snapshot) inRange(node int) bool { return node >= 0 && node < s.net.NumNodes() }

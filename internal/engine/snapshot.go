@@ -108,13 +108,18 @@ func (s *Snapshot) pointSearch(src, dst int, sp *obs.Span) (*core.Result, error)
 // RouteFrom computes the single-source shortest semilightpath tree from
 // src at this snapshot's epoch: one pass over the auxiliary graph, built
 // for the caller and never kept — what the engine keeps per (source,
-// epoch) is the tree's costs, and a caller that reads only those asks
-// CostsFrom. Under a parent span the query is an engine_routefrom child
-// carrying the core_tree_search span of its pass.
+// epoch) is the pass's costs, and a caller that reads only those asks
+// CostsFrom, whose pass copies no tree. Under a parent span the query is
+// an engine_routefrom child carrying the core_tree_search span of its
+// pass.
 func (s *Snapshot) RouteFrom(src int, parent ...*obs.Span) (*core.SourceTree, error) {
 	sp, start := s.startFrom(parentSpan(parent))
 	defer s.endFrom(sp, start)
-	return s.buildTree(src, sp)
+	st, err := s.aux.RouteFrom(src, s.opts(sp))
+	if err == nil {
+		s.eng.metrics.treeRescans.Add(uint64(st.Rescans()))
+	}
+	return st, err
 }
 
 // Costs is the optimal costs from one source to every node at one epoch
@@ -195,13 +200,14 @@ func (r *costRow) render() (*rowText, bool) {
 
 // CostsFrom is RouteFrom for a caller that reads costs, not paths. A
 // resident cost row answers with no pass (answered=row on the
-// engine_cache_lookup span); a miss (answered=built) runs one pass,
-// copies its costs into a row, stores the row for every later reader of
-// this (source, epoch) and drops the tree. The row's first hit renders
-// its text (engine_cost_row_renders_total), which every later hit hands
-// out beside the costs: a row read once costs no text, one read twice
-// or more is formatted once. With the cache disabled the row is the
-// caller's alone. The Costs are valid only with a nil error.
+// engine_cache_lookup span); a miss (answered=built) runs one pass
+// (core.Aux.CostsFrom) straight into a fresh row — its one allocation —
+// and stores the row for every later reader of this (source, epoch). The
+// row's first hit renders its text (engine_cost_row_renders_total), which
+// every later hit hands out beside the costs: a row read once costs no
+// text, one read twice or more is formatted once. With the cache disabled
+// the row is the caller's alone. The Costs are valid only with a nil
+// error.
 func (s *Snapshot) CostsFrom(src int, parent ...*obs.Span) (Costs, error) {
 	sp, start := s.startFrom(parentSpan(parent))
 	defer s.endFrom(sp, start)
@@ -225,13 +231,9 @@ func (s *Snapshot) CostsFrom(src int, parent ...*obs.Span) (Costs, error) {
 			return Costs{cost: row.cost, text: text}, nil
 		}
 	}
-	st, err := s.buildTree(src, sp)
+	cost, err := s.passCosts(src, sp)
 	if err != nil {
 		return Costs{}, err
-	}
-	cost := make([]float64, s.net.NumNodes())
-	for t := range cost {
-		cost[t] = st.Dist(t)
 	}
 	if e.costs != nil {
 		// Concurrent misses on one key each run the pass and the last put
@@ -255,22 +257,16 @@ func (s *Snapshot) endFrom(sp *obs.Span, start time.Time) {
 	sp.End()
 }
 
-// buildTree runs one single-source pass and counts its rescans.
-func (s *Snapshot) buildTree(src int, sp *obs.Span) (*core.SourceTree, error) {
-	st, err := s.aux.RouteFrom(src, s.opts(sp))
-	if err == nil {
-		s.eng.metrics.treeRescans.Add(uint64(st.Rescans()))
-	}
-	return st, err
-}
-
-// viaTree reads one destination off a SourceTree as a point-query result.
-func viaTree(st *core.SourceTree, src, dst int) (*core.Result, error) {
-	path, err := st.PathTo(dst)
+// passCosts runs one single-source pass into a fresh cost row and counts
+// its rescans.
+func (s *Snapshot) passCosts(src int, sp *obs.Span) ([]float64, error) {
+	cost := make([]float64, s.net.NumNodes())
+	rescans, err := s.aux.CostsFrom(src, s.opts(sp), cost)
 	if err != nil {
 		return nil, err
 	}
-	return &core.Result{Path: path, Cost: st.Dist(dst), Source: src, Dest: dst}, nil
+	s.eng.metrics.treeRescans.Add(uint64(rescans))
+	return cost, nil
 }
 
 // KShortest enumerates up to count lowest-cost semilightpaths src→dst
