@@ -91,7 +91,13 @@ race-obs:
 # switch from points to trees; BenchmarkCostsFrom is one single-source
 # cost read by what answers it, its n texts appended (row=resident: a
 # lookup and a copy, a couple of µs and 0 allocs; row=first-hit: the
-# render once per row, 3 allocs; cold: the pass and its row);
+# render once per row, 3 allocs; cold: the pass written straight into
+# its row, 1 alloc at either n — 6 meant the pass built a tree to drop);
+# BenchmarkDeltaPublish is one delta publish at 250-Erlang steady state,
+# a held path's channels freed or re-held (one λ per link): ≈ 7 / 19 /
+# 23 µs, 4.3 / 9.0 / 12.0 KB and 12 / 16 / 18 objects on nsfnet / n=100
+# / n=300 (5.0 / 11.0 / 14.2 KB when every layout λ of a changed link
+# was re-emitted);
 # BenchmarkSessionExec is one `route` through Session.Exec bare and
 # under the default recorder, whose rows should differ by about a
 # microsecond and by no allocation, once searching (memo=miss: a fresh
@@ -112,9 +118,9 @@ race-obs:
 # the compile or the residual is built per node again). The last line
 # is the root package's BenchmarkDistributed (E5): one dist.Route per op
 # on the runtime's delivery loop, with msgs and rounds beside ns, B and
-# allocs (≈ 3,535 allocs/op at n=100). Not a stable-numbers benchmark.
+# allocs (≈ 1,242 allocs/op at n=100). Not a stable-numbers benchmark.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Route|KShortest|CostsFrom|AllocateRelease|Dijkstra|MonitorSample|HeapSearchMix|SessionExec|NewAux|EngineNew' \
+	$(GO) test -run '^$$' -bench 'Route|KShortest|CostsFrom|AllocateRelease|DeltaPublish|Dijkstra|MonitorSample|HeapSearchMix|SessionExec|NewAux|EngineNew' \
 		-benchtime 100ms -benchmem \
 		./internal/heap/binheap ./internal/graph ./internal/core ./internal/engine ./internal/obs ./internal/serve
 	$(GO) test -run '^$$' -bench 'Distributed' -benchtime 100ms -benchmem .

@@ -186,11 +186,13 @@ func (a *Aux) sourcePass(s int, opts *Options, qs *queryScratch, dist []float64,
 // the second request already pays for the pass. Under DirectedAStar the
 // rule is ⌈|X shore| / n⌉ — the mean in-wavelength count, at most k: 8
 // on the k=8 serving networks. Measured with no row resident
-// (BenchmarkRouteBatch, cold), a point query costs ≈ 15 µs at n=100 and
-// ≈ 30 µs at n=300 against a pass's ≈ 120 µs and ≈ 355 µs, so the true
-// break-even is ≈ 8 at n=100 and ≈ 12 at n=300: the rule builds a tree
-// a little early for 8 ≤ r < 12 requests from one source at n=300, a
-// band no served workload sends.
+// (BenchmarkRouteBatch, cold, astar), a point query costs ≈ 19 µs at
+// n=100 and ≈ 39 µs at n=300 against a costs-only pass's ≈ 106 µs and
+// ≈ 350 µs (≈ 118 µs and ≈ 367 µs while the pass still copied a tree),
+// so the true break-even is ≈ 6 at n=100 and ≈ 9 at n=300: the rule
+// builds a tree a little late for 6 ≤ r < 8 requests from one source at
+// n=100 and a little early for r = 8 at n=300, bands no served workload
+// sends.
 func (a *Aux) TreePays(mode DirectedMode) int {
 	if mode != DirectedAStar {
 		return 2

@@ -186,9 +186,12 @@ func (s *Snapshot) answerTree(out []BatchResult, item []int, paths bool) {
 	if paths {
 		st, err := s.RouteFrom(src)
 		for _, i := range item {
-			if r := &out[i]; err != nil {
+			r := &out[i]
+			if err != nil {
 				r.Err = err
-			} else if r.Result, r.Err = viaTree(st, r.From, r.To); r.Err == nil {
+				continue
+			}
+			if r.Result, r.Err = viaTree(st, r.From, r.To); r.Err == nil {
 				r.Cost = r.Result.Cost
 			}
 		}
@@ -207,15 +210,6 @@ func (s *Snapshot) answerTree(out []BatchResult, item []int, paths bool) {
 			r.Err = fmt.Errorf("%w: dest %d", core.ErrNodeRange, r.To) // as SourceTree.PathTo words it
 		}
 	}
-}
-
-// viaTree reads one destination off a SourceTree as a point-query result.
-func viaTree(st *core.SourceTree, src, dst int) (*core.Result, error) {
-	path, err := st.PathTo(dst)
-	if err != nil {
-		return nil, err
-	}
-	return &core.Result{Path: path, Cost: st.Dist(dst), Source: src, Dest: dst}, nil
 }
 
 func (s *Snapshot) inRange(node int) bool { return node >= 0 && node < s.net.NumNodes() }

@@ -28,8 +28,10 @@
 //     pair's second ask, so every later point query of it at that epoch
 //     searches nothing; and under DirectedAStar the physical-bound row
 //     per destination, so repeated point queries toward it skip their
-//     backward pass. A SourceTree itself is never kept: it is built, read
-//     and dropped; and
+//     backward pass. A SourceTree itself is never kept: RouteFrom builds
+//     one for its caller, and every reader of costs alone — a cost row's
+//     miss, a costs-only batch — runs the same pass with no tree at all,
+//     its costs written straight into the row (core.Aux.CostsFrom); and
 //   - batched request execution (RouteBatch, BatchCosts), which pins one
 //     snapshot for the whole batch and prices each source: a cached cost
 //     row answers inline, a tree is built only for a source the batch
@@ -77,7 +79,7 @@ type Channel struct {
 // Options configures a new engine.
 type Options struct {
 	// Queue selects the priority structure of the searches that consult
-	// one: SourceTree passes (RouteFrom, the trees RouteBatch builds) and
+	// one: single-source passes (RouteFrom, CostsFrom, a batch's trees) and
 	// DirectedPlain point queries. The zero value, graph.QueueBucket,
 	// builds trees over buckets and runs point queries on the binary heap.
 	// graph.QueueBinary builds the trees on the heap too (same costs bit

@@ -243,7 +243,8 @@ func TestRouteBatchAnswersFromResidentRow(t *testing.T) {
 // TestTreeRescansCounter: the engine's default queue is the bucket queue,
 // and engine_tree_rescans_total is its runtime gate — 0 on a network
 // whose weight range fits the bucket window, positive on one whose range
-// does not, where trees still cost what the binary heap's cost.
+// does not, where trees still cost what the binary heap's cost. A cost
+// row's pass is the same pass and counts the same rescans.
 func TestTreeRescansCounter(t *testing.T) {
 	rescans := func(e *Engine) uint64 { return e.Metrics().Snapshot()["engine_tree_rescans_total"].(uint64) }
 	fits := buildNet(t, topo.NSFNET(), 4, 1)
@@ -286,8 +287,17 @@ func TestTreeRescansCounter(t *testing.T) {
 				}
 			}
 		}
-		if got := rescans(e); (got > 0) != tc.rescans {
-			t.Errorf("%s: engine_tree_rescans_total = %d", name, got)
+		trees := rescans(e)
+		if (trees > 0) != tc.rescans {
+			t.Errorf("%s: engine_tree_rescans_total = %d", name, trees)
+		}
+		for s := 0; s < tc.nw.NumNodes(); s++ {
+			if _, err := e.CostsFrom(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := rescans(e) - trees; got != trees {
+			t.Errorf("%s: the cost rows' passes counted %d rescans, the trees' %d", name, got, trees)
 		}
 		if got := rescans(heap); got != 0 {
 			t.Errorf("%s: binary-queue engine counted %d rescans", name, got)

@@ -269,6 +269,15 @@ func (s *Snapshot) passCosts(src int, sp *obs.Span) ([]float64, error) {
 	return cost, nil
 }
 
+// viaTree reads one destination off a SourceTree as a point-query result.
+func viaTree(st *core.SourceTree, src, dst int) (*core.Result, error) {
+	path, err := st.PathTo(dst)
+	if err != nil {
+		return nil, err
+	}
+	return &core.Result{Path: path, Cost: st.Dist(dst), Source: src, Dest: dst}, nil
+}
+
 // KShortest enumerates up to count lowest-cost semilightpaths src→dst
 // on this snapshot.
 func (s *Snapshot) KShortest(src, dst, count int) ([]*core.Result, error) {
